@@ -7,8 +7,7 @@ the fibers cut out by the homogenization matrix of a map.
 """
 
 from .polyalg import (DEFAULT_TOL, HermitianForm, Polynomial, monomials_of_degree,
-                      poly_arith, properness_form, reduce_mod_sphere,
-                      squared_norm_form)
+                      properness_form, reduce_mod_sphere, squared_norm_form)
 from .ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                        NormEquivalence, NormalizationError, PropernessCertificate,
                        RationalBallMap, Verdict, apply_linear, certify_proper,

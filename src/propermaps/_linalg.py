@@ -1,9 +1,8 @@
-"""Dense linear-algebra helpers shared across modules (numpy/scipy backed)."""
+"""Dense linear-algebra helpers shared across modules (numpy backed)."""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 #: Relative singular-value threshold shared by rank and nullspace computations.
 RANK_RTOL = 1e-10
@@ -91,17 +90,18 @@ def procrustes_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 class UnitaryPath:
     """Continuous path s -> U(s) with U(0) = I and U(1) = U.
 
-    Uses the complex Schur form (diagonal for unitary input) and scales the
-    eigenvalue phases linearly, so every U(s) is unitary.
+    The QR factor of the eigenvector matrix is a Schur frame, and for a
+    normal matrix the Schur form is diagonal, so U = Q diag(e^{i angles}) Q^H.
+    Scaling the principal angles linearly keeps every U(s) unitary.
     """
 
     def __init__(self, unitary: np.ndarray):
         u = np.asarray(unitary, dtype=complex)
         if not is_unitary(u, tol=1e-6):
             raise ValueError("matrix is not unitary")
-        t, z = scipy.linalg.schur(u, output="complex")
-        self.angles = np.angle(np.diag(t))
-        self.frame = z
+        q, _ = np.linalg.qr(np.linalg.eig(u)[1])
+        self.angles = np.angle(np.diag(q.conj().T @ u @ q))
+        self.frame = q
         self.dim = u.shape[0]
 
     def __call__(self, s: float) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _linalg
 from .polyalg import (DEFAULT_TOL, HermitianForm, MultiIndex, Polynomial,
-                      properness_form, reduce_mod_sphere, squared_norm_form)
+                      coefficient_matrix, polynomials_from_rows, properness_form,
+                      reduce_mod_sphere, squared_norm_form)
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
@@ -129,20 +130,6 @@ class RationalBallMap:
                 return False
         return True
 
-    def monomial_support(self) -> list[MultiIndex]:
-        monos = {alpha for comp in self.p for alpha in comp.terms}
-        return sorted(monos, reverse=True)
-
-    def coefficient_matrix(self, monomials: Sequence[MultiIndex] | None = None):
-        """(monomials, matrix) with one row per component, one column per monomial."""
-        monos = list(monomials) if monomials is not None else self.monomial_support()
-        index = {alpha: j for j, alpha in enumerate(monos)}
-        mat = np.zeros((self.N, len(monos)), dtype=complex)
-        for i, comp in enumerate(self.p):
-            for alpha, c in comp.terms.items():
-                mat[i, index[alpha]] = c
-        return monos, mat
-
     # -------------------------------------------------------------- evaluation
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
         qv = self.q(point)
@@ -177,14 +164,16 @@ class RationalBallMap:
     def scaled(self, factor: complex) -> "RationalBallMap":
         return RationalBallMap(self.n, self.N, [comp * factor for comp in self.p], self.q)
 
-    def allclose(self, other: "RationalBallMap", tol: float = DEFAULT_TOL) -> bool:
+    def distance(self, other: "RationalBallMap") -> float:
+        """Largest coefficient difference of p and q after padding to a common target."""
         if self.n != other.n:
-            return False
+            raise DimensionMismatchError("maps must share the domain dimension")
         big = max(self.N, other.N)
         a, b = self.padded(big), other.padded(big)
-        if not a.q.allclose(b.q, tol):
-            return False
-        return all(x.allclose(y, tol) for x, y in zip(a.p, b.p))
+        return max([a.q.distance(b.q)] + [x.distance(y) for x, y in zip(a.p, b.p)])
+
+    def allclose(self, other: "RationalBallMap", tol: float = DEFAULT_TOL) -> bool:
+        return self.n == other.n and self.distance(other) <= tol
 
     def __repr__(self):
         return (f"RationalBallMap(B{self.n} -> B{self.N}, degree={self.degree}, "
@@ -291,7 +280,7 @@ def degree(m: RationalBallMap) -> int:
 
 def embedding_dimension(m: RationalBallMap, rtol: float = _linalg.RANK_RTOL) -> int:
     """Number of linearly independent components (rank of the coefficient rows)."""
-    _, mat = m.coefficient_matrix()
+    _, mat = coefficient_matrix(m.p)
     return _linalg.numerical_rank(mat, rtol=rtol)
 
 
@@ -344,16 +333,8 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     same_q = f.q.allclose(g.q, tol)
     left = list(fp.p) if same_q else [comp * g.q for comp in fp.p]
     right = list(gp.p) if same_q else [comp * f.q for comp in gp.p]
-    monos = sorted({a for comp in left + right for a in comp.terms}, reverse=True)
-    index = {a: j for j, a in enumerate(monos)}
-    stack_f = np.zeros((big, len(monos)), dtype=complex)
-    stack_g = np.zeros((big, len(monos)), dtype=complex)
-    for i, comp in enumerate(left):
-        for alpha, c in comp.terms.items():
-            stack_f[i, index[alpha]] = c
-    for i, comp in enumerate(right):
-        for alpha, c in comp.terms.items():
-            stack_g[i, index[alpha]] = c
+    monos, stack = coefficient_matrix(left + right)
+    stack_f, stack_g = stack[:big], stack[big:]
     unitary = _linalg.procrustes_unitary(stack_f, stack_g)
     residual = float(np.max(np.abs(unitary @ stack_f - stack_g))) if monos else 0.0
     return NormEquivalence(True, unitary=unitary, witness_residual=residual)
@@ -400,14 +381,8 @@ def apply_linear(matrix: np.ndarray, m: RationalBallMap) -> RationalBallMap:
     if mat.ndim != 2 or mat.shape[1] != m.N:
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not accept target dimension {m.N}")
-    comps = []
-    for i in range(mat.shape[0]):
-        acc = Polynomial.zero(m.n)
-        for k in range(m.N):
-            c = mat[i, k]
-            if abs(c) > 0:
-                acc = acc + m.p[k] * c
-        comps.append(acc)
+    monos, coeffs = coefficient_matrix(m.p)
+    comps = polynomials_from_rows(m.n, monos, mat @ coeffs)
     return RationalBallMap(m.n, mat.shape[0], comps, m.q)
 
 

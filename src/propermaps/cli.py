@@ -10,6 +10,7 @@ proper, inequivalent maps), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -21,8 +22,8 @@ from .ballmaps import (DEFAULT_SEED, DenominatorVanishesError, RationalBallMap,
                        embedding_dimension, norm_equivalent)
 from .constructors import (BlaschkeProduct, NonIntegralWindingError, blaschke_map,
                            winding_degree, winding_integral)
-from .corpus import Corpus, build_whitney_term, corpus
-from .documents import MapDocumentError, dumps_map, load_map_path
+from .corpus import Corpus, build_whitney_term, corpus, parse_complex
+from .documents import MapDocumentError, dumps_map, load_map_path, require_number
 from .homotopy import (EndpointMismatchError, NotTensorImageError,
                        PropernessFailureError, blaschke_homotopy,
                        collapse_to_linear, homotopy_to_monomial,
@@ -80,19 +81,15 @@ def _load_map(token: str, reg: Corpus) -> RationalBallMap:
     return load_map_path(token)
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_complex_list(text: str, what: str) -> list:
+    """Comma-separated finite complex numbers, e.g. ``0.3+0.1j,0.2``."""
     try:
-        return np.array([complex(part.strip()) for part in text.split(",")],
-                        dtype=complex)
+        values = [complex(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise MapDocumentError(f"cannot parse point {text!r}: {exc}") from exc
-
-
-def _parse_zero_list(text: str) -> list:
-    try:
-        return [complex(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise MapDocumentError(f"cannot parse zeros {text!r}: {exc}") from exc
+        raise MapDocumentError(f"cannot parse {what} {text!r}: {exc}") from exc
+    if not all(cmath.isfinite(v) for v in values):
+        raise MapDocumentError(f"{what} {text!r} must be finite")
+    return values
 
 
 def _coeff_str(c: complex) -> str:
@@ -175,7 +172,7 @@ def _cmd_xvariety(args, reg: Corpus, out: _Output) -> int:
         out.line("note: nontrivial denominator; the matrix uses the numerator "
                  "only and the fiber description is unvalidated")
     if args.at is not None:
-        w = _parse_point(args.at)
+        w = _parse_complex_list(args.at, "point")
         report = fiber_at(m, x, w)
         out.line(f"fiber dimension at {args.at}: {report.dimension}")
         out.line(f"base point: {np.array2string(report.base, precision=6)}")
@@ -244,15 +241,21 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
 def _family_from_script(path: str, reg: Corpus):
     with open(path, "r", encoding="utf-8") as fp:
         script = json.load(fp)
+    if not isinstance(script, dict):
+        raise MapDocumentError("a family script must be a JSON object")
     kind = script.get("kind")
     if kind == "juxtaposition":
-        left = _load_map(script["left"], reg)
-        right = _load_map(script["right"], reg)
-        return juxtaposition_family(left, right)
+        left, right = script.get("left"), script.get("right")
+        if not (isinstance(left, str) and isinstance(right, str)):
+            raise MapDocumentError("a juxtaposition script needs 'left' and 'right' "
+                                   "map ids or paths")
+        return juxtaposition_family(_load_map(left, reg), _load_map(right, reg))
     if kind == "blaschke":
-        product = BlaschkeProduct(script.get("theta", 0.0),
-                                  [complex(re, im) for re, im in script["zeros"]])
-        return blaschke_homotopy(product)
+        zeros = script.get("zeros")
+        if not isinstance(zeros, list):
+            raise MapDocumentError("a blaschke script needs a list of zeros")
+        theta = require_number(script.get("theta", 0.0), "theta")
+        return blaschke_homotopy(BlaschkeProduct(theta, [parse_complex(a) for a in zeros]))
     if kind == "whitney-monomial":
         return homotopy_to_monomial(build_whitney_term(script["script"]))
     raise MapDocumentError(f"unknown family script kind {kind!r}")
@@ -280,7 +283,7 @@ def _cmd_bound(args, reg: Corpus, out: _Output) -> int:
 
 
 def _cmd_blaschke(args, reg: Corpus, out: _Output) -> int:
-    zeros = _parse_zero_list(args.zeros)
+    zeros = _parse_complex_list(args.zeros, "zeros")
     product = BlaschkeProduct(args.theta, zeros)
     m = blaschke_map(product)
     value = winding_integral(m)

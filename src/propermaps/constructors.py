@@ -21,7 +21,8 @@ import numpy as np
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict,
                        apply_linear, certify_proper)
-from .polyalg import Polynomial
+from .polyalg import (Polynomial, coefficient_matrix, monomials_of_degree,
+                      polynomials_from_rows)
 
 
 class NonIntegralWindingError(ArithmeticError):
@@ -81,24 +82,12 @@ def automorphism_map(phi: BallAutomorphism) -> RationalBallMap:
     n = phi.dim
     a = phi.a
     s = math.sqrt(max(0.0, 1.0 - float(np.linalg.norm(a) ** 2)))
-    pairing = Polynomial.zero(n)  # <z, a>
-    for j in range(n):
-        if abs(a[j]) > 0:
-            pairing = pairing + Polynomial.variable(n, j) * a[j].conjugate()
-    mobius = []
-    for i in range(n):
-        comp = pairing * (a[i] / (s + 1.0)) + Polynomial.variable(n, i) * s
-        comp = comp - Polynomial.constant(n, a[i])
-        mobius.append(comp)
-    comps = []
-    for i in range(n):
-        acc = Polynomial.zero(n)
-        for k in range(n):
-            c = phi.U[i, k]
-            if abs(c) > 0:
-                acc = acc + mobius[k] * c
-        comps.append(acc)
-    denominator = Polynomial.one(n) - pairing
+    # Columns: z_1, ..., z_n, then the constant term.
+    monos = monomials_of_degree(n, 1) + [(0,) * n]
+    mobius = np.hstack([np.outer(a, a.conj()) / (s + 1.0) + s * np.eye(n), -a[:, None]])
+    pairing = np.append(-a.conj(), 1.0)[None, :]  # 1 - <z, a>
+    comps = polynomials_from_rows(n, monos, phi.U @ mobius)
+    denominator, = polynomials_from_rows(n, monos, pairing)
     return RationalBallMap(n, n, comps, denominator)
 
 
@@ -122,10 +111,8 @@ def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorp
     if np.linalg.norm(a) >= 1.0:
         raise ValueError("recovered center lies outside the open ball")
     reference = automorphism_map(BallAutomorphism(a))
-    monos = sorted({alpha for comp in list(reference.p) + list(m.p) for alpha in comp.terms},
-                   reverse=True)
-    _, ref_mat = reference.coefficient_matrix(monos)
-    _, map_mat = m.coefficient_matrix(monos)
+    _, stack = coefficient_matrix(reference.p + m.p)
+    ref_mat, map_mat = stack[:n], stack[n:]
     unitary = _linalg.procrustes_unitary(ref_mat, map_mat)
     if np.max(np.abs(unitary @ ref_mat - map_mat)) > 1e3 * tol:
         raise ValueError("map is not a unitary multiple of a Moebius factor")
@@ -156,10 +143,13 @@ class BlaschkeProduct:
 
     def __init__(self, theta: float, zeros: Sequence[complex]):
         zs = tuple(complex(a) for a in zeros)
+        theta = float(theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"Blaschke phase {theta} must be finite")
         for a in zs:
-            if abs(a) >= 1.0:
+            if not cmath.isfinite(a) or abs(a) >= 1.0:
                 raise ValueError(f"Blaschke zero {a} must lie inside the unit disk")
-        object.__setattr__(self, "theta", float(theta))
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "zeros", zs)
 
     @property
@@ -266,23 +256,11 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
         raise TensorSubspaceError("subspace basis must have orthonormal columns")
     phi_map = _as_domain_map(phi, f.n)
 
-    coords = []
-    for m in range(d):
-        acc = Polynomial.zero(f.n)
-        for i in range(f.N):
-            c = basis[i, m].conjugate()
-            if abs(c) > 0:
-                acc = acc + f.p[i] * c
-        coords.append(acc)
-    complement = _linalg.gram_schmidt_complement(basis)
-    comp_coords = []
-    for l in range(complement.shape[1]):
-        acc = Polynomial.zero(f.n)
-        for i in range(f.N):
-            c = complement[i, l].conjugate()
-            if abs(c) > 0:
-                acc = acc + f.p[i] * c
-        comp_coords.append(acc)
+    # Coordinates of f in the frame (basis, complement): rows of frame^H @ f.
+    frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
+    monos, coeffs = coefficient_matrix(f.p)
+    rows = polynomials_from_rows(f.n, monos, frame.conj().T @ coeffs)
+    coords, comp_coords = rows[:d], rows[d:]
 
     new_components = []
     for m in range(d):

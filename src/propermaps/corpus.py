@@ -19,6 +19,7 @@ from .ballmaps import RationalBallMap
 from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            blaschke_map, subspace_basis, whitney_extend,
                            whitney_start)
+from .documents import require_number
 from .homotopy import (HomotopyFamily, blaschke_homotopy, degree_drop_family,
                        faran_families, faran_maps)
 from .polyalg import Polynomial
@@ -62,13 +63,18 @@ def build_whitney_term(script: dict) -> WhitneyTerm:
     Complex scalars are written as [re, im] pairs; "unitary", "phi" and
     "injection" are optional.
     """
+    if not isinstance(script, dict):
+        raise ValueError("a Whitney script must be a JSON object")
     n = script.get("domain_dim")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("script needs a positive integer domain_dim")
+    steps = script.get("steps", [])
+    if not isinstance(steps, list):
+        raise ValueError("script steps must be a list")
     term = whitney_start(_parse_automorphism(script.get("start"), n))
-    for k, raw in enumerate(script.get("steps", [])):
-        if "subspace" not in raw:
-            raise ValueError(f"step {k} is missing its subspace")
+    for k, raw in enumerate(steps):
+        if not isinstance(raw, dict) or "subspace" not in raw:
+            raise ValueError(f"step {k} must be an object with a subspace")
         basis = _parse_subspace(raw["subspace"], term.map.N)
         phi = _parse_automorphism(raw["phi"], n) if raw.get("phi") else None
         injection = _parse_matrix(raw["injection"]) if raw.get("injection") else None
@@ -76,32 +82,49 @@ def build_whitney_term(script: dict) -> WhitneyTerm:
     return term
 
 
-def _parse_complex(value):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"cannot read complex number from {value!r}")
+def parse_complex(value) -> complex:
+    """A finite complex number written as a real number or an [re, im] pair."""
+    parts = value if isinstance(value, (list, tuple)) else [value, 0.0]
+    if len(parts) != 2:
+        raise ValueError(f"cannot read complex number from {value!r}")
+    return complex(require_number(parts[0], "real part"),
+                   require_number(parts[1], "imaginary part"))
 
 
 def _parse_vector(values) -> np.ndarray:
-    return np.array([_parse_complex(v) for v in values], dtype=complex)
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of complex numbers, got {values!r}")
+    return np.array([parse_complex(v) for v in values], dtype=complex)
 
 
 def _parse_matrix(rows) -> np.ndarray:
-    return np.array([[_parse_complex(v) for v in row] for row in rows], dtype=complex)
+    if not isinstance(rows, list):
+        raise ValueError(f"expected a list of matrix rows, got {rows!r}")
+    mat = np.array([_parse_vector(row) for row in rows], dtype=complex)
+    if mat.ndim != 2:
+        raise ValueError("matrix rows must be nonempty and of equal length")
+    return mat
 
 
 def _parse_automorphism(raw, n: int) -> BallAutomorphism:
     if raw is None:
         return BallAutomorphism.identity(n)
+    if not isinstance(raw, dict):
+        raise ValueError("an automorphism must be an object with 'a' and 'unitary'")
     center = _parse_vector(raw.get("a", [0.0] * n))
+    if center.size != n:
+        raise ValueError(f"automorphism center must have {n} entries")
     unitary = _parse_matrix(raw["unitary"]) if raw.get("unitary") else None
     return BallAutomorphism(center, unitary)
 
 
 def _parse_subspace(raw, target_dim: int) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise ValueError("a subspace must be a list of indices or vectors")
     if all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
+        if any(not 0 <= v < target_dim for v in raw):
+            raise ValueError(f"subspace indices {raw} out of range for "
+                             f"target dimension {target_dim}")
         return subspace_basis(target_dim, np.array(raw, dtype=int))
     return np.column_stack([_parse_vector(v) for v in raw])
 

@@ -11,6 +11,7 @@ with re = 1, im = 0.  Floats round-trip bit-exactly through JSON.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO
 
 from .ballmaps import RationalBallMap
@@ -34,9 +35,14 @@ def _terms_to_list(poly: Polynomial) -> list:
     return out
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MapDocumentError(f"{where} must be a number, got {value!r}")
+def require_number(value, where: str) -> float:
+    """A finite real JSON number as a float; anything else is a MapDocumentError."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise MapDocumentError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -60,8 +66,8 @@ def _list_to_terms(items, domain_dim: int, where: str) -> dict:
                        for e in exps)):
             raise MapDocumentError(
                 f"{spot}.exponents must be {domain_dim} non-negative integers")
-        coeff = complex(_require_number(item["re"], f"{spot}.re"),
-                        _require_number(item["im"], f"{spot}.im"))
+        coeff = complex(require_number(item["re"], f"{spot}.re"),
+                        require_number(item["im"], f"{spot}.im"))
         key = tuple(exps)
         if key in terms:
             raise MapDocumentError(f"{spot} repeats exponents {key}")

@@ -31,11 +31,6 @@ from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            tensor_on_subspace, juxtapose)
 from .polyalg import DEFAULT_TOL, Polynomial
 
-RATIONAL = "rational"
-FIXED_TARGET = "fixed-target"
-GENERAL = "general"
-
-
 class PropernessFailureError(ArithmeticError):
     """A sampled family member failed properness certification."""
 
@@ -69,7 +64,6 @@ class HomotopyFamily:
     evaluator: Callable[[float], RationalBallMap]
     endpoint_left: RationalBallMap
     endpoint_right: RationalBallMap
-    kinds: tuple = (RATIONAL,)
 
     def evaluate(self, t: float) -> RationalBallMap:
         if not 0.0 <= t <= 1.0:
@@ -80,20 +74,20 @@ class HomotopyFamily:
     def reversed(self) -> "HomotopyFamily":
         return HomotopyFamily(self.domain_dim, self.target_dim,
                               lambda t: self.evaluator(1.0 - t),
-                              self.endpoint_right, self.endpoint_left, self.kinds)
+                              self.endpoint_right, self.endpoint_left)
 
 
-def _segment(domain_dim: int, evaluator: Callable[[float], RationalBallMap],
-             kinds: tuple = (RATIONAL,)) -> HomotopyFamily:
+def _segment(domain_dim: int,
+             evaluator: Callable[[float], RationalBallMap]) -> HomotopyFamily:
     left = evaluator(0.0)
     right = evaluator(1.0)
     if left.N != right.N:
         raise DimensionMismatchError("segment endpoints disagree in target dimension")
-    return HomotopyFamily(domain_dim, left.N, evaluator, left, right, kinds)
+    return HomotopyFamily(domain_dim, left.N, evaluator, left, right)
 
 
 def constant_family(m: RationalBallMap) -> HomotopyFamily:
-    return HomotopyFamily(m.n, m.N, lambda t: m, m, m, (RATIONAL, FIXED_TARGET))
+    return HomotopyFamily(m.n, m.N, lambda t: m, m, m)
 
 
 def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFamily:
@@ -105,7 +99,6 @@ def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFa
 def concat_families(segments: Sequence[HomotopyFamily], *,
                     endpoint_left: Optional[RationalBallMap] = None,
                     endpoint_right: Optional[RationalBallMap] = None,
-                    kinds: tuple = (RATIONAL,),
                     tol: float = DEFAULT_TOL) -> HomotopyFamily:
     """Concatenate families, splicing unitary bridges at norm-equivalent junctions."""
     segs = list(segments)
@@ -139,7 +132,7 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
 
     left = endpoint_left if endpoint_left is not None else segs[0].endpoint_left
     right = endpoint_right if endpoint_right is not None else segs[-1].endpoint_right
-    return HomotopyFamily(n, big, evaluator, left, right, kinds)
+    return HomotopyFamily(n, big, evaluator, left, right)
 
 
 # ------------------------------------------------------------------ verification
@@ -200,16 +193,6 @@ class FamilyReport:
         return "\n".join(lines)
 
 
-def _coefficient_distance(m1: RationalBallMap, m2: RationalBallMap) -> float:
-    worst = 0.0
-    for c1, c2 in zip(m1.p, m2.p):
-        for alpha in set(c1.terms) | set(c2.terms):
-            worst = max(worst, abs(c1.terms.get(alpha, 0.0) - c2.terms.get(alpha, 0.0)))
-    for alpha in set(m1.q.terms) | set(m2.q.terms):
-        worst = max(worst, abs(m1.q.terms.get(alpha, 0.0) - m2.q.terms.get(alpha, 0.0)))
-    return worst
-
-
 def verify_family(family: HomotopyFamily, grid_size: int = 101,
                   tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                   strict: bool = False) -> FamilyReport:
@@ -225,7 +208,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         raise ValueError("grid_size must be at least 2")
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     degrees, embdims, residuals, failures = [], [], [], []
-    previous = None
+    first = previous = None
     max_step = 0.0
     for t in ts:
         m = family.evaluate(t)
@@ -237,14 +220,16 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
             if strict:
                 raise PropernessFailureError(t, cert)
             failures.append((t, cert))
-        if previous is not None:
-            max_step = max(max_step, _coefficient_distance(previous, m))
+        if previous is None:
+            first = m
+        else:
+            max_step = max(max_step, previous.distance(m))
         previous = m
 
     endpoint_tol = 1e3 * tol
-    left_ok = norm_equivalent(family.evaluate(0.0), family.endpoint_left,
+    left_ok = norm_equivalent(first, family.endpoint_left,
                               tol=endpoint_tol).equivalent
-    right_ok = norm_equivalent(family.evaluate(1.0), family.endpoint_right,
+    right_ok = norm_equivalent(previous, family.endpoint_right,
                                tol=endpoint_tol).equivalent
     if strict and not (left_ok and right_ok):
         raise EndpointMismatchError("family endpoints do not match the declared maps")
@@ -257,8 +242,7 @@ def juxtaposition_family(f: RationalBallMap, g: RationalBallMap) -> HomotopyFami
     """The family sqrt(1-t^2) f + t g connecting f + 0 and 0 + g."""
     if f.n != g.n:
         raise DimensionMismatchError("juxtaposition requires a common domain")
-    return HomotopyFamily(f.n, f.N + g.N, lambda t: juxtapose(f, g, t),
-                          f, g, (RATIONAL, FIXED_TARGET))
+    return HomotopyFamily(f.n, f.N + g.N, lambda t: juxtapose(f, g, t), f, g)
 
 
 def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
@@ -274,7 +258,7 @@ def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
         bt = BlaschkeProduct(shrink * b.theta, [shrink * a for a in b.zeros])
         return blaschke_map(bt)
 
-    return HomotopyFamily(1, 1, evaluator, left, right, (RATIONAL, FIXED_TARGET))
+    return HomotopyFamily(1, 1, evaluator, left, right)
 
 
 def automorphism_path(phi: BallAutomorphism) -> Callable[[float], BallAutomorphism]:
@@ -300,7 +284,7 @@ def automorphism_contraction(phi) -> HomotopyFamily:
     left = automorphism_map(phi)
     right = RationalBallMap.identity(phi.dim)
     return HomotopyFamily(phi.dim, phi.dim, lambda t: automorphism_map(at(t)),
-                          left, right, (RATIONAL, FIXED_TARGET))
+                          left, right)
 
 
 def degree_drop_family() -> HomotopyFamily:
@@ -327,7 +311,7 @@ def degree_drop_family() -> HomotopyFamily:
 
     left = evaluator(0.0)   # degree 3
     right = evaluator(1.0)  # degree 4
-    return HomotopyFamily(2, 5, evaluator, left, right, (RATIONAL, FIXED_TARGET))
+    return HomotopyFamily(2, 5, evaluator, left, right)
 
 
 def faran_maps() -> dict:
@@ -369,10 +353,9 @@ def faran_families() -> dict:
                                       zw * math.sqrt(3.0 - t * t)])
 
     return {
-        "fg": HomotopyFamily(2, 4, fg, maps["f"], maps["g"], (RATIONAL, FIXED_TARGET)),
-        "gh": HomotopyFamily(2, 4, gh, maps["h"], maps["g"], (RATIONAL, FIXED_TARGET)),
-        "hphi": HomotopyFamily(2, 5, hphi, maps["phi"], maps["h"],
-                               (RATIONAL, FIXED_TARGET)),
+        "fg": HomotopyFamily(2, 4, fg, maps["f"], maps["g"]),
+        "gh": HomotopyFamily(2, 4, gh, maps["h"], maps["g"]),
+        "hphi": HomotopyFamily(2, 5, hphi, maps["phi"], maps["h"]),
     }
 
 
@@ -501,8 +484,7 @@ def homotopy_to_monomial(term: WhitneyTerm) -> HomotopyFamily:
         family, g_comps = _monomial_stage(family, g_comps, step, n)
     nonzero = [c for c in g_comps if not c.is_zero]
     right = RationalBallMap(n, len(nonzero), nonzero)
-    return HomotopyFamily(n, family.target_dim, family.evaluator,
-                          term.map, right, (RATIONAL,))
+    return HomotopyFamily(n, family.target_dim, family.evaluator, term.map, right)
 
 
 # ------------------------------------------------------- degree-lowering family
@@ -636,5 +618,4 @@ def collapse_to_linear(source, target_dim: Optional[int] = None,
     if not segments:
         segments.append(constant_family(final_map))
     return concat_families(
-        segments, endpoint_left=f, endpoint_right=RationalBallMap.identity(n),
-        kinds=(RATIONAL, FIXED_TARGET))
+        segments, endpoint_left=f, endpoint_right=RationalBallMap.identity(n))

@@ -278,12 +278,14 @@ class Polynomial:
         return acc
 
     # -------------------------------------------------------------- comparison
-    def allclose(self, other: "Polynomial", tol: float = DEFAULT_TOL) -> bool:
+    def distance(self, other: "Polynomial") -> float:
+        """Largest coefficient difference over the union of the two supports."""
         self._check_compatible(other)
-        for alpha in set(self.terms) | set(other.terms):
-            if abs(self.terms.get(alpha, 0.0) - other.terms.get(alpha, 0.0)) > tol:
-                return False
-        return True
+        return max((abs(self.terms.get(alpha, 0.0) - other.terms.get(alpha, 0.0))
+                    for alpha in self.terms.keys() | other.terms.keys()), default=0.0)
+
+    def allclose(self, other: "Polynomial", tol: float = DEFAULT_TOL) -> bool:
+        return self.distance(other) <= tol
 
     def __repr__(self):
         if not self.terms:
@@ -458,15 +460,35 @@ class HermitianForm:
         return f"HermitianForm({self.nvars}, {len(self.entries)} entries)"
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch helper for the three basic operations: add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
+def coefficient_matrix(polys: Sequence[Polynomial],
+                       monomials: Sequence[MultiIndex] | None = None):
+    """(monomials, matrix) with one row per polynomial, one column per monomial.
+
+    Monomials default to the union support, lexicographically descending.  A
+    linear map A applied to the polynomials is ``A @ matrix`` on these rows;
+    ``polynomials_from_rows`` turns the product back into polynomials.
+    """
+    polys = list(polys)
+    if monomials is None:
+        monomials = sorted({alpha for p in polys for alpha in p.terms}, reverse=True)
+    monos = list(monomials)
+    index = {alpha: j for j, alpha in enumerate(monos)}
+    mat = np.zeros((len(polys), len(monos)), dtype=complex)
+    for i, p in enumerate(polys):
+        for alpha, c in p.terms.items():
+            mat[i, index[alpha]] = c
+    return monos, mat
+
+
+def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
+                          matrix: np.ndarray) -> list[Polynomial]:
+    """Inverse of ``coefficient_matrix``: one polynomial per row of the matrix.
+
+    Entries at or below the storage floor are dropped, as in arithmetic.
+    """
+    return [Polynomial._raw(nvars, {alpha: c for alpha, c in zip(monomials, row)
+                                    if abs(c) > COEFFICIENT_FLOOR})
+            for row in np.asarray(matrix, dtype=complex).tolist()]
 
 
 def squared_norm_form(components: Sequence[Polynomial]) -> HermitianForm:
@@ -483,16 +505,10 @@ def squared_norm_form(components: Sequence[Polynomial]) -> HermitianForm:
     for p in comps:
         if p.nvars != nvars:
             raise ValueError("components must share the variable count")
-    monos = sorted({a for p in comps for a in p.terms}, reverse=True)
+    monos, coeff = coefficient_matrix(comps)
     if not monos:
         return HermitianForm.zero(nvars)
-    coeff = np.zeros((len(monos), len(comps)), dtype=complex)
-    for j, p in enumerate(comps):
-        for i, alpha in enumerate(monos):
-            c = p.terms.get(alpha)
-            if c is not None:
-                coeff[i, j] = c
-    gram = coeff @ coeff.conj().T
+    gram = coeff.T @ coeff.conj()
     entries = {}
     for i, alpha in enumerate(monos):
         row = gram[i]
@@ -530,13 +546,6 @@ def _restrict_terms(terms: Mapping[MultiIndex, complex], nvars: int) -> dict:
             key = tuple(a + g for a, g in zip(head, gamma))
             acc[key] = acc.get(key, 0.0) + c * h
     return acc
-
-
-def _restrict_to_simplex_hyperplane(p: Polynomial) -> Polynomial:
-    """Substitute x_n = 1 - x_1 - ... - x_{n-1} into a polynomial."""
-    return Polynomial._raw(p.nvars,
-                           {a: c for a, c in _restrict_terms(p.terms, p.nvars).items()
-                            if abs(c) > COEFFICIENT_FLOOR})
 
 
 def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:

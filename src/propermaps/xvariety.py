@@ -80,14 +80,8 @@ class XMatrix:
     def max_coefficient_distance(self, other: "XMatrix") -> float:
         if (self.n, self.N, self.d) != (other.n, other.N, other.d):
             raise ValueError("matrices have different shapes")
-        worst = 0.0
-        for i in range(self.row_count):
-            for k in range(self.N):
-                a, b = self.entries[i][k], other.entries[i][k]
-                for mono in set(a.terms) | set(b.terms):
-                    worst = max(worst, abs(a.terms.get(mono, 0.0)
-                                           - b.terms.get(mono, 0.0)))
-        return worst
+        return max((a.distance(b) for row_a, row_b in zip(self.entries, other.entries)
+                    for a, b in zip(row_a, row_b)), default=0.0)
 
 
 def build_xmatrix(m: RationalBallMap, degree: Optional[int] = None) -> XMatrix:

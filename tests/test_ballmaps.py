@@ -128,6 +128,27 @@ def test_embedding_dimension_equals_norm_form_rank(registry):
         assert numerical_rank(mat) == embedding_dimension(m), name
 
 
+def test_apply_linear_with_rectangular_non_unitary_matrix(rng):
+    m = automorphism_map(BallAutomorphism([0.3 - 0.1j, 0.2j]))
+    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    out = apply_linear(a, m)
+    assert (out.n, out.N) == (2, 4)
+    assert out.q.terms == m.q.terms
+    pts = 0.8 * sample_sphere(2, 25, seed=3)
+    want = m.evaluate_many(pts) @ a.T
+    assert np.max(np.abs(out.evaluate_many(pts) - want)) <= 1e-12
+    with pytest.raises(DimensionMismatchError):
+        apply_linear(a.T, m)
+
+
+def test_map_distance_pads_and_compares_denominators(quartic):
+    assert quartic.distance(quartic.padded(7)) == 0.0
+    assert quartic.padded(7).allclose(quartic)
+    shifted = RationalBallMap(2, 5, quartic.p, Polynomial(2, {(0, 0): 1.0, (1, 0): 0.25}))
+    assert quartic.distance(shifted) == pytest.approx(0.25)
+    assert not RationalBallMap.identity(2).allclose(RationalBallMap.identity(3))
+
+
 # ----------------------------------------------------------- norm equivalence
 def test_unitary_rotation_is_norm_equivalent(quartic, rng):
     u = random_unitary(5, rng)

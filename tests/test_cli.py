@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import propermaps
 from propermaps.ballmaps import RationalBallMap
 from propermaps.cli import main
 from propermaps.corpus import build_whitney_term, corpus
@@ -197,3 +202,54 @@ def test_registry_dimensions(registry):
     assert registry.get_map("whitney.W").n == 3
     with pytest.raises(KeyError):
         registry.get_map("nope")
+
+
+# ------------------------------------------------------------ malformed input
+SRC = str(Path(propermaps.__file__).resolve().parents[1])
+
+
+def _run_cli(args, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "propermaps.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def _nan_document():
+    doc = map_to_document(RationalBallMap.identity(2))
+    doc["numerator"][0][0]["re"] = float("nan")
+    return doc
+
+
+MALFORMED = {
+    "blaschke-nan-zero": (["blaschke", "--zeros", "0.3,nan", "--homotopy"], None),
+    "document-nan-coefficient": (["verify", "doc.json"], _nan_document()),
+    "xvariety-nan-point": (["xvariety", "faran.h", "--at=nan,0.1"], None),
+    "whitney-steps-not-a-list": (["whitney", "build", "doc.json"],
+                                 {"domain_dim": 2, "steps": 5}),
+    "whitney-subspace-out-of-range": (["whitney", "build", "doc.json"],
+                                      {"domain_dim": 2, "steps": [{"subspace": [7]}]}),
+    "homotopy-blaschke-bare-zeros": (["homotopy", "doc.json"],
+                                     {"kind": "blaschke", "zeros": [1, 2]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_without_traceback(case, tmp_path):
+    args, document = MALFORMED[case]
+    if document is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(document))
+    result = _run_cli(args, tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[0].startswith("input error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    code = ("import sys, propermaps; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

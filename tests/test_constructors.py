@@ -18,6 +18,8 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.polyalg import Polynomial
 
+from conftest import sample_sphere
+
 
 # ------------------------------------------------------------- automorphisms
 def test_trivial_automorphism_is_identity_map():
@@ -29,6 +31,17 @@ def test_automorphism_vanishes_at_its_center():
     phi = BallAutomorphism([0.35 + 0.1j, -0.25, 0.1j])
     m = automorphism_map(phi)
     assert np.max(np.abs(m.evaluate(phi.a))) < 1e-12
+
+
+def test_automorphism_matches_closed_formula(rng):
+    phi = random_ball_automorphism(3, rng)
+    a, u = phi.a, phi.U
+    s = np.sqrt(1.0 - np.vdot(a, a).real)
+    m = automorphism_map(phi)
+    for z in 0.9 * sample_sphere(3, 10, seed=5):
+        pairing = np.dot(z, a.conj())
+        want = u @ (pairing * a / (s + 1.0) + s * z - a) / (1.0 - pairing)
+        assert np.max(np.abs(m.evaluate(z) - want)) <= 1e-12
 
 
 def test_automorphism_is_proper_degree_one(rng):
@@ -106,6 +119,16 @@ def test_tensor_preserves_properness_on_random_subspaces(rng):
     result = tensor_on_subspace(base, q, random_ball_automorphism(2, rng))
     assert result.N == base.N + 2 * (base.n - 1)
     assert certify_proper(result).verdict is Verdict.PROPER
+
+
+def test_tensor_block_matches_pointwise_formula(rng):
+    base = quadric_three_map()
+    q, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    phi = random_ball_automorphism(2, rng)
+    result = tensor_on_subspace(base, q, phi)
+    for z in 0.9 * sample_sphere(2, 10, seed=6):
+        want = np.outer(q.conj().T @ base.evaluate(z), phi(z)).reshape(-1)
+        assert np.max(np.abs(result.evaluate(z)[:4] - want)) <= 1e-12
 
 
 def test_tensor_norm_difference_vanishes_on_sphere(rng):
@@ -229,6 +252,30 @@ def test_winding_rejects_under_resolved_quadrature():
 
 
 # ------------------------------------------------------------ linear algebra
+DEGENERATE_UNITARIES = {
+    "minus-identity": -np.eye(4),
+    "identity": np.eye(4),
+    "permutation": np.eye(5)[[1, 2, 3, 4, 0]],
+    "conjugate-pair": np.diag([np.exp(0.7j), np.exp(-0.7j), 1.0]),
+    "repeated": np.diag([np.exp(0.4j)] * 3 + [-1j]),
+    "near-degenerate": np.diag([np.exp(1j), np.exp(1j * (1 + 1e-9)), np.exp(-2j)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_UNITARIES))
+def test_unitary_path_on_degenerate_spectra(name, rng):
+    core = DEGENERATE_UNITARIES[name]
+    w = random_unitary(core.shape[0], rng)
+    u = w @ core @ w.conj().T
+    path = UnitaryPath(u)
+    eye = np.eye(u.shape[0])
+    assert np.max(np.abs(path(0.0) - eye)) <= 1e-10
+    assert np.max(np.abs(path(1.0) - u)) <= 1e-10
+    assert np.max(np.abs(path(0.5) @ path(0.5) - u)) <= 1e-10
+    for s in (0.1, 0.5, 0.9):
+        assert np.max(np.abs(path(s).conj().T @ path(s) - eye)) <= 1e-10
+
+
 def test_unitary_path_endpoints(rng):
     u = random_unitary(4, rng)
     path = UnitaryPath(u)

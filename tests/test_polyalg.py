@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propermaps.polyalg import (DEFAULT_TOL, HermitianForm, Polynomial,
-                                monomials_of_degree, poly_arith, properness_form,
+from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
+                                Polynomial, coefficient_matrix, monomials_of_degree,
+                                polynomials_from_rows, properness_form,
                                 reduce_mod_sphere, squared_norm_form)
 
 from conftest import sample_sphere
@@ -50,15 +51,35 @@ def test_two_term_denominator_square_expanded_by_hand():
     assert square.degree == 2
 
 
-def test_poly_arith_dispatch_and_dimension_mismatch():
-    a, b = z(0), z(1)
-    assert poly_arith(a, b, "add").allclose(a + b)
-    assert poly_arith(a, b, "sub").allclose(a - b)
-    assert poly_arith(a, b, "mul").allclose(a * b)
+def test_addition_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        poly_arith(a, Polynomial.variable(3, 0), "add")
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "div")
+        z(0) + Polynomial.variable(3, 0)
+
+
+def test_distance_is_largest_coefficient_difference():
+    a = Polynomial(2, {(1, 0): 1.0, (0, 1): 2.0})
+    b = Polynomial(2, {(1, 0): 1.5, (1, 1): -3.0j})
+    assert a.distance(b) == pytest.approx(3.0)
+    assert b.distance(a) == a.distance(b)
+    assert a.distance(a) == 0.0
+    assert Polynomial.zero(2).distance(Polynomial.zero(2)) == 0.0
+    assert not a.allclose(b) and a.allclose(a + 1e-12 * z(1))
+
+
+def test_coefficient_matrix_round_trip_and_floor():
+    polys = [z(0) * z(1) + 2.0, 3j * z(1), Polynomial.zero(2)]
+    monos, mat = coefficient_matrix(polys)
+    assert monos == sorted(monos, reverse=True) == [(1, 1), (0, 1), (0, 0)]
+    assert mat.shape == (3, 3)
+    back = polynomials_from_rows(2, monos, mat)
+    assert [p.terms for p in back] == [p.terms for p in polys]
+    # A fixed column order keeps absent monomials as zero columns.
+    _, wide = coefficient_matrix(polys[1:2], [(2, 0), (0, 1)])
+    assert wide.tolist() == [[0.0, 3j]]
+    # Entries at or below the storage floor are dropped, as in arithmetic.
+    tiny = polynomials_from_rows(2, [(1, 0), (0, 1)],
+                                 np.array([[COEFFICIENT_FLOOR, 2 * COEFFICIENT_FLOOR]]))
+    assert list(tiny[0].terms) == [(0, 1)]
 
 
 def test_zero_polynomial_degree_sentinel_and_canonical_form():
