@@ -252,8 +252,9 @@ def _family_from_script(path: str, reg: Corpus):
         return juxtaposition_family(_load_map(left, reg), _load_map(right, reg))
     if kind == "blaschke":
         zeros = script.get("zeros")
-        if not isinstance(zeros, list):
-            raise MapDocumentError("a blaschke script needs a list of zeros")
+        if not (isinstance(zeros, list)
+                and all(isinstance(a, list) and len(a) == 2 for a in zeros)):
+            raise MapDocumentError("a blaschke script needs a list of [re, im] zeros")
         theta = require_number(script.get("theta", 0.0), "theta")
         return blaschke_homotopy(BlaschkeProduct(theta, [parse_complex(a) for a in zeros]))
     if kind == "whitney-monomial":

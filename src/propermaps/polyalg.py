@@ -460,18 +460,15 @@ class HermitianForm:
         return f"HermitianForm({self.nvars}, {len(self.entries)} entries)"
 
 
-def coefficient_matrix(polys: Sequence[Polynomial],
-                       monomials: Sequence[MultiIndex] | None = None):
+def coefficient_matrix(polys: Sequence[Polynomial]):
     """(monomials, matrix) with one row per polynomial, one column per monomial.
 
-    Monomials default to the union support, lexicographically descending.  A
+    The monomials are the union support, lexicographically descending.  A
     linear map A applied to the polynomials is ``A @ matrix`` on these rows;
     ``polynomials_from_rows`` turns the product back into polynomials.
     """
     polys = list(polys)
-    if monomials is None:
-        monomials = sorted({alpha for p in polys for alpha in p.terms}, reverse=True)
-    monos = list(monomials)
+    monos = sorted({alpha for p in polys for alpha in p.terms}, reverse=True)
     index = {alpha: j for j, alpha in enumerate(monos)}
     mat = np.zeros((len(polys), len(monos)), dtype=complex)
     for i, p in enumerate(polys):

@@ -220,28 +220,37 @@ def _nan_document():
     return doc
 
 
+# Each case: CLI arguments, the document written to doc.json (if any), and a
+# fragment of the error line that names the check expected to reject it.
 MALFORMED = {
-    "blaschke-nan-zero": (["blaschke", "--zeros", "0.3,nan", "--homotopy"], None),
-    "document-nan-coefficient": (["verify", "doc.json"], _nan_document()),
-    "xvariety-nan-point": (["xvariety", "faran.h", "--at=nan,0.1"], None),
+    "blaschke-nan-zero": (["blaschke", "--zeros", "0.3,nan", "--homotopy"], None,
+                          "must be finite"),
+    "document-nan-coefficient": (["verify", "doc.json"], _nan_document(),
+                                 "numerator[0][0].re must be a finite number"),
+    "xvariety-nan-point": (["xvariety", "faran.h", "--at=nan,0.1"], None,
+                           "must be finite"),
     "whitney-steps-not-a-list": (["whitney", "build", "doc.json"],
-                                 {"domain_dim": 2, "steps": 5}),
+                                 {"domain_dim": 2, "steps": 5},
+                                 "steps must be a list"),
     "whitney-subspace-out-of-range": (["whitney", "build", "doc.json"],
-                                      {"domain_dim": 2, "steps": [{"subspace": [7]}]}),
+                                      {"domain_dim": 2, "steps": [{"subspace": [7]}]},
+                                      "out of range"),
     "homotopy-blaschke-bare-zeros": (["homotopy", "doc.json"],
-                                     {"kind": "blaschke", "zeros": [1, 2]}),
+                                     {"kind": "blaschke", "zeros": [1, 2]},
+                                     "[re, im] zeros"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_two_without_traceback(case, tmp_path):
-    args, document = MALFORMED[case]
+    args, document, reason = MALFORMED[case]
     if document is not None:
         (tmp_path / "doc.json").write_text(json.dumps(document))
     result = _run_cli(args, tmp_path)
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
-    assert result.stderr.splitlines()[0].startswith("input error:")
+    first = result.stderr.splitlines()[0]
+    assert first.startswith("input error:") and reason in first
     assert "Traceback" not in result.stderr
 
 
