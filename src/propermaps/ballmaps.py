@@ -6,6 +6,11 @@ ball of C^n to the unit ball of C^N is certified exactly at the coefficient
 level: the Hermitian form of ||p||^2 - |q|^2 is reduced modulo the sphere
 relation, and the map is proper precisely when the remainder vanishes and the
 map is nonconstant.
+
+A map may also carry the centres a_k of its denominator factors, with
+q = prod_k (1 - <z, a_k>).  The constructors set them and the linear
+operations keep them, so that the denominator is certified from its factors
+instead of by sampling.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ import numpy as np
 
 from . import _linalg
 from .polyalg import (DEFAULT_TOL, HermitianForm, MultiIndex, Polynomial,
-                      coefficient_matrix, polynomials_from_rows, properness_form,
-                      reduce_mod_sphere, squared_norm_form)
+                      coefficient_matrix, monomials_of_degree, polynomials_from_rows,
+                      properness_form, reduce_mod_sphere, squared_norm_form)
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
 
-#: Sampling floor below which the denominator counts as vanishing on the ball.
+#: Lower bound of |q| on the closed ball below which the denominator counts
+#: as vanishing there.
 DENOMINATOR_FLOOR = 1e-6
 
 DENOMINATOR_SAMPLES = 10_000
@@ -42,7 +48,7 @@ class NormalizationError(ValueError):
 
 
 class DenominatorVanishesError(ArithmeticError):
-    """The denominator has a (sampled) zero on the closed unit ball."""
+    """The denominator has a zero, or a modulus below the floor, on the closed ball."""
 
 
 class Verdict(enum.Enum):
@@ -55,15 +61,17 @@ class RationalBallMap:
     """Rational map p/q from the unit ball of C^n toward C^N.
 
     Invariants enforced at construction: all components share the domain
-    variable count, and q(0) = 1.  Nonvanishing of q on the closed ball is a
-    sampled check performed during certification, not here.
+    variable count, and q(0) = 1.  Nonvanishing of q on the closed ball is
+    checked during certification, not here.  ``factors`` is a (K, n) array of
+    the centres a_k of q = prod_k (1 - <z, a_k>), empty when they are unknown;
+    certification uses them only after checking that they multiply out to q.
     """
 
-    __slots__ = ("n", "N", "p", "q")
+    __slots__ = ("n", "N", "p", "q", "factors")
 
     def __init__(self, domain_dim: int, target_dim: int,
                  numerator: Sequence[Polynomial], denominator: Polynomial | None = None,
-                 tol: float = DEFAULT_TOL):
+                 tol: float = DEFAULT_TOL, *, factors=()):
         numerator = tuple(numerator)
         if target_dim != len(numerator):
             raise DimensionMismatchError(
@@ -80,10 +88,20 @@ class RationalBallMap:
         if abs(denominator.constant_term() - 1.0) > tol:
             raise NormalizationError(
                 f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
+        centres = np.array(factors, dtype=complex)
+        if centres.size == 0:
+            centres = np.zeros((0, domain_dim), dtype=complex)
+        elif centres.ndim != 2 or centres.shape[1] != domain_dim:
+            raise DimensionMismatchError("denominator factor centres need one entry "
+                                         "per domain variable")
+        if not np.all(np.isfinite(centres)):
+            raise ValueError("denominator factor centres must be finite")
+        centres.flags.writeable = False
         object.__setattr__(self, "n", domain_dim)
         object.__setattr__(self, "N", target_dim)
         object.__setattr__(self, "p", numerator)
         object.__setattr__(self, "q", denominator)
+        object.__setattr__(self, "factors", centres)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalBallMap is immutable")
@@ -159,10 +177,11 @@ class RationalBallMap:
         if target_dim == self.N:
             return self
         comps = list(self.p) + [Polynomial.zero(self.n)] * (target_dim - self.N)
-        return RationalBallMap(self.n, target_dim, comps, self.q)
+        return RationalBallMap(self.n, target_dim, comps, self.q, factors=self.factors)
 
     def scaled(self, factor: complex) -> "RationalBallMap":
-        return RationalBallMap(self.n, self.N, [comp * factor for comp in self.p], self.q)
+        return RationalBallMap(self.n, self.N, [comp * factor for comp in self.p], self.q,
+                               factors=self.factors)
 
     def distance(self, other: "RationalBallMap") -> float:
         """Largest coefficient difference of p and q after padding to a common target."""
@@ -185,13 +204,19 @@ class PropernessCertificate:
     """Outcome of exact properness certification plus a sampled witness.
 
     ``residual_norm`` is the largest remainder entry of the reduced Hermitian
-    form (zero means ||p||^2 = |q|^2 identically on the sphere).  ``witness``
-    is the sampled sphere point where | ||f||^2 - 1 | was largest, with that
-    value in ``witness_value``.
+    form (zero means ||p||^2 = |q|^2 identically on the sphere).
+    ``denominator_method`` says how q was shown not to vanish on the closed
+    ball (``trivial``, ``factored``, ``coefficient-bound`` or ``sampled``) and
+    ``denominator_margin`` is the lower bound of |q| there that the method
+    gave (for ``sampled``, the smallest sampled modulus).  ``witness`` is the
+    sampled sphere point where | ||f||^2 - 1 | was largest, with that value in
+    ``witness_value``; both are None when no witness was sampled.
     """
 
     verdict: Verdict
     residual_norm: float
+    denominator_method: str
+    denominator_margin: float
     witness: Optional[np.ndarray] = None
     witness_value: Optional[float] = None
 
@@ -216,10 +241,63 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return directions * radii[:, None]
 
 
+def denominator_from_factors(n: int, factors) -> Polynomial:
+    """The denominator prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
+    centres = np.asarray(factors, dtype=complex).reshape(-1, n)
+    monos = [(0,) * n] + monomials_of_degree(n, 1)
+    rows = np.hstack([np.ones((len(centres), 1)), -centres.conj()])
+    out = Polynomial.one(n)
+    for factor in polynomials_from_rows(n, monos, rows):
+        out = out * factor
+    return out
+
+
+def _known_factors(m: RationalBallMap) -> np.ndarray:
+    """The carried factor centres, or q's own one when q has degree one."""
+    if len(m.factors) or m.q.degree != 1:
+        return m.factors
+    # q = 1 + sum c_j z_j = 1 - <z, a> with a_j = -conj(c_j).
+    linear = [m.q.terms.get(alpha, 0.0) for alpha in monomials_of_degree(m.n, 1)]
+    return -np.conj(np.array([linear], dtype=complex))
+
+
 def _check_denominator(m: RationalBallMap, floor: float, samples: int,
-                       rng: np.random.Generator) -> float:
+                       seed: int) -> tuple:
+    """(method, margin): how q was shown to stay above ``floor`` on the closed ball.
+
+    Tries, in order: a constant q; known factors, used only when they
+    multiply out to q; the coefficient bound 1 - sum_{alpha != 0} |q_alpha|;
+    and, as a last resort, the smallest |q| over seeded sample points of the
+    ball and the sphere.  Raises DenominatorVanishesError when a factor
+    vanishes on the closed ball, when the exact minimum of a single factor is
+    below the floor, or when a sampled modulus is.
+    """
     if m.has_trivial_denominator:
-        return abs(m.q.constant_term())
+        return "trivial", abs(m.q.constant_term())
+    factors = _known_factors(m)
+    if len(factors):
+        _, mat = coefficient_matrix([m.q, denominator_from_factors(m.n, factors)])
+        gap = np.abs(mat[0] - mat[1])
+        if gap.max() <= DEFAULT_TOL * np.abs(mat[0]).max():
+            # On the closed ball |1 - <z, a>| >= 1 - ||a||, with equality at
+            # z = a / ||a||.  The product of these minima, less the coefficient
+            # gap to q, bounds |q| from below; for one nonconstant factor it is
+            # the exact minimum, so falling back to sampling could only miss it.
+            lows = 1.0 - np.linalg.norm(factors, axis=1)
+            margin = float(np.prod(lows) - gap.sum())
+            exact = np.count_nonzero(lows < 1.0) == 1
+            if lows.min() <= 0.0 or (exact and margin < floor):
+                raise DenominatorVanishesError(
+                    f"denominator factor 1 - <z, a> has modulus {max(lows.min(), 0.0):.3e}"
+                    f" on the closed ball, below {floor:.1e}")
+            if margin >= floor:
+                return "factored", margin
+    zero = (0,) * m.n
+    margin = abs(m.q.constant_term()) - sum(abs(c) for alpha, c in m.q.terms.items()
+                                            if alpha != zero)
+    if margin >= floor:
+        return "coefficient-bound", margin
+    rng = np.random.default_rng(seed)
     half = samples // 2
     pts = np.vstack([ball_points(m.n, half, rng),
                      sphere_points(m.n, samples - half, rng)])
@@ -228,7 +306,7 @@ def _check_denominator(m: RationalBallMap, floor: float, samples: int,
     if minimum < floor:
         raise DenominatorVanishesError(
             f"denominator modulus {minimum:.3e} below {floor:.1e} on the closed ball")
-    return minimum
+    return "sampled", minimum
 
 
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
@@ -241,11 +319,11 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     The verdict is PROPER exactly when the sphere-reduced remainder of
     ||p||^2 - |q|^2 vanishes within tolerance and the map is nonconstant;
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
-    p/q is constant.  Raises DenominatorVanishesError when q has a sampled
-    modulus below the floor on the closed ball.
+    p/q is constant.  Raises DenominatorVanishesError when q cannot be kept
+    above the floor on the closed ball (see ``_check_denominator``).  The
+    witness never affects the verdict; ``witness_samples=0`` skips it.
     """
-    rng = np.random.default_rng(seed)
-    _check_denominator(m, denominator_floor, denominator_samples, rng)
+    method, margin = _check_denominator(m, denominator_floor, denominator_samples, seed)
 
     remainder = reduce_mod_sphere(m.properness_form())
     residual = remainder.max_abs_entry()
@@ -253,7 +331,7 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     witness = None
     witness_value = None
     if witness_samples > 0:
-        pts = sphere_points(m.n, witness_samples, rng)
+        pts = sphere_points(m.n, witness_samples, np.random.default_rng(seed))
         values = np.abs(np.sum(np.abs(m.evaluate_many(pts)) ** 2, axis=1) - 1.0)
         k = int(np.argmax(values))
         witness = pts[k]
@@ -267,7 +345,7 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
         # A proper map cannot decrease the dimension; reaching this means the
         # certificate itself is inconsistent.
         raise ArithmeticError("certified a proper map with target below domain")
-    return PropernessCertificate(verdict, residual, witness, witness_value)
+    return PropernessCertificate(verdict, residual, method, margin, witness, witness_value)
 
 
 def degree(m: RationalBallMap) -> int:
@@ -383,14 +461,16 @@ def apply_linear(matrix: np.ndarray, m: RationalBallMap) -> RationalBallMap:
             f"matrix shape {mat.shape} does not accept target dimension {m.N}")
     monos, coeffs = coefficient_matrix(m.p)
     comps = polynomials_from_rows(m.n, monos, mat @ coeffs)
-    return RationalBallMap(m.n, mat.shape[0], comps, m.q)
+    return RationalBallMap(m.n, mat.shape[0], comps, m.q, factors=m.factors)
 
 
 def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:
     """Composition outer(inner(z)) as a rational map, renormalized to q(0) = 1.
 
     Substitution clears denominators by homogenizing with powers of the inner
-    denominator, so the result is exact at the coefficient level.
+    denominator, so the result is exact at the coefficient level.  When the
+    outer denominator is trivial the result's denominator is the inner one to
+    the power ``top``, so it keeps the inner factors, each repeated that often.
     """
     if inner.N != outer.n:
         raise DimensionMismatchError(
@@ -427,5 +507,6 @@ def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:
     if abs(c0) <= DEFAULT_TOL:
         raise DenominatorVanishesError("composed denominator vanishes at the origin")
     scale = 1.0 / c0
+    factors = np.tile(inner.factors, (top, 1)) if outer.has_trivial_denominator else ()
     return RationalBallMap(inner.n, outer.N, [comp * scale for comp in new_p],
-                           new_q * scale)
+                           new_q * scale, factors=factors)

@@ -119,10 +119,14 @@ def _cmd_verify(args, reg: Corpus, out: _Output) -> int:
     cert = certify_proper(m, tol=args.tol, seed=args.seed)
     out.line(f"verdict: {cert.verdict.value}")
     out.line(f"residual: {cert.residual_norm:.3e}")
+    out.line(f"denominator: {cert.denominator_method} "
+             f"(margin {cert.denominator_margin:.3e})")
     if cert.witness_value is not None:
         out.line(f"sampled sphere defect: {cert.witness_value:.3e}")
     out.set("verdict", cert.verdict.value)
     out.set("residual", cert.residual_norm)
+    out.set("denominator_method", cert.denominator_method)
+    out.set("denominator_margin", cert.denominator_margin)
     out.set("sampled_sphere_defect", cert.witness_value)
     return 0 if cert.verdict is Verdict.PROPER else 1
 
@@ -324,7 +328,9 @@ def _cmd_corpus(args, reg: Corpus, out: _Output) -> int:
         out.line(f"map {name:16s} {cert.verdict.value:20s} "
                  f"residual {cert.residual_norm:.2e}")
         map_reports[name] = {"verdict": cert.verdict.value,
-                             "residual": cert.residual_norm}
+                             "residual": cert.residual_norm,
+                             "denominator_method": cert.denominator_method,
+                             "denominator_margin": cert.denominator_margin}
     family_reports = {}
     seen = set()
     for name in sorted(reg.families):

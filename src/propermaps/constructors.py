@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict,
-                       apply_linear, certify_proper)
+                       apply_linear, certify_proper, denominator_from_factors)
 from .polyalg import (Polynomial, coefficient_matrix, monomials_of_degree,
                       polynomials_from_rows)
 
@@ -85,10 +85,8 @@ def automorphism_map(phi: BallAutomorphism) -> RationalBallMap:
     # Columns: z_1, ..., z_n, then the constant term.
     monos = monomials_of_degree(n, 1) + [(0,) * n]
     mobius = np.hstack([np.outer(a, a.conj()) / (s + 1.0) + s * np.eye(n), -a[:, None]])
-    pairing = np.append(-a.conj(), 1.0)[None, :]  # 1 - <z, a>
     comps = polynomials_from_rows(n, monos, phi.U @ mobius)
-    denominator, = polynomials_from_rows(n, monos, pairing)
-    return RationalBallMap(n, n, comps, denominator)
+    return RationalBallMap(n, n, comps, denominator_from_factors(n, [a]), factors=[a])
 
 
 def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorphism:
@@ -162,12 +160,13 @@ def blaschke_map(b: BlaschkeProduct) -> RationalBallMap:
     if not b.zeros:
         raise ValueError("a proper disk map needs at least one factor")
     num = Polynomial.constant(1, cmath.exp(1j * b.theta))
-    den = Polynomial.one(1)
     z = Polynomial.variable(1, 0)
     for a in b.zeros:
         num = num * (z - Polynomial.constant(1, a))
-        den = den * (Polynomial.one(1) - z * a.conjugate())
-    return RationalBallMap(1, 1, [num], den)
+    # Each factor 1 - conj(a) z is 1 - <z, a> in one variable.
+    centres = [[a] for a in b.zeros]
+    return RationalBallMap(1, 1, [num], denominator_from_factors(1, centres),
+                           factors=centres)
 
 
 def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
@@ -269,7 +268,8 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     for comp in comp_coords:
         new_components.append(comp * phi_map.q)
     denominator = f.q * phi_map.q
-    return RationalBallMap(f.n, len(new_components), new_components, denominator)
+    return RationalBallMap(f.n, len(new_components), new_components, denominator,
+                           factors=np.vstack([f.factors, phi_map.factors]))
 
 
 def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallMap:
@@ -284,7 +284,8 @@ def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallM
         raise ValueError("parameter must lie in [0, 1]")
     cf = math.sqrt(max(0.0, 1.0 - t * t))
     comps = [comp * g.q * cf for comp in f.p] + [comp * f.q * t for comp in g.p]
-    return RationalBallMap(f.n, f.N + g.N, comps, f.q * g.q)
+    return RationalBallMap(f.n, f.N + g.N, comps, f.q * g.q,
+                           factors=np.vstack([f.factors, g.factors]))
 
 
 # --------------------------------------------------------------- Whitney terms

@@ -20,8 +20,11 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
+from itertools import chain
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -93,6 +96,8 @@ class Polynomial:
             if any(e < 0 for e in alpha):
                 raise ValueError(f"negative exponent in {alpha}")
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of {alpha} is not finite")
             if abs(c) > tol:
                 clean[alpha] = c
         object.__setattr__(self, "nvars", nvars)
@@ -200,7 +205,7 @@ class Polynomial:
         out: dict[MultiIndex, complex] = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
+                key = tuple(map(add, a, b))
                 out[key] = out.get(key, 0.0) + ca * cb
         return Polynomial._raw(self.nvars,
                                {a: c for a, c in out.items()
@@ -323,6 +328,8 @@ class HermitianForm:
             if len(alpha) != nvars or len(beta) != nvars:
                 raise ValueError("multi-index length does not match nvars")
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"entry {c} at ({alpha}, {beta}) is not finite")
             if abs(c) > tol:
                 clean[(alpha, beta)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -391,8 +398,7 @@ class HermitianForm:
         out: dict[tuple[MultiIndex, MultiIndex], complex] = {}
         for (a1, b1), c1 in self.entries.items():
             for (a2, b2), c2 in other.entries.items():
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
+                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
                 out[key] = out.get(key, 0.0) + c1 * c2
         return HermitianForm._raw(self.nvars,
                                   {k: c for k, c in out.items()
@@ -506,13 +512,13 @@ def squared_norm_form(components: Sequence[Polynomial]) -> HermitianForm:
     if not monos:
         return HermitianForm.zero(nvars)
     gram = coeff.T @ coeff.conj()
+    # |re| + |im| bounds the modulus from above, so this keeps, in row-major
+    # order, every entry above the floor; the modulus test below decides.
+    rows, cols = np.nonzero(np.abs(gram.real) + np.abs(gram.imag) > COEFFICIENT_FLOOR)
     entries = {}
-    for i, alpha in enumerate(monos):
-        row = gram[i]
-        for j, beta in enumerate(monos):
-            value = complex(row[j])
-            if abs(value) > COEFFICIENT_FLOOR:
-                entries[(alpha, beta)] = value
+    for i, j, value in zip(rows.tolist(), cols.tolist(), gram[rows, cols].tolist()):
+        if abs(value) > COEFFICIENT_FLOOR:
+            entries[(monos[i], monos[j])] = value
     return HermitianForm._raw(nvars, entries)
 
 
@@ -530,19 +536,34 @@ def _hyperplane_power(nvars: int, exponent: int) -> Polynomial:
     return base ** exponent
 
 
-def _restrict_terms(terms: Mapping[MultiIndex, complex], nvars: int) -> dict:
-    """Substitute x_n = 1 - x_1 - ... - x_{n-1} into a raw term dict."""
-    acc: dict[MultiIndex, complex] = {}
-    for alpha, c in terms.items():
-        head = alpha[:-1] + (0,)
-        e = alpha[-1]
-        if e == 0:
-            acc[head] = acc.get(head, 0.0) + c
-            continue
-        for gamma, h in _hyperplane_power(nvars, e).terms.items():
-            key = tuple(a + g for a, g in zip(head, gamma))
-            acc[key] = acc.get(key, 0.0) + c * h
-    return acc
+@lru_cache(maxsize=None)
+def _hyperplane_table(nvars: int, top: int):
+    """Term counts, exponents and weights of ``_hyperplane_power`` for 0..top.
+
+    Row e of the (top+1, K, nvars) exponents and (top+1, K) real weights lists
+    the terms of the e-th power in their stored order, padded to the longest.
+    """
+    powers = [_hyperplane_power(nvars, e).terms for e in range(top + 1)]
+    counts = np.array([len(terms) for terms in powers])
+    exps = np.zeros((top + 1, counts.max(), nvars), dtype=np.int64)
+    weights = np.zeros((top + 1, counts.max()))
+    for e, terms in enumerate(powers):
+        exps[e, :counts[e]] = list(terms)
+        weights[e, :counts[e]] = [h.real for h in terms.values()]
+    for table in (counts, exps, weights):
+        table.flags.writeable = False
+    return counts, exps, weights
+
+
+def _group_rows(keys: np.ndarray):
+    """(distinct rows, index of each row's group) for an integer matrix."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = np.cumsum(starts) - 1
+    return ordered[starts], index
 
 
 def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
@@ -556,26 +577,46 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     shift.  It is the zero form (within tolerance) exactly when the input
     vanishes identically on the unit sphere; its largest entry is the
     reduction residual.
+
+    The substitution runs on arrays over all entries at once; each remainder
+    coefficient adds its contributions from zero in entry order, then in the
+    term order of the hyperplane power, as a loop over the entries would.
     """
     n = form.nvars
-    shifts: dict[tuple, dict[MultiIndex, complex]] = {}
-    for (alpha, beta), c in form.entries.items():
-        nu = tuple(a - b for a, b in zip(alpha, beta))
-        shifts.setdefault(nu, {})[beta] = c
-    zero = (0,) * n
+    m = len(form.entries)
+    if not m:
+        return HermitianForm._raw(n, {})
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(form.entries)),
+                        dtype=np.int64, count=2 * n * m).reshape(m, 2, n)
+    coeffs = np.fromiter(form.entries.values(), dtype=complex, count=m)
+    nu = pairs[:, 0] - pairs[:, 1]
+    # Shifts below zero in lexicographic order are the conjugate mirrors of
+    # shifts above it, so only nu >= 0 is reduced.
+    keep = nu[np.arange(m), np.argmax(nu != 0, axis=1)] >= 0
+    if not keep.any():
+        return HermitianForm._raw(n, {})
+    nu, beta, coeffs = nu[keep], pairs[keep, 1], coeffs[keep]
+    power = beta[:, -1].copy()
+    beta[:, -1] = 0
+    counts, exps, weights = _hyperplane_table(n, int(power.max()))
+    counts = counts[power]
+    # One row per (entry, term of the entry's hyperplane power).
+    entry = np.repeat(np.arange(len(power)), counts)
+    term = np.arange(len(entry)) - np.repeat(np.cumsum(counts) - counts, counts)
+    weight = weights[power[entry], term]
+    keys, index = _group_rows(np.hstack([nu[entry],
+                                         beta[entry] + exps[power[entry], term]]))
+    real = np.bincount(index, weights=coeffs.real[entry] * weight, minlength=len(keys))
+    imag = np.bincount(index, weights=coeffs.imag[entry] * weight, minlength=len(keys))
     out: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for nu, coeffs in shifts.items():
-        if nu < zero:
-            continue  # handled through the conjugate-mirror shift
-        remainder = _restrict_terms(coeffs, n)
-        nu_plus = tuple(max(v, 0) for v in nu)
-        nu_minus = tuple(max(-v, 0) for v in nu)
-        for gamma, c in remainder.items():
-            if abs(c) <= COEFFICIENT_FLOOR:
-                continue
-            alpha = tuple(g + p for g, p in zip(gamma, nu_plus))
-            beta = tuple(g + m for g, m in zip(gamma, nu_minus))
-            out[(alpha, beta)] = c
-            if nu != zero:
-                out[(beta, alpha)] = c.conjugate()
+    for k in np.flatnonzero(np.abs(real) + np.abs(imag) > COEFFICIENT_FLOOR).tolist():
+        c = complex(real[k], imag[k])
+        if abs(c) <= COEFFICIENT_FLOOR:
+            continue
+        shift, gamma = keys[k, :n], keys[k, n:]
+        alpha = tuple((gamma + np.maximum(shift, 0)).tolist())
+        beta_k = tuple((gamma + np.maximum(-shift, 0)).tolist())
+        out[(alpha, beta_k)] = c
+        if alpha != beta_k:
+            out[(beta_k, alpha)] = c.conjugate()
     return HermitianForm._raw(n, out)

@@ -9,9 +9,11 @@ from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchErro
                                  NormalizationError, RationalBallMap, Verdict,
                                  apply_linear, certify_proper, coefficient_bound,
                                  compose, degree, degree_bound,
-                                 denominator_sup_bound, embedding_dimension,
-                                 largest_binomial_coefficient, norm_equivalent)
-from propermaps.constructors import BallAutomorphism, automorphism_map
+                                 denominator_from_factors, denominator_sup_bound,
+                                 embedding_dimension, largest_binomial_coefficient,
+                                 norm_equivalent)
+from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorphism_map,
+                                     blaschke_map, juxtapose)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import degree_drop_family
 from propermaps.polyalg import Polynomial
@@ -90,6 +92,74 @@ def test_denominator_floor_is_enforced():
     with pytest.raises(DenominatorVanishesError):
         certify_proper(m, denominator_floor=0.5)
     assert certify_proper(m).verdict is Verdict.PROPER
+
+
+def test_automorphism_denominator_is_certified_from_its_factor():
+    m = automorphism_map(BallAutomorphism([0.8, 0.0]))
+    cert = certify_proper(m, witness_samples=0)
+    assert cert.denominator_method == "factored"
+    assert cert.denominator_margin == pytest.approx(0.2, abs=1e-12)
+    assert cert.witness is None and cert.witness_value is None
+
+
+def test_degree_one_denominator_reaching_the_sphere_is_rejected():
+    # q = 1 - z1 vanishes at z = (1, 0); sampling alone never finds that point.
+    q = Polynomial(2, {(0, 0): 1.0, (1, 0): -1.0})
+    m = RationalBallMap(2, 2, [var(0), var(1)], q)
+    with pytest.raises(DenominatorVanishesError, match="factor"):
+        certify_proper(m)
+    inside = RationalBallMap(2, 2, [var(0), var(1)],
+                             Polynomial(2, {(0, 0): 1.0, (0, 1): 0.5j}))
+    cert = certify_proper(inside)
+    assert cert.denominator_method == "factored"
+    assert cert.denominator_margin == pytest.approx(0.5)
+
+
+def test_denominator_methods_in_order_of_preference():
+    z1, z2 = var(0), var(1)
+    assert certify_proper(RationalBallMap.identity(2)).denominator_method == "trivial"
+    bounded = RationalBallMap(2, 1, [z1], Polynomial.one(2) + z1 * z2 * 0.25)
+    cert = certify_proper(bounded)
+    assert cert.denominator_method == "coefficient-bound"
+    assert cert.denominator_margin == pytest.approx(0.75)
+    # Two factors in different directions: the product of their minima (0.16)
+    # is below the floor, the true minimum (about 0.33) is not, so sampling
+    # decides and the map is not rejected.
+    f = automorphism_map(BallAutomorphism([0.6, 0.0]))
+    g = automorphism_map(BallAutomorphism([0.0, 0.6]))
+    both = juxtapose(f, g, 0.5)
+    assert certify_proper(both).denominator_method == "factored"
+    cert = certify_proper(both, denominator_floor=0.25)
+    assert cert.denominator_method == "sampled"
+    assert 0.25 <= cert.denominator_margin <= 0.45
+    assert cert.verdict is Verdict.PROPER
+
+
+def test_carried_factors_are_checked_against_the_denominator():
+    q = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5})
+    honest = RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[0.5, 0.0]])
+    wrong = RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[0.99, 0.0]])
+    assert certify_proper(honest, denominator_floor=0.05).denominator_method == "factored"
+    cert = certify_proper(wrong, denominator_floor=0.05)
+    assert cert.denominator_method == "coefficient-bound"
+    assert cert.denominator_margin == pytest.approx(0.5)
+    with pytest.raises(DimensionMismatchError):
+        RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[float("nan"), 0.0]])
+
+
+def test_linear_operations_keep_the_factors(rng):
+    m = automorphism_map(BallAutomorphism([0.3, -0.2j]))
+    u = random_unitary(2, rng)
+    for kept in (m.padded(4), m.scaled(0.5), apply_linear(u, m)):
+        assert np.array_equal(kept.factors, m.factors)
+    square = compose(RationalBallMap(2, 2, [var(0) * var(0), var(1)]), m)
+    assert square.factors.shape == (2, 2)
+    assert denominator_from_factors(2, square.factors).allclose(square.q, 1e-12)
+    assert certify_proper(square).denominator_method == "factored"
+    # A rational outer map changes the denominator: no factors are claimed.
+    assert len(compose(m, m).factors) == 0
 
 
 def test_certification_agrees_with_sphere_sampling(registry):

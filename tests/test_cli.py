@@ -69,6 +69,33 @@ def test_verify_bad_map_exits_one(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
 
 
+def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
+    from propermaps.constructors import BallAutomorphism, automorphism_map
+    path = tmp_path / "moebius.json"
+    path.write_text(dumps_map(automorphism_map(BallAutomorphism([0.5, 0.0]))))
+    assert main(["verify", str(path)]) == 0
+    assert "denominator: factored (margin 5.000e-01)" in capsys.readouterr().out
+    assert main(["verify", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["denominator_method"] == "factored"
+    assert payload["denominator_margin"] == pytest.approx(0.5)
+
+
+def test_verify_rejects_denominator_vanishing_on_the_sphere(tmp_path, capsys):
+    # q = 1 - z1 vanishes at (1, 0); a sampled check used to accept it.
+    doc = {"schema_version": "1", "domain_dim": 2, "target_dim": 2,
+           "numerator": [[{"exponents": [1, 0], "re": 1.0, "im": 0.0}],
+                         [{"exponents": [0, 1], "re": 1.0, "im": 0.0}]],
+           "denominator": [{"exponents": [0, 0], "re": 1.0, "im": 0.0},
+                           {"exponents": [1, 0], "re": -1.0, "im": 0.0}]}
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: denominator factor")
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["verify", "/does/not/exist.json"]) == 2
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propermaps._linalg import UnitaryPath, is_unitary, random_unitary
-from propermaps.ballmaps import (RationalBallMap, Verdict, certify_proper,
-                                 compose, degree, norm_equivalent,
+from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
+                                 certify_proper, compose, degree,
+                                 denominator_from_factors, norm_equivalent,
                                  squared_norm_form)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      NonIntegralWindingError, TensorSubspaceError,
@@ -249,6 +252,60 @@ def test_winding_rejects_under_resolved_quadrature():
     m = blaschke_map(BlaschkeProduct(0.0, [0.97, -0.96, 0.95j]))
     with pytest.raises(NonIntegralWindingError):
         winding_degree(m, nodes=4)
+
+
+# ------------------------------------------------------ denominator factors
+def _random_whitney_map(n, steps, rng):
+    term = whitney_start(random_ball_automorphism(n, rng, 0.9), certify=False)
+    for _ in range(steps):
+        d = int(rng.integers(1, min(term.map.N, 2) + 1))
+        basis = np.sort(rng.choice(term.map.N, size=d, replace=False))
+        term = whitney_extend(term, basis, random_ball_automorphism(n, rng, 0.9),
+                              certify=False)
+    return term.map
+
+
+def _random_polynomial_map(nvars, count, rng):
+    """Components z_1 * (three random terms of degree <= 2 in each variable)."""
+    z1 = Polynomial.variable(nvars, 0)
+    return RationalBallMap.from_components(
+        [z1 * Polynomial(nvars, {tuple(rng.integers(0, 3, nvars)): complex(*rng.standard_normal(2))
+                                 for _ in range(3)})
+         for _ in range(count)])
+
+
+def _factored_construction(kind, rng):
+    if kind == "whitney":
+        return _random_whitney_map(int(rng.integers(2, 4)), int(rng.integers(1, 3)), rng)
+    if kind == "juxtapose":
+        f = automorphism_map(random_ball_automorphism(2, rng, 0.9))
+        return juxtapose(f, _random_whitney_map(2, 1, rng), float(rng.random()))
+    if kind == "blaschke":
+        return blaschke_map(random_blaschke_product(rng, max_factors=4,
+                                                    radius_range=(0.05, 0.95)))
+    inner = _random_whitney_map(2, int(rng.integers(0, 2)), rng)
+    return compose(_random_polynomial_map(inner.N, 2, rng), inner)
+
+
+def _certify_outcome(m, floor):
+    try:
+        cert = certify_proper(m, denominator_floor=floor, witness_samples=0)
+    except DenominatorVanishesError:
+        return "denominator vanishes"
+    return cert.verdict, cert.residual_norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["whitney", "juxtapose", "blaschke", "compose"]),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-6, 1e-3, 0.02, 0.1, 0.3, 0.6]))
+def test_carried_factors_multiply_out_and_agree_with_the_bare_map(kind, seed, floor):
+    m = _factored_construction(kind, np.random.default_rng(seed))
+    assert len(m.factors) >= 1
+    product = denominator_from_factors(m.n, m.factors)
+    assert product.distance(m.q) <= 1e-12 * m.q.max_abs_coeff()
+    bare = RationalBallMap(m.n, m.N, m.p, m.q)
+    assert _certify_outcome(m, floor) == _certify_outcome(bare, floor)
 
 
 # ------------------------------------------------------------ linear algebra

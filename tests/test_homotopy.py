@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from propermaps.ballmaps import RationalBallMap, degree, norm_equivalent
+from propermaps.ballmaps import (RationalBallMap, Verdict, certify_proper, degree,
+                                 norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      automorphism_map, blaschke_map,
                                      random_ball_automorphism, whitney_extend,
@@ -38,8 +39,29 @@ def test_shrinking_family_fails_for_positive_t():
     assert not report.passed
     assert len(report.properness_failures) == 10  # every t > 0
     assert not report.endpoint_right_ok
-    with pytest.raises(PropernessFailureError):
+    with pytest.raises(PropernessFailureError) as raised:
         verify_family(fam, grid_size=11, strict=True)
+    # The witness is sampled only for failing members, and they all carry it.
+    for _, cert in report.properness_failures:
+        assert cert.witness is not None and cert.witness_value > 1e-9
+    assert raised.value.certificate.witness is not None
+    assert raised.value.certificate.witness_value > 1e-9
+
+
+def test_whitney_family_members_certify_without_sampling(rng):
+    term = whitney_start(random_ball_automorphism(3, rng))
+    dense, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    term = whitney_extend(term, dense, random_ball_automorphism(3, rng))
+    injection, _ = np.linalg.qr(rng.standard_normal((10, 9)) + 1j * rng.standard_normal((10, 9)))
+    term = whitney_extend(term, np.array([0]), random_ball_automorphism(3, rng),
+                          injection=injection)
+    fam = homotopy_to_monomial(term)
+    methods = set()
+    for k in range(21):
+        cert = certify_proper(fam.evaluate(k / 20), witness_samples=0)
+        assert cert.verdict is Verdict.PROPER
+        methods.add(cert.denominator_method)
+    assert methods == {"trivial", "factored"}
 
 
 def test_coefficient_steps_shrink_under_grid_refinement():

@@ -79,6 +79,13 @@ def test_coefficient_matrix_round_trip_and_floor():
     assert list(tiny[0].terms) == [(0, 1)]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("nan")),
+                                 float("inf"), complex(float("-inf"), 1.0)])
+def test_polynomial_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        Polynomial(2, {(1, 0): bad, (0, 1): 1.0})
+
+
 def test_zero_polynomial_degree_sentinel_and_canonical_form():
     zero = Polynomial.zero(2)
     assert zero.degree == float("-inf")
@@ -163,6 +170,12 @@ def test_hermitian_symmetry_enforced():
         HermitianForm(2, {((1, 0), (0, 1)): 1.0})  # mirror entry missing
     with pytest.raises(ValueError):
         HermitianForm(2, {((1, 0), (1, 0)): 1.0j})  # non-real diagonal
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)])
+def test_hermitian_form_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        HermitianForm(2, {((1, 0), (1, 0)): bad, ((0, 1), (0, 1)): 1.0})
 
 
 def test_properness_form_identity_is_sphere_defect():
@@ -262,6 +275,56 @@ def test_multiples_of_the_sphere_defect_always_reduce_to_zero(rng):
         # Reduction is linear, so adding a sphere multiple changes nothing.
         assert reduce_mod_sphere(factor + product).allclose(
             reduce_mod_sphere(factor), 1e-9)
+
+
+def _reduce_by_loop(form):
+    """Reference reduction: substitute x_n = 1 - sum_{j<n} x_j term by term."""
+    n = form.nvars
+    base = Polynomial.one(n)
+    for j in range(n - 1):
+        base = base - z(j, n)
+    shifts = {}
+    for (alpha, beta), c in form.entries.items():
+        nu = tuple(a - b for a, b in zip(alpha, beta))
+        shifts.setdefault(nu, {})[beta] = c
+    out = {}
+    for nu, coeffs in shifts.items():
+        if nu < (0,) * n:
+            continue
+        acc = {}
+        for beta, c in coeffs.items():
+            head = beta[:-1] + (0,)
+            if beta[-1] == 0:
+                acc[head] = acc.get(head, 0.0) + c
+                continue
+            for gamma, h in (base ** beta[-1]).terms.items():
+                key = tuple(a + g for a, g in zip(head, gamma))
+                acc[key] = acc.get(key, 0.0) + c * h
+        for gamma, c in acc.items():
+            if abs(c) <= COEFFICIENT_FLOOR:
+                continue
+            alpha = tuple(g + max(v, 0) for g, v in zip(gamma, nu))
+            beta = tuple(g + max(-v, 0) for g, v in zip(gamma, nu))
+            out[(alpha, beta)] = c
+            if alpha != beta:
+                out[(beta, alpha)] = c.conjugate()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_reduction_equals_the_term_by_term_substitution(nvars, seed):
+    gen = np.random.default_rng(seed)
+    comps = [Polynomial(nvars, {tuple(gen.integers(0, 4, nvars)):
+                                complex(*gen.standard_normal(2)) for _ in range(4)})
+             for _ in range(int(gen.integers(1, 4)))]
+    q = Polynomial(nvars, {(0,) * nvars: 1.0, tuple(gen.integers(0, 3, nvars)): 0.3})
+    e1, zero = (1,) + (0,) * (nvars - 1), (0,) * nvars
+    forms = [properness_form(comps, q), squared_norm_form(comps),
+             HermitianForm(nvars, {(e1, zero): 1.0}, validate=False),
+             HermitianForm(nvars, {(zero, e1): 1.0}, validate=False)]
+    for form in forms:
+        assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
 
 
 def test_form_product_matches_pointwise_values(rng):
