@@ -25,8 +25,9 @@ import numpy as np
 
 from . import _linalg
 from .polyalg import (DEFAULT_TOL, HermitianForm, MultiIndex, Polynomial,
-                      coefficient_matrix, monomials_of_degree, polynomials_from_rows,
-                      properness_form, reduce_mod_sphere, squared_norm_form)
+                      coefficient_matrix, gram_form, monomials_of_degree,
+                      polynomials_from_rows, properness_form, reduce_mod_sphere,
+                      squared_norm_form)
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
@@ -204,7 +205,9 @@ class PropernessCertificate:
     """Outcome of exact properness certification plus a sampled witness.
 
     ``residual_norm`` is the largest remainder entry of the reduced Hermitian
-    form (zero means ||p||^2 = |q|^2 identically on the sphere).
+    form (zero means ||p||^2 = |q|^2 identically on the sphere), and
+    ``worst_entry`` its monomial pair (alpha, beta), the first largest in the
+    row-major order of the remainder matrix; None when the remainder is empty.
     ``denominator_method`` says how q was shown not to vanish on the closed
     ball (``trivial``, ``factored``, ``coefficient-bound`` or ``sampled``) and
     ``denominator_margin`` is the lower bound of |q| there that the method
@@ -215,6 +218,7 @@ class PropernessCertificate:
 
     verdict: Verdict
     residual_norm: float
+    worst_entry: Optional[tuple]
     denominator_method: str
     denominator_margin: float
     witness: Optional[np.ndarray] = None
@@ -252,55 +256,65 @@ def denominator_from_factors(n: int, factors) -> Polynomial:
     return out
 
 
-def _known_factors(m: RationalBallMap) -> np.ndarray:
-    """The carried factor centres, or q's own one when q has degree one."""
-    if len(m.factors) or m.q.degree != 1:
-        return m.factors
-    # q = 1 + sum c_j z_j = 1 - <z, a> with a_j = -conj(c_j).
-    linear = [m.q.terms.get(alpha, 0.0) for alpha in monomials_of_degree(m.n, 1)]
-    return -np.conj(np.array([linear], dtype=complex))
+def _factored_margin(m: RationalBallMap, factors: np.ndarray, floor: float):
+    """Lower bound of |q| on the closed ball from factor centres, or None when
+    there are none, they do not multiply out to q, or an inexact bound is low."""
+    if not len(factors):
+        return None
+    _, mat = coefficient_matrix([m.q, denominator_from_factors(m.n, factors)])
+    gap = np.abs(mat[0] - mat[1])
+    if gap.max() > DEFAULT_TOL * np.abs(mat[0]).max():
+        return None
+    # On the closed ball |1 - <z, a>| >= 1 - ||a||, with equality at
+    # z = a / ||a||.  The product of these minima, less the coefficient
+    # gap to q, bounds |q| from below; for one nonconstant factor it is
+    # the exact minimum, so falling back to sampling could only miss it.
+    lows = 1.0 - np.linalg.norm(factors, axis=1)
+    margin = float(np.prod(lows) - gap.sum())
+    exact = np.count_nonzero(lows < 1.0) == 1
+    if lows.min() <= 0.0 or (exact and margin < floor):
+        raise DenominatorVanishesError(
+            f"denominator factor 1 - <z, a> has modulus {max(lows.min(), 0.0):.3e}"
+            f" on the closed ball, below {floor:.1e}")
+    return margin if margin >= floor else None
 
 
-def _check_denominator(m: RationalBallMap, floor: float, samples: int,
-                       seed: int) -> tuple:
+def _check_denominator(m: RationalBallMap, floor: float, seed: int) -> tuple:
     """(method, margin): how q was shown to stay above ``floor`` on the closed ball.
 
-    Tries, in order: a constant q; known factors, used only when they
-    multiply out to q; the coefficient bound 1 - sum_{alpha != 0} |q_alpha|;
-    and, as a last resort, the smallest |q| over seeded sample points of the
-    ball and the sphere.  Raises DenominatorVanishesError when a factor
-    vanishes on the closed ball, when the exact minimum of a single factor is
-    below the floor, or when a sampled modulus is.
+    Tries, in order: a constant q; the carried factors, or q's own when it
+    has degree one, used only when they multiply out to q; the coefficient
+    bound 1 - sum_{alpha != 0} |q_alpha|; q's own factor when the carried
+    ones did not match; and, as a last resort, the smallest |q| over seeded
+    sample points of the ball and the sphere.  Raises
+    DenominatorVanishesError when a factor vanishes on the closed ball, when
+    the exact minimum of a single factor is below the floor, or when a
+    sampled modulus is.
     """
     if m.has_trivial_denominator:
         return "trivial", abs(m.q.constant_term())
-    factors = _known_factors(m)
-    if len(factors):
-        _, mat = coefficient_matrix([m.q, denominator_from_factors(m.n, factors)])
-        gap = np.abs(mat[0] - mat[1])
-        if gap.max() <= DEFAULT_TOL * np.abs(mat[0]).max():
-            # On the closed ball |1 - <z, a>| >= 1 - ||a||, with equality at
-            # z = a / ||a||.  The product of these minima, less the coefficient
-            # gap to q, bounds |q| from below; for one nonconstant factor it is
-            # the exact minimum, so falling back to sampling could only miss it.
-            lows = 1.0 - np.linalg.norm(factors, axis=1)
-            margin = float(np.prod(lows) - gap.sum())
-            exact = np.count_nonzero(lows < 1.0) == 1
-            if lows.min() <= 0.0 or (exact and margin < floor):
-                raise DenominatorVanishesError(
-                    f"denominator factor 1 - <z, a> has modulus {max(lows.min(), 0.0):.3e}"
-                    f" on the closed ball, below {floor:.1e}")
-            if margin >= floor:
-                return "factored", margin
+    own = m.factors[:0]
+    if m.q.degree == 1:
+        # q = 1 + sum c_j z_j = 1 - <z, a> with a_j = -conj(c_j).
+        linear = [m.q.terms.get(alpha, 0.0) for alpha in monomials_of_degree(m.n, 1)]
+        own = -np.conj(np.array([linear], dtype=complex))
+    margin = _factored_margin(m, m.factors if len(m.factors) else own, floor)
+    if margin is not None:
+        return "factored", margin
     zero = (0,) * m.n
     margin = abs(m.q.constant_term()) - sum(abs(c) for alpha, c in m.q.terms.items()
                                             if alpha != zero)
     if margin >= floor:
         return "coefficient-bound", margin
+    # Wrong carried factors must not leave a degree-one q to sampling, which
+    # misses its zero on the sphere; its own factor decides it exactly.
+    margin = _factored_margin(m, own, floor)
+    if margin is not None:
+        return "factored", margin
     rng = np.random.default_rng(seed)
-    half = samples // 2
+    half = DENOMINATOR_SAMPLES // 2
     pts = np.vstack([ball_points(m.n, half, rng),
-                     sphere_points(m.n, samples - half, rng)])
+                     sphere_points(m.n, DENOMINATOR_SAMPLES - half, rng)])
     vals = np.abs(m.q.evaluate_many(pts))
     minimum = float(vals.min())
     if minimum < floor:
@@ -312,7 +326,6 @@ def _check_denominator(m: RationalBallMap, floor: float, samples: int,
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
                    seed: int = DEFAULT_SEED,
                    denominator_floor: float = DENOMINATOR_FLOOR,
-                   denominator_samples: int = DENOMINATOR_SAMPLES,
                    witness_samples: int = WITNESS_SAMPLES) -> PropernessCertificate:
     """Certify whether p/q is a proper map between unit balls.
 
@@ -323,10 +336,12 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     above the floor on the closed ball (see ``_check_denominator``).  The
     witness never affects the verdict; ``witness_samples=0`` skips it.
     """
-    method, margin = _check_denominator(m, denominator_floor, denominator_samples, seed)
+    method, margin = _check_denominator(m, denominator_floor, seed)
 
     remainder = reduce_mod_sphere(m.properness_form())
     residual = remainder.max_abs_entry()
+    largest = remainder.largest_entry()
+    worst = None if largest is None else largest[:2]
 
     witness = None
     witness_value = None
@@ -345,7 +360,8 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
         # A proper map cannot decrease the dimension; reaching this means the
         # certificate itself is inconsistent.
         raise ArithmeticError("certified a proper map with target below domain")
-    return PropernessCertificate(verdict, residual, method, margin, witness, witness_value)
+    return PropernessCertificate(verdict, residual, worst, method, margin, witness,
+                                 witness_value)
 
 
 def degree(m: RationalBallMap) -> int:
@@ -378,40 +394,32 @@ class NormEquivalence:
     mismatch: Optional[tuple] = None
 
 
-def _norm_forms(f: RationalBallMap, g: RationalBallMap, tol: float):
-    """Hermitian forms whose equality is ||f||^2 == ||g||^2 as functions."""
-    if f.q.allclose(g.q, tol):
-        return squared_norm_form(f.p), squared_norm_form(g.p)
-    # Cross-multiplied comparison |p_f|^2 |q_g|^2 == |p_g|^2 |q_f|^2.
-    return (squared_norm_form(f.p).product(squared_norm_form([g.q])),
-            squared_norm_form(g.p).product(squared_norm_form([f.q])))
-
-
 def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
                     tol: float = DEFAULT_TOL) -> NormEquivalence:
     """Decide ||f||^2 == ||g||^2, producing a unitary witness or a mismatch.
 
-    Targets are first padded to a common dimension by appending zeros.  The
-    witness is computed by least squares over unitaries on the stacked
-    coefficient vectors (orthogonal Procrustes), so it is always unitary,
-    including for rank-deficient stacks such as f vs f + zero components.
+    Targets are first padded to a common dimension by appending zeros.  When
+    the denominators differ, the numerators are cross-multiplied, p_f q_g
+    against p_g q_f.  One coefficient stack of both sides gives the signed
+    Gram matrix of ||left||^2 - ||right||^2, whose first largest entry in
+    row-major order is the mismatch when it exceeds ``tol``.  Otherwise the
+    witness is computed by least squares over unitaries on the same stack
+    (orthogonal Procrustes), so it is always unitary, including for
+    rank-deficient stacks such as f vs f + zero components.
     """
     if f.n != g.n:
         raise DimensionMismatchError("maps must share the domain dimension")
-    form_f, form_g = _norm_forms(f, g, tol)
-    diff = form_f - form_g
-    if not diff.is_zero:
-        key = max(diff.entries, key=lambda k: abs(diff.entries[k]))
-        worst = diff.entries[key]
-        if abs(worst) > tol:
-            return NormEquivalence(False, mismatch=(key[0], key[1], worst))
-
     big = max(f.N, g.N)
     fp, gp = f.padded(big), g.padded(big)
-    same_q = f.q.allclose(g.q, tol)
-    left = list(fp.p) if same_q else [comp * g.q for comp in fp.p]
-    right = list(gp.p) if same_q else [comp * f.q for comp in gp.p]
+    if f.q.allclose(g.q, tol):
+        left, right = list(fp.p), list(gp.p)
+    else:
+        left, right = [comp * g.q for comp in fp.p], [comp * f.q for comp in gp.p]
     monos, stack = coefficient_matrix(left + right)
+    largest = gram_form(f.n, monos, stack, negated=big).largest_entry()
+    if largest is not None and abs(largest[2]) > tol:
+        return NormEquivalence(False, mismatch=largest)
+
     stack_f, stack_g = stack[:big], stack[big:]
     unitary = _linalg.procrustes_unitary(stack_f, stack_g)
     residual = float(np.max(np.abs(unitary @ stack_f - stack_g))) if monos else 0.0

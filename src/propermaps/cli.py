@@ -119,12 +119,14 @@ def _cmd_verify(args, reg: Corpus, out: _Output) -> int:
     cert = certify_proper(m, tol=args.tol, seed=args.seed)
     out.line(f"verdict: {cert.verdict.value}")
     out.line(f"residual: {cert.residual_norm:.3e}")
+    out.line(f"largest remainder entry: {cert.worst_entry}")
     out.line(f"denominator: {cert.denominator_method} "
              f"(margin {cert.denominator_margin:.3e})")
     if cert.witness_value is not None:
         out.line(f"sampled sphere defect: {cert.witness_value:.3e}")
     out.set("verdict", cert.verdict.value)
     out.set("residual", cert.residual_norm)
+    out.set("worst_entry", cert.worst_entry)
     out.set("denominator_method", cert.denominator_method)
     out.set("denominator_margin", cert.denominator_margin)
     out.set("sampled_sphere_defect", cert.witness_value)
@@ -329,6 +331,7 @@ def _cmd_corpus(args, reg: Corpus, out: _Output) -> int:
                  f"residual {cert.residual_norm:.2e}")
         map_reports[name] = {"verdict": cert.verdict.value,
                              "residual": cert.residual_norm,
+                             "worst_entry": cert.worst_entry,
                              "denominator_method": cert.denominator_method,
                              "denominator_margin": cert.denominator_margin}
     family_reports = {}

@@ -6,6 +6,10 @@ is a list of term lists, one per component; the denominator is a single term
 list; each term is ``{"exponents": [...], "re": float, "im": float}`` with one
 exponent per domain variable.  The denominator must contain the constant term
 with re = 1, im = 0.  Floats round-trip bit-exactly through JSON.
+
+The optional field ``denominator_factors`` (written only for maps that carry
+factors) lists the centres a_k of q = prod_k (1 - <z, a_k>), each as one
+[re, im] pair per domain variable; certification checks them against q.
 """
 
 from __future__ import annotations
@@ -75,20 +79,37 @@ def _list_to_terms(items, domain_dim: int, where: str) -> dict:
     return terms
 
 
+def _list_to_factors(items, domain_dim: int) -> list:
+    """Factor centres from lists of [re, im] pairs, one pair per domain variable."""
+    if not (isinstance(items, list) and all(
+            isinstance(centre, list) and len(centre) == domain_dim
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in centre)
+            for centre in items)):
+        raise MapDocumentError("denominator_factors must be a list of centres, "
+                               f"each {domain_dim} [re, im] pairs")
+    return [[complex(require_number(re, "denominator_factors re"),
+                     require_number(im, "denominator_factors im")) for re, im in centre]
+            for centre in items]
+
+
 def map_to_document(m: RationalBallMap) -> dict:
-    return {
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "domain_dim": m.n,
         "target_dim": m.N,
         "numerator": [_terms_to_list(comp) for comp in m.p],
         "denominator": _terms_to_list(m.q),
     }
+    if len(m.factors):
+        doc["denominator_factors"] = [[[a.real, a.imag] for a in centre]
+                                      for centre in m.factors.tolist()]
+    return doc
 
 
 def map_from_document(doc: dict) -> RationalBallMap:
     if not isinstance(doc, dict):
         raise MapDocumentError("document must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_FIELDS
+    unknown = set(doc) - _TOP_LEVEL_FIELDS - {"denominator_factors"}
     if unknown:
         raise MapDocumentError(f"unknown top-level fields {sorted(unknown)}")
     missing = _TOP_LEVEL_FIELDS - set(doc)
@@ -111,8 +132,9 @@ def map_from_document(doc: dict) -> RationalBallMap:
     if constant is None or abs(constant - 1.0) > DEFAULT_TOL:
         raise MapDocumentError("denominator must contain the constant term re=1, im=0")
     denominator = Polynomial(n, q_terms, tol=0.0)
+    factors = _list_to_factors(doc.get("denominator_factors", []), n)
     try:
-        return RationalBallMap(n, target, components, denominator)
+        return RationalBallMap(n, target, components, denominator, factors=factors)
     except ValueError as exc:
         raise MapDocumentError(str(exc)) from exc
 

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomial and Hermitian-form arithmetic.
 
 This is the algebra layer underneath everything else: polynomials with
-complex coefficients indexed by exponent multi-indices, Hermitian coefficient
-matrices indexed by pairs of multi-indices, and the reduction that decides
+complex coefficients indexed by exponent multi-indices, Hermitian forms stored
+as Gram matrices over a monomial basis, and the reduction that decides
 whether a Hermitian polynomial vanishes identically on the unit sphere.
 
 Conventions
@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import chain
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -305,162 +304,130 @@ class Polynomial:
 
 
 class HermitianForm:
-    """Sparse Hermitian coefficient matrix over monomial pairs.
+    """Hermitian coefficient matrix over a monomial basis.
 
-    ``entries`` maps pairs (alpha, beta) of multi-indices to complex
-    coefficients of z^alpha * conj(z)^beta.  Hermitian symmetry
-    entry(beta, alpha) == conj(entry(alpha, beta)) is enforced at
-    construction, within tolerance; diagonal entries are real within
-    tolerance.
+    ``matrix[i, j]`` is the coefficient of z^alpha * conj(z)^beta for
+    alpha = ``basis[i]`` and beta = ``basis[j]``; ``basis`` is a tuple of
+    distinct multi-indices, lexicographically descending.  For a vector of
+    polynomials with coefficient rows C over the basis, ||p||^2 is the Gram
+    matrix C^T conj(C).  The constructor takes a dict {(alpha, beta): c} and
+    enforces Hermitian symmetry entry(beta, alpha) == conj(entry(alpha, beta)),
+    with real diagonal, within tolerance; ``entries`` gives such a dict back.
     """
 
-    __slots__ = ("nvars", "entries")
+    __slots__ = ("nvars", "basis", "matrix")
 
     def __init__(self, nvars: int,
                  entries: Mapping[tuple[MultiIndex, MultiIndex], complex] | None = None,
-                 tol: float = COEFFICIENT_FLOOR, validate: bool = True):
+                 validate: bool = True):
         if nvars < 1:
             raise ValueError("nvars must be positive")
-        clean: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-        for (alpha, beta), coeff in (entries or {}).items():
-            alpha = tuple(int(e) for e in alpha)
-            beta = tuple(int(e) for e in beta)
-            if len(alpha) != nvars or len(beta) != nvars:
-                raise ValueError("multi-index length does not match nvars")
-            c = complex(coeff)
+        clean = {(tuple(int(e) for e in alpha), tuple(int(e) for e in beta)): complex(c)
+                 for (alpha, beta), c in (entries or {}).items()}
+        basis = tuple(sorted({alpha for pair in clean for alpha in pair}, reverse=True))
+        if any(len(alpha) != nvars for alpha in basis):
+            raise ValueError("multi-index length does not match nvars")
+        index = {alpha: i for i, alpha in enumerate(basis)}
+        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+        for (alpha, beta), c in clean.items():
             if not cmath.isfinite(c):
                 raise ValueError(f"entry {c} at ({alpha}, {beta}) is not finite")
-            if abs(c) > tol:
-                clean[(alpha, beta)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "entries", clean)
+            matrix[index[alpha], index[beta]] = c
+        self._store(nvars, basis, matrix)
         if validate:
             self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("HermitianForm is immutable")
 
+    def _store(self, nvars: int, basis: tuple, matrix: np.ndarray):
+        matrix.flags.writeable = False
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "matrix", matrix)
+
     @classmethod
-    def _raw(cls, nvars: int, entries: dict) -> "HermitianForm":
-        """Internal constructor for already-canonical entry dicts (no validation)."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "nvars", nvars)
-        object.__setattr__(f, "entries", entries)
-        return f
+    def _raw(cls, nvars: int, basis: tuple, matrix: np.ndarray) -> "HermitianForm":
+        """Internal constructor for a basis tuple and its square matrix (no validation)."""
+        form = object.__new__(cls)
+        form._store(nvars, basis, matrix)
+        return form
 
     def _validate(self, tol: float = DEFAULT_TOL):
-        for (alpha, beta), c in self.entries.items():
-            mirror = self.entries.get((beta, alpha), 0.0)
-            if abs(mirror - c.conjugate()) > 10 * tol:
-                raise ValueError(
-                    f"Hermitian symmetry violated at ({alpha}, {beta}): "
-                    f"{c} vs {mirror}")
-            if alpha == beta and abs(c.imag) > 10 * tol:
-                raise ValueError(f"diagonal entry at {alpha} is not real: {c}")
-
-    # ------------------------------------------------------------------ build
-    @classmethod
-    def zero(cls, nvars: int) -> "HermitianForm":
-        return cls(nvars, {})
+        """Raise unless the matrix equals its conjugate transpose within 10 tol."""
+        mat = self.matrix
+        bad = np.argwhere(np.abs(mat - mat.conj().T) > 10 * tol)
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"Hermitian symmetry violated at ({self.basis[i]}, "
+                             f"{self.basis[j]}): {mat[i, j]} vs {mat[j, i]}")
 
     # ------------------------------------------------------------- arithmetic
-    def _check_compatible(self, other: "HermitianForm"):
+    def _aligned(self, other: "HermitianForm"):
+        """(union basis, own matrix, other's matrix), both over the union basis."""
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
+        basis = tuple(sorted(set(self.basis) | set(other.basis), reverse=True))
+        index = {alpha: i for i, alpha in enumerate(basis)}
+        out = np.zeros((2, len(basis), len(basis)), dtype=complex)
+        for k, form in enumerate((self, other)):
+            own = [index[alpha] for alpha in form.basis]
+            out[k][np.ix_(own, own)] = form.matrix
+        return basis, out[0], out[1]
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        self._check_compatible(other)
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, 0.0) + c
-        return HermitianForm._raw(self.nvars,
-                                  {k: c for k, c in out.items()
-                                   if abs(c) > COEFFICIENT_FLOOR})
-
-    def __neg__(self) -> "HermitianForm":
-        return HermitianForm._raw(self.nvars,
-                                  {k: -c for k, c in self.entries.items()})
+        basis, a, b = self._aligned(other)
+        return HermitianForm._raw(self.nvars, basis, a + b)
 
     def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        return self + (-other)
+        basis, a, b = self._aligned(other)
+        return HermitianForm._raw(self.nvars, basis, a - b)
 
     def __mul__(self, scalar) -> "HermitianForm":
-        s = float(scalar)
-        return HermitianForm._raw(self.nvars,
-                                  {k: c * s for k, c in self.entries.items()
-                                   if abs(c * s) > COEFFICIENT_FLOOR})
+        return HermitianForm._raw(self.nvars, self.basis, self.matrix * float(scalar))
 
     __rmul__ = __mul__
 
-    def product(self, other: "HermitianForm") -> "HermitianForm":
-        """Pointwise product of the two forms as functions of (z, conj z)."""
-        self._check_compatible(other)
-        out: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-        for (a1, b1), c1 in self.entries.items():
-            for (a2, b2), c2 in other.entries.items():
-                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return HermitianForm._raw(self.nvars,
-                                  {k: c for k, c in out.items()
-                                   if abs(c) > COEFFICIENT_FLOOR})
-
     # -------------------------------------------------------------- evaluation
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        """Value sum c_{alpha beta} z^alpha conj(z)^beta at a point."""
-        z = [complex(v) for v in point]
-        zc = [v.conjugate() for v in z]
-        acc = 0.0 + 0.0j
-        for (alpha, beta), c in self.entries.items():
-            term = c
-            for v, e in zip(z, alpha):
-                if e:
-                    term *= v ** e
-            for v, e in zip(zc, beta):
-                if e:
-                    term *= v ** e
-            acc += term
-        return acc
-
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """Values sum c_{alpha beta} z^alpha conj(z)^beta at an (m, nvars) array."""
         pts = np.asarray(points, dtype=complex)
-        monos = sorted({a for a, _ in self.entries} | {b for _, b in self.entries})
-        values = {}
-        for alpha in monos:
-            poly = Polynomial(self.nvars, {alpha: 1.0})
-            values[alpha] = poly.evaluate_many(pts)
-        acc = np.zeros(pts.shape[0], dtype=complex)
-        for (alpha, beta), c in self.entries.items():
-            acc += c * values[alpha] * np.conj(values[beta])
-        return acc
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise ValueError("points must have shape (m, nvars)")
+        exps = np.array(self.basis, dtype=np.int64).reshape(-1, self.nvars)
+        values = np.prod(pts[:, None, :] ** exps, axis=2)
+        return np.einsum("pi,ij,pj->p", values, self.matrix, values.conj())
 
     # ---------------------------------------------------------------- queries
     @property
+    def entries(self) -> dict:
+        """A new dict {(alpha, beta): c} of the entries above the floor, row-major."""
+        rows, cols = np.nonzero(np.abs(self.matrix) > COEFFICIENT_FLOOR)
+        basis = self.basis
+        return {(basis[i], basis[j]): c for i, j, c in
+                zip(rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist())}
+
+    @property
     def is_zero(self) -> bool:
-        return all(abs(c) <= DEFAULT_TOL for c in self.entries.values())
+        return self.max_abs_entry() <= DEFAULT_TOL
 
     def max_abs_entry(self) -> float:
-        return max((abs(c) for c in self.entries.values()), default=0.0)
+        return float(np.abs(self.matrix).max(initial=0.0))
 
-    def monomial_basis(self) -> list[MultiIndex]:
-        """Sorted (descending) list of multi-indices appearing in the form."""
-        seen = {a for a, _ in self.entries} | {b for _, b in self.entries}
-        return sorted(seen, reverse=True)
+    def largest_entry(self):
+        """(alpha, beta, c) of the first largest entry, row-major; None when empty."""
+        if not self.basis:
+            return None
+        i, j = np.unravel_index(np.argmax(np.abs(self.matrix)), self.matrix.shape)
+        return self.basis[i], self.basis[j], complex(self.matrix[i, j])
 
-    def as_matrix(self, basis: Sequence[MultiIndex] | None = None):
-        """Dense Hermitian matrix over the given (default: own) monomial basis."""
-        basis = list(basis) if basis is not None else self.monomial_basis()
-        index = {alpha: i for i, alpha in enumerate(basis)}
-        mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (alpha, beta), c in self.entries.items():
-            mat[index[alpha], index[beta]] = c
-        return basis, mat
+    def as_matrix(self):
+        """(basis as a list, matrix): the dense Hermitian matrix over the basis."""
+        return list(self.basis), self.matrix
 
     def allclose(self, other: "HermitianForm", tol: float = DEFAULT_TOL) -> bool:
-        self._check_compatible(other)
-        for key in set(self.entries) | set(other.entries):
-            if abs(self.entries.get(key, 0.0) - other.entries.get(key, 0.0)) > tol:
-                return False
-        return True
+        _, a, b = self._aligned(other)
+        return not np.any(np.abs(a - b) > tol)
 
     def __repr__(self):
         return f"HermitianForm({self.nvars}, {len(self.entries)} entries)"
@@ -494,37 +461,42 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
             for row in np.asarray(matrix, dtype=complex).tolist()]
 
 
+def gram_form(nvars: int, monomials: Sequence[MultiIndex], rows: np.ndarray,
+              negated: int = 0) -> HermitianForm:
+    """Form of ||A||^2 - ||B||^2 for the coefficient rows over ``monomials``:
+    B is the last ``negated`` rows, A the others, and the matrix is the signed
+    Gram matrix A^T conj(A) - B^T conj(B)."""
+    head, tail = rows[:len(rows) - negated], rows[len(rows) - negated:]
+    gram = head.T @ head.conj()
+    if negated:
+        gram -= tail.T @ tail.conj()
+    return HermitianForm._raw(nvars, tuple(monomials), gram)
+
+
+def _shared_nvars(components: Sequence[Polynomial]) -> int:
+    counts = {p.nvars for p in components}
+    if len(counts) != 1:
+        raise ValueError("need at least one component, all with one variable count")
+    return counts.pop()
+
+
 def squared_norm_form(components: Sequence[Polynomial]) -> HermitianForm:
     """Hermitian form of sum_i |p_i(z)|^2 for a vector of polynomials.
 
-    Entry (alpha, beta) is the Hermitian inner product of the coefficient
-    vectors attached to z^alpha and z^beta across the components, so the
-    result is positive semidefinite as a matrix on its monomial basis.
+    Its matrix is the Gram matrix of the coefficient columns over the union
+    support, so it is positive semidefinite.
     """
     comps = list(components)
-    if not comps:
-        raise ValueError("need at least one component")
-    nvars = comps[0].nvars
-    for p in comps:
-        if p.nvars != nvars:
-            raise ValueError("components must share the variable count")
-    monos, coeff = coefficient_matrix(comps)
-    if not monos:
-        return HermitianForm.zero(nvars)
-    gram = coeff.T @ coeff.conj()
-    # |re| + |im| bounds the modulus from above, so this keeps, in row-major
-    # order, every entry above the floor; the modulus test below decides.
-    rows, cols = np.nonzero(np.abs(gram.real) + np.abs(gram.imag) > COEFFICIENT_FLOOR)
-    entries = {}
-    for i, j, value in zip(rows.tolist(), cols.tolist(), gram[rows, cols].tolist()):
-        if abs(value) > COEFFICIENT_FLOOR:
-            entries[(monos[i], monos[j])] = value
-    return HermitianForm._raw(nvars, entries)
+    return gram_form(_shared_nvars(comps), *coefficient_matrix(comps))
 
 
 def properness_form(numerator: Sequence[Polynomial], denominator: Polynomial) -> HermitianForm:
-    """The form of ||p||^2 - |q|^2; it vanishes on the sphere iff p/q maps it to it."""
-    return squared_norm_form(numerator) - squared_norm_form([denominator])
+    """The form of ||p||^2 - |q|^2; it vanishes on the sphere iff p/q maps it to it.
+
+    One signed Gram matrix over the coefficient rows [*p, q], with q's row negated.
+    """
+    comps = [*numerator, denominator]
+    return gram_form(_shared_nvars(comps), *coefficient_matrix(comps), negated=1)
 
 
 @lru_cache(maxsize=None)
@@ -556,8 +528,8 @@ def _hyperplane_table(nvars: int, top: int):
 
 
 def _group_rows(keys: np.ndarray):
-    """(distinct rows, index of each row's group) for an integer matrix."""
-    order = np.lexsort(keys.T)
+    """(distinct rows in ascending lexicographic order, index of each row's group)."""
+    order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
@@ -578,27 +550,22 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     vanishes identically on the unit sphere; its largest entry is the
     reduction residual.
 
-    The substitution runs on arrays over all entries at once; each remainder
-    coefficient adds its contributions from zero in entry order, then in the
-    term order of the hyperplane power, as a loop over the entries would.
+    The substitution runs on arrays over the entries above the storage floor,
+    read in row-major order; each remainder coefficient adds its
+    contributions from zero in that order, then in the term order of the
+    hyperplane power, as a loop over ``form.entries`` would.
     """
     n = form.nvars
-    m = len(form.entries)
-    if not m:
-        return HermitianForm._raw(n, {})
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(form.entries)),
-                        dtype=np.int64, count=2 * n * m).reshape(m, 2, n)
-    coeffs = np.fromiter(form.entries.values(), dtype=complex, count=m)
-    nu = pairs[:, 0] - pairs[:, 1]
+    rows, cols = np.nonzero(np.abs(form.matrix) > COEFFICIENT_FLOOR)
+    basis = np.array(form.basis, dtype=np.int64).reshape(-1, n)
+    nu = basis[rows] - basis[cols]
     # Shifts below zero in lexicographic order are the conjugate mirrors of
     # shifts above it, so only nu >= 0 is reduced.
-    keep = nu[np.arange(m), np.argmax(nu != 0, axis=1)] >= 0
-    if not keep.any():
-        return HermitianForm._raw(n, {})
-    nu, beta, coeffs = nu[keep], pairs[keep, 1], coeffs[keep]
+    keep = nu[np.arange(len(nu)), np.argmax(nu != 0, axis=1)] >= 0
+    nu, beta, coeffs = nu[keep], basis[cols[keep]], form.matrix[rows[keep], cols[keep]]
     power = beta[:, -1].copy()
     beta[:, -1] = 0
-    counts, exps, weights = _hyperplane_table(n, int(power.max()))
+    counts, exps, weights = _hyperplane_table(n, int(power.max(initial=0)))
     counts = counts[power]
     # One row per (entry, term of the entry's hyperplane power).
     entry = np.repeat(np.arange(len(power)), counts)
@@ -608,15 +575,14 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
                                          beta[entry] + exps[power[entry], term]]))
     real = np.bincount(index, weights=coeffs.real[entry] * weight, minlength=len(keys))
     imag = np.bincount(index, weights=coeffs.imag[entry] * weight, minlength=len(keys))
-    out: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for k in np.flatnonzero(np.abs(real) + np.abs(imag) > COEFFICIENT_FLOOR).tolist():
-        c = complex(real[k], imag[k])
-        if abs(c) <= COEFFICIENT_FLOOR:
-            continue
-        shift, gamma = keys[k, :n], keys[k, n:]
-        alpha = tuple((gamma + np.maximum(shift, 0)).tolist())
-        beta_k = tuple((gamma + np.maximum(-shift, 0)).tolist())
-        out[(alpha, beta_k)] = c
-        if alpha != beta_k:
-            out[(beta_k, alpha)] = c.conjugate()
-    return HermitianForm._raw(n, out)
+    values = real + 1j * imag
+    big = np.abs(values) > COEFFICIENT_FLOOR
+    shift, gamma, values = keys[big, :n], keys[big, n:], values[big]
+    pairs = np.vstack([gamma + np.maximum(shift, 0), gamma + np.maximum(-shift, 0)])
+    monos, slot = _group_rows(pairs)
+    slot = len(monos) - 1 - slot  # the basis is descending
+    a, b = slot[:len(values)], slot[len(values):]
+    out = np.zeros((len(monos), len(monos)), dtype=complex)
+    out[b, a] = values.conj()
+    out[a, b] = values
+    return HermitianForm._raw(n, tuple(map(tuple, monos[::-1].tolist())), out)

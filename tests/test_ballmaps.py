@@ -16,7 +16,7 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorp
                                      blaschke_map, juxtapose)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import degree_drop_family
-from propermaps.polyalg import Polynomial
+from propermaps.polyalg import Polynomial, squared_norm_form
 
 from conftest import sample_sphere
 
@@ -92,6 +92,15 @@ def test_denominator_floor_is_enforced():
     with pytest.raises(DenominatorVanishesError):
         certify_proper(m, denominator_floor=0.5)
     assert certify_proper(m).verdict is Verdict.PROPER
+
+
+def test_shrunken_map_has_its_largest_remainder_at_the_constant_pair():
+    # ||z/2||^2 - 1 = -3/4 on the sphere: the remainder is the constant -3/4.
+    cert = certify_proper(RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)]))
+    assert cert.verdict is Verdict.NOT_PROPER
+    assert cert.residual_norm == pytest.approx(0.75)
+    assert cert.worst_entry == ((0, 0), (0, 0))
+    assert certify_proper(RationalBallMap.identity(2)).worst_entry is None
 
 
 def test_automorphism_denominator_is_certified_from_its_factor():
@@ -262,6 +271,25 @@ def test_norm_equivalence_is_an_equivalence_relation(registry):
     assert norm_equivalent(a, b).equivalent
     assert norm_equivalent(b, c).equivalent
     assert norm_equivalent(a, c).equivalent
+
+
+def test_norm_equivalence_across_different_denominators(rng):
+    f = automorphism_map(BallAutomorphism([0.3 - 0.1j, 0.2j]))
+    u = random_unitary(2, rng)
+    rotated = apply_linear(u, f)
+    h = denominator_from_factors(2, [[0.4, -0.2j]])  # 1 - <z, b>
+    g = RationalBallMap(2, 2, [comp * h for comp in rotated.p], rotated.q * h)
+    result = norm_equivalent(f, g)
+    assert result.equivalent
+    assert result.witness_residual <= 1e-10
+    assert np.max(np.abs(result.unitary - u)) <= 1e-10
+    other = automorphism_map(BallAutomorphism([0.1, 0.5]))
+    result = norm_equivalent(f, other)
+    assert not result.equivalent
+    left = squared_norm_form([comp * other.q for comp in f.p])
+    right = squared_norm_form([comp * f.q for comp in other.p])
+    expected = (left - right).max_abs_entry()
+    assert abs(abs(result.mismatch[2]) - expected) <= 1e-12 * expected
 
 
 def test_norm_equivalent_requires_common_domain():

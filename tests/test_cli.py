@@ -182,6 +182,91 @@ def test_whitney_build_command(tmp_path, capsys):
     assert rebuilt.N == saved["target_dim"]
 
 
+WHITNEY_SCRIPT = {
+    "domain_dim": 2,
+    "start": {"a": [[0.3, 0.1], [0.0, -0.2]]},
+    "steps": [{"subspace": [1], "phi": {"a": [[0.0, 0.2], [0.1, 0.0]]}},
+              {"subspace": [0, 2]}],
+}
+
+
+def _whitney_document(tmp_path):
+    script = tmp_path / "term.json"
+    script.write_text(json.dumps(WHITNEY_SCRIPT))
+    out_path = tmp_path / "map.json"
+    assert main(["whitney", "build", str(script), "--out", str(out_path)]) == 0
+    return json.loads(out_path.read_text())
+
+
+def test_map_documents_keep_denominator_factors(tmp_path, registry):
+    from propermaps.ballmaps import certify_proper
+    in_memory = certify_proper(build_whitney_term(WHITNEY_SCRIPT).map)
+    doc = _whitney_document(tmp_path)
+    assert len(doc["denominator_factors"]) >= 2
+    loaded = certify_proper(map_from_document(doc))
+    assert in_memory.denominator_method == loaded.denominator_method == "factored"
+    assert loaded.denominator_margin == in_memory.denominator_margin
+    # Maps without factors are written exactly as before.
+    assert list(map_to_document(registry.maps["faran.h"])) == [
+        "schema_version", "domain_dim", "target_dim", "numerator", "denominator"]
+
+
+@pytest.mark.parametrize("field", [
+    "centres", [[0.5, 0.0]], [[[0.5, 0.0]]], [[[0.5, "x"], [0.0, 0.0]]],
+    [[[float("nan"), 0.0], [0.0, 0.0]]], [[[0.5, 0.0, 0.0], [0.0, 0.0]]],
+])
+def test_malformed_denominator_factors_exit_two(field, tmp_path, capsys):
+    doc = _whitney_document(tmp_path)
+    doc["denominator_factors"] = field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: denominator_factors")
+
+
+def test_denominator_factors_that_miss_q_fall_back(tmp_path, capsys):
+    from propermaps.ballmaps import certify_proper
+    doc = _whitney_document(tmp_path)
+    without = dict(doc)
+    del without["denominator_factors"]
+    expected = certify_proper(map_from_document(without))
+    doc["denominator_factors"][0][0] = [0.5, 0.0]
+    cert = certify_proper(map_from_document(doc))
+    assert cert.denominator_method != "factored"
+    assert (cert.denominator_method, cert.denominator_margin, cert.verdict) == (
+        expected.denominator_method, expected.denominator_margin, expected.verdict)
+    # A factor field cannot make a denominator that vanishes on the sphere
+    # pass: q = 1 - z1 is still decided by its own factor.
+    pole = {"schema_version": "1", "domain_dim": 2, "target_dim": 2,
+            "numerator": [[{"exponents": [1, 0], "re": 1.0, "im": 0.0}],
+                          [{"exponents": [0, 1], "re": 1.0, "im": 0.0}]],
+            "denominator": [{"exponents": [0, 0], "re": 1.0, "im": 0.0},
+                            {"exponents": [1, 0], "re": -1.0, "im": 0.0}],
+            "denominator_factors": [[[0.5, 0.0], [0.0, 0.0]]]}
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(pole))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: denominator factor")
+
+
+def test_verify_reports_the_largest_remainder_entry(tmp_path, capsys):
+    half = RationalBallMap(2, 2, [0.5 * Polynomial.variable(2, 0),
+                                  0.5 * Polynomial.variable(2, 1)])
+    path = tmp_path / "half.json"
+    path.write_text(dumps_map(half))
+    assert main(["verify", str(path)]) == 1
+    assert "largest remainder entry: ((0, 0), (0, 0))" in capsys.readouterr().out
+    assert main(["verify", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["worst_entry"] == [[0, 0], [0, 0]]
+    assert main(["corpus", "run", "--grid", "3", "--json"]) == 0
+    maps = json.loads(capsys.readouterr().out)["maps"]
+    assert all("worst_entry" in report for report in maps.values())
+
+
 def test_whitney_script_parses_vector_subspaces():
     term = build_whitney_term({
         "domain_dim": 2,

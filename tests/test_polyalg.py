@@ -165,6 +165,16 @@ def test_squared_norm_form_positive_semidefinite(rng):
         assert eigs.min() >= -1e-6
 
 
+def test_form_values_match_the_signed_norms_pointwise(rng):
+    comps = [z(0) * z(1) + 0.3j, z(1) ** 2 - 0.5 * z(0)]
+    q = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.4, (1, 1): 0.2j})
+    pts = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
+    norms = sum(np.abs(p.evaluate_many(pts)) ** 2 for p in comps)
+    assert np.allclose(squared_norm_form(comps).evaluate_many(pts), norms, atol=1e-10)
+    defect = norms - np.abs(q.evaluate_many(pts)) ** 2
+    assert np.allclose(properness_form(comps, q).evaluate_many(pts), defect, atol=1e-10)
+
+
 def test_hermitian_symmetry_enforced():
     with pytest.raises(ValueError):
         HermitianForm(2, {((1, 0), (0, 1)): 1.0})  # mirror entry missing
@@ -261,16 +271,15 @@ def test_one_variable_reduction_evaluates_at_one():
 
 
 def test_multiples_of_the_sphere_defect_always_reduce_to_zero(rng):
-    # (||z||^2 - 1) * F vanishes on the sphere for every Hermitian F.
-    defect = HermitianForm(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
-                               ((0, 0), (0, 0)): -1.0})
+    # (||z||^2 - 1) * F vanishes on the sphere for every F = ||c||^2; it is
+    # the form sum_j ||c z_j||^2 - F.
     for _ in range(15):
         comps = [Polynomial(2, {(int(rng.integers(0, 3)), int(rng.integers(0, 3))):
                                 complex(rng.standard_normal(), rng.standard_normal())
                                 for _ in range(3)})
                  for _ in range(2)]
         factor = squared_norm_form(comps)
-        product = factor.product(defect)
+        product = squared_norm_form([c * z(j) for c in comps for j in range(2)]) - factor
         assert reduce_mod_sphere(product).is_zero
         # Reduction is linear, so adding a sphere multiple changes nothing.
         assert reduce_mod_sphere(factor + product).allclose(
@@ -325,12 +334,3 @@ def test_reduction_equals_the_term_by_term_substitution(nvars, seed):
              HermitianForm(nvars, {(zero, e1): 1.0}, validate=False)]
     for form in forms:
         assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
-
-
-def test_form_product_matches_pointwise_values(rng):
-    a = squared_norm_form([z(0), z(1)])
-    b = squared_norm_form([Polynomial(2, {(0, 0): 1.0, (1, 0): -0.4})])
-    prod = a.product(b)
-    pts = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
-    va, vb, vp = a.evaluate_many(pts), b.evaluate_many(pts), prod.evaluate_many(pts)
-    assert np.max(np.abs(vp - va * vb)) < 1e-10
