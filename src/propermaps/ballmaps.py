@@ -24,10 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .polyalg import (DEFAULT_TOL, HermitianForm, MultiIndex, Polynomial,
-                      coefficient_matrix, gram_form, monomials_of_degree,
-                      polynomials_from_rows, properness_form, reduce_mod_sphere,
-                      squared_norm_form)
+from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm, MultiIndex,
+                      Polynomial, coefficient_matrix, gram_form, monomials_of_degree,
+                      multiply_rows, polynomials_from_rows, properness_form,
+                      reduce_mod_sphere, squared_norm_form)
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
@@ -248,12 +248,13 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def denominator_from_factors(n: int, factors) -> Polynomial:
     """The denominator prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
     centres = np.asarray(factors, dtype=complex).reshape(-1, n)
-    monos = [(0,) * n] + monomials_of_degree(n, 1)
-    rows = np.hstack([np.ones((len(centres), 1)), -centres.conj()])
-    out = Polynomial.one(n)
-    for factor in polynomials_from_rows(n, monos, rows):
-        out = out * factor
-    return out
+    linear = [(0,) * n] + monomials_of_degree(n, 1)
+    monos, row = [(0,) * n], np.ones((1, 1), dtype=complex)
+    for centre in centres:
+        monos, row = multiply_rows(n, monos, row, linear,
+                                   np.hstack([1.0, -centre.conj()])[None, :])
+        row[np.abs(row) <= COEFFICIENT_FLOOR] = 0.0
+    return polynomials_from_rows(n, monos, row)[0]
 
 
 def _factored_margin(m: RationalBallMap, factors: np.ndarray, floor: float):

@@ -21,8 +21,8 @@ import numpy as np
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict,
                        apply_linear, certify_proper, denominator_from_factors)
-from .polyalg import (Polynomial, coefficient_matrix, monomials_of_degree,
-                      polynomials_from_rows)
+from .polyalg import (COEFFICIENT_FLOOR, Polynomial, coefficient_matrix,
+                      monomials_of_degree, multiply_rows, polynomials_from_rows)
 
 
 class NonIntegralWindingError(ArithmeticError):
@@ -232,7 +232,8 @@ def subspace_basis(target_dim: int, columns) -> np.ndarray:
 
 
 def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
-                       phi=None, tol: float = 1e-8) -> RationalBallMap:
+                       phi=None, tol: float = 1e-8, *,
+                       complement: Optional[np.ndarray] = None) -> RationalBallMap:
     """Tensor the part of f in a target subspace with a domain self-map.
 
     With P the orthogonal projection onto the span of the (orthonormal) basis
@@ -241,6 +242,11 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     variable, then the complement coordinates.  Target dimension grows from N
     to N + d(n - 1); properness is preserved because on the sphere
     ||phi|| = 1 restores ||f||.
+
+    ``complement`` is the orthonormal basis of the complement that
+    ``_linalg.gram_schmidt_complement`` gives for ``basis``.  A caller that
+    tensors many maps on one subspace passes it, so that it is built and
+    the basis is checked once; only its shape is checked here.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
@@ -251,24 +257,32 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     d = basis.shape[1]
     if d == 0:
         raise TensorSubspaceError("tensor subspace must be nonzero")
-    if not _linalg.has_orthonormal_columns(basis, tol):
-        raise TensorSubspaceError("subspace basis must have orthonormal columns")
+    if complement is None:
+        if not _linalg.has_orthonormal_columns(basis, tol):
+            raise TensorSubspaceError("subspace basis must have orthonormal columns")
+        complement = _linalg.gram_schmidt_complement(basis)
+    elif complement.shape != (f.N, f.N - d):
+        raise DimensionMismatchError(
+            f"complement shape {complement.shape} does not complete the basis "
+            f"to a frame of C^{f.N}")
     phi_map = _as_domain_map(phi, f.n)
+    n = f.n
 
-    # Coordinates of f in the frame (basis, complement): rows of frame^H @ f.
-    frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
-    monos, coeffs = coefficient_matrix(f.p)
-    rows = polynomials_from_rows(f.n, monos, frame.conj().T @ coeffs)
-    coords, comp_coords = rows[:d], rows[d:]
-
-    new_components = []
-    for m in range(d):
-        for j in range(f.n):
-            new_components.append(coords[m] * phi_map.p[j])
-    for comp in comp_coords:
-        new_components.append(comp * phi_map.q)
-    denominator = f.q * phi_map.q
-    return RationalBallMap(f.n, len(new_components), new_components, denominator,
+    # Coordinates of f in the frame (basis, complement): rows of frame^H @ f,
+    # with the entries at or below the storage floor dropped.
+    frame = np.hstack([basis, complement])
+    monos, coeffs = coefficient_matrix([*f.p, f.q])
+    coords = frame.conj().T @ coeffs[:-1]
+    coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
+    # One product per output row: the tensor block, the complement times
+    # phi's denominator, and the new denominator f.q * phi.q.
+    left = np.vstack([np.repeat(coords[:d], n, axis=0), coords[d:], coeffs[-1:]])
+    phi_monos, phi_rows = coefficient_matrix([*phi_map.p, phi_map.q])
+    right = np.vstack([np.tile(phi_rows[:n], (d, 1)),
+                       np.repeat(phi_rows[n:], f.N - d + 1, axis=0)])
+    *components, denominator = polynomials_from_rows(
+        n, *multiply_rows(n, monos, left, phi_monos, right))
+    return RationalBallMap(n, len(components), components, denominator,
                            factors=np.vstack([f.factors, phi_map.factors]))
 
 
@@ -283,8 +297,14 @@ def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallM
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter must lie in [0, 1]")
     cf = math.sqrt(max(0.0, 1.0 - t * t))
-    comps = [comp * g.q * cf for comp in f.p] + [comp * f.q * t for comp in g.p]
-    return RationalBallMap(f.n, f.N + g.N, comps, f.q * g.q,
+    left_monos, left = coefficient_matrix([*f.p, *g.p, f.q])
+    right_monos, pair = coefficient_matrix([g.q, f.q])
+    right = pair[[0] * f.N + [1] * g.N + [0]]
+    monos, rows = multiply_rows(f.n, left_monos, left, right_monos, right)
+    rows[:f.N] *= cf
+    rows[f.N:-1] *= t
+    *components, denominator = polynomials_from_rows(f.n, monos, rows)
+    return RationalBallMap(f.n, f.N + g.N, components, denominator,
                            factors=np.vstack([f.factors, g.factors]))
 
 

@@ -26,9 +26,9 @@ from . import ballmaps as _bm
 from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertificate,
                        RationalBallMap, Verdict, apply_linear, certify_proper,
                        embedding_dimension, norm_equivalent)
-from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
-                           automorphism_from_map, automorphism_map, blaschke_map,
-                           tensor_on_subspace, juxtapose)
+from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
+                           WhitneyTerm, automorphism_from_map, automorphism_map,
+                           blaschke_map, tensor_on_subspace, juxtapose)
 from .polyalg import DEFAULT_TOL, Polynomial
 
 class PropernessFailureError(ArithmeticError):
@@ -138,7 +138,12 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
 # ------------------------------------------------------------------ verification
 @dataclass
 class FamilyReport:
-    """Grid verification record for a homotopy family."""
+    """Grid verification record for a homotopy family.
+
+    ``max_coefficient_step`` is the largest coefficient distance between
+    adjacent grid members, and ``t_at_max_coefficient_step`` the grid point
+    that ends the first such step.
+    """
 
     grid: list
     degrees: list
@@ -148,11 +153,17 @@ class FamilyReport:
     endpoint_left_ok: bool
     endpoint_right_ok: bool
     max_coefficient_step: float
+    t_at_max_coefficient_step: float
     target_dim: int = 0
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals, default=0.0)
+
+    @property
+    def t_at_max_residual(self) -> float:
+        """The first grid point whose residual is the largest."""
+        return self.grid[self.residuals.index(self.max_residual)]
 
     @property
     def passed(self) -> bool:
@@ -167,7 +178,9 @@ class FamilyReport:
             "degrees": self.degrees,
             "embedding_dimensions": self.embedding_dimensions,
             "max_residual": self.max_residual,
+            "t_at_max_residual": self.t_at_max_residual,
             "max_coefficient_step": self.max_coefficient_step,
+            "t_at_max_coefficient_step": self.t_at_max_coefficient_step,
             "properness_failures": [
                 {"t": t, "verdict": cert.verdict.value,
                  "residual": cert.residual_norm}
@@ -181,8 +194,10 @@ class FamilyReport:
                  f"passed={self.passed}",
                  f"degree profile: {sorted(set(self.degrees))} "
                  f"embdim profile: {sorted(set(self.embedding_dimensions))}",
-                 f"max residual: {self.max_residual:.3e}; "
-                 f"max coefficient step: {self.max_coefficient_step:.3e}"]
+                 f"max residual: {self.max_residual:.3e} "
+                 f"at t={self.t_at_max_residual:.4f}; "
+                 f"max coefficient step: {self.max_coefficient_step:.3e} "
+                 f"at t={self.t_at_max_coefficient_step:.4f}"]
         for t, cert in self.properness_failures[:5]:
             lines.append(f"  failure at t={t:.4f}: {cert.verdict.value} "
                          f"residual={cert.residual_norm:.3e}")
@@ -211,7 +226,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     degrees, embdims, residuals, failures = [], [], [], []
     first = previous = None
-    max_step = 0.0
+    max_step, t_step = 0.0, ts[1]
     for t in ts:
         m = family.evaluate(t)
         cert = certify_proper(m, tol=tol, seed=seed, witness_samples=0)
@@ -226,7 +241,9 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         if previous is None:
             first = m
         else:
-            max_step = max(max_step, previous.distance(m))
+            step = previous.distance(m)
+            if step > max_step:
+                max_step, t_step = step, t
         previous = m
 
     endpoint_tol = 1e3 * tol
@@ -237,7 +254,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     if strict and not (left_ok and right_ok):
         raise EndpointMismatchError("family endpoints do not match the declared maps")
     return FamilyReport(ts, degrees, embdims, residuals, failures,
-                        left_ok, right_ok, max_step, family.target_dim)
+                        left_ok, right_ok, max_step, t_step, family.target_dim)
 
 
 # -------------------------------------------------------------------- generators
@@ -424,6 +441,8 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
                            np.zeros((prev_dim - base_rows, d), dtype=complex)])
     else:
         basis = step.basis
+    if not _linalg.has_orthonormal_columns(basis):
+        raise TensorSubspaceError("subspace basis must have orthonormal columns")
     complement = _linalg.gram_schmidt_complement(basis)
 
     jmat = step.injection
@@ -435,7 +454,7 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
         jmat = lifted
 
     def stage_map(m: RationalBallMap, phi=None) -> RationalBallMap:
-        tensored = tensor_on_subspace(m, basis, phi)
+        tensored = tensor_on_subspace(m, basis, phi, complement=complement)
         return apply_linear(jmat, tensored) if jmat is not None else tensored
 
     segments = []

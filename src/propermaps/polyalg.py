@@ -538,6 +538,58 @@ def _group_rows(keys: np.ndarray):
     return ordered[starts], index
 
 
+def _descending(nvars: int, keys: np.ndarray):
+    """(distinct rows as a descending tuple of multi-indices, each row's slot)."""
+    rows, index = _group_rows(keys.reshape(-1, nvars))
+    return tuple(map(tuple, rows[::-1].tolist())), len(rows) - 1 - index
+
+
+# A family-grid pass (seven Whitney homotopies of 101 members each) reduces
+# forms over 25 distinct (basis, mask) keys, and a map-certify pass over 32
+# whose plans take 4.5 MB together; 64 plans hold either pass while a long
+# run over fresh supports stays bounded.
+@lru_cache(maxsize=64)
+def _reduction_plan(nvars: int, basis: tuple, mask: bytes):
+    """Index work of ``reduce_mod_sphere`` for one basis and above-floor mask.
+
+    ``mask`` is the packed row-major mask of the matrix entries above the
+    storage floor.  The plan lists one contribution per (kept entry, term of
+    the entry's hyperplane power), entries in row-major order and terms in
+    the power's stored order: the flat matrix position it reads, its
+    hyperplane weight and the remainder key it adds to.  For each key it
+    gives the slots (lo, hi) of the key's monomial pair among ``monos``, the
+    descending candidate basis of the remainder.
+    """
+    n, size = nvars, len(basis)
+    kept = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=size * size)
+    flat = np.flatnonzero(kept)
+    rows, cols = np.divmod(flat, size)
+    exps = np.array(basis, dtype=np.int64).reshape(-1, n)
+    nu = exps[rows] - exps[cols]
+    # Shifts below zero in lexicographic order are the conjugate mirrors of
+    # shifts above it, so only nu >= 0 is reduced.
+    keep = nu[np.arange(len(nu)), np.argmax(nu != 0, axis=1)] >= 0
+    flat, nu, beta = flat[keep], nu[keep], exps[cols[keep]]
+    power = beta[:, -1].copy()
+    beta[:, -1] = 0
+    counts, terms, weights = _hyperplane_table(n, int(power.max(initial=0)))
+    counts = counts[power]
+    # One contribution per (entry, term of the entry's hyperplane power).
+    entry = np.repeat(np.arange(len(power)), counts)
+    term = np.arange(len(entry)) - np.repeat(np.cumsum(counts) - counts, counts)
+    keys, group = _group_rows(np.hstack([nu[entry],
+                                         beta[entry] + terms[power[entry], term]]))
+    shift, gamma = keys[:, :n], keys[:, n:]
+    monos, slot = _descending(n, np.vstack([gamma + np.maximum(shift, 0),
+                                            gamma + np.maximum(-shift, 0)]))
+    # Positions and groups fit in int32: a matrix with 2^31 entries takes 32 GB.
+    plan = (flat[entry].astype(np.int32), weights[power[entry], term],
+            group.astype(np.int32), slot[:len(keys)], slot[len(keys):])
+    for array in plan:
+        array.flags.writeable = False
+    return plan + (monos,)
+
+
 def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     """Remainder of a Hermitian form modulo the unit-sphere relation.
 
@@ -550,39 +602,66 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     vanishes identically on the unit sphere; its largest entry is the
     reduction residual.
 
-    The substitution runs on arrays over the entries above the storage floor,
-    read in row-major order; each remainder coefficient adds its
-    contributions from zero in that order, then in the term order of the
-    hyperplane power, as a loop over ``form.entries`` would.
+    The index work depends only on the basis and on which entries are above
+    the storage floor, so it is planned once per such pair and cached
+    (``_reduction_plan``).  A call gathers the kept entries, scales them by
+    the hyperplane weights and sums them per remainder key with a bincount;
+    each coefficient adds its contributions from zero in row-major entry
+    order, then in the term order of the hyperplane power, as a loop over
+    ``form.entries`` would.
     """
-    n = form.nvars
-    rows, cols = np.nonzero(np.abs(form.matrix) > COEFFICIENT_FLOOR)
-    basis = np.array(form.basis, dtype=np.int64).reshape(-1, n)
-    nu = basis[rows] - basis[cols]
-    # Shifts below zero in lexicographic order are the conjugate mirrors of
-    # shifts above it, so only nu >= 0 is reduced.
-    keep = nu[np.arange(len(nu)), np.argmax(nu != 0, axis=1)] >= 0
-    nu, beta, coeffs = nu[keep], basis[cols[keep]], form.matrix[rows[keep], cols[keep]]
-    power = beta[:, -1].copy()
-    beta[:, -1] = 0
-    counts, exps, weights = _hyperplane_table(n, int(power.max(initial=0)))
-    counts = counts[power]
-    # One row per (entry, term of the entry's hyperplane power).
-    entry = np.repeat(np.arange(len(power)), counts)
-    term = np.arange(len(entry)) - np.repeat(np.cumsum(counts) - counts, counts)
-    weight = weights[power[entry], term]
-    keys, index = _group_rows(np.hstack([nu[entry],
-                                         beta[entry] + exps[power[entry], term]]))
-    real = np.bincount(index, weights=coeffs.real[entry] * weight, minlength=len(keys))
-    imag = np.bincount(index, weights=coeffs.imag[entry] * weight, minlength=len(keys))
+    matrix = form.matrix
+    mask = np.packbits(np.abs(matrix) > COEFFICIENT_FLOOR).tobytes()
+    src, weight, group, lo, hi, monos = _reduction_plan(form.nvars, form.basis, mask)
+    coeffs = matrix.ravel()[src]
+    real = np.bincount(group, weights=coeffs.real * weight, minlength=len(lo))
+    imag = np.bincount(group, weights=coeffs.imag * weight, minlength=len(lo))
     values = real + 1j * imag
     big = np.abs(values) > COEFFICIENT_FLOOR
-    shift, gamma, values = keys[big, :n], keys[big, n:], values[big]
-    pairs = np.vstack([gamma + np.maximum(shift, 0), gamma + np.maximum(-shift, 0)])
-    monos, slot = _group_rows(pairs)
-    slot = len(monos) - 1 - slot  # the basis is descending
+    values = values[big]
+    used, slot = np.unique(np.concatenate([lo[big], hi[big]]), return_inverse=True)
     a, b = slot[:len(values)], slot[len(values):]
-    out = np.zeros((len(monos), len(monos)), dtype=complex)
+    out = np.zeros((len(used), len(used)), dtype=complex)
     out[b, a] = values.conj()
     out[a, b] = values
-    return HermitianForm._raw(n, tuple(map(tuple, monos[::-1].tolist())), out)
+    return HermitianForm._raw(form.nvars, tuple(monos[i] for i in used.tolist()), out)
+
+
+# A family-grid pass multiplies over 28 distinct pairs of supports (tensor
+# steps and denominators rebuilt from their factors), whose plans take 10 kB
+# together; 64 plans hold a pass.
+@lru_cache(maxsize=64)
+def _product_plan(nvars: int, left_monos: tuple, right_monos: tuple):
+    """(support, columns): the exponent sums of the two supports, descending,
+    and the support column of each (left, right) pair, left-major."""
+    left = np.array(left_monos, dtype=np.int64).reshape(-1, nvars)
+    right = np.array(right_monos, dtype=np.int64).reshape(-1, nvars)
+    monos, column = _descending(nvars, left[:, None, :] + right[None, :, :])
+    column.flags.writeable = False
+    return monos, column
+
+
+def multiply_rows(nvars: int, left_monos: Sequence[MultiIndex], left: np.ndarray,
+                  right_monos: Sequence[MultiIndex], right: np.ndarray):
+    """(monomials, matrix) whose row k is the product of the polynomials with
+    coefficient rows ``left[k]`` over ``left_monos`` and ``right[k]`` over
+    ``right_monos``.
+
+    The monomials are the exponent sums of the two supports, descending.
+    Each coefficient adds its products from zero, left column by left
+    column, with the rounding of Python's complex product, so it equals
+    ``Polynomial.__mul__`` over terms stored in the order of ``left_monos``
+    (before that drops entries at or below the storage floor).
+    """
+    monos, column = _product_plan(nvars, tuple(left_monos), tuple(right_monos))
+    left = np.asarray(left, dtype=complex)[:, :, None]
+    right = np.asarray(right, dtype=complex)[:, None, :]
+    count = len(left)
+    # The real form of the product: numpy's complex multiply may fuse it.
+    real = (left.real * right.real - left.imag * right.imag).reshape(count, -1)
+    imag = (left.real * right.imag + left.imag * right.real).reshape(count, -1)
+    index = (column + len(monos) * np.arange(count)[:, None]).ravel()
+    size = count * len(monos)
+    out = (np.bincount(index, weights=real.ravel(), minlength=size)
+           + 1j * np.bincount(index, weights=imag.ravel(), minlength=size))
+    return monos, out.reshape(count, len(monos))

@@ -367,10 +367,17 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    code = ("import sys, propermaps; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # Importing also builds no plan, so the caches stay empty and bounded.
+    code = ("import json, sys, propermaps; from propermaps import polyalg; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(json.dumps([[c.cache_info().currsize, c.cache_info().maxsize] "
+            "for c in (polyalg._reduction_plan, polyalg._product_plan)]))")
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    modules, caches = result.stdout.splitlines()
+    assert modules == "[]"
+    for currsize, maxsize in json.loads(caches):
+        assert currsize == 0
+        assert isinstance(maxsize, int) and maxsize > 0

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propermaps._linalg import UnitaryPath, is_unitary, random_unitary
-from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
-                                 certify_proper, compose, degree,
+from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary,
+                                random_unitary)
+from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
+                                 RationalBallMap, Verdict, certify_proper, compose, degree,
                                  denominator_from_factors, norm_equivalent,
                                  squared_norm_form)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
@@ -15,11 +16,11 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      automorphism_from_map, automorphism_map,
                                      blaschke_map, boundary_constant_map,
                                      juxtapose, random_ball_automorphism,
-                                     random_blaschke_product, tensor_on_subspace,
-                                     whitney_extend, whitney_start,
+                                     random_blaschke_product, subspace_basis,
+                                     tensor_on_subspace, whitney_extend, whitney_start,
                                      winding_degree, winding_integral)
 from propermaps.corpus import quadric_three_map, whitney_map
-from propermaps.polyalg import Polynomial
+from propermaps.polyalg import Polynomial, coefficient_matrix, polynomials_from_rows
 
 from conftest import sample_sphere
 
@@ -152,6 +153,43 @@ def test_tensor_rejects_bad_subspaces():
         tensor_on_subspace(ident, np.zeros((2, 0)))
     with pytest.raises(TensorSubspaceError):
         tensor_on_subspace(ident, np.array([[1.0], [1.0]]))  # not normalized
+    with pytest.raises(DimensionMismatchError):
+        tensor_on_subspace(ident, np.array([[1.0], [0.0]]), complement=np.eye(2))
+
+
+def _tensor_by_dict_products(f, basis, phi):
+    """Reference tensor step: frame coordinates times phi by dict products."""
+    phi_map = RationalBallMap.identity(f.n) if phi is None else automorphism_map(phi)
+    d = basis.shape[1]
+    frame = np.hstack([basis, gram_schmidt_complement(basis)])
+    monos, coeffs = coefficient_matrix(f.p)
+    rows = polynomials_from_rows(f.n, monos, frame.conj().T @ coeffs)
+    comps = [rows[m] * phi_map.p[j] for m in range(d) for j in range(f.n)]
+    comps += [row * phi_map.q for row in rows[d:]]
+    return RationalBallMap(f.n, len(comps), comps, f.q * phi_map.q,
+                           factors=np.vstack([f.factors, phi_map.factors]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("with_phi", [False, True])
+def test_tensor_step_matches_the_dict_product_formula(n, dense, with_phi):
+    rng = np.random.default_rng(100 * n + 10 * dense + with_phi)
+    f = _random_whitney_map(n, 2, rng)
+    if dense:
+        g = rng.standard_normal((f.N, 2)) + 1j * rng.standard_normal((f.N, 2))
+        basis, _ = np.linalg.qr(g)
+    else:
+        basis = subspace_basis(f.N, np.sort(rng.choice(f.N, size=2, replace=False)))
+    phi = random_ball_automorphism(n, rng, 0.9) if with_phi else None
+    want = _tensor_by_dict_products(f, basis, phi)
+    scale = max(c.max_abs_coeff() for c in (*want.p, want.q))
+    complement = gram_schmidt_complement(basis)
+    for got in (tensor_on_subspace(f, basis, phi),
+                tensor_on_subspace(f, basis, phi, complement=complement)):
+        assert got.N == want.N
+        assert np.array_equal(got.factors, want.factors)
+        assert got.distance(want) <= 1e-14 * scale
 
 
 # -------------------------------------------------------------- juxtaposition

@@ -79,6 +79,31 @@ def test_report_serializes():
     assert isinstance(report.summary(), str)
 
 
+def test_report_names_the_first_worst_grid_points():
+    # z -> c z is proper exactly when |c| = 1, with residual 1 - |c|^2.  The
+    # scale drops to 0.5 at t = 0.3 and t = 0.8 and flips sign at t = 0.6.
+    scales = {0.3: 0.5, 0.6: -1.0, 0.7: -1.0, 0.8: 0.5, 0.9: -1.0, 1.0: -1.0}
+    z = Polynomial.variable(1, 0)
+
+    def evaluator(t):
+        return RationalBallMap(1, 1, [z * scales.get(round(t, 6), 1.0)])
+
+    fam = HomotopyFamily(1, 1, evaluator, evaluator(0.0), evaluator(1.0))
+    report = verify_family(fam, grid_size=11)
+    assert [t for t, _ in report.properness_failures] == [0.3, 0.8]
+    assert report.max_residual == pytest.approx(0.75)
+    assert report.t_at_max_residual == 0.3
+    # Steps of 0.5 around t = 0.3, of 1.5 around t = 0.8 and of 2 into t = 0.6.
+    assert report.max_coefficient_step == pytest.approx(2.0)
+    assert report.t_at_max_coefficient_step == 0.6
+    data = report.to_dict()
+    assert (data["t_at_max_residual"], data["t_at_max_coefficient_step"]) == (0.3, 0.6)
+    assert "at t=0.3000" in report.summary() and "at t=0.6000" in report.summary()
+
+    steady = verify_family(constant_family(RationalBallMap.identity(1)), grid_size=5)
+    assert (steady.t_at_max_residual, steady.t_at_max_coefficient_step) == (0.0, 0.25)
+
+
 # --------------------------------------------------------------- generators
 def test_degree_drop_family_profile():
     fam = degree_drop_family()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propermaps import polyalg
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 Polynomial, coefficient_matrix, monomials_of_degree,
-                                polynomials_from_rows, properness_form,
+                                multiply_rows, polynomials_from_rows, properness_form,
                                 reduce_mod_sphere, squared_norm_form)
 
 from conftest import sample_sphere
@@ -334,3 +335,52 @@ def test_reduction_equals_the_term_by_term_substitution(nvars, seed):
              HermitianForm(nvars, {(zero, e1): 1.0}, validate=False)]
     for form in forms:
         assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
+
+
+def test_reduction_plans_are_keyed_by_the_above_floor_mask():
+    # Two forms on one basis that differ only in one off-diagonal pair, just
+    # above the storage floor in one and just below it in the other.
+    comps = [z(0) * z(0) + z(1) * 0.5, z(0) * z(1) * 0.7 - 0.2]
+    base = squared_norm_form(comps)
+    i, j = next((i, j) for i in range(len(base.basis)) for j in range(i)
+                if base.matrix[i, j] == 0)
+    forms = []
+    for value in (2 * COEFFICIENT_FLOOR, 0.5 * COEFFICIENT_FLOOR):
+        matrix = base.matrix.copy()
+        matrix[i, j] = matrix[j, i] = value
+        forms.append(HermitianForm._raw(2, base.basis, matrix))
+    assert len(forms[0].entries) == len(forms[1].entries) + 2
+    for order in (forms, forms[::-1]):
+        polyalg._reduction_plan.cache_clear()
+        for form in order:
+            assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
+        assert polyalg._reduction_plan.cache_info().misses == 2
+        for form in order:
+            assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
+        assert polyalg._reduction_plan.cache_info().hits == 2
+
+
+def _random_rows(nvars, seed):
+    """Up to four polynomials of degree <= 3 per side, some of them zero."""
+    gen = np.random.default_rng(seed)
+    count = int(gen.integers(1, 5))
+    sides = []
+    for _ in range(2):
+        sides.append([Polynomial(nvars, {} if gen.random() < 0.25 else
+                                 {tuple(gen.integers(0, 4, nvars)):
+                                  complex(*gen.standard_normal(2)) * 10.0 ** gen.integers(-3, 4)
+                                  for _ in range(int(gen.integers(1, 6)))})
+                      for _ in range(count)])
+    return sides
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_multiply_rows_agrees_with_polynomial_products(nvars, seed):
+    left, right = _random_rows(nvars, seed)
+    monos, rows = multiply_rows(nvars, *coefficient_matrix(left),
+                                *coefficient_matrix(right))
+    assert list(monos) == sorted(set(monos), reverse=True)
+    for a, b, got in zip(left, right, polynomials_from_rows(nvars, monos, rows)):
+        scale = a.max_abs_coeff() * b.max_abs_coeff()
+        assert got.distance(a * b) <= 1e-14 * scale
