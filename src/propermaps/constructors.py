@@ -232,8 +232,7 @@ def subspace_basis(target_dim: int, columns) -> np.ndarray:
 
 
 def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
-                       phi=None, tol: float = 1e-8, *,
-                       complement: Optional[np.ndarray] = None) -> RationalBallMap:
+                       phi=None, tol: float = 1e-8) -> RationalBallMap:
     """Tensor the part of f in a target subspace with a domain self-map.
 
     With P the orthogonal projection onto the span of the (orthonormal) basis
@@ -242,11 +241,6 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     variable, then the complement coordinates.  Target dimension grows from N
     to N + d(n - 1); properness is preserved because on the sphere
     ||phi|| = 1 restores ||f||.
-
-    ``complement`` is the orthonormal basis of the complement that
-    ``_linalg.gram_schmidt_complement`` gives for ``basis``.  A caller that
-    tensors many maps on one subspace passes it, so that it is built and
-    the basis is checked once; only its shape is checked here.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
@@ -257,20 +251,21 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     d = basis.shape[1]
     if d == 0:
         raise TensorSubspaceError("tensor subspace must be nonzero")
-    if complement is None:
-        if not _linalg.has_orthonormal_columns(basis, tol):
-            raise TensorSubspaceError("subspace basis must have orthonormal columns")
-        complement = _linalg.gram_schmidt_complement(basis)
-    elif complement.shape != (f.N, f.N - d):
-        raise DimensionMismatchError(
-            f"complement shape {complement.shape} does not complete the basis "
-            f"to a frame of C^{f.N}")
+    if not _linalg.has_orthonormal_columns(basis, tol):
+        raise TensorSubspaceError("subspace basis must have orthonormal columns")
+    frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
+    return _tensor_in_frame(f, frame, d, phi)
+
+
+def _tensor_in_frame(f: RationalBallMap, frame: np.ndarray, d: int,
+                     phi=None) -> RationalBallMap:
+    """``tensor_on_subspace`` in a checked unitary frame whose first d
+    columns are the subspace basis and whose rest is its complement."""
     phi_map = _as_domain_map(phi, f.n)
     n = f.n
 
     # Coordinates of f in the frame (basis, complement): rows of frame^H @ f,
     # with the entries at or below the storage floor dropped.
-    frame = np.hstack([basis, complement])
     monos, coeffs = coefficient_matrix([*f.p, f.q])
     coords = frame.conj().T @ coeffs[:-1]
     coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
@@ -297,14 +292,8 @@ def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallM
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter must lie in [0, 1]")
     cf = math.sqrt(max(0.0, 1.0 - t * t))
-    left_monos, left = coefficient_matrix([*f.p, *g.p, f.q])
-    right_monos, pair = coefficient_matrix([g.q, f.q])
-    right = pair[[0] * f.N + [1] * g.N + [0]]
-    monos, rows = multiply_rows(f.n, left_monos, left, right_monos, right)
-    rows[:f.N] *= cf
-    rows[f.N:-1] *= t
-    *components, denominator = polynomials_from_rows(f.n, monos, rows)
-    return RationalBallMap(f.n, f.N + g.N, components, denominator,
+    comps = [comp * g.q * cf for comp in f.p] + [comp * f.q * t for comp in g.p]
+    return RationalBallMap(f.n, f.N + g.N, comps, f.q * g.q,
                            factors=np.vstack([f.factors, g.factors]))
 
 

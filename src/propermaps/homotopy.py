@@ -28,7 +28,7 @@ from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertifica
                        embedding_dimension, norm_equivalent)
 from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
                            WhitneyTerm, automorphism_from_map, automorphism_map,
-                           blaschke_map, tensor_on_subspace, juxtapose)
+                           blaschke_map, juxtapose, _tensor_in_frame)
 from .polyalg import DEFAULT_TOL, Polynomial
 
 class PropernessFailureError(ArithmeticError):
@@ -444,6 +444,7 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
     if not _linalg.has_orthonormal_columns(basis):
         raise TensorSubspaceError("subspace basis must have orthonormal columns")
     complement = _linalg.gram_schmidt_complement(basis)
+    frame = np.hstack([basis, complement])
 
     jmat = step.injection
     if jmat is not None and prev_dim > base_rows:
@@ -454,7 +455,7 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
         jmat = lifted
 
     def stage_map(m: RationalBallMap, phi=None) -> RationalBallMap:
-        tensored = tensor_on_subspace(m, basis, phi, complement=complement)
+        tensored = _tensor_in_frame(m, frame, d, phi)
         return apply_linear(jmat, tensored) if jmat is not None else tensored
 
     segments = []

@@ -547,7 +547,12 @@ def _descending(nvars: int, keys: np.ndarray):
 # A family-grid pass (seven Whitney homotopies of 101 members each) reduces
 # forms over 25 distinct (basis, mask) keys, and a map-certify pass over 32
 # whose plans take 4.5 MB together; 64 plans hold either pass while a long
-# run over fresh supports stays bounded.
+# run over fresh supports stays bounded.  The bound counts plans, not bytes:
+# a plan keeps 16 bytes per contribution, 16 per remainder key and the
+# tuple of its candidate monomials, so the cache holds at most 64 times the
+# largest plan it has seen.  The largest map-certify plan (a dense form on
+# 153 monomials, 76,000 contributions) takes 1.3 MB, so 81 MB at worst for
+# forms of that size; denser forms on larger bases take more.
 @lru_cache(maxsize=64)
 def _reduction_plan(nvars: int, basis: tuple, mask: bytes):
     """Index work of ``reduce_mod_sphere`` for one basis and above-floor mask.

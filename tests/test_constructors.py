@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary,
                                 random_unitary)
-from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
-                                 RationalBallMap, Verdict, certify_proper, compose, degree,
+from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
+                                 certify_proper, compose, degree,
                                  denominator_from_factors, norm_equivalent,
                                  squared_norm_form)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
@@ -153,8 +153,6 @@ def test_tensor_rejects_bad_subspaces():
         tensor_on_subspace(ident, np.zeros((2, 0)))
     with pytest.raises(TensorSubspaceError):
         tensor_on_subspace(ident, np.array([[1.0], [1.0]]))  # not normalized
-    with pytest.raises(DimensionMismatchError):
-        tensor_on_subspace(ident, np.array([[1.0], [0.0]]), complement=np.eye(2))
 
 
 def _tensor_by_dict_products(f, basis, phi):
@@ -184,12 +182,10 @@ def test_tensor_step_matches_the_dict_product_formula(n, dense, with_phi):
     phi = random_ball_automorphism(n, rng, 0.9) if with_phi else None
     want = _tensor_by_dict_products(f, basis, phi)
     scale = max(c.max_abs_coeff() for c in (*want.p, want.q))
-    complement = gram_schmidt_complement(basis)
-    for got in (tensor_on_subspace(f, basis, phi),
-                tensor_on_subspace(f, basis, phi, complement=complement)):
-        assert got.N == want.N
-        assert np.array_equal(got.factors, want.factors)
-        assert got.distance(want) <= 1e-14 * scale
+    got = tensor_on_subspace(f, basis, phi)
+    assert got.N == want.N
+    assert np.array_equal(got.factors, want.factors)
+    assert got.distance(want) <= 1e-14 * scale
 
 
 # -------------------------------------------------------------- juxtaposition
