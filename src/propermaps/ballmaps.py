@@ -1,11 +1,11 @@
 """Rational maps between unit balls: data type, properness certificate, invariants.
 
-A map is stored as a numerator vector of polynomials together with a scalar
-denominator normalized so q(0) = 1.  Properness of p/q as a map from the unit
-ball of C^n to the unit ball of C^N is certified exactly at the coefficient
-level: the Hermitian form of ||p||^2 - |q|^2 is reduced modulo the sphere
-relation, and the map is proper precisely when the remainder vanishes and the
-map is nonconstant.
+A map p/q is stored as its coefficient rows over one monomial support, with
+the denominator normalized so q(0) = 1.  Properness of p/q as a map from the
+unit ball of C^n to the unit ball of C^N is certified exactly at the
+coefficient level: the Hermitian form of ||p||^2 - |q|^2 is reduced modulo
+the sphere relation, and the map is proper precisely when the remainder
+vanishes and the map is nonconstant.
 
 A map may also carry the centres a_k of its denominator factors, with
 q = prod_k (1 - <z, a_k>).  The constructors set them and the linear
@@ -19,15 +19,17 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _linalg
-from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm, MultiIndex,
-                      Polynomial, coefficient_matrix, gram_form, monomials_of_degree,
-                      multiply_rows, polynomials_from_rows, properness_form,
-                      reduce_mod_sphere, squared_norm_form)
+from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm,
+                      Polynomial, align_rows, canonical_rows, coefficient_matrix,
+                      evaluate_rows, gram_form, monomials_of_degree,
+                      multiply_rows, polynomials_from_rows, reduce_mod_sphere,
+                      squared_norm_form)  # noqa: F401 - re-exported
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
@@ -58,17 +60,29 @@ class Verdict(enum.Enum):
     CONSTANT_ON_SPHERE = "constant-on-sphere"
 
 
+def _top_degree(support, rows):
+    """Largest total degree of a column with an entry above DEFAULT_TOL; -inf if none."""
+    live = (np.abs(rows) > DEFAULT_TOL).any(axis=0).tolist()
+    return max((sum(a) for a, keep in zip(support, live) if keep), default=ZERO_DEGREE)
+
+
 class RationalBallMap:
     """Rational map p/q from the unit ball of C^n toward C^N.
 
-    Invariants enforced at construction: all components share the domain
-    variable count, and q(0) = 1.  Nonvanishing of q on the closed ball is
-    checked during certification, not here.  ``factors`` is a (K, n) array of
-    the centres a_k of q = prod_k (1 - <z, a_k>), empty when they are unknown;
-    certification uses them only after checking that they multiply out to q.
+    The map is its coefficient rows: ``coefficients`` is a read-only
+    (N+1) x M complex array of the rows p_1, ..., p_N, q over ``support``, a
+    descending tuple of multi-indices.  Entries at or below the storage floor
+    are zero and every column has an entry above it; as q(0) = 1, the last
+    column is the constant monomial.  ``p`` and ``q`` are Polynomial views,
+    built on each access.  The constructor checks that all components share
+    the domain variable count and that q(0) = 1; nonvanishing of q on the
+    closed ball is checked during certification.  ``factors`` is a (K, n)
+    array of the centres a_k of q = prod_k (1 - <z, a_k>), empty when they are
+    unknown; certification uses them only after checking that they multiply
+    out to q.
     """
 
-    __slots__ = ("n", "N", "p", "q", "factors")
+    __slots__ = ("n", "N", "support", "coefficients", "factors")
 
     def __init__(self, domain_dim: int, target_dim: int,
                  numerator: Sequence[Polynomial], denominator: Polynomial | None = None,
@@ -89,28 +103,36 @@ class RationalBallMap:
         if abs(denominator.constant_term() - 1.0) > tol:
             raise NormalizationError(
                 f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
+        self._store(domain_dim, *coefficient_matrix([*numerator, denominator]), factors)
+
+    def _store(self, n: int, support, rows, factors):
         centres = np.array(factors, dtype=complex)
         if centres.size == 0:
-            centres = np.zeros((0, domain_dim), dtype=complex)
-        elif centres.ndim != 2 or centres.shape[1] != domain_dim:
+            centres = np.zeros((0, n), dtype=complex)
+        elif centres.ndim != 2 or centres.shape[1] != n:
             raise DimensionMismatchError("denominator factor centres need one entry "
                                          "per domain variable")
         if not np.all(np.isfinite(centres)):
             raise ValueError("denominator factor centres must be finite")
-        centres.flags.writeable = False
-        object.__setattr__(self, "n", domain_dim)
-        object.__setattr__(self, "N", target_dim)
-        object.__setattr__(self, "p", numerator)
-        object.__setattr__(self, "q", denominator)
-        object.__setattr__(self, "factors", centres)
+        support, rows = canonical_rows(support, rows)
+        centres.flags.writeable = rows.flags.writeable = False
+        for name, value in zip(self.__slots__, (n, len(rows) - 1, support, rows, centres)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
+        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked."""
+        return object.__new__(cls)._store(n, support, rows, factors)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalBallMap is immutable")
 
     # ------------------------------------------------------------------ build
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalBallMap":
-        return cls(n, n, [Polynomial.variable(n, j) for j in range(n)])
+        return cls._from_rows(n, monomials_of_degree(n, 1) + [(0,) * n], np.eye(n + 1))
 
     @classmethod
     def constant(cls, values: Sequence[complex], domain_dim: int) -> "RationalBallMap":
@@ -127,48 +149,52 @@ class RationalBallMap:
 
     # ---------------------------------------------------------------- queries
     @property
+    def p(self) -> tuple:
+        return tuple(polynomials_from_rows(self.n, self.support, self.coefficients[:-1]))
+
+    @property
+    def q(self) -> Polynomial:
+        return polynomials_from_rows(self.n, self.support, self.coefficients[-1:])[0]
+
+    @property
     def degree(self):
         """Numerator degree: max total degree over terms above tolerance."""
-        return max((comp.degree for comp in self.p), default=float("-inf"))
+        return _top_degree(self.support, self.coefficients[:-1])
 
     @property
     def has_trivial_denominator(self) -> bool:
-        return self.q.is_constant
+        return _top_degree(self.support, self.coefficients[-1:]) <= 0
 
     @property
     def is_monomial_map(self) -> bool:
         """True when q = 1 and every component is a single term (or zero)."""
-        return (self.has_trivial_denominator
-                and all(len(c.significant_terms()) <= 1 for c in self.p))
+        terms = np.count_nonzero(np.abs(self.coefficients[:-1]) > DEFAULT_TOL, axis=1)
+        return self.has_trivial_denominator and bool(np.all(terms <= 1))
 
     def is_constant_map(self, tol: float = DEFAULT_TOL) -> bool:
         """True when p/q is a constant map, i.e. p_i = p_i(0) * q for all i."""
-        for comp in self.p:
-            residue = comp - comp.constant_term() * self.q
-            if residue.max_abs_coeff() > tol:
-                return False
-        return True
+        rows = self.coefficients
+        return not np.any(np.abs(rows[:-1] - rows[:-1, -1:] * rows[-1]) > tol)
 
     # -------------------------------------------------------------- evaluation
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
-        qv = self.q(point)
-        if qv == 0:
+        values = evaluate_rows(self.n, self.support, self.coefficients, [point])[0]
+        if values[-1] == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return np.array([comp(point) for comp in self.p], dtype=complex) / qv
+        return values[:-1] / values[-1]
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex)
-        qv = self.q.evaluate_many(pts)
-        num = np.stack([comp.evaluate_many(pts) for comp in self.p], axis=1)
-        return num / qv[:, None]
+        values = evaluate_rows(self.n, self.support, self.coefficients, points)
+        return values[:, :-1] / values[:, -1:]
 
     # ------------------------------------------------------------------ forms
     def squared_norm_form(self) -> HermitianForm:
         """Hermitian form of ||p||^2 (numerator only)."""
-        return squared_norm_form(self.p)
+        return gram_form(self.n, *canonical_rows(self.support, self.coefficients[:-1]))
 
     def properness_form(self) -> HermitianForm:
-        return properness_form(self.p, self.q)
+        """Hermitian form of ||p||^2 - |q|^2: the signed Gram of the rows."""
+        return gram_form(self.n, self.support, self.coefficients, negated=1)
 
     # ------------------------------------------------------------- conversions
     def padded(self, target_dim: int) -> "RationalBallMap":
@@ -177,12 +203,12 @@ class RationalBallMap:
             raise DimensionMismatchError("cannot pad to a smaller target")
         if target_dim == self.N:
             return self
-        comps = list(self.p) + [Polynomial.zero(self.n)] * (target_dim - self.N)
-        return RationalBallMap(self.n, target_dim, comps, self.q, factors=self.factors)
+        rows = np.insert(self.coefficients, [self.N] * (target_dim - self.N), 0.0, axis=0)
+        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors)
 
     def scaled(self, factor: complex) -> "RationalBallMap":
-        return RationalBallMap(self.n, self.N, [comp * factor for comp in self.p], self.q,
-                               factors=self.factors)
+        rows = self.coefficients * np.append(np.full(self.N, factor), 1.0)[:, None]
+        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors)
 
     def distance(self, other: "RationalBallMap") -> float:
         """Largest coefficient difference of p and q after padding to a common target."""
@@ -190,14 +216,16 @@ class RationalBallMap:
             raise DimensionMismatchError("maps must share the domain dimension")
         big = max(self.N, other.N)
         a, b = self.padded(big), other.padded(big)
-        return max([a.q.distance(b.q)] + [x.distance(y) for x, y in zip(a.p, b.p)])
+        _, (x, y) = align_rows((a.support, a.coefficients), (b.support, b.coefficients))
+        gap = x - y  # hypot is the modulus that Python's abs of a complex takes
+        return float(np.hypot(gap.real, gap.imag).max())
 
     def allclose(self, other: "RationalBallMap", tol: float = DEFAULT_TOL) -> bool:
         return self.n == other.n and self.distance(other) <= tol
 
     def __repr__(self):
         return (f"RationalBallMap(B{self.n} -> B{self.N}, degree={self.degree}, "
-                f"q_degree={self.q.degree})")
+                f"q_degree={_top_degree(self.support, self.coefficients[-1:])})")
 
 
 @dataclass(frozen=True)
@@ -245,8 +273,8 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return directions * radii[:, None]
 
 
-def denominator_from_factors(n: int, factors) -> Polynomial:
-    """The denominator prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
+def _factor_rows(n: int, factors):
+    """(support, row) of prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
     centres = np.asarray(factors, dtype=complex).reshape(-1, n)
     linear = [(0,) * n] + monomials_of_degree(n, 1)
     monos, row = [(0,) * n], np.ones((1, 1), dtype=complex)
@@ -254,17 +282,23 @@ def denominator_from_factors(n: int, factors) -> Polynomial:
         monos, row = multiply_rows(n, monos, row, linear,
                                    np.hstack([1.0, -centre.conj()])[None, :])
         row[np.abs(row) <= COEFFICIENT_FLOOR] = 0.0
-    return polynomials_from_rows(n, monos, row)[0]
+    return canonical_rows(monos, row)
 
 
-def _factored_margin(m: RationalBallMap, factors: np.ndarray, floor: float):
+def denominator_from_factors(n: int, factors) -> Polynomial:
+    """The denominator prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
+    return polynomials_from_rows(n, *_factor_rows(n, factors))[0]
+
+
+def _factored_margin(n: int, q, factors: np.ndarray, floor: float):
     """Lower bound of |q| on the closed ball from factor centres, or None when
-    there are none, they do not multiply out to q, or an inexact bound is low."""
+    there are none, they do not multiply out to q (its (support, row) block),
+    or an inexact bound is low."""
     if not len(factors):
         return None
-    _, mat = coefficient_matrix([m.q, denominator_from_factors(m.n, factors)])
-    gap = np.abs(mat[0] - mat[1])
-    if gap.max() > DEFAULT_TOL * np.abs(mat[0]).max():
+    _, (own, product) = align_rows(q, _factor_rows(n, factors))
+    gap = np.abs(own[0] - product[0])
+    if gap.max() > DEFAULT_TOL * np.abs(own[0]).max():
         return None
     # On the closed ball |1 - <z, a>| >= 1 - ||a||, with equality at
     # z = a / ||a||.  The product of these minima, less the coefficient
@@ -293,23 +327,24 @@ def _check_denominator(m: RationalBallMap, floor: float, seed: int) -> tuple:
     sampled modulus is.
     """
     if m.has_trivial_denominator:
-        return "trivial", abs(m.q.constant_term())
+        return "trivial", float(abs(m.coefficients[-1, -1]))
+    q = canonical_rows(m.support, m.coefficients[-1:])
+    row = q[1][0]
     own = m.factors[:0]
-    if m.q.degree == 1:
+    if _top_degree(*q) == 1:
         # q = 1 + sum c_j z_j = 1 - <z, a> with a_j = -conj(c_j).
-        linear = [m.q.terms.get(alpha, 0.0) for alpha in monomials_of_degree(m.n, 1)]
-        own = -np.conj(np.array([linear], dtype=complex))
-    margin = _factored_margin(m, m.factors if len(m.factors) else own, floor)
+        terms = dict(zip(q[0], row))
+        own = -np.conj([[terms.get(alpha, 0.0) for alpha in monomials_of_degree(m.n, 1)]])
+    margin = _factored_margin(m.n, q, m.factors if len(m.factors) else own, floor)
     if margin is not None:
         return "factored", margin
-    zero = (0,) * m.n
-    margin = abs(m.q.constant_term()) - sum(abs(c) for alpha, c in m.q.terms.items()
-                                            if alpha != zero)
+    # The last column of q's support is its constant term.
+    margin = float(abs(row[-1]) - np.abs(row[:-1]).sum())
     if margin >= floor:
         return "coefficient-bound", margin
     # Wrong carried factors must not leave a degree-one q to sampling, which
     # misses its zero on the sphere; its own factor decides it exactly.
-    margin = _factored_margin(m, own, floor)
+    margin = _factored_margin(m.n, q, own, floor)
     if margin is not None:
         return "factored", margin
     rng = np.random.default_rng(seed)
@@ -375,8 +410,8 @@ def degree(m: RationalBallMap) -> int:
 
 def embedding_dimension(m: RationalBallMap, rtol: float = _linalg.RANK_RTOL) -> int:
     """Number of linearly independent components (rank of the coefficient rows)."""
-    _, mat = coefficient_matrix(m.p)
-    return _linalg.numerical_rank(mat, rtol=rtol)
+    rows = m.coefficients[:-1]
+    return _linalg.numerical_rank(rows[:, rows.any(axis=0)], rtol=rtol)
 
 
 @dataclass(frozen=True)
@@ -412,11 +447,17 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
         raise DimensionMismatchError("maps must share the domain dimension")
     big = max(f.N, g.N)
     fp, gp = f.padded(big), g.padded(big)
-    if f.q.allclose(g.q, tol):
-        left, right = list(fp.p), list(gp.p)
+    _, (fq, gq) = align_rows((f.support, f.coefficients[-1:]),
+                             (g.support, g.coefficients[-1:]))
+    if np.abs(fq - gq).max() <= tol:
+        left, right = (fp.support, fp.coefficients[:-1]), (gp.support, gp.coefficients[:-1])
     else:
-        left, right = [comp * g.q for comp in fp.p], [comp * f.q for comp in gp.p]
-    monos, stack = coefficient_matrix(left + right)
+        left = multiply_rows(f.n, fp.support, fp.coefficients[:-1],
+                             g.support, np.repeat(g.coefficients[-1:], big, axis=0))
+        right = multiply_rows(f.n, gp.support, gp.coefficients[:-1],
+                              f.support, np.repeat(f.coefficients[-1:], big, axis=0))
+    monos, (a, b) = align_rows(left, right)
+    monos, stack = canonical_rows(monos, np.vstack([a, b]))
     largest = gram_form(f.n, monos, stack, negated=big).largest_entry()
     if largest is not None and abs(largest[2]) > tol:
         return NormEquivalence(False, mismatch=largest)
@@ -468,9 +509,12 @@ def apply_linear(matrix: np.ndarray, m: RationalBallMap) -> RationalBallMap:
     if mat.ndim != 2 or mat.shape[1] != m.N:
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not accept target dimension {m.N}")
-    monos, coeffs = coefficient_matrix(m.p)
-    comps = polynomials_from_rows(m.n, monos, mat @ coeffs)
-    return RationalBallMap(m.n, mat.shape[0], comps, m.q, factors=m.factors)
+    rows = np.zeros((len(mat) + 1, len(m.support)), dtype=complex)
+    # Only the columns where p has an entry; the others stay zero.
+    live = m.coefficients[:-1].any(axis=0)
+    rows[:-1, live] = mat @ m.coefficients[:-1, live]
+    rows[-1] = m.coefficients[-1]
+    return RationalBallMap._from_rows(m.n, m.support, rows, m.factors)
 
 
 def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:
@@ -484,38 +528,35 @@ def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:
     if inner.N != outer.n:
         raise DimensionMismatchError(
             f"cannot compose B{inner.n}->B{inner.N} with B{outer.n}->B{outer.N}")
-    deg_terms = [outer.q.degree] + [comp.degree for comp in outer.p]
-    top = max(int(d) for d in deg_terms if d != float("-inf"))
+    n = inner.n
+    top = int(_top_degree(outer.support, outer.coefficients))
+    one = ((0,) * n,), np.ones((1, 1), dtype=complex)
 
-    power_cache: dict[MultiIndex, Polynomial] = {}
+    def times(left, right):
+        """Product of two one-row blocks, floor-dropped as in arithmetic."""
+        return canonical_rows(*multiply_rows(n, *left, *right))
 
-    def monomial_in_inner(alpha: MultiIndex) -> Polynomial:
-        cached = power_cache.get(alpha)
-        if cached is not None:
-            return cached
-        acc = Polynomial.one(inner.n)
-        for j, e in enumerate(alpha):
-            for _ in range(e):
-                acc = acc * inner.p[j]
-        power_cache[alpha] = acc
-        return acc
+    # inner^alpha is the product of its prefix, alpha less one unit of its
+    # last nonzero variable, and that variable's component.
+    powers = {(0,) * outer.n: one}
 
-    q_pows = [Polynomial.one(inner.n)]
+    def power(alpha):
+        if alpha not in powers:
+            k = max(j for j, e in enumerate(alpha) if e)
+            prefix = power(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
+            powers[alpha] = times(prefix, (inner.support, inner.coefficients[k:k + 1]))
+        return powers[alpha]
+
+    q_pows = [one]
     for _ in range(top):
-        q_pows.append(q_pows[-1] * inner.q)
-
-    def substituted(poly: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(inner.n)
-        for alpha, c in poly.terms.items():
-            acc = acc + monomial_in_inner(alpha) * q_pows[top - sum(alpha)] * c
-        return acc
-
-    new_p = [substituted(comp) for comp in outer.p]
-    new_q = substituted(outer.q)
-    c0 = new_q.constant_term()
+        q_pows.append(times(q_pows[-1], (inner.support, inner.coefficients[-1:])))
+    # Row alpha of the substitution is inner^alpha q^(top - |alpha|), so one
+    # matrix product substitutes every outer row at once.
+    support, blocks = align_rows(*[times(power(alpha), q_pows[top - sum(alpha)])
+                                   for alpha in outer.support])
+    rows = outer.coefficients @ np.vstack(blocks)
+    c0 = rows[-1, -1] if not any(support[-1]) else 0.0
     if abs(c0) <= DEFAULT_TOL:
         raise DenominatorVanishesError("composed denominator vanishes at the origin")
-    scale = 1.0 / c0
     factors = np.tile(inner.factors, (top, 1)) if outer.has_trivial_denominator else ()
-    return RationalBallMap(inner.n, outer.N, [comp * scale for comp in new_p],
-                           new_q * scale, factors=factors)
+    return RationalBallMap._from_rows(n, support, rows * (1.0 / c0), factors)

@@ -21,8 +21,8 @@ import numpy as np
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict,
                        apply_linear, certify_proper, denominator_from_factors)
-from .polyalg import (COEFFICIENT_FLOOR, Polynomial, coefficient_matrix,
-                      monomials_of_degree, multiply_rows, polynomials_from_rows)
+from .polyalg import (COEFFICIENT_FLOOR, Polynomial, coefficient_matrix, evaluate_rows,
+                      monomials_of_degree, multiply_rows)
 
 
 class NonIntegralWindingError(ArithmeticError):
@@ -82,11 +82,11 @@ def automorphism_map(phi: BallAutomorphism) -> RationalBallMap:
     n = phi.dim
     a = phi.a
     s = math.sqrt(max(0.0, 1.0 - float(np.linalg.norm(a) ** 2)))
-    # Columns: z_1, ..., z_n, then the constant term.
+    # Columns: z_1, ..., z_n, then the constant term; q = 1 - <z, a> is the last row.
     monos = monomials_of_degree(n, 1) + [(0,) * n]
     mobius = np.hstack([np.outer(a, a.conj()) / (s + 1.0) + s * np.eye(n), -a[:, None]])
-    comps = polynomials_from_rows(n, monos, phi.U @ mobius)
-    return RationalBallMap(n, n, comps, denominator_from_factors(n, [a]), factors=[a])
+    rows = np.vstack([phi.U @ mobius, np.hstack([-a.conj(), 1.0])])
+    return RationalBallMap._from_rows(n, monos, rows, [a])
 
 
 def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorphism:
@@ -98,18 +98,15 @@ def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorp
     """
     if m.N != m.n:
         raise ValueError("an automorphism must be equidimensional")
-    if m.degree > 1 or m.q.degree > 1:
+    q = m.q
+    if m.degree > 1 or q.degree > 1:
         raise ValueError("an automorphism has numerator and denominator of degree <= 1")
     n = m.n
-    a = np.zeros(n, dtype=complex)
-    for j in range(n):
-        exps = [0] * n
-        exps[j] = 1
-        a[j] = -(m.q.terms.get(tuple(exps), 0.0)).conjugate()
+    a = -np.conj([q.terms.get(alpha, 0.0) for alpha in monomials_of_degree(n, 1)])
     if np.linalg.norm(a) >= 1.0:
         raise ValueError("recovered center lies outside the open ball")
     reference = automorphism_map(BallAutomorphism(a))
-    _, stack = coefficient_matrix(reference.p + m.p)
+    _, stack = coefficient_matrix([*reference.p, *m.p])
     ref_mat, map_mat = stack[:n], stack[n:]
     unitary = _linalg.procrustes_unitary(ref_mat, map_mat)
     if np.max(np.abs(unitary @ ref_mat - map_mat)) > 1e3 * tol:
@@ -178,16 +175,15 @@ def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
     """
     if m.n != 1 or m.N != 1:
         raise DimensionMismatchError("winding numbers are defined for disk self-maps")
-    p, q = m.p[0], m.q
-    dp, dq = p.derivative(0), q.derivative(0)
     angles = 2.0 * np.pi * np.arange(nodes) / nodes
     zs = np.exp(1j * angles)[:, None]
-    pv = p.evaluate_many(zs)
-    qv = q.evaluate_many(zs)
+    pv, qv = evaluate_rows(1, m.support, m.coefficients, zs).T
     if np.min(np.abs(pv)) == 0.0 or np.min(np.abs(qv)) == 0.0:
         raise ZeroDivisionError("map has a zero or pole on the unit circle")
-    logderiv = dp.evaluate_many(zs) / pv - dq.evaluate_many(zs) / qv
-    return complex(np.mean(zs[:, 0] * logderiv))
+    # p' and q': the rows times each exponent k, over z^(k-1).
+    exps = np.array(m.support)
+    dpv, dqv = evaluate_rows(1, np.maximum(exps - 1, 0), m.coefficients * exps[:, 0], zs).T
+    return complex(np.mean(zs[:, 0] * (dpv / pv - dqv / qv)))
 
 
 def winding_degree(m: RationalBallMap, nodes: int = 4096,
@@ -266,19 +262,16 @@ def _tensor_in_frame(f: RationalBallMap, frame: np.ndarray, d: int,
 
     # Coordinates of f in the frame (basis, complement): rows of frame^H @ f,
     # with the entries at or below the storage floor dropped.
-    monos, coeffs = coefficient_matrix([*f.p, f.q])
-    coords = frame.conj().T @ coeffs[:-1]
+    coords = frame.conj().T @ f.coefficients[:-1]
     coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
     # One product per output row: the tensor block, the complement times
     # phi's denominator, and the new denominator f.q * phi.q.
-    left = np.vstack([np.repeat(coords[:d], n, axis=0), coords[d:], coeffs[-1:]])
-    phi_monos, phi_rows = coefficient_matrix([*phi_map.p, phi_map.q])
-    right = np.vstack([np.tile(phi_rows[:n], (d, 1)),
-                       np.repeat(phi_rows[n:], f.N - d + 1, axis=0)])
-    *components, denominator = polynomials_from_rows(
-        n, *multiply_rows(n, monos, left, phi_monos, right))
-    return RationalBallMap(n, len(components), components, denominator,
-                           factors=np.vstack([f.factors, phi_map.factors]))
+    left = np.vstack([np.repeat(coords[:d], n, axis=0), coords[d:], f.coefficients[-1:]])
+    right = np.vstack([np.tile(phi_map.coefficients[:n], (d, 1)),
+                       np.repeat(phi_map.coefficients[n:], f.N - d + 1, axis=0)])
+    return RationalBallMap._from_rows(
+        n, *multiply_rows(n, f.support, left, phi_map.support, right),
+        np.vstack([f.factors, phi_map.factors]))
 
 
 def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallMap:
@@ -292,8 +285,9 @@ def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallM
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter must lie in [0, 1]")
     cf = math.sqrt(max(0.0, 1.0 - t * t))
-    comps = [comp * g.q * cf for comp in f.p] + [comp * f.q * t for comp in g.p]
-    return RationalBallMap(f.n, f.N + g.N, comps, f.q * g.q,
+    fq, gq = f.q, g.q
+    comps = [comp * gq * cf for comp in f.p] + [comp * fq * t for comp in g.p]
+    return RationalBallMap(f.n, f.N + g.N, comps, fq * gq,
                            factors=np.vstack([f.factors, g.factors]))
 
 

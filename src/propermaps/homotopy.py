@@ -29,7 +29,7 @@ from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertifica
 from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
                            WhitneyTerm, automorphism_from_map, automorphism_map,
                            blaschke_map, juxtapose, _tensor_in_frame)
-from .polyalg import DEFAULT_TOL, Polynomial
+from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
 
 class PropernessFailureError(ArithmeticError):
     """A sampled family member failed properness certification."""
@@ -380,7 +380,7 @@ def faran_families() -> dict:
 
 
 # ------------------------------------------------- reduction to a monomial map
-def _alignment_permutation(components: Sequence[Polynomial], basis: np.ndarray,
+def _alignment_permutation(g: RationalBallMap, basis: np.ndarray,
                            complement: np.ndarray):
     """Choose component slots for the tensor subspace and the aligning unitary.
 
@@ -389,9 +389,9 @@ def _alignment_permutation(components: Sequence[Polynomial], basis: np.ndarray,
     the remaining slots in ascending order, and U the unitary mapping slot
     basis vectors onto the subspace basis (None when it is the identity).
     """
-    size = len(components)
+    size = g.N
     d = basis.shape[1]
-    degrees = [c.degree for c in components]
+    degrees = [_bm._top_degree(g.support, row[None]) for row in g.coefficients[:-1]]
     top_degree = max(degrees)
 
     canonical: Optional[list] = []
@@ -409,7 +409,7 @@ def _alignment_permutation(components: Sequence[Polynomial], basis: np.ndarray,
     else:
         top = degrees.index(top_degree)
         pool = sorted((i for i in range(size) if i != top),
-                      key=lambda i: (components[i].is_zero, i))
+                      key=lambda i: (degrees[i] == ZERO_DEGREE, i))
         slots = [top] + pool[:d - 1]
     rest = [i for i in range(size) if i not in slots]
 
@@ -423,15 +423,14 @@ def _alignment_permutation(components: Sequence[Polynomial], basis: np.ndarray,
     return slots, rest, unitary
 
 
-def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
+def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: int):
     """Lift the reduction family through one tensor step.
 
-    Given a family joining F_k to the monomial map with components
-    ``g_comps`` (one polynomial per slot of the family's target), produce the
-    family joining F_{k+1} to the next monomial map: contract the step's
-    automorphism, push the previous family through the tensor step, rotate the
-    subspace onto monomial slots, and absorb the injection by a unitary
-    bridge.
+    Given a family joining F_k to the monomial map ``g_map`` (in the family's
+    target), produce the family joining F_{k+1} to the next monomial map, and
+    that map: contract the step's automorphism, push the previous family
+    through the tensor step, rotate the subspace onto monomial slots, and
+    absorb the injection by a unitary bridge.
     """
     prev_dim = fam_prev.target_dim
     base_rows = step.basis.shape[0]
@@ -465,8 +464,7 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
         segments.append(_segment(n, lambda t: stage_map(start, at(t))))
     segments.append(_segment(n, lambda t: stage_map(fam_prev.evaluate(t))))
 
-    slots, rest, unitary = _alignment_permutation(g_comps, basis, complement)
-    g_map = RationalBallMap(n, prev_dim, g_comps)
+    slots, rest, unitary = _alignment_permutation(g_map, basis, complement)
     if unitary is not None:
         upath = _linalg.UnitaryPath(unitary)
         segments.append(_segment(n, lambda t: stage_map(apply_linear(upath(t), g_map))))
@@ -474,21 +472,18 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_comps: list, step, n: int):
     else:
         aligned_end = stage_map(g_map)
 
-    next_comps = [g_comps[i] * Polynomial.variable(n, j)
-                  for i in slots for j in range(n)]
-    next_comps += [g_comps[r] for r in rest]
+    # The next monomial map: each slot's monomial times z_1, ..., z_n, then
+    # the rest, which is the tensor step in the frame of these slots.
+    next_map = _tensor_in_frame(g_map, np.eye(prev_dim)[:, slots + rest], d)
     if jmat is not None:
-        out_dim = jmat.shape[0]
-        padded = next_comps + [Polynomial.zero(n)] * (out_dim - len(next_comps))
-        target = RationalBallMap(n, out_dim, padded)
-        if not aligned_end.allclose(target, 1e-6):
-            witness = norm_equivalent(aligned_end, target, tol=1e-6)
+        next_map = next_map.padded(jmat.shape[0])
+        if not aligned_end.allclose(next_map, 1e-6):
+            witness = norm_equivalent(aligned_end, next_map, tol=1e-6)
             if not witness.equivalent:
                 raise ArithmeticError("injection bridge junction is not norm-equivalent")
             segments.append(unitary_bridge_family(aligned_end, witness.unitary))
-        next_comps = padded
 
-    return concat_families(segments), next_comps
+    return concat_families(segments), next_map
 
 
 def homotopy_to_monomial(term: WhitneyTerm) -> HomotopyFamily:
@@ -502,11 +497,11 @@ def homotopy_to_monomial(term: WhitneyTerm) -> HomotopyFamily:
     """
     n = term.map.n
     family = automorphism_contraction(term.start)
-    g_comps = [Polynomial.variable(n, j) for j in range(n)]
+    g_map = RationalBallMap.identity(n)
     for step in term.steps:
-        family, g_comps = _monomial_stage(family, g_comps, step, n)
-    nonzero = [c for c in g_comps if not c.is_zero]
-    right = RationalBallMap(n, len(nonzero), nonzero)
+        family, g_map = _monomial_stage(family, g_map, step, n)
+    nonzero = np.abs(g_map.coefficients[:-1]).max(axis=1) > DEFAULT_TOL
+    right = apply_linear(np.eye(g_map.N)[nonzero], g_map)
     return HomotopyFamily(n, family.target_dim, family.evaluator, term.map, right)
 
 
@@ -603,27 +598,22 @@ def collapse_to_linear(source, target_dim: Optional[int] = None,
         if free is None:
             raise NotTensorImageError("no free component slot for the new factor")
         q_poly = Polynomial(n, {q_mono: coefficient})
-        snapshot = list(components)
         scaled = set(sibling_slots)
+        components[free] = q_poly
+        # The member scales the siblings by lambda = 1 - t and q by its ramp.
+        start = RationalBallMap(n, dim, components)
 
-        def evaluator(t: float, snapshot=snapshot, scaled=scaled, free=free,
-                      q_poly=q_poly) -> RationalBallMap:
+        def evaluator(t: float, start=start, siblings=sibling_slots,
+                      free=free) -> RationalBallMap:
             lam = 1.0 - t
-            ramp = math.sqrt(max(0.0, 1.0 - lam * lam))
-            comps = []
-            for i, comp in enumerate(snapshot):
-                if i in scaled:
-                    comps.append(comp * lam)
-                elif i == free:
-                    comps.append(q_poly * ramp)
-                else:
-                    comps.append(comp)
-            return RationalBallMap(n, dim, comps)
+            weights = np.ones(dim)
+            weights[siblings] = lam
+            weights[free] = math.sqrt(max(0.0, 1.0 - lam * lam))
+            return apply_linear(np.diag(weights), start)
 
         segments.append(_segment(n, evaluator))
         components = [Polynomial.zero(n) if i in scaled else comp
                       for i, comp in enumerate(components)]
-        components[free] = q_poly
 
     if any(comp.degree == 0 for comp in components if not comp.is_zero):
         raise NotTensorImageError("a constant component obstructs reduction "

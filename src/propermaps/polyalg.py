@@ -71,6 +71,27 @@ def multinomial(degree: int, alpha: MultiIndex) -> int:
     return out
 
 
+def evaluate_rows(nvars: int, monomials: Sequence[MultiIndex], rows,
+                  points: np.ndarray) -> np.ndarray:
+    """(m, R) values at an (m, nvars) array of points of the R polynomials with
+    coefficient ``rows`` over ``monomials``.  Powers are running products, and
+    points go in blocks of about 2^14 monomial values (256 kB) each."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2 or pts.shape[1] != nvars:
+        raise ValueError("points must have shape (m, nvars)")
+    exps = np.array(monomials, dtype=np.int64).reshape(-1, nvars)
+    out = []
+    for block in np.array_split(pts, len(pts) * len(exps) // 2 ** 14 + 1):
+        values = 1.0
+        for j in range(nvars):
+            powers = np.ones((exps[:, j].max(initial=0) + 1, len(block)), dtype=complex)
+            for e in range(1, len(powers)):
+                powers[e] = powers[e - 1] * block[:, j]
+            values = values * powers[exps[:, j]]
+        out.append((np.asarray(rows, dtype=complex) @ values).T)
+    return np.vstack(out)
+
+
 class Polynomial:
     """Sparse polynomial in ``nvars`` complex variables.
 
@@ -89,10 +110,10 @@ class Polynomial:
             raise ValueError("nvars must be positive")
         clean: dict[MultiIndex, complex] = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(e) for e in alpha)
+            alpha = tuple(map(int, alpha))
             if len(alpha) != nvars:
                 raise ValueError(f"exponent tuple {alpha} does not match nvars={nvars}")
-            if any(e < 0 for e in alpha):
+            if min(alpha) < 0:
                 raise ValueError(f"negative exponent in {alpha}")
             c = complex(coeff)
             if not cmath.isfinite(c):
@@ -225,11 +246,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def conjugate(self) -> "Polynomial":
-        """Polynomial with conjugated coefficients."""
-        return Polynomial._raw(self.nvars,
-                               {a: c.conjugate() for a, c in self.terms.items()})
-
     def derivative(self, index: int = 0) -> "Polynomial":
         """Partial derivative with respect to variable ``index``."""
         out = {}
@@ -256,30 +272,8 @@ class Polynomial:
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (m, nvars) array of complex points; returns shape (m,)."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.nvars:
-            raise ValueError("points must have shape (m, nvars)")
-        m = pts.shape[0]
-        if not self.terms:
-            return np.zeros(m, dtype=complex)
-        max_exp = [0] * self.nvars
-        for alpha in self.terms:
-            for j, e in enumerate(alpha):
-                max_exp[j] = max(max_exp[j], e)
-        powers = []
-        for j in range(self.nvars):
-            table = np.ones((max_exp[j] + 1, m), dtype=complex)
-            for e in range(1, max_exp[j] + 1):
-                table[e] = table[e - 1] * pts[:, j]
-            powers.append(table)
-        acc = np.zeros(m, dtype=complex)
-        for alpha, c in self.terms.items():
-            term = np.full(m, c, dtype=complex)
-            for j, e in enumerate(alpha):
-                if e:
-                    term = term * powers[j][e]
-            acc += term
-        return acc
+        return evaluate_rows(self.nvars, list(self.terms), [list(self.terms.values())],
+                             points)[:, 0]
 
     # -------------------------------------------------------------- comparison
     def distance(self, other: "Polynomial") -> float:
@@ -367,13 +361,9 @@ class HermitianForm:
         """(union basis, own matrix, other's matrix), both over the union basis."""
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        basis = tuple(sorted(set(self.basis) | set(other.basis), reverse=True))
-        index = {alpha: i for i, alpha in enumerate(basis)}
-        out = np.zeros((2, len(basis), len(basis)), dtype=complex)
-        for k, form in enumerate((self, other)):
-            own = [index[alpha] for alpha in form.basis]
-            out[k][np.ix_(own, own)] = form.matrix
-        return basis, out[0], out[1]
+        basis, (a, b) = align_rows((self.basis, self.matrix), (other.basis, other.matrix))
+        _, (a, b) = align_rows((self.basis, a.T), (other.basis, b.T))
+        return basis, a.T, b.T
 
     def __add__(self, other: "HermitianForm") -> "HermitianForm":
         basis, a, b = self._aligned(other)
@@ -391,11 +381,7 @@ class HermitianForm:
     # -------------------------------------------------------------- evaluation
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Values sum c_{alpha beta} z^alpha conj(z)^beta at an (m, nvars) array."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.nvars:
-            raise ValueError("points must have shape (m, nvars)")
-        exps = np.array(self.basis, dtype=np.int64).reshape(-1, self.nvars)
-        values = np.prod(pts[:, None, :] ** exps, axis=2)
+        values = evaluate_rows(self.nvars, self.basis, np.eye(len(self.basis)), points)
         return np.einsum("pi,ij,pj->p", values, self.matrix, values.conj())
 
     # ---------------------------------------------------------------- queries
@@ -459,6 +445,35 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
     return [Polynomial._raw(nvars, {alpha: c for alpha, c in zip(monomials, row)
                                     if abs(c) > COEFFICIENT_FLOOR})
             for row in np.asarray(matrix, dtype=complex).tolist()]
+
+
+def canonical_rows(support: Sequence[MultiIndex], rows: np.ndarray):
+    """(support, rows) with the entries at or below the storage floor set to
+    zero and the columns left without an entry dropped, as in arithmetic."""
+    rows = np.array(rows, dtype=complex)
+    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    live = rows.any(axis=0)
+    if live.all():
+        return tuple(support), rows
+    return tuple(a for a, keep in zip(support, live.tolist()) if keep), rows[:, live]
+
+
+def align_rows(*blocks):
+    """(support, matrices): the rows of each (support, rows) block placed on
+    the descending union of the supports, zero where a block has no column;
+    a row's entries keep their order, so its sums add the same terms."""
+    supports = [tuple(support) for support, _ in blocks]
+    if all(support == supports[0] for support in supports[1:]):
+        return supports[0], [np.asarray(rows, dtype=complex) for _, rows in blocks]
+    union = tuple(sorted(set().union(*supports), reverse=True))
+    index = {alpha: j for j, alpha in enumerate(union)}
+    out = []
+    for support, (_, rows) in zip(supports, blocks):
+        rows = np.asarray(rows, dtype=complex)
+        full = np.zeros((len(rows), len(union)), dtype=complex)
+        full[:, [index[alpha] for alpha in support]] = rows
+        out.append(full)
+    return union, out
 
 
 def gram_form(nvars: int, monomials: Sequence[MultiIndex], rows: np.ndarray,

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from propermaps import polyalg
 from propermaps._linalg import random_unitary
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  NormalizationError, RationalBallMap, Verdict,
@@ -13,10 +16,13 @@ from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchErro
                                  embedding_dimension, largest_binomial_coefficient,
                                  norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorphism_map,
-                                     blaschke_map, juxtapose)
+                                     blaschke_map, juxtapose, random_ball_automorphism,
+                                     whitney_extend, whitney_start)
 from propermaps.corpus import quadric_three_map, whitney_map
-from propermaps.homotopy import degree_drop_family
-from propermaps.polyalg import Polynomial, squared_norm_form
+from propermaps.homotopy import (degree_drop_family, faran_maps, homotopy_to_monomial,
+                                 verify_family)
+from propermaps.polyalg import (COEFFICIENT_FLOOR, Polynomial, properness_form,
+                                squared_norm_form)
 
 from conftest import sample_sphere
 
@@ -352,3 +358,101 @@ def test_composition_with_rational_inner_map():
 def test_compose_dimension_check():
     with pytest.raises(DimensionMismatchError):
         compose(RationalBallMap.identity(3), RationalBallMap.identity(2))
+
+
+# --------------------------------------------------------- coefficient rows
+def _random_components(nvars, seed):
+    """Components with zero members and terms below the storage floor or the
+    comparison tolerance, and a denominator 1 + q' with sum |q'_alpha| <= 0.4."""
+    gen = np.random.default_rng(seed)
+
+    def terms(count, scales):
+        return {tuple(gen.integers(0, 4, nvars)):
+                complex(*gen.standard_normal(2)) * gen.choice(scales) for _ in range(count)}
+
+    comps = [Polynomial(nvars, {} if gen.random() < 0.25 else
+                        terms(int(gen.integers(1, 6)), [1e-16, 1e-12, 1.0, 1.0, 100.0]),
+                        tol=0.0)
+             for _ in range(int(gen.integers(1, 5)))]
+    q_terms = {alpha: 0.2 * c / abs(c) * gen.random()
+               for alpha, c in terms(int(gen.integers(0, 3)), [1.0]).items()}
+    q_terms[(0,) * nvars] = 1.0
+    return comps, Polynomial(nvars, q_terms, tol=0.0)
+
+
+def _dict_distance(f, g):
+    """Largest coefficient difference of the Polynomial views, padded alike."""
+    big = max(f.N, g.N)
+    a, b = f.padded(big), g.padded(big)
+    return max([a.q.distance(b.q)] + [x.distance(y) for x, y in zip(a.p, b.p)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_rows_and_views_agree(nvars, seed):
+    comps, q = _random_components(nvars, seed)
+    m = RationalBallMap(nvars, len(comps), comps, q)
+    above = [{a: c for a, c in poly.terms.items() if abs(c) > COEFFICIENT_FLOOR}
+             for poly in (*comps, q)]
+    assert [poly.terms for poly in (*m.p, m.q)] == above
+    # Canonical form: descending support, read-only rows p_1..p_N, q with
+    # nothing at or below the floor but zeros, and no empty column.
+    rows = m.coefficients
+    assert m.support == tuple(sorted(set(m.support), reverse=True))
+    assert rows.shape == (m.N + 1, len(m.support)) and not rows.flags.writeable
+    assert not np.any((rows != 0) & (np.abs(rows) <= COEFFICIENT_FLOOR))
+    assert np.all((np.abs(rows) > COEFFICIENT_FLOOR).any(axis=0))
+    form, reference = m.properness_form(), properness_form(m.p, m.q)
+    assert form.basis == reference.basis
+    assert np.array_equal(form.matrix, reference.matrix)
+
+    other_comps, other_q = _random_components(nvars, seed + 1)
+    other = RationalBallMap(nvars, len(other_comps), other_comps, other_q)
+    assert m.distance(other) == _dict_distance(m, other)
+    assert m.distance(m) == 0.0
+
+    gen = np.random.default_rng(seed)
+    pts = sample_sphere(nvars, 8, seed=seed % 1000) * gen.random((8, 1))
+    for z, values in zip(pts, m.evaluate_many(pts)):
+        qz = m.q(z)
+        for comp, value in zip(m.p, values):
+            size = sum(abs(c) * np.prod(np.abs(z) ** np.array(a))
+                       for a, c in comp.terms.items())
+            assert abs(value - comp(z) / qz) <= 1e-12 * (1.0 + size) / abs(qz)
+
+
+def test_hot_paths_build_no_polynomial(monkeypatch):
+    rng = np.random.default_rng(11)
+    term = whitney_start(random_ball_automorphism(2, rng))
+    term = whitney_extend(term, np.array([0]), random_ball_automorphism(2, rng))
+    injection, _ = np.linalg.qr(rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+    term = whitney_extend(term, np.array([1, 2]), random_ball_automorphism(2, rng),
+                          injection=injection)
+    composed = compose(faran_maps()["phi"], automorphism_map(random_ball_automorphism(2, rng)))
+    rotated = apply_linear(random_unitary(composed.N, rng), composed)
+    # The sphere reduction builds its substitution tables from Polynomials
+    # once per exponent and caches them.
+    for exponent in range(8):
+        polyalg._hyperplane_power(2, exponent)
+
+    built = []
+    init, raw = Polynomial.__init__, Polynomial._raw.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_raw(cls, *args, **kwargs):
+        built.append("_raw")
+        return raw(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
+    monkeypatch.setattr(Polynomial, "_raw", classmethod(counted_raw))
+    assert verify_family(homotopy_to_monomial(term)).passed
+    assert certify_proper(composed).verdict is Verdict.PROPER
+    assert (degree(composed), embedding_dimension(composed)) == (3, 3)
+    assert norm_equivalent(composed, rotated).equivalent
+    assert built == []
+    # The views still convert on access.
+    composed.q
+    assert built == ["_raw"]
