@@ -10,7 +10,7 @@ from .polyalg import (DEFAULT_TOL, HermitianForm, Polynomial, monomials_of_degre
                       properness_form, reduce_mod_sphere, squared_norm_form)
 from .ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                        NormEquivalence, NormalizationError, PropernessCertificate,
-                       RationalBallMap, Verdict, apply_linear, certify_proper,
+                       RationalBallMap, Verdict, apply_linear, certify_maps, certify_proper,
                        coefficient_bound, compose, degree, degree_bound,
                        embedding_dimension, norm_equivalent)
 from .constructors import (BallAutomorphism, BlaschkeProduct, NonIntegralWindingError,

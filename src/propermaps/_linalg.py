@@ -8,14 +8,15 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
-def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL):
+    """Number of singular values above ``rtol`` times the largest; for a
+    (T, m, n) stack, the array of the T ranks, from one stacked SVD."""
     m = np.asarray(matrix, dtype=complex)
     if m.size == 0:
-        return 0
+        return 0 if m.ndim == 2 else np.zeros(m.shape[0], dtype=int)
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * rtol))
+    ranks = np.count_nonzero(s > s[..., :1] * rtol, axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks
 
 
 def nullspace_basis(matrix: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -15,12 +15,13 @@ instead of by sampling.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm
                       Polynomial, align_rows, canonical_rows, coefficient_matrix,
                       evaluate_rows, gram_form, monomials_of_degree,
                       multiply_rows, polynomials_from_rows, reduce_mod_sphere,
+                      signed_gram, sphere_residuals,
                       squared_norm_form)  # noqa: F401 - re-exported
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
@@ -40,6 +42,17 @@ DENOMINATOR_FLOOR = 1e-6
 
 DENOMINATOR_SAMPLES = 10_000
 WITNESS_SAMPLES = 500
+
+#: Gram entries, T maps times M^2 for their common support of M monomials,
+#: that one certification block may hold (256 kB of Gram matrices).  Memory
+#: is why there is a bound: the Gram stack, its moduli and the gathered
+#: reduction terms all grow with the block.  Over three family-grid passes
+#: (2-vCPU x86-64, numpy 2.4) the peak RSS was 40.2 MB certifying map by
+#: map, 47.3 MB (+18%) with each run of same-support members as one block,
+#: 41.7 MB (+4%) with blocks of 2^14 entries, which were also the fastest,
+#: and 40.6 MB with 2^12, whose pass took 14% longer.  A map whose own Gram
+#: is larger is a block of one.
+BLOCK_ENTRIES = 2 ** 14
 
 
 class DimensionMismatchError(ValueError):
@@ -60,10 +73,35 @@ class Verdict(enum.Enum):
     CONSTANT_ON_SPHERE = "constant-on-sphere"
 
 
+def _top_degrees(support, stack: np.ndarray) -> np.ndarray:
+    """For each (R, M) slice of a (T, R, M) stack of rows over ``support``,
+    the largest total degree of a column with an entry above DEFAULT_TOL, or
+    -1 when there is none."""
+    live = (np.abs(stack) > DEFAULT_TOL).any(axis=1)
+    degrees = np.fromiter(map(sum, support), dtype=np.int64, count=len(support))
+    return np.where(live, degrees, -1).max(axis=1)
+
+
 def _top_degree(support, rows):
     """Largest total degree of a column with an entry above DEFAULT_TOL; -inf if none."""
-    live = (np.abs(rows) > DEFAULT_TOL).any(axis=0).tolist()
-    return max((sum(a) for a, keep in zip(support, live) if keep), default=ZERO_DEGREE)
+    top = int(_top_degrees(support, rows[None])[0])
+    return top if top >= 0 else ZERO_DEGREE
+
+
+def _constant_maps(stack: np.ndarray, tol: float) -> np.ndarray:
+    """For each map of a (T, N+1, M) stack of rows, whether p_i = p_i(0) q for all i."""
+    p, q = stack[:, :-1], stack[:, -1:]
+    return ~(np.abs(p - p[:, :, -1:] * q) > tol).any(axis=(1, 2))
+
+
+def _mask_groups(mask: np.ndarray):
+    """(indices, row) for each distinct row of a boolean (T, L) mask, the
+    indices of the rows equal to it ascending."""
+    groups = {}
+    for k, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(k)
+    for members in groups.values():
+        yield members, mask[members[0]]
 
 
 class RationalBallMap:
@@ -105,25 +143,35 @@ class RationalBallMap:
                 f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
         self._store(domain_dim, *coefficient_matrix([*numerator, denominator]), factors)
 
-    def _store(self, n: int, support, rows, factors):
-        centres = np.array(factors, dtype=complex)
-        if centres.size == 0:
-            centres = np.zeros((0, n), dtype=complex)
-        elif centres.ndim != 2 or centres.shape[1] != n:
-            raise DimensionMismatchError("denominator factor centres need one entry "
-                                         "per domain variable")
-        if not np.all(np.isfinite(centres)):
-            raise ValueError("denominator factor centres must be finite")
-        support, rows = canonical_rows(support, rows)
+    def _store(self, n: int, support, rows, factors, canonical: bool = False):
+        if canonical:
+            centres = factors
+        else:
+            centres = np.array(factors, dtype=complex)
+            if centres.size == 0:
+                centres = np.zeros((0, n), dtype=complex)
+            elif centres.ndim != 2 or centres.shape[1] != n:
+                raise DimensionMismatchError("denominator factor centres need one entry "
+                                             "per domain variable")
+            if not np.all(np.isfinite(centres)):
+                raise ValueError("denominator factor centres must be finite")
+            support, rows = canonical_rows(support, rows)
         centres.flags.writeable = rows.flags.writeable = False
         for name, value in zip(self.__slots__, (n, len(rows) - 1, support, rows, centres)):
             object.__setattr__(self, name, value)
         return self
 
     @classmethod
-    def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
-        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked."""
-        return object.__new__(cls)._store(n, support, rows, factors)
+    def _from_rows(cls, n: int, support, rows, factors=(), *,
+                   canonical: bool = False) -> "RationalBallMap":
+        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked.
+
+        With ``canonical`` the caller guarantees the stored form (a descending
+        support tuple, zeros for everything at or below the floor, no empty
+        column) and passes checked (K, n) centres, so both are kept as given;
+        only the padded rows of a map and the identity qualify.
+        """
+        return object.__new__(cls)._store(n, support, rows, factors, canonical)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalBallMap is immutable")
@@ -132,7 +180,9 @@ class RationalBallMap:
     @classmethod
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalBallMap":
-        return cls._from_rows(n, monomials_of_degree(n, 1) + [(0,) * n], np.eye(n + 1))
+        return cls._from_rows(n, tuple(monomials_of_degree(n, 1)) + ((0,) * n,),
+                              np.eye(n + 1, dtype=complex), np.zeros((0, n), dtype=complex),
+                              canonical=True)
 
     @classmethod
     def constant(cls, values: Sequence[complex], domain_dim: int) -> "RationalBallMap":
@@ -173,8 +223,7 @@ class RationalBallMap:
 
     def is_constant_map(self, tol: float = DEFAULT_TOL) -> bool:
         """True when p/q is a constant map, i.e. p_i = p_i(0) * q for all i."""
-        rows = self.coefficients
-        return not np.any(np.abs(rows[:-1] - rows[:-1, -1:] * rows[-1]) > tol)
+        return bool(_constant_maps(self.coefficients[None], tol)[0])
 
     # -------------------------------------------------------------- evaluation
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
@@ -204,7 +253,8 @@ class RationalBallMap:
         if target_dim == self.N:
             return self
         rows = np.insert(self.coefficients, [self.N] * (target_dim - self.N), 0.0, axis=0)
-        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors)
+        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors,
+                                          canonical=True)
 
     def scaled(self, factor: complex) -> "RationalBallMap":
         rows = self.coefficients * np.append(np.full(self.N, factor), 1.0)[:, None]
@@ -273,80 +323,128 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return directions * radii[:, None]
 
 
-def _factor_rows(n: int, factors):
-    """(support, row) of prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
-    centres = np.asarray(factors, dtype=complex).reshape(-1, n)
+def _factor_rows(n: int, centres: np.ndarray):
+    """(support, rows): row t is prod_k (1 - <z, a_k>) over the rows a_k of
+    ``centres[t]``, a (T, K, n) stack; entries at or below the storage floor
+    are dropped after each factor, as in arithmetic."""
     linear = [(0,) * n] + monomials_of_degree(n, 1)
-    monos, row = [(0,) * n], np.ones((1, 1), dtype=complex)
-    for centre in centres:
-        monos, row = multiply_rows(n, monos, row, linear,
-                                   np.hstack([1.0, -centre.conj()])[None, :])
-        row[np.abs(row) <= COEFFICIENT_FLOOR] = 0.0
-    return canonical_rows(monos, row)
+    monos, rows = [(0,) * n], np.ones((len(centres), 1), dtype=complex)
+    for k in range(centres.shape[1]):
+        factor = np.hstack([np.ones((len(centres), 1)), -centres[:, k].conj()])
+        monos, rows = multiply_rows(n, monos, rows, linear, factor)
+        rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    return monos, rows
 
 
 def denominator_from_factors(n: int, factors) -> Polynomial:
     """The denominator prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
-    return polynomials_from_rows(n, *_factor_rows(n, factors))[0]
+    centres = np.asarray(factors, dtype=complex).reshape(1, -1, n)
+    return polynomials_from_rows(n, *_factor_rows(n, centres))[0]
 
 
-def _factored_margin(n: int, q, factors: np.ndarray, floor: float):
-    """Lower bound of |q| on the closed ball from factor centres, or None when
-    there are none, they do not multiply out to q (its (support, row) block),
-    or an inexact bound is low."""
-    if not len(factors):
-        return None
-    _, (own, product) = align_rows(q, _factor_rows(n, factors))
-    gap = np.abs(own[0] - product[0])
-    if gap.max() > DEFAULT_TOL * np.abs(own[0]).max():
-        return None
+def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
+                      floor: float) -> list:
+    """For each row of q, (T, M) over ``support``, and its factor centres, a
+    (T, K, n) stack with K >= 1: the lower bound of |q| on the closed ball
+    from the centres; None when they do not multiply out to q or an inexact
+    bound is low; or the DenominatorVanishesError to raise."""
+    monos, product = _factor_rows(n, centres)
+    _, (own, product) = align_rows((support, q), (monos, product))
+    gap = np.abs(own - product)
+    match = ~(gap.max(axis=1) > DEFAULT_TOL * np.abs(own).max(axis=1))
     # On the closed ball |1 - <z, a>| >= 1 - ||a||, with equality at
     # z = a / ||a||.  The product of these minima, less the coefficient
-    # gap to q, bounds |q| from below; for one nonconstant factor it is
-    # the exact minimum, so falling back to sampling could only miss it.
-    lows = 1.0 - np.linalg.norm(factors, axis=1)
-    margin = float(np.prod(lows) - gap.sum())
-    exact = np.count_nonzero(lows < 1.0) == 1
-    if lows.min() <= 0.0 or (exact and margin < floor):
-        raise DenominatorVanishesError(
-            f"denominator factor 1 - <z, a> has modulus {max(lows.min(), 0.0):.3e}"
-            f" on the closed ball, below {floor:.1e}")
-    return margin if margin >= floor else None
+    # gap to q, bounds |q| from below; for one nonconstant factor it is the
+    # exact minimum, so falling back to sampling could only miss it.  The
+    # gap is summed over the columns where q or the product has an entry,
+    # one sum per distinct set of such columns.
+    gaps = np.empty(len(q))
+    for rows, columns in _mask_groups((own != 0) | (product != 0)):
+        gaps[rows] = gap[np.ix_(rows, columns)].sum(axis=1)
+    lows = 1.0 - np.linalg.norm(centres, axis=2)
+    margins = np.prod(lows, axis=1) - gaps
+    exact = np.count_nonzero(lows < 1.0, axis=1) == 1
+    out = []
+    for k, margin in enumerate(margins.tolist()):
+        low = lows[k].min()
+        if not match[k]:
+            out.append(None)
+        elif low <= 0.0 or (exact[k] and margin < floor):
+            out.append(DenominatorVanishesError(
+                f"denominator factor 1 - <z, a> has modulus {max(low, 0.0):.3e}"
+                f" on the closed ball, below {floor:.1e}"))
+        else:
+            out.append(margin if margin >= floor else None)
+    return out
 
 
-def _check_denominator(m: RationalBallMap, floor: float, seed: int) -> tuple:
-    """(method, margin): how q was shown to stay above ``floor`` on the closed ball.
+def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
+                        floor: float, seed: int) -> list:
+    """(method, margin) for each map of a block: how q was shown to stay above
+    ``floor`` on the closed ball; or the DenominatorVanishesError it raises.
 
     Tries, in order: a constant q; the carried factors, or q's own when it
     has degree one, used only when they multiply out to q; the coefficient
     bound 1 - sum_{alpha != 0} |q_alpha|; q's own factor when the carried
     ones did not match; and, as a last resort, the smallest |q| over seeded
-    sample points of the ball and the sphere.  Raises
-    DenominatorVanishesError when a factor vanishes on the closed ball, when
-    the exact minimum of a single factor is below the floor, or when a
-    sampled modulus is.
+    sample points of the ball and the sphere.  The error comes when a factor
+    vanishes on the closed ball, when the exact minimum of a single factor
+    is below the floor, or when a sampled modulus is.  The first two steps
+    run on the whole block; a map that they leave undecided goes on alone.
     """
-    if m.has_trivial_denominator:
-        return "trivial", float(abs(m.coefficients[-1, -1]))
-    q = canonical_rows(m.support, m.coefficients[-1:])
-    row = q[1][0]
-    own = m.factors[:0]
-    if _top_degree(*q) == 1:
-        # q = 1 + sum c_j z_j = 1 - <z, a> with a_j = -conj(c_j).
-        terms = dict(zip(q[0], row))
-        own = -np.conj([[terms.get(alpha, 0.0) for alpha in monomials_of_degree(m.n, 1)]])
-    margin = _factored_margin(m.n, q, m.factors if len(m.factors) else own, floor)
-    if margin is not None:
-        return "factored", margin
-    # The last column of q's support is its constant term.
+    n, support = maps[0].n, maps[0].support
+    q = stack[:, -1]
+    q_degrees = _top_degrees(support, q[:, None])
+    ones = q_degrees == 1
+    own = _own_factors(n, support, q) if ones.any() else None
+    out = [None] * len(maps)
+    for k in np.flatnonzero(q_degrees <= 0).tolist():
+        out[k] = ("trivial", float(abs(q[k, -1])))
+    centres = np.stack([m.factors for m in maps])
+    if centres.shape[1]:
+        picked = np.flatnonzero(q_degrees > 0)
+    else:
+        picked, centres = np.flatnonzero(ones), own
+    if len(picked):
+        margins = _factored_margins(n, support, q[picked], centres[picked], floor)
+        for k, margin in zip(picked.tolist(), margins):
+            if margin is not None:
+                out[k] = margin if isinstance(margin, Exception) else ("factored", margin)
+    for k, m in enumerate(maps):
+        if out[k] is None:
+            try:
+                out[k] = _unfactored_denominator(m, q[k], own[k] if ones[k] else None,
+                                                 floor, seed)
+            except DenominatorVanishesError as exc:
+                out[k] = exc
+    return out
+
+
+def _own_factors(n: int, support, q: np.ndarray) -> np.ndarray:
+    """(T, 1, n): q = 1 + sum c_j z_j = 1 - <z, a> has the own factor
+    a_j = -conj(c_j), read from each row of q over ``support``."""
+    index = {alpha: j for j, alpha in enumerate(support)}
+    linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
+    return -np.where(linear >= 0, q[:, linear], 0.0).conj()[:, None, :]
+
+
+def _unfactored_denominator(m: RationalBallMap, q: np.ndarray, own, floor: float,
+                            seed: int) -> tuple:
+    """The steps of ``_check_denominators`` after the factors, for one map with
+    the q row ``q`` and, when q has degree one, its own factor ``own``."""
+    # q without its empty columns; the last column is the constant term.
+    row = q[q != 0]
     margin = float(abs(row[-1]) - np.abs(row[:-1]).sum())
     if margin >= floor:
         return "coefficient-bound", margin
     # Wrong carried factors must not leave a degree-one q to sampling, which
     # misses its zero on the sphere; its own factor decides it exactly.
-    margin = _factored_margin(m.n, q, own, floor)
-    if margin is not None:
-        return "factored", margin
+    if own is not None:
+        margin, = _factored_margins(m.n, m.support, q[None], own[None], floor)
+        if isinstance(margin, Exception):
+            raise margin
+        if margin is not None:
+            return "factored", margin
     rng = np.random.default_rng(seed)
     half = DENOMINATOR_SAMPLES // 2
     pts = np.vstack([ball_points(m.n, half, rng),
@@ -359,6 +457,91 @@ def _check_denominator(m: RationalBallMap, floor: float, seed: int) -> tuple:
     return "sampled", minimum
 
 
+def _witnessed(cert: PropernessCertificate, m: RationalBallMap, seed: int,
+               samples: int = WITNESS_SAMPLES) -> PropernessCertificate:
+    """The certificate with the sampled sphere point where | ||f||^2 - 1 | is largest."""
+    pts = sphere_points(m.n, samples, np.random.default_rng(seed))
+    values = np.abs(np.sum(np.abs(m.evaluate_many(pts)) ** 2, axis=1) - 1.0)
+    k = int(np.argmax(values))
+    return dataclasses.replace(cert, witness=pts[k], witness_value=float(values[k]))
+
+
+def _blocks(maps: Iterable[RationalBallMap]) -> Iterator[list]:
+    """Consecutive maps with one support, target dimension and number of
+    denominator factors, in blocks of at most BLOCK_ENTRIES Gram entries,
+    each yielded once the next map does not join it.  When reading a map
+    raises, the block read so far is yielded before the error propagates."""
+    block = []
+    maps = iter(maps)
+    while True:
+        try:
+            m = next(maps, None)
+        except Exception:
+            if block:
+                yield block
+            raise
+        if block and (m is None or m.support != block[0].support or m.N != block[0].N
+                      or len(m.factors) != len(block[0].factors)
+                      or (len(block) + 1) * len(m.support) ** 2 > BLOCK_ENTRIES):
+            yield block
+            block = []
+        if m is None:
+            return
+        block.append(m)
+
+
+def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
+                   seed: int, floor: float,
+                   witness_samples: int) -> Iterator[PropernessCertificate]:
+    """The certificate of each map of a block, ``stack`` their (T, N+1, M)
+    rows, in order; an error for a map is raised at that map's turn."""
+    first = maps[0]
+    denominators = _check_denominators(maps, stack, floor, seed)
+    residuals, worst = sphere_residuals(first.n, first.support, signed_gram(stack, 1))
+    constant = _constant_maps(stack, tol)
+    for k, (m, residual) in enumerate(zip(maps, residuals.tolist())):
+        if isinstance(denominators[k], Exception):
+            raise denominators[k]
+        if residual <= tol:
+            verdict = Verdict.CONSTANT_ON_SPHERE if constant[k] else Verdict.PROPER
+        else:
+            verdict = Verdict.NOT_PROPER
+        if verdict is Verdict.PROPER and m.N < m.n:
+            # A proper map cannot decrease the dimension; reaching this means
+            # the certificate itself is inconsistent.
+            raise ArithmeticError("certified a proper map with target below domain")
+        cert = PropernessCertificate(verdict, residual, worst[k], *denominators[k])
+        yield _witnessed(cert, m, seed, witness_samples) if witness_samples > 0 else cert
+
+
+def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
+                 seed: int = DEFAULT_SEED, denominator_floor: float = DENOMINATOR_FLOOR,
+                 witness_samples: int = WITNESS_SAMPLES) -> Iterator[tuple]:
+    """Certify maps in order, yielding (certificate, degree, embedding
+    dimension) for each: what ``certify_proper``, ``degree`` and
+    ``embedding_dimension`` give the map.
+
+    Consecutive maps that share their support, target dimension and number
+    of denominator factors are certified as one block of at most
+    BLOCK_ENTRIES Gram entries: one stacked signed Gram, one sphere-reduction
+    plan for the block's union above-floor mask, one chain of factor
+    products with a row per map, and one stacked SVD for the ranks.  Only a
+    denominator that its factors leave undecided and the witness are
+    worked out map by map.  ``certify_proper`` is the block step on one map.
+
+    Results come block by block as the maps are read, so a caller may stop
+    at the first failure; an error for a map is raised at that map's turn,
+    and when reading the next map raises, the maps read before it are
+    certified first.
+    """
+    for block in _blocks(maps):
+        stack = np.stack([m.coefficients for m in block])
+        degrees = np.maximum(_top_degrees(block[0].support, stack[:, :-1]), 0).tolist()
+        ranks = _embedding_dimensions(stack).tolist()
+        certs = _certify_block(block, stack, tol, seed, denominator_floor, witness_samples)
+        yield from zip(certs, degrees, ranks)
+
+
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
                    seed: int = DEFAULT_SEED,
                    denominator_floor: float = DENOMINATOR_FLOOR,
@@ -369,35 +552,12 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     ||p||^2 - |q|^2 vanishes within tolerance and the map is nonconstant;
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
     p/q is constant.  Raises DenominatorVanishesError when q cannot be kept
-    above the floor on the closed ball (see ``_check_denominator``).  The
-    witness never affects the verdict; ``witness_samples=0`` skips it.
+    above the floor on the closed ball (see ``_check_denominators``).  The
+    witness never affects the verdict; ``witness_samples=0`` skips it.  This
+    is the block step of ``certify_maps`` on a block of one.
     """
-    method, margin = _check_denominator(m, denominator_floor, seed)
-
-    remainder = reduce_mod_sphere(m.properness_form())
-    residual = remainder.max_abs_entry()
-    largest = remainder.largest_entry()
-    worst = None if largest is None else largest[:2]
-
-    witness = None
-    witness_value = None
-    if witness_samples > 0:
-        pts = sphere_points(m.n, witness_samples, np.random.default_rng(seed))
-        values = np.abs(np.sum(np.abs(m.evaluate_many(pts)) ** 2, axis=1) - 1.0)
-        k = int(np.argmax(values))
-        witness = pts[k]
-        witness_value = float(values[k])
-
-    if residual <= tol:
-        verdict = Verdict.CONSTANT_ON_SPHERE if m.is_constant_map(tol) else Verdict.PROPER
-    else:
-        verdict = Verdict.NOT_PROPER
-    if verdict is Verdict.PROPER and m.N < m.n:
-        # A proper map cannot decrease the dimension; reaching this means the
-        # certificate itself is inconsistent.
-        raise ArithmeticError("certified a proper map with target below domain")
-    return PropernessCertificate(verdict, residual, worst, method, margin, witness,
-                                 witness_value)
+    return next(_certify_block([m], m.coefficients[None], tol, seed, denominator_floor,
+                               witness_samples))
 
 
 def degree(m: RationalBallMap) -> int:
@@ -408,10 +568,20 @@ def degree(m: RationalBallMap) -> int:
     return int(d)
 
 
+def _embedding_dimensions(stack: np.ndarray, rtol: float = _linalg.RANK_RTOL) -> np.ndarray:
+    """For each map of a (T, N+1, M) stack, the rank of its component rows
+    over the columns where they have an entry; one stacked SVD per distinct
+    set of such columns."""
+    rows = stack[:, :-1]
+    ranks = np.zeros(len(stack), dtype=int)
+    for members, columns in _mask_groups(rows.any(axis=1)):
+        ranks[members] = _linalg.numerical_rank(rows[members][:, :, columns], rtol=rtol)
+    return ranks
+
+
 def embedding_dimension(m: RationalBallMap, rtol: float = _linalg.RANK_RTOL) -> int:
     """Number of linearly independent components (rank of the coefficient rows)."""
-    rows = m.coefficients[:-1]
-    return _linalg.numerical_rank(rows[:, rows.any(axis=0)], rtol=rtol)
+    return int(_embedding_dimensions(m.coefficients[None], rtol)[0])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ unitary group is path connected, so this stays inside proper maps).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,8 +25,8 @@ import numpy as np
 from . import _linalg
 from . import ballmaps as _bm
 from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertificate,
-                       RationalBallMap, Verdict, apply_linear, certify_proper,
-                       embedding_dimension, norm_equivalent)
+                       RationalBallMap, Verdict, apply_linear, certify_maps,
+                       norm_equivalent)
 from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
                            WhitneyTerm, automorphism_from_map, automorphism_map,
                            blaschke_map, juxtapose, _tensor_in_frame)
@@ -79,11 +80,21 @@ class HomotopyFamily:
 
 def _segment(domain_dim: int,
              evaluator: Callable[[float], RationalBallMap]) -> HomotopyFamily:
+    """The family of ``evaluator`` with its maps at 0 and 1 as endpoints.
+
+    Each endpoint is built once: evaluating the family there returns it, so
+    splicing a junction in ``concat_families`` and the grid points on it
+    reuse the map instead of building it again.
+    """
     left = evaluator(0.0)
     right = evaluator(1.0)
     if left.N != right.N:
         raise DimensionMismatchError("segment endpoints disagree in target dimension")
-    return HomotopyFamily(domain_dim, left.N, evaluator, left, right)
+
+    def at(t: float) -> RationalBallMap:
+        return left if t == 0.0 else right if t == 1.0 else evaluator(t)
+
+    return HomotopyFamily(domain_dim, left.N, at, left, right)
 
 
 def constant_family(m: RationalBallMap) -> HomotopyFamily:
@@ -220,6 +231,11 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     With ``strict`` the first failure raises instead of being recorded.  The
     sampled witness never decides a verdict, so it is computed only for the
     members that fail, whose certificates are the ones reported.
+
+    Members are evaluated one t at a time and streamed through
+    ``certify_maps``, which certifies runs of members on one support as
+    blocks; the results, and the first error with ``strict``, are those of
+    certifying the members one by one in grid order.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -227,14 +243,21 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     degrees, embdims, residuals, failures = [], [], [], []
     first = previous = None
     max_step, t_step = 0.0, ts[1]
-    for t in ts:
-        m = family.evaluate(t)
-        cert = certify_proper(m, tol=tol, seed=seed, witness_samples=0)
-        degrees.append(_bm.degree(m))
-        embdims.append(embedding_dimension(m))
+    members = deque()
+
+    def evaluated():
+        for t in ts:
+            members.append(family.evaluate(t))
+            yield members[-1]
+
+    results = certify_maps(evaluated(), tol=tol, seed=seed, witness_samples=0)
+    for t, (cert, deg, embdim) in zip(ts, results):
+        m = members.popleft()
+        degrees.append(deg)
+        embdims.append(embdim)
         residuals.append(cert.residual_norm)
         if cert.verdict is not Verdict.PROPER:
-            cert = certify_proper(m, tol=tol, seed=seed)
+            cert = _bm._witnessed(cert, m, seed)
             if strict:
                 raise PropernessFailureError(t, cert)
             failures.append((t, cert))

@@ -476,16 +476,24 @@ def align_rows(*blocks):
     return union, out
 
 
+def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
+    """The signed Gram matrix A^T conj(A) - B^T conj(B) of (R, M) coefficient
+    rows, B the last ``negated`` rows and A the others; for a (T, R, M) stack,
+    the (T, M, M) stack of the matrices, each the one of its slice."""
+    rows = np.asarray(rows)
+    split = rows.shape[-2] - negated
+    head, tail = rows[..., :split, :], rows[..., split:, :]
+    gram = head.swapaxes(-1, -2) @ head.conj()
+    if negated:
+        gram -= tail.swapaxes(-1, -2) @ tail.conj()
+    return gram
+
+
 def gram_form(nvars: int, monomials: Sequence[MultiIndex], rows: np.ndarray,
               negated: int = 0) -> HermitianForm:
     """Form of ||A||^2 - ||B||^2 for the coefficient rows over ``monomials``:
-    B is the last ``negated`` rows, A the others, and the matrix is the signed
-    Gram matrix A^T conj(A) - B^T conj(B)."""
-    head, tail = rows[:len(rows) - negated], rows[len(rows) - negated:]
-    gram = head.T @ head.conj()
-    if negated:
-        gram -= tail.T @ tail.conj()
-    return HermitianForm._raw(nvars, tuple(monomials), gram)
+    B is the last ``negated`` rows, A the others (``signed_gram``)."""
+    return HermitianForm._raw(nvars, tuple(monomials), signed_gram(rows, negated))
 
 
 def _shared_nvars(components: Sequence[Polynomial]) -> int:
@@ -610,6 +618,32 @@ def _reduction_plan(nvars: int, basis: tuple, mask: bytes):
     return plan + (monos,)
 
 
+def _sphere_remainders(nvars: int, basis: tuple, matrices: np.ndarray):
+    """(values, lo, hi, monos): the remainder coefficients of the sphere
+    reduction of each matrix of a (T, M, M) stack over ``basis``.
+
+    ``values[t]`` holds matrix t's coefficient of each remainder key of the
+    plan for the stack's union above-floor mask, and ``monos[lo]``,
+    ``monos[hi]`` are the keys' monomial pairs.  A matrix's entries at or
+    below the storage floor are read as exact zeros, so a contribution the
+    union plan adds for them adds 0.0, and each coefficient is the sum that
+    the matrix's own plan gives, bit for bit.
+    """
+    count = len(matrices)
+    low = (np.abs(matrices) <= COEFFICIENT_FLOOR).reshape(count, -1)
+    mask = np.packbits(~low.all(axis=0)).tobytes()
+    src, weight, group, lo, hi, monos = _reduction_plan(nvars, basis, mask)
+    keys = len(lo)
+    coeffs = matrices.reshape(count, -1)[:, src]
+    if count > 1:
+        coeffs[low[:, src]] = 0.0
+    # One bincount for the stack: matrix t's keys are offset by t * keys.
+    index = (group + keys * np.arange(count)[:, None]).ravel()
+    real = np.bincount(index, weights=(coeffs.real * weight).ravel(), minlength=count * keys)
+    imag = np.bincount(index, weights=(coeffs.imag * weight).ravel(), minlength=count * keys)
+    return (real + 1j * imag).reshape(count, keys), lo, hi, monos
+
+
 def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     """Remainder of a Hermitian form modulo the unit-sphere relation.
 
@@ -630,13 +664,8 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     order, then in the term order of the hyperplane power, as a loop over
     ``form.entries`` would.
     """
-    matrix = form.matrix
-    mask = np.packbits(np.abs(matrix) > COEFFICIENT_FLOOR).tobytes()
-    src, weight, group, lo, hi, monos = _reduction_plan(form.nvars, form.basis, mask)
-    coeffs = matrix.ravel()[src]
-    real = np.bincount(group, weights=coeffs.real * weight, minlength=len(lo))
-    imag = np.bincount(group, weights=coeffs.imag * weight, minlength=len(lo))
-    values = real + 1j * imag
+    values, lo, hi, monos = _sphere_remainders(form.nvars, form.basis, form.matrix[None])
+    values = values[0]
     big = np.abs(values) > COEFFICIENT_FLOOR
     values = values[big]
     used, slot = np.unique(np.concatenate([lo[big], hi[big]]), return_inverse=True)
@@ -645,6 +674,28 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     out[b, a] = values.conj()
     out[a, b] = values
     return HermitianForm._raw(form.nvars, tuple(monos[i] for i in used.tolist()), out)
+
+
+def sphere_residuals(nvars: int, basis: tuple, matrices: np.ndarray):
+    """(residuals, worst): for each matrix of a (T, M, M) stack over ``basis``,
+    the ``max_abs_entry`` of its ``reduce_mod_sphere`` remainder and the
+    monomial pair (alpha, beta) of that remainder's ``largest_entry``, or None
+    when the remainder is empty.
+
+    The remainder puts a coefficient c at its pair and conj(c) at the mirror,
+    so the first largest entry in row-major order is, among the largest
+    coefficients, the one whose pair comes first with its lower slot leading.
+    """
+    values, lo, hi, monos = _sphere_remainders(nvars, basis, matrices)
+    sizes = np.abs(values)
+    sizes[sizes <= COEFFICIENT_FLOOR] = 0.0
+    residuals = sizes.max(axis=1, initial=0.0)
+    first, second = np.minimum(lo, hi), np.maximum(lo, hi)
+    rank = np.where(sizes == residuals[:, None], first * len(monos) + second, len(monos) ** 2)
+    pick = rank.argmin(axis=1).tolist() if len(lo) else [0] * len(values)
+    worst = [None if residual == 0.0 else (monos[first[k]], monos[second[k]])
+             for residual, k in zip(residuals.tolist(), pick)]
+    return residuals, worst
 
 
 # A family-grid pass multiplies over 28 distinct pairs of supports (tensor

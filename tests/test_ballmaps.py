@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,18 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propermaps import polyalg
+from unittest import mock
+
+from propermaps import ballmaps, polyalg
 from propermaps._linalg import random_unitary
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  NormalizationError, RationalBallMap, Verdict,
-                                 apply_linear, certify_proper, coefficient_bound,
-                                 compose, degree, degree_bound,
+                                 apply_linear, certify_maps, certify_proper,
+                                 coefficient_bound, compose, degree, degree_bound,
                                  denominator_from_factors, denominator_sup_bound,
                                  embedding_dimension, largest_binomial_coefficient,
                                  norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorphism_map,
                                      blaschke_map, juxtapose, random_ball_automorphism,
-                                     whitney_extend, whitney_start)
+                                     tensor_on_subspace, whitney_extend, whitney_start)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import (degree_drop_family, faran_maps, homotopy_to_monomial,
                                  verify_family)
@@ -396,12 +400,16 @@ def test_rows_and_views_agree(nvars, seed):
              for poly in (*comps, q)]
     assert [poly.terms for poly in (*m.p, m.q)] == above
     # Canonical form: descending support, read-only rows p_1..p_N, q with
-    # nothing at or below the floor but zeros, and no empty column.
-    rows = m.coefficients
-    assert m.support == tuple(sorted(set(m.support), reverse=True))
-    assert rows.shape == (m.N + 1, len(m.support)) and not rows.flags.writeable
-    assert not np.any((rows != 0) & (np.abs(rows) <= COEFFICIENT_FLOOR))
-    assert np.all((np.abs(rows) > COEFFICIENT_FLOOR).any(axis=0))
+    # nothing at or below the floor but zeros, and no empty column.  Padded
+    # maps and the identity are stored as built, so they are checked too.
+    for canonical in (m, m.padded(m.N + 2), RationalBallMap.identity(nvars)):
+        rows = canonical.coefficients
+        assert canonical.support == tuple(sorted(set(canonical.support), reverse=True))
+        assert rows.shape == (canonical.N + 1, len(canonical.support))
+        assert rows.dtype == complex and not rows.flags.writeable
+        assert not np.any((rows != 0) & (np.abs(rows) <= COEFFICIENT_FLOOR))
+        assert np.all((np.abs(rows) > COEFFICIENT_FLOOR).any(axis=0))
+        assert canonical.factors.shape[1:] == (nvars,) and not canonical.factors.flags.writeable
     form, reference = m.properness_form(), properness_form(m.p, m.q)
     assert form.basis == reference.basis
     assert np.array_equal(form.matrix, reference.matrix)
@@ -456,3 +464,117 @@ def test_hot_paths_build_no_polynomial(monkeypatch):
     # The views still convert on access.
     composed.q
     assert built == ["_raw"]
+
+
+# ------------------------------------------------------ batched certification
+def _kernel_makers():
+    """Makers of maps on B_2, one support each (a new draw keeps the support):
+    factored denominators (one or two carried factors, or q's own factor),
+    trivial, coefficient-bound and sampled ones, not-proper members, a
+    constant map and a denominator that vanishes on the closed ball."""
+    z, w = var(0), var(1)
+
+    def automorphism(gen):
+        m = automorphism_map(random_ball_automorphism(2, gen))
+        return m.scaled(0.8) if gen.random() < 0.3 else m
+
+    def tensored(gen):
+        f = automorphism_map(random_ball_automorphism(2, gen))
+        return tensor_on_subspace(f, np.array([1.0, 1.0j]) / math.sqrt(2),
+                                  random_ball_automorphism(2, gen))
+
+    def own_factor(gen):
+        m = automorphism_map(random_ball_automorphism(2, gen))
+        return RationalBallMap(2, 2, m.p, m.q)
+
+    def monomial(gen):
+        m = whitney_map()
+        return apply_linear(random_unitary(m.N, gen), m)
+
+    def bounded(gen):
+        phase = complex(*gen.standard_normal(2))
+        return RationalBallMap(2, 2, [z, w], z * w * (0.4 * phase / abs(phase)) + 1.0)
+
+    def sampled(gen):
+        a, b = np.exp(2j * np.pi * gen.random(2))
+        q = z * z * (0.6 * a) + w * w * (0.6 * b) + 1.0
+        return RationalBallMap(2, 2, [z * 0.9, w * 0.9], q)
+
+    def constant(gen):
+        return RationalBallMap.constant(np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2), 2)
+
+    def vanishing(gen):
+        a = np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2) * (1 - 1e-9)
+        return automorphism_map(BallAutomorphism(a))
+
+    return [automorphism, tensored, own_factor, monomial, bounded, sampled, constant,
+            vanishing]
+
+
+def _same_certificate(a, b):
+    return (a.verdict is b.verdict and a.residual_norm == b.residual_norm
+            and a.worst_entry == b.worst_entry
+            and a.denominator_method == b.denominator_method
+            and a.denominator_margin == b.denominator_margin
+            and (a.witness is None) == (b.witness is None)
+            and (a.witness is None or np.array_equal(a.witness, b.witness))
+            and a.witness_value == b.witness_value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 6)), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]),
+       st.sampled_from([0, 20]))
+def test_kernel_agrees_with_single_map_certification(runs, seed, budget, witness_samples):
+    gen = np.random.default_rng(seed)
+    makers = _kernel_makers()
+    # Runs of maps on one support; the vanishing maker is drawn rarely.
+    maps = [makers[kind](gen) for kind, count in runs
+            for _ in range(count if kind < 7 or gen.random() < 0.3 else 0)]
+    with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget):
+        results = certify_maps(maps, witness_samples=witness_samples)
+        for m in maps:
+            try:
+                expected = certify_proper(m, witness_samples=witness_samples)
+            except DenominatorVanishesError as error:
+                # The kernel raises it at this map's turn, with the same message.
+                with pytest.raises(DenominatorVanishesError, match=re.escape(str(error))):
+                    next(results)
+                return
+            cert, deg, embdim = next(results)
+            assert _same_certificate(cert, expected)
+            assert deg == degree(m) and embdim == embedding_dimension(m)
+        assert next(results, None) is None
+
+
+def test_kernel_covers_every_denominator_method_and_verdict():
+    gen = np.random.default_rng(3)
+    maps = [make(gen) for make in _kernel_makers()[:-1] for _ in range(3)]
+    certs = [cert for cert, _, _ in certify_maps(maps, witness_samples=0)]
+    assert {c.denominator_method for c in certs} == {"trivial", "factored",
+                                                     "coefficient-bound", "sampled"}
+    assert {c.verdict for c in certs} == set(Verdict)
+
+
+def test_certification_blocks_bound_their_memory():
+    gen = np.random.default_rng(5)
+    term = whitney_start(random_ball_automorphism(3, gen))
+    term = whitney_extend(term, np.array([0]), random_ball_automorphism(3, gen))
+    term = whitney_extend(term, np.array([1, 2]), random_ball_automorphism(3, gen))
+    m = term.map
+    # Five blocks of maps on one support, each as large as the budget allows.
+    per_block = ballmaps.BLOCK_ENTRIES // len(m.support) ** 2
+    maps = [apply_linear(random_unitary(m.N, gen), m) for _ in range(5 * per_block)]
+    assert per_block > 10
+    list(certify_maps(maps[:per_block], witness_samples=0))  # plans are cached
+    tracemalloc.start()
+    try:
+        results = list(certify_maps(maps, witness_samples=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(cert.verdict is Verdict.PROPER for cert, _, _ in results)
+    # A full block's Gram stack takes 16 bytes per entry; the block's other
+    # arrays (moduli, the gathered reduction terms, the factor products)
+    # stay within a few times that, whatever the number of maps.
+    assert peak < 8 * 16 * ballmaps.BLOCK_ENTRIES

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from propermaps.ballmaps import (RationalBallMap, Verdict, certify_proper, degree,
-                                 norm_equivalent)
+from propermaps import ballmaps, homotopy, polyalg
+from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
+                                 certify_proper, degree, norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      automorphism_map, blaschke_map,
                                      random_ball_automorphism, whitney_extend,
@@ -102,6 +103,104 @@ def test_report_names_the_first_worst_grid_points():
 
     steady = verify_family(constant_family(RationalBallMap.identity(1)), grid_size=5)
     assert (steady.t_at_max_residual, steady.t_at_max_coefficient_step) == (0.0, 0.25)
+
+
+# ------------------------------------------------------ batched verification
+def _error_one_by_one(fam, grid_size, strict):
+    """(type, t or message) of the error that certifying the members one at a
+    time, each evaluated and then certified in grid order, raises; None if
+    none does."""
+    try:
+        for i in range(grid_size):
+            t = i / (grid_size - 1)
+            cert = certify_proper(fam.evaluate(t), witness_samples=0)
+            if strict and cert.verdict is not Verdict.PROPER:
+                return PropernessFailureError, t
+    except Exception as error:
+        return type(error), str(error)
+    return None
+
+
+def _mixed_family(kinds):
+    """Family on B_2 whose member at t = k/10 is, by kinds[k], an automorphism
+    map (.), a shrunken one, not proper (s), one whose denominator vanishes on
+    the closed ball (v), or an evaluation error (x).  All members share one
+    support and one factor count, so they fall into one block."""
+    center = np.array([0.3, 0.4j])
+
+    def evaluator(t):
+        kind = kinds[round(10 * t)]
+        if kind == "x":
+            raise ValueError(f"no member at t={t}")
+        if kind == "v":
+            return automorphism_map(BallAutomorphism(2 * center * (1 - 1e-9)))
+        m = automorphism_map(BallAutomorphism(center * (1 - t / 2)))
+        return m.scaled(0.5) if kind == "s" else m
+
+    end = automorphism_map(BallAutomorphism(center))
+    return HomotopyFamily(2, 2, evaluator, end, end)
+
+
+@pytest.mark.parametrize("kinds, loose, strict", [
+    ("...s..v....", DenominatorVanishesError, PropernessFailureError),
+    ("..v..s.....", DenominatorVanishesError, DenominatorVanishesError),
+    ("....s..x...", ValueError, PropernessFailureError),
+    ("....vx.....", DenominatorVanishesError, DenominatorVanishesError),
+    ("x..........", ValueError, ValueError),
+    (".........sx", ValueError, PropernessFailureError),
+])
+def test_grid_errors_come_for_the_first_offending_member(kinds, loose, strict):
+    fam = _mixed_family(kinds)
+    for mode, kind in ((False, loose), (True, strict)):
+        expected, detail = _error_one_by_one(fam, 11, mode)
+        assert expected is kind
+        with pytest.raises(kind) as raised:
+            verify_family(fam, grid_size=11, strict=mode)
+        assert type(raised.value) is kind
+        if kind is PropernessFailureError:
+            assert raised.value.t == detail
+            assert raised.value.certificate.witness is not None
+        else:
+            assert str(raised.value) == detail
+
+
+def test_grid_is_certified_in_blocks(rng):
+    term = whitney_start(random_ball_automorphism(2, rng))
+    term = whitney_extend(term, np.array([0]), random_ball_automorphism(2, rng))
+    term = whitney_extend(term, np.array([1, 2]), random_ball_automorphism(2, rng))
+    fam = homotopy_to_monomial(term)
+    # Blocks: runs of members with one support, target dimension and factor
+    # count, cut where the next member would exceed the block budget.
+    blocks, key, size = 0, None, 0
+    for i in range(101):
+        m = fam.evaluate(i / 100)
+        if ((m.support, m.N, len(m.factors)) != key
+                or (size + 1) * len(m.support) ** 2 > ballmaps.BLOCK_ENTRIES):
+            blocks, key, size = blocks + 1, (m.support, m.N, len(m.factors)), 0
+        size += 1
+    before = polyalg._reduction_plan.cache_info()
+    assert verify_family(fam, grid_size=101).passed
+    after = polyalg._reduction_plan.cache_info()
+    # One sphere-reduction plan lookup per block, not per member.
+    assert after.hits + after.misses - before.hits - before.misses == blocks
+    assert blocks <= 10
+
+
+def test_concat_builds_each_junction_once():
+    calls = []
+    ident = RationalBallMap.identity(2)
+
+    def segment(label):
+        def evaluator(t):
+            calls.append((label, t))
+            return ident
+        return homotopy._segment(2, evaluator)
+
+    fam = concat_families([segment("a"), segment("b")])
+    assert calls == [("a", 0.0), ("a", 1.0), ("b", 0.0), ("b", 1.0)]
+    # Grid points on the ends of a segment reuse its endpoint maps.
+    assert verify_family(fam, grid_size=5).passed
+    assert calls[4:] == [("a", 0.5), ("b", 0.5)]
 
 
 # --------------------------------------------------------------- generators

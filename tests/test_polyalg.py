@@ -9,7 +9,8 @@ from propermaps import polyalg
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 Polynomial, coefficient_matrix, monomials_of_degree,
                                 multiply_rows, polynomials_from_rows, properness_form,
-                                reduce_mod_sphere, squared_norm_form)
+                                reduce_mod_sphere, signed_gram, sphere_residuals,
+                                squared_norm_form)
 
 from conftest import sample_sphere
 
@@ -358,6 +359,28 @@ def test_reduction_plans_are_keyed_by_the_above_floor_mask():
         for form in order:
             assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
         assert polyalg._reduction_plan.cache_info().hits == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_stacked_reduction_equals_each_matrix_reduction(nvars, seed):
+    # Signed Grams on one support whose entries sit above, at and below the
+    # storage floor in different members, so the union plan adds terms that
+    # a member's own plan lacks; small integer coefficients make ties for
+    # the largest remainder entry common.
+    gen = np.random.default_rng(seed)
+    support = tuple(sorted({tuple(gen.integers(0, 3, nvars).tolist()) for _ in range(5)},
+                           reverse=True))
+    values = np.array([0, 1, -1, 1j, 0.5, 3e-15, 2e-14, 1e-9])
+    stack = gen.choice(values, (int(gen.integers(1, 7)), int(gen.integers(2, 4)), len(support)))
+    grams = signed_gram(stack, 1)
+    residuals, worst = sphere_residuals(nvars, support, grams)
+    for matrix, residual, pair in zip(grams, residuals.tolist(), worst):
+        remainder = reduce_mod_sphere(HermitianForm._raw(nvars, support, matrix))
+        assert residual == remainder.max_abs_entry()
+        largest = remainder.largest_entry()
+        assert pair == (None if largest is None else largest[:2])
+        assert remainder.entries == _reduce_by_loop(HermitianForm._raw(nvars, support, matrix))
 
 
 def _random_rows(nvars, seed):
