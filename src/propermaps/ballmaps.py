@@ -15,7 +15,6 @@ instead of by sampling.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -97,6 +96,9 @@ def _constant_maps(stack: np.ndarray, tol: float) -> np.ndarray:
 def _mask_groups(mask: np.ndarray):
     """(indices, row) for each distinct row of a boolean (T, L) mask, the
     indices of the rows equal to it ascending."""
+    if len(mask) == 1:
+        yield [0], mask[0]
+        return
     groups = {}
     for k, row in enumerate(mask):
         groups.setdefault(row.tobytes(), []).append(k)
@@ -143,35 +145,25 @@ class RationalBallMap:
                 f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
         self._store(domain_dim, *coefficient_matrix([*numerator, denominator]), factors)
 
-    def _store(self, n: int, support, rows, factors, canonical: bool = False):
-        if canonical:
-            centres = factors
-        else:
-            centres = np.array(factors, dtype=complex)
-            if centres.size == 0:
-                centres = np.zeros((0, n), dtype=complex)
-            elif centres.ndim != 2 or centres.shape[1] != n:
-                raise DimensionMismatchError("denominator factor centres need one entry "
-                                             "per domain variable")
-            if not np.all(np.isfinite(centres)):
-                raise ValueError("denominator factor centres must be finite")
-            support, rows = canonical_rows(support, rows)
+    def _store(self, n: int, support, rows, factors):
+        centres = np.array(factors, dtype=complex)
+        if centres.size == 0:
+            centres = np.zeros((0, n), dtype=complex)
+        elif centres.ndim != 2 or centres.shape[1] != n:
+            raise DimensionMismatchError("denominator factor centres need one entry "
+                                         "per domain variable")
+        if not np.all(np.isfinite(centres)):
+            raise ValueError("denominator factor centres must be finite")
+        support, rows = canonical_rows(support, rows)
         centres.flags.writeable = rows.flags.writeable = False
         for name, value in zip(self.__slots__, (n, len(rows) - 1, support, rows, centres)):
             object.__setattr__(self, name, value)
         return self
 
     @classmethod
-    def _from_rows(cls, n: int, support, rows, factors=(), *,
-                   canonical: bool = False) -> "RationalBallMap":
-        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked.
-
-        With ``canonical`` the caller guarantees the stored form (a descending
-        support tuple, zeros for everything at or below the floor, no empty
-        column) and passes checked (K, n) centres, so both are kept as given;
-        only the padded rows of a map and the identity qualify.
-        """
-        return object.__new__(cls)._store(n, support, rows, factors, canonical)
+    def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
+        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked."""
+        return object.__new__(cls)._store(n, support, rows, factors)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalBallMap is immutable")
@@ -180,9 +172,7 @@ class RationalBallMap:
     @classmethod
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalBallMap":
-        return cls._from_rows(n, tuple(monomials_of_degree(n, 1)) + ((0,) * n,),
-                              np.eye(n + 1, dtype=complex), np.zeros((0, n), dtype=complex),
-                              canonical=True)
+        return cls._from_rows(n, monomials_of_degree(n, 1) + [(0,) * n], np.eye(n + 1))
 
     @classmethod
     def constant(cls, values: Sequence[complex], domain_dim: int) -> "RationalBallMap":
@@ -253,8 +243,7 @@ class RationalBallMap:
         if target_dim == self.N:
             return self
         rows = np.insert(self.coefficients, [self.N] * (target_dim - self.N), 0.0, axis=0)
-        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors,
-                                          canonical=True)
+        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors)
 
     def scaled(self, factor: complex) -> "RationalBallMap":
         rows = self.coefficients * np.append(np.full(self.N, factor), 1.0)[:, None]
@@ -395,11 +384,14 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
     n, support = maps[0].n, maps[0].support
     q = stack[:, -1]
     q_degrees = _top_degrees(support, q[:, None])
+    out = [None] * len(maps)
+    trivial = np.flatnonzero(q_degrees <= 0).tolist()
+    for k in trivial:
+        out[k] = ("trivial", float(abs(q[k, -1])))
+    if len(trivial) == len(maps):
+        return out
     ones = q_degrees == 1
     own = _own_factors(n, support, q) if ones.any() else None
-    out = [None] * len(maps)
-    for k in np.flatnonzero(q_degrees <= 0).tolist():
-        out[k] = ("trivial", float(abs(q[k, -1])))
     centres = np.stack([m.factors for m in maps])
     if centres.shape[1]:
         picked = np.flatnonzero(q_degrees > 0)
@@ -457,13 +449,13 @@ def _unfactored_denominator(m: RationalBallMap, q: np.ndarray, own, floor: float
     return "sampled", minimum
 
 
-def _witnessed(cert: PropernessCertificate, m: RationalBallMap, seed: int,
-               samples: int = WITNESS_SAMPLES) -> PropernessCertificate:
-    """The certificate with the sampled sphere point where | ||f||^2 - 1 | is largest."""
+def _witness(m: RationalBallMap, seed: int, samples: int = WITNESS_SAMPLES) -> dict:
+    """The certificate's ``witness`` and ``witness_value``: the sampled sphere
+    point where | ||f||^2 - 1 | is largest, and that value."""
     pts = sphere_points(m.n, samples, np.random.default_rng(seed))
     values = np.abs(np.sum(np.abs(m.evaluate_many(pts)) ** 2, axis=1) - 1.0)
     k = int(np.argmax(values))
-    return dataclasses.replace(cert, witness=pts[k], witness_value=float(values[k]))
+    return {"witness": pts[k], "witness_value": float(values[k])}
 
 
 def _blocks(maps: Iterable[RationalBallMap]) -> Iterator[list]:
@@ -510,8 +502,8 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: floa
             # A proper map cannot decrease the dimension; reaching this means
             # the certificate itself is inconsistent.
             raise ArithmeticError("certified a proper map with target below domain")
-        cert = PropernessCertificate(verdict, residual, worst[k], *denominators[k])
-        yield _witnessed(cert, m, seed, witness_samples) if witness_samples > 0 else cert
+        witness = _witness(m, seed, witness_samples) if witness_samples > 0 else {}
+        yield PropernessCertificate(verdict, residual, worst[k], *denominators[k], **witness)
 
 
 def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
@@ -575,7 +567,8 @@ def _embedding_dimensions(stack: np.ndarray, rtol: float = _linalg.RANK_RTOL) ->
     rows = stack[:, :-1]
     ranks = np.zeros(len(stack), dtype=int)
     for members, columns in _mask_groups(rows.any(axis=1)):
-        ranks[members] = _linalg.numerical_rank(rows[members][:, :, columns], rtol=rtol)
+        ranks[members] = _linalg.numerical_rank(rows[members].compress(columns, axis=2),
+                                                rtol=rtol)
     return ranks
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -257,7 +257,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         embdims.append(embdim)
         residuals.append(cert.residual_norm)
         if cert.verdict is not Verdict.PROPER:
-            cert = _bm._witnessed(cert, m, seed)
+            cert = replace(cert, **_bm._witness(m, seed))
             if strict:
                 raise PropernessFailureError(t, cert)
             failures.append((t, cert))

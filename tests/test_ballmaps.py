@@ -400,8 +400,8 @@ def test_rows_and_views_agree(nvars, seed):
              for poly in (*comps, q)]
     assert [poly.terms for poly in (*m.p, m.q)] == above
     # Canonical form: descending support, read-only rows p_1..p_N, q with
-    # nothing at or below the floor but zeros, and no empty column.  Padded
-    # maps and the identity are stored as built, so they are checked too.
+    # nothing at or below the floor but zeros, and no empty column; also for
+    # a padded map and the identity.
     for canonical in (m, m.padded(m.N + 2), RationalBallMap.identity(nvars)):
         rows = canonical.coefficients
         assert canonical.support == tuple(sorted(set(canonical.support), reverse=True))
