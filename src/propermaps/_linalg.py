@@ -105,9 +105,12 @@ class UnitaryPath:
         self.frame = q
         self.dim = u.shape[0]
 
-    def __call__(self, s: float) -> np.ndarray:
-        phases = np.exp(1j * s * self.angles)
-        return (self.frame * phases) @ self.frame.conj().T
+    def __call__(self, s) -> np.ndarray:
+        """U(s); for a 1-D array of s, the (T, n, n) stack of the U(s), from one
+        stacked product whose matrices are the ones of the calls one s at a time."""
+        s = np.asarray(s, dtype=float)
+        phases = np.exp(1j * s[..., None] * self.angles)
+        return (self.frame * phases[..., None, :]) @ self.frame.conj().T
 
     @property
     def is_constant(self) -> bool:

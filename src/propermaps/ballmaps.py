@@ -72,13 +72,23 @@ class Verdict(enum.Enum):
     CONSTANT_ON_SPHERE = "constant-on-sphere"
 
 
-def _top_degrees(support, stack: np.ndarray) -> np.ndarray:
+# A family-grid pass reads the degrees of 32 distinct supports and a
+# map-certify pass of 28 (seed 3), so 64 entries hold either pass; an entry
+# keeps its support tuple and one int64 per monomial.
+@lru_cache(maxsize=64)
+def _support_degrees(support: tuple) -> np.ndarray:
+    """The total degree of each multi-index of ``support``, read-only."""
+    degrees = np.fromiter(map(sum, support), dtype=np.int64, count=len(support))
+    degrees.flags.writeable = False
+    return degrees
+
+
+def _top_degrees(support: tuple, stack: np.ndarray) -> np.ndarray:
     """For each (R, M) slice of a (T, R, M) stack of rows over ``support``,
     the largest total degree of a column with an entry above DEFAULT_TOL, or
     -1 when there is none."""
     live = (np.abs(stack) > DEFAULT_TOL).any(axis=1)
-    degrees = np.fromiter(map(sum, support), dtype=np.int64, count=len(support))
-    return np.where(live, degrees, -1).max(axis=1)
+    return np.where(live, _support_degrees(support), -1).max(axis=1)
 
 
 def _top_degree(support, rows):
@@ -143,27 +153,56 @@ class RationalBallMap:
         if abs(denominator.constant_term() - 1.0) > tol:
             raise NormalizationError(
                 f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
-        self._store(domain_dim, *coefficient_matrix([*numerator, denominator]), factors)
+        stored = self._from_rows(domain_dim, *coefficient_matrix([*numerator, denominator]),
+                                 factors)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(stored, name))
 
-    def _store(self, n: int, support, rows, factors):
+    @classmethod
+    def _from_stack(cls, n: int, support, stack, factors) -> list:
+        """The maps whose rows p_1, ..., p_N, q over ``support`` are the (N+1, M)
+        slices of a (T, N+1, M) stack and whose factor centres are the (K, n)
+        slices of ``factors``, (T, K, n) or (1, K, n) for all; q(0) = 1 unchecked.
+
+        This is the one store: the stack is copied and floored once, and the
+        maps whose rows have an entry in the same columns share one array of
+        their rows without the other columns and one support tuple.
+        """
+        stack = np.array(stack, dtype=complex)
+        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
         centres = np.array(factors, dtype=complex)
         if centres.size == 0:
-            centres = np.zeros((0, n), dtype=complex)
-        elif centres.ndim != 2 or centres.shape[1] != n:
+            centres = np.zeros((1, 0, n), dtype=complex)
+        elif centres.ndim != 3 or centres.shape[2] != n:
             raise DimensionMismatchError("denominator factor centres need one entry "
                                          "per domain variable")
         if not np.all(np.isfinite(centres)):
             raise ValueError("denominator factor centres must be finite")
-        support, rows = canonical_rows(support, rows)
-        centres.flags.writeable = rows.flags.writeable = False
-        for name, value in zip(self.__slots__, (n, len(rows) - 1, support, rows, centres)):
-            object.__setattr__(self, name, value)
-        return self
+        centres.flags.writeable = stack.flags.writeable = False
+        if len(centres) != len(stack):
+            centres = [centres[0]] * len(stack)
+        maps = [None] * len(stack)
+        support = tuple(support)
+        for members, live in _mask_groups(stack.any(axis=1)):
+            rows = stack if len(members) == len(stack) else stack[members]
+            kept = support
+            if not live.all():
+                kept = tuple(a for a, keep in zip(support, live.tolist()) if keep)
+                rows = rows[:, :, live]
+            rows.flags.writeable = False
+            for k, row in zip(members, rows):
+                m = maps[k] = object.__new__(cls)
+                values = (n, len(row) - 1, kept, row, centres[k])
+                for name, value in zip(cls.__slots__, values):
+                    object.__setattr__(m, name, value)
+        return maps
 
     @classmethod
     def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
-        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked."""
-        return object.__new__(cls)._store(n, support, rows, factors)
+        """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked.
+        The store of ``_from_stack`` on a stack of one."""
+        return cls._from_stack(n, support, np.asarray(rows)[None],
+                               np.asarray(factors, dtype=complex)[None])[0]
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalBallMap is immutable")
@@ -458,28 +497,44 @@ def _witness(m: RationalBallMap, seed: int, samples: int = WITNESS_SAMPLES) -> d
     return {"witness": pts[k], "witness_value": float(values[k])}
 
 
-def _blocks(maps: Iterable[RationalBallMap]) -> Iterator[list]:
+def _runs(maps: Iterable[RationalBallMap]) -> Iterator[list]:
     """Consecutive maps with one support, target dimension and number of
-    denominator factors, in blocks of at most BLOCK_ENTRIES Gram entries,
-    each yielded once the next map does not join it.  When reading a map
-    raises, the block read so far is yielded before the error propagates."""
-    block = []
+    denominator factors, which stack into one (T, N+1, M) array of rows and
+    one (T, K, n) array of centres; each run is yielded once the next map
+    does not join it.  When reading a map raises, the run read so far is
+    yielded before the error propagates."""
+    run = []
     maps = iter(maps)
     while True:
         try:
             m = next(maps, None)
         except Exception:
-            if block:
-                yield block
+            if run:
+                yield run
             raise
-        if block and (m is None or m.support != block[0].support or m.N != block[0].N
-                      or len(m.factors) != len(block[0].factors)
-                      or (len(block) + 1) * len(m.support) ** 2 > BLOCK_ENTRIES):
-            yield block
-            block = []
+        if run and (m is None or m.support != run[0].support or m.N != run[0].N
+                    or len(m.factors) != len(run[0].factors)):
+            yield run
+            run = []
         if m is None:
             return
-        block.append(m)
+        run.append(m)
+
+
+def _stacked(run: Sequence[RationalBallMap]):
+    """(rows, centres): the (T, N+1, M) rows and (T, K, n) factor centres of
+    a run of maps (see ``_runs``)."""
+    if len(run) == 1:
+        return run[0].coefficients[None], run[0].factors[None]
+    return np.stack([m.coefficients for m in run]), np.stack([m.factors for m in run])
+
+
+def _blocks(maps: Iterable[RationalBallMap]) -> Iterator[list]:
+    """The runs of ``_runs`` in blocks of at most BLOCK_ENTRIES Gram entries."""
+    for run in _runs(maps):
+        size = max(1, BLOCK_ENTRIES // len(run[0].support) ** 2)
+        for start in range(0, len(run), size):
+            yield run[start:start + size]
 
 
 def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
@@ -666,18 +721,38 @@ def coefficient_bound(n: int, d: int) -> float:
     return denominator_sup_bound(d) * (2.0 * math.sqrt(n)) ** d
 
 
-def apply_linear(matrix: np.ndarray, m: RationalBallMap) -> RationalBallMap:
-    """Compose with a linear map on the target: rows of ``matrix`` give components."""
+def apply_linear(matrix: np.ndarray, m):
+    """Compose with a linear map on the target: rows of ``matrix`` give components.
+
+    ``matrix`` may also be a (T, N', N) stack, and ``m`` a run of maps with
+    one support, target dimension and number of factors (see ``_runs``).  The
+    two broadcast as stacks do: the result is then the list of maps, member
+    k composing matrix k, or the one matrix, with map k, or the one map.
+    Each distinct set of columns where p has an entry takes one stacked
+    product.
+    """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[1] != m.N:
+    maps = [m] if isinstance(m, RationalBallMap) else m
+    first = maps[0]
+    if mat.ndim not in (2, 3) or mat.shape[-1] != first.N:
         raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not accept target dimension {m.N}")
-    rows = np.zeros((len(mat) + 1, len(m.support)), dtype=complex)
+            f"matrix shape {mat.shape} does not accept target dimension {first.N}")
+    stack, centres = _stacked(maps)
+    count = max(len(stack), len(mat) if mat.ndim == 3 else 1)
+    rows = np.zeros((count, mat.shape[-2] + 1, stack.shape[2]), dtype=complex)
+    rows[:, -1] = stack[:, -1]
     # Only the columns where p has an entry; the others stay zero.
-    live = m.coefficients[:-1].any(axis=0)
-    rows[:-1, live] = mat @ m.coefficients[:-1, live]
-    rows[-1] = m.coefficients[-1]
-    return RationalBallMap._from_rows(m.n, m.support, rows, m.factors)
+    p = stack[:, :-1]
+    for members, live in _mask_groups(p.any(axis=1)):
+        whole = len(members) == len(p)
+        part = mat if whole or mat.ndim == 2 or len(mat) == 1 else mat[members]
+        product = part @ (p if whole else p[members])[:, :, live]
+        if whole:
+            rows[:, :-1, live] = product
+        else:
+            rows[np.ix_(members, range(len(product[0])), np.flatnonzero(live))] = product
+    out = RationalBallMap._from_stack(first.n, first.support, rows, centres)
+    return out[0] if mat.ndim == 2 and isinstance(m, RationalBallMap) else out
 
 
 def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:

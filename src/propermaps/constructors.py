@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict,
+from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _stacked,
                        apply_linear, certify_proper, denominator_from_factors)
 from .polyalg import (COEFFICIENT_FLOOR, Polynomial, coefficient_matrix, evaluate_rows,
                       monomials_of_degree, multiply_rows)
@@ -79,14 +79,28 @@ class BallAutomorphism:
 
 def automorphism_map(phi: BallAutomorphism) -> RationalBallMap:
     """Degree-one rational map of the automorphism; denominator 1 - <z, a>."""
-    n = phi.dim
-    a = phi.a
-    s = math.sqrt(max(0.0, 1.0 - float(np.linalg.norm(a) ** 2)))
+    return _automorphism_maps(phi.a[None], phi.U[None])[0]
+
+
+def _automorphism_maps(centres: np.ndarray, unitaries: np.ndarray) -> list:
+    """The maps of the automorphisms with the (T, n) centres and the (T, n, n)
+    unitary parts, which are taken as valid, from one stacked product."""
+    n = centres.shape[1]
+    # s = sqrt(1 - ||a||^2), with ||a|| rounded as np.linalg.norm rounds it
+    # (dot products of the real and of the imaginary parts) and squared by
+    # the float power, so that the rows keep their values to the last bit.
+    re, im = centres.real, centres.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    s = np.array([math.sqrt(max(0.0, 1.0 - r ** 2)) for r in norms.ravel().tolist()])
+    s = s[:, None, None]
     # Columns: z_1, ..., z_n, then the constant term; q = 1 - <z, a> is the last row.
     monos = monomials_of_degree(n, 1) + [(0,) * n]
-    mobius = np.hstack([np.outer(a, a.conj()) / (s + 1.0) + s * np.eye(n), -a[:, None]])
-    rows = np.vstack([phi.U @ mobius, np.hstack([-a.conj(), 1.0])])
-    return RationalBallMap._from_rows(n, monos, rows, [a])
+    outer = centres[:, :, None] * centres.conj()[:, None, :]
+    mobius = np.concatenate([outer / (s + 1.0) + s * np.eye(n), -centres[:, :, None]],
+                            axis=2)
+    last = np.concatenate([-centres.conj(), np.ones((len(centres), 1))], axis=1)
+    rows = np.concatenate([unitaries @ mobius, last[:, None, :]], axis=1)
+    return RationalBallMap._from_stack(n, monos, rows, centres[:, None, :])
 
 
 def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorphism:
@@ -250,28 +264,50 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     if not _linalg.has_orthonormal_columns(basis, tol):
         raise TensorSubspaceError("subspace basis must have orthonormal columns")
     frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
-    return _tensor_in_frame(f, frame, d, phi)
+    return _tensor_in_frame([f], frame, d, phi)[0]
 
 
-def _tensor_in_frame(f: RationalBallMap, frame: np.ndarray, d: int,
-                     phi=None) -> RationalBallMap:
-    """``tensor_on_subspace`` in a checked unitary frame whose first d
-    columns are the subspace basis and whose rest is its complement."""
-    phi_map = _as_domain_map(phi, f.n)
-    n = f.n
+def _tensor_in_frame(fs: Sequence[RationalBallMap], frame: np.ndarray, d: int,
+                     phi=None) -> list:
+    """``tensor_on_subspace`` of each map of ``fs``, a run of maps with one
+    support, target dimension and number of factors, in a checked unitary
+    frame whose first d columns are the subspace basis and whose rest is its
+    complement.
+
+    ``phi`` is one domain factor for every map, as ``tensor_on_subspace``
+    takes it, or a run of domain self-maps.  The two broadcast as stacks do:
+    member k of the result tensors map k, or the one map, with factor k, or
+    the one factor.  One product makes every row of every member.
+    """
+    first = fs[0]
+    n = first.n
+    phis = phi if isinstance(phi, Sequence) else [_as_domain_map(phi, n)]
+    f_rows, f_centres = _stacked(fs)
+    phi_rows, phi_centres = _stacked(phis)
+    count = max(len(f_rows), len(phi_rows))
 
     # Coordinates of f in the frame (basis, complement): rows of frame^H @ f,
     # with the entries at or below the storage floor dropped.
-    coords = frame.conj().T @ f.coefficients[:-1]
+    coords = frame.conj().T @ f_rows[:, :-1]
     coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
     # One product per output row: the tensor block, the complement times
     # phi's denominator, and the new denominator f.q * phi.q.
-    left = np.vstack([np.repeat(coords[:d], n, axis=0), coords[d:], f.coefficients[-1:]])
-    right = np.vstack([np.tile(phi_map.coefficients[:n], (d, 1)),
-                       np.repeat(phi_map.coefficients[n:], f.N - d + 1, axis=0)])
-    return RationalBallMap._from_rows(
-        n, *multiply_rows(n, f.support, left, phi_map.support, right),
-        np.vstack([f.factors, phi_map.factors]))
+    left = np.concatenate([np.repeat(coords[:, :d], n, axis=1), coords[:, d:],
+                           f_rows[:, -1:]], axis=1)
+    right = np.concatenate([np.tile(phi_rows[:, :n], (1, d, 1)),
+                            np.repeat(phi_rows[:, n:], first.N - d + 1, axis=1)], axis=1)
+    size = left.shape[1]
+    left = _repeat_to(left, count).reshape(count * size, -1)
+    right = _repeat_to(right, count).reshape(count * size, -1)
+    support, rows = multiply_rows(n, first.support, left, phis[0].support, right)
+    centres = np.concatenate([_repeat_to(f_centres, count), _repeat_to(phi_centres, count)],
+                             axis=1)
+    return RationalBallMap._from_stack(n, support, rows.reshape(count, size, -1), centres)
+
+
+def _repeat_to(stack: np.ndarray, count: int) -> np.ndarray:
+    """A stack of one or of ``count`` slices as a stack of ``count`` slices."""
+    return stack if len(stack) == count else np.repeat(stack, count, axis=0)
 
 
 def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallMap:

@@ -1,8 +1,9 @@
 """Homotopy families of proper ball maps: contract, verification, generators.
 
-A family is an evaluator t in [0, 1] -> RationalBallMap together with endpoint
-maps.  Endpoint agreement is always up to zero-padding and a target unitary,
-which is the right notion when targets of different dimensions are compared.
+A family is an evaluator, which takes an array of parameters in [0, 1] and
+returns the maps there, together with endpoint maps.  Endpoint agreement is
+always up to zero-padding and a target unitary, which is the right notion
+when targets of different dimensions are compared.
 Verification samples the parameter interval, certifies properness at every
 grid point, and tracks degree and embedding-dimension profiles plus the
 largest coefficient increment between adjacent samples.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertifica
                        norm_equivalent)
 from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
                            WhitneyTerm, automorphism_from_map, automorphism_map,
-                           blaschke_map, juxtapose, _tensor_in_frame)
+                           blaschke_map, juxtapose, _automorphism_maps, _tensor_in_frame)
 from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
 
 class PropernessFailureError(ArithmeticError):
@@ -54,64 +55,93 @@ class NotTensorImageError(ValueError):
 class HomotopyFamily:
     """Continuous family of proper maps from B_n into B_M.
 
-    ``evaluator`` must return a proper map with target dimension at most M for
-    every t in [0, 1]; ``evaluate`` pads the result to exactly M components.
+    ``evaluator`` takes a 1-D array of parameters in [0, 1] and returns the
+    members at them in order, as an iterable that may build them lazily, so
+    that an error for a member comes at that member's turn.  Each member is
+    a proper map with target dimension at most M; ``evaluate_many`` pads them
+    to exactly M components, and ``evaluate`` is its block of one.  A family
+    built from a function of one t takes ``pointwise(fn)`` as its evaluator.
     ``evaluate(0)`` and ``evaluate(1)`` are norm-equivalent to the declared
     endpoints padded by zeros.
     """
 
     domain_dim: int
     target_dim: int
-    evaluator: Callable[[float], RationalBallMap]
+    evaluator: Callable[[np.ndarray], Iterable[RationalBallMap]]
     endpoint_left: RationalBallMap
     endpoint_right: RationalBallMap
 
-    def evaluate(self, t: float) -> RationalBallMap:
-        if not 0.0 <= t <= 1.0:
+    def evaluate_many(self, ts) -> Iterator[RationalBallMap]:
+        """The members at the parameters ``ts``, in order."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if not np.all((ts >= 0.0) & (ts <= 1.0)):
             raise ValueError("family parameter must lie in [0, 1]")
-        m = self.evaluator(t)
-        return m.padded(self.target_dim)
+        return (m.padded(self.target_dim) for m in self.evaluator(ts))
+
+    def evaluate(self, t: float) -> RationalBallMap:
+        return next(self.evaluate_many([t]))
 
     def reversed(self) -> "HomotopyFamily":
         return HomotopyFamily(self.domain_dim, self.target_dim,
-                              lambda t: self.evaluator(1.0 - t),
+                              lambda ts: self.evaluator(1.0 - ts),
                               self.endpoint_right, self.endpoint_left)
 
 
-def _segment(domain_dim: int,
-             evaluator: Callable[[float], RationalBallMap]) -> HomotopyFamily:
+def pointwise(fn: Callable[[float], RationalBallMap]):
+    """The evaluator of a family given by a function of one t: ``fn`` is
+    called once per parameter, with a Python float, in order and only when
+    its member is read."""
+    return lambda ts: map(fn, ts.tolist())
+
+
+def _per_run(maps: Iterable[RationalBallMap], kernel) -> Iterator[RationalBallMap]:
+    """The maps that ``kernel`` returns for each run of ``maps`` (see
+    ``ballmaps._runs``), in order; an error reading the maps comes after the
+    results for the maps read before it."""
+    for run in _bm._runs(maps):
+        yield from kernel(run)
+
+
+def _segment(domain_dim: int, evaluator) -> HomotopyFamily:
     """The family of ``evaluator`` with its maps at 0 and 1 as endpoints.
 
     Each endpoint is built once: evaluating the family there returns it, so
     splicing a junction in ``concat_families`` and the grid points on it
     reuse the map instead of building it again.
     """
-    left = evaluator(0.0)
-    right = evaluator(1.0)
+    left, = evaluator(np.zeros(1))
+    right, = evaluator(np.ones(1))
     if left.N != right.N:
         raise DimensionMismatchError("segment endpoints disagree in target dimension")
 
-    def at(t: float) -> RationalBallMap:
-        return left if t == 0.0 else right if t == 1.0 else evaluator(t)
+    def at(ts: np.ndarray) -> Iterator[RationalBallMap]:
+        inside = ts[(ts != 0.0) & (ts != 1.0)]
+        middle = iter(evaluator(inside) if len(inside) else ())
+        for t in ts.tolist():
+            yield left if t == 0.0 else right if t == 1.0 else next(middle)
 
     return HomotopyFamily(domain_dim, left.N, at, left, right)
 
 
 def constant_family(m: RationalBallMap) -> HomotopyFamily:
-    return HomotopyFamily(m.n, m.N, lambda t: m, m, m)
+    return HomotopyFamily(m.n, m.N, lambda ts: [m] * len(ts), m, m)
 
 
 def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFamily:
     """Family t -> U(t) m along a unitary path from the identity to ``unitary``."""
     path = _linalg.UnitaryPath(unitary)
-    return _segment(m.n, lambda t: apply_linear(path(t), m))
+    return _segment(m.n, lambda ts: apply_linear(path(ts), m))
 
 
 def concat_families(segments: Sequence[HomotopyFamily], *,
                     endpoint_left: Optional[RationalBallMap] = None,
                     endpoint_right: Optional[RationalBallMap] = None,
                     tol: float = DEFAULT_TOL) -> HomotopyFamily:
-    """Concatenate families, splicing unitary bridges at norm-equivalent junctions."""
+    """Concatenate families, splicing unitary bridges at norm-equivalent junctions.
+
+    Piece k of the k = 0, ..., K-1 pieces runs over [k/K, (k+1)/K); a grid
+    goes to each piece as one block of the consecutive parameters on it.
+    """
     segs = list(segments)
     if not segs:
         raise ValueError("need at least one segment")
@@ -134,12 +164,15 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
 
     count = len(pieces)
 
-    def evaluator(t: float) -> RationalBallMap:
-        if t >= 1.0:
-            return pieces[-1].evaluate(1.0).padded(big)
-        x = t * count
-        idx = int(x)
-        return pieces[idx].evaluate(x - idx).padded(big)
+    def evaluator(ts: np.ndarray) -> Iterator[RationalBallMap]:
+        # t = 1 is the end of the last piece: x - idx is then exactly 1.
+        x = ts * count
+        idx = np.minimum(x.astype(int), count - 1)
+        local = x - idx
+        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(ts)]):
+            for m in pieces[idx[lo]].evaluate_many(local[lo:hi]):
+                yield m.padded(big)
 
     left = endpoint_left if endpoint_left is not None else segs[0].endpoint_left
     right = endpoint_right if endpoint_right is not None else segs[-1].endpoint_right
@@ -232,10 +265,12 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     sampled witness never decides a verdict, so it is computed only for the
     members that fail, whose certificates are the ones reported.
 
-    Members are evaluated one t at a time and streamed through
+    The grid is evaluated as one block and its members are streamed through
     ``certify_maps``, which certifies runs of members on one support as
     blocks; the results, and the first error with ``strict``, are those of
-    certifying the members one by one in grid order.
+    certifying the members one by one in grid order.  The coefficient steps
+    inside a run of one support and target dimension are one array
+    difference of its stacked rows; a step across runs is ``distance``.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -243,12 +278,19 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     degrees, embdims, residuals, failures = [], [], [], []
     first = previous = None
     max_step, t_step = 0.0, ts[1]
-    members = deque()
+    members, steps = deque(), deque()
 
     def evaluated():
-        for t in ts:
-            members.append(family.evaluate(t))
-            yield members[-1]
+        last = None
+        for run in _bm._runs(family.evaluate_many(ts)):
+            if last is not None:
+                steps.append(last.distance(run[0]))
+            stack, _ = _bm._stacked(run)
+            gaps = stack[:-1] - stack[1:]
+            steps.extend(np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist())
+            members.extend(run)
+            last = run[-1]
+            yield from run
 
     results = certify_maps(evaluated(), tol=tol, seed=seed, witness_samples=0)
     for t, (cert, deg, embdim) in zip(ts, results):
@@ -264,7 +306,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         if previous is None:
             first = m
         else:
-            step = previous.distance(m)
+            step = steps.popleft()
             if step > max_step:
                 max_step, t_step = step, t
         previous = m
@@ -285,7 +327,7 @@ def juxtaposition_family(f: RationalBallMap, g: RationalBallMap) -> HomotopyFami
     """The family sqrt(1-t^2) f + t g connecting f + 0 and 0 + g."""
     if f.n != g.n:
         raise DimensionMismatchError("juxtaposition requires a common domain")
-    return HomotopyFamily(f.n, f.N + g.N, lambda t: juxtapose(f, g, t), f, g)
+    return HomotopyFamily(f.n, f.N + g.N, pointwise(lambda t: juxtapose(f, g, t)), f, g)
 
 
 def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
@@ -301,16 +343,17 @@ def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
         bt = BlaschkeProduct(shrink * b.theta, [shrink * a for a in b.zeros])
         return blaschke_map(bt)
 
-    return HomotopyFamily(1, 1, evaluator, left, right)
+    return HomotopyFamily(1, 1, pointwise(evaluator), left, right)
 
 
-def automorphism_path(phi: BallAutomorphism) -> Callable[[float], BallAutomorphism]:
-    """t -> automorphism with center (1-t) a and unitary part contracted to I."""
+def automorphism_path(phi: BallAutomorphism) -> Callable[[np.ndarray], list]:
+    """ts -> the maps of the automorphisms with center (1-t) a and unitary part
+    contracted to I, all built from one stack of centres and unitaries."""
     upath = _linalg.UnitaryPath(phi.U)
-    center = phi.a
 
-    def at(t: float) -> BallAutomorphism:
-        return BallAutomorphism((1.0 - t) * center, upath(1.0 - t))
+    def at(ts: np.ndarray) -> list:
+        s = 1.0 - ts
+        return _automorphism_maps(s[:, None] * phi.a, upath(s))
 
     return at
 
@@ -323,11 +366,9 @@ def automorphism_contraction(phi) -> HomotopyFamily:
     """
     if isinstance(phi, RationalBallMap):
         phi = automorphism_from_map(phi)
-    at = automorphism_path(phi)
     left = automorphism_map(phi)
     right = RationalBallMap.identity(phi.dim)
-    return HomotopyFamily(phi.dim, phi.dim, lambda t: automorphism_map(at(t)),
-                          left, right)
+    return HomotopyFamily(phi.dim, phi.dim, automorphism_path(phi), left, right)
 
 
 def degree_drop_family() -> HomotopyFamily:
@@ -354,7 +395,7 @@ def degree_drop_family() -> HomotopyFamily:
 
     left = evaluator(0.0)   # degree 3
     right = evaluator(1.0)  # degree 4
-    return HomotopyFamily(2, 5, evaluator, left, right)
+    return HomotopyFamily(2, 5, pointwise(evaluator), left, right)
 
 
 def faran_maps() -> dict:
@@ -396,9 +437,9 @@ def faran_families() -> dict:
                                       zw * math.sqrt(3.0 - t * t)])
 
     return {
-        "fg": HomotopyFamily(2, 4, fg, maps["f"], maps["g"]),
-        "gh": HomotopyFamily(2, 4, gh, maps["h"], maps["g"]),
-        "hphi": HomotopyFamily(2, 5, hphi, maps["phi"], maps["h"]),
+        "fg": HomotopyFamily(2, 4, pointwise(fg), maps["f"], maps["g"]),
+        "gh": HomotopyFamily(2, 4, pointwise(gh), maps["h"], maps["g"]),
+        "hphi": HomotopyFamily(2, 5, pointwise(hphi), maps["phi"], maps["h"]),
     }
 
 
@@ -476,28 +517,34 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
         lifted[jmat.shape[0]:, jmat.shape[1]:] = np.eye(extra)
         jmat = lifted
 
-    def stage_map(m: RationalBallMap, phi=None) -> RationalBallMap:
-        tensored = _tensor_in_frame(m, frame, d, phi)
-        return apply_linear(jmat, tensored) if jmat is not None else tensored
+    def stage_maps(fs: list, phi=None) -> list:
+        """The tensor step of a run of maps with ``phi``, then the injection."""
+        tensored = _tensor_in_frame(fs, frame, d, phi)
+        if jmat is None:
+            return tensored
+        return list(_per_run(tensored, lambda run: apply_linear(jmat, run)))
 
     segments = []
     start = fam_prev.evaluate(0.0)
     if step.phi is not None and not step.phi.is_identity:
         at = automorphism_path(step.phi)
-        segments.append(_segment(n, lambda t: stage_map(start, at(t))))
-    segments.append(_segment(n, lambda t: stage_map(fam_prev.evaluate(t))))
+        segments.append(_segment(
+            n, lambda ts: _per_run(at(ts), lambda run: stage_maps([start], run))))
+    segments.append(_segment(
+        n, lambda ts: _per_run(fam_prev.evaluate_many(ts), stage_maps)))
 
     slots, rest, unitary = _alignment_permutation(g_map, basis, complement)
     if unitary is not None:
         upath = _linalg.UnitaryPath(unitary)
-        segments.append(_segment(n, lambda t: stage_map(apply_linear(upath(t), g_map))))
-        aligned_end = stage_map(apply_linear(unitary, g_map))
+        segments.append(_segment(
+            n, lambda ts: _per_run(apply_linear(upath(ts), g_map), stage_maps)))
+        aligned_end, = stage_maps([apply_linear(unitary, g_map)])
     else:
-        aligned_end = stage_map(g_map)
+        aligned_end, = stage_maps([g_map])
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
-    next_map = _tensor_in_frame(g_map, np.eye(prev_dim)[:, slots + rest], d)
+    next_map, = _tensor_in_frame([g_map], np.eye(prev_dim)[:, slots + rest], d)
     if jmat is not None:
         next_map = next_map.padded(jmat.shape[0])
         if not aligned_end.allclose(next_map, 1e-6):
@@ -634,7 +681,7 @@ def collapse_to_linear(source, target_dim: Optional[int] = None,
             weights[free] = math.sqrt(max(0.0, 1.0 - lam * lam))
             return apply_linear(np.diag(weights), start)
 
-        segments.append(_segment(n, evaluator))
+        segments.append(_segment(n, pointwise(evaluator)))
         components = [Polynomial.zero(n) if i in scaled else comp
                       for i, comp in enumerate(components)]
 

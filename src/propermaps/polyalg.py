@@ -37,6 +37,13 @@ COEFFICIENT_FLOOR = 1e-14
 
 MultiIndex = tuple
 
+#: Term count above which ``Polynomial`` checks its terms as arrays.  The
+#: per-term loop costs about 0.5 us a term, the arrays about 6 us plus
+#: 0.3 us a term, so they win from about 32 terms (x86-64, numpy 2.4): a
+#: one-term polynomial took 1.0 us by the loop and 6.5 us by arrays, a
+#: 64-term one 32-37 us and 25 us.
+ARRAY_CHECKED_TERMS = 32
+
 #: Degree reported for the zero polynomial.
 ZERO_DEGREE = float("-inf")
 
@@ -108,8 +115,35 @@ class Polynomial:
                  tol: float = COEFFICIENT_FLOOR):
         if nvars < 1:
             raise ValueError("nvars must be positive")
+        terms = terms or {}
+        # Beyond ARRAY_CHECKED_TERMS terms, one integer array checks the shape
+        # and sign of every exponent and one isfinite every coefficient; the
+        # per-term loop runs for fewer terms, where it is faster, and when the
+        # arrays do not pass, to name the offending term, or the terms do not
+        # form such arrays (ragged tuples, non-integer exponents).
+        valid = False
+        if len(terms) > ARRAY_CHECKED_TERMS:
+            try:
+                exps, values = np.array(list(terms)), np.array(list(terms.values()))
+                valid = (exps.dtype.kind in "iu" and exps.shape == (len(terms), nvars)
+                         and values.dtype.kind in "biufc" and values.shape == (len(terms),)
+                         and bool((exps >= 0).all()) and bool(np.isfinite(values).all()))
+            except (TypeError, ValueError, OverflowError):
+                pass
+        if valid:
+            values = values.astype(complex)
+            keep = np.abs(values) > tol
+            clean = dict(zip(map(tuple, exps[keep].tolist()), values[keep].tolist()))
+        else:
+            clean = self._checked_terms(nvars, terms, tol)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _checked_terms(nvars: int, terms: Mapping, tol: float) -> dict:
+        """The terms above ``tol``, checked one by one; the first bad term raises."""
         clean: dict[MultiIndex, complex] = {}
-        for alpha, coeff in (terms or {}).items():
+        for alpha, coeff in terms.items():
             alpha = tuple(map(int, alpha))
             if len(alpha) != nvars:
                 raise ValueError(f"exponent tuple {alpha} does not match nvars={nvars}")
@@ -120,8 +154,7 @@ class Polynomial:
                 raise ValueError(f"coefficient {c} of {alpha} is not finite")
             if abs(c) > tol:
                 clean[alpha] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        return clean
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")

@@ -231,7 +231,7 @@ def xmatrix_along_family(family: HomotopyFamily, grid_size: int = 11,
     parameters where it drops below the overall maximum are flagged.
     """
     ts = [i / (grid_size - 1) for i in range(grid_size)]
-    members = [family.evaluate(t) for t in ts]
+    members = list(family.evaluate_many(ts))
     top = degree
     if top is None:
         top = max(int(m.degree) for m in members)

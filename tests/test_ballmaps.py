@@ -230,6 +230,43 @@ def test_apply_linear_with_rectangular_non_unitary_matrix(rng):
         apply_linear(a.T, m)
 
 
+def _same_maps(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.n, a.N, a.support) == (b.n, b.N, b.support)
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert not a.coefficients.flags.writeable and not a.factors.flags.writeable
+        assert a.factors.tobytes() == b.factors.tobytes()
+
+
+def test_stacks_of_maps_equal_the_maps_one_by_one(rng):
+    # Members of one stack whose rows have entries in different columns: the
+    # store and apply_linear group them by those columns, and every result
+    # is the one its map gives alone, bit for bit.
+    support = tuple(sorted(((a, b) for a in range(4) for b in range(4) if a + b <= 3),
+                           reverse=True))
+    stack = rng.standard_normal((8, 5, len(support))) + 1j * rng.standard_normal(
+        (8, 5, len(support)))
+    stack[:, -1] *= 0.01
+    stack[:, -1, -1] = 1.0
+    factors = 0.3 * rng.standard_normal((8, 2, 2))
+    for k in range(8):
+        stack[k, :-1, [k, (3 * k + 1) % 9]] = 0.0
+        stack[k, 0, 3] = 0.5 * COEFFICIENT_FLOOR
+    stack[5, :, 4] = 0.0  # a column of member 5 without any entry
+    stored = RationalBallMap._from_stack(2, support, stack, factors)
+    _same_maps(stored, [RationalBallMap._from_rows(2, support, rows, centres)
+                        for rows, centres in zip(stack, factors)])
+
+    run = stored[:5]  # one support, with entries of p in different columns
+    assert len({m.support for m in run}) == 1
+    one = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    many = rng.standard_normal((5, 6, 4)) + 1j * rng.standard_normal((5, 6, 4))
+    _same_maps(apply_linear(one, run), [apply_linear(one, m) for m in run])
+    _same_maps(apply_linear(many, run), [apply_linear(a, m) for a, m in zip(many, run)])
+    _same_maps(apply_linear(many, run[1]), [apply_linear(a, run[1]) for a in many])
+
+
 def test_map_distance_pads_and_compares_denominators(quartic):
     assert quartic.distance(quartic.padded(7)) == 0.0
     assert quartic.padded(7).allclose(quartic)

@@ -20,6 +20,7 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      tensor_on_subspace, whitney_extend, whitney_start,
                                      winding_degree, winding_integral)
 from propermaps.corpus import quadric_three_map, whitney_map
+from propermaps.homotopy import automorphism_path
 from propermaps.polyalg import Polynomial, coefficient_matrix, polynomials_from_rows
 
 from conftest import sample_sphere
@@ -46,6 +47,24 @@ def test_automorphism_matches_closed_formula(rng):
         pairing = np.dot(z, a.conj())
         want = u @ (pairing * a / (s + 1.0) + s * z - a) / (1.0 - pairing)
         assert np.max(np.abs(m.evaluate(z) - want)) <= 1e-12
+
+
+def test_automorphism_path_keeps_the_rows_of_each_automorphism(rng):
+    # Reference: each member built alone, from the closed formula with
+    # np.linalg.norm and float powers; the stacked path equals it bit for bit.
+    phi = random_ball_automorphism(3, rng, 0.9)
+    ts = np.linspace(0.0, 1.0, 201)
+    upath = UnitaryPath(phi.U)
+    monos = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    for t, got in zip(ts.tolist(), automorphism_path(phi)(ts)):
+        a, u = (1.0 - t) * phi.a, upath(1.0 - t)
+        s = math.sqrt(max(0.0, 1.0 - float(np.linalg.norm(a) ** 2)))
+        mobius = np.hstack([np.outer(a, a.conj()) / (s + 1.0) + s * np.eye(3), -a[:, None]])
+        rows = np.vstack([u @ mobius, np.hstack([-a.conj(), 1.0])])
+        want = RationalBallMap._from_rows(3, monos, rows, [a])
+        assert got.support == want.support
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.factors.tobytes() == want.factors.tobytes()
 
 
 def test_automorphism_is_proper_degree_one(rng):
@@ -365,6 +384,14 @@ def test_unitary_path_on_degenerate_spectra(name, rng):
     assert np.max(np.abs(path(0.5) @ path(0.5) - u)) <= 1e-10
     for s in (0.1, 0.5, 0.9):
         assert np.max(np.abs(path(s).conj().T @ path(s) - eye)) <= 1e-10
+
+
+def test_unitary_path_stack_equals_each_matrix(rng):
+    path = UnitaryPath(random_unitary(4, rng))
+    ss = rng.random(9)
+    for s, got in zip(ss.tolist(), path(ss)):
+        want = (path.frame * np.exp(1j * s * path.angles)) @ path.frame.conj().T
+        assert got.tobytes() == want.tobytes()
 
 
 def test_unitary_path_endpoints(rng):

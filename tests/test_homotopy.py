@@ -17,7 +17,7 @@ from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
                                  collapse_to_linear, concat_families,
                                  constant_family, degree_drop_family,
                                  faran_families, faran_maps, homotopy_to_monomial,
-                                 juxtaposition_family, verify_family)
+                                 juxtaposition_family, pointwise, verify_family)
 from propermaps.polyalg import Polynomial
 
 
@@ -35,7 +35,7 @@ def test_shrinking_family_fails_for_positive_t():
     def evaluator(t):
         return RationalBallMap(2, 2, [comp * (1.0 - t) for comp in ident.p])
 
-    fam = HomotopyFamily(2, 2, evaluator, ident, ident)
+    fam = HomotopyFamily(2, 2, pointwise(evaluator), ident, ident)
     report = verify_family(fam, grid_size=11)
     assert not report.passed
     assert len(report.properness_failures) == 10  # every t > 0
@@ -89,7 +89,7 @@ def test_report_names_the_first_worst_grid_points():
     def evaluator(t):
         return RationalBallMap(1, 1, [z * scales.get(round(t, 6), 1.0)])
 
-    fam = HomotopyFamily(1, 1, evaluator, evaluator(0.0), evaluator(1.0))
+    fam = HomotopyFamily(1, 1, pointwise(evaluator), evaluator(0.0), evaluator(1.0))
     report = verify_family(fam, grid_size=11)
     assert [t for t, _ in report.properness_failures] == [0.3, 0.8]
     assert report.max_residual == pytest.approx(0.75)
@@ -103,6 +103,25 @@ def test_report_names_the_first_worst_grid_points():
 
     steady = verify_family(constant_family(RationalBallMap.identity(1)), grid_size=5)
     assert (steady.t_at_max_residual, steady.t_at_max_coefficient_step) == (0.0, 0.25)
+
+
+def test_coefficient_steps_are_the_distances_of_adjacent_members(rng):
+    # Inside a run of one support the steps are one array difference; across
+    # runs they are distance().  The z -> z^2 jump at t = 0.5 is a step
+    # across runs and the largest one.
+    z = Polynomial.variable(1, 0)
+
+    def evaluator(t):
+        return RationalBallMap(1, 1, [z * (1.0 - 0.1 * t) if t < 0.5 else z * z])
+
+    jump = HomotopyFamily(1, 1, pointwise(evaluator), evaluator(0.0), evaluator(1.0))
+    for fam in (jump, _whitney_family(2, 3, rng)[1], degree_drop_family()):
+        report = verify_family(fam, grid_size=41)
+        members = [fam.evaluate(t) for t in report.grid]
+        steps = [a.distance(b) for a, b in zip(members, members[1:])]
+        assert report.max_coefficient_step == max(steps)
+        assert report.t_at_max_coefficient_step == report.grid[1 + steps.index(max(steps))]
+    assert verify_family(jump, grid_size=11).max_coefficient_step == pytest.approx(1.0)
 
 
 # ------------------------------------------------------ batched verification
@@ -138,7 +157,7 @@ def _mixed_family(kinds):
         return m.scaled(0.5) if kind == "s" else m
 
     end = automorphism_map(BallAutomorphism(center))
-    return HomotopyFamily(2, 2, evaluator, end, end)
+    return HomotopyFamily(2, 2, pointwise(evaluator), end, end)
 
 
 @pytest.mark.parametrize("kinds, loose, strict", [
@@ -194,13 +213,90 @@ def test_concat_builds_each_junction_once():
         def evaluator(t):
             calls.append((label, t))
             return ident
-        return homotopy._segment(2, evaluator)
+        return homotopy._segment(2, pointwise(evaluator))
 
     fam = concat_families([segment("a"), segment("b")])
     assert calls == [("a", 0.0), ("a", 1.0), ("b", 0.0), ("b", 1.0)]
     # Grid points on the ends of a segment reuse its endpoint maps.
     assert verify_family(fam, grid_size=5).passed
     assert calls[4:] == [("a", 0.5), ("b", 0.5)]
+
+
+def _whitney_family(n, length, gen):
+    """Monomial homotopy of a random Whitney term whose steps cycle through
+    canonical and dense subspace bases, with an isometric injection after
+    every other step."""
+    term = whitney_start(random_ball_automorphism(n, gen))
+    for k in range(length):
+        size = term.map.N
+        if k % 2 == 0:
+            basis = np.arange(1 + (k // 2) % 2)
+        else:
+            g = gen.standard_normal((size, 2)) + 1j * gen.standard_normal((size, 2))
+            basis, _ = np.linalg.qr(g)
+        injection = None
+        if k % 2 == 1:
+            grown = size + 2 * (n - 1)
+            g = (gen.standard_normal((grown + 1, grown))
+                 + 1j * gen.standard_normal((grown + 1, grown)))
+            injection, _ = np.linalg.qr(g)
+        term = whitney_extend(term, basis, random_ball_automorphism(n, gen),
+                              injection=injection)
+    return term, homotopy_to_monomial(term)
+
+
+def _assert_block_equals_one_t(fam, ts):
+    block = list(fam.evaluate_many(ts))
+    single = [fam.evaluate(t) for t in ts]
+    assert len(block) == len(single) == len(ts)
+    for a, b in zip(block, single):
+        assert (a.n, a.N, a.support) == (b.n, b.N, b.support)
+        assert a.coefficients.shape == b.coefficients.shape
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert a.factors.shape == b.factors.shape
+        assert a.factors.tobytes() == b.factors.tobytes()
+
+
+def test_block_evaluation_equals_one_t_evaluation(rng):
+    # Bit for bit over every generator, on a grid and on shuffled parameters.
+    grid = [i / 40 for i in range(41)]
+    shuffled = rng.permutation(grid + [0.123, 0.5 + 1e-12, 1.0 - 1e-12]).tolist()
+    h = quadric_three_map()
+    phi = random_ball_automorphism(2, rng)
+    families = [fam for n in (2, 3) for length in (1, 2, 3, 4)
+                for fam in [_whitney_family(n, length, rng)[1]]]
+    families += [fam.reversed() for fam in families[:3]]
+    families += [
+        concat_families([automorphism_contraction(phi),
+                         constant_family(ballmaps.apply_linear(
+                             np.diag([1j, -1.0]), RationalBallMap.identity(2)))]),
+        concat_families([constant_family(h), constant_family(
+            ballmaps.apply_linear(np.diag([1j, -1.0, 1.0]), h))]),
+        *faran_families().values(),
+        degree_drop_family(),
+        juxtaposition_family(faran_maps()["h"], faran_maps()["phi"]),
+        blaschke_homotopy(BlaschkeProduct(0.7, [0.3, -0.5j, 0.1 + 0.2j])),
+        collapse_to_linear(h),
+        collapse_to_linear(families[2].endpoint_right),
+    ]
+    for fam in families:
+        _assert_block_equals_one_t(fam, grid)
+        _assert_block_equals_one_t(fam, shuffled)
+
+
+def test_grid_evaluation_makes_one_product_per_run_and_stage(rng):
+    term, fam = _whitney_family(2, 3, rng)
+    ts = [i / 100 for i in range(101)]
+    before = polyalg._product_plan.cache_info()
+    members = list(fam.evaluate_many(ts))
+    after = polyalg._product_plan.cache_info()
+    runs = len(list(ballmaps._runs(members)))
+    # Each stage makes one product per run of the members it tensors, and
+    # those runs end where the grid's runs do: at most length * runs products
+    # for the grid, where one t at a time makes one per member and stage it
+    # passes through.
+    assert after.hits + after.misses - before.hits - before.misses <= term.length * runs
+    assert runs <= 10
 
 
 # --------------------------------------------------------------- generators

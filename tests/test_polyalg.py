@@ -88,6 +88,36 @@ def test_polynomial_rejects_non_finite_coefficients(bad):
         Polynomial(2, {(1, 0): bad, (0, 1): 1.0})
 
 
+@pytest.mark.parametrize("terms, message", [
+    ({(1, 0, 0): 1.0}, "exponent tuple (1, 0, 0) does not match nvars=2"),
+    ({(1, 0): 1.0, (1,): 2.0}, "exponent tuple (1,) does not match nvars=2"),
+    ({(1, 0): 1.0, (1, -1): 2.0}, "negative exponent in (1, -1)"),
+    ({(2, -1): float("nan")}, "negative exponent in (2, -1)"),
+    ({(1, 0): 1.0, (0, 1): complex(0.0, float("inf"))},
+     "coefficient infj of (0, 1) is not finite"),
+])
+@pytest.mark.parametrize("many", [False, True])
+def test_polynomial_names_the_first_bad_term(terms, message, many):
+    # With many terms the checks run on arrays; the message is the same.
+    if many:
+        terms = {**{(a, 40 + b): 1.0 for a in range(6) for b in range(6)}, **terms}
+        assert len(terms) > polyalg.ARRAY_CHECKED_TERMS
+    with pytest.raises(ValueError) as raised:
+        Polynomial(2, terms)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_polynomial_keys_are_integer_tuples(count):
+    for kind in (float, np.int64, int):
+        terms = {(kind(a), kind(b)): np.complex128(3.0 - 1j) * (a + 1)
+                 for a in range(count) for b in (2,)}
+        p = Polynomial(2, terms)
+        assert p.terms == {(a, 2): (3.0 - 1j) * (a + 1) for a in range(count)}
+        for alpha, c in p.terms.items():
+            assert all(type(e) is int for e in alpha) and type(c) is complex
+
+
 def test_zero_polynomial_degree_sentinel_and_canonical_form():
     zero = Polynomial.zero(2)
     assert zero.degree == float("-inf")
