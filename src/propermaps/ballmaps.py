@@ -164,12 +164,12 @@ class RationalBallMap:
         slices of a (T, N+1, M) stack and whose factor centres are the (K, n)
         slices of ``factors``, (T, K, n) or (1, K, n) for all; q(0) = 1 unchecked.
 
-        This is the one store: the stack is copied and floored once, and the
-        maps whose rows have an entry in the same columns share one array of
-        their rows without the other columns and one support tuple.
+        This is the one store: ``canonical_rows`` copies and floors the stack
+        once, and the maps whose rows have an entry in the same columns share
+        one array of their rows without the other columns and one support
+        tuple.
         """
-        stack = np.array(stack, dtype=complex)
-        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
+        support, stack = canonical_rows(support, stack)
         centres = np.array(factors, dtype=complex)
         if centres.size == 0:
             centres = np.zeros((1, 0, n), dtype=complex)
@@ -178,17 +178,14 @@ class RationalBallMap:
                                          "per domain variable")
         if not np.all(np.isfinite(centres)):
             raise ValueError("denominator factor centres must be finite")
-        centres.flags.writeable = stack.flags.writeable = False
+        centres.flags.writeable = False
         if len(centres) != len(stack):
             centres = [centres[0]] * len(stack)
         maps = [None] * len(stack)
-        support = tuple(support)
-        for members, live in _mask_groups(stack.any(axis=1)):
-            rows = stack if len(members) == len(stack) else stack[members]
-            kept = support
-            if not live.all():
-                kept = tuple(a for a, keep in zip(support, live.tolist()) if keep)
-                rows = rows[:, :, live]
+        for members, _ in _mask_groups(stack.any(axis=1)):
+            # One group holds every column: canonical_rows kept only those.
+            kept, rows = ((support, stack) if len(members) == len(stack)
+                          else canonical_rows(support, stack[members]))
             rows.flags.writeable = False
             for k, row in zip(members, rows):
                 m = maps[k] = object.__new__(cls)
@@ -500,9 +497,10 @@ def _witness(m: RationalBallMap, seed: int, samples: int = WITNESS_SAMPLES) -> d
 def _runs(maps: Iterable[RationalBallMap]) -> Iterator[list]:
     """Consecutive maps with one support, target dimension and number of
     denominator factors, which stack into one (T, N+1, M) array of rows and
-    one (T, K, n) array of centres; each run is yielded once the next map
-    does not join it.  When reading a map raises, the run read so far is
-    yielded before the error propagates."""
+    one (T, K, n) array of centres, in runs of at most BLOCK_ENTRIES Gram
+    entries; each run is yielded once the next map does not join it.  When
+    reading a map raises, the run read so far is yielded before the error
+    propagates."""
     run = []
     maps = iter(maps)
     while True:
@@ -513,7 +511,8 @@ def _runs(maps: Iterable[RationalBallMap]) -> Iterator[list]:
                 yield run
             raise
         if run and (m is None or m.support != run[0].support or m.N != run[0].N
-                    or len(m.factors) != len(run[0].factors)):
+                    or len(m.factors) != len(run[0].factors)
+                    or (len(run) + 1) * len(m.support) ** 2 > BLOCK_ENTRIES):
             yield run
             run = []
         if m is None:
@@ -527,14 +526,6 @@ def _stacked(run: Sequence[RationalBallMap]):
     if len(run) == 1:
         return run[0].coefficients[None], run[0].factors[None]
     return np.stack([m.coefficients for m in run]), np.stack([m.factors for m in run])
-
-
-def _blocks(maps: Iterable[RationalBallMap]) -> Iterator[list]:
-    """The runs of ``_runs`` in blocks of at most BLOCK_ENTRIES Gram entries."""
-    for run in _runs(maps):
-        size = max(1, BLOCK_ENTRIES // len(run[0].support) ** 2)
-        for start in range(0, len(run), size):
-            yield run[start:start + size]
 
 
 def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
@@ -581,7 +572,7 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     and when reading the next map raises, the maps read before it are
     certified first.
     """
-    for block in _blocks(maps):
+    for block in _runs(maps):
         stack = np.stack([m.coefficients for m in block])
         degrees = np.maximum(_top_degrees(block[0].support, stack[:, :-1]), 0).tolist()
         ranks = _embedding_dimensions(stack).tolist()
@@ -721,38 +712,40 @@ def coefficient_bound(n: int, d: int) -> float:
     return denominator_sup_bound(d) * (2.0 * math.sqrt(n)) ** d
 
 
-def apply_linear(matrix: np.ndarray, m):
+def apply_linear(matrix: np.ndarray, m: RationalBallMap):
     """Compose with a linear map on the target: rows of ``matrix`` give components.
 
-    ``matrix`` may also be a (T, N', N) stack, and ``m`` a run of maps with
-    one support, target dimension and number of factors (see ``_runs``).  The
-    two broadcast as stacks do: the result is then the list of maps, member
-    k composing matrix k, or the one matrix, with map k, or the one map.
-    Each distinct set of columns where p has an entry takes one stacked
-    product.
+    ``matrix`` may also be a (T, N', N) stack; the result is then the list of
+    the T maps, from one stacked product.
     """
+    if not isinstance(m, RationalBallMap):
+        raise TypeError("apply_linear composes one RationalBallMap")
+    out = _apply_linear_run(matrix, [m])
+    return out[0] if np.ndim(matrix) == 2 else out
+
+
+def _apply_linear_run(matrix: np.ndarray, run: Sequence[RationalBallMap]) -> list:
+    """The maps matrix @ p / q for one (N', N) matrix and each map of a run
+    (see ``_runs``), or for a (T, N', N) stack of matrices and a run of one
+    map: one stacked product per set of columns where p has an entry."""
     mat = np.asarray(matrix, dtype=complex)
-    maps = [m] if isinstance(m, RationalBallMap) else m
-    first = maps[0]
+    first = run[0]
     if mat.ndim not in (2, 3) or mat.shape[-1] != first.N:
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not accept target dimension {first.N}")
-    stack, centres = _stacked(maps)
-    count = max(len(stack), len(mat) if mat.ndim == 3 else 1)
+    stack, centres = _stacked(run)
+    count = len(mat) if mat.ndim == 3 else len(stack)
     rows = np.zeros((count, mat.shape[-2] + 1, stack.shape[2]), dtype=complex)
     rows[:, -1] = stack[:, -1]
     # Only the columns where p has an entry; the others stay zero.
     p = stack[:, :-1]
     for members, live in _mask_groups(p.any(axis=1)):
-        whole = len(members) == len(p)
-        part = mat if whole or mat.ndim == 2 or len(mat) == 1 else mat[members]
-        product = part @ (p if whole else p[members])[:, :, live]
-        if whole:
-            rows[:, :-1, live] = product
+        if len(members) == len(p):
+            rows[:, :-1, live] = mat @ p[:, :, live]
         else:
-            rows[np.ix_(members, range(len(product[0])), np.flatnonzero(live))] = product
-    out = RationalBallMap._from_stack(first.n, first.support, rows, centres)
-    return out[0] if mat.ndim == 2 and isinstance(m, RationalBallMap) else out
+            rows[np.ix_(members, range(len(mat)), np.flatnonzero(live))] = \
+                mat @ p[members][:, :, live]
+    return RationalBallMap._from_stack(first.n, first.support, rows, centres)
 
 
 def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:

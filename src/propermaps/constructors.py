@@ -264,24 +264,21 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     if not _linalg.has_orthonormal_columns(basis, tol):
         raise TensorSubspaceError("subspace basis must have orthonormal columns")
     frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
-    return _tensor_in_frame([f], frame, d, phi)[0]
+    return _tensor_in_frame([f], frame, d, [_as_domain_map(phi, f.n)])[0]
 
 
 def _tensor_in_frame(fs: Sequence[RationalBallMap], frame: np.ndarray, d: int,
-                     phi=None) -> list:
-    """``tensor_on_subspace`` of each map of ``fs``, a run of maps with one
-    support, target dimension and number of factors, in a checked unitary
-    frame whose first d columns are the subspace basis and whose rest is its
-    complement.
+                     phis: Sequence[RationalBallMap]) -> list:
+    """``tensor_on_subspace`` in a checked unitary frame whose first d
+    columns are the subspace basis and whose rest is its complement.
 
-    ``phi`` is one domain factor for every map, as ``tensor_on_subspace``
-    takes it, or a run of domain self-maps.  The two broadcast as stacks do:
-    member k of the result tensors map k, or the one map, with factor k, or
-    the one factor.  One product makes every row of every member.
+    ``fs`` and ``phis`` are runs of maps (see ``ballmaps._runs``), of
+    domain self-maps for ``phis``; one of them is a run of one.  Member k of
+    the result tensors map k of ``fs`` with the one domain factor, or the one
+    map with factor k.  One product makes every row of every member.
     """
     first = fs[0]
     n = first.n
-    phis = phi if isinstance(phi, Sequence) else [_as_domain_map(phi, n)]
     f_rows, f_centres = _stacked(fs)
     phi_rows, phi_centres = _stacked(phis)
     count = max(len(f_rows), len(phi_rows))

@@ -51,6 +51,16 @@ class NotTensorImageError(ValueError):
     """The monomial map is not an iterated tensor image (missing or unequal siblings)."""
 
 
+#: Parameters that one evaluator call takes (see ``HomotopyFamily``).  The
+#: stacks that evaluation builds grow with it, so it bounds their memory as
+#: ``ballmaps.BLOCK_ENTRIES`` bounds certification's.  A 2,001-point grid of
+#: the n = 3, length-3 family-grid family peaked at 52.6 MB traced in one
+#: call, 8.4 MB by 128 parameters, 4.5 MB by 64 and 2.5 MB by 16, and the
+#: seven family-grid families' 101-point pass took 49.5, 50.4, 51.0 and
+#: 58.8 ms (x86-64, numpy 2.4).
+GRID_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class HomotopyFamily:
     """Continuous family of proper maps from B_n into B_M.
@@ -72,11 +82,14 @@ class HomotopyFamily:
     endpoint_right: RationalBallMap
 
     def evaluate_many(self, ts) -> Iterator[RationalBallMap]:
-        """The members at the parameters ``ts``, in order."""
+        """The members at the parameters ``ts``, in order; the evaluator takes
+        them in blocks of at most GRID_CHUNK consecutive parameters."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         if not np.all((ts >= 0.0) & (ts <= 1.0)):
             raise ValueError("family parameter must lie in [0, 1]")
-        return (m.padded(self.target_dim) for m in self.evaluator(ts))
+        return (m.padded(self.target_dim)
+                for start in range(0, len(ts), GRID_CHUNK)
+                for m in self.evaluator(ts[start:start + GRID_CHUNK]))
 
     def evaluate(self, t: float) -> RationalBallMap:
         return next(self.evaluate_many([t]))
@@ -265,11 +278,11 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     sampled witness never decides a verdict, so it is computed only for the
     members that fail, whose certificates are the ones reported.
 
-    The grid is evaluated as one block and its members are streamed through
-    ``certify_maps``, which certifies runs of members on one support as
-    blocks; the results, and the first error with ``strict``, are those of
-    certifying the members one by one in grid order.  The coefficient steps
-    inside a run of one support and target dimension are one array
+    The grid is evaluated through ``evaluate_many`` and its members are
+    streamed through ``certify_maps``, which certifies runs of members on
+    one support as blocks; the results, and the first error with ``strict``,
+    are those of certifying the members one by one in grid order.  The
+    coefficient steps inside a run (see ``ballmaps._runs``) are one array
     difference of its stacked rows; a step across runs is ``distance``.
     """
     if grid_size < 2:
@@ -517,12 +530,15 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
         lifted[jmat.shape[0]:, jmat.shape[1]:] = np.eye(extra)
         jmat = lifted
 
-    def stage_maps(fs: list, phi=None) -> list:
-        """The tensor step of a run of maps with ``phi``, then the injection."""
-        tensored = _tensor_in_frame(fs, frame, d, phi)
+    identity = [RationalBallMap.identity(n)]
+
+    def stage_maps(fs: list, phis: list = identity) -> list:
+        """The tensor step of the maps ``fs`` with the domain factors ``phis``,
+        one of them a run and the other a run of one, then the injection."""
+        tensored = _tensor_in_frame(fs, frame, d, phis)
         if jmat is None:
             return tensored
-        return list(_per_run(tensored, lambda run: apply_linear(jmat, run)))
+        return list(_per_run(tensored, lambda run: _bm._apply_linear_run(jmat, run)))
 
     segments = []
     start = fam_prev.evaluate(0.0)
@@ -544,7 +560,7 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
-    next_map, = _tensor_in_frame([g_map], np.eye(prev_dim)[:, slots + rest], d)
+    next_map, = _tensor_in_frame([g_map], np.eye(prev_dim)[:, slots + rest], d, identity)
     if jmat is not None:
         next_map = next_map.padded(jmat.shape[0])
         if not aligned_end.allclose(next_map, 1e-6):

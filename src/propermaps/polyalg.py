@@ -37,13 +37,6 @@ COEFFICIENT_FLOOR = 1e-14
 
 MultiIndex = tuple
 
-#: Term count above which ``Polynomial`` checks its terms as arrays.  The
-#: per-term loop costs about 0.5 us a term, the arrays about 6 us plus
-#: 0.3 us a term, so they win from about 32 terms (x86-64, numpy 2.4): a
-#: one-term polynomial took 1.0 us by the loop and 6.5 us by arrays, a
-#: 64-term one 32-37 us and 25 us.
-ARRAY_CHECKED_TERMS = 32
-
 #: Degree reported for the zero polynomial.
 ZERO_DEGREE = float("-inf")
 
@@ -116,20 +109,18 @@ class Polynomial:
         if nvars < 1:
             raise ValueError("nvars must be positive")
         terms = terms or {}
-        # Beyond ARRAY_CHECKED_TERMS terms, one integer array checks the shape
-        # and sign of every exponent and one isfinite every coefficient; the
-        # per-term loop runs for fewer terms, where it is faster, and when the
+        # One integer array checks the shape and sign of every exponent and
+        # one isfinite every coefficient; the per-term loop runs only when the
         # arrays do not pass, to name the offending term, or the terms do not
-        # form such arrays (ragged tuples, non-integer exponents).
+        # form such arrays (no terms, ragged tuples, non-integer exponents).
         valid = False
-        if len(terms) > ARRAY_CHECKED_TERMS:
-            try:
-                exps, values = np.array(list(terms)), np.array(list(terms.values()))
-                valid = (exps.dtype.kind in "iu" and exps.shape == (len(terms), nvars)
-                         and values.dtype.kind in "biufc" and values.shape == (len(terms),)
-                         and bool((exps >= 0).all()) and bool(np.isfinite(values).all()))
-            except (TypeError, ValueError, OverflowError):
-                pass
+        try:
+            exps, values = np.array(list(terms)), np.array(list(terms.values()))
+            valid = (exps.dtype.kind in "iu" and exps.shape == (len(terms), nvars)
+                     and values.dtype.kind in "biufc" and values.shape == (len(terms),)
+                     and bool((exps >= 0).all()) and bool(np.isfinite(values).all()))
+        except (TypeError, ValueError, OverflowError):
+            pass
         if valid:
             values = values.astype(complex)
             keep = np.abs(values) > tol
@@ -482,13 +473,15 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
 
 def canonical_rows(support: Sequence[MultiIndex], rows: np.ndarray):
     """(support, rows) with the entries at or below the storage floor set to
-    zero and the columns left without an entry dropped, as in arithmetic."""
+    zero and the columns left without an entry dropped, as in arithmetic.
+    ``rows`` is (R, M) or a (T, R, M) stack, whose columns are dropped where
+    no slice has an entry."""
     rows = np.array(rows, dtype=complex)
     rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
-    live = rows.any(axis=0)
+    live = rows.any(axis=tuple(range(rows.ndim - 1)))
     if live.all():
         return tuple(support), rows
-    return tuple(a for a, keep in zip(support, live.tolist()) if keep), rows[:, live]
+    return tuple(a for a, keep in zip(support, live.tolist()) if keep), rows[..., live]
 
 
 def align_rows(*blocks):

@@ -262,9 +262,12 @@ def test_stacks_of_maps_equal_the_maps_one_by_one(rng):
     assert len({m.support for m in run}) == 1
     one = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     many = rng.standard_normal((5, 6, 4)) + 1j * rng.standard_normal((5, 6, 4))
-    _same_maps(apply_linear(one, run), [apply_linear(one, m) for m in run])
-    _same_maps(apply_linear(many, run), [apply_linear(a, m) for a, m in zip(many, run)])
+    _same_maps(ballmaps._apply_linear_run(one, run), [apply_linear(one, m) for m in run])
     _same_maps(apply_linear(many, run[1]), [apply_linear(a, run[1]) for a in many])
+    # The public function composes one map: a run, even of one, is refused.
+    for bad in (run, run[:1], tuple(run)):
+        with pytest.raises(TypeError, match="one RationalBallMap"):
+            apply_linear(one, bad)
 
 
 def test_map_distance_pads_and_compares_denominators(quartic):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary,
                                 random_unitary)
-from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
+from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
+                                 RationalBallMap, Verdict,
                                  certify_proper, compose, degree,
                                  denominator_from_factors, norm_equivalent,
                                  squared_norm_form)
@@ -173,6 +174,20 @@ def test_tensor_rejects_bad_subspaces():
     with pytest.raises(TensorSubspaceError):
         tensor_on_subspace(ident, np.array([[1.0], [1.0]]))  # not normalized
 
+
+
+def test_tensor_checks_its_domain_factor(rng):
+    ident = RationalBallMap.identity(2)
+    phi = random_ball_automorphism(2, rng)
+    basis = np.array([[1.0], [0.0]])
+    # A run of maps, or anything else that is not one domain factor, is refused.
+    for bad in ([automorphism_map(phi)] * 2, (automorphism_map(phi),), "phi", 1.0):
+        with pytest.raises(TypeError, match="phi must be"):
+            tensor_on_subspace(ident, basis, bad)
+    with pytest.raises(DimensionMismatchError, match="self-map of the domain"):
+        tensor_on_subspace(ident, basis, quadric_three_map())
+    with pytest.raises(DimensionMismatchError, match="automorphism dimension"):
+        tensor_on_subspace(ident, basis, random_ball_automorphism(3, rng))
 
 def _tensor_by_dict_products(f, basis, phi):
     """Reference tensor step: frame coordinates times phi by dict products."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,23 @@ def test_grid_evaluation_makes_one_product_per_run_and_stage(rng):
     assert after.hits + after.misses - before.hits - before.misses <= term.length * runs
     assert runs <= 10
 
+
+
+def test_grid_evaluation_bounds_its_memory(rng):
+    term, fam = _whitney_family(3, 3, rng)
+    assert verify_family(fam, grid_size=101).passed  # plans are cached
+    tracemalloc.start()
+    try:
+        report = verify_family(fam, grid_size=2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # The evaluator takes GRID_CHUNK parameters at a time and every stacked
+    # step after it a run of at most BLOCK_ENTRIES Gram entries, so the peak
+    # stays a few certification blocks (16 bytes per entry) whatever the
+    # grid: 4.5 MB here, where evaluating the grid in one block took 53 MB.
+    assert peak < 24 * 16 * ballmaps.BLOCK_ENTRIES
 
 # --------------------------------------------------------------- generators
 def test_degree_drop_family_profile():
