@@ -53,12 +53,13 @@ class NotTensorImageError(ValueError):
 
 #: Parameters that one evaluator call takes (see ``HomotopyFamily``).  The
 #: stacks that evaluation builds grow with it, so it bounds their memory as
-#: ``ballmaps.BLOCK_ENTRIES`` bounds certification's.  A 2,001-point grid of
-#: the n = 3, length-3 family-grid family peaked at 52.6 MB traced in one
-#: call, 8.4 MB by 128 parameters, 4.5 MB by 64 and 2.5 MB by 16, and the
-#: seven family-grid families' 101-point pass took 49.5, 50.4, 51.0 and
-#: 58.8 ms (x86-64, numpy 2.4).
-GRID_CHUNK = 64
+#: ``ballmaps.BLOCK_ENTRIES`` bounds certification's.  It is at least the
+#: 101 points of ``verify_family``'s default grid, which is then one call:
+#: the seven family-grid families' 101-point pass took 49.7 ms with 128 and
+#: with no chunks, and 51.6 ms with 64.  A 2,001-point grid of the n = 3,
+#: length-3 family-grid family peaked at 52.6 MB traced in one call, 8.4 MB
+#: with 128 and 4.5 MB with 64 (x86-64, numpy 2.4).
+GRID_CHUNK = 128
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,6 +284,9 @@ def test_block_evaluation_equals_one_t_evaluation(rng):
     for fam in families:
         _assert_block_equals_one_t(fam, grid)
         _assert_block_equals_one_t(fam, shuffled)
+        # Evaluator calls of 7 parameters split the grid inside runs.
+        with mock.patch.object(homotopy, "GRID_CHUNK", 7):
+            _assert_block_equals_one_t(fam, grid)
 
 
 def test_grid_evaluation_makes_one_product_per_run_and_stage(rng):
@@ -314,8 +318,8 @@ def test_grid_evaluation_bounds_its_memory(rng):
     # The evaluator takes GRID_CHUNK parameters at a time and every stacked
     # step after it a run of at most BLOCK_ENTRIES Gram entries, so the peak
     # stays a few certification blocks (16 bytes per entry) whatever the
-    # grid: 4.5 MB here, where evaluating the grid in one block took 53 MB.
-    assert peak < 24 * 16 * ballmaps.BLOCK_ENTRIES
+    # grid: 8.4 MB here, where evaluating the grid in one block took 53 MB.
+    assert peak < 48 * 16 * ballmaps.BLOCK_ENTRIES
 
 # --------------------------------------------------------------- generators
 def test_degree_drop_family_profile():
