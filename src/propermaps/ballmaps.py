@@ -379,16 +379,19 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
     match = ~(gap.max(axis=1) > DEFAULT_TOL * np.abs(own).max(axis=1))
     # On the closed ball |1 - <z, a>| >= 1 - ||a||, with equality at
     # z = a / ||a||.  The product of these minima, less the coefficient
-    # gap to q, bounds |q| from below; for one nonconstant factor it is the
-    # exact minimum, so falling back to sampling could only miss it.  The
-    # gap is summed over the columns where q or the product has an entry,
-    # one sum per distinct set of such columns.
+    # gap to q, bounds |q| from below; when the nonconstant factors share
+    # one centre, as in a power, all are least at the same point, so it is
+    # the exact minimum and falling back to sampling could only overstate
+    # it.  The gap is summed over the columns where q or the product has an
+    # entry, one sum per distinct set of such columns.
     gaps = np.empty(len(q))
     for rows, columns in _mask_groups((own != 0) | (product != 0)):
         gaps[rows] = gap[np.ix_(rows, columns)].sum(axis=1)
     lows = 1.0 - np.linalg.norm(centres, axis=2)
     margins = np.prod(lows, axis=1) - gaps
-    exact = np.count_nonzero(lows < 1.0, axis=1) == 1
+    moving = lows < 1.0
+    first = centres[np.arange(len(centres)), moving.argmax(axis=1)][:, None]
+    exact = moving.any(axis=1) & ((centres == first).all(axis=2) | ~moving).all(axis=1)
     out = []
     for k, margin in enumerate(margins.tolist()):
         low = lows[k].min()
@@ -396,7 +399,7 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
             out.append(None)
         elif low <= 0.0 or (exact[k] and margin < floor):
             out.append(DenominatorVanishesError(
-                f"denominator factor 1 - <z, a> has modulus {max(low, 0.0):.3e}"
+                f"denominator factors reach modulus {max(min(low, margin), 0.0):.3e}"
                 f" on the closed ball, below {floor:.1e}"))
         else:
             out.append(margin if margin >= floor else None)
@@ -408,14 +411,15 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
     """(method, margin) for each map of a block: how q was shown to stay above
     ``floor`` on the closed ball; or the DenominatorVanishesError it raises.
 
-    Tries, in order: a constant q; the carried factors, or q's own when it
-    has degree one, used only when they multiply out to q; the coefficient
-    bound 1 - sum_{alpha != 0} |q_alpha|; q's own factor when the carried
-    ones did not match; and, as a last resort, the smallest |q| over seeded
+    Tries, in order: a constant q; the carried factors, or q's own when the
+    map carries none, used only when they multiply out to q; the coefficient
+    bound 1 - sum_{alpha != 0} |q_alpha|; q's own factors when the carried
+    ones did not decide q; and, as a last resort, the smallest |q| over seeded
     sample points of the ball and the sphere.  The error comes when a factor
-    vanishes on the closed ball, when the exact minimum of a single factor
-    is below the floor, or when a sampled modulus is.  The first two steps
-    run on the whole block; a map that they leave undecided goes on alone.
+    vanishes on the closed ball, when the exact minimum of factors with one
+    centre is below the floor, or when a sampled modulus is.  The first two
+    steps run on the whole block, q's own factors once per q degree; a map
+    that they leave undecided goes on alone.
     """
     n, support = maps[0].n, maps[0].support
     q = stack[:, -1]
@@ -426,47 +430,50 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
         out[k] = ("trivial", float(abs(q[k, -1])))
     if len(trivial) == len(maps):
         return out
-    ones = q_degrees == 1
-    own = _own_factors(n, support, q) if ones.any() else None
-    centres = np.stack([m.factors for m in maps])
-    if centres.shape[1]:
-        picked = np.flatnonzero(q_degrees > 0)
-    else:
-        picked, centres = np.flatnonzero(ones), own
-    if len(picked):
-        margins = _factored_margins(n, support, q[picked], centres[picked], floor)
+    carried = np.stack([m.factors for m in maps])
+    # Not np.unique: it imports numpy.ma, some 20 ms of a cold CLI process.
+    degrees = [None] if carried.shape[1] else sorted(set(q_degrees[q_degrees > 0].tolist()))
+    for d in degrees:
+        picked = np.flatnonzero(q_degrees > 0 if d is None else q_degrees == d)
+        centres = carried[picked] if d is None else _own_factors(n, support, q[picked], d)
+        margins = _factored_margins(n, support, q[picked], centres, floor)
         for k, margin in zip(picked.tolist(), margins):
             if margin is not None:
                 out[k] = margin if isinstance(margin, Exception) else ("factored", margin)
     for k, m in enumerate(maps):
         if out[k] is None:
+            own = (_own_factors(n, support, q[k:k + 1], q_degrees[k])[0]
+                   if carried.shape[1] else None)
             try:
-                out[k] = _unfactored_denominator(m, q[k], own[k] if ones[k] else None,
-                                                 floor, seed)
+                out[k] = _unfactored_denominator(m, q[k], own, floor, seed)
             except DenominatorVanishesError as exc:
                 out[k] = exc
     return out
 
 
-def _own_factors(n: int, support, q: np.ndarray) -> np.ndarray:
-    """(T, 1, n): q = 1 + sum c_j z_j = 1 - <z, a> has the own factor
-    a_j = -conj(c_j), read from each row of q over ``support``."""
+def _own_factors(n: int, support, q: np.ndarray, d: int) -> np.ndarray:
+    """(T, d, n): q's own factors, d copies of a = -conj(c) / d for each row
+    q = 1 + sum_j c_j z_j + ... of degree d over ``support``; q is the power
+    (1 - <z, a>)^d exactly when they multiply out to it."""
     index = {alpha: j for j, alpha in enumerate(support)}
     linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
-    return -np.where(linear >= 0, q[:, linear], 0.0).conj()[:, None, :]
+    a = -np.where(linear >= 0, q[:, linear], 0.0).conj() / d
+    return np.repeat(a[:, None, :], d, axis=1)
 
 
 def _unfactored_denominator(m: RationalBallMap, q: np.ndarray, own, floor: float,
                             seed: int) -> tuple:
     """The steps of ``_check_denominators`` after the factors, for one map with
-    the q row ``q`` and, when q has degree one, its own factor ``own``."""
+    the q row ``q`` and, when the map carries factors, q's own factors
+    ``own``."""
     # q without its empty columns; the last column is the constant term.
     row = q[q != 0]
     margin = float(abs(row[-1]) - np.abs(row[:-1]).sum())
     if margin >= floor:
         return "coefficient-bound", margin
-    # Wrong carried factors must not leave a degree-one q to sampling, which
-    # misses its zero on the sphere; its own factor decides it exactly.
+    # Wrong carried factors must not leave a power of one linear factor to
+    # sampling, which misses its zero on the sphere; its own factors decide
+    # it exactly.
     if own is not None:
         margin, = _factored_margins(m.n, m.support, q[None], own[None], floor)
         if isinstance(margin, Exception):

@@ -134,6 +134,51 @@ def test_degree_one_denominator_reaching_the_sphere_is_rejected():
     assert cert.denominator_margin == pytest.approx(0.5)
 
 
+def _tensor_power(d):
+    """z^(x)d on B_2: the components sqrt(binomial(d, k)) z1^(d-k) z2^k."""
+    return RationalBallMap(2, d + 1, [Polynomial(2, {(d - k, k): math.sqrt(math.comb(d, k))})
+                                      for k in range(d + 1)])
+
+
+def test_power_of_one_linear_factor_is_decided_exactly():
+    z1, z2 = var(0), var(1)
+    # (1 - z1)^2 vanishes at (1, 0); sampling alone never finds that point.
+    with pytest.raises(DenominatorVanishesError, match="factors"):
+        certify_proper(RationalBallMap(2, 2, [z1, z2], (Polynomial.one(2) - z1) ** 2))
+    # (1 - (z1 + z2)/2)^4 is least at (1, 1)/sqrt(2), which sampling overstates.
+    q = (Polynomial.one(2) - (z1 + z2) * 0.5) ** 4
+    cert = certify_proper(RationalBallMap(2, 2, [z1, z2], q), witness_samples=0)
+    assert cert.denominator_method == "factored"
+    assert cert.denominator_margin == pytest.approx((1 - 1 / math.sqrt(2)) ** 4, abs=1e-12)
+
+
+def test_repeated_centre_gives_the_exact_minimum():
+    # q = (1 - z1/2)^20 is least at (1, 0), where |q| = 0.5^20 = 9.5e-7 lies
+    # below the floor 1e-6; a sampled minimum stays above it.
+    m = compose(_tensor_power(20), automorphism_map(BallAutomorphism([0.5, 0.0])))
+    assert len(m.factors) == 20
+    for kept in (m, RationalBallMap(2, m.N, m.p, m.q)):
+        with pytest.raises(DenominatorVanishesError, match="9.537e-07"):
+            certify_proper(kept, witness_samples=0)
+
+
+def test_composition_without_its_factors_is_certified_without_sampling(monkeypatch):
+    m = compose(_tensor_power(3), automorphism_map(BallAutomorphism([0.3, -0.2j])))
+    stripped = RationalBallMap(2, m.N, m.p, m.q)
+    assert len(stripped.factors) == 0
+
+    def no_sampling(*args):
+        raise AssertionError("the denominator was sampled")
+
+    monkeypatch.setattr(ballmaps, "ball_points", no_sampling)
+    monkeypatch.setattr(ballmaps, "sphere_points", no_sampling)
+    carried = certify_proper(m, witness_samples=0)
+    own = certify_proper(stripped, witness_samples=0)
+    assert own.denominator_method == carried.denominator_method == "factored"
+    assert own.denominator_margin == pytest.approx(carried.denominator_margin, rel=1e-12)
+    assert own.verdict is carried.verdict is Verdict.PROPER
+
+
 def test_denominator_methods_in_order_of_preference():
     z1, z2 = var(0), var(1)
     assert certify_proper(RationalBallMap.identity(2)).denominator_method == "trivial"
@@ -152,6 +197,12 @@ def test_denominator_methods_in_order_of_preference():
     assert cert.denominator_method == "sampled"
     assert 0.25 <= cert.denominator_margin <= 0.45
     assert cert.verdict is Verdict.PROPER
+    # A q that is no power of one linear factor still reaches sampling: so
+    # does 1 - z1^3, whose zero at (1, 0) the samples miss.
+    for q in (Polynomial.one(2) + z1 * z1 * 0.6 + z2 * z2 * 0.6j,
+              Polynomial.one(2) - z1 ** 3):
+        cert = certify_proper(RationalBallMap(2, 2, [z1 * 0.9, z2 * 0.9], q))
+        assert cert.denominator_method == "sampled"
 
 
 def test_carried_factors_are_checked_against_the_denominator():
@@ -509,9 +560,10 @@ def test_hot_paths_build_no_polynomial(monkeypatch):
 # ------------------------------------------------------ batched certification
 def _kernel_makers():
     """Makers of maps on B_2, one support each (a new draw keeps the support):
-    factored denominators (one or two carried factors, or q's own factor),
-    trivial, coefficient-bound and sampled ones, not-proper members, a
-    constant map and a denominator that vanishes on the closed ball."""
+    factored denominators (one or two carried factors, or q's own: one
+    factor, or the square or cube of one), trivial, coefficient-bound and
+    sampled ones, not-proper members, a constant map and a denominator that
+    vanishes on the closed ball."""
     z, w = var(0), var(1)
 
     def automorphism(gen):
@@ -526,6 +578,15 @@ def _kernel_makers():
     def own_factor(gen):
         m = automorphism_map(random_ball_automorphism(2, gen))
         return RationalBallMap(2, 2, m.p, m.q)
+
+    def own_power(gen):
+        # Over all monomials of degree <= 3: the numerator of a stripped
+        # composition with the tensor cube over the square or the cube of an
+        # automorphism's denominator, so that one block mixes q degrees.
+        phi = automorphism_map(random_ball_automorphism(2, gen))
+        cube = compose(_tensor_power(3), phi)
+        q = cube.q if gen.random() < 0.5 else phi.q ** 2
+        return RationalBallMap(2, cube.N, cube.p, q)
 
     def monomial(gen):
         m = whitney_map()
@@ -547,8 +608,8 @@ def _kernel_makers():
         a = np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2) * (1 - 1e-9)
         return automorphism_map(BallAutomorphism(a))
 
-    return [automorphism, tensored, own_factor, monomial, bounded, sampled, constant,
-            vanishing]
+    return [automorphism, tensored, own_factor, own_power, monomial, bounded, sampled,
+            constant, vanishing]
 
 
 def _same_certificate(a, b):
@@ -562,7 +623,7 @@ def _same_certificate(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 6)), min_size=1, max_size=6),
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=6),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]),
        st.sampled_from([0, 20]))
 def test_kernel_agrees_with_single_map_certification(runs, seed, budget, witness_samples):
@@ -570,7 +631,7 @@ def test_kernel_agrees_with_single_map_certification(runs, seed, budget, witness
     makers = _kernel_makers()
     # Runs of maps on one support; the vanishing maker is drawn rarely.
     maps = [makers[kind](gen) for kind, count in runs
-            for _ in range(count if kind < 7 or gen.random() < 0.3 else 0)]
+            for _ in range(count if kind < 8 or gen.random() < 0.3 else 0)]
     with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget):
         results = certify_maps(maps, witness_samples=witness_samples)
         for m in maps:

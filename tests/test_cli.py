@@ -81,6 +81,22 @@ def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
     assert payload["denominator_margin"] == pytest.approx(0.5)
 
 
+def test_verify_decides_a_composed_denominator_without_its_factors(tmp_path, capsys):
+    from propermaps.ballmaps import compose
+    from propermaps.constructors import BallAutomorphism, automorphism_map
+    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    square = RationalBallMap(2, 3, [z1 * z1, z1 * z2 * 2 ** 0.5, z2 * z2])
+    doc = map_to_document(compose(square, automorphism_map(BallAutomorphism([0.5, 0.0]))))
+    # Documents written before maps carried their factors have no such field.
+    del doc["denominator_factors"]
+    path = tmp_path / "composed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    assert "denominator: factored (margin 2.500e-01)" in capsys.readouterr().out
+    assert main(["verify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["denominator_method"] == "factored"
+
+
 def test_verify_rejects_denominator_vanishing_on_the_sphere(tmp_path, capsys):
     # q = 1 - z1 vanishes at (1, 0); a sampled check used to accept it.
     doc = {"schema_version": "1", "domain_dim": 2, "target_dim": 2,
