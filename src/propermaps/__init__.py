@@ -24,7 +24,7 @@ from .homotopy import (EndpointMismatchError, FamilyReport, HomotopyFamily,
                        automorphism_contraction, blaschke_homotopy,
                        collapse_to_linear, concat_families, constant_family,
                        degree_drop_family, faran_families, faran_maps,
-                       homotopy_to_monomial, juxtaposition_family, pointwise,
+                       homotopy_to_monomial, juxtaposition_family,
                        verify_family)
 from .xvariety import (EvaluationAtPoleError, FiberReport, GraphTestResult,
                        XMatrix, build_xmatrix, fiber_at, graph_test,

@@ -327,10 +327,6 @@ class PropernessCertificate:
     witness: Optional[np.ndarray] = None
     witness_value: Optional[float] = None
 
-    @property
-    def is_proper(self) -> bool:
-        return self.verdict is Verdict.PROPER
-
 
 def sphere_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Pseudo-random points on the unit sphere of C^n."""
@@ -359,12 +355,6 @@ def _factor_rows(n: int, centres: np.ndarray):
         monos, rows = multiply_rows(n, monos, rows, linear, factor)
         rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     return monos, rows
-
-
-def denominator_from_factors(n: int, factors) -> Polynomial:
-    """The denominator prod_k (1 - <z, a_k>) for the rows a_k of ``factors``."""
-    centres = np.asarray(factors, dtype=complex).reshape(1, -1, n)
-    return polynomials_from_rows(n, *_factor_rows(n, centres))[0]
 
 
 def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
@@ -559,6 +549,15 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: floa
         yield PropernessCertificate(verdict, residual, worst[k], *denominators[k], **witness)
 
 
+def _certify_run(run: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
+                 seed: int, floor: float, witness_samples: int) -> Iterator[tuple]:
+    """What ``certify_maps`` yields for each map of a run (see ``_runs``) with
+    the (T, N+1, M) rows ``stack``; an error comes at its map's turn."""
+    degrees = np.maximum(_top_degrees(run[0].support, stack[:, :-1]), 0).tolist()
+    ranks = _embedding_dimensions(stack).tolist()
+    return zip(_certify_block(run, stack, tol, seed, floor, witness_samples), degrees, ranks)
+
+
 def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
                  seed: int = DEFAULT_SEED, denominator_floor: float = DENOMINATOR_FLOOR,
                  witness_samples: int = WITNESS_SAMPLES) -> Iterator[tuple]:
@@ -579,12 +578,9 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     and when reading the next map raises, the maps read before it are
     certified first.
     """
-    for block in _runs(maps):
-        stack = np.stack([m.coefficients for m in block])
-        degrees = np.maximum(_top_degrees(block[0].support, stack[:, :-1]), 0).tolist()
-        ranks = _embedding_dimensions(stack).tolist()
-        certs = _certify_block(block, stack, tol, seed, denominator_floor, witness_samples)
-        yield from zip(certs, degrees, ranks)
+    for run in _runs(maps):
+        yield from _certify_run(run, _stacked(run)[0], tol, seed, denominator_floor,
+                                witness_samples)
 
 
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,

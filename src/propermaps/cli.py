@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -449,6 +450,11 @@ def main(argv=None) -> int:
     reg = corpus()
     out = _Output(args.json)
     try:
+        # A NaN tolerance would pass every comparison it is used in.
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         code = args.handler(args, reg, out)
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

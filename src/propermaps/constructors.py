@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _stacked,
-                       apply_linear, certify_proper, denominator_from_factors)
-from .polyalg import (COEFFICIENT_FLOOR, Polynomial, coefficient_matrix, evaluate_rows,
+from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _factor_rows,
+                       _stacked, apply_linear, certify_proper)
+from .polyalg import (COEFFICIENT_FLOOR, align_rows, coefficient_matrix, evaluate_rows,
                       monomials_of_degree, multiply_rows)
 
 
@@ -170,14 +170,18 @@ def blaschke_map(b: BlaschkeProduct) -> RationalBallMap:
     """The product as a rational self-map of the unit disk (degree = factor count)."""
     if not b.zeros:
         raise ValueError("a proper disk map needs at least one factor")
-    num = Polynomial.constant(1, cmath.exp(1j * b.theta))
-    z = Polynomial.variable(1, 0)
-    for a in b.zeros:
-        num = num * (z - Polynomial.constant(1, a))
-    # Each factor 1 - conj(a) z is 1 - <z, a> in one variable.
-    centres = [[a] for a in b.zeros]
-    return RationalBallMap(1, 1, [num], denominator_from_factors(1, centres),
-                           factors=centres)
+    return _blaschke_maps(np.array([b.theta]), np.array([b.zeros], dtype=complex))[0]
+
+
+def _blaschke_maps(thetas: np.ndarray, zeros: np.ndarray) -> list:
+    """The maps of the products with the (T,) phases and the (T, m) zeros,
+    which are taken as valid, from one chain of factor products."""
+    centres = zeros[:, :, None]
+    # q = prod (1 - conj(a) z), each factor 1 - <z, a> in one variable; its
+    # conjugate rows read backwards are those of prod (z - a).
+    support, q = _factor_rows(1, centres)
+    p = np.exp(1j * thetas)[:, None] * q[:, ::-1].conj()
+    return RationalBallMap._from_stack(1, support, np.stack([p, q], axis=1), centres)
 
 
 def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
@@ -313,15 +317,37 @@ def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallM
     Its squared norm is (1 - t^2) ||f||^2 + t^2 ||g||^2 exactly at the
     Hermitian-form level, so the juxtaposition is proper for every t in [0,1].
     """
-    if f.n != g.n:
-        raise DimensionMismatchError("juxtaposition requires a common domain")
+    at = _juxtaposition_path(f, g)
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter must lie in [0, 1]")
-    cf = math.sqrt(max(0.0, 1.0 - t * t))
-    fq, gq = f.q, g.q
-    comps = [comp * gq * cf for comp in f.p] + [comp * fq * t for comp in g.p]
-    return RationalBallMap(f.n, f.N + g.N, comps, fq * gq,
-                           factors=np.vstack([f.factors, g.factors]))
+    return at(np.array([t], dtype=float))[0]
+
+
+def _juxtaposition_path(f: RationalBallMap, g: RationalBallMap):
+    """ts -> the juxtapositions at the parameters ts: the fixed rows
+    (p_f q_g, p_g q_f) / (q_f q_g), from one product, scaled by
+    sqrt(1 - t^2) and t in one ``apply_linear`` call."""
+    if f.n != g.n:
+        raise DimensionMismatchError("juxtaposition requires a common domain")
+    support, (fr, gr) = align_rows((f.support, f.coefficients), (g.support, g.coefficients))
+    left = np.vstack([fr[:-1], gr[:-1], fr[-1:]])
+    right = np.vstack([np.repeat(gr[-1:], f.N, axis=0), np.repeat(fr[-1:], g.N, axis=0),
+                       gr[-1:]])
+    rows = RationalBallMap._from_rows(f.n, *multiply_rows(f.n, support, left, support, right),
+                                      np.vstack([f.factors, g.factors]))
+    return lambda ts: apply_linear(_diagonals(*[_root(ts)] * f.N, *[ts] * g.N), rows)
+
+
+def _diagonals(*entries) -> np.ndarray:
+    """(T, K, K): the diagonal matrices whose K entries are arrays over the
+    (T,) parameters or scalars for all."""
+    diagonal = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return diagonal[..., None] * np.eye(len(entries))
+
+
+def _root(ts: np.ndarray, top: float = 1.0) -> np.ndarray:
+    """sqrt(top - t^2), which is 0 where rounding makes it negative."""
+    return np.sqrt(np.maximum(0.0, top - ts * ts))
 
 
 # --------------------------------------------------------------- Whitney terms

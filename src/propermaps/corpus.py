@@ -20,8 +20,7 @@ from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            blaschke_map, subspace_basis, whitney_extend,
                            whitney_start)
 from .documents import require_number
-from .homotopy import (HomotopyFamily, blaschke_homotopy, degree_drop_family,
-                       faran_families, faran_maps)
+from .homotopy import blaschke_homotopy, degree_drop_family, faran_families, faran_maps
 from .polyalg import Polynomial
 
 
@@ -155,11 +154,6 @@ class Corpus:
         if name not in self.maps:
             raise KeyError(f"unknown corpus map {name!r}")
         return self.maps[name]
-
-    def get_family(self, name: str) -> HomotopyFamily:
-        if name not in self.families:
-            raise KeyError(f"unknown corpus family {name!r}")
-        return self.families[name]
 
 
 def _blaschke_builder(theta: float, zeros) -> RationalBallMap:

@@ -17,7 +17,6 @@ unitary group is path connected, so this stays inside proper maps).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -26,11 +25,11 @@ import numpy as np
 from . import _linalg
 from . import ballmaps as _bm
 from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertificate,
-                       RationalBallMap, Verdict, apply_linear, certify_maps,
-                       norm_equivalent)
+                       RationalBallMap, Verdict, apply_linear, norm_equivalent)
 from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
                            WhitneyTerm, automorphism_from_map, automorphism_map,
-                           blaschke_map, juxtapose, _automorphism_maps, _tensor_in_frame)
+                           blaschke_map, _automorphism_maps, _blaschke_maps, _diagonals,
+                           _juxtaposition_path, _root, _tensor_in_frame)
 from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
 
 class PropernessFailureError(ArithmeticError):
@@ -70,8 +69,9 @@ class HomotopyFamily:
     members at them in order, as an iterable that may build them lazily, so
     that an error for a member comes at that member's turn.  Each member is
     a proper map with target dimension at most M; ``evaluate_many`` pads them
-    to exactly M components, and ``evaluate`` is its block of one.  A family
-    built from a function of one t takes ``pointwise(fn)`` as its evaluator.
+    to exactly M components, and ``evaluate`` is its block of one.  Built-in
+    families build each block from one stacked kernel call; a family of a
+    function fn of one t passes ``lambda ts: [fn(t) for t in ts.tolist()]``.
     ``evaluate(0)`` and ``evaluate(1)`` are norm-equivalent to the declared
     endpoints padded by zeros.
     """
@@ -99,13 +99,6 @@ class HomotopyFamily:
         return HomotopyFamily(self.domain_dim, self.target_dim,
                               lambda ts: self.evaluator(1.0 - ts),
                               self.endpoint_right, self.endpoint_left)
-
-
-def pointwise(fn: Callable[[float], RationalBallMap]):
-    """The evaluator of a family given by a function of one t: ``fn`` is
-    called once per parameter, with a Python float, in order and only when
-    its member is read."""
-    return lambda ts: map(fn, ts.tolist())
 
 
 def _per_run(maps: Iterable[RationalBallMap], kernel) -> Iterator[RationalBallMap]:
@@ -279,51 +272,40 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     sampled witness never decides a verdict, so it is computed only for the
     members that fail, whose certificates are the ones reported.
 
-    The grid is evaluated through ``evaluate_many`` and its members are
-    streamed through ``certify_maps``, which certifies runs of members on
-    one support as blocks; the results, and the first error with ``strict``,
-    are those of certifying the members one by one in grid order.  The
-    coefficient steps inside a run (see ``ballmaps._runs``) are one array
-    difference of its stacked rows; a step across runs is ``distance``.
+    The grid is evaluated through ``evaluate_many`` and read once, run by run
+    (see ``ballmaps._runs``): each run is one stack of rows, certified as
+    one block, and the coefficient steps inside it are one array difference
+    of the stack; a step across runs is ``distance``.  The results, and the
+    first error with ``strict``, are those of certifying the members one by
+    one in grid order.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     ts = [i / (grid_size - 1) for i in range(grid_size)]
+    grid = iter(ts)
     degrees, embdims, residuals, failures = [], [], [], []
     first = previous = None
     max_step, t_step = 0.0, ts[1]
-    members, steps = deque(), deque()
-
-    def evaluated():
-        last = None
-        for run in _bm._runs(family.evaluate_many(ts)):
-            if last is not None:
-                steps.append(last.distance(run[0]))
-            stack, _ = _bm._stacked(run)
-            gaps = stack[:-1] - stack[1:]
-            steps.extend(np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist())
-            members.extend(run)
-            last = run[-1]
-            yield from run
-
-    results = certify_maps(evaluated(), tol=tol, seed=seed, witness_samples=0)
-    for t, (cert, deg, embdim) in zip(ts, results):
-        m = members.popleft()
-        degrees.append(deg)
-        embdims.append(embdim)
-        residuals.append(cert.residual_norm)
-        if cert.verdict is not Verdict.PROPER:
-            cert = replace(cert, **_bm._witness(m, seed))
-            if strict:
-                raise PropernessFailureError(t, cert)
-            failures.append((t, cert))
-        if previous is None:
-            first = m
-        else:
-            step = steps.popleft()
+    for run in _bm._runs(family.evaluate_many(ts)):
+        stack, _ = _bm._stacked(run)
+        gaps = stack[:-1] - stack[1:]
+        # The first member of the grid has no step; 0.0 never beats max_step.
+        steps = [0.0 if previous is None else previous.distance(run[0])]
+        steps += np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist()
+        results = _bm._certify_run(run, stack, tol, seed, _bm.DENOMINATOR_FLOOR, 0)
+        for m, t, step, (cert, deg, embdim) in zip(run, grid, steps, results):
+            degrees.append(deg)
+            embdims.append(embdim)
+            residuals.append(cert.residual_norm)
+            if cert.verdict is not Verdict.PROPER:
+                cert = replace(cert, **_bm._witness(m, seed))
+                if strict:
+                    raise PropernessFailureError(t, cert)
+                failures.append((t, cert))
             if step > max_step:
                 max_step, t_step = step, t
-        previous = m
+        first = run[0] if first is None else first
+        previous = run[-1]
 
     endpoint_tol = 1e3 * tol
     left_ok = norm_equivalent(first, family.endpoint_left,
@@ -339,25 +321,20 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
 # -------------------------------------------------------------------- generators
 def juxtaposition_family(f: RationalBallMap, g: RationalBallMap) -> HomotopyFamily:
     """The family sqrt(1-t^2) f + t g connecting f + 0 and 0 + g."""
-    if f.n != g.n:
-        raise DimensionMismatchError("juxtaposition requires a common domain")
-    return HomotopyFamily(f.n, f.N + g.N, pointwise(lambda t: juxtapose(f, g, t)), f, g)
+    return HomotopyFamily(f.n, f.N + g.N, _juxtaposition_path(f, g), f, g)
 
 
 def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
     """Contract all zeros and the phase to 0: endpoints are the product and z^m."""
     if not b.zeros:
         raise ValueError("a product with no factors is constant, hence not proper")
-    m = b.factor_count
-    left = blaschke_map(b)
-    right = RationalBallMap(1, 1, [Polynomial.monomial((m,))])
+    right = RationalBallMap(1, 1, [Polynomial.monomial((b.factor_count,))])
 
-    def evaluator(t: float) -> RationalBallMap:
-        shrink = 1.0 - t
-        bt = BlaschkeProduct(shrink * b.theta, [shrink * a for a in b.zeros])
-        return blaschke_map(bt)
+    def evaluator(ts: np.ndarray) -> list:
+        shrink = 1.0 - ts
+        return _blaschke_maps(shrink * b.theta, shrink[:, None] * np.array(b.zeros))
 
-    return HomotopyFamily(1, 1, pointwise(evaluator), left, right)
+    return HomotopyFamily(1, 1, evaluator, blaschke_map(b), right)
 
 
 def automorphism_path(phi: BallAutomorphism) -> Callable[[np.ndarray], list]:
@@ -385,6 +362,14 @@ def automorphism_contraction(phi) -> HomotopyFamily:
     return HomotopyFamily(phi.dim, phi.dim, automorphism_path(phi), left, right)
 
 
+def _linear_path(monos: Sequence[tuple], weights) -> Callable[[np.ndarray], list]:
+    """ts -> the maps W(t) R from one ``apply_linear`` call: R has the
+    monomials ``monos`` as components, over a descending support, and
+    ``weights`` maps the (T,) parameters to the (T, N, K) matrices W(t)."""
+    rows = RationalBallMap.from_components([Polynomial.monomial(alpha) for alpha in monos])
+    return lambda ts: apply_linear(weights(ts), rows)
+
+
 def degree_drop_family() -> HomotopyFamily:
     """Built-in quartic/cubic family from B_2 to B_5 with a degree drop.
 
@@ -395,21 +380,19 @@ def degree_drop_family() -> HomotopyFamily:
     Every member is proper with embedding dimension 5; the degree is 4 on
     (0, 1] and drops to 3 at t = 0, so the degree is not a homotopy invariant.
     """
-    z = Polynomial.variable(2, 0)
-    w = Polynomial.variable(2, 1)
-    zw = z * w
-    w2 = w * w
+    monos = [(1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (0, 4), (2, 1), (1, 3)]
 
-    def evaluator(t: float) -> RationalBallMap:
-        c = float(t)
-        s = math.sqrt(max(0.0, 1.0 - c * c))
-        u = z * c - w2 * s
-        v = z * s + w2 * c
-        return RationalBallMap(2, 5, [u, zw, u * v, zw * v, v * v])
+    def weights(ts: np.ndarray) -> np.ndarray:
+        c, s = ts, _root(ts)
+        o, one = np.zeros_like(ts), np.ones_like(ts)
+        # Columns: z, w^2, zw, z^2, zw^2, w^4, z^2 w, zw^3.
+        return np.array([[c, -s, o, o, o, o, o, o],
+                         [o, o, one, o, o, o, o, o],
+                         [o, o, o, c * s, c * c - s * s, -(c * s), o, o],
+                         [o, o, o, o, o, o, s, c],
+                         [o, o, o, s * s, 2 * s * c, c * c, o, o]]).transpose(2, 0, 1)
 
-    left = evaluator(0.0)   # degree 3
-    right = evaluator(1.0)  # degree 4
-    return HomotopyFamily(2, 5, pointwise(evaluator), left, right)
+    return _segment(2, _linear_path(monos, weights))  # degree 3 at 0, 4 at 1
 
 
 def faran_maps() -> dict:
@@ -430,30 +413,24 @@ def faran_families() -> dict:
 
     Keys: "fg" joins f and g in dimension 4, "gh" joins h and g in
     dimension 4, "hphi" joins phi and h in dimension 5.  Endpoint order
-    follows the evaluator: endpoint_left is the map at t = 0.
+    follows the evaluator: endpoint_left is the map at t = 0.  With
+    s = sqrt(1 - t^2) the members are
+
+        fg:   (s z, t z^2, t zw, w),
+        gh:   (z^2, sqrt(2 - t^2) zw, t w, s w^2),
+        hphi: (t z^2, t w^2, s z^3, s w^3, sqrt(3 - t^2) zw).
     """
     maps = faran_maps()
-    z = Polynomial.variable(2, 0)
-    w = Polynomial.variable(2, 1)
-    z2, zw, w2 = z * z, z * w, w * w
-
-    def fg(t: float) -> RationalBallMap:
-        s = math.sqrt(max(0.0, 1.0 - t * t))
-        return RationalBallMap(2, 4, [z * s, z2 * t, zw * t, w])
-
-    def gh(t: float) -> RationalBallMap:
-        return RationalBallMap(2, 4, [z2, zw * math.sqrt(2.0 - t * t), w * t,
-                                      w2 * math.sqrt(max(0.0, 1.0 - t * t))])
-
-    def hphi(t: float) -> RationalBallMap:
-        s = math.sqrt(max(0.0, 1.0 - t * t))
-        return RationalBallMap(2, 5, [z2 * t, w2 * t, (z ** 3) * s, (w ** 3) * s,
-                                      zw * math.sqrt(3.0 - t * t)])
-
+    z, w, z2, zw, w2, z3, w3 = (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3)
+    fg = _linear_path([z, z2, zw, w], lambda ts: _diagonals(_root(ts), ts, ts, 1.0))
+    gh = _linear_path([z2, zw, w, w2],
+                      lambda ts: _diagonals(1.0, _root(ts, 2.0), ts, _root(ts)))
+    hphi = _linear_path([z2, w2, z3, w3, zw], lambda ts: _diagonals(
+        ts, ts, _root(ts), _root(ts), _root(ts, 3.0)))
     return {
-        "fg": HomotopyFamily(2, 4, pointwise(fg), maps["f"], maps["g"]),
-        "gh": HomotopyFamily(2, 4, pointwise(gh), maps["h"], maps["g"]),
-        "hphi": HomotopyFamily(2, 5, pointwise(hphi), maps["phi"], maps["h"]),
+        "fg": HomotopyFamily(2, 4, fg, maps["f"], maps["g"]),
+        "gh": HomotopyFamily(2, 4, gh, maps["h"], maps["g"]),
+        "hphi": HomotopyFamily(2, 5, hphi, maps["phi"], maps["h"]),
     }
 
 
@@ -690,15 +667,12 @@ def collapse_to_linear(source, target_dim: Optional[int] = None,
         # The member scales the siblings by lambda = 1 - t and q by its ramp.
         start = RationalBallMap(n, dim, components)
 
-        def evaluator(t: float, start=start, siblings=sibling_slots,
-                      free=free) -> RationalBallMap:
-            lam = 1.0 - t
-            weights = np.ones(dim)
-            weights[siblings] = lam
-            weights[free] = math.sqrt(max(0.0, 1.0 - lam * lam))
-            return apply_linear(np.diag(weights), start)
+        def members(ts: np.ndarray, start=start, scaled=scaled, free=free) -> list:
+            lam = 1.0 - ts
+            return apply_linear(_diagonals(*[lam if i in scaled else _root(lam) if i == free
+                                             else 1.0 for i in range(dim)]), start)
 
-        segments.append(_segment(n, pointwise(evaluator)))
+        segments.append(_segment(n, members))
         components = [Polynomial.zero(n) if i in scaled else comp
                       for i, comp in enumerate(components)]
 

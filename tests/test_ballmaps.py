@@ -16,7 +16,7 @@ from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchErro
                                  NormalizationError, RationalBallMap, Verdict,
                                  apply_linear, certify_maps, certify_proper,
                                  coefficient_bound, compose, degree, degree_bound,
-                                 denominator_from_factors, denominator_sup_bound,
+                                 denominator_sup_bound,
                                  embedding_dimension, largest_binomial_coefficient,
                                  norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorphism_map,
@@ -225,8 +225,8 @@ def test_linear_operations_keep_the_factors(rng):
     for kept in (m.padded(4), m.scaled(0.5), apply_linear(u, m)):
         assert np.array_equal(kept.factors, m.factors)
     square = compose(RationalBallMap(2, 2, [var(0) * var(0), var(1)]), m)
-    assert square.factors.shape == (2, 2)
-    assert denominator_from_factors(2, square.factors).allclose(square.q, 1e-12)
+    assert np.array_equal(square.factors, np.vstack([m.factors, m.factors]))
+    assert (m.q * m.q).allclose(square.q, 1e-12)
     assert certify_proper(square).denominator_method == "factored"
     # A rational outer map changes the denominator: no factors are claimed.
     assert len(compose(m, m).factors) == 0
@@ -378,7 +378,7 @@ def test_norm_equivalence_across_different_denominators(rng):
     f = automorphism_map(BallAutomorphism([0.3 - 0.1j, 0.2j]))
     u = random_unitary(2, rng)
     rotated = apply_linear(u, f)
-    h = denominator_from_factors(2, [[0.4, -0.2j]])  # 1 - <z, b>
+    h = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.4, (0, 1): -0.2j})  # 1 - <z, (0.4, -0.2j)>
     g = RationalBallMap(2, 2, [comp * h for comp in rotated.p], rotated.q * h)
     result = norm_equivalent(f, g)
     assert result.equivalent

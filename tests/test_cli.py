@@ -366,6 +366,14 @@ MALFORMED = {
     "homotopy-blaschke-bare-zeros": (["homotopy", "doc.json"],
                                      {"kind": "blaschke", "zeros": [1, 2]},
                                      "[re, im] zeros"),
+    "equiv-nan-tol": (["equiv", "ex2.1.f", "ex2.1.g", "--tol", "nan"], None,
+                      "--tol must be a finite positive number"),
+    "verify-negative-tol": (["verify", "faran.h", "--tol", "-1"], None,
+                            "--tol must be a finite positive number"),
+    "homotopy-infinite-tol": (["homotopy", "faran.fg.family", "--tol", "inf"], None,
+                              "--tol must be a finite positive number"),
+    "xvariety-zero-samples": (["xvariety", "faran.h", "--graph-test", "--samples", "0"],
+                              None, "--samples must be at least 1"),
 }
 
 

@@ -9,8 +9,7 @@ from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary
                                 random_unitary)
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  RationalBallMap, Verdict,
-                                 certify_proper, compose, degree,
-                                 denominator_from_factors, norm_equivalent,
+                                 certify_proper, compose, degree, norm_equivalent,
                                  squared_norm_form)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      NonIntegralWindingError, TensorSubspaceError,
@@ -22,7 +21,8 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      winding_degree, winding_integral)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import automorphism_path
-from propermaps.polyalg import Polynomial, coefficient_matrix, polynomials_from_rows
+from propermaps.polyalg import (Polynomial, coefficient_matrix, monomials_of_degree,
+                                polynomials_from_rows)
 
 from conftest import sample_sphere
 
@@ -370,7 +370,10 @@ def _certify_outcome(m, floor):
 def test_carried_factors_multiply_out_and_agree_with_the_bare_map(kind, seed, floor):
     m = _factored_construction(kind, np.random.default_rng(seed))
     assert len(m.factors) >= 1
-    product = denominator_from_factors(m.n, m.factors)
+    product = Polynomial.one(m.n)
+    for a in m.factors:  # times 1 - <z, a>
+        inner = Polynomial(m.n, dict(zip(monomials_of_degree(m.n, 1), np.conj(a))))
+        product = product * (Polynomial.one(m.n) - inner)
     assert product.distance(m.q) <= 1e-12 * m.q.max_abs_coeff()
     bare = RationalBallMap(m.n, m.N, m.p, m.q)
     assert _certify_outcome(m, floor) == _certify_outcome(bare, floor)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from unittest import mock
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from propermaps import ballmaps, homotopy, polyalg
+from propermaps._linalg import UnitaryPath
 from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
                                  certify_proper, degree, norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
@@ -19,8 +21,15 @@ from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
                                  collapse_to_linear, concat_families,
                                  constant_family, degree_drop_family,
                                  faran_families, faran_maps, homotopy_to_monomial,
-                                 juxtaposition_family, pointwise, verify_family)
+                                 juxtaposition_family, verify_family)
 from propermaps.polyalg import Polynomial
+
+
+def pointwise(fn):
+    """The evaluator of a family given by a function of one t: ``fn`` is
+    called once per parameter, with a Python float, in order and only when
+    its member is read."""
+    return lambda ts: map(fn, ts.tolist())
 
 
 # ------------------------------------------------------------- verification
@@ -322,6 +331,100 @@ def test_grid_evaluation_bounds_its_memory(rng):
     assert peak < 48 * 16 * ballmaps.BLOCK_ENTRIES
 
 # --------------------------------------------------------------- generators
+def _root(t, top=1.0):
+    return math.sqrt(max(0.0, top - t * t))
+
+
+def _collapse_reference(components, scaled, free):
+    """Member at t of ``collapse_to_linear`` of a map that one lowering step
+    takes to a linear map: on [0, 1/2) the ``scaled`` components times
+    lambda = 1 - 2t and the ``free`` one times sqrt(1 - lambda^2), then the
+    unitary path U(2t - 1) from the step's end to the identity."""
+    n, dim = components[0].nvars, len(components)
+    end = [Polynomial.zero(n) if i in scaled else c for i, c in enumerate(components)]
+    identity = RationalBallMap.identity(n).padded(dim)
+    path = UnitaryPath(norm_equivalent(RationalBallMap(n, dim, end), identity,
+                                       tol=1e-6).unitary)
+
+    def member(t):
+        piece = min(int(t * 2), 1)
+        local = t * 2 - piece
+        if piece == 0:
+            lam = 1.0 - local
+            weights = [lam if i in scaled else _root(lam) if i == free else 1.0
+                       for i in range(dim)]
+            return RationalBallMap(n, dim, [c * wt for c, wt in zip(components, weights)])
+        u = path(local)
+        return RationalBallMap(n, dim, [sum((c * u[i, k] for k, c in enumerate(end)),
+                                            Polynomial.zero(n)) for i in range(dim)])
+
+    return member
+
+
+def _closed_forms(registry):
+    """(family, member at t): each built-in family and its docstring formula,
+    built one t at a time from Polynomial products."""
+    z, w = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    fams, faran = faran_families(), faran_maps()
+    h, phi = faran["h"], faran["phi"]
+
+    def drop(t):
+        u, v = z * t - w * w * _root(t), z * _root(t) + w * w * t
+        return RationalBallMap(2, 5, [u, z * w, u * v, z * w * v, v * v])
+
+    z1, z2, z3 = (Polynomial.variable(3, j) for j in range(3))
+    return [
+        (fams["fg"], lambda t: RationalBallMap(2, 4, [z * _root(t), z * z * t, z * w * t, w])),
+        (fams["gh"], lambda t: RationalBallMap(2, 4, [z * z, z * w * _root(t, 2.0), w * t,
+                                                      w * w * _root(t)])),
+        (fams["hphi"], lambda t: RationalBallMap(2, 5, [z * z * t, w * w * t, z ** 3 * _root(t),
+                                                        w ** 3 * _root(t),
+                                                        z * w * _root(t, 3.0)])),
+        (degree_drop_family(), drop),
+        (juxtaposition_family(h, phi), lambda t: RationalBallMap(
+            2, 6, [c * phi.q * _root(t) for c in h.p] + [c * h.q * t for c in phi.p],
+            h.q * phi.q)),
+        (collapse_to_linear(registry.maps["ex2.1.h"]),
+         _collapse_reference([z, z * w, w * w, w], {1, 2}, 3)),
+        (collapse_to_linear(registry.maps["whitney.W"]),
+         _collapse_reference([z1, z2, z1 * z3, z2 * z3, z3 * z3, z3], {2, 3, 4}, 5)),
+    ]
+
+
+def _assert_canonical(m):
+    support = list(m.support)
+    assert support == sorted(set(support), reverse=True)
+    assert support[-1] == (0,) * m.n
+    assert (m.coefficients != 0).any(axis=0).all()
+
+
+def test_built_in_members_equal_their_closed_forms(registry):
+    grid = [i / 100 for i in range(101)]
+    for fam, formula in _closed_forms(registry):
+        for t, m in zip(grid, fam.evaluate_many(grid), strict=True):
+            expected = formula(t)
+            _assert_canonical(m)
+            assert (m.N, m.support) == (expected.N, expected.support)
+            assert np.array_equal(m.coefficients, expected.coefficients)
+            assert np.array_equal(m.factors, expected.factors)
+    # Blaschke members: the chain of factor products rounds the numerator
+    # differently from prod (z - a) built term by term.
+    b = BlaschkeProduct(0.7, [0.3, -0.5j, 0.1 + 0.2j, -0.6 + 0.25j, 0.45])
+    z = Polynomial.variable(1, 0)
+    for t, m in zip(grid, blaschke_homotopy(b).evaluate_many(grid), strict=True):
+        zeros = [(1.0 - t) * a for a in b.zeros]
+        p = Polynomial.constant(1, cmath.exp(1j * (1.0 - t) * b.theta))
+        q = Polynomial.one(1)
+        for a in zeros:
+            p, q = p * (z - a), q * (z * -a.conjugate() + 1.0)
+        expected = RationalBallMap(1, 1, [p], q)
+        _assert_canonical(m)
+        assert m.support == expected.support
+        assert np.array_equal(m.factors, np.array(zeros)[:, None])
+        gap = np.abs(m.coefficients - expected.coefficients).max(axis=1)
+        assert np.all(gap <= 1e-15 * np.abs(expected.coefficients).max(axis=1))
+
+
 def test_degree_drop_family_profile():
     fam = degree_drop_family()
     report = verify_family(fam, grid_size=21)
