@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -316,7 +316,9 @@ class PropernessCertificate:
     ``denominator_margin`` is the lower bound of |q| there that the method
     gave (for ``sampled``, the smallest sampled modulus).  ``witness`` is the
     sampled sphere point where | ||f||^2 - 1 | was largest, with that value in
-    ``witness_value``; both are None when no witness was sampled.
+    ``witness_value``.  The verdict never reads them, so the certificate
+    keeps the map and the seed, and they are sampled on first read and
+    cached.
     """
 
     verdict: Verdict
@@ -324,8 +326,19 @@ class PropernessCertificate:
     worst_entry: Optional[tuple]
     denominator_method: str
     denominator_margin: float
-    witness: Optional[np.ndarray] = None
-    witness_value: Optional[float] = None
+    _sampled_from: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def _sample(self) -> dict:
+        return _witness(*self._sampled_from)
+
+    @property
+    def witness(self) -> np.ndarray:
+        return self._sample["witness"]
+
+    @property
+    def witness_value(self) -> float:
+        return self._sample["witness_value"]
 
 
 def sphere_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -482,13 +495,14 @@ def _unfactored_denominator(m: RationalBallMap, q: np.ndarray, own, floor: float
     return "sampled", minimum
 
 
-def _witness(m: RationalBallMap, seed: int, samples: int = WITNESS_SAMPLES) -> dict:
+def _witness(m: RationalBallMap, seed: int) -> dict:
     """The certificate's ``witness`` and ``witness_value``: the sampled sphere
     point where | ||f||^2 - 1 | is largest, and that value."""
-    pts = sphere_points(m.n, samples, np.random.default_rng(seed))
+    pts = sphere_points(m.n, WITNESS_SAMPLES, np.random.default_rng(seed))
     values = np.abs(np.sum(np.abs(m.evaluate_many(pts)) ** 2, axis=1) - 1.0)
     k = int(np.argmax(values))
-    return {"witness": pts[k], "witness_value": float(values[k])}
+    # A copy, so that the certificate does not keep all the sampled points.
+    return {"witness": pts[k].copy(), "witness_value": float(values[k])}
 
 
 def _runs(maps: Iterable[RationalBallMap]) -> Iterator[list]:
@@ -526,8 +540,7 @@ def _stacked(run: Sequence[RationalBallMap]):
 
 
 def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
-                   seed: int, floor: float,
-                   witness_samples: int) -> Iterator[PropernessCertificate]:
+                   seed: int, floor: float) -> Iterator[PropernessCertificate]:
     """The certificate of each map of a block, ``stack`` their (T, N+1, M)
     rows, in order; an error for a map is raised at that map's turn."""
     first = maps[0]
@@ -545,22 +558,21 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: floa
             # A proper map cannot decrease the dimension; reaching this means
             # the certificate itself is inconsistent.
             raise ArithmeticError("certified a proper map with target below domain")
-        witness = _witness(m, seed, witness_samples) if witness_samples > 0 else {}
-        yield PropernessCertificate(verdict, residual, worst[k], *denominators[k], **witness)
+        yield PropernessCertificate(verdict, residual, worst[k], *denominators[k], (m, seed))
 
 
 def _certify_run(run: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
-                 seed: int, floor: float, witness_samples: int) -> Iterator[tuple]:
+                 seed: int, floor: float) -> Iterator[tuple]:
     """What ``certify_maps`` yields for each map of a run (see ``_runs``) with
     the (T, N+1, M) rows ``stack``; an error comes at its map's turn."""
     degrees = np.maximum(_top_degrees(run[0].support, stack[:, :-1]), 0).tolist()
     ranks = _embedding_dimensions(stack).tolist()
-    return zip(_certify_block(run, stack, tol, seed, floor, witness_samples), degrees, ranks)
+    return zip(_certify_block(run, stack, tol, seed, floor), degrees, ranks)
 
 
 def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
-                 seed: int = DEFAULT_SEED, denominator_floor: float = DENOMINATOR_FLOOR,
-                 witness_samples: int = WITNESS_SAMPLES) -> Iterator[tuple]:
+                 seed: int = DEFAULT_SEED,
+                 denominator_floor: float = DENOMINATOR_FLOOR) -> Iterator[tuple]:
     """Certify maps in order, yielding (certificate, degree, embedding
     dimension) for each: what ``certify_proper``, ``degree`` and
     ``embedding_dimension`` give the map.
@@ -570,8 +582,9 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     BLOCK_ENTRIES Gram entries: one stacked signed Gram, one sphere-reduction
     plan for the block's union above-floor mask, one chain of factor
     products with a row per map, and one stacked SVD for the ranks.  Only a
-    denominator that its factors leave undecided and the witness are
-    worked out map by map.  ``certify_proper`` is the block step on one map.
+    denominator that its factors leave undecided is worked out map by map;
+    a certificate's witness is sampled when it is first read.
+    ``certify_proper`` is the block step on one map.
 
     Results come block by block as the maps are read, so a caller may stop
     at the first failure; an error for a map is raised at that map's turn,
@@ -579,14 +592,12 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     certified first.
     """
     for run in _runs(maps):
-        yield from _certify_run(run, _stacked(run)[0], tol, seed, denominator_floor,
-                                witness_samples)
+        yield from _certify_run(run, _stacked(run)[0], tol, seed, denominator_floor)
 
 
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
                    seed: int = DEFAULT_SEED,
-                   denominator_floor: float = DENOMINATOR_FLOOR,
-                   witness_samples: int = WITNESS_SAMPLES) -> PropernessCertificate:
+                   denominator_floor: float = DENOMINATOR_FLOOR) -> PropernessCertificate:
     """Certify whether p/q is a proper map between unit balls.
 
     The verdict is PROPER exactly when the sphere-reduced remainder of
@@ -594,11 +605,11 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
     p/q is constant.  Raises DenominatorVanishesError when q cannot be kept
     above the floor on the closed ball (see ``_check_denominators``).  The
-    witness never affects the verdict; ``witness_samples=0`` skips it.  This
-    is the block step of ``certify_maps`` on a block of one.
+    witness never affects the verdict: it is sampled, with ``seed``, when it
+    is first read, and cached.  This is the block step of ``certify_maps`` on
+    a block of one.
     """
-    return next(_certify_block([m], m.coefficients[None], tol, seed, denominator_floor,
-                               witness_samples))
+    return next(_certify_block([m], m.coefficients[None], tol, seed, denominator_floor))
 
 
 def degree(m: RationalBallMap) -> int:
@@ -631,15 +642,35 @@ class NormEquivalence:
     """Result of the squared-norm comparison of two maps.
 
     On equivalence ``unitary`` maps the first map's components onto the
-    second's (after zero-padding to the common target), with the reported
-    max coefficient residual.  On failure ``mismatch`` holds a distinguishing
-    Hermitian-form entry (alpha, beta, difference).
+    second's (after zero-padding to the common target), with the max
+    coefficient residual ``witness_residual``; the decision never reads
+    them, so they are computed from the two coefficient stacks on first read
+    and cached.  On failure ``mismatch`` holds a distinguishing
+    Hermitian-form entry (alpha, beta, difference), and ``unitary`` and
+    ``witness_residual`` are None.
     """
 
     equivalent: bool
-    unitary: Optional[np.ndarray] = None
-    witness_residual: Optional[float] = None
     mismatch: Optional[tuple] = None
+    _stacks: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _procrustes(self) -> tuple:
+        if self._stacks is None:
+            return None, None
+        stack_f, stack_g = self._stacks
+        unitary = _linalg.procrustes_unitary(stack_f, stack_g)
+        residual = (float(np.max(np.abs(unitary @ stack_f - stack_g)))
+                    if stack_f.shape[1] else 0.0)
+        return unitary, residual
+
+    @property
+    def unitary(self) -> Optional[np.ndarray]:
+        return self._procrustes[0]
+
+    @property
+    def witness_residual(self) -> Optional[float]:
+        return self._procrustes[1]
 
 
 def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
@@ -651,9 +682,10 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     against p_g q_f.  One coefficient stack of both sides gives the signed
     Gram matrix of ||left||^2 - ||right||^2, whose first largest entry in
     row-major order is the mismatch when it exceeds ``tol``.  Otherwise the
-    witness is computed by least squares over unitaries on the same stack
-    (orthogonal Procrustes), so it is always unitary, including for
-    rank-deficient stacks such as f vs f + zero components.
+    result keeps the stack, and the witness unitary is computed from it when
+    first read, by least squares over unitaries (orthogonal Procrustes), so
+    it is always unitary, including for rank-deficient stacks such as f vs
+    f + zero components.
     """
     if f.n != g.n:
         raise DimensionMismatchError("maps must share the domain dimension")
@@ -673,17 +705,18 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     largest = gram_form(f.n, monos, stack, negated=big).largest_entry()
     if largest is not None and abs(largest[2]) > tol:
         return NormEquivalence(False, mismatch=largest)
-
-    stack_f, stack_g = stack[:big], stack[big:]
-    unitary = _linalg.procrustes_unitary(stack_f, stack_g)
-    residual = float(np.max(np.abs(unitary @ stack_f - stack_g))) if monos else 0.0
-    return NormEquivalence(True, unitary=unitary, witness_residual=residual)
+    return NormEquivalence(True, _stacks=(stack[:big], stack[big:]))
 
 
 def degree_bound(n: int, N: int) -> Fraction:
-    """Upper bound N(N-1) / (2(2n-3)) for the degree of a proper map."""
+    """Upper bound N(N-1) / (2(2n-3)) for the degree of a proper map from
+    B_n to B_N.  Raises ValueError unless N >= n >= 2: no proper map lowers
+    the dimension."""
     if n < 2:
         raise ValueError("the degree bound requires domain dimension n >= 2")
+    if N < n:
+        raise ValueError(f"no proper map from B{n} to B{N}: the target dimension "
+                         "must be at least the domain dimension")
     return Fraction(N * (N - 1), 2 * (2 * n - 3))
 
 

@@ -131,6 +131,7 @@ def _cmd_verify(args, reg: Corpus, out: _Output) -> int:
     out.set("denominator_method", cert.denominator_method)
     out.set("denominator_margin", cert.denominator_margin)
     out.set("sampled_sphere_defect", cert.witness_value)
+    out.set("witness", cert.witness)
     return 0 if cert.verdict is Verdict.PROPER else 1
 
 

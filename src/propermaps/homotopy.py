@@ -17,7 +17,7 @@ unitary group is path connected, so this stays inside proper maps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -269,8 +269,8 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     between adjacent samples (an empirical continuity measure).  Endpoints
     are compared with the declared maps by norm equivalence after padding.
     With ``strict`` the first failure raises instead of being recorded.  The
-    sampled witness never decides a verdict, so it is computed only for the
-    members that fail, whose certificates are the ones reported.
+    sampled witness never decides a verdict; the certificates of the members
+    that fail, which are the ones reported, sample it when it is first read.
 
     The grid is evaluated through ``evaluate_many`` and read once, run by run
     (see ``ballmaps._runs``): each run is one stack of rows, certified as
@@ -292,13 +292,13 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         # The first member of the grid has no step; 0.0 never beats max_step.
         steps = [0.0 if previous is None else previous.distance(run[0])]
         steps += np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist()
-        results = _bm._certify_run(run, stack, tol, seed, _bm.DENOMINATOR_FLOOR, 0)
-        for m, t, step, (cert, deg, embdim) in zip(run, grid, steps, results):
+        results = _bm._certify_run(run, stack, tol, seed, _bm.DENOMINATOR_FLOOR)
+        # steps, one per member, comes first, so zip takes no t past the run.
+        for step, t, (cert, deg, embdim) in zip(steps, grid, results):
             degrees.append(deg)
             embdims.append(embdim)
             residuals.append(cert.residual_norm)
             if cert.verdict is not Verdict.PROPER:
-                cert = replace(cert, **_bm._witness(m, seed))
                 if strict:
                     raise PropernessFailureError(t, cert)
                 failures.append((t, cert))

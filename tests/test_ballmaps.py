@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from propermaps import ballmaps, polyalg
+from propermaps import _linalg, ballmaps, polyalg
 from propermaps._linalg import random_unitary
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  NormalizationError, RationalBallMap, Verdict,
@@ -115,10 +115,59 @@ def test_shrunken_map_has_its_largest_remainder_at_the_constant_pair():
 
 def test_automorphism_denominator_is_certified_from_its_factor():
     m = automorphism_map(BallAutomorphism([0.8, 0.0]))
-    cert = certify_proper(m, witness_samples=0)
+    cert = certify_proper(m)
     assert cert.denominator_method == "factored"
     assert cert.denominator_margin == pytest.approx(0.2, abs=1e-12)
-    assert cert.witness is None and cert.witness_value is None
+
+
+def test_witnesses_are_computed_on_first_read(registry, rng, monkeypatch):
+    maps = [*registry.maps.values(), automorphism_map(BallAutomorphism([0.8, 0.0])),
+            RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)])]
+    expected = [ballmaps._witness(m, 11) for m in maps]
+    m = registry.maps["faran.h"]
+    rotated = apply_linear(random_unitary(m.N, rng), m)
+    family = registry.families["faran.fg.family"]
+    calls = {"evaluate": 0, "procrustes": 0}
+    evaluate, procrustes = RationalBallMap.evaluate_many, _linalg.procrustes_unitary
+
+    def counted_evaluate(self, points):
+        calls["evaluate"] += 1
+        return evaluate(self, points)
+
+    def counted_procrustes(source, target):
+        calls["procrustes"] += 1
+        return procrustes(source, target)
+
+    monkeypatch.setattr(RationalBallMap, "evaluate_many", counted_evaluate)
+    monkeypatch.setattr(_linalg, "procrustes_unitary", counted_procrustes)
+    # Nothing is sampled or solved during certification or a decision.
+    singles = [certify_proper(m, seed=11) for m in maps]
+    blocks = [cert for cert, _, _ in certify_maps(maps, seed=11)]
+    result = norm_equivalent(m, rotated)
+    assert verify_family(family).passed
+    assert result.equivalent and singles[-1].verdict is Verdict.NOT_PROPER
+    assert calls == {"evaluate": 0, "procrustes": 0}
+
+    # The first read samples, with the certificate's seed; later reads do not.
+    for certs in (singles, blocks):
+        for cert, sample in zip(certs, expected):
+            assert np.array_equal(cert.witness, sample["witness"])
+            assert cert.witness_value == sample["witness_value"]
+    assert calls["evaluate"] == 2 * len(maps)
+    for cert in singles + blocks:
+        # The point is its own array, so the other samples can be freed.
+        assert cert.witness.base is None and cert.witness_value is not None
+    assert calls["evaluate"] == 2 * len(maps)
+
+    unitary = procrustes(*result._stacks)
+    stack_f, stack_g = result._stacks
+    assert np.array_equal(result.unitary, unitary)
+    assert result.witness_residual == np.max(np.abs(unitary @ stack_f - stack_g))
+    assert result.unitary is result.unitary
+    assert calls["procrustes"] == 1
+    mismatch = norm_equivalent(m, RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)]))
+    assert mismatch.unitary is None and mismatch.witness_residual is None
+    assert calls["procrustes"] == 1
 
 
 def test_degree_one_denominator_reaching_the_sphere_is_rejected():
@@ -147,7 +196,7 @@ def test_power_of_one_linear_factor_is_decided_exactly():
         certify_proper(RationalBallMap(2, 2, [z1, z2], (Polynomial.one(2) - z1) ** 2))
     # (1 - (z1 + z2)/2)^4 is least at (1, 1)/sqrt(2), which sampling overstates.
     q = (Polynomial.one(2) - (z1 + z2) * 0.5) ** 4
-    cert = certify_proper(RationalBallMap(2, 2, [z1, z2], q), witness_samples=0)
+    cert = certify_proper(RationalBallMap(2, 2, [z1, z2], q))
     assert cert.denominator_method == "factored"
     assert cert.denominator_margin == pytest.approx((1 - 1 / math.sqrt(2)) ** 4, abs=1e-12)
 
@@ -159,7 +208,7 @@ def test_repeated_centre_gives_the_exact_minimum():
     assert len(m.factors) == 20
     for kept in (m, RationalBallMap(2, m.N, m.p, m.q)):
         with pytest.raises(DenominatorVanishesError, match="9.537e-07"):
-            certify_proper(kept, witness_samples=0)
+            certify_proper(kept)
 
 
 def test_composition_without_its_factors_is_certified_without_sampling(monkeypatch):
@@ -172,8 +221,8 @@ def test_composition_without_its_factors_is_certified_without_sampling(monkeypat
 
     monkeypatch.setattr(ballmaps, "ball_points", no_sampling)
     monkeypatch.setattr(ballmaps, "sphere_points", no_sampling)
-    carried = certify_proper(m, witness_samples=0)
-    own = certify_proper(stripped, witness_samples=0)
+    carried = certify_proper(m)
+    own = certify_proper(stripped)
     assert own.denominator_method == carried.denominator_method == "factored"
     assert own.denominator_margin == pytest.approx(carried.denominator_margin, rel=1e-12)
     assert own.verdict is carried.verdict is Verdict.PROPER
@@ -405,6 +454,8 @@ def test_degree_bound_values():
     assert degree_bound(3, 3) == Fraction(1)
     with pytest.raises(ValueError):
         degree_bound(1, 5)
+    with pytest.raises(ValueError, match="no proper map from B3 to B2"):
+        degree_bound(3, 2)
 
 
 def test_degree_bound_holds_on_registry(registry):
@@ -624,19 +675,18 @@ def _same_certificate(a, b):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]),
-       st.sampled_from([0, 20]))
-def test_kernel_agrees_with_single_map_certification(runs, seed, budget, witness_samples):
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]))
+def test_kernel_agrees_with_single_map_certification(runs, seed, budget):
     gen = np.random.default_rng(seed)
     makers = _kernel_makers()
     # Runs of maps on one support; the vanishing maker is drawn rarely.
     maps = [makers[kind](gen) for kind, count in runs
             for _ in range(count if kind < 8 or gen.random() < 0.3 else 0)]
     with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget):
-        results = certify_maps(maps, witness_samples=witness_samples)
+        results = certify_maps(maps)
         for m in maps:
             try:
-                expected = certify_proper(m, witness_samples=witness_samples)
+                expected = certify_proper(m)
             except DenominatorVanishesError as error:
                 # The kernel raises it at this map's turn, with the same message.
                 with pytest.raises(DenominatorVanishesError, match=re.escape(str(error))):
@@ -651,7 +701,7 @@ def test_kernel_agrees_with_single_map_certification(runs, seed, budget, witness
 def test_kernel_covers_every_denominator_method_and_verdict():
     gen = np.random.default_rng(3)
     maps = [make(gen) for make in _kernel_makers()[:-1] for _ in range(3)]
-    certs = [cert for cert, _, _ in certify_maps(maps, witness_samples=0)]
+    certs = [cert for cert, _, _ in certify_maps(maps)]
     assert {c.denominator_method for c in certs} == {"trivial", "factored",
                                                      "coefficient-bound", "sampled"}
     assert {c.verdict for c in certs} == set(Verdict)
@@ -667,10 +717,10 @@ def test_certification_blocks_bound_their_memory():
     per_block = ballmaps.BLOCK_ENTRIES // len(m.support) ** 2
     maps = [apply_linear(random_unitary(m.N, gen), m) for _ in range(5 * per_block)]
     assert per_block > 10
-    list(certify_maps(maps[:per_block], witness_samples=0))  # plans are cached
+    list(certify_maps(maps[:per_block]))  # plans are cached
     tracemalloc.start()
     try:
-        results = list(certify_maps(maps, witness_samples=0))
+        results = list(certify_maps(maps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -70,15 +70,21 @@ def test_verify_bad_map_exits_one(tmp_path, capsys):
 
 
 def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
+    from propermaps.ballmaps import certify_proper
     from propermaps.constructors import BallAutomorphism, automorphism_map
+    m = automorphism_map(BallAutomorphism([0.5, 0.0]))
     path = tmp_path / "moebius.json"
-    path.write_text(dumps_map(automorphism_map(BallAutomorphism([0.5, 0.0]))))
+    path.write_text(dumps_map(m))
     assert main(["verify", str(path)]) == 0
     assert "denominator: factored (margin 5.000e-01)" in capsys.readouterr().out
     assert main(["verify", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["denominator_method"] == "factored"
     assert payload["denominator_margin"] == pytest.approx(0.5)
+    # The witness point comes next to its defect, as [re, im] pairs.
+    cert = certify_proper(map_from_document(json.loads(path.read_text())))
+    assert payload["sampled_sphere_defect"] == cert.witness_value
+    assert payload["witness"] == [[z.real, z.imag] for z in cert.witness.tolist()]
 
 
 def test_verify_decides_a_composed_denominator_without_its_factors(tmp_path, capsys):
@@ -374,6 +380,9 @@ MALFORMED = {
                               "--tol must be a finite positive number"),
     "xvariety-zero-samples": (["xvariety", "faran.h", "--graph-test", "--samples", "0"],
                               None, "--samples must be at least 1"),
+    "bound-negative-target": (["bound", "degree", "2", "-3"], None, "no proper map from B2"),
+    "bound-target-below-domain": (["bound", "degree", "3", "2"], None,
+                                  "no proper map from B3 to B2"),
 }
 
 

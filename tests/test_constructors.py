@@ -357,7 +357,7 @@ def _factored_construction(kind, rng):
 
 def _certify_outcome(m, floor):
     try:
-        cert = certify_proper(m, denominator_floor=floor, witness_samples=0)
+        cert = certify_proper(m, denominator_floor=floor)
     except DenominatorVanishesError:
         return "denominator vanishes"
     return cert.verdict, cert.residual_norm

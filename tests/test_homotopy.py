@@ -53,7 +53,7 @@ def test_shrinking_family_fails_for_positive_t():
     assert not report.endpoint_right_ok
     with pytest.raises(PropernessFailureError) as raised:
         verify_family(fam, grid_size=11, strict=True)
-    # The witness is sampled only for failing members, and they all carry it.
+    # The failing members all carry their witness, sampled when it is read.
     for _, cert in report.properness_failures:
         assert cert.witness is not None and cert.witness_value > 1e-9
     assert raised.value.certificate.witness is not None
@@ -70,7 +70,7 @@ def test_whitney_family_members_certify_without_sampling(rng):
     fam = homotopy_to_monomial(term)
     methods = set()
     for k in range(21):
-        cert = certify_proper(fam.evaluate(k / 20), witness_samples=0)
+        cert = certify_proper(fam.evaluate(k / 20))
         assert cert.verdict is Verdict.PROPER
         methods.add(cert.denominator_method)
     assert methods == {"trivial", "factored"}
@@ -143,7 +143,7 @@ def _error_one_by_one(fam, grid_size, strict):
     try:
         for i in range(grid_size):
             t = i / (grid_size - 1)
-            cert = certify_proper(fam.evaluate(t), witness_samples=0)
+            cert = certify_proper(fam.evaluate(t))
             if strict and cert.verdict is not Verdict.PROPER:
                 return PropernessFailureError, t
     except Exception as error:
