@@ -29,7 +29,7 @@ from .homotopy import (EndpointMismatchError, FamilyReport, HomotopyFamily,
 from .xvariety import (EvaluationAtPoleError, FiberReport, GraphTestResult,
                        XMatrix, build_xmatrix, fiber_at, graph_test,
                        xmatrix_along_family)
-from .documents import (MapDocumentError, dump_map, dumps_map, load_map,
+from .documents import (MapDocumentError, dumps_map, load_map,
                         load_map_path, map_from_document, map_to_document)
 from .corpus import Corpus, corpus
 

@@ -8,25 +8,25 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
-def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL):
-    """Number of singular values above ``rtol`` times the largest; for a
+def numerical_rank(matrix: np.ndarray):
+    """Number of singular values above ``RANK_RTOL`` times the largest; for a
     (T, m, n) stack, the array of the T ranks, from one stacked SVD."""
     m = np.asarray(matrix, dtype=complex)
     if m.size == 0:
         return 0 if m.ndim == 2 else np.zeros(m.shape[0], dtype=int)
     s = np.linalg.svd(m, compute_uv=False)
-    ranks = np.count_nonzero(s > s[..., :1] * rtol, axis=-1)
+    ranks = np.count_nonzero(s > s[..., :1] * RANK_RTOL, axis=-1)
     return int(ranks) if m.ndim == 2 else ranks
 
 
-def nullspace_basis(matrix: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, as columns of an (n, dim) array."""
     m = np.asarray(matrix, dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > s[0] * rtol))
+        rank = int(np.sum(s > s[0] * RANK_RTOL))
     return vh[rank:].conj().T
 
 
@@ -37,11 +37,11 @@ def is_unitary(matrix: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
 
 
-def has_orthonormal_columns(matrix: np.ndarray, tol: float = 1e-8) -> bool:
+def has_orthonormal_columns(matrix: np.ndarray) -> bool:
     b = np.asarray(matrix, dtype=complex)
     if b.ndim != 2 or b.shape[1] > b.shape[0]:
         return False
-    return bool(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= tol)
+    return bool(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-8)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,7 +53,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def gram_schmidt_complement(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def gram_schmidt_complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column span.
 
     Canonical basis vectors are orthogonalized in index order, so when the
@@ -72,7 +72,7 @@ def gram_schmidt_complement(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         for w in found:
             v = v - w * (w.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm > tol:
+        if norm > 1e-8:
             found.append(v / norm)
     if len(found) != n - d:
         raise ValueError("could not complete the orthogonal complement")

@@ -136,7 +136,7 @@ class RationalBallMap:
 
     def __init__(self, domain_dim: int, target_dim: int,
                  numerator: Sequence[Polynomial], denominator: Polynomial | None = None,
-                 tol: float = DEFAULT_TOL, *, factors=()):
+                 *, factors=()):
         numerator = tuple(numerator)
         if target_dim != len(numerator):
             raise DimensionMismatchError(
@@ -150,7 +150,7 @@ class RationalBallMap:
             denominator = Polynomial.one(domain_dim)
         if denominator.nvars != domain_dim:
             raise DimensionMismatchError("denominator variable count mismatch")
-        if abs(denominator.constant_term() - 1.0) > tol:
+        if abs(denominator.constant_term() - 1.0) > DEFAULT_TOL:
             raise NormalizationError(
                 f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
         stored = self._from_rows(domain_dim, *coefficient_matrix([*numerator, denominator]),
@@ -247,9 +247,9 @@ class RationalBallMap:
         terms = np.count_nonzero(np.abs(self.coefficients[:-1]) > DEFAULT_TOL, axis=1)
         return self.has_trivial_denominator and bool(np.all(terms <= 1))
 
-    def is_constant_map(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_constant_map(self) -> bool:
         """True when p/q is a constant map, i.e. p_i = p_i(0) * q for all i."""
-        return bool(_constant_maps(self.coefficients[None], tol)[0])
+        return bool(_constant_maps(self.coefficients[None], DEFAULT_TOL)[0])
 
     # -------------------------------------------------------------- evaluation
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
@@ -620,21 +620,20 @@ def degree(m: RationalBallMap) -> int:
     return int(d)
 
 
-def _embedding_dimensions(stack: np.ndarray, rtol: float = _linalg.RANK_RTOL) -> np.ndarray:
+def _embedding_dimensions(stack: np.ndarray) -> np.ndarray:
     """For each map of a (T, N+1, M) stack, the rank of its component rows
     over the columns where they have an entry; one stacked SVD per distinct
     set of such columns."""
     rows = stack[:, :-1]
     ranks = np.zeros(len(stack), dtype=int)
     for members, columns in _mask_groups(rows.any(axis=1)):
-        ranks[members] = _linalg.numerical_rank(rows[members].compress(columns, axis=2),
-                                                rtol=rtol)
+        ranks[members] = _linalg.numerical_rank(rows[members].compress(columns, axis=2))
     return ranks
 
 
-def embedding_dimension(m: RationalBallMap, rtol: float = _linalg.RANK_RTOL) -> int:
+def embedding_dimension(m: RationalBallMap) -> int:
     """Number of linearly independent components (rank of the coefficient rows)."""
-    return int(_embedding_dimensions(m.coefficients[None], rtol)[0])
+    return int(_embedding_dimensions(m.coefficients[None])[0])
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 Subcommands: verify, degree, embdim, equiv, xvariety, whitney build,
 homotopy, bound degree, blaschke, corpus list|run.  Map arguments accept
 either a catalog id (see ``corpus list``) or a path to a JSON map document.
+Each subcommand takes ``--json`` and only those of ``--tol``, ``--seed``,
+``--grid`` and ``--samples`` that it reads; ``--grid`` defaults to 101 for
+``whitney build`` and ``homotopy`` and to 11 for ``blaschke`` and ``corpus``.
 Exit codes: 0 on success, 1 on mathematical failure (e.g. a map that is not
 proper, inequivalent maps), 2 on input errors.
 """
@@ -36,8 +39,6 @@ from .xvariety import (EvaluationAtPoleError, build_xmatrix, fiber_at,
 _MATH_ERRORS = (DenominatorVanishesError, NonIntegralWindingError,
                 NotTensorImageError, PropernessFailureError,
                 EndpointMismatchError, EvaluationAtPoleError)
-_INPUT_ERRORS = (MapDocumentError, FileNotFoundError, IsADirectoryError,
-                 KeyError, json.JSONDecodeError)
 
 
 class _Output:
@@ -111,10 +112,6 @@ def _poly_str(poly, prefix: str = "w") -> str:
 
 
 # ------------------------------------------------------------------- commands
-def _grid(args, fallback: int) -> int:
-    return args.grid if args.grid is not None else fallback
-
-
 def _cmd_verify(args, reg: Corpus, out: _Output) -> int:
     m = _load_map(args.map, reg)
     cert = certify_proper(m, tol=args.tol, seed=args.seed)
@@ -228,7 +225,7 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
     code = 0
     if args.monomial_homotopy:
         family = homotopy_to_monomial(term)
-        report = verify_family(family, grid_size=_grid(args, 101), tol=args.tol,
+        report = verify_family(family, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)
         out.line("monomial homotopy: "
                  f"endpoint degree {degree(family.endpoint_right)}, "
@@ -237,7 +234,7 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
         code = max(code, 0 if report.passed else 1)
     if args.collapse:
         family = collapse_to_linear(term)
-        report = verify_family(family, grid_size=_grid(args, 101), tol=args.tol,
+        report = verify_family(family, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)
         out.line(f"degree-lowering family in B{family.target_dim}: "
                  f"{'pass' if report.passed else 'FAIL'}")
@@ -266,6 +263,8 @@ def _family_from_script(path: str, reg: Corpus):
         theta = require_number(script.get("theta", 0.0), "theta")
         return blaschke_homotopy(BlaschkeProduct(theta, [parse_complex(a) for a in zeros]))
     if kind == "whitney-monomial":
+        if "script" not in script:
+            raise MapDocumentError("a whitney-monomial script needs a 'script' object")
         return homotopy_to_monomial(build_whitney_term(script["script"]))
     raise MapDocumentError(f"unknown family script kind {kind!r}")
 
@@ -275,7 +274,7 @@ def _cmd_homotopy(args, reg: Corpus, out: _Output) -> int:
         family = reg.families[args.family]
     else:
         family = _family_from_script(args.family, reg)
-    report = verify_family(family, grid_size=_grid(args, 101), tol=args.tol,
+    report = verify_family(family, grid_size=args.grid, tol=args.tol,
                            seed=args.seed)
     out.line(report.summary())
     out.set("report", report.to_dict())
@@ -303,7 +302,7 @@ def _cmd_blaschke(args, reg: Corpus, out: _Output) -> int:
     out.set("quadrature_residual", abs(value - wd))
     if args.homotopy:
         family = blaschke_homotopy(product)
-        report = verify_family(family, grid_size=_grid(args, 11), tol=args.tol,
+        report = verify_family(family, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)
         degrees = sorted(set(report.degrees))
         out.line(f"homotopy to z^{wd}: degrees {degrees}, "
@@ -344,12 +343,11 @@ def _cmd_corpus(args, reg: Corpus, out: _Output) -> int:
             out.line(f"family {name:20s} (same object as above)")
             continue
         seen.add(id(fam))
-        grid = _grid(args, 11)
-        report = verify_family(fam, grid_size=grid, tol=args.tol,
+        report = verify_family(fam, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)
         failures += 0 if report.passed else 1
         out.line(f"family {name:20s} {'pass' if report.passed else 'FAIL'} "
-                 f"(grid {grid}, max residual {report.max_residual:.2e})")
+                 f"(grid {args.grid}, max residual {report.max_residual:.2e})")
         family_reports[name] = report.to_dict()
     out.set("maps", map_reports)
     out.set("families", family_reports)
@@ -359,55 +357,59 @@ def _cmd_corpus(args, reg: Corpus, out: _Output) -> int:
 
 
 # --------------------------------------------------------------------- parser
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="comparison tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="random sampling seed")
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report")
-    common.add_argument("--grid", type=int, default=None,
-                        help="grid size for family verification "
-                             "(default 101; 11 for corpus runs)")
-    common.add_argument("--samples", type=int, default=50,
-                        help="sample count for randomized checks")
+_FLAGS = {
+    "--tol": dict(type=float, default=DEFAULT_TOL,
+                  help="comparison tolerance (default 1e-9; finite and positive)"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="random sampling seed"),
+}
 
+
+def _command(sub, name: str, handler, text: str, flags=(), grid=None):
+    """A subcommand with ``--json``, the ``flags`` of ``_FLAGS`` its handler
+    reads and, when ``grid`` is given, ``--grid`` with that default."""
+    p = sub.add_parser(name, help=text)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    if grid is not None:
+        p.add_argument("--grid", type=int, default=grid,
+                       help=f"grid size for family verification (default {grid})")
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable JSON report")
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propermaps",
         description="Certify and explore rational proper maps between unit balls.")
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_seed = ("--tol", "--seed")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="certify that a map is proper")
+    p = _command(sub, "verify", _cmd_verify, "certify that a map is proper", tol_seed)
     p.add_argument("map")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("degree", parents=[common], help="numerator degree of a map")
+    p = _command(sub, "degree", _cmd_degree, "numerator degree of a map")
     p.add_argument("map")
-    p.set_defaults(handler=_cmd_degree)
 
-    p = sub.add_parser("embdim", parents=[common],
-                       help="embedding dimension (independent components)")
+    p = _command(sub, "embdim", _cmd_embdim, "embedding dimension (independent components)")
     p.add_argument("map")
-    p.set_defaults(handler=_cmd_embdim)
 
-    p = sub.add_parser("equiv", parents=[common],
-                       help="decide norm equivalence of two maps")
+    p = _command(sub, "equiv", _cmd_equiv, "decide norm equivalence of two maps", ("--tol",))
     p.add_argument("map1")
     p.add_argument("map2")
-    p.set_defaults(handler=_cmd_equiv)
 
-    p = sub.add_parser("xvariety", parents=[common],
-                       help="homogenization matrix, fibers, graph test")
+    p = _command(sub, "xvariety", _cmd_xvariety, "homogenization matrix, fibers, graph test",
+                 ("--seed",))
     p.add_argument("map")
     p.add_argument("--at", help="domain point, comma-separated complex numbers")
     p.add_argument("--graph-test", action="store_true",
                    help="sample fibers and report exceptional ones")
-    p.set_defaults(handler=_cmd_xvariety)
+    p.add_argument("--samples", type=int, default=50,
+                   help="random points for --graph-test (default 50; at least 1)")
 
-    p = sub.add_parser("whitney", parents=[common],
-                       help="build iterated tensor terms from a script")
+    p = _command(sub, "whitney", _cmd_whitney, "build iterated tensor terms from a script",
+                 tol_seed, grid=101)
     p.add_argument("action", choices=["build"])
     p.add_argument("script", help="path to a JSON construction script")
     p.add_argument("--out", help="write the resulting map document here")
@@ -415,32 +417,27 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also verify the homotopy to a monomial endpoint")
     p.add_argument("--collapse", action="store_true",
                    help="also verify the degree-lowering family")
-    p.set_defaults(handler=_cmd_whitney)
 
-    p = sub.add_parser("homotopy", parents=[common],
-                       help="verify a family from the catalog or a script")
+    p = _command(sub, "homotopy", _cmd_homotopy, "verify a family from the catalog or a script",
+                 tol_seed, grid=101)
     p.add_argument("family", help="catalog family id or JSON script path")
-    p.set_defaults(handler=_cmd_homotopy)
 
-    p = sub.add_parser("bound", parents=[common], help="numeric bounds")
+    p = _command(sub, "bound", _cmd_bound, "numeric bounds")
     p.add_argument("quantity", choices=["degree"])
     p.add_argument("n", type=int)
     p.add_argument("N", type=int)
-    p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("blaschke", parents=[common],
-                       help="winding degree of a Blaschke product")
+    p = _command(sub, "blaschke", _cmd_blaschke, "winding degree of a Blaschke product",
+                 tol_seed, grid=11)
     p.add_argument("--zeros", required=True,
                    help="comma-separated complex zeros inside the disk")
     p.add_argument("--theta", type=float, default=0.0, help="outer phase")
     p.add_argument("--homotopy", action="store_true",
                    help="also verify the contraction to z^m")
-    p.set_defaults(handler=_cmd_blaschke)
 
-    p = sub.add_parser("corpus", parents=[common],
-                       help="list or run the built-in example corpus")
+    p = _command(sub, "corpus", _cmd_corpus, "list or run the built-in example corpus",
+                 tol_seed, grid=11)
     p.add_argument("action", choices=["list", "run"])
-    p.set_defaults(handler=_cmd_corpus)
 
     return parser
 
@@ -452,18 +449,15 @@ def main(argv=None) -> int:
     out = _Output(args.json)
     try:
         # A NaN tolerance would pass every comparison it is used in.
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
-        if args.samples < 1:
+        if "samples" in args and args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
         code = args.handler(args, reg, out)
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     out.emit()

@@ -38,15 +38,14 @@ class BallAutomorphism:
 
     __slots__ = ("a", "U")
 
-    def __init__(self, center: Sequence[complex], unitary: Optional[np.ndarray] = None,
-                 tol: float = 1e-8):
+    def __init__(self, center: Sequence[complex], unitary: Optional[np.ndarray] = None):
         a = np.asarray(center, dtype=complex).reshape(-1)
         if a.size < 1:
             raise ValueError("center must be a nonempty vector")
         if np.linalg.norm(a) >= 1.0:
             raise ValueError(f"center must lie strictly inside the ball, |a|={np.linalg.norm(a)}")
         u = np.eye(a.size, dtype=complex) if unitary is None else np.asarray(unitary, dtype=complex)
-        if u.shape != (a.size, a.size) or not _linalg.is_unitary(u, tol):
+        if u.shape != (a.size, a.size) or not _linalg.is_unitary(u):
             raise ValueError("unitary part must be a square unitary matrix")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "U", u)
@@ -103,7 +102,7 @@ def _automorphism_maps(centres: np.ndarray, unitaries: np.ndarray) -> list:
     return RationalBallMap._from_stack(n, monos, rows, centres[:, None, :])
 
 
-def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorphism:
+def automorphism_from_map(m: RationalBallMap) -> BallAutomorphism:
     """Recognize a degree-one equidimensional proper map as a ball automorphism.
 
     Recovers the Moebius center from the denominator and solves for the
@@ -123,12 +122,12 @@ def automorphism_from_map(m: RationalBallMap, tol: float = 1e-8) -> BallAutomorp
     _, stack = coefficient_matrix([*reference.p, *m.p])
     ref_mat, map_mat = stack[:n], stack[n:]
     unitary = _linalg.procrustes_unitary(ref_mat, map_mat)
-    if np.max(np.abs(unitary @ ref_mat - map_mat)) > 1e3 * tol:
+    if np.max(np.abs(unitary @ ref_mat - map_mat)) > 1e-5:
         raise ValueError("map is not a unitary multiple of a Moebius factor")
     return BallAutomorphism(a, unitary)
 
 
-def boundary_constant_map(point: Sequence[complex], tol: float = 1e-6) -> RationalBallMap:
+def boundary_constant_map(point: Sequence[complex]) -> RationalBallMap:
     """Degenerate limit of automorphisms as the center reaches the sphere.
 
     When ||a|| = 1 the Moebius factor collapses to a constant boundary point
@@ -137,7 +136,7 @@ def boundary_constant_map(point: Sequence[complex], tol: float = 1e-6) -> Ration
     denominator 1.
     """
     a = np.asarray(point, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > tol:
+    if abs(np.linalg.norm(a) - 1.0) > 1e-6:
         raise ValueError("boundary constant requires a point of the unit sphere")
     return RationalBallMap.constant(a, a.size)
 
@@ -204,13 +203,12 @@ def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
     return complex(np.mean(zs[:, 0] * (dpv / pv - dqv / qv)))
 
 
-def winding_degree(m: RationalBallMap, nodes: int = 4096,
-                   residual_tol: float = 1e-3) -> int:
+def winding_degree(m: RationalBallMap, nodes: int = 4096) -> int:
     """Nearest integer to the winding quadrature; rejects non-integral values."""
     value = winding_integral(m, nodes)
     nearest = round(value.real)
     residual = abs(value - nearest)
-    if residual > residual_tol:
+    if residual > 1e-3:
         raise NonIntegralWindingError(
             f"winding integral {value} is {residual:.2e} away from an integer")
     return int(nearest)
@@ -246,7 +244,7 @@ def subspace_basis(target_dim: int, columns) -> np.ndarray:
 
 
 def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
-                       phi=None, tol: float = 1e-8) -> RationalBallMap:
+                       phi=None) -> RationalBallMap:
     """Tensor the part of f in a target subspace with a domain self-map.
 
     With P the orthogonal projection onto the span of the (orthonormal) basis
@@ -265,7 +263,7 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     d = basis.shape[1]
     if d == 0:
         raise TensorSubspaceError("tensor subspace must be nonzero")
-    if not _linalg.has_orthonormal_columns(basis, tol):
+    if not _linalg.has_orthonormal_columns(basis):
         raise TensorSubspaceError("subspace basis must have orthonormal columns")
     frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
     return _tensor_in_frame([f], frame, d, [_as_domain_map(phi, f.n)])[0]
@@ -381,11 +379,6 @@ class WhitneyTerm:
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    def parent(self) -> "WhitneyTerm":
-        if not self.steps:
-            raise ValueError("the starting term has no parent")
-        return WhitneyTerm(self.start, self.steps[:-1], self.maps[:-1])
 
 
 def whitney_start(phi: BallAutomorphism, certify: bool = True) -> WhitneyTerm:

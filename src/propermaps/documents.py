@@ -125,13 +125,13 @@ def map_from_document(doc: dict) -> RationalBallMap:
     numerator = doc["numerator"]
     if not isinstance(numerator, list) or len(numerator) != target:
         raise MapDocumentError("numerator must list one term-list per component")
-    components = [Polynomial(n, _list_to_terms(items, n, f"numerator[{i}]"), tol=0.0)
+    components = [Polynomial(n, _list_to_terms(items, n, f"numerator[{i}]"))
                   for i, items in enumerate(numerator)]
     q_terms = _list_to_terms(doc["denominator"], n, "denominator")
     constant = q_terms.get((0,) * n)
     if constant is None or abs(constant - 1.0) > DEFAULT_TOL:
         raise MapDocumentError("denominator must contain the constant term re=1, im=0")
-    denominator = Polynomial(n, q_terms, tol=0.0)
+    denominator = Polynomial(n, q_terms)
     factors = _list_to_factors(doc.get("denominator_factors", []), n)
     try:
         return RationalBallMap(n, target, components, denominator, factors=factors)
@@ -139,13 +139,8 @@ def map_from_document(doc: dict) -> RationalBallMap:
         raise MapDocumentError(str(exc)) from exc
 
 
-def dump_map(m: RationalBallMap, fp: IO[str], indent: int = 2):
-    json.dump(map_to_document(m), fp, indent=indent)
-    fp.write("\n")
-
-
-def dumps_map(m: RationalBallMap, indent: int = 2) -> str:
-    return json.dumps(map_to_document(m), indent=indent) + "\n"
+def dumps_map(m: RationalBallMap) -> str:
+    return json.dumps(map_to_document(m), indent=2) + "\n"
 
 
 def load_map(fp: IO[str]) -> RationalBallMap:

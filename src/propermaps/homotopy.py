@@ -142,8 +142,7 @@ def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFa
 
 def concat_families(segments: Sequence[HomotopyFamily], *,
                     endpoint_left: Optional[RationalBallMap] = None,
-                    endpoint_right: Optional[RationalBallMap] = None,
-                    tol: float = DEFAULT_TOL) -> HomotopyFamily:
+                    endpoint_right: Optional[RationalBallMap] = None) -> HomotopyFamily:
     """Concatenate families, splicing unitary bridges at norm-equivalent junctions.
 
     Piece k of the k = 0, ..., K-1 pieces runs over [k/K, (k+1)/K); a grid
@@ -161,8 +160,8 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
     for nxt in segs[1:]:
         prev_end = pieces[-1].evaluate(1.0).padded(big)
         nxt_start = nxt.evaluate(0.0).padded(big)
-        if not prev_end.allclose(nxt_start, 1e3 * tol):
-            witness = norm_equivalent(prev_end, nxt_start, tol=1e3 * tol)
+        if not prev_end.allclose(nxt_start, 1e3 * DEFAULT_TOL):
+            witness = norm_equivalent(prev_end, nxt_start, tol=1e3 * DEFAULT_TOL)
             if not witness.equivalent:
                 raise EndpointMismatchError(
                     "junction maps are not norm-equivalent; cannot concatenate")
@@ -584,7 +583,7 @@ def _single_monomials(components: Sequence[Polynomial]) -> list:
 
 
 def _match_siblings(slot_terms: list, q_mono: tuple, coefficient: complex,
-                    n: int, tol: float) -> list:
+                    n: int) -> list:
     """One slot per variable carrying z_j * q with the common coefficient.
 
     Duplicate monomials across slots are allowed; any slot with a matching
@@ -598,7 +597,7 @@ def _match_siblings(slot_terms: list, q_mono: tuple, coefficient: complex,
         if not holders:
             raise NotTensorImageError(
                 f"missing sibling component for monomial {sibling}")
-        matching = [i for i, c in holders if abs(c - coefficient) <= tol]
+        matching = [i for i, c in holders if abs(c - coefficient) <= DEFAULT_TOL]
         if not matching:
             raise NotTensorImageError(
                 f"sibling components have unequal coefficients at {sibling} "
@@ -607,8 +606,7 @@ def _match_siblings(slot_terms: list, q_mono: tuple, coefficient: complex,
     return slots
 
 
-def collapse_to_linear(source, target_dim: Optional[int] = None,
-                       tol: float = DEFAULT_TOL) -> HomotopyFamily:
+def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFamily:
     """Reduce a monomial tensor-image map to the identity in one extra dimension.
 
     Repeatedly takes the last top-degree monomial m (in descending monomial
@@ -650,7 +648,7 @@ def collapse_to_linear(source, target_dim: Optional[int] = None,
             if mono != target_mono:
                 continue
             try:
-                chosen = (coeff, _match_siblings(slot_terms, q_mono, coeff, n, tol))
+                chosen = (coeff, _match_siblings(slot_terms, q_mono, coeff, n))
                 break
             except NotTensorImageError as exc:
                 match_error = exc
@@ -682,7 +680,7 @@ def collapse_to_linear(source, target_dim: Optional[int] = None,
 
     final_map = RationalBallMap(n, dim, components)
     identity_pad = RationalBallMap.identity(n).padded(dim)
-    if not final_map.allclose(identity_pad, tol):
+    if not final_map.allclose(identity_pad):
         witness = norm_equivalent(final_map, identity_pad, tol=1e-6)
         if not witness.equivalent:
             raise NotTensorImageError("reduced linear map is not a unitary image "

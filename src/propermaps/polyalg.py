@@ -186,9 +186,9 @@ class Polynomial:
         return cls(len(exps), {exps: coeff})
 
     # ------------------------------------------------------------- properties
-    def significant_terms(self, tol: float = DEFAULT_TOL) -> dict:
+    def significant_terms(self) -> dict:
         """Terms whose coefficient magnitude exceeds the comparison tolerance."""
-        return {a: c for a, c in self.terms.items() if abs(c) > tol}
+        return {a: c for a, c in self.terms.items() if abs(c) > DEFAULT_TOL}
 
     @property
     def degree(self):
@@ -371,10 +371,10 @@ class HermitianForm:
         form._store(nvars, basis, matrix)
         return form
 
-    def _validate(self, tol: float = DEFAULT_TOL):
-        """Raise unless the matrix equals its conjugate transpose within 10 tol."""
+    def _validate(self):
+        """Raise unless the matrix equals its conjugate transpose within 10 DEFAULT_TOL."""
         mat = self.matrix
-        bad = np.argwhere(np.abs(mat - mat.conj().T) > 10 * tol)
+        bad = np.argwhere(np.abs(mat - mat.conj().T) > 10 * DEFAULT_TOL)
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"Hermitian symmetry violated at ({self.basis[i]}, "

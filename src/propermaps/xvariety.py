@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg
-from .ballmaps import DEFAULT_SEED, RationalBallMap
+from .ballmaps import DEFAULT_SEED, RationalBallMap, degree as map_degree
 from .homotopy import HomotopyFamily
 from .polyalg import (DEFAULT_TOL, Polynomial, monomials_of_degree,
                       multinomial, total_degree)
@@ -87,13 +87,15 @@ class XMatrix:
 def build_xmatrix(m: RationalBallMap, degree: Optional[int] = None) -> XMatrix:
     """Homogenize the numerator against <z, conj(w)> powers at the given degree.
 
-    The degree defaults to the numerator degree; a larger value embeds the map
-    among higher-degree maps, which keeps matrix shapes constant along a
-    family.  Column k collects, per degree-d monomial z^alpha, the coefficient
-    polynomial in the conjugated variables of component k.
+    The degree defaults to the numerator degree, 0 for a zero numerator; a
+    larger value embeds the map among higher-degree maps, which keeps matrix
+    shapes constant along a family.  Column k collects, per degree-d monomial
+    z^alpha, the coefficient polynomial in the conjugated variables of
+    component k.
     """
-    d = int(m.degree) if degree is None else int(degree)
-    if d < int(m.degree):
+    top = map_degree(m)
+    d = top if degree is None else int(degree)
+    if d < top:
         raise ValueError("homogenization degree cannot be below the map degree")
     rows = monomials_of_degree(m.n, d)
     row_index = {alpha: i for i, alpha in enumerate(rows)}
@@ -127,8 +129,7 @@ class FiberReport:
     dimension: int
 
 
-def fiber_at(m: RationalBallMap, x: XMatrix, w: Sequence[complex],
-             rtol: float = _linalg.RANK_RTOL) -> FiberReport:
+def fiber_at(m: RationalBallMap, x: XMatrix, w: Sequence[complex]) -> FiberReport:
     """Fiber over w: f(w) plus the kernel of the conjugated matrix at w.
 
     The origin is special-cased as the single point (0, f(0)).  Raises
@@ -143,7 +144,7 @@ def fiber_at(m: RationalBallMap, x: XMatrix, w: Sequence[complex],
     if abs(m.q(wv)) <= 1e-8:
         raise EvaluationAtPoleError(f"denominator vanishes at {wv}")
     matrix = x.conjugated_at(wv)
-    kernel = _linalg.nullspace_basis(matrix, rtol=rtol)
+    kernel = _linalg.nullspace_basis(matrix)
     return FiberReport(wv, m.evaluate(wv), kernel, kernel.shape[1])
 
 
@@ -162,7 +163,6 @@ class GraphTestResult:
 
 def graph_test(m: RationalBallMap, x: Optional[XMatrix] = None,
                samples: int = 50, seed: int = DEFAULT_SEED,
-               rtol: float = _linalg.RANK_RTOL,
                include_hyperplanes: bool = True) -> GraphTestResult:
     """Sample fibers at random and structured points, reporting any positive-dimensional ones.
 
@@ -189,7 +189,7 @@ def graph_test(m: RationalBallMap, x: Optional[XMatrix] = None,
         if np.linalg.norm(w) <= DEFAULT_TOL:
             continue
         try:
-            report = fiber_at(m, x, w, rtol=rtol)
+            report = fiber_at(m, x, w)
         except EvaluationAtPoleError:
             continue
         checked += 1
@@ -234,7 +234,7 @@ def xmatrix_along_family(family: HomotopyFamily, grid_size: int = 11,
     members = list(family.evaluate_many(ts))
     top = degree
     if top is None:
-        top = max(int(m.degree) for m in members)
+        top = max(map_degree(m) for m in members)
     matrices = [build_xmatrix(m, degree=top) for m in members]
 
     max_step = 0.0

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import propermaps
 from propermaps.ballmaps import RationalBallMap
-from propermaps.cli import main
+from propermaps.cli import _build_parser, main
 from propermaps.corpus import build_whitney_term, corpus
 from propermaps.documents import (MapDocumentError, dumps_map, map_from_document,
                                   map_to_document)
@@ -157,6 +158,17 @@ def test_xvariety_fiber_and_graph(capsys):
     assert main(["xvariety", "ex4.1.map", "--at", "0.3+0.1j,0.2"]) == 0
     assert "fiber dimension" in capsys.readouterr().out
     assert main(["xvariety", "ex2.1.h", "--graph-test", "--samples", "10"]) == 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--graph-test", "--samples", "5"]])
+def test_xvariety_of_a_zero_numerator(extra, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(dumps_map(RationalBallMap(2, 1, [Polynomial.zero(2)])))
+    assert main(["xvariety", str(path), *extra]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if not extra:
+        assert captured.out.startswith("homogenization matrix: 1 x 1, degree 0")
 
 
 def test_xvariety_pole_is_a_mathematical_failure(tmp_path, capsys):
@@ -338,6 +350,63 @@ def test_registry_dimensions(registry):
         registry.get_map("nope")
 
 
+# ------------------------------------------------------------- option surface
+SHARED_FLAGS = {"--tol", "--seed", "--grid", "--samples", "--json"}
+
+# Per subcommand: the shared flags its handler reads, and its --grid default.
+FLAG_TABLE = {
+    "verify": ({"--tol", "--seed", "--json"}, None),
+    "degree": ({"--json"}, None),
+    "embdim": ({"--json"}, None),
+    "bound": ({"--json"}, None),
+    "equiv": ({"--tol", "--json"}, None),
+    "xvariety": ({"--seed", "--samples", "--json"}, None),
+    "whitney": ({"--tol", "--seed", "--grid", "--json"}, 101),
+    "homotopy": ({"--tol", "--seed", "--grid", "--json"}, 101),
+    "blaschke": ({"--tol", "--seed", "--grid", "--json"}, 11),
+    "corpus": ({"--tol", "--seed", "--grid", "--json"}, 11),
+}
+
+
+def _subparsers() -> dict:
+    parser = _build_parser()
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_each_subcommand_declares_only_the_shared_flags_it_reads():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(FLAG_TABLE)
+    for name, p in subparsers.items():
+        flags, grid = FLAG_TABLE[name]
+        declared = {s for a in p._actions for s in a.option_strings} & SHARED_FLAGS
+        assert declared == flags, name
+        assert p.get_default("grid") == grid, name
+    assert sum(len(flags) for flags, _ in FLAG_TABLE.values()) == 27
+
+
+@pytest.mark.parametrize("argv", [
+    ["degree", "ex2.1.f", "--tol", "1e-3"],
+    ["verify", "faran.h", "--grid", "5"],
+    ["equiv", "ex2.1.f", "ex2.1.g", "--seed", "3"],
+    ["bound", "degree", "2", "3", "--samples", "0"],
+])
+def test_a_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_usage_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].strip().splitlines()
+    assert lines and all(line.startswith("propermaps ") for line in lines)
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
 # ------------------------------------------------------------ malformed input
 SRC = str(Path(propermaps.__file__).resolve().parents[1])
 
@@ -383,6 +452,12 @@ MALFORMED = {
     "bound-negative-target": (["bound", "degree", "2", "-3"], None, "no proper map from B2"),
     "bound-target-below-domain": (["bound", "degree", "3", "2"], None,
                                   "no proper map from B3 to B2"),
+    "whitney-out-under-a-file": (["whitney", "build", "doc.json", "--out", "doc.json/out.json"],
+                                 {"domain_dim": 2, "steps": [{"subspace": [1]}]},
+                                 "Not a directory"),
+    "homotopy-whitney-monomial-without-script": (["homotopy", "doc.json"],
+                                                 {"kind": "whitney-monomial"},
+                                                 "needs a 'script' object"),
 }
 
 

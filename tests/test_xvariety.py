@@ -181,6 +181,16 @@ def test_rank_deficient_padding_is_exceptional_everywhere(rng):
     assert len(result.exceptional) == result.samples_checked
 
 
+def test_zero_numerator_has_degree_zero_and_full_fibers():
+    zero = RationalBallMap(2, 3, [Polynomial.zero(2)] * 3)
+    x = build_xmatrix(zero)
+    assert (x.d, x.row_count, x.N) == (0, 1, 3)
+    result = graph_test(zero, x, samples=10)
+    assert not result.graph_equals_x and result.samples_checked >= 10
+    assert all(dim == zero.N for _, dim in result.exceptional)
+    assert len(result.exceptional) == result.samples_checked
+
+
 # ------------------------------------------------------------ family matrices
 def test_constant_family_gives_constant_matrices():
     report = xmatrix_along_family(constant_family(quadric_three_map()),
