@@ -368,13 +368,8 @@ FLAG_TABLE = {
 }
 
 
-def _subparsers() -> dict:
-    parser = _build_parser()
-    return parser._subparsers._group_actions[0].choices
-
-
 def test_each_subcommand_declares_only_the_shared_flags_it_reads():
-    subparsers = _subparsers()
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
     assert set(subparsers) == set(FLAG_TABLE)
     for name, p in subparsers.items():
         flags, grid = FLAG_TABLE[name]
