@@ -19,6 +19,17 @@ def numerical_rank(matrix: np.ndarray):
     return int(ranks) if m.ndim == 2 else ranks
 
 
+def orthogonal_rows(stack: np.ndarray) -> np.ndarray:
+    """For each (R, M) slice of a (T, R, M) stack, whether no two of its rows
+    have an entry in one column, which makes them orthogonal.  A slice with
+    more entries than columns has two rows sharing a column, so one count
+    turns a single dense slice away before any work per column."""
+    entries = stack.astype(bool)
+    if len(stack) == 1 and np.count_nonzero(entries) > stack.shape[2]:
+        return np.zeros(1, dtype=bool)
+    return entries.sum(axis=1, dtype=np.int32).max(axis=1, initial=0) <= 1
+
+
 def nullspace_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, as columns of an (n, dim) array."""
     m = np.asarray(matrix, dtype=complex)

@@ -581,10 +581,16 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     of denominator factors are certified as one block of at most
     BLOCK_ENTRIES Gram entries: one stacked signed Gram, one sphere-reduction
     plan for the block's union above-floor mask, one chain of factor
-    products with a row per map, and one stacked SVD for the ranks.  Only a
-    denominator that its factors leave undecided is worked out map by map;
-    a certificate's witness is sampled when it is first read.
-    ``certify_proper`` is the block step on one map.
+    products with a row per map, and one stacked SVD for the ranks.  A
+    member whose component rows share no column has orthogonal rows: its
+    rank counts the row norms instead of taking the SVD
+    (``_embedding_dimensions``), and its Gram is each row's own outer
+    product on its own columns, built without the dense product once that
+    would take ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  That is
+    decided for each member on its own rows, so its results do not depend
+    on the block.  Only a denominator that its factors leave
+    undecided is worked out map by map; a certificate's witness is sampled
+    when it is first read.  ``certify_proper`` is the block step on one map.
 
     Results come block by block as the maps are read, so a caller may stop
     at the first failure; an error for a map is raised at that map's turn,
@@ -621,18 +627,36 @@ def degree(m: RationalBallMap) -> int:
 
 
 def _embedding_dimensions(stack: np.ndarray) -> np.ndarray:
-    """For each map of a (T, N+1, M) stack, the rank of its component rows
-    over the columns where they have an entry; one stacked SVD per distinct
-    set of such columns."""
+    """For each map of a (T, N+1, M) stack, the rank of its component rows:
+    the number of their singular values above ``RANK_RTOL`` times the largest.
+
+    When no two component rows of a map share a column
+    (``_linalg.orthogonal_rows``), the rows are orthogonal and their norms
+    are their singular values, so the norms are counted.  The other maps get
+    one stacked SVD per distinct set of columns where their rows have an
+    entry.  This is decided for each map on its own rows, so its rank does
+    not depend on what it is stacked with.
+    """
     rows = stack[:, :-1]
+    orthogonal = _linalg.orthogonal_rows(rows)
     ranks = np.zeros(len(stack), dtype=int)
+    dense = np.arange(len(stack))
+    if any(orthogonal.tolist()):
+        norms = np.linalg.norm(rows[orthogonal], axis=2)
+        ranks[orthogonal] = (norms > norms.max(axis=1, keepdims=True)
+                             * _linalg.RANK_RTOL).sum(axis=1)
+        dense = dense[~orthogonal]
+        rows = rows[dense]
     for members, columns in _mask_groups(rows.any(axis=1)):
-        ranks[members] = _linalg.numerical_rank(rows[members].compress(columns, axis=2))
+        ranks[dense[members]] = _linalg.numerical_rank(rows[members].compress(columns, axis=2))
     return ranks
 
 
 def embedding_dimension(m: RationalBallMap) -> int:
-    """Number of linearly independent components (rank of the coefficient rows)."""
+    """Number of linearly independent components: the rank of the component
+    coefficient rows, counting singular values above ``RANK_RTOL`` (1e-10)
+    times the largest.  Rows that share no column are orthogonal, and their
+    norms are their singular values (``_embedding_dimensions``)."""
     return int(_embedding_dimensions(m.coefficients[None])[0])
 
 

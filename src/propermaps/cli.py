@@ -223,6 +223,7 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
             fp.write(dumps_map(m))
         out.line(f"map written to {args.out}")
     code = 0
+    family = None
     if args.monomial_homotopy:
         family = homotopy_to_monomial(term)
         report = verify_family(family, grid_size=args.grid, tol=args.tol,
@@ -233,10 +234,17 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
         out.set("monomial_homotopy", report.to_dict())
         code = max(code, 0 if report.passed else 1)
     if args.collapse:
-        family = collapse_to_linear(term)
-        report = verify_family(family, grid_size=args.grid, tol=args.tol,
+        # Degree lowering needs a monomial map; a term that is not one is
+        # homotopic to the monomial endpoint of its monomial homotopy.
+        source, origin = m, ""
+        if not m.is_monomial_map:
+            if family is None:
+                family = homotopy_to_monomial(term)
+            source, origin = family.endpoint_right, " from the monomial endpoint"
+        lowering = collapse_to_linear(source)
+        report = verify_family(lowering, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)
-        out.line(f"degree-lowering family in B{family.target_dim}: "
+        out.line(f"degree-lowering family{origin} in B{lowering.target_dim}: "
                  f"{'pass' if report.passed else 'FAIL'}")
         out.set("collapse", report.to_dict())
         code = max(code, 0 if report.passed else 1)

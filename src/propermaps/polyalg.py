@@ -28,12 +28,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _linalg
+
 #: Global comparison tolerance: coefficients within it count as equal/zero.
 DEFAULT_TOL = 1e-9
 
 #: Storage floor for sparse terms, well below the comparison tolerance so that
 #: repeated arithmetic cannot accumulate dropped mass anywhere near it.
 COEFFICIENT_FLOOR = 1e-14
+
+#: Multiply-adds of a Gram product, R rows times M^2 for M columns, from
+#: which ``_gram`` asks whether the rows share no column.  Below it the test
+#: and the build from the entries, a dozen numpy calls, cost more than the
+#: product: on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS) they break even at
+#: about 1.5e5, the 56 rows of the tensor power of degree 5 on B_4.
+ORTHOGONAL_GRAM_MIN = 2 ** 17
 
 MultiIndex = tuple
 
@@ -505,13 +514,59 @@ def align_rows(*blocks):
 def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     """The signed Gram matrix A^T conj(A) - B^T conj(B) of (R, M) coefficient
     rows, B the last ``negated`` rows and A the others; for a (T, R, M) stack,
-    the (T, M, M) stack of the matrices, each the one of its slice."""
+    the (T, M, M) stack of the matrices, each the one of its slice.
+
+    When no two rows of A share a column, the rows are orthogonal and A's
+    Gram is each row's own outer product on its own columns, built without
+    the dense product once that would take ORTHOGONAL_GRAM_MIN multiply-adds;
+    the same holds for B.  This is decided for A and for B of each slice on
+    its own rows (``_gram``), so a slice's matrix does not depend on what it
+    is stacked with.
+    """
     rows = np.asarray(rows)
-    split = rows.shape[-2] - negated
-    head, tail = rows[..., :split, :], rows[..., split:, :]
-    gram = head.swapaxes(-1, -2) @ head.conj()
+    stack = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
+    split = stack.shape[1] - negated
+    gram = _gram(stack[:, :split])
     if negated:
-        gram -= tail.swapaxes(-1, -2) @ tail.conj()
+        gram -= _gram(stack[:, split:])
+    return gram.reshape(rows.shape[:-2] + gram.shape[1:])
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """A^T conj(A) for each (R, M) slice A of a (T, R, M) stack.
+
+    When the product is at least ORTHOGONAL_GRAM_MIN multiply-adds, a slice
+    of two or more rows that share no column (``_linalg.orthogonal_rows``)
+    gets the outer product of each row with itself on the row's own columns:
+    its diagonal is each column's one entry times its conjugate, multiplied
+    in real arithmetic as in ``multiply_rows`` so that it is exactly real,
+    and only the rows with two or more entries add entries off it, from one
+    product over the slice's such rows.  The other slices come from one
+    stacked product, which is also what a single row's outer product is.
+    """
+    count, rows, size = stack.shape
+    orthogonal = (_linalg.orthogonal_rows(stack).tolist()
+                  if rows > 1 and rows * size * size >= ORTHOGONAL_GRAM_MIN else [False])
+    if not any(orthogonal):
+        return stack.swapaxes(1, 2) @ stack.conj()
+    part = stack if all(orthogonal) else stack[orthogonal]
+    entry = part.sum(axis=1)
+    own = np.zeros((len(part), size, size), dtype=complex)
+    # Each column has one entry, so some row has two or more exactly when
+    # the columns with an entry outnumber the rows with one.
+    if np.count_nonzero(entry) > np.count_nonzero(part.any(axis=2)):
+        multi = part.astype(bool).sum(axis=2) > 1
+        for k in np.flatnonzero(multi.any(axis=1)).tolist():
+            wide = part[k, multi[k]]
+            own[k] = wide.T @ wide.conj()
+    own.reshape(len(part), -1)[:, ::size + 1] = (entry.real * entry.real
+                                                 + entry.imag * entry.imag)
+    if len(part) == count:
+        return own
+    gram = np.empty((count, size, size), dtype=complex)
+    gram[orthogonal] = own
+    dense = np.logical_not(orthogonal)
+    gram[dense] = stack[dense].swapaxes(1, 2) @ stack[dense].conj()
     return gram
 
 

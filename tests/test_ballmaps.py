@@ -442,6 +442,13 @@ def test_norm_equivalence_across_different_denominators(rng):
     assert abs(abs(result.mismatch[2]) - expected) <= 1e-12 * expected
 
 
+def test_zero_maps_are_norm_equivalent():
+    # Their stacked rows keep no column, so every Gram is 0 x 0.
+    zero = RationalBallMap(2, 1, [Polynomial.zero(2)])
+    assert norm_equivalent(zero, zero.padded(3)).equivalent
+    assert embedding_dimension(zero) == 0
+
+
 def test_norm_equivalent_requires_common_domain():
     with pytest.raises(DimensionMismatchError):
         norm_equivalent(RationalBallMap.identity(2), RationalBallMap.identity(3))
@@ -614,7 +621,9 @@ def _kernel_makers():
     factored denominators (one or two carried factors, or q's own: one
     factor, or the square or cube of one), trivial, coefficient-bound and
     sampled ones, not-proper members, a constant map and a denominator that
-    vanishes on the closed ball."""
+    vanishes on the closed ball.  The two makers from the Whitney map are on
+    B_3 and share its support: a unitary image, whose rows are dense, and a
+    diagonal image, whose rows share no column."""
     z, w = var(0), var(1)
 
     def automorphism(gen):
@@ -643,6 +652,14 @@ def _kernel_makers():
         m = whitney_map()
         return apply_linear(random_unitary(m.N, gen), m)
 
+    def disjoint(gen):
+        # Rows that share no column: the monomial map under a diagonal of
+        # phases and scales, some rows at 1e-12 of the largest.
+        m = whitney_map()
+        scales = gen.uniform(0.5, 2.0, m.N) * np.exp(2j * np.pi * gen.random(m.N))
+        scales[gen.random(m.N) < 0.3] *= 1e-12
+        return apply_linear(np.diag(scales), m)
+
     def bounded(gen):
         phase = complex(*gen.standard_normal(2))
         return RationalBallMap(2, 2, [z, w], z * w * (0.4 * phase / abs(phase)) + 1.0)
@@ -659,8 +676,8 @@ def _kernel_makers():
         a = np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2) * (1 - 1e-9)
         return automorphism_map(BallAutomorphism(a))
 
-    return [automorphism, tensored, own_factor, own_power, monomial, bounded, sampled,
-            constant, vanishing]
+    return [automorphism, tensored, own_factor, own_power, monomial, disjoint, bounded,
+            sampled, constant, vanishing]
 
 
 def _same_certificate(a, b):
@@ -674,15 +691,19 @@ def _same_certificate(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), min_size=1, max_size=6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]))
-def test_kernel_agrees_with_single_map_certification(runs, seed, budget):
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 6)), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]),
+       st.sampled_from([0, polyalg.ORTHOGONAL_GRAM_MIN]))
+def test_kernel_agrees_with_single_map_certification(runs, seed, budget, gram_min):
     gen = np.random.default_rng(seed)
     makers = _kernel_makers()
-    # Runs of maps on one support; the vanishing maker is drawn rarely.
+    # Runs of maps on one support; the vanishing maker is drawn rarely.  A
+    # zero ORTHOGONAL_GRAM_MIN sends these small maps through the Gram of
+    # rows that share no column, so blocks mix such members with dense ones.
     maps = [makers[kind](gen) for kind, count in runs
-            for _ in range(count if kind < 8 or gen.random() < 0.3 else 0)]
-    with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget):
+            for _ in range(count if kind < 9 or gen.random() < 0.3 else 0)]
+    with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget), \
+            mock.patch.object(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min):
         results = certify_maps(maps)
         for m in maps:
             try:
@@ -729,3 +750,60 @@ def test_certification_blocks_bound_their_memory():
     # arrays (moduli, the gathered reduction terms, the factor products)
     # stay within a few times that, whatever the number of maps.
     assert peak < 8 * 16 * ballmaps.BLOCK_ENTRIES
+
+
+def _disjoint_rows(gen, count, size, several):
+    """(count, size) coefficient rows no two of which have an entry in one
+    column: a monomial map's rows (one column each) or, with ``several``,
+    rows that own several columns; under phases and scales from 1e-13 to 10,
+    so some rows are zero and some sit below RANK_RTOL of the largest."""
+    if several:
+        owner = gen.integers(-1, count, size)
+    else:
+        owner = np.full(size, -1)
+        owner[gen.permutation(size)[:count]] = np.arange(min(count, size))
+    rows = np.zeros((count, size), dtype=complex)
+    live = owner >= 0
+    rows[owner[live], np.flatnonzero(live)] = (gen.standard_normal(live.sum())
+                                               + 1j * gen.standard_normal(live.sum()))
+    scales = gen.choice([1.0, 10.0, 0.1, 1e-12, 1e-13, 0.0], count)
+    return rows * (scales * np.exp(2j * np.pi * gen.random(count)))[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_rows_that_share_no_column_match_the_dense_reference(seed, several):
+    gen = np.random.default_rng(seed)
+    count, size = int(gen.integers(2, 12)), int(gen.integers(2, 30))
+    stack = np.stack([_disjoint_rows(gen, count, size, several)
+                      for _ in range(int(gen.integers(1, 4)))])
+    assert _linalg.orthogonal_rows(stack).all()
+    q = np.ones((len(stack), 1, size))
+    with mock.patch.object(polyalg, "ORTHOGONAL_GRAM_MIN", 0):
+        grams = polyalg.signed_gram(stack)
+        ranks = ballmaps._embedding_dimensions(np.concatenate([stack, q], axis=1))
+    for rows, gram, rank in zip(stack, grams, ranks.tolist()):
+        entry = np.abs(rows).sum(axis=0)  # |a_alpha|, the one entry of column alpha
+        bound = 4 * np.finfo(float).eps * np.outer(entry, entry)
+        assert np.all(np.abs(gram - rows.T @ rows.conj()) <= bound)
+        assert np.all(gram.diagonal().imag == 0)
+        assert rank == _linalg.numerical_rank(rows)
+
+
+@pytest.mark.parametrize("gram_min", [0, polyalg.ORTHOGONAL_GRAM_MIN])
+@pytest.mark.parametrize("n, d", [(2, 6), (2, 12), (2, 20), (2, 30), (2, 40),
+                                  (3, 4), (3, 6), (3, 12), (3, 20)])
+def test_tensor_ladder_through_the_rows_that_share_no_column(n, d, gram_min, monkeypatch):
+    monkeypatch.setattr(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min)
+    comps = [Polynomial(n, {a: math.sqrt(polyalg.multinomial(d, a))})
+             for a in polyalg.monomials_of_degree(n, d)]
+    m = RationalBallMap(n, len(comps), comps)
+    assert embedding_dimension(m) == m.N
+    assert degree(m) == d
+    # The dense path: the Gram products of the rows, then the sphere reduction.
+    head, tail = m.coefficients[None, :-1], m.coefficients[None, -1:]
+    dense = head.swapaxes(1, 2) @ head.conj() - tail.swapaxes(1, 2) @ tail.conj()
+    residuals, worst = polyalg.sphere_residuals(n, m.support, dense)
+    cert = certify_proper(m)
+    assert cert.residual_norm == residuals[0]
+    assert cert.worst_entry == worst[0]

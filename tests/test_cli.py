@@ -184,7 +184,25 @@ def test_whitney_collapse_flag(tmp_path, capsys):
     script.write_text(json.dumps({"domain_dim": 2,
                                   "steps": [{"subspace": [1]}]}))
     assert main(["whitney", "build", str(script), "--collapse", "--grid", "7"]) == 0
-    assert "degree-lowering family" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "degree-lowering family in B" in out
+    assert "monomial endpoint" not in out
+
+
+def test_whitney_collapse_of_the_readme_script(tmp_path, capsys):
+    # The README's script has a step with an automorphism, so its term is not
+    # a monomial map: the degree-lowering family starts at the monomial
+    # endpoint of the term's monomial homotopy.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Whitney scripts", 1)[1].split("```json", 1)[1]
+    script = tmp_path / "script.json"
+    script.write_text(block.split("```", 1)[0])
+    args = ["whitney", "build", str(script), "--monomial-homotopy", "--collapse",
+            "--grid", "11"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "monomial homotopy: endpoint degree 3, pass" in lines
+    assert "degree-lowering family from the monomial endpoint in B6: pass" in lines
 
 
 def test_homotopy_family_id(capsys):

@@ -437,3 +437,29 @@ def test_multiply_rows_agrees_with_polynomial_products(nvars, seed):
     for a, b, got in zip(left, right, polynomials_from_rows(nvars, monos, rows)):
         scale = a.max_abs_coeff() * b.max_abs_coeff()
         assert got.distance(a * b) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("gram_min", [0, polyalg.ORTHOGONAL_GRAM_MIN])
+@pytest.mark.parametrize("negated", [0, 1, 20])
+def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
+                                                              monkeypatch):
+    # 40 rows on 64 columns reach the default ORTHOGONAL_GRAM_MIN.  Members:
+    # monomial rows (one column each) under phases and scales, some rows at
+    # 1e-12 of the largest; rows that own several columns each; dense rows;
+    # zero rows.
+    monkeypatch.setattr(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min)
+    gen = np.random.default_rng(14)
+    count, size = 40, 64
+    assert count * size * size >= polyalg.ORTHOGONAL_GRAM_MIN
+    monomial = np.zeros((count, size), dtype=complex)
+    monomial[np.arange(count), gen.permutation(size)[:count]] = 1.0
+    scales = gen.uniform(0.5, 2.0, count) * np.exp(2j * np.pi * gen.random(count))
+    scales[gen.random(count) < 0.3] *= 1e-12
+    several = np.zeros((count, size), dtype=complex)
+    several[gen.integers(0, count, size), np.arange(size)] = gen.standard_normal(size)
+    dense = gen.standard_normal((count, size)) + 1j * gen.standard_normal((count, size))
+    stack = np.stack([monomial * scales[:, None], dense, several, monomial,
+                      np.zeros((count, size)), several * 1j])
+    grams = signed_gram(stack, negated)
+    for rows, gram in zip(stack, grams):
+        assert gram.tobytes() == signed_gram(rows, negated).tobytes()
