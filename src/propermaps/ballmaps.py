@@ -584,13 +584,14 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     products with a row per map, and one stacked SVD for the ranks.  A
     member whose component rows share no column has orthogonal rows: its
     rank counts the row norms instead of taking the SVD
-    (``_embedding_dimensions``), and its Gram is each row's own outer
-    product on its own columns, built without the dense product once that
-    would take ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  That is
-    decided for each member on its own rows, so its results do not depend
-    on the block.  Only a denominator that its factors leave
-    undecided is worked out map by map; a certificate's witness is sampled
-    when it is first read.  ``certify_proper`` is the block step on one map.
+    (``_embedding_dimensions``).  When, besides, each row has at most one
+    entry, as for a monomial map, its Gram is the diagonal of the entries'
+    squared moduli, built without the dense product once that would take
+    ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  That is decided
+    for each member on its own rows, so its results do not depend on the
+    block.  Only a denominator that its factors leave undecided is worked
+    out map by map; a certificate's witness is sampled when it is first
+    read.  ``certify_proper`` is the block step on one map.
 
     Results come block by block as the maps are read, so a caller may stop
     at the first failure; an error for a map is raised at that map's turn,

@@ -241,6 +241,7 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
             if family is None:
                 family = homotopy_to_monomial(term)
             source, origin = family.endpoint_right, " from the monomial endpoint"
+            out.set("collapse_from", "monomial_endpoint")
         lowering = collapse_to_linear(source)
         report = verify_family(lowering, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)

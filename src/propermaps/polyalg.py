@@ -38,10 +38,11 @@ DEFAULT_TOL = 1e-9
 COEFFICIENT_FLOOR = 1e-14
 
 #: Multiply-adds of a Gram product, R rows times M^2 for M columns, from
-#: which ``_gram`` asks whether the rows share no column.  Below it the test
-#: and the build from the entries, a dozen numpy calls, cost more than the
-#: product: on a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS) they break even at
-#: about 1.5e5, the 56 rows of the tensor power of degree 5 on B_4.
+#: which ``_gram`` asks whether each row has at most one entry and no two
+#: rows share a column.  Below it the test and the diagonal build, about ten
+#: numpy calls, cost more than the product: on a 2-vCPU x86-64 host (numpy
+#: 2.4, OpenBLAS) they break even at about 1.8e5, the 56 rows of the tensor
+#: power of degree 5 on B_4.
 ORTHOGONAL_GRAM_MIN = 2 ** 17
 
 MultiIndex = tuple
@@ -516,12 +517,13 @@ def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     rows, B the last ``negated`` rows and A the others; for a (T, R, M) stack,
     the (T, M, M) stack of the matrices, each the one of its slice.
 
-    When no two rows of A share a column, the rows are orthogonal and A's
-    Gram is each row's own outer product on its own columns, built without
-    the dense product once that would take ORTHOGONAL_GRAM_MIN multiply-adds;
-    the same holds for B.  This is decided for A and for B of each slice on
-    its own rows (``_gram``), so a slice's matrix does not depend on what it
-    is stacked with.
+    When each row of A has at most one entry and no two rows share a column,
+    as for a monomial map, the rows are orthogonal and A's Gram is the
+    diagonal of their entries' squared moduli, built without the dense
+    product once that would take ORTHOGONAL_GRAM_MIN multiply-adds; the same
+    holds for B.  This is decided for A and for B of each slice on its own
+    rows (``_gram``), so a slice's matrix does not depend on what it is
+    stacked with.
     """
     rows = np.asarray(rows)
     stack = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
@@ -536,36 +538,28 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     """A^T conj(A) for each (R, M) slice A of a (T, R, M) stack.
 
     When the product is at least ORTHOGONAL_GRAM_MIN multiply-adds, a slice
-    of two or more rows that share no column (``_linalg.orthogonal_rows``)
-    gets the outer product of each row with itself on the row's own columns:
-    its diagonal is each column's one entry times its conjugate, multiplied
-    in real arithmetic as in ``multiply_rows`` so that it is exactly real,
-    and only the rows with two or more entries add entries off it, from one
-    product over the slice's such rows.  The other slices come from one
-    stacked product, which is also what a single row's outer product is.
+    with at most one entry in each row and each column, such as the rows of
+    a monomial map (``_linalg.orthogonal_rows`` of the slice and of its
+    transpose), gets the diagonal Gram of those entries: each entry times its
+    conjugate, multiplied in real arithmetic as in ``multiply_rows`` so that
+    it is exactly real.  The other slices come from one stacked product.
     """
     count, rows, size = stack.shape
-    orthogonal = (_linalg.orthogonal_rows(stack).tolist()
-                  if rows > 1 and rows * size * size >= ORTHOGONAL_GRAM_MIN else [False])
-    if not any(orthogonal):
+    diagonal = [False]
+    if rows * size * size >= ORTHOGONAL_GRAM_MIN:
+        diagonal = (_linalg.orthogonal_rows(stack)
+                    & _linalg.orthogonal_rows(stack.swapaxes(1, 2))).tolist()
+    if not any(diagonal):
         return stack.swapaxes(1, 2) @ stack.conj()
-    part = stack if all(orthogonal) else stack[orthogonal]
-    entry = part.sum(axis=1)
-    own = np.zeros((len(part), size, size), dtype=complex)
-    # Each column has one entry, so some row has two or more exactly when
-    # the columns with an entry outnumber the rows with one.
-    if np.count_nonzero(entry) > np.count_nonzero(part.any(axis=2)):
-        multi = part.astype(bool).sum(axis=2) > 1
-        for k in np.flatnonzero(multi.any(axis=1)).tolist():
-            wide = part[k, multi[k]]
-            own[k] = wide.T @ wide.conj()
-    own.reshape(len(part), -1)[:, ::size + 1] = (entry.real * entry.real
-                                                 + entry.imag * entry.imag)
-    if len(part) == count:
+    entry = (stack if all(diagonal) else stack[diagonal]).sum(axis=1)
+    own = np.zeros((len(entry), size, size), dtype=complex)
+    own.reshape(len(entry), -1)[:, ::size + 1] = (entry.real * entry.real
+                                                  + entry.imag * entry.imag)
+    if len(entry) == count:
         return own
     gram = np.empty((count, size, size), dtype=complex)
-    gram[orthogonal] = own
-    dense = np.logical_not(orthogonal)
+    gram[diagonal] = own
+    dense = np.logical_not(diagonal)
     gram[dense] = stack[dense].swapaxes(1, 2) @ stack[dense].conj()
     return gram
 

@@ -187,6 +187,8 @@ def test_whitney_collapse_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "degree-lowering family in B" in out
     assert "monomial endpoint" not in out
+    assert main(["whitney", "build", str(script), "--collapse", "--grid", "7", "--json"]) == 0
+    assert "collapse_from" not in json.loads(capsys.readouterr().out)
 
 
 def test_whitney_collapse_of_the_readme_script(tmp_path, capsys):
@@ -203,6 +205,11 @@ def test_whitney_collapse_of_the_readme_script(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "monomial homotopy: endpoint degree 3, pass" in lines
     assert "degree-lowering family from the monomial endpoint in B6: pass" in lines
+    # The JSON report names the map that was lowered, too.
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["collapse_from"] == "monomial_endpoint"
+    assert payload["collapse"]["passed"]
 
 
 def test_homotopy_family_id(capsys):

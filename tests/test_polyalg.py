@@ -445,8 +445,8 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
                                                               monkeypatch):
     # 40 rows on 64 columns reach the default ORTHOGONAL_GRAM_MIN.  Members:
     # monomial rows (one column each) under phases and scales, some rows at
-    # 1e-12 of the largest; rows that own several columns each; dense rows;
-    # zero rows.
+    # 1e-12 of the largest, which get the diagonal Gram; rows that own
+    # several columns each, and dense rows, which get the product; zero rows.
     monkeypatch.setattr(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min)
     gen = np.random.default_rng(14)
     count, size = 40, 64
