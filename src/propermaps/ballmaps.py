@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,9 +28,9 @@ import numpy as np
 from . import _linalg
 from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm,
                       Polynomial, align_rows, canonical_rows, coefficient_matrix,
-                      evaluate_rows, gram_form, monomials_of_degree,
-                      multiply_rows, polynomials_from_rows, reduce_mod_sphere,
-                      signed_gram, sphere_residuals,
+                      evaluate_rows, gram_form, monomials_of_degree, multinomial,
+                      _mask_groups, multiply_rows, polynomials_from_rows,
+                      reduce_mod_sphere, signed_gram, sphere_residuals,
                       squared_norm_form)  # noqa: F401 - re-exported
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
@@ -101,19 +102,6 @@ def _constant_maps(stack: np.ndarray, tol: float) -> np.ndarray:
     """For each map of a (T, N+1, M) stack of rows, whether p_i = p_i(0) q for all i."""
     p, q = stack[:, :-1], stack[:, -1:]
     return ~(np.abs(p - p[:, :, -1:] * q) > tol).any(axis=(1, 2))
-
-
-def _mask_groups(mask: np.ndarray):
-    """(indices, row) for each distinct row of a boolean (T, L) mask, the
-    indices of the rows equal to it ascending."""
-    if len(mask) == 1:
-        yield [0], mask[0]
-        return
-    groups = {}
-    for k, row in enumerate(mask):
-        groups.setdefault(row.tobytes(), []).append(k)
-    for members in groups.values():
-        yield members, mask[members[0]]
 
 
 class RationalBallMap:
@@ -357,15 +345,61 @@ def ball_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return directions * radii[:, None]
 
 
+# A map-certify pass raises centres to 9 distinct (n, m), one per
+# composition of its ladder, and a family-grid pass, whose centres are
+# distinct, to m = 1 for n = 2 and 3; 32 plans hold either pass.  The bound
+# counts plans, not bytes: a plan keeps about 120 bytes per monomial of
+# degree at most m (its support tuple, exponent row and weight), 13 kB for
+# the largest of a map-certify pass (n = 2, m = 16, 153 monomials) and
+# 1.3 MB for n = 4, m = 20 (10,626 monomials), so 41 MB at worst for 32
+# plans of that size; higher powers take more.
+@lru_cache(maxsize=32)
+def _power_plan(n: int, m: int):
+    """(support, exponents, weights) of (1 - <z, a>)^m: the monomials z^gamma
+    of degree at most m, descending, their (M, n) exponents and the
+    multinomial(m; m - |gamma|, gamma) of each, read-only."""
+    full = monomials_of_degree(n + 1, m)
+    support = tuple(alpha[:n] for alpha in full)
+    exponents = np.array(support, dtype=np.int64).reshape(-1, n)
+    weights = np.array([float(multinomial(m, alpha)) for alpha in full])
+    exponents.flags.writeable = False
+    weights.flags.writeable = False
+    return support, exponents, weights
+
+
+def _power_rows(n: int, m: int, centres: np.ndarray):
+    """(support, rows): row t is (1 - <z, a_t>)^m for the rows a_t of the
+    (T, n) ``centres``, with the coefficient multinomial(m; m - |gamma|,
+    gamma) prod_j (-conj(a_tj))^gamma_j of each z^gamma."""
+    support, exponents, weights = _power_plan(n, m)
+    # powers[e, j, t] = (-conj(a_tj))^e, a running product.
+    powers = np.empty((m + 1, n, len(centres)), dtype=complex)
+    powers[0] = 1.0
+    np.cumprod(np.broadcast_to(-centres.conj().T, powers[1:].shape), axis=0, out=powers[1:])
+    rows = powers[exponents[:, 0], 0]
+    for j in range(1, n):
+        rows = rows * powers[exponents[:, j], j]
+    # Adding zero makes a zero +0.0, as the sums of ``multiply_rows`` do.
+    return support, (rows * weights[:, None]).T + 0.0
+
+
 def _factor_rows(n: int, centres: np.ndarray):
     """(support, rows): row t is prod_k (1 - <z, a_k>) over the rows a_k of
-    ``centres[t]``, a (T, K, n) stack; entries at or below the storage floor
-    are dropped after each factor, as in arithmetic."""
-    linear = [(0,) * n] + monomials_of_degree(n, 1)
-    monos, rows = [(0,) * n], np.ones((len(centres), 1), dtype=complex)
-    for k in range(centres.shape[1]):
-        factor = np.hstack([np.ones((len(centres), 1)), -centres[:, k].conj()])
-        monos, rows = multiply_rows(n, monos, rows, linear, factor)
+    ``centres[t]``, a (T, K, n) stack with K >= 1.
+
+    The factor columns whose centres are equal in every row form one group,
+    and a group of m columns is one power (1 - <z, a>)^m in closed form
+    (``_power_rows``).  The product starts from the first group's power and
+    multiplies the others in order of their first column; entries at or
+    below the storage floor are dropped after each distinct centre's power,
+    as in arithmetic.  When the centres are distinct, every power is its
+    linear factor and the product is the chain of factor products.
+    """
+    monos = rows = None
+    for columns, centre in _mask_groups(centres.swapaxes(0, 1)):
+        power = _power_rows(n, len(columns), centre)
+        monos, rows = (power if rows is None
+                       else multiply_rows(n, monos, rows, *power))
         rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     return monos, rows
 
@@ -375,7 +409,12 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
     """For each row of q, (T, M) over ``support``, and its factor centres, a
     (T, K, n) stack with K >= 1: the lower bound of |q| on the closed ball
     from the centres; None when they do not multiply out to q or an inexact
-    bound is low; or the DenominatorVanishesError to raise."""
+    bound is low; or the DenominatorVanishesError to raise.
+
+    The product of the factors is rebuilt once for the block, one power per
+    centre that is shared by every row (``_factor_rows``), and each
+    factor's minimum 1 - ||a_k|| and each row's smallest are computed once
+    for the block."""
     monos, product = _factor_rows(n, centres)
     _, (own, product) = align_rows((support, q), (monos, product))
     gap = np.abs(own - product)
@@ -396,11 +435,11 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
     first = centres[np.arange(len(centres)), moving.argmax(axis=1)][:, None]
     exact = moving.any(axis=1) & ((centres == first).all(axis=2) | ~moving).all(axis=1)
     out = []
-    for k, margin in enumerate(margins.tolist()):
-        low = lows[k].min()
-        if not match[k]:
+    for margin, low, matched, tight in zip(margins.tolist(), lows.min(axis=1).tolist(),
+                                           match.tolist(), exact.tolist()):
+        if not matched:
             out.append(None)
-        elif low <= 0.0 or (exact[k] and margin < floor):
+        elif low <= 0.0 or (tight and margin < floor):
             out.append(DenominatorVanishesError(
                 f"denominator factors reach modulus {max(min(low, margin), 0.0):.3e}"
                 f" on the closed ball, below {floor:.1e}"))
@@ -579,11 +618,13 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
 
     Consecutive maps that share their support, target dimension and number
     of denominator factors are certified as one block of at most
-    BLOCK_ENTRIES Gram entries: one stacked signed Gram, one sphere-reduction
-    plan for the block's union above-floor mask, one chain of factor
-    products with a row per map, and one stacked SVD for the ranks.  A
-    member whose component rows share no column has orthogonal rows: its
-    rank counts the row norms instead of taking the SVD
+    BLOCK_ENTRIES Gram entries: one stacked signed Gram, whose q part is
+    built on q's own columns, one sphere-reduction plan for the block's
+    union above-floor mask, one product of the denominator factors with a
+    row per map, which raises each centre that all the maps share to its
+    power in closed form (``_factor_rows``), and one stacked SVD for the
+    ranks.  A member whose component rows share no column has orthogonal
+    rows: its rank counts the row norms instead of taking the SVD
     (``_embedding_dimensions``).  When, besides, each row has at most one
     entry, as for a monomial map, its Gram is the diagonal of the entries'
     squared moduli, built without the dense product once that would take
@@ -703,10 +744,14 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
 
     Targets are first padded to a common dimension by appending zeros.  When
     the denominators differ, the numerators are cross-multiplied, p_f q_g
-    against p_g q_f.  One coefficient stack of both sides gives the signed
-    Gram matrix of ||left||^2 - ||right||^2, whose first largest entry in
-    row-major order is the mismatch when it exceeds ``tol``.  Otherwise the
-    result keeps the stack, and the witness unitary is computed from it when
+    against p_g q_f.  The aligned rows of both sides are concatenated once
+    into one coefficient stack, without the columns that are left with no
+    entry, such as the constant column of a tensor power, whose only entry
+    was q's; only cross-multiplied rows are floored, since the stored rows
+    are.  The stack gives the signed Gram matrix of ||left||^2 -
+    ||right||^2, whose first largest entry in row-major order is the
+    mismatch when it exceeds ``tol``.  Otherwise the result keeps the
+    stack, and the witness unitary is computed from it when
     first read, by least squares over unitaries (orthogonal Procrustes), so
     it is always unitary, including for rank-deficient stacks such as f vs
     f + zero components.
@@ -717,7 +762,8 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     fp, gp = f.padded(big), g.padded(big)
     _, (fq, gq) = align_rows((f.support, f.coefficients[-1:]),
                              (g.support, g.coefficients[-1:]))
-    if np.abs(fq - gq).max() <= tol:
+    shared = np.abs(fq - gq).max() <= tol
+    if shared:
         left, right = (fp.support, fp.coefficients[:-1]), (gp.support, gp.coefficients[:-1])
     else:
         left = multiply_rows(f.n, fp.support, fp.coefficients[:-1],
@@ -725,7 +771,14 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
         right = multiply_rows(f.n, gp.support, gp.coefficients[:-1],
                               f.support, np.repeat(f.coefficients[-1:], big, axis=0))
     monos, (a, b) = align_rows(left, right)
-    monos, stack = canonical_rows(monos, np.vstack([a, b]))
+    stack = np.concatenate([a, b])
+    if not shared:
+        # Stored rows are floored already; the cross products are new.
+        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
+    # Drop the columns without an entry, such as q's constant column.
+    live = stack.any(axis=0)
+    if not live.all():
+        monos, stack = tuple(compress(monos, live.tolist())), stack[:, live]
     largest = gram_form(f.n, monos, stack, negated=big).largest_entry()
     if largest is not None and abs(largest[2]) > tol:
         return NormEquivalence(False, mismatch=largest)

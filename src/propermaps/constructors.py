@@ -174,7 +174,7 @@ def blaschke_map(b: BlaschkeProduct) -> RationalBallMap:
 
 def _blaschke_maps(thetas: np.ndarray, zeros: np.ndarray) -> list:
     """The maps of the products with the (T,) phases and the (T, m) zeros,
-    which are taken as valid, from one chain of factor products."""
+    which are taken as valid, from one product of their factors."""
     centres = zeros[:, :, None]
     # q = prod (1 - conj(a) z), each factor 1 - <z, a> in one variable; its
     # conjugate rows read backwards are those of prod (z - a).

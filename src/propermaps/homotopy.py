@@ -114,10 +114,10 @@ def _segment(domain_dim: int, evaluator) -> HomotopyFamily:
 
     Each endpoint is built once: evaluating the family there returns it, so
     splicing a junction in ``concat_families`` and the grid points on it
-    reuse the map instead of building it again.
+    reuse the map instead of building it again.  Both come from one
+    evaluator call.
     """
-    left, = evaluator(np.zeros(1))
-    right, = evaluator(np.ones(1))
+    left, right = evaluator(np.array([0.0, 1.0]))
     if left.N != right.N:
         raise DimensionMismatchError("segment endpoints disagree in target dimension")
 

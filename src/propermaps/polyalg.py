@@ -512,6 +512,20 @@ def align_rows(*blocks):
     return union, out
 
 
+def _mask_groups(mask: np.ndarray):
+    """(indices, row) for each distinct row of a (T, ...) array, such as a
+    boolean (T, L) mask, in order of first appearance: the indices of the
+    rows whose bytes equal its, ascending."""
+    if len(mask) == 1:
+        yield [0], mask[0]
+        return
+    groups = {}
+    for k, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(k)
+    for members in groups.values():
+        yield members, mask[members[0]]
+
+
 def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     """The signed Gram matrix A^T conj(A) - B^T conj(B) of (R, M) coefficient
     rows, B the last ``negated`` rows and A the others; for a (T, R, M) stack,
@@ -523,14 +537,24 @@ def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     product once that would take ORTHOGONAL_GRAM_MIN multiply-adds; the same
     holds for B.  This is decided for A and for B of each slice on its own
     rows (``_gram``), so a slice's matrix does not depend on what it is
-    stacked with.
+    stacked with.  B's Gram is built, and subtracted, only on the columns
+    where B has an entry, one product per distinct set of such columns
+    among the slices, as for a denominator q = 1 with a single entry; when B
+    has an entry in every column, the product is the full one.
     """
     rows = np.asarray(rows)
     stack = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
     split = stack.shape[1] - negated
     gram = _gram(stack[:, :split])
     if negated:
-        gram -= _gram(stack[:, split:])
+        tail = stack[:, split:]
+        live = tail.any(axis=1)
+        if live.all():
+            gram -= _gram(tail)
+        else:
+            for members, own in _mask_groups(live):
+                columns = np.flatnonzero(own)
+                gram[np.ix_(members, columns, columns)] -= _gram(tail[members][:, :, columns])
     return gram.reshape(rows.shape[:-2] + gram.shape[1:])
 
 

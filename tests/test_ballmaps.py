@@ -211,6 +211,78 @@ def test_repeated_centre_gives_the_exact_minimum():
             certify_proper(kept)
 
 
+#: Largest total multiplicity by domain dimension, so that the reference
+#: product keeps at most C(K + n, n) <= 1001 monomials.
+_FACTOR_DEGREES = {1: 40, 2: 40, 3: 15, 4: 10}
+
+
+@st.composite
+def _factor_stacks(draw):
+    """(n, centres): a (T, K, n) stack of denominator factor centres.
+
+    The columns come in slots of 1 to 40 copies of one centre per member,
+    shuffled.  In each member a slot may take the previous slot's centre,
+    so that a centre repeats in every member or in only some.  A component
+    is zero or has a modulus in [1/64, 0.99 / sqrt(n)), so every centre has
+    norm below 1.
+    """
+    n = draw(st.integers(1, 4))
+    left = _FACTOR_DEGREES[n]
+    sizes = [draw(st.integers(1, left))]
+    while sizes[-1] < left and len(sizes) < 4 and draw(st.booleans()):
+        left -= sizes[-1]
+        sizes.append(draw(st.integers(1, left)))
+    count = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    moduli = gen.uniform(1 / 64, 0.99 / math.sqrt(n), (count, len(sizes), n))
+    moduli[gen.random(moduli.shape) < 0.2] = 0.0
+    slots = moduli * np.exp(2j * np.pi * gen.random(moduli.shape))
+    for k in range(1, len(sizes)):
+        for t in range(count):
+            if draw(st.booleans()):
+                slots[t, k] = slots[t, k - 1]
+    order = draw(st.permutations(range(sum(sizes))))
+    return n, np.repeat(slots, sizes, axis=1)[:, order]
+
+
+def _linear_factor_product(n, centres):
+    """prod_k (1 - <z, a_k>) over the rows a_k of ``centres``, as Polynomials."""
+    out = Polynomial.one(n)
+    for a in centres:
+        out = out * Polynomial(n, {(0,) * n: 1.0, **{tuple(np.eye(n, dtype=int)[j]):
+                                                     -np.conj(a[j]) for j in range(n)}})
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_factor_stacks())
+def test_factor_rows_agree_with_the_product_of_linear_factors(drawn):
+    n, centres = drawn
+    count = centres.shape[1]
+    # The storage floor drops mass from both products wherever a coefficient
+    # passes below it, which no rounding bound covers; centres scaled by a
+    # power of two keep every coefficient above it.  The scaling is exact,
+    # so the rounding is that of the unscaled products.
+    moduli = np.abs(centres)
+    smallest = moduli[moduli > 0].min(initial=1.0)
+    centres = centres * 2.0 ** math.ceil(-math.log2(smallest))
+    support, rows = ballmaps._factor_rows(n, centres)
+    for row, member in zip(rows, centres):
+        got = dict(zip(support, row.tolist()))
+        want = _linear_factor_product(n, member).terms
+        bound = _linear_factor_product(n, -np.abs(member)).terms
+        # Each coefficient within 8 K eps of the product of the moduli, the
+        # sum of the moduli of the terms that add up to it.
+        slack = {alpha: 8 * count * np.finfo(float).eps * abs(c) for alpha, c in bound.items()}
+        for alpha, value in got.items():
+            assert abs(value - want.get(alpha, 0.0)) <= slack.get(alpha, 0.0)
+        # Equal supports, but for a coefficient that cancels to the floor.
+        mine = {alpha for alpha, value in got.items() if value != 0}
+        for alpha in mine ^ set(want):
+            assert abs(got.get(alpha, 0.0)) + abs(want.get(alpha, 0.0)) \
+                <= COEFFICIENT_FLOOR + slack.get(alpha, 0.0)
+
+
 def test_composition_without_its_factors_is_certified_without_sampling(monkeypatch):
     m = compose(_tensor_power(3), automorphism_map(BallAutomorphism([0.3, -0.2j])))
     stripped = RationalBallMap(2, m.N, m.p, m.q)

@@ -233,6 +233,23 @@ def test_concat_builds_each_junction_once():
     assert calls[4:] == [("a", 0.5), ("b", 0.5)]
 
 
+def test_segment_builds_both_endpoints_with_one_evaluator_call():
+    calls = []
+    ident = RationalBallMap.identity(2)
+
+    def evaluator(ts):
+        calls.append(ts.tolist())
+        return [ident.scaled(1.0 - 0.5 * t) for t in ts.tolist()]
+
+    fam = homotopy._segment(2, evaluator)
+    assert calls == [[0.0, 1.0]]
+    assert fam.endpoint_left.allclose(ident) and fam.endpoint_right.allclose(ident.scaled(0.5))
+    # The grid reuses both endpoints and builds its inner points in one call.
+    members = list(fam.evaluate_many([0.0, 0.5, 1.0]))
+    assert calls == [[0.0, 1.0], [0.5]]
+    assert members[0] is fam.endpoint_left and members[2] is fam.endpoint_right
+
+
 def _whitney_family(n, length, gen):
     """Monomial homotopy of a random Whitney term whose steps cycle through
     canonical and dense subspace bases, with an isometric injection after
@@ -451,6 +468,24 @@ def test_blaschke_homotopy_contracts_to_monomial():
     assert report.passed
     assert fam.evaluate(0.0).allclose(blaschke_map(b))
     assert fam.evaluate(1.0).p[0].allclose(Polynomial.monomial((3,)))
+    for k in range(11):
+        assert winding_degree(fam.evaluate(k / 10)) == 3
+
+
+def test_blaschke_product_with_a_repeated_zero():
+    # The repeated zero is one factor squared, (1 - 0.3 z)^2, in closed form.
+    b = BlaschkeProduct(0.0, [0.3, 0.3, -0.2j])
+    m = blaschke_map(b)
+    z = Polynomial.monomial((1,))
+    assert m.q.allclose((Polynomial.one(1) - z * 0.3) ** 2 * (Polynomial.one(1) - z * 0.2j),
+                        1e-15)
+    cert = certify_proper(m)
+    assert cert.verdict is Verdict.PROPER
+    assert cert.denominator_method == "factored"
+    assert cert.denominator_margin == pytest.approx(0.7 * 0.7 * 0.8, abs=1e-15)
+    assert winding_degree(m) == 3
+    fam = blaschke_homotopy(b)
+    assert verify_family(fam, grid_size=11).passed
     for k in range(11):
         assert winding_degree(fam.evaluate(k / 10)) == 3
 

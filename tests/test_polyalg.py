@@ -447,6 +447,9 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
     # monomial rows (one column each) under phases and scales, some rows at
     # 1e-12 of the largest, which get the diagonal Gram; rows that own
     # several columns each, and dense rows, which get the product; zero rows.
+    # Besides, members whose negated rows have entries on a few columns
+    # only: q = 1 on the last column, q = 1 - z1 with z1 on the first, and
+    # zero rows, under dense and monomial rows.
     monkeypatch.setattr(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min)
     gen = np.random.default_rng(14)
     count, size = 40, 64
@@ -458,8 +461,23 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
     several = np.zeros((count, size), dtype=complex)
     several[gen.integers(0, count, size), np.arange(size)] = gen.standard_normal(size)
     dense = gen.standard_normal((count, size)) + 1j * gen.standard_normal((count, size))
+    one = np.zeros(size, dtype=complex)
+    one[-1] = 1.0
+    linear = one.copy()
+    linear[0] = -1.0
+    narrow = []
+    for tail in (one, linear, np.zeros(size)):
+        for head in (dense, monomial * scales[:, None]):
+            rows = head.copy()
+            rows[count - negated:] = tail * gen.uniform(0.5, 2.0, (negated, 1))
+            narrow.append(rows)
     stack = np.stack([monomial * scales[:, None], dense, several, monomial,
-                      np.zeros((count, size)), several * 1j])
+                      np.zeros((count, size)), several * 1j, *narrow])
     grams = signed_gram(stack, negated)
+    eps = np.finfo(float).eps
     for rows, gram in zip(stack, grams):
         assert gram.tobytes() == signed_gram(rows, negated).tobytes()
+        head, tail = rows[:count - negated], rows[count - negated:]
+        dense_gram = head.T @ head.conj() - tail.T @ tail.conj()
+        norms = np.linalg.norm(rows, axis=0)
+        assert np.all(np.abs(gram - dense_gram) <= 4 * eps * np.outer(norms, norms))
