@@ -3,9 +3,9 @@
 A map p/q is stored as its coefficient rows over one monomial support, with
 the denominator normalized so q(0) = 1.  Properness of p/q as a map from the
 unit ball of C^n to the unit ball of C^N is certified exactly at the
-coefficient level: the Hermitian form of ||p||^2 - |q|^2 is reduced modulo
-the sphere relation, and the map is proper precisely when the remainder
-vanishes and the map is nonconstant.
+coefficient level: the map is proper precisely when every Bernstein
+coefficient of the Hermitian form of ||p||^2 - |q|^2 on the sphere vanishes
+and the map is nonconstant.
 
 A map may also carry the centres a_k of its denominator factors, with
 q = prod_k (1 - <z, a_k>).  The constructors set them and the linear
@@ -31,7 +31,7 @@ from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm
                       evaluate_rows, gram_form, monomials_of_degree, multinomial,
                       _mask_groups, multiply_rows, polynomials_from_rows,
                       reduce_mod_sphere, signed_gram, sphere_residuals,
-                      squared_norm_form)  # noqa: F401 - re-exported
+                      sphere_scales, squared_norm_form)  # noqa: F401 - re-exported
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
@@ -295,10 +295,11 @@ class RationalBallMap:
 class PropernessCertificate:
     """Outcome of exact properness certification plus a sampled witness.
 
-    ``residual_norm`` is the largest remainder entry of the reduced Hermitian
-    form (zero means ||p||^2 = |q|^2 identically on the sphere), and
-    ``worst_entry`` its monomial pair (alpha, beta), the first largest in the
-    row-major order of the remainder matrix; None when the remainder is empty.
+    ``residual_norm`` is the largest Bernstein coefficient of ||p||^2 -
+    |q|^2 on the sphere (``reduce_mod_sphere``; zero means ||p||^2 = |q|^2
+    there) over ``sphere_scales`` of |q|^2, which is 1 for q = 1, so scaling
+    p and q together leaves it unchanged; ``worst_entry`` is its monomial
+    pair (alpha, beta), first in row-major order, or None when it is zero.
     ``denominator_method`` says how q was shown not to vanish on the closed
     ball (``trivial``, ``factored``, ``coefficient-bound`` or ``sampled``) and
     ``denominator_margin`` is the lower bound of |q| there that the method
@@ -585,6 +586,8 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: floa
     first = maps[0]
     denominators = _check_denominators(maps, stack, floor, seed)
     residuals, worst = sphere_residuals(first.n, first.support, signed_gram(stack, 1))
+    q = stack[:, -1]
+    residuals = residuals / sphere_scales(first.n, first.support, q.real ** 2 + q.imag ** 2)
     constant = _constant_maps(stack, tol)
     for k, (m, residual) in enumerate(zip(maps, residuals.tolist())):
         if isinstance(denominators[k], Exception):
@@ -619,13 +622,13 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     Consecutive maps that share their support, target dimension and number
     of denominator factors are certified as one block of at most
     BLOCK_ENTRIES Gram entries: one stacked signed Gram, whose q part is
-    built on q's own columns, one sphere-reduction plan for the block's
-    union above-floor mask, one product of the denominator factors with a
-    row per map, which raises each centre that all the maps share to its
-    power in closed form (``_factor_rows``), and one stacked SVD for the
-    ranks.  A member whose component rows share no column has orthogonal
-    rows: its rank counts the row norms instead of taking the SVD
-    (``_embedding_dimensions``).  When, besides, each row has at most one
+    built on q's own columns, one gather and two bincounts through the
+    sphere-reduction plan of the support, one product of the denominator
+    factors with a row per map, which raises each centre that all the maps
+    share to its power in closed form (``_factor_rows``), and one stacked
+    SVD for the ranks.  A member whose component rows share no column has
+    orthogonal rows: its rank counts the row norms instead of taking the
+    SVD (``_embedding_dimensions``).  When, besides, each row has at most one
     entry, as for a monomial map, its Gram is the diagonal of the entries'
     squared moduli, built without the dense product once that would take
     ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  That is decided
@@ -648,8 +651,9 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
                    denominator_floor: float = DENOMINATOR_FLOOR) -> PropernessCertificate:
     """Certify whether p/q is a proper map between unit balls.
 
-    The verdict is PROPER exactly when the sphere-reduced remainder of
-    ||p||^2 - |q|^2 vanishes within tolerance and the map is nonconstant;
+    The verdict is PROPER exactly when the scaled residual (the largest
+    Bernstein coefficient of ||p||^2 - |q|^2 on the sphere over the scale of
+    |q|^2) is within tolerance and the map is nonconstant;
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
     p/q is constant.  Raises DenominatorVanishesError when q cannot be kept
     above the floor on the closed ball (see ``_check_denominators``).  The
@@ -748,13 +752,15 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     into one coefficient stack, without the columns that are left with no
     entry, such as the constant column of a tensor power, whose only entry
     was q's; only cross-multiplied rows are floored, since the stored rows
-    are.  The stack gives the signed Gram matrix of ||left||^2 -
-    ||right||^2, whose first largest entry in row-major order is the
-    mismatch when it exceeds ``tol``.  Otherwise the result keeps the
-    stack, and the witness unitary is computed from it when
-    first read, by least squares over unitaries (orthogonal Procrustes), so
-    it is always unitary, including for rank-deficient stacks such as f vs
-    f + zero components.
+    are.  The stack gives the signed Gram matrix G of ||left||^2 -
+    ||right||^2; with H its unsigned Gram, an entry is flagged when
+    |G_ij| > tol sqrt(H_ii H_jj), tol times the Cauchy-Schwarz bound of
+    |G_ij|, so the test does not change when both maps are scaled together.
+    The first largest flagged entry in row-major order is the mismatch.
+    Otherwise the result keeps the stack, and the witness unitary is
+    computed from it when first read, by least squares over unitaries
+    (orthogonal Procrustes), so it is always unitary, including for
+    rank-deficient stacks such as f vs f + zero components.
     """
     if f.n != g.n:
         raise DimensionMismatchError("maps must share the domain dimension")
@@ -779,8 +785,11 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     live = stack.any(axis=0)
     if not live.all():
         monos, stack = tuple(compress(monos, live.tolist())), stack[:, live]
-    largest = gram_form(f.n, monos, stack, negated=big).largest_entry()
-    if largest is not None and abs(largest[2]) > tol:
+    gram = signed_gram(stack, big)
+    norms = np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=0))
+    gram[np.abs(gram) <= tol * np.multiply.outer(norms, norms)] = 0.0
+    largest = HermitianForm._raw(f.n, monos, gram).largest_entry()
+    if largest is not None and largest[2] != 0.0:
         return NormEquivalence(False, mismatch=largest)
     return NormEquivalence(True, _stacks=(stack[:big], stack[big:]))
 

@@ -2,8 +2,10 @@
 
 This is the algebra layer underneath everything else: polynomials with
 complex coefficients indexed by exponent multi-indices, Hermitian forms stored
-as Gram matrices over a monomial basis, and the reduction that decides
-whether a Hermitian polynomial vanishes identically on the unit sphere.
+as Gram matrices over a monomial basis, and the sphere reduction: the
+Bernstein coefficients of each Fourier shift's radial polynomial on the
+simplex sum |z_j|^2 = 1, which all vanish exactly when the Hermitian
+polynomial vanishes identically on the unit sphere, and bound it there.
 
 Conventions
 -----------
@@ -438,7 +440,7 @@ class HermitianForm:
         """(alpha, beta, c) of the first largest entry, row-major; None when empty."""
         if not self.basis:
             return None
-        i, j = np.unravel_index(np.argmax(np.abs(self.matrix)), self.matrix.shape)
+        i, j = divmod(int(np.argmax(np.abs(self.matrix))), len(self.basis))
         return self.basis[i], self.basis[j], complex(self.matrix[i, j])
 
     def as_matrix(self):
@@ -621,34 +623,6 @@ def properness_form(numerator: Sequence[Polynomial], denominator: Polynomial) ->
     return gram_form(_shared_nvars(comps), *coefficient_matrix(comps), negated=1)
 
 
-@lru_cache(maxsize=None)
-def _hyperplane_power(nvars: int, exponent: int) -> Polynomial:
-    """(1 - x_1 - ... - x_{nvars-1})^exponent with the last variable unused."""
-    base = Polynomial.one(nvars)
-    for j in range(nvars - 1):
-        base = base - Polynomial.variable(nvars, j)
-    return base ** exponent
-
-
-@lru_cache(maxsize=None)
-def _hyperplane_table(nvars: int, top: int):
-    """Term counts, exponents and weights of ``_hyperplane_power`` for 0..top.
-
-    Row e of the (top+1, K, nvars) exponents and (top+1, K) real weights lists
-    the terms of the e-th power in their stored order, padded to the longest.
-    """
-    powers = [_hyperplane_power(nvars, e).terms for e in range(top + 1)]
-    counts = np.array([len(terms) for terms in powers])
-    exps = np.zeros((top + 1, counts.max(), nvars), dtype=np.int64)
-    weights = np.zeros((top + 1, counts.max()))
-    for e, terms in enumerate(powers):
-        exps[e, :counts[e]] = list(terms)
-        weights[e, :counts[e]] = [h.real for h in terms.values()]
-    for table in (counts, exps, weights):
-        table.flags.writeable = False
-    return counts, exps, weights
-
-
 def _group_rows(keys: np.ndarray):
     """(distinct rows in ascending lexicographic order, index of each row's group)."""
     order = np.lexsort(keys.T[::-1])
@@ -666,135 +640,150 @@ def _descending(nvars: int, keys: np.ndarray):
     return tuple(map(tuple, rows[::-1].tolist())), len(rows) - 1 - index
 
 
-# A family-grid pass (seven Whitney homotopies of 101 members each) reduces
-# forms over 25 distinct (basis, mask) keys, and a map-certify pass over 32
-# whose plans take 4.5 MB together; 64 plans hold either pass while a long
-# run over fresh supports stays bounded.  The bound counts plans, not bytes:
-# a plan keeps 16 bytes per contribution, 16 per remainder key and the
-# tuple of its candidate monomials, so the cache holds at most 64 times the
-# largest plan it has seen.  The largest map-certify plan (a dense form on
-# 153 monomials, 76,000 contributions) takes 1.3 MB, so 81 MB at worst for
-# forms of that size; denser forms on larger bases take more.
-@lru_cache(maxsize=64)
-def _reduction_plan(nvars: int, basis: tuple, mask: bytes):
-    """Index work of ``reduce_mod_sphere`` for one basis and above-floor mask.
+@lru_cache(maxsize=None)
+def _degree_table(nvars: int, top: int):
+    """(counts, monomials, multinomials, tails, binomials) for degrees 0..top:
+    row e of the (top+1, K, nvars) monomials and (top+1, K) multinomials
+    lists ``monomials_of_degree(nvars, e)`` and float(multinomial(e, .)).
+    By the hockey-stick identity a monomial's rank in its degree is the sum
+    over k < nvars - 1 of binomials[k][t_k] = C(t_k + k, k + 1), t_k the
+    sum of its last k + 1 exponents, ``tails[k]`` at its flat cell."""
+    counts = np.array([math.comb(e + nvars - 1, nvars - 1) for e in range(top + 1)])
+    monos = np.zeros((top + 1, counts.max(), nvars), dtype=np.int64)
+    weights = np.zeros((top + 1, counts.max()))
+    for e in range(top + 1):
+        row = monomials_of_degree(nvars, e)
+        monos[e, :counts[e]] = row
+        weights[e, :counts[e]] = [float(multinomial(e, alpha)) for alpha in row]
+    tails = np.cumsum(monos.reshape(-1, nvars)[:, :0:-1], axis=1).T.copy()
+    binomials = [np.array([math.comb(t + k, k + 1) for t in range(top + 1)])
+                 for k in range(nvars - 1)]
+    for table in (counts, monos, weights, tails, *binomials):
+        table.flags.writeable = False
+    return counts, monos, weights, tails, binomials
 
-    ``mask`` is the packed row-major mask of the matrix entries above the
-    storage floor.  The plan lists one contribution per (kept entry, term of
-    the entry's hyperplane power), entries in row-major order and terms in
-    the power's stored order: the flat matrix position it reads, its
-    hyperplane weight and the remainder key it adds to.  For each key it
-    gives the slots (lo, hi) of the key's monomial pair among ``monos``, the
-    descending candidate basis of the remainder.
+
+# 64 plans hold the ~20 bases of a family-grid pass or the 32 of a
+# map-certify pass; the largest of these takes 3.9 MB (see README).
+@lru_cache(maxsize=64)
+def _bernstein_plan(nvars: int, basis: tuple):
+    """Index work of ``reduce_mod_sphere`` over one basis: (source, weight,
+    key, alpha, beta, columns, slots, terms, count).
+
+    A pair i <= j has the shift nu = alpha_i - alpha_j >= 0 (the basis
+    descends) and gamma = min(alpha_i, alpha_j); D_nu is the largest |gamma|
+    of the basis pairs with shift nu.  The pair adds to each key (nu, kappa),
+    kappa = gamma + delta and |delta| = D_nu - |gamma|, with the weight
+    multinomial(D_nu - |gamma|, delta) / multinomial(D_nu, kappa) in (0, 1]:
+    per contribution, in row-major pair order and then in the
+    ``monomials_of_degree`` order of delta, the flat matrix position read,
+    the weight and the key.  Keys are numbered in the row-major order of
+    their pairs (kappa + max(nu, 0), kappa + max(-nu, 0)) in the reduced
+    form; the diagonal pairs' contributions to the ``count`` shift-0 keys,
+    slotted by the rank of kappa, are also given as (columns, slots, terms).
     """
     n, size = nvars, len(basis)
-    kept = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=size * size)
-    flat = np.flatnonzero(kept)
-    rows, cols = np.divmod(flat, size)
     exps = np.array(basis, dtype=np.int64).reshape(-1, n)
-    nu = exps[rows] - exps[cols]
-    # Shifts below zero in lexicographic order are the conjugate mirrors of
-    # shifts above it, so only nu >= 0 is reduced.
-    keep = nu[np.arange(len(nu)), np.argmax(nu != 0, axis=1)] >= 0
-    flat, nu, beta = flat[keep], nu[keep], exps[cols[keep]]
-    power = beta[:, -1].copy()
-    beta[:, -1] = 0
-    counts, terms, weights = _hyperplane_table(n, int(power.max(initial=0)))
-    counts = counts[power]
-    # One contribution per (entry, term of the entry's hyperplane power).
-    entry = np.repeat(np.arange(len(power)), counts)
-    term = np.arange(len(entry)) - np.repeat(np.cumsum(counts) - counts, counts)
-    keys, group = _group_rows(np.hstack([nu[entry],
-                                         beta[entry] + terms[power[entry], term]]))
-    shift, gamma = keys[:, :n], keys[:, n:]
-    monos, slot = _descending(n, np.vstack([gamma + np.maximum(shift, 0),
-                                            gamma + np.maximum(-shift, 0)]))
-    # Positions and groups fit in int32: a matrix with 2^31 entries takes 32 GB.
-    plan = (flat[entry].astype(np.int32), weights[power[entry], term],
-            group.astype(np.int32), slot[:len(keys)], slot[len(keys):])
+    rows, cols = np.triu_indices(size)
+    gamma = np.minimum(exps[rows], exps[cols])
+    radial = gamma.sum(axis=1)
+    shifts, shift = _group_rows(exps[rows] - exps[cols])
+    top = np.zeros(len(shifts), dtype=np.int64)
+    np.maximum.at(top, shift, radial)
+    counts, monos, multinomials, tails, binomials = _degree_table(n, int(top.max(initial=0)))
+    # One contribution per (pair, delta); delta is the table's flat cell.
+    extra = top[shift] - radial
+    repeats = counts[extra]
+    entry = np.repeat(np.arange(len(extra)), repeats)
+    cell = (np.arange(len(entry)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+            + (extra * monos.shape[1])[entry])
+    shift = shift[entry]
+    own = np.cumsum(gamma[:, :0:-1], axis=1).T
+    rank = sum((binomials[k][own[k][entry] + tails[k][cell]] for k in range(n - 1)),
+               np.zeros(len(entry), dtype=np.int64))
+    weight = multinomials.ravel()[cell] / multinomials[top[shift], rank]
+    sizes = counts[top]
+    start = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(shifts)), sizes)
+    kappa = monos[top[owner], np.arange(len(owner)) - start[owner]]
+    pairs, ascending = _group_rows(np.hstack([kappa + np.maximum(shifts[owner], 0),
+                                              kappa + np.maximum(-shifts[owner], 0)]))
+    diagonal = shift == 0
+    plan = ((rows * size + cols)[entry].astype(np.int32), weight,
+            (len(pairs) - 1 - ascending[start[shift] + rank]).astype(np.int32),
+            pairs[::-1, :n], pairs[::-1, n:], rows[entry][diagonal], rank[diagonal],
+            weight[diagonal])
     for array in plan:
         array.flags.writeable = False
-    return plan + (monos,)
+    return plan + (int(sizes[:1].sum()),)
 
 
-def _sphere_remainders(nvars: int, basis: tuple, matrices: np.ndarray):
-    """(values, lo, hi, monos): the remainder coefficients of the sphere
-    reduction of each matrix of a (T, M, M) stack over ``basis``.
-
-    ``values[t]`` holds matrix t's coefficient of each remainder key of the
-    plan for the stack's union above-floor mask, and ``monos[lo]``,
-    ``monos[hi]`` are the keys' monomial pairs.  A matrix's entries at or
-    below the storage floor are read as exact zeros, so a contribution the
-    union plan adds for them adds 0.0, and each coefficient is the sum that
-    the matrix's own plan gives, bit for bit.
-    """
-    count = len(matrices)
-    low = (np.abs(matrices) <= COEFFICIENT_FLOOR).reshape(count, -1)
-    mask = np.packbits(~low.all(axis=0)).tobytes()
-    src, weight, group, lo, hi, monos = _reduction_plan(nvars, basis, mask)
-    keys = len(lo)
-    coeffs = matrices.reshape(count, -1)[:, src]
-    if count > 1:
-        coeffs[low[:, src]] = 0.0
+def _bernstein(nvars: int, basis: tuple, matrices: np.ndarray):
+    """(values, alpha, beta): the Bernstein coefficients of each matrix of a
+    (T, M, M) stack over ``basis`` at the plan's keys, whose pairs are
+    (alpha, beta); each adds its terms from zero, in plan order."""
+    source, weight, key, alpha, beta = _bernstein_plan(nvars, basis)[:5]
+    count, keys = len(matrices), len(alpha)
+    coeffs = matrices.reshape(count, -1)[:, source]
     # One bincount for the stack: matrix t's keys are offset by t * keys.
-    index = (group + keys * np.arange(count)[:, None]).ravel()
-    real = np.bincount(index, weights=(coeffs.real * weight).ravel(), minlength=count * keys)
-    imag = np.bincount(index, weights=(coeffs.imag * weight).ravel(), minlength=count * keys)
-    return (real + 1j * imag).reshape(count, keys), lo, hi, monos
+    index = (key + keys * np.arange(count)[:, None]).ravel()
+    values = np.empty(count * keys, dtype=complex)
+    values.real = np.bincount(index, (coeffs.real * weight).ravel(), count * keys)
+    values.imag = np.bincount(index, (coeffs.imag * weight).ravel(), count * keys)
+    return values.reshape(count, keys), alpha, beta
 
 
 def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
-    """Remainder of a Hermitian form modulo the unit-sphere relation.
+    """The Bernstein coefficients of a Hermitian form on the unit sphere.
 
-    Entries are grouped by the Fourier shift nu = alpha - beta.  For each
-    shift, the radial polynomial sum_beta c_{beta+nu, beta} x^beta (with
-    x_j = |z_j|^2) must vanish on the hyperplane sum x_j = 1; substituting
-    x_n = 1 - sum_{j<n} x_j gives its remainder.  The returned form collects
-    all remainders, re-encoded at the minimal monomial pair with the same
-    shift.  It is the zero form (within tolerance) exactly when the input
-    vanishes identically on the unit sphere; its largest entry is the
-    reduction residual.
-
-    The index work depends only on the basis and on which entries are above
-    the storage floor, so it is planned once per such pair and cached
-    (``_reduction_plan``).  A call gathers the kept entries, scales them by
-    the hyperplane weights and sums them per remainder key with a bincount;
-    each coefficient adds its contributions from zero in row-major entry
-    order, then in the term order of the hyperplane power, as a loop over
-    ``form.entries`` would.
+    Entries are grouped by shift nu = alpha - beta.  Each shift's radial
+    polynomial sum c_{alpha beta} x^gamma (gamma = min(alpha, beta), x_j =
+    |z_j|^2) times (sum x_j)^(D - |gamma|) has, over multinomial(D, kappa),
+    the Bernstein coefficients b_{nu,kappa} at the shift's degree D.  On the
+    simplex sum x_j = 1 the radial polynomial is a convex combination of
+    them, so the form vanishes on the sphere exactly when all are zero, and
+    is bounded there by the sum over nu, of both signs, of max |b_{nu,kappa}|.
+    The result holds b_{nu,kappa} above the storage floor at (kappa +
+    max(nu, 0), kappa + max(-nu, 0)), the conjugate at the mirror pair.  The
+    plan is cached per basis (``_bernstein_plan``); a call is one gather and
+    two bincounts.
     """
-    values, lo, hi, monos = _sphere_remainders(form.nvars, form.basis, form.matrix[None])
-    values = values[0]
-    big = np.abs(values) > COEFFICIENT_FLOOR
-    values = values[big]
-    used, slot = np.unique(np.concatenate([lo[big], hi[big]]), return_inverse=True)
+    values, alpha, beta = _bernstein(form.nvars, form.basis, form.matrix[None])
+    big = np.abs(values[0]) > COEFFICIENT_FLOOR
+    values = values[0, big]
+    monos, slot = _descending(form.nvars, np.vstack([alpha[big], beta[big]]))
     a, b = slot[:len(values)], slot[len(values):]
-    out = np.zeros((len(used), len(used)), dtype=complex)
+    out = np.zeros((len(monos), len(monos)), dtype=complex)
     out[b, a] = values.conj()
     out[a, b] = values
-    return HermitianForm._raw(form.nvars, tuple(monos[i] for i in used.tolist()), out)
+    return HermitianForm._raw(form.nvars, monos, out)
 
 
 def sphere_residuals(nvars: int, basis: tuple, matrices: np.ndarray):
     """(residuals, worst): for each matrix of a (T, M, M) stack over ``basis``,
-    the ``max_abs_entry`` of its ``reduce_mod_sphere`` remainder and the
-    monomial pair (alpha, beta) of that remainder's ``largest_entry``, or None
-    when the remainder is empty.
-
-    The remainder puts a coefficient c at its pair and conj(c) at the mirror,
-    so the first largest entry in row-major order is, among the largest
-    coefficients, the one whose pair comes first with its lower slot leading.
-    """
-    values, lo, hi, monos = _sphere_remainders(nvars, basis, matrices)
+    the ``max_abs_entry`` of its ``reduce_mod_sphere`` form and the pair of
+    its ``largest_entry`` (None for an empty form): keys come in the
+    row-major order of their pairs, so the first largest is that entry."""
+    values, alpha, beta = _bernstein(nvars, basis, matrices)
     sizes = np.abs(values)
-    sizes[sizes <= COEFFICIENT_FLOOR] = 0.0
     residuals = sizes.max(axis=1, initial=0.0)
-    first, second = np.minimum(lo, hi), np.maximum(lo, hi)
-    rank = np.where(sizes == residuals[:, None], first * len(monos) + second, len(monos) ** 2)
-    pick = rank.argmin(axis=1).tolist() if len(lo) else [0] * len(values)
-    worst = [None if residual == 0.0 else (monos[first[k]], monos[second[k]])
+    residuals[residuals <= COEFFICIENT_FLOOR] = 0.0
+    pick = sizes.argmax(axis=1).tolist() if sizes.shape[1] else [0] * len(sizes)
+    worst = [None if residual == 0.0 else (tuple(alpha[k].tolist()), tuple(beta[k].tolist()))
              for residual, k in zip(residuals.tolist(), pick)]
     return residuals, worst
+
+
+def sphere_scales(nvars: int, basis: tuple, weights: np.ndarray) -> np.ndarray:
+    """For each row w of a (T, M) array of non-negative weights over
+    ``basis``, the largest shift-0 Bernstein coefficient of sum_alpha
+    w_alpha x^alpha, which bounds it on the simplex: for w = |q_alpha|^2,
+    the mean of |q|^2 over the phases of z; 1 for q = 1."""
+    columns, slots, terms, count = _bernstein_plan(nvars, basis)[5:]
+    index = (slots + count * np.arange(len(weights))[:, None]).ravel()
+    values = np.bincount(index, weights=(weights[:, columns] * terms).ravel(),
+                         minlength=len(weights) * count)
+    return values.reshape(len(weights), count).max(axis=1, initial=0.0)
 
 
 # A family-grid pass multiplies over 28 distinct pairs of supports (tensor

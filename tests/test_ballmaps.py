@@ -25,7 +25,7 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorp
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import (degree_drop_family, faran_maps, homotopy_to_monomial,
                                  verify_family)
-from propermaps.polyalg import (COEFFICIENT_FLOOR, Polynomial, properness_form,
+from propermaps.polyalg import (COEFFICIENT_FLOOR, HermitianForm, Polynomial, properness_form,
                                 squared_norm_form)
 
 from conftest import sample_sphere
@@ -104,12 +104,13 @@ def test_denominator_floor_is_enforced():
     assert certify_proper(m).verdict is Verdict.PROPER
 
 
-def test_shrunken_map_has_its_largest_remainder_at_the_constant_pair():
-    # ||z/2||^2 - 1 = -3/4 on the sphere: the remainder is the constant -3/4.
+def test_shrunken_map_has_its_largest_coefficient_at_the_first_degree_one_pair():
+    # ||z/2||^2 - 1 = -3/4 on the sphere: both Bernstein coefficients of the
+    # degree-one shift-0 keys are -3/4, and the first in row-major order wins.
     cert = certify_proper(RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)]))
     assert cert.verdict is Verdict.NOT_PROPER
     assert cert.residual_norm == pytest.approx(0.75)
-    assert cert.worst_entry == ((0, 0), (0, 0))
+    assert cert.worst_entry == ((1, 0), (1, 0))
     assert certify_proper(RationalBallMap.identity(2)).worst_entry is None
 
 
@@ -659,10 +660,6 @@ def test_hot_paths_build_no_polynomial(monkeypatch):
                           injection=injection)
     composed = compose(faran_maps()["phi"], automorphism_map(random_ball_automorphism(2, rng)))
     rotated = apply_linear(random_unitary(composed.N, rng), composed)
-    # The sphere reduction builds its substitution tables from Polynomials
-    # once per exponent and caches them.
-    for exponent in range(8):
-        polyalg._hyperplane_power(2, exponent)
 
     built = []
     init, raw = Polynomial.__init__, Polynomial._raw.__func__
@@ -882,3 +879,89 @@ def test_tensor_ladder_through_the_rows_that_share_no_column(n, d, gram_min, mon
     cert = certify_proper(m)
     assert cert.residual_norm == residuals[0]
     assert cert.worst_entry == worst[0]
+
+
+# ------------------------------------------------ Bernstein sphere reduction
+def _tensor_power_on(n, d):
+    """z^(x)d on B_n: the components sqrt(multinomial(d, a)) z^a."""
+    comps = [Polynomial(n, {a: math.sqrt(polyalg.multinomial(d, a))})
+             for a in polyalg.monomials_of_degree(n, d)]
+    return RationalBallMap(n, len(comps), comps)
+
+
+def _with_largest_coefficient_scaled(m, factor):
+    """A copy of m whose numerator coefficient of largest modulus is scaled."""
+    comps = list(m.p)
+    i, alpha = max(((i, a) for i, comp in enumerate(comps) for a in comp.terms),
+                   key=lambda key: abs(comps[key[0]].terms[key[1]]))
+    comps[i] = Polynomial(m.n, {**comps[i].terms, alpha: comps[i].terms[alpha] * factor})
+    return RationalBallMap(m.n, m.N, comps, m.q)
+
+
+@pytest.mark.parametrize("n, d", [(2, 20), (2, 30), (2, 40), (3, 20)])
+def test_high_degree_tensor_powers_are_proper_and_norm_equivalent_to_rotations(n, d):
+    m = _tensor_power_on(n, d)
+    cert = certify_proper(m)
+    assert cert.verdict is Verdict.PROPER, cert.residual_norm
+    rotated = apply_linear(random_unitary(m.N, np.random.default_rng(d)), m)
+    assert norm_equivalent(m, rotated).equivalent
+    assert certify_proper(_with_largest_coefficient_scaled(m, 1 + 1e-6)).verdict \
+        is Verdict.NOT_PROPER
+
+
+@pytest.mark.parametrize("n, d", [(2, 16), (3, 10)])
+def test_tensor_powers_composed_with_an_automorphism_are_proper(n, d):
+    centre = np.array([0.3] + [0.1] * (n - 1), dtype=complex)
+    m = compose(_tensor_power_on(n, d), automorphism_map(BallAutomorphism(centre, np.eye(n))))
+    cert = certify_proper(m)
+    assert cert.verdict is Verdict.PROPER, cert.residual_norm
+    assert certify_proper(_with_largest_coefficient_scaled(m, 1 + 1e-6)).verdict \
+        is Verdict.NOT_PROPER
+
+
+def _oracle_map(kind, n, rng):
+    """A Whitney map, a Whitney or tensor map composed with an automorphism,
+    or a juxtaposition of two Whitney maps, on B_n."""
+    def whitney():
+        term = whitney_start(random_ball_automorphism(n, rng))
+        for _ in range(int(rng.integers(1, 3))):
+            count = int(rng.integers(1, term.map.N + 1))
+            basis = np.sort(rng.choice(term.map.N, count, replace=False))
+            term = whitney_extend(term, basis, random_ball_automorphism(n, rng))
+        return term.map
+    if kind == "whitney":
+        return whitney()
+    if kind == "compose":
+        inner = automorphism_map(random_ball_automorphism(n, rng, max_center_norm=0.6))
+        outer = whitney() if rng.random() < 0.5 else _tensor_power_on(n, int(rng.integers(2, 6)))
+        return compose(outer, inner)
+    return juxtapose(whitney(), whitney(), float(rng.random()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["whitney", "compose", "juxtapose"]), st.integers(2, 3),
+       st.sampled_from([1.0, 1 + 1e-3, 0.9]), st.integers(0, 2 ** 32 - 1))
+def test_sampled_sphere_defect_is_within_the_bernstein_bound(kind, n, factor, seed):
+    # Two oracles: on the sphere | ||p||^2 - |q|^2 | is at most the sum over
+    # the shifts nu, of both signs, of max_kappa |b_{nu,kappa}|, the
+    # Bernstein coefficients of the reduction.
+    m = _with_largest_coefficient_scaled(_oracle_map(kind, n, np.random.default_rng(seed)),
+                                         factor)
+    coefficients = polyalg.reduce_mod_sphere(m.properness_form()).entries
+    largest = {}
+    for (alpha, beta), b in coefficients.items():
+        nu = tuple(a - c for a, c in zip(alpha, beta))
+        largest[nu] = max(largest.get(nu, 0.0), abs(b))
+    pts = sample_sphere(n, 400, seed=seed % 1000)
+    p_values = np.stack([comp.evaluate_many(pts) for comp in m.p], axis=1)
+    q_sizes = np.abs(m.q.evaluate_many(pts)) ** 2
+    defect = np.abs((np.abs(p_values) ** 2).sum(axis=1) - q_sizes)
+    assert defect.max() <= sum(largest.values()) + 1e-12 * q_sizes.max()
+    # The certificate's residual is the largest |b| over the largest
+    # shift-0 Bernstein coefficient of sum_alpha |q_alpha|^2 x^alpha.
+    weights = np.abs(m.coefficients[-1]) ** 2
+    radial = HermitianForm._raw(n, m.support, np.diag(weights).astype(complex))
+    scale = polyalg.reduce_mod_sphere(radial).max_abs_entry()
+    assert scale >= 1.0
+    assert certify_proper(m).residual_norm == pytest.approx(
+        max(largest.values(), default=0.0) / scale, rel=1e-12, abs=1e-300)

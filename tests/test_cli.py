@@ -318,9 +318,9 @@ def test_verify_reports_the_largest_remainder_entry(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(dumps_map(half))
     assert main(["verify", str(path)]) == 1
-    assert "largest remainder entry: ((0, 0), (0, 0))" in capsys.readouterr().out
+    assert "largest remainder entry: ((1, 0), (1, 0))" in capsys.readouterr().out
     assert main(["verify", str(path), "--json"]) == 1
-    assert json.loads(capsys.readouterr().out)["worst_entry"] == [[0, 0], [0, 0]]
+    assert json.loads(capsys.readouterr().out)["worst_entry"] == [[1, 0], [1, 0]]
     assert main(["corpus", "run", "--grid", "3", "--json"]) == 0
     maps = json.loads(capsys.readouterr().out)["maps"]
     assert all("worst_entry" in report for report in maps.values())
@@ -499,7 +499,7 @@ def test_import_does_not_load_scipy(tmp_path):
     code = ("import json, sys, propermaps; from propermaps import polyalg; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print(json.dumps([[c.cache_info().currsize, c.cache_info().maxsize] "
-            "for c in (polyalg._reduction_plan, polyalg._product_plan)]))")
+            "for c in (polyalg._bernstein_plan, polyalg._product_plan)]))")
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)

@@ -208,11 +208,12 @@ def test_grid_is_certified_in_blocks(rng):
                 or (size + 1) * len(m.support) ** 2 > ballmaps.BLOCK_ENTRIES):
             blocks, key, size = blocks + 1, (m.support, m.N, len(m.factors)), 0
         size += 1
-    before = polyalg._reduction_plan.cache_info()
+    before = polyalg._bernstein_plan.cache_info()
     assert verify_family(fam, grid_size=101).passed
-    after = polyalg._reduction_plan.cache_info()
-    # One sphere-reduction plan lookup per block, not per member.
-    assert after.hits + after.misses - before.hits - before.misses == blocks
+    after = polyalg._bernstein_plan.cache_info()
+    # Two sphere-reduction plan lookups per block, not per member: one for
+    # the Bernstein coefficients and one for their scale.
+    assert after.hits + after.misses - before.hits - before.misses == 2 * blocks
     assert blocks <= 10
 
 

@@ -1,10 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import propermaps
 from propermaps import polyalg
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 Polynomial, coefficient_matrix, monomials_of_degree,
@@ -313,48 +316,56 @@ def test_multiples_of_the_sphere_defect_always_reduce_to_zero(rng):
         factor = squared_norm_form(comps)
         product = squared_norm_form([c * z(j) for c in comps for j in range(2)]) - factor
         assert reduce_mod_sphere(product).is_zero
-        # Reduction is linear, so adding a sphere multiple changes nothing.
-        assert reduce_mod_sphere(factor + product).allclose(
-            reduce_mod_sphere(factor), 1e-9)
+        # Reduction is linear on one basis, so adding a sphere multiple
+        # changes nothing; F is reduced on the sum's basis, since the degree
+        # of each shift's coefficients comes from the basis.
+        total = factor + product
+        basis, own, _ = factor._aligned(total)
+        assert reduce_mod_sphere(total).allclose(
+            reduce_mod_sphere(HermitianForm._raw(2, basis, own)), 1e-9)
 
 
-def _reduce_by_loop(form):
-    """Reference reduction: substitute x_n = 1 - sum_{j<n} x_j term by term."""
+def _bernstein_by_loop(form):
+    """Reference reduction, term by term: each nonzero matrix entry c at
+    (alpha, beta) with nu = alpha - beta >= 0, in row-major order, adds c times
+    multinomial(D - |gamma|, delta) / multinomial(D, gamma + delta) to the
+    key (nu, gamma + delta) for each delta of degree D - |gamma|, in
+    ``monomials_of_degree`` order; gamma = min(alpha, beta) and D is the
+    largest |gamma| of the basis pairs with shift nu."""
     n = form.nvars
-    base = Polynomial.one(n)
-    for j in range(n - 1):
-        base = base - z(j, n)
-    shifts = {}
-    for (alpha, beta), c in form.entries.items():
-        nu = tuple(a - b for a, b in zip(alpha, beta))
-        shifts.setdefault(nu, {})[beta] = c
-    out = {}
-    for nu, coeffs in shifts.items():
-        if nu < (0,) * n:
+    top = {}
+    for alpha in form.basis:
+        for beta in form.basis:
+            nu = tuple(a - b for a, b in zip(alpha, beta))
+            top[nu] = max(top.get(nu, 0), sum(map(min, alpha, beta)))
+    acc = {}
+    for i, j in zip(*np.nonzero(form.matrix)):
+        (alpha, beta), c = (form.basis[i], form.basis[j]), complex(form.matrix[i, j])
+        if alpha < beta:
             continue
-        acc = {}
-        for beta, c in coeffs.items():
-            head = beta[:-1] + (0,)
-            if beta[-1] == 0:
-                acc[head] = acc.get(head, 0.0) + c
-                continue
-            for gamma, h in (base ** beta[-1]).terms.items():
-                key = tuple(a + g for a, g in zip(head, gamma))
-                acc[key] = acc.get(key, 0.0) + c * h
-        for gamma, c in acc.items():
-            if abs(c) <= COEFFICIENT_FLOOR:
-                continue
-            alpha = tuple(g + max(v, 0) for g, v in zip(gamma, nu))
-            beta = tuple(g + max(-v, 0) for g, v in zip(gamma, nu))
-            out[(alpha, beta)] = c
-            if alpha != beta:
-                out[(beta, alpha)] = c.conjugate()
+        nu = tuple(a - b for a, b in zip(alpha, beta))
+        gamma = tuple(map(min, alpha, beta))
+        degree, extra = top[nu], top[nu] - sum(gamma)
+        for delta in monomials_of_degree(n, extra):
+            kappa = tuple(g + d for g, d in zip(gamma, delta))
+            w = (float(polyalg.multinomial(extra, delta))
+                 / float(polyalg.multinomial(degree, kappa)))
+            acc[nu, kappa] = acc.get((nu, kappa), 0j) + complex(c.real * w, c.imag * w)
+    out = {}
+    for (nu, kappa), c in acc.items():
+        if abs(c) <= COEFFICIENT_FLOOR:
+            continue
+        alpha = tuple(k + max(v, 0) for k, v in zip(kappa, nu))
+        beta = tuple(k + max(-v, 0) for k, v in zip(kappa, nu))
+        out[(alpha, beta)] = c
+        if alpha != beta:
+            out[(beta, alpha)] = c.conjugate()
     return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-def test_reduction_equals_the_term_by_term_substitution(nvars, seed):
+def test_reduction_equals_the_term_by_term_bernstein_coefficients(nvars, seed):
     gen = np.random.default_rng(seed)
     comps = [Polynomial(nvars, {tuple(gen.integers(0, 4, nvars)):
                                 complex(*gen.standard_normal(2)) for _ in range(4)})
@@ -365,12 +376,13 @@ def test_reduction_equals_the_term_by_term_substitution(nvars, seed):
              HermitianForm(nvars, {(e1, zero): 1.0}, validate=False),
              HermitianForm(nvars, {(zero, e1): 1.0}, validate=False)]
     for form in forms:
-        assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
+        assert reduce_mod_sphere(form).entries == _bernstein_by_loop(form)
 
 
-def test_reduction_plans_are_keyed_by_the_above_floor_mask():
+def test_reduction_plans_are_keyed_by_the_basis():
     # Two forms on one basis that differ only in one off-diagonal pair, just
-    # above the storage floor in one and just below it in the other.
+    # above the storage floor in one and just below it in the other, share
+    # one plan.
     comps = [z(0) * z(0) + z(1) * 0.5, z(0) * z(1) * 0.7 - 0.2]
     base = squared_norm_form(comps)
     i, j = next((i, j) for i in range(len(base.basis)) for j in range(i)
@@ -382,22 +394,21 @@ def test_reduction_plans_are_keyed_by_the_above_floor_mask():
         forms.append(HermitianForm._raw(2, base.basis, matrix))
     assert len(forms[0].entries) == len(forms[1].entries) + 2
     for order in (forms, forms[::-1]):
-        polyalg._reduction_plan.cache_clear()
+        polyalg._bernstein_plan.cache_clear()
         for form in order:
-            assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
-        assert polyalg._reduction_plan.cache_info().misses == 2
+            assert reduce_mod_sphere(form).entries == _bernstein_by_loop(form)
+        assert polyalg._bernstein_plan.cache_info().misses == 1
         for form in order:
-            assert reduce_mod_sphere(form).entries == _reduce_by_loop(form)
-        assert polyalg._reduction_plan.cache_info().hits == 2
+            assert reduce_mod_sphere(form).entries == _bernstein_by_loop(form)
+        assert polyalg._bernstein_plan.cache_info().hits == 3
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_stacked_reduction_equals_each_matrix_reduction(nvars, seed):
     # Signed Grams on one support whose entries sit above, at and below the
-    # storage floor in different members, so the union plan adds terms that
-    # a member's own plan lacks; small integer coefficients make ties for
-    # the largest remainder entry common.
+    # storage floor in different members; small integer coefficients make
+    # ties for the largest coefficient common.
     gen = np.random.default_rng(seed)
     support = tuple(sorted({tuple(gen.integers(0, 3, nvars).tolist()) for _ in range(5)},
                            reverse=True))
@@ -410,7 +421,7 @@ def test_stacked_reduction_equals_each_matrix_reduction(nvars, seed):
         assert residual == remainder.max_abs_entry()
         largest = remainder.largest_entry()
         assert pair == (None if largest is None else largest[:2])
-        assert remainder.entries == _reduce_by_loop(HermitianForm._raw(nvars, support, matrix))
+        assert remainder.entries == _bernstein_by_loop(HermitianForm._raw(nvars, support, matrix))
 
 
 def _random_rows(nvars, seed):
@@ -481,3 +492,21 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
         dense_gram = head.T @ head.conj() - tail.T @ tail.conj()
         norms = np.linalg.norm(rows, axis=0)
         assert np.all(np.abs(gram - dense_gram) <= 4 * eps * np.outer(norms, norms))
+
+
+def test_every_traced_benchmark_target_resolves(monkeypatch):
+    # The benchmark's tracer wraps callables by (module, qualname), the
+    # public reduce_mod_sphere among them; each must still resolve.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_layers", bench / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = set()
+    for module, qualname, _ in layers.TARGETS:
+        target = importlib.import_module(f"propermaps.{module}")
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module, qualname)
+        names.add(qualname)
+    assert "reduce_mod_sphere" in names and "reduce_mod_sphere" in propermaps.__all__
