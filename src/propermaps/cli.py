@@ -198,10 +198,8 @@ def _cmd_xvariety(args, reg: Corpus, out: _Output) -> int:
         return 0
     out.line(f"homogenization matrix: {x.row_count} x {x.N}, degree {x.d}")
     out.line("entries (polynomials in the conjugated variables):")
-    entries = []
-    for i, alpha in enumerate(x.rows):
-        row = [_poly_str(x.entry(i, k)) for k in range(x.N)]
-        entries.append(row)
+    entries = [[_poly_str(entry) for entry in row] for row in x.entries]
+    for alpha, row in zip(x.rows, entries):
         out.line(f"  row {list(alpha)}: [{', '.join(row)}]")
     out.set("entries", entries)
     return 0

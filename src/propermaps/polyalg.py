@@ -94,14 +94,20 @@ def evaluate_rows(nvars: int, monomials: Sequence[MultiIndex], rows,
     exps = np.array(monomials, dtype=np.int64).reshape(-1, nvars)
     out = []
     for block in np.array_split(pts, len(pts) * len(exps) // 2 ** 14 + 1):
-        values = 1.0
-        for j in range(nvars):
-            powers = np.ones((exps[:, j].max(initial=0) + 1, len(block)), dtype=complex)
-            for e in range(1, len(powers)):
-                powers[e] = powers[e - 1] * block[:, j]
-            values = values * powers[exps[:, j]]
-        out.append((np.asarray(rows, dtype=complex) @ values).T)
+        out.append((np.asarray(rows, dtype=complex) @ _monomial_values(exps, block)).T)
     return np.vstack(out)
+
+
+def _monomial_values(exps: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(L, m) values of the monomials with the (L, nvars) exponents ``exps``
+    at an (m, nvars) array of points, from running products of powers."""
+    values = 1.0
+    for j in range(exps.shape[1]):
+        powers = np.ones((exps[:, j].max(initial=0) + 1, len(points)), dtype=complex)
+        for e in range(1, len(powers)):
+            powers[e] = powers[e - 1] * points[:, j]
+        values = values * powers[exps[:, j]]
+    return values
 
 
 class Polynomial:
@@ -281,17 +287,6 @@ class Polynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def derivative(self, index: int = 0) -> "Polynomial":
-        """Partial derivative with respect to variable ``index``."""
-        out = {}
-        for alpha, c in self.terms.items():
-            e = alpha[index]
-            if e == 0:
-                continue
-            beta = alpha[:index] + (e - 1,) + alpha[index + 1:]
-            out[beta] = out.get(beta, 0.0) + c * e
-        return Polynomial._raw(self.nvars, out)
 
     # -------------------------------------------------------------- evaluation
     def __call__(self, point: Sequence[complex]) -> complex:

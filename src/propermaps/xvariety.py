@@ -1,18 +1,22 @@
 """Homogenization matrix of a rational map and the fibers it cuts out.
 
-For a map of numerator degree d, every numerator monomial is multiplied by
-the power of <z, conj(w)> that brings it to degree d.  Collecting, per
-degree-d monomial in z, the resulting coefficients (polynomials in the
-conjugated point) gives a K x N matrix, K = binomial(d+n-1, n-1).  A point
-(w, zeta) solves the polarized sphere equation exactly when zeta - f(w) lies
-in the kernel of the conjugated matrix evaluated at w, so kernels describe
-the fibers over w and a trivial kernel for every nonzero w says the solution
-set is precisely the graph of f.
+For a map of numerator degree d, every numerator monomial z^alpha is
+multiplied by <z, conj(w)>^(d - |alpha|), whose terms are multinomial(d -
+|alpha|, gamma) z^(alpha + gamma) conj(w)^gamma.  Collecting, per degree-d
+monomial in z, the coefficients (polynomials in the conjugated point) gives
+a K x N matrix, K = binomial(d+n-1, n-1).  A point (w, zeta) solves the
+polarized sphere equation exactly when zeta - f(w) lies in the kernel of
+the conjugated matrix evaluated at w, so kernels describe the fibers over w
+and a trivial kernel for every nonzero w says the solution set is precisely
+the graph of f.  The matrix is the map's numerator rows read through one
+cached lift plan per (n, d, support), so a stack of points gives a stack of
+matrices, and their ranks come from one stacked SVD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,68 +24,105 @@ import numpy as np
 from . import _linalg
 from .ballmaps import DEFAULT_SEED, RationalBallMap, degree as map_degree
 from .homotopy import HomotopyFamily
-from .polyalg import (DEFAULT_TOL, Polynomial, monomials_of_degree,
-                      multinomial, total_degree)
+from .polyalg import (DEFAULT_TOL, Polynomial, _monomial_values, align_rows,
+                      evaluate_rows, monomials_of_degree, multinomial)
+
+#: Lift entries (points x K x M) of one block of ``XMatrix.conjugated_at``:
+#: 512 kB of complex values.  The largest graph test of the fiber-scan
+#: benchmark (the degree-5 composition on B_3, 26 points x 21 rows x 56
+#: monomials, 30,576 entries) is one block; a block holds at least one point.
+LIFT_ENTRIES = 2 ** 15
 
 
 class EvaluationAtPoleError(ArithmeticError):
     """The denominator vanishes at the requested point."""
 
 
-@dataclass(frozen=True)
+# A fiber-scan pass lifts 20 supports (catalog, composition ladder, the
+# ex2.1 members and the family's grid at degree 4), so 32 plans hold one.
+# A plan keeps 32 bytes per (row, monomial) pair and n int64 per distinct
+# gamma: the largest, the degree-12 composition on B_2, 455 pairs in 16 kB.
+@lru_cache(maxsize=32)
+def _lift_plan(n: int, d: int, support: tuple):
+    """(row, column, gamma, weight, exponents): for each degree-d row r and
+    support monomial alpha <= r, row-major, the row, alpha's column, the
+    index of gamma = r - alpha in the distinct ``exponents`` and the weight
+    multinomial(d - |alpha|, gamma).  Monomials above degree d pair with no row."""
+    rows = np.array(monomials_of_degree(n, d), dtype=np.int64).reshape(-1, n)
+    gap = rows[:, None, :] - np.array(support, dtype=np.int64)[None]
+    row, column = np.nonzero((gap >= 0).all(axis=2))
+    exps, gamma = np.unique(gap[row, column], axis=0, return_inverse=True)
+    weight = np.array([float(multinomial(sum(g), g)) for g in exps.tolist()])
+    plan = (row, column, gamma.reshape(-1), weight[gamma.reshape(-1)], exps)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+@dataclass(frozen=True, eq=False)
 class XMatrix:
     """Homogenization matrix: rows indexed by degree-d monomials, one column per component.
 
-    Entries are polynomials in the conjugated domain variables.  Row order is
-    lexicographic descending, so for two variables the first row belongs to
-    z1^d and the last to z2^d.  The construction uses the numerator only;
+    It is stored as the map's read-only (N, M) ``numerator`` rows over
+    ``support`` and read through the cached lift plan of (n, d, support).
+    Rows descend lexicographically: for two variables the first row belongs
+    to z1^d and the last to z2^d.  ``entries`` and ``entry`` are views,
+    polynomials in the conjugated variables built on each read.
     ``numerator_only_heuristic`` is set when the map has a nontrivial
-    denominator, for which the fiber description is unvalidated.
+    denominator, for which the fiber description is unvalidated.  Equality
+    is identity.
     """
 
     n: int
     N: int
     d: int
     rows: tuple
-    entries: tuple  # K x N nested tuples of Polynomial in the conjugated variables
+    support: tuple
+    numerator: np.ndarray = field(repr=False)
     numerator_only_heuristic: bool = False
 
     @property
     def row_count(self) -> int:
         return len(self.rows)
 
+    @property
+    def entries(self) -> tuple:
+        """K x N nested tuples of Polynomial in the conjugated variables."""
+        row, column, gamma, weight, exps = _lift_plan(self.n, self.d, self.support)
+        coeffs = self.numerator.T[column]
+        item, col = np.nonzero(coeffs)
+        terms = [[{} for _ in range(self.N)] for _ in self.rows]
+        for i, k, mono, c in zip(row[item].tolist(), col.tolist(),
+                                 map(tuple, exps[gamma[item]].tolist()),
+                                 (coeffs[item, col] * weight[item]).tolist()):
+            terms[i][k][mono] = c
+        return tuple(tuple(Polynomial._raw(self.n, t) for t in cells) for cells in terms)
+
     def entry(self, row: int, col: int) -> Polynomial:
-        return self.entries[row][col]
+        return self.entries[row][col]  # a view of one entry builds them all
 
-    def matrix_at_conjugate(self, w: Sequence[complex]) -> np.ndarray:
-        """Evaluate the entry polynomials at conj(w); raw, without outer conjugation."""
-        wbar = np.conj(np.asarray(w, dtype=complex))
-        out = np.zeros((self.row_count, self.N), dtype=complex)
-        for i in range(self.row_count):
-            for k in range(self.N):
-                out[i, k] = self.entries[i][k](wbar)
-        return out
-
-    def conjugated_at(self, w: Sequence[complex]) -> np.ndarray:
-        """The numeric matrix whose kernel translates the fiber over w."""
-        return np.conj(self.matrix_at_conjugate(w))
+    def conjugated_at(self, w) -> np.ndarray:
+        """The numeric (K, N) matrix whose kernel translates the fiber over
+        the point w, or the (m, K, N) stack of them at an (m, n) array of
+        points: the lift of the support to the rows at conj(w), in blocks of
+        at most LIFT_ENTRIES, times the numerator rows, conjugated."""
+        pts = np.asarray(w, dtype=complex)
+        points = pts.reshape(-1, self.n)
+        row, column, gamma, weight, exps = _lift_plan(self.n, self.d, self.support)
+        shape = (self.row_count, len(self.support))
+        out = []
+        for block in np.array_split(points, len(points) * shape[0] * shape[1] // LIFT_ENTRIES + 1):
+            lift = np.zeros((len(block), *shape), dtype=complex)
+            lift[:, row, column] = _monomial_values(exps, np.conj(block)).T[:, gamma] * weight
+            out.append(lift @ self.numerator.T)
+        matrices = np.conj(np.concatenate(out))
+        return matrices if pts.ndim == 2 else matrices[0]
 
     def reconstruct_component(self, col: int, z: Sequence[complex],
                               w: Sequence[complex]) -> complex:
         """Sum of entries against z-monomials; equals p_col(z) when <z, w> = 1."""
-        acc = 0.0 + 0.0j
-        zv = np.asarray(z, dtype=complex)
-        wbar = np.conj(np.asarray(w, dtype=complex))
-        for i, alpha in enumerate(self.rows):
-            mono = np.prod(zv ** np.array(alpha))
-            acc += self.entries[i][col](wbar) * mono
-        return acc
-
-    def max_coefficient_distance(self, other: "XMatrix") -> float:
-        if (self.n, self.N, self.d) != (other.n, other.N, other.d):
-            raise ValueError("matrices have different shapes")
-        return max((a.distance(b) for row_a, row_b in zip(self.entries, other.entries)
-                    for a, b in zip(row_a, row_b)), default=0.0)
+        entries = np.conj(self.conjugated_at(w)).T[col:col + 1]
+        return complex(evaluate_rows(self.n, self.rows, entries, [z])[0, 0])
 
 
 def build_xmatrix(m: RationalBallMap, degree: Optional[int] = None) -> XMatrix:
@@ -89,29 +130,14 @@ def build_xmatrix(m: RationalBallMap, degree: Optional[int] = None) -> XMatrix:
 
     The degree defaults to the numerator degree, 0 for a zero numerator; a
     larger value embeds the map among higher-degree maps, which keeps matrix
-    shapes constant along a family.  Column k collects, per degree-d monomial
-    z^alpha, the coefficient polynomial in the conjugated variables of
-    component k.
+    shapes constant along a family.  The map's numerator rows are not copied.
     """
     top = map_degree(m)
     d = top if degree is None else int(degree)
     if d < top:
         raise ValueError("homogenization degree cannot be below the map degree")
-    rows = monomials_of_degree(m.n, d)
-    row_index = {alpha: i for i, alpha in enumerate(rows)}
-    entry_terms: list = [[{} for _ in range(m.N)] for _ in range(len(rows))]
-    for k, comp in enumerate(m.p):
-        for alpha, coeff in comp.terms.items():
-            gap = d - total_degree(alpha)
-            for gamma in monomials_of_degree(m.n, gap):
-                row = row_index[tuple(a + g for a, g in zip(alpha, gamma))]
-                weight = coeff * multinomial(gap, gamma)
-                terms = entry_terms[row][k]
-                terms[gamma] = terms.get(gamma, 0.0) + weight
-    entries = tuple(tuple(Polynomial(m.n, cell) for cell in row_cells)
-                    for row_cells in entry_terms)
-    return XMatrix(m.n, m.N, d, tuple(rows), entries,
-                   numerator_only_heuristic=not m.has_trivial_denominator)
+    return XMatrix(m.n, m.N, d, tuple(monomials_of_degree(m.n, d)), m.support,
+                   m.coefficients[:-1], numerator_only_heuristic=not m.has_trivial_denominator)
 
 
 @dataclass(frozen=True)
@@ -138,14 +164,13 @@ def fiber_at(m: RationalBallMap, x: XMatrix, w: Sequence[complex]) -> FiberRepor
     wv = np.asarray(w, dtype=complex).reshape(-1)
     if wv.size != m.n:
         raise ValueError("point dimension mismatch")
-    if np.linalg.norm(wv) <= DEFAULT_TOL:
-        base = m.evaluate(np.zeros(m.n, dtype=complex))
-        return FiberReport(wv, base, np.zeros((m.N, 0), dtype=complex), 0)
-    if abs(m.q(wv)) <= 1e-8:
+    origin = np.linalg.norm(wv) <= DEFAULT_TOL
+    values = evaluate_rows(m.n, m.support, m.coefficients, [0 * wv if origin else wv])[0]
+    if abs(values[-1]) <= 1e-8:
         raise EvaluationAtPoleError(f"denominator vanishes at {wv}")
-    matrix = x.conjugated_at(wv)
-    kernel = _linalg.nullspace_basis(matrix)
-    return FiberReport(wv, m.evaluate(wv), kernel, kernel.shape[1])
+    kernel = (np.zeros((m.N, 0), dtype=complex) if origin
+              else _linalg.nullspace_basis(x.conjugated_at(wv)))
+    return FiberReport(wv, values[:-1] / values[-1], kernel, kernel.shape[1])
 
 
 @dataclass(frozen=True)
@@ -168,34 +193,23 @@ def graph_test(m: RationalBallMap, x: Optional[XMatrix] = None,
 
     Generic points are complex Gaussian; structured points lie on the
     coordinate hyperplanes w_j = 0, where exceptional fibers concentrate in
-    the worked examples.  Points at poles of the map are skipped.
+    the worked examples.  The origin and the poles of the map are skipped;
+    the fiber dimensions at the other points are N minus the ranks of one
+    stacked ``conjugated_at``, as ``fiber_at`` gives them point by point.
     """
     if x is None:
         x = build_xmatrix(m)
     rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(samples):
-        points.append(rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
-    if include_hyperplanes and m.n > 1:
-        per_plane = max(2, samples // (4 * m.n))
-        for j in range(m.n):
-            for _ in range(per_plane):
-                w = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
-                w[j] = 0.0
-                points.append(w)
-    exceptional = []
-    checked = 0
-    for w in points:
-        if np.linalg.norm(w) <= DEFAULT_TOL:
-            continue
-        try:
-            report = fiber_at(m, x, w)
-        except EvaluationAtPoleError:
-            continue
-        checked += 1
-        if report.dimension > 0:
-            exceptional.append((w, report.dimension))
-    return GraphTestResult(not exceptional, tuple(exceptional), checked)
+    per_plane = max(2, samples // (4 * m.n)) if include_hyperplanes and m.n > 1 else 0
+    pts = np.array([rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+                    for _ in range(samples + m.n * per_plane)]).reshape(-1, m.n)
+    # The last points lie on the hyperplanes w_1 = 0, ..., w_n = 0 in turn.
+    pts[samples + np.arange(m.n * per_plane), np.repeat(np.arange(m.n), per_plane)] = 0.0
+    q = evaluate_rows(m.n, m.support, m.coefficients[-1:], pts)[:, 0]
+    kept = pts[(np.linalg.norm(pts, axis=1) > DEFAULT_TOL) & (np.abs(q) > 1e-8)]
+    dims = m.N - _linalg.numerical_rank(x.conjugated_at(kept))
+    exceptional = tuple((w, int(dim)) for w, dim in zip(kept, dims) if dim > 0)
+    return GraphTestResult(not exceptional, exceptional, len(kept))
 
 
 @dataclass
@@ -209,15 +223,6 @@ class XFamilyReport:
     generic_ranks: list
     rank_drops: list  # t values where the generic rank falls below the maximum
 
-    def to_dict(self) -> dict:
-        return {
-            "grid_size": len(self.grid),
-            "degree": self.degree,
-            "max_entry_step": self.max_entry_step,
-            "generic_ranks": self.generic_ranks,
-            "rank_drops": self.rank_drops,
-        }
-
 
 def xmatrix_along_family(family: HomotopyFamily, grid_size: int = 11,
                          degree: Optional[int] = None, w_samples: int = 5,
@@ -225,32 +230,27 @@ def xmatrix_along_family(family: HomotopyFamily, grid_size: int = 11,
     """Build the matrices of a family at a common degree and track their behavior.
 
     The homogenization degree is the maximum numerator degree over the grid
-    (so the matrix shape is constant in t), entrywise coefficient paths are
-    compared between adjacent samples, and the generic rank per t is the
-    largest rank of the conjugated matrix over a fixed set of random points;
-    parameters where it drops below the overall maximum are flagged.
+    (so the matrix shape is constant in t), entry coefficients (the aligned
+    numerator rows times the lift weights) are compared between adjacent
+    samples, and the generic rank per t is the largest rank of the
+    conjugated matrix over a fixed set of random points, one stacked rank
+    per member; parameters where it drops below the overall maximum are
+    flagged.
     """
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     members = list(family.evaluate_many(ts))
-    top = degree
-    if top is None:
-        top = max(map_degree(m) for m in members)
+    top = max(map_degree(m) for m in members) if degree is None else degree
     matrices = [build_xmatrix(m, degree=top) for m in members]
-
-    max_step = 0.0
-    for a, b in zip(matrices, matrices[1:]):
-        max_step = max(max_step, a.max_coefficient_distance(b))
-
+    support, rows = align_rows(*((x.support, x.numerator) for x in matrices))
+    _, column, _, weight, _ = _lift_plan(family.domain_dim, top, support)
+    entries = np.stack(rows)[:, :, column] * weight
+    max_step = float(np.abs(np.diff(entries, axis=0)).max(initial=0.0))
     rng = np.random.default_rng(seed)
-    points = [rng.standard_normal(family.domain_dim)
-              + 1j * rng.standard_normal(family.domain_dim)
-              for _ in range(w_samples)]
-    generic_ranks = []
-    for x in matrices:
-        best = 0
-        for w in points:
-            best = max(best, _linalg.numerical_rank(x.conjugated_at(w)))
-        generic_ranks.append(best)
+    points = np.array([rng.standard_normal(family.domain_dim)
+                       + 1j * rng.standard_normal(family.domain_dim)
+                       for _ in range(w_samples)]).reshape(-1, family.domain_dim)
+    generic_ranks = [int(_linalg.numerical_rank(x.conjugated_at(points)).max(initial=0))
+                     for x in matrices]
     overall = max(generic_ranks)
     drops = [t for t, r in zip(ts, generic_ranks) if r < overall]
     return XFamilyReport(ts, top, matrices, max_step, generic_ranks, drops)

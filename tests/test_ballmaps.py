@@ -27,6 +27,8 @@ from propermaps.homotopy import (degree_drop_family, faran_maps, homotopy_to_mon
                                  verify_family)
 from propermaps.polyalg import (COEFFICIENT_FLOOR, HermitianForm, Polynomial, properness_form,
                                 squared_norm_form)
+from propermaps.xvariety import (build_xmatrix, fiber_at, graph_test,
+                                 xmatrix_along_family)
 
 from conftest import sample_sphere
 
@@ -660,6 +662,8 @@ def test_hot_paths_build_no_polynomial(monkeypatch):
                           injection=injection)
     composed = compose(faran_maps()["phi"], automorphism_map(random_ball_automorphism(2, rng)))
     rotated = apply_linear(random_unitary(composed.N, rng), composed)
+    quartic = degree_drop_family()
+    member = quartic.evaluate(0.5)
 
     built = []
     init, raw = Polynomial.__init__, Polynomial._raw.__func__
@@ -678,10 +682,17 @@ def test_hot_paths_build_no_polynomial(monkeypatch):
     assert certify_proper(composed).verdict is Verdict.PROPER
     assert (degree(composed), embedding_dimension(composed)) == (3, 3)
     assert norm_equivalent(composed, rotated).equivalent
+    x = build_xmatrix(member, degree=4)
+    assert x.conjugated_at(rng.standard_normal((3, 2))).shape == (3, 5, 5)
+    assert fiber_at(member, x, [0.0, 0.3]).dimension > 0
+    assert graph_test(member, x, samples=10).samples_checked == 14
+    assert xmatrix_along_family(quartic, grid_size=3).rank_drops == [0.0]
     assert built == []
     # The views still convert on access.
     composed.q
     assert built == ["_raw"]
+    entries = x.entries
+    assert built == ["_raw"] * (1 + len(entries) * x.N)
 
 
 # ------------------------------------------------------ batched certification

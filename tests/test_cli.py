@@ -496,10 +496,11 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
 
 def test_import_does_not_load_scipy(tmp_path):
     # Importing also builds no plan, so the caches stay empty and bounded.
-    code = ("import json, sys, propermaps; from propermaps import polyalg; "
+    code = ("import json, sys, propermaps; from propermaps import polyalg, xvariety; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print(json.dumps([[c.cache_info().currsize, c.cache_info().maxsize] "
-            "for c in (polyalg._bernstein_plan, polyalg._product_plan)]))")
+            "for c in (polyalg._bernstein_plan, polyalg._product_plan, "
+            "xvariety._lift_plan)]))")
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)

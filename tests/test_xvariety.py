@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from propermaps._linalg import random_unitary
-from propermaps.ballmaps import RationalBallMap, apply_linear
-from propermaps.constructors import BallAutomorphism, automorphism_map
+from propermaps.ballmaps import RationalBallMap, apply_linear, compose
+from propermaps.constructors import (BallAutomorphism, automorphism_map,
+                                     random_ball_automorphism)
 from propermaps.corpus import group_invariant_degree5_map, quadric_three_map
 from propermaps.homotopy import constant_family, degree_drop_family
-from propermaps.polyalg import Polynomial
+from propermaps.polyalg import Polynomial, monomials_of_degree, multinomial
+from propermaps import xvariety
 from propermaps.xvariety import (EvaluationAtPoleError, build_xmatrix, fiber_at,
                                  graph_test, xmatrix_along_family)
 
@@ -35,7 +37,117 @@ def hyperplane_points(w, count, seed=0):
     return points
 
 
+def _xmatrix_by_loop(m, degree):
+    """Term-by-term reference: each numerator term c z^alpha times
+    multinomial(gap, gamma) z^gamma conj(w)^gamma, |gamma| = gap = degree -
+    |alpha|, collected per degree-d row and component as Polynomials."""
+    rows = monomials_of_degree(m.n, degree)
+    row_index = {alpha: i for i, alpha in enumerate(rows)}
+    cells = [[{} for _ in range(m.N)] for _ in rows]
+    for k, comp in enumerate(m.p):
+        for alpha, coeff in comp.terms.items():
+            gap = degree - sum(alpha)
+            for gamma in monomials_of_degree(m.n, gap):
+                terms = cells[row_index[tuple(a + g for a, g in zip(alpha, gamma))]][k]
+                terms[gamma] = terms.get(gamma, 0.0) + coeff * multinomial(gap, gamma)
+    return tuple(tuple(Polynomial(m.n, cell) for cell in row) for row in cells)
+
+
+def _graph_test_by_points(m, x, samples, seed, include_hyperplanes):
+    """``graph_test``'s points, each decided by its own ``fiber_at``:
+    (exceptional (w, dimension) pairs, points checked)."""
+    rng = np.random.default_rng(seed)
+    points = [rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+              for _ in range(samples)]
+    if include_hyperplanes and m.n > 1:
+        for j in range(m.n):
+            for _ in range(max(2, samples // (4 * m.n))):
+                w = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+                w[j] = 0.0
+                points.append(w)
+    exceptional, checked = [], 0
+    for w in points:
+        if np.linalg.norm(w) <= 1e-9:
+            continue
+        try:
+            report = fiber_at(m, x, w)
+        except EvaluationAtPoleError:
+            continue
+        checked += 1
+        if report.dimension > 0:
+            exceptional.append((w, report.dimension))
+    return exceptional, checked
+
+
+def _tensor_power(n, d):
+    comps = [Polynomial(n, {a: math.sqrt(multinomial(d, a))})
+             for a in monomials_of_degree(n, d)]
+    return RationalBallMap(n, len(comps), comps)
+
+
+@pytest.fixture(scope="module")
+def reference_maps(registry):
+    """(name, map, degree, graph-test samples, hyperplanes): the catalog, the
+    compositions of tensor powers with an automorphism, the ex2.1 members at
+    degree 4 and a map whose denominator has a higher degree than its
+    numerator."""
+    gen = np.random.default_rng(3)
+    out = [(name, m, None, 20, True) for name, m in registry.maps.items()]
+    for n, d in ((2, 4), (2, 5), (2, 6), (2, 8), (2, 12), (3, 3), (3, 4), (3, 5), (4, 3)):
+        phi = random_ball_automorphism(n, gen)
+        out.append((f"compose-n{n}-d{d}", compose(_tensor_power(n, d), automorphism_map(phi)),
+                    None, 20, True))
+    quartic = registry.families["ex2.1.family"]
+    for c in (0.041, 0.189, 0.404, 0.697, 0.95):
+        out.append((f"ex2.1-{c}", quartic.evaluate(c), 4, 50, False))
+    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    q = Polynomial(2, {(0, 0): 1.0, (2, 0): 0.1})
+    out.append(("q-above-p", RationalBallMap(2, 2, [z1, z2], q), None, 20, True))
+    return out
+
+
 # ------------------------------------------------------------- construction
+def test_entries_equal_the_term_by_term_reference(reference_maps):
+    for name, m, d, _, _ in reference_maps:
+        x = build_xmatrix(m, degree=d)
+        want = _xmatrix_by_loop(m, x.d)
+        got = x.entries
+        assert [[e.terms for e in row] for row in got] == \
+            [[e.terms for e in row] for row in want], name
+        assert [[list(e.terms) for e in row] for row in got] == \
+            [[list(e.terms) for e in row] for row in want], name
+        assert x.entry(x.row_count - 1, x.N - 1).terms == want[-1][-1].terms
+
+
+def test_stacked_evaluation_agrees_with_points_and_entries(reference_maps, monkeypatch):
+    gen = np.random.default_rng(8)
+    for name, m, d, _, _ in reference_maps:
+        x = build_xmatrix(m, degree=d)
+        pts = gen.standard_normal((4, m.n)) + 1j * gen.standard_normal((4, m.n))
+        stacked = x.conjugated_at(pts)
+        assert stacked.shape == (4, x.row_count, x.N)
+        with monkeypatch.context() as patch:
+            # Blocks of one or two points.
+            patch.setattr(xvariety, "LIFT_ENTRIES", 2 * x.row_count * len(x.support))
+            by_point = np.concatenate([x.conjugated_at(pts[:3]), [x.conjugated_at(pts[3])]])
+        by_entry = np.array([[[np.conj(e(np.conj(w))) for e in row] for row in x.entries]
+                             for w in pts])
+        scale = np.abs(by_entry).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(stacked - by_point) <= 1e-12 * scale), name
+        assert np.all(np.abs(stacked - by_entry) <= 1e-12 * scale), name
+
+
+def test_graph_test_equals_a_fiber_at_loop(reference_maps):
+    for name, m, d, samples, planes in reference_maps:
+        x = build_xmatrix(m, degree=d)
+        result = graph_test(m, x, samples=samples, seed=17, include_hyperplanes=planes)
+        exceptional, checked = _graph_test_by_points(m, x, samples, 17, planes)
+        assert result.samples_checked == checked, name
+        assert [dim for _, dim in result.exceptional] == [dim for _, dim in exceptional], name
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in
+                   zip(result.exceptional, exceptional)), name
+
+
 def test_identity_matrix_is_identity():
     x = build_xmatrix(RationalBallMap.identity(2))
     assert x.d == 1 and x.row_count == 2 and x.N == 2
@@ -208,6 +320,15 @@ def test_quartic_family_determinant_law(rng):
         det = np.linalg.det(x.conjugated_at(w))
         expected = c ** 2 * w[0] ** 6
         assert abs(det - expected) <= 1e-6 * abs(expected)
+
+
+def test_family_entry_step_is_the_largest_reference_coefficient_step():
+    fam = degree_drop_family()
+    report = xmatrix_along_family(fam, grid_size=5)
+    matrices = [_xmatrix_by_loop(m, 4) for m in fam.evaluate_many(report.grid)]
+    want = max(a.distance(b) for x, y in zip(matrices, matrices[1:])
+               for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y))
+    assert report.max_entry_step == want
 
 
 def test_quartic_family_rank_profile():
