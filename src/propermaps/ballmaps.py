@@ -450,89 +450,64 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
 
 
 def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
-                        floor: float, seed: int) -> list:
-    """(method, margin) for each map of a block: how q was shown to stay above
-    ``floor`` on the closed ball; or the DenominatorVanishesError it raises.
+                        centres: np.ndarray, seed: int) -> list:
+    """(method, margin) for each map of a block, ``stack`` their (T, N+1, M)
+    rows and ``centres`` their (T, K, n) carried factor centres: how q was
+    shown to stay above DENOMINATOR_FLOOR on the closed ball; or the
+    DenominatorVanishesError it raises.
 
-    Tries, in order: a constant q; the carried factors, or q's own when the
-    map carries none, used only when they multiply out to q; the coefficient
-    bound 1 - sum_{alpha != 0} |q_alpha|; q's own factors when the carried
-    ones did not decide q; and, as a last resort, the smallest |q| over seeded
-    sample points of the ball and the sphere.  The error comes when a factor
-    vanishes on the closed ball, when the exact minimum of factors with one
-    centre is below the floor, or when a sampled modulus is.  The first two
-    steps run on the whole block, q's own factors once per q degree; a map
-    that they leave undecided goes on alone.
+    Every map goes down one ladder, each step on the maps that the steps
+    before it left open: a constant q; the carried factors, when the block
+    has any; q's own factors, d copies of a = -conj(c) / d for a q = 1 +
+    sum_j c_j z_j + ... of degree d, one step per degree; the coefficient
+    bound 1 - sum_{alpha != 0} |q_alpha|; and, as a last resort, the
+    smallest |q| over seeded sample points of the ball and the sphere.
+    Factors decide only when they multiply out to q, so a map whose carried
+    factors miss q gets what it would get without them.  The error comes
+    when a factor vanishes on the closed ball, when the exact minimum of
+    factors with one centre is below the floor, or when a sampled modulus is.
     """
-    n, support = maps[0].n, maps[0].support
+    n, support, floor = maps[0].n, maps[0].support, DENOMINATOR_FLOOR
     q = stack[:, -1]
     q_degrees = _top_degrees(support, q[:, None])
-    out = [None] * len(maps)
-    trivial = np.flatnonzero(q_degrees <= 0).tolist()
-    for k in trivial:
-        out[k] = ("trivial", float(abs(q[k, -1])))
-    if len(trivial) == len(maps):
+    out = [("trivial", c) if d <= 0 else None
+           for c, d in zip(np.abs(q[:, -1]).tolist(), q_degrees.tolist())]
+    undecided = q_degrees > 0
+    if not undecided.any():
         return out
-    carried = np.stack([m.factors for m in maps])
-    # Not np.unique: it imports numpy.ma, some 20 ms of a cold CLI process.
-    degrees = [None] if carried.shape[1] else sorted(set(q_degrees[q_degrees > 0].tolist()))
-    for d in degrees:
-        picked = np.flatnonzero(q_degrees > 0 if d is None else q_degrees == d)
-        centres = carried[picked] if d is None else _own_factors(n, support, q[picked], d)
-        margins = _factored_margins(n, support, q[picked], centres, floor)
+
+    def factored(picked, candidates):
+        margins = _factored_margins(n, support, q[picked], candidates, floor)
         for k, margin in zip(picked.tolist(), margins):
             if margin is not None:
+                undecided[k] = False
                 out[k] = margin if isinstance(margin, Exception) else ("factored", margin)
-    for k, m in enumerate(maps):
-        if out[k] is None:
-            own = (_own_factors(n, support, q[k:k + 1], q_degrees[k])[0]
-                   if carried.shape[1] else None)
-            try:
-                out[k] = _unfactored_denominator(m, q[k], own, floor, seed)
-            except DenominatorVanishesError as exc:
-                out[k] = exc
-    return out
 
-
-def _own_factors(n: int, support, q: np.ndarray, d: int) -> np.ndarray:
-    """(T, d, n): q's own factors, d copies of a = -conj(c) / d for each row
-    q = 1 + sum_j c_j z_j + ... of degree d over ``support``; q is the power
-    (1 - <z, a>)^d exactly when they multiply out to it."""
-    index = {alpha: j for j, alpha in enumerate(support)}
-    linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
-    a = -np.where(linear >= 0, q[:, linear], 0.0).conj() / d
-    return np.repeat(a[:, None, :], d, axis=1)
-
-
-def _unfactored_denominator(m: RationalBallMap, q: np.ndarray, own, floor: float,
-                            seed: int) -> tuple:
-    """The steps of ``_check_denominators`` after the factors, for one map with
-    the q row ``q`` and, when the map carries factors, q's own factors
-    ``own``."""
-    # q without its empty columns; the last column is the constant term.
-    row = q[q != 0]
-    margin = float(abs(row[-1]) - np.abs(row[:-1]).sum())
-    if margin >= floor:
-        return "coefficient-bound", margin
-    # Wrong carried factors must not leave a power of one linear factor to
-    # sampling, which misses its zero on the sphere; its own factors decide
-    # it exactly.
-    if own is not None:
-        margin, = _factored_margins(m.n, m.support, q[None], own[None], floor)
-        if isinstance(margin, Exception):
-            raise margin
-        if margin is not None:
-            return "factored", margin
-    rng = np.random.default_rng(seed)
-    half = DENOMINATOR_SAMPLES // 2
-    pts = np.vstack([ball_points(m.n, half, rng),
-                     sphere_points(m.n, DENOMINATOR_SAMPLES - half, rng)])
-    vals = np.abs(m.q.evaluate_many(pts))
-    minimum = float(vals.min())
-    if minimum < floor:
-        raise DenominatorVanishesError(
+    if centres.shape[1]:
+        picked = np.flatnonzero(undecided)
+        factored(picked, centres[picked])
+    # Not np.unique: it imports numpy.ma, some 20 ms of a cold CLI process.
+    for d in sorted(set(q_degrees[undecided].tolist())):
+        picked = np.flatnonzero(undecided & (q_degrees == d))
+        index = {alpha: j for j, alpha in enumerate(support)}
+        linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
+        a = -np.where(linear >= 0, q[picked][:, linear], 0.0).conj() / d
+        factored(picked, np.repeat(a[:, None, :], d, axis=1))
+    for k in np.flatnonzero(undecided).tolist():
+        # q without its empty columns; the last column is the constant term.
+        row = q[k][q[k] != 0]
+        margin = float(abs(row[-1]) - np.abs(row[:-1]).sum())
+        if margin >= floor:
+            out[k] = ("coefficient-bound", margin)
+            continue
+        rng = np.random.default_rng(seed)
+        half = DENOMINATOR_SAMPLES // 2
+        pts = np.vstack([ball_points(n, half, rng),
+                         sphere_points(n, DENOMINATOR_SAMPLES - half, rng)])
+        minimum = float(np.abs(maps[k].q.evaluate_many(pts)).min())
+        out[k] = ("sampled", minimum) if minimum >= floor else DenominatorVanishesError(
             f"denominator modulus {minimum:.3e} below {floor:.1e} on the closed ball")
-    return "sampled", minimum
+    return out
 
 
 def _witness(m: RationalBallMap, seed: int) -> dict:
@@ -579,12 +554,13 @@ def _stacked(run: Sequence[RationalBallMap]):
     return np.stack([m.coefficients for m in run]), np.stack([m.factors for m in run])
 
 
-def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
-                   seed: int, floor: float) -> Iterator[PropernessCertificate]:
+def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray,
+                   centres: np.ndarray, tol: float, seed: int) -> Iterator[PropernessCertificate]:
     """The certificate of each map of a block, ``stack`` their (T, N+1, M)
-    rows, in order; an error for a map is raised at that map's turn."""
+    rows and ``centres`` their (T, K, n) factor centres, in order; an error
+    for a map is raised at that map's turn."""
     first = maps[0]
-    denominators = _check_denominators(maps, stack, floor, seed)
+    denominators = _check_denominators(maps, stack, centres, seed)
     residuals, worst = sphere_residuals(first.n, first.support, signed_gram(stack, 1))
     q = stack[:, -1]
     residuals = residuals / sphere_scales(first.n, first.support, q.real ** 2 + q.imag ** 2)
@@ -603,18 +579,18 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray, tol: floa
         yield PropernessCertificate(verdict, residual, worst[k], *denominators[k], (m, seed))
 
 
-def _certify_run(run: Sequence[RationalBallMap], stack: np.ndarray, tol: float,
-                 seed: int, floor: float) -> Iterator[tuple]:
+def _certify_run(run: Sequence[RationalBallMap], stack: np.ndarray, centres: np.ndarray,
+                 tol: float, seed: int) -> Iterator[tuple]:
     """What ``certify_maps`` yields for each map of a run (see ``_runs``) with
-    the (T, N+1, M) rows ``stack``; an error comes at its map's turn."""
+    the (T, N+1, M) rows ``stack`` and (T, K, n) factor centres ``centres``
+    (``_stacked``); an error comes at its map's turn."""
     degrees = np.maximum(_top_degrees(run[0].support, stack[:, :-1]), 0).tolist()
     ranks = _embedding_dimensions(stack).tolist()
-    return zip(_certify_block(run, stack, tol, seed, floor), degrees, ranks)
+    return zip(_certify_block(run, stack, centres, tol, seed), degrees, ranks)
 
 
 def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
-                 seed: int = DEFAULT_SEED,
-                 denominator_floor: float = DENOMINATOR_FLOOR) -> Iterator[tuple]:
+                 seed: int = DEFAULT_SEED) -> Iterator[tuple]:
     """Certify maps in order, yielding (certificate, degree, embedding
     dimension) for each: what ``certify_proper``, ``degree`` and
     ``embedding_dimension`` give the map.
@@ -633,8 +609,10 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     squared moduli, built without the dense product once that would take
     ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  That is decided
     for each member on its own rows, so its results do not depend on the
-    block.  Only a denominator that its factors leave undecided is worked
-    out map by map; a certificate's witness is sampled when it is first
+    block.  The denominators go down one ladder as a block
+    (``_check_denominators``): the carried factors, then q's own with one
+    product per q degree; only a q that no factors decide is bounded or
+    sampled map by map.  A certificate's witness is sampled when it is first
     read.  ``certify_proper`` is the block step on one map.
 
     Results come block by block as the maps are read, so a caller may stop
@@ -643,25 +621,27 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     certified first.
     """
     for run in _runs(maps):
-        yield from _certify_run(run, _stacked(run)[0], tol, seed, denominator_floor)
+        yield from _certify_run(run, *_stacked(run), tol, seed)
 
 
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
-                   seed: int = DEFAULT_SEED,
-                   denominator_floor: float = DENOMINATOR_FLOOR) -> PropernessCertificate:
+                   seed: int = DEFAULT_SEED) -> PropernessCertificate:
     """Certify whether p/q is a proper map between unit balls.
 
     The verdict is PROPER exactly when the scaled residual (the largest
     Bernstein coefficient of ||p||^2 - |q|^2 on the sphere over the scale of
     |q|^2) is within tolerance and the map is nonconstant;
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
-    p/q is constant.  Raises DenominatorVanishesError when q cannot be kept
-    above the floor on the closed ball (see ``_check_denominators``).  The
-    witness never affects the verdict: it is sampled, with ``seed``, when it
-    is first read, and cached.  This is the block step of ``certify_maps`` on
-    a block of one.
+    p/q is constant.  The denominator is decided by the first step of one
+    ladder that applies: a constant q, the carried factors, q's own
+    factors, the coefficient bound, sampling (``_check_denominators``);
+    carried factors that do not multiply out to q are ignored.  Raises
+    DenominatorVanishesError when q cannot be kept above DENOMINATOR_FLOOR on
+    the closed ball.  The witness never affects the verdict: it is sampled,
+    with ``seed``, when it is first read, and cached.  This is the block step
+    of ``certify_maps`` on a block of one.
     """
-    return next(_certify_block([m], m.coefficients[None], tol, seed, denominator_floor))
+    return next(_certify_block([m], m.coefficients[None], m.factors[None], tol, seed))
 
 
 def degree(m: RationalBallMap) -> int:

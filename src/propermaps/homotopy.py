@@ -177,8 +177,7 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
         local = x - idx
         starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
         for lo, hi in zip(starts, starts[1:] + [len(ts)]):
-            for m in pieces[idx[lo]].evaluate_many(local[lo:hi]):
-                yield m.padded(big)
+            yield from pieces[idx[lo]].evaluate_many(local[lo:hi])
 
     left = endpoint_left if endpoint_left is not None else segs[0].endpoint_left
     right = endpoint_right if endpoint_right is not None else segs[-1].endpoint_right
@@ -286,12 +285,12 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     first = previous = None
     max_step, t_step = 0.0, ts[1]
     for run in _bm._runs(family.evaluate_many(ts)):
-        stack, _ = _bm._stacked(run)
+        stack, centres = _bm._stacked(run)
         gaps = stack[:-1] - stack[1:]
         # The first member of the grid has no step; 0.0 never beats max_step.
         steps = [0.0 if previous is None else previous.distance(run[0])]
         steps += np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist()
-        results = _bm._certify_run(run, stack, tol, seed, _bm.DENOMINATOR_FLOOR)
+        results = _bm._certify_run(run, stack, centres, tol, seed)
         # steps, one per member, comes first, so zip takes no t past the run.
         for step, t, (cert, deg, embdim) in zip(steps, grid, results):
             degrees.append(deg)

@@ -635,7 +635,11 @@ def _descending(nvars: int, keys: np.ndarray):
     return tuple(map(tuple, rows[::-1].tolist())), len(rows) - 1 - index
 
 
-@lru_cache(maxsize=None)
+# A map-certify pass reads 21 tables and a family-grid pass 8 (seeds 3 and
+# 41), so 32 hold either pass.  The bound counts tables, not bytes: the
+# table for (nvars, top) = (3, 40) takes 1.7 MB and for (4, 20) 2.4 MB, so
+# 77 MB at worst for 32 of the latter size; larger keys take more.
+@lru_cache(maxsize=32)
 def _degree_table(nvars: int, top: int):
     """(counts, monomials, multinomials, tails, binomials) for degrees 0..top:
     row e of the (top+1, K, nvars) monomials and (top+1, K) multinomials

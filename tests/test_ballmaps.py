@@ -101,8 +101,9 @@ def test_denominator_floor_is_enforced():
     phi = BallAutomorphism([0.8, 0.0])
     m = automorphism_map(phi)
     # min |q| on the closed ball is about 1 - 0.8 = 0.2 < 0.5.
-    with pytest.raises(DenominatorVanishesError):
-        certify_proper(m, denominator_floor=0.5)
+    with mock.patch.object(ballmaps, "DENOMINATOR_FLOOR", 0.5), \
+            pytest.raises(DenominatorVanishesError):
+        certify_proper(m)
     assert certify_proper(m).verdict is Verdict.PROPER
 
 
@@ -317,7 +318,8 @@ def test_denominator_methods_in_order_of_preference():
     g = automorphism_map(BallAutomorphism([0.0, 0.6]))
     both = juxtapose(f, g, 0.5)
     assert certify_proper(both).denominator_method == "factored"
-    cert = certify_proper(both, denominator_floor=0.25)
+    with mock.patch.object(ballmaps, "DENOMINATOR_FLOOR", 0.25):
+        cert = certify_proper(both)
     assert cert.denominator_method == "sampled"
     assert 0.25 <= cert.denominator_margin <= 0.45
     assert cert.verdict is Verdict.PROPER
@@ -333,14 +335,54 @@ def test_carried_factors_are_checked_against_the_denominator():
     q = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5})
     honest = RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[0.5, 0.0]])
     wrong = RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[0.99, 0.0]])
-    assert certify_proper(honest, denominator_floor=0.05).denominator_method == "factored"
-    cert = certify_proper(wrong, denominator_floor=0.05)
-    assert cert.denominator_method == "coefficient-bound"
+    with mock.patch.object(ballmaps, "DENOMINATOR_FLOOR", 0.05):
+        assert certify_proper(honest).denominator_method == "factored"
+        cert = certify_proper(wrong)
+    # Centres that miss q are ignored: q's own factor decides, as without them.
+    assert cert.denominator_method == "factored"
     assert cert.denominator_margin == pytest.approx(0.5)
     with pytest.raises(DimensionMismatchError):
         RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[0.5, 0.0, 0.0]])
     with pytest.raises(ValueError):
         RationalBallMap(2, 2, [var(0), var(1)], q, factors=[[float("nan"), 0.0]])
+
+
+def _denominator_outcome(m):
+    try:
+        cert = certify_proper(m)
+    except DenominatorVanishesError as error:
+        return str(error)
+    return cert.denominator_method, cert.denominator_margin, cert.verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["power", "product", "factor-free"]), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-6, 0.05, 0.3]))
+def test_carried_factors_that_miss_q_are_ignored(kind, d, seed, floor):
+    gen = np.random.default_rng(seed)
+
+    def centre():
+        # Some centres reach the sphere, so that q may vanish on the ball.
+        a = gen.standard_normal(2) + 1j * gen.standard_normal(2)
+        return a / np.linalg.norm(a) * gen.uniform(0.05, 1.05)
+
+    def factor(a):
+        return Polynomial.one(2) - var(0) * np.conj(a[0]) - var(1) * np.conj(a[1])
+
+    if kind == "power":
+        q = factor(centre()) ** d
+    elif kind == "product":
+        q = math.prod((factor(centre()) for _ in range(d)), start=Polynomial.one(2))
+    else:
+        q = Polynomial(2, {(0, 0): 1.0} | {
+            alpha: complex(*gen.standard_normal(2)) * gen.uniform(0.02, 0.5)
+            for e in range(1, d + 1) for alpha in polyalg.monomials_of_degree(2, e)
+            if gen.random() < 0.6})
+    bare = RationalBallMap(2, 2, [var(0) * 0.5, var(1) * 0.5], q)
+    wrong = RationalBallMap(2, 2, bare.p, q,
+                            factors=[centre() for _ in range(gen.integers(1, 4))])
+    with mock.patch.object(ballmaps, "DENOMINATOR_FLOOR", floor):
+        assert _denominator_outcome(wrong) == _denominator_outcome(bare)
 
 
 def test_linear_operations_keep_the_factors(rng):
@@ -700,8 +742,12 @@ def _kernel_makers():
     """Makers of maps on B_2, one support each (a new draw keeps the support):
     factored denominators (one or two carried factors, or q's own: one
     factor, or the square or cube of one), trivial, coefficient-bound and
-    sampled ones, not-proper members, a constant map and a denominator that
-    vanishes on the closed ball.  The two makers from the Whitney map are on
+    sampled ones, not-proper members, a constant map, carried factors that
+    miss q and a denominator that vanishes on the closed ball.  The
+    wrong-factors maker puts one carried centre that misses q on a draw of
+    the automorphism, bounded or sampled maker, keeping that maker's
+    support, so that q falls through to its own factor, the coefficient
+    bound or sampling.  The two makers from the Whitney map are on
     B_3 and share its support: a unitary image, whose rows are dense, and a
     diagonal image, whose rows share no column."""
     z, w = var(0), var(1)
@@ -752,12 +798,16 @@ def _kernel_makers():
     def constant(gen):
         return RationalBallMap.constant(np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2), 2)
 
+    def wrong_factors(gen):
+        m = [automorphism, bounded, sampled][gen.integers(3)](gen)
+        return RationalBallMap(2, 2, m.p, m.q, factors=[gen.uniform(-0.5, 0.5, 2)])
+
     def vanishing(gen):
         a = np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2) * (1 - 1e-9)
         return automorphism_map(BallAutomorphism(a))
 
     return [automorphism, tensored, own_factor, own_power, monomial, disjoint, bounded,
-            sampled, constant, vanishing]
+            sampled, constant, wrong_factors, vanishing]
 
 
 def _same_certificate(a, b):
@@ -771,7 +821,7 @@ def _same_certificate(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 6)), min_size=1, max_size=6),
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 6)), min_size=1, max_size=6),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]),
        st.sampled_from([0, polyalg.ORTHOGONAL_GRAM_MIN]))
 def test_kernel_agrees_with_single_map_certification(runs, seed, budget, gram_min):
@@ -781,7 +831,7 @@ def test_kernel_agrees_with_single_map_certification(runs, seed, budget, gram_mi
     # zero ORTHOGONAL_GRAM_MIN sends these small maps through the Gram of
     # rows that share no column, so blocks mix such members with dense ones.
     maps = [makers[kind](gen) for kind, count in runs
-            for _ in range(count if kind < 9 or gen.random() < 0.3 else 0)]
+            for _ in range(count if kind < 10 or gen.random() < 0.3 else 0)]
     with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget), \
             mock.patch.object(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min):
         results = certify_maps(maps)

@@ -495,18 +495,24 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    # Importing also builds no plan, so the caches stay empty and bounded.
-    code = ("import json, sys, propermaps; from propermaps import polyalg, xvariety; "
+    # Importing also builds no plan, so every module-level cache of the
+    # package stays empty, and each is bounded.
+    code = ("import json, sys, propermaps; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-            "print(json.dumps([[c.cache_info().currsize, c.cache_info().maxsize] "
-            "for c in (polyalg._bernstein_plan, polyalg._product_plan, "
-            "xvariety._lift_plan)]))")
+            "print(json.dumps({f'{name}.{attr}': [c.cache_info().currsize, "
+            "c.cache_info().maxsize] for name, module in list(sys.modules.items()) "
+            "if name.split('.')[0] == 'propermaps' for attr, c in vars(module).items() "
+            "if hasattr(c, 'cache_info')}))")
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     modules, caches = result.stdout.splitlines()
     assert modules == "[]"
-    for currsize, maxsize in json.loads(caches):
-        assert currsize == 0
-        assert isinstance(maxsize, int) and maxsize > 0
+    caches = json.loads(caches)
+    assert {"propermaps.ballmaps._support_degrees", "propermaps.ballmaps._power_plan",
+            "propermaps.polyalg._bernstein_plan", "propermaps.polyalg._product_plan",
+            "propermaps.polyalg._degree_table", "propermaps.xvariety._lift_plan"} <= set(caches)
+    for name, (currsize, maxsize) in caches.items():
+        assert currsize == 0, name
+        assert isinstance(maxsize, int) and maxsize > 0, name

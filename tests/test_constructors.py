@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from propermaps import ballmaps
 from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary,
                                 random_unitary)
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
@@ -357,7 +360,8 @@ def _factored_construction(kind, rng):
 
 def _certify_outcome(m, floor):
     try:
-        cert = certify_proper(m, denominator_floor=floor)
+        with mock.patch.object(ballmaps, "DENOMINATOR_FLOOR", floor):
+            cert = certify_proper(m)
     except DenominatorVanishesError:
         return "denominator vanishes"
     return cert.verdict, cert.residual_norm
