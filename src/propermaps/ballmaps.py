@@ -461,7 +461,8 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
     has any; q's own factors, d copies of a = -conj(c) / d for a q = 1 +
     sum_j c_j z_j + ... of degree d, one step per degree; the coefficient
     bound 1 - sum_{alpha != 0} |q_alpha|; and, as a last resort, the
-    smallest |q| over seeded sample points of the ball and the sphere.
+    smallest |q| over seeded sample points of the ball and the sphere, drawn
+    once for the block.
     Factors decide only when they multiply out to q, so a map whose carried
     factors miss q gets what it would get without them.  The error comes
     when a factor vanishes on the closed ball, when the exact minimum of
@@ -493,6 +494,7 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
         linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
         a = -np.where(linear >= 0, q[picked][:, linear], 0.0).conj() / d
         factored(picked, np.repeat(a[:, None, :], d, axis=1))
+    pts = None
     for k in np.flatnonzero(undecided).tolist():
         # q without its empty columns; the last column is the constant term.
         row = q[k][q[k] != 0]
@@ -500,10 +502,11 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
         if margin >= floor:
             out[k] = ("coefficient-bound", margin)
             continue
-        rng = np.random.default_rng(seed)
-        half = DENOMINATOR_SAMPLES // 2
-        pts = np.vstack([ball_points(n, half, rng),
-                         sphere_points(n, DENOMINATOR_SAMPLES - half, rng)])
+        if pts is None:
+            rng = np.random.default_rng(seed)
+            half = DENOMINATOR_SAMPLES // 2
+            pts = np.vstack([ball_points(n, half, rng),
+                             sphere_points(n, DENOMINATOR_SAMPLES - half, rng)])
         minimum = float(np.abs(maps[k].q.evaluate_many(pts)).min())
         out[k] = ("sampled", minimum) if minimum >= floor else DenominatorVanishesError(
             f"denominator modulus {minimum:.3e} below {floor:.1e} on the closed ball")

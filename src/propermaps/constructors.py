@@ -14,13 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _linalg
-from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _factor_rows,
-                       _stacked, apply_linear, certify_proper)
+from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
+                       _factor_rows, _runs, _stacked, apply_linear, certify_proper)
 from .polyalg import (COEFFICIENT_FLOOR, align_rows, coefficient_matrix, evaluate_rows,
                       monomials_of_degree, multiply_rows)
 
@@ -257,16 +258,7 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
         basis = basis[:, None]
-    if basis.shape[0] != f.N:
-        raise DimensionMismatchError(
-            f"basis rows {basis.shape[0]} do not match target dimension {f.N}")
-    d = basis.shape[1]
-    if d == 0:
-        raise TensorSubspaceError("tensor subspace must be nonzero")
-    if not _linalg.has_orthonormal_columns(basis):
-        raise TensorSubspaceError("subspace basis must have orthonormal columns")
-    frame = np.hstack([basis, _linalg.gram_schmidt_complement(basis)])
-    return _tensor_in_frame([f], frame, d, [_as_domain_map(phi, f.n)])[0]
+    return _apply_step(WhitneyStep(basis), [f], [_as_domain_map(phi, f.n)])[0]
 
 
 def _tensor_in_frame(fs: Sequence[RationalBallMap], frame: np.ndarray, d: int,
@@ -351,11 +343,39 @@ def _root(ts: np.ndarray, top: float = 1.0) -> np.ndarray:
 # --------------------------------------------------------------- Whitney terms
 @dataclass(frozen=True)
 class WhitneyStep:
-    """One extension step: tensor subspace basis, domain automorphism, injection."""
+    """One extension step: tensor subspace basis, domain automorphism, injection.
+
+    ``frame`` is the unitary whose first d columns are the basis and whose
+    rest is their ``gram_schmidt_complement``: the coordinates the step
+    tensors in.  It is built, and the basis checked to be nonzero with
+    orthonormal columns, once per step, when it is first read.
+    """
 
     basis: np.ndarray
     phi: Optional[BallAutomorphism] = None
     injection: Optional[np.ndarray] = None
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        if self.basis.shape[1] == 0:
+            raise TensorSubspaceError("tensor subspace must be nonzero")
+        if not _linalg.has_orthonormal_columns(self.basis):
+            raise TensorSubspaceError("subspace basis must have orthonormal columns")
+        return np.hstack([self.basis, _linalg.gram_schmidt_complement(self.basis)])
+
+
+def _apply_step(step: WhitneyStep, fs: Sequence[RationalBallMap],
+                phis: Sequence[RationalBallMap]) -> list:
+    """The step on runs of maps, as ``_tensor_in_frame`` takes them: each
+    member tensored in the step's frame, then taken through its injection
+    run by run."""
+    if step.basis.shape[0] != fs[0].N:
+        raise DimensionMismatchError(
+            f"basis rows {step.basis.shape[0]} do not match target dimension {fs[0].N}")
+    tensored = _tensor_in_frame(fs, step.frame, step.basis.shape[1], phis)
+    if step.injection is None:
+        return tensored
+    return [m for run in _runs(tensored) for m in _apply_linear_run(step.injection, run)]
 
 
 @dataclass(frozen=True)
@@ -405,22 +425,20 @@ def whitney_extend(term: WhitneyTerm, basis, phi: Optional[BallAutomorphism] = N
     exactly when the tensored subspace misses all top-degree components.
     """
     current = term.map
-    basis = subspace_basis(current.N, basis)
-    new_map = tensor_on_subspace(current, basis, phi)
-    if injection is not None:
-        injection = np.asarray(injection, dtype=complex)
-        if injection.shape[1] != new_map.N:
+    step = WhitneyStep(subspace_basis(current.N, basis), phi,
+                       None if injection is None else np.asarray(injection, dtype=complex))
+    if step.injection is not None:
+        if step.injection.shape[1] != current.N + step.basis.shape[1] * (current.n - 1):
             raise DimensionMismatchError("injection must accept the tensored target")
-        if not _linalg.has_orthonormal_columns(injection):
+        if not _linalg.has_orthonormal_columns(step.injection):
             raise ValueError("injection must be norm-preserving (orthonormal columns)")
-        new_map = apply_linear(injection, new_map)
+    new_map, = _apply_step(step, [current], [_as_domain_map(phi, current.n)])
     if certify:
         _require_proper(new_map)
     expected = term.length + 2
     if new_map.degree > expected:
         raise ArithmeticError(
             f"degree {new_map.degree} exceeds the bound {expected} for a Whitney term")
-    step = WhitneyStep(basis=basis, phi=phi, injection=injection)
     return WhitneyTerm(term.start, term.steps + (step,), term.maps + (new_map,))
 
 

@@ -26,9 +26,9 @@ from . import _linalg
 from . import ballmaps as _bm
 from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertificate,
                        RationalBallMap, Verdict, apply_linear, norm_equivalent)
-from .constructors import (BallAutomorphism, BlaschkeProduct, TensorSubspaceError,
-                           WhitneyTerm, automorphism_from_map, automorphism_map,
-                           blaschke_map, _automorphism_maps, _blaschke_maps, _diagonals,
+from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
+                           automorphism_from_map, automorphism_map, blaschke_map,
+                           _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _juxtaposition_path, _root, _tensor_in_frame)
 from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
 
@@ -140,6 +140,19 @@ def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFa
     return _segment(m.n, lambda ts: apply_linear(path(ts), m))
 
 
+def _junction_bridge(end: RationalBallMap, start: RationalBallMap, error: Exception,
+                     close_tol: float = 1e-6) -> list:
+    """What joins ``end`` to ``start``: nothing when they agree within
+    ``close_tol``, else the unitary bridge from ``end`` to a norm-equivalent
+    ``start``; ``error`` is raised when they are not norm-equivalent."""
+    if end.allclose(start, close_tol):
+        return []
+    witness = norm_equivalent(end, start, tol=1e-6)
+    if not witness.equivalent:
+        raise error
+    return [unitary_bridge_family(end, witness.unitary)]
+
+
 def concat_families(segments: Sequence[HomotopyFamily], *,
                     endpoint_left: Optional[RationalBallMap] = None,
                     endpoint_right: Optional[RationalBallMap] = None) -> HomotopyFamily:
@@ -158,14 +171,9 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
 
     pieces: list[HomotopyFamily] = [segs[0]]
     for nxt in segs[1:]:
-        prev_end = pieces[-1].evaluate(1.0).padded(big)
-        nxt_start = nxt.evaluate(0.0).padded(big)
-        if not prev_end.allclose(nxt_start, 1e3 * DEFAULT_TOL):
-            witness = norm_equivalent(prev_end, nxt_start, tol=1e3 * DEFAULT_TOL)
-            if not witness.equivalent:
-                raise EndpointMismatchError(
-                    "junction maps are not norm-equivalent; cannot concatenate")
-            pieces.append(unitary_bridge_family(prev_end, witness.unitary))
+        pieces += _junction_bridge(
+            pieces[-1].evaluate(1.0).padded(big), nxt.evaluate(0.0).padded(big),
+            EndpointMismatchError("junction maps are not norm-equivalent; cannot concatenate"))
         pieces.append(nxt)
 
     count = len(pieces)
@@ -433,23 +441,22 @@ def faran_families() -> dict:
 
 
 # ------------------------------------------------- reduction to a monomial map
-def _alignment_permutation(g: RationalBallMap, basis: np.ndarray,
-                           complement: np.ndarray):
+def _alignment_permutation(g: RationalBallMap, step):
     """Choose component slots for the tensor subspace and the aligning unitary.
 
     Returns (S, rest, U) where S lists the slots whose monomials feed the
     tensor block (the first one of top degree, so the degree goes up), rest
     the remaining slots in ascending order, and U the unitary mapping slot
-    basis vectors onto the subspace basis (None when it is the identity).
+    basis vectors onto the step's frame (None when it is the identity).
     """
     size = g.N
-    d = basis.shape[1]
+    d = step.basis.shape[1]
     degrees = [_bm._top_degree(g.support, row[None]) for row in g.coefficients[:-1]]
     top_degree = max(degrees)
 
     canonical: Optional[list] = []
     for m in range(d):
-        col = basis[:, m]
+        col = step.basis[:, m]
         j = int(np.argmax(np.abs(col)))
         if abs(col[j] - 1.0) <= 1e-12 and np.sum(np.abs(col)) - abs(col[j]) <= 1e-12:
             canonical.append(j)
@@ -466,11 +473,10 @@ def _alignment_permutation(g: RationalBallMap, basis: np.ndarray,
         slots = [top] + pool[:d - 1]
     rest = [i for i in range(size) if i not in slots]
 
-    frame = np.hstack([basis, complement])
     perm = np.zeros((size, size), dtype=complex)
     for pos, i in enumerate(list(slots) + rest):
         perm[i, pos] = 1.0
-    unitary = frame @ perm.conj().T
+    unitary = step.frame @ perm.conj().T
     if np.max(np.abs(unitary - np.eye(size))) <= 1e-12:
         return slots, rest, None
     return slots, rest, unitary
@@ -480,41 +486,16 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
     """Lift the reduction family through one tensor step.
 
     Given a family joining F_k to the monomial map ``g_map`` (in the family's
-    target), produce the family joining F_{k+1} to the next monomial map, and
-    that map: contract the step's automorphism, push the previous family
-    through the tensor step, rotate the subspace onto monomial slots, and
-    absorb the injection by a unitary bridge.
+    target, which is the step's basis rows), produce the family joining
+    F_{k+1} to the next monomial map, and that map: contract the step's
+    automorphism, push the previous family through the step, rotate the
+    subspace onto monomial slots, and absorb the injection by a unitary
+    bridge.
     """
-    prev_dim = fam_prev.target_dim
-    base_rows = step.basis.shape[0]
-    d = step.basis.shape[1]
-    if prev_dim > base_rows:
-        basis = np.vstack([step.basis,
-                           np.zeros((prev_dim - base_rows, d), dtype=complex)])
-    else:
-        basis = step.basis
-    if not _linalg.has_orthonormal_columns(basis):
-        raise TensorSubspaceError("subspace basis must have orthonormal columns")
-    complement = _linalg.gram_schmidt_complement(basis)
-    frame = np.hstack([basis, complement])
-
-    jmat = step.injection
-    if jmat is not None and prev_dim > base_rows:
-        extra = prev_dim - base_rows
-        lifted = np.zeros((jmat.shape[0] + extra, jmat.shape[1] + extra), dtype=complex)
-        lifted[:jmat.shape[0], :jmat.shape[1]] = jmat
-        lifted[jmat.shape[0]:, jmat.shape[1]:] = np.eye(extra)
-        jmat = lifted
-
     identity = [RationalBallMap.identity(n)]
 
     def stage_maps(fs: list, phis: list = identity) -> list:
-        """The tensor step of the maps ``fs`` with the domain factors ``phis``,
-        one of them a run and the other a run of one, then the injection."""
-        tensored = _tensor_in_frame(fs, frame, d, phis)
-        if jmat is None:
-            return tensored
-        return list(_per_run(tensored, lambda run: _bm._apply_linear_run(jmat, run)))
+        return _apply_step(step, fs, phis)
 
     segments = []
     start = fam_prev.evaluate(0.0)
@@ -525,7 +506,7 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
     segments.append(_segment(
         n, lambda ts: _per_run(fam_prev.evaluate_many(ts), stage_maps)))
 
-    slots, rest, unitary = _alignment_permutation(g_map, basis, complement)
+    slots, rest, unitary = _alignment_permutation(g_map, step)
     if unitary is not None:
         upath = _linalg.UnitaryPath(unitary)
         segments.append(_segment(
@@ -536,14 +517,13 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
-    next_map, = _tensor_in_frame([g_map], np.eye(prev_dim)[:, slots + rest], d, identity)
-    if jmat is not None:
-        next_map = next_map.padded(jmat.shape[0])
-        if not aligned_end.allclose(next_map, 1e-6):
-            witness = norm_equivalent(aligned_end, next_map, tol=1e-6)
-            if not witness.equivalent:
-                raise ArithmeticError("injection bridge junction is not norm-equivalent")
-            segments.append(unitary_bridge_family(aligned_end, witness.unitary))
+    next_map, = _tensor_in_frame([g_map], np.eye(g_map.N)[:, slots + rest],
+                                 step.basis.shape[1], identity)
+    if step.injection is not None:
+        next_map = next_map.padded(step.injection.shape[0])
+        segments += _junction_bridge(
+            aligned_end, next_map,
+            ArithmeticError("injection bridge junction is not norm-equivalent"))
 
     return concat_families(segments), next_map
 
@@ -678,13 +658,10 @@ def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFami
                                   "to the identity")
 
     final_map = RationalBallMap(n, dim, components)
-    identity_pad = RationalBallMap.identity(n).padded(dim)
-    if not final_map.allclose(identity_pad):
-        witness = norm_equivalent(final_map, identity_pad, tol=1e-6)
-        if not witness.equivalent:
-            raise NotTensorImageError("reduced linear map is not a unitary image "
-                                      "of the identity")
-        segments.append(unitary_bridge_family(final_map, witness.unitary))
+    segments += _junction_bridge(
+        final_map, RationalBallMap.identity(n).padded(dim),
+        NotTensorImageError("reduced linear map is not a unitary image of the identity"),
+        DEFAULT_TOL)
 
     if not segments:
         segments.append(constant_family(final_map))

@@ -858,6 +858,21 @@ def test_kernel_covers_every_denominator_method_and_verdict():
     assert {c.verdict for c in certs} == set(Verdict)
 
 
+def test_a_block_draws_its_denominator_samples_once():
+    gen = np.random.default_rng(3)
+    sampled = _kernel_makers()[7]
+    maps = [sampled(gen) for _ in range(6)]
+    expected = [certify_proper(m) for m in maps]
+    with mock.patch.object(ballmaps, "ball_points", wraps=ballmaps.ball_points) as draws:
+        certs = [cert for cert, _, _ in certify_maps(maps)]
+    # One block, one draw; every margin is still the map's own.
+    assert len(list(ballmaps._runs(maps))) == 1
+    assert draws.call_count == 1
+    for cert, own in zip(certs, expected):
+        assert cert.denominator_method == own.denominator_method == "sampled"
+        assert cert.denominator_margin == own.denominator_margin
+
+
 def test_certification_blocks_bound_their_memory():
     gen = np.random.default_rng(5)
     term = whitney_start(random_ball_automorphism(3, gen))

@@ -5,15 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import propermaps
-from propermaps.ballmaps import RationalBallMap
+from propermaps._linalg import random_unitary
+from propermaps.ballmaps import RationalBallMap, apply_linear
 from propermaps.cli import _build_parser, main
+from propermaps.constructors import BlaschkeProduct
 from propermaps.corpus import build_whitney_term, corpus
 from propermaps.documents import (MapDocumentError, dumps_map, map_from_document,
                                   map_to_document)
+from propermaps.homotopy import blaschke_homotopy, homotopy_to_monomial, verify_family
 from propermaps.polyalg import Polynomial
+from propermaps.xvariety import build_xmatrix
 
 
 # -------------------------------------------------------------- serialization
@@ -171,6 +176,49 @@ def test_xvariety_of_a_zero_numerator(extra, tmp_path, capsys):
         assert captured.out.startswith("homogenization matrix: 1 x 1, degree 0")
 
 
+def _printed_terms(text, n):
+    """{exponents: coefficient} of an entry as ``xvariety`` prints it, for
+    example ``(0.5-0.25j)*w1^2*w2 + -1``."""
+    terms = {}
+    for bit in ([] if text == "0" else text.split(" + ")):
+        coefficient, *variables = bit.split("*")
+        alpha = [0] * n
+        for variable in variables:
+            name, _, power = variable.partition("^")
+            alpha[int(name[1:]) - 1] += int(power or 1)
+        terms[tuple(alpha)] = complex(coefficient)
+    return terms
+
+
+@pytest.mark.parametrize("name", ["faran.h", "ex2.1.f", "ex2.1.f-rotated"])
+def test_xvariety_prints_each_entry_of_the_matrix(name, registry, tmp_path, capsys):
+    m = registry.maps[name.split("-")[0]]
+    token = name
+    if name.endswith("-rotated"):
+        m = apply_linear(random_unitary(m.N, np.random.default_rng(4)), m)
+        token = str(tmp_path / "rotated.json")
+        Path(token).write_text(dumps_map(m))
+    assert main(["xvariety", token]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  row ")]
+    x = build_xmatrix(m)
+    assert len(lines) == x.row_count
+    complex_form = False
+    for line, alpha, row in zip(lines, x.rows, x.entries):
+        head, _, body = line.partition(": ")
+        assert head == f"  row {list(alpha)}"
+        printed = body[1:-1].split(", ")
+        assert len(printed) == len(row)
+        for text, entry in zip(printed, row):
+            complex_form |= "j)" in text
+            got = _printed_terms(text, m.n)
+            for beta in set(got) | set(entry.terms):
+                want = entry.terms.get(beta, 0.0)
+                # Six significant digits of each part.
+                assert abs(got.get(beta, 0.0) - want) <= 1e-5 * max(1.0, abs(want))
+    assert complex_form == name.endswith("-rotated")
+
+
 def test_xvariety_pole_is_a_mathematical_failure(tmp_path, capsys):
     # Automorphism denominator 1 - 0.5 z1 vanishes at w = (2, 0).
     from propermaps.constructors import BallAutomorphism, automorphism_map
@@ -222,6 +270,35 @@ def test_homotopy_juxtaposition_script(tmp_path, capsys):
     script.write_text(json.dumps({"kind": "juxtaposition",
                                   "left": "faran.g", "right": "faran.h"}))
     assert main(["homotopy", str(script), "--grid", "9"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["whitney-monomial", "blaschke"])
+def test_homotopy_family_scripts(kind, tmp_path, capsys):
+    if kind == "blaschke":
+        script = {"kind": kind, "zeros": [[0.3, 0.1], [-0.2, 0.4]], "theta": 0.7}
+        family = blaschke_homotopy(BlaschkeProduct(0.7, [0.3 + 0.1j, -0.2 + 0.4j]))
+    else:
+        script = {"kind": kind, "script": WHITNEY_SCRIPT}
+        family = homotopy_to_monomial(build_whitney_term(WHITNEY_SCRIPT))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(script))
+    assert main(["homotopy", str(path), "--grid", "11", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report == verify_family(family, grid_size=11).to_dict()
+    assert report["passed"]
+
+
+def test_whitney_collapse_without_the_monomial_homotopy(tmp_path, capsys):
+    # The term starts at an automorphism, so it is not a monomial map: the
+    # monomial homotopy is built for the collapse alone, and not reported.
+    assert not build_whitney_term(WHITNEY_SCRIPT).map.is_monomial_map
+    script = tmp_path / "term.json"
+    script.write_text(json.dumps(WHITNEY_SCRIPT))
+    assert main(["whitney", "build", str(script), "--collapse", "--grid", "7", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["collapse_from"] == "monomial_endpoint"
+    assert payload["collapse"]["passed"]
+    assert "monomial_homotopy" not in payload
 
 
 def test_whitney_build_command(tmp_path, capsys):

@@ -6,11 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from propermaps import ballmaps, homotopy, polyalg
+from propermaps import _linalg, ballmaps, homotopy, polyalg
 from propermaps._linalg import UnitaryPath
 from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
                                  certify_proper, degree, norm_equivalent)
-from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
+from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                                      automorphism_map, blaschke_map,
                                      random_ball_automorphism, whitney_extend,
                                      whitney_start, winding_degree)
@@ -272,6 +272,24 @@ def _whitney_family(n, length, gen):
         term = whitney_extend(term, basis, random_ball_automorphism(n, gen),
                               injection=injection)
     return term, homotopy_to_monomial(term)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("length", [1, 3])
+def test_each_step_is_framed_once_in_its_own_target(n, length, rng):
+    # Length 1 has no injection; length 3 has one after its second step.
+    with mock.patch.object(_linalg, "gram_schmidt_complement",
+                           wraps=_linalg.gram_schmidt_complement) as complements:
+        term, fam = _whitney_family(n, length, rng)
+        again = homotopy_to_monomial(term)
+    assert complements.call_count == term.length
+    assert (length > 1) == any(step.injection is not None for step in term.steps)
+    # Step k tensors maps[k], whose target is that of the reduction family
+    # before the step, so no stage pads a basis or an injection.
+    for k, (step, m) in enumerate(zip(term.steps, term.maps)):
+        prefix = WhitneyTerm(term.start, term.steps[:k], term.maps[:k + 1])
+        assert step.basis.shape[0] == m.N == homotopy_to_monomial(prefix).target_dim
+    assert fam.target_dim == again.target_dim == term.map.N
 
 
 def _assert_block_equals_one_t(fam, ts):
