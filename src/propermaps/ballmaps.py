@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
@@ -777,10 +776,11 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     return NormEquivalence(True, _stacks=(stack[:big], stack[big:]))
 
 
-def degree_bound(n: int, N: int) -> Fraction:
-    """Upper bound N(N-1) / (2(2n-3)) for the degree of a proper map from
-    B_n to B_N.  Raises ValueError unless N >= n >= 2: no proper map lowers
-    the dimension."""
+def degree_bound(n: int, N: int):
+    """Upper bound N(N-1) / (2(2n-3)), a ``Fraction``, for the degree of a proper
+    map from B_n to B_N.  Raises ValueError unless N >= n >= 2: no proper map
+    lowers the dimension."""
+    from fractions import Fraction
     if n < 2:
         raise ValueError("the degree bound requires domain dimension n >= 2")
     if N < n:

@@ -14,31 +14,26 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
+import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .ballmaps import (DEFAULT_SEED, DenominatorVanishesError, RationalBallMap,
-                       Verdict, certify_proper, degree, degree_bound,
-                       embedding_dimension, norm_equivalent)
-from .constructors import (BlaschkeProduct, NonIntegralWindingError, blaschke_map,
-                           winding_degree, winding_integral)
-from .corpus import Corpus, build_whitney_term, corpus, parse_complex
-from .documents import MapDocumentError, dumps_map, load_map_path, require_number
-from .homotopy import (EndpointMismatchError, NotTensorImageError,
-                       PropernessFailureError, blaschke_homotopy,
-                       collapse_to_linear, homotopy_to_monomial,
-                       juxtaposition_family, verify_family)
+from .ballmaps import (DEFAULT_SEED, RationalBallMap, Verdict, certify_proper, degree,
+                       degree_bound, embedding_dimension, norm_equivalent)
 from .polyalg import DEFAULT_TOL
-from .xvariety import (EvaluationAtPoleError, build_xmatrix, fiber_at,
-                       graph_test)
 
-_MATH_ERRORS = (DenominatorVanishesError, NonIntegralWindingError,
-                NotTensorImageError, PropernessFailureError,
-                EndpointMismatchError, EvaluationAtPoleError)
+#: Mathematical failures (exit 1), matched without imports: a raised error's module is loaded.
+_MATH_ERRORS = {"ballmaps": "DenominatorVanishesError", "constructors": "NonIntegralWindingError",
+                "homotopy": "NotTensorImageError PropernessFailureError EndpointMismatchError",
+                "xvariety": "EvaluationAtPoleError"}
+
+
+def _math_errors() -> tuple:
+    loaded = {module: sys.modules.get(f"{__package__}.{module}") for module in _MATH_ERRORS}
+    return tuple(getattr(loaded[module], cls) for module, names in _MATH_ERRORS.items()
+                 if loaded[module] for cls in names.split())
 
 
 class _Output:
@@ -57,6 +52,7 @@ class _Output:
 
     def emit(self):
         if self.as_json:
+            import json
             print(json.dumps(self.payload, default=_json_default, indent=2))
         else:
             for text in self.lines:
@@ -64,6 +60,7 @@ class _Output:
 
 
 def _json_default(value):
+    from fractions import Fraction
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
@@ -77,10 +74,21 @@ def _json_default(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _load_map(token: str, reg: Corpus) -> RationalBallMap:
-    if token in reg.maps:
-        return reg.maps[token]
-    return load_map_path(token)
+def _catalog(token: str, kind: str):
+    """Entry ``token`` of ``kind``, or None; a path (a directory or .json) skips the catalog."""
+    if os.path.dirname(token) or token.endswith(".json"):
+        return None
+    from .corpus import CATALOG
+    kind_of, build = CATALOG.get(token, (None, None))
+    return build() if kind_of == kind else None
+
+
+def _load_map(token: str) -> RationalBallMap:
+    m = _catalog(token, "map")
+    if m is None:
+        from .documents import load_map_path
+        m = load_map_path(token)
+    return m
 
 
 def _parse_complex_list(text: str, what: str) -> list:
@@ -88,9 +96,9 @@ def _parse_complex_list(text: str, what: str) -> list:
     try:
         values = [complex(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise MapDocumentError(f"cannot parse {what} {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse {what} {text!r}: {exc}") from exc
     if not all(cmath.isfinite(v) for v in values):
-        raise MapDocumentError(f"{what} {text!r} must be finite")
+        raise ValueError(f"{what} {text!r} must be finite")
     return values
 
 
@@ -112,8 +120,8 @@ def _poly_str(poly, prefix: str = "w") -> str:
 
 
 # ------------------------------------------------------------------- commands
-def _cmd_verify(args, reg: Corpus, out: _Output) -> int:
-    m = _load_map(args.map, reg)
+def _cmd_verify(args, out: _Output) -> int:
+    m = _load_map(args.map)
     cert = certify_proper(m, tol=args.tol, seed=args.seed)
     out.line(f"verdict: {cert.verdict.value}")
     out.line(f"residual: {cert.residual_norm:.3e}")
@@ -132,25 +140,25 @@ def _cmd_verify(args, reg: Corpus, out: _Output) -> int:
     return 0 if cert.verdict is Verdict.PROPER else 1
 
 
-def _cmd_degree(args, reg: Corpus, out: _Output) -> int:
-    m = _load_map(args.map, reg)
+def _cmd_degree(args, out: _Output) -> int:
+    m = _load_map(args.map)
     value = degree(m)
     out.line(str(value))
     out.set("degree", value)
     return 0
 
 
-def _cmd_embdim(args, reg: Corpus, out: _Output) -> int:
-    m = _load_map(args.map, reg)
+def _cmd_embdim(args, out: _Output) -> int:
+    m = _load_map(args.map)
     value = embedding_dimension(m)
     out.line(str(value))
     out.set("embedding_dimension", value)
     return 0
 
 
-def _cmd_equiv(args, reg: Corpus, out: _Output) -> int:
-    a = _load_map(args.map1, reg)
-    b = _load_map(args.map2, reg)
+def _cmd_equiv(args, out: _Output) -> int:
+    a = _load_map(args.map1)
+    b = _load_map(args.map2)
     result = norm_equivalent(a, b, tol=args.tol)
     out.set("equivalent", result.equivalent)
     if result.equivalent:
@@ -166,8 +174,9 @@ def _cmd_equiv(args, reg: Corpus, out: _Output) -> int:
     return 1
 
 
-def _cmd_xvariety(args, reg: Corpus, out: _Output) -> int:
-    m = _load_map(args.map, reg)
+def _cmd_xvariety(args, out: _Output) -> int:
+    from .xvariety import build_xmatrix, fiber_at, graph_test
+    m = _load_map(args.map)
     x = build_xmatrix(m)
     out.set("rows", [list(alpha) for alpha in x.rows])
     out.set("shape", [x.row_count, x.N])
@@ -205,7 +214,9 @@ def _cmd_xvariety(args, reg: Corpus, out: _Output) -> int:
     return 0
 
 
-def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
+def _cmd_whitney(args, out: _Output) -> int:
+    from .corpus import build_whitney_term
+    import json
     with open(args.script, "r", encoding="utf-8") as fp:
         script = json.load(fp)
     term = build_whitney_term(script)
@@ -217,11 +228,14 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
     out.set("target_dim", m.N)
     out.set("degree", degree(m))
     if args.out:
+        from .documents import dumps_map
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(dumps_map(m))
         out.line(f"map written to {args.out}")
     code = 0
     family = None
+    if args.monomial_homotopy or args.collapse:
+        from .homotopy import collapse_to_linear, homotopy_to_monomial, verify_family
     if args.monomial_homotopy:
         family = homotopy_to_monomial(term)
         report = verify_family(family, grid_size=args.grid, tol=args.tol,
@@ -250,7 +264,12 @@ def _cmd_whitney(args, reg: Corpus, out: _Output) -> int:
     return code
 
 
-def _family_from_script(path: str, reg: Corpus):
+def _family_from_script(path: str):
+    import json
+    from .constructors import BlaschkeProduct
+    from .corpus import build_whitney_term, parse_complex
+    from .documents import MapDocumentError, require_number
+    from .homotopy import blaschke_homotopy, homotopy_to_monomial, juxtaposition_family
     with open(path, "r", encoding="utf-8") as fp:
         script = json.load(fp)
     if not isinstance(script, dict):
@@ -261,7 +280,7 @@ def _family_from_script(path: str, reg: Corpus):
         if not (isinstance(left, str) and isinstance(right, str)):
             raise MapDocumentError("a juxtaposition script needs 'left' and 'right' "
                                    "map ids or paths")
-        return juxtaposition_family(_load_map(left, reg), _load_map(right, reg))
+        return juxtaposition_family(_load_map(left), _load_map(right))
     if kind == "blaschke":
         zeros = script.get("zeros")
         if not (isinstance(zeros, list)
@@ -276,11 +295,9 @@ def _family_from_script(path: str, reg: Corpus):
     raise MapDocumentError(f"unknown family script kind {kind!r}")
 
 
-def _cmd_homotopy(args, reg: Corpus, out: _Output) -> int:
-    if args.family in reg.families:
-        family = reg.families[args.family]
-    else:
-        family = _family_from_script(args.family, reg)
+def _cmd_homotopy(args, out: _Output) -> int:
+    from .homotopy import verify_family
+    family = _catalog(args.family, "family") or _family_from_script(args.family)
     report = verify_family(family, grid_size=args.grid, tol=args.tol,
                            seed=args.seed)
     out.line(report.summary())
@@ -288,17 +305,16 @@ def _cmd_homotopy(args, reg: Corpus, out: _Output) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bound(args, reg: Corpus, out: _Output) -> int:
-    if args.quantity != "degree":
-        raise MapDocumentError(f"unknown bound {args.quantity!r}")
+def _cmd_bound(args, out: _Output) -> int:
     value = degree_bound(args.n, args.N)
     out.line(str(value))
     out.set("bound", value)
     return 0
 
 
-def _cmd_blaschke(args, reg: Corpus, out: _Output) -> int:
+def _cmd_blaschke(args, out: _Output) -> int:
     zeros = _parse_complex_list(args.zeros, "zeros")
+    from .constructors import BlaschkeProduct, blaschke_map, winding_degree, winding_integral
     product = BlaschkeProduct(args.theta, zeros)
     m = blaschke_map(product)
     value = winding_integral(m)
@@ -308,6 +324,7 @@ def _cmd_blaschke(args, reg: Corpus, out: _Output) -> int:
     out.set("winding_degree", wd)
     out.set("quadrature_residual", abs(value - wd))
     if args.homotopy:
+        from .homotopy import blaschke_homotopy, verify_family
         family = blaschke_homotopy(product)
         report = verify_family(family, grid_size=args.grid, tol=args.tol,
                                seed=args.seed)
@@ -320,7 +337,10 @@ def _cmd_blaschke(args, reg: Corpus, out: _Output) -> int:
     return 0
 
 
-def _cmd_corpus(args, reg: Corpus, out: _Output) -> int:
+def _cmd_corpus(args, out: _Output) -> int:
+    from .corpus import corpus
+    from .homotopy import verify_family
+    reg = corpus()
     if args.action == "list":
         rows = []
         for name, kind, summary in reg.entries():
@@ -452,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    reg = corpus()
     out = _Output(args.json)
     try:
         # A NaN tolerance would pass every comparison it is used in.
@@ -460,8 +479,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
         if "samples" in args and args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
-        code = args.handler(args, reg, out)
-    except _MATH_ERRORS as exc:
+        code = args.handler(args, out)
+    except _math_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

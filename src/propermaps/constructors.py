@@ -235,8 +235,7 @@ def subspace_basis(target_dim: int, columns) -> np.ndarray:
     arr = np.asarray(columns)
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
         basis = np.zeros((target_dim, arr.size), dtype=complex)
-        for m, j in enumerate(arr):
-            basis[int(j), m] = 1.0
+        basis[arr, np.arange(arr.size)] = 1.0
         return basis
     basis = np.asarray(columns, dtype=complex)
     if basis.ndim == 1:
@@ -253,12 +252,10 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     coordinates: first the tensor block, ordered by basis column then domain
     variable, then the complement coordinates.  Target dimension grows from N
     to N + d(n - 1); properness is preserved because on the sphere
-    ||phi|| = 1 restores ||f||.
+    ||phi|| = 1 restores ||f||.  ``basis`` is read as by ``subspace_basis``.
     """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim == 1:
-        basis = basis[:, None]
-    return _apply_step(WhitneyStep(basis), [f], [_as_domain_map(phi, f.n)])[0]
+    step = WhitneyStep(subspace_basis(f.N, basis))
+    return _apply_step(step, [f], [_as_domain_map(phi, f.n)])[0]
 
 
 def _tensor_in_frame(fs: Sequence[RationalBallMap], frame: np.ndarray, d: int,

@@ -16,11 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ballmaps import RationalBallMap
-from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
-                           blaschke_map, subspace_basis, whitney_extend,
-                           whitney_start)
-from .documents import require_number
-from .homotopy import blaschke_homotopy, degree_drop_family, faran_families, faran_maps
 from .polyalg import Polynomial
 
 
@@ -48,7 +43,28 @@ def quadric_three_map() -> RationalBallMap:
     return RationalBallMap(2, 3, [z, z * w, w * w])
 
 
-def build_whitney_term(script: dict) -> WhitneyTerm:
+def degree_drop_maps() -> dict:
+    """The ends of ``degree_drop_family``: "f" at t = 1 (degree 4), "g" at t = 0 (degree 3)."""
+    m = Polynomial.monomial
+    return {"f": RationalBallMap(2, 5, [m((1, 0)), m((1, 1)), m((1, 2)), m((1, 3)), m((0, 4))]),
+            "g": RationalBallMap(2, 5, [m((0, 2), -1.0), m((1, 1)), m((1, 2), -1.0),
+                                        m((2, 1)), m((2, 0))])}
+
+
+def faran_maps() -> dict:
+    """The four pairwise spherically inequivalent maps from B_2 to B_3."""
+    z = Polynomial.variable(2, 0)
+    w = Polynomial.variable(2, 1)
+    zero = Polynomial.zero(2)
+    return {
+        "f": RationalBallMap(2, 3, [z, w, zero]),
+        "g": RationalBallMap(2, 3, [z * z, z * w, w]),
+        "h": RationalBallMap(2, 3, [z * z, z * w * math.sqrt(2.0), w * w]),
+        "phi": RationalBallMap(2, 3, [z ** 3, z * w * math.sqrt(3.0), w ** 3]),
+    }
+
+
+def build_whitney_term(script: dict):
     """Build a Whitney term from a plain-data script.
 
     Expected shape::
@@ -70,6 +86,7 @@ def build_whitney_term(script: dict) -> WhitneyTerm:
     steps = script.get("steps", [])
     if not isinstance(steps, list):
         raise ValueError("script steps must be a list")
+    from .constructors import whitney_extend, whitney_start
     term = whitney_start(_parse_automorphism(script.get("start"), n))
     for k, raw in enumerate(steps):
         if not isinstance(raw, dict) or "subspace" not in raw:
@@ -83,6 +100,7 @@ def build_whitney_term(script: dict) -> WhitneyTerm:
 
 def parse_complex(value) -> complex:
     """A finite complex number written as a real number or an [re, im] pair."""
+    from .documents import require_number
     parts = value if isinstance(value, (list, tuple)) else [value, 0.0]
     if len(parts) != 2:
         raise ValueError(f"cannot read complex number from {value!r}")
@@ -105,7 +123,8 @@ def _parse_matrix(rows) -> np.ndarray:
     return mat
 
 
-def _parse_automorphism(raw, n: int) -> BallAutomorphism:
+def _parse_automorphism(raw, n: int):
+    from .constructors import BallAutomorphism
     if raw is None:
         return BallAutomorphism.identity(n)
     if not isinstance(raw, dict):
@@ -124,7 +143,7 @@ def _parse_subspace(raw, target_dim: int) -> np.ndarray:
         if any(not 0 <= v < target_dim for v in raw):
             raise ValueError(f"subspace indices {raw} out of range for "
                              f"target dimension {target_dim}")
-        return subspace_basis(target_dim, np.array(raw, dtype=int))
+        return np.array(raw, dtype=int)  # column indices, as whitney_extend reads them
     return np.column_stack([_parse_vector(v) for v in raw])
 
 
@@ -158,35 +177,35 @@ class Corpus:
 
 def _blaschke_builder(theta: float, zeros) -> RationalBallMap:
     """blaschke(theta, zeros): finite Blaschke product as a disk self-map."""
+    from .constructors import BlaschkeProduct, blaschke_map
     return blaschke_map(BlaschkeProduct(theta, zeros))
+
+
+def _homotopy():
+    from . import homotopy
+    return homotopy
+
+
+#: Every catalog id with its kind and the builder of that entry alone.
+#: ``corpus()`` calls each builder once, so ids that share one share an object.
+CATALOG = {
+    "ex2.1.f": ("map", lambda: degree_drop_maps()["f"]),
+    "ex2.1.g": ("map", lambda: degree_drop_maps()["g"]),
+    "ex2.1.h": ("map", quadric_three_map),
+    "whitney.W": ("map", whitney_map),
+    **{f"faran.{k}": ("map", lambda k=k: faran_maps()[k]) for k in ("f", "g", "h", "phi")},
+    "ex4.1.map": ("map", group_invariant_degree5_map),
+    **dict.fromkeys(("ex2.1.family", "ex4.2.family"),
+                    ("family", lambda: _homotopy().degree_drop_family())),
+    **{f"faran.{k}.family": ("family", lambda k=k: _homotopy().faran_families()[k])
+       for k in ("fg", "gh", "hphi")},
+}
 
 
 def corpus() -> Corpus:
     """Assemble the registry of built-in example maps and families."""
-    quartic = degree_drop_family()
-    faran = faran_maps()
-    faran_fams = faran_families()
-    maps = {
-        "ex2.1.f": quartic.endpoint_right,
-        "ex2.1.g": quartic.endpoint_left,
-        "ex2.1.h": quadric_three_map(),
-        "whitney.W": whitney_map(),
-        "faran.f": faran["f"],
-        "faran.g": faran["g"],
-        "faran.h": faran["h"],
-        "faran.phi": faran["phi"],
-        "ex4.1.map": group_invariant_degree5_map(),
-    }
-    families = {
-        "ex2.1.family": quartic,
-        "ex4.2.family": quartic,
-        "faran.fg.family": faran_fams["fg"],
-        "faran.gh.family": faran_fams["gh"],
-        "faran.hphi.family": faran_fams["hphi"],
-    }
-    builders = {
-        "blaschke": _blaschke_builder,
-        "whitney": build_whitney_term,
-        "blaschke.homotopy": blaschke_homotopy,
-    }
-    return Corpus(maps, families, builders)
+    built = {build: build() for build in dict.fromkeys(b for _, b in CATALOG.values())}
+    maps, families = ({name: built[build] for name, (kind_of, build) in CATALOG.items()
+                       if kind_of == kind} for kind in ("map", "family"))
+    return Corpus(maps, families, {"blaschke": _blaschke_builder, "whitney": build_whitney_term,
+                                   "blaschke.homotopy": _homotopy().blaschke_homotopy})

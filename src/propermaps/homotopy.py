@@ -16,7 +16,6 @@ unitary group is path connected, so this stays inside proper maps).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _juxtaposition_path, _root, _tensor_in_frame)
+from .corpus import faran_maps
 from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
 
 class PropernessFailureError(ArithmeticError):
@@ -399,19 +399,6 @@ def degree_drop_family() -> HomotopyFamily:
                          [o, o, o, s * s, 2 * s * c, c * c, o, o]]).transpose(2, 0, 1)
 
     return _segment(2, _linear_path(monos, weights))  # degree 3 at 0, 4 at 1
-
-
-def faran_maps() -> dict:
-    """The four pairwise spherically inequivalent maps from B_2 to B_3."""
-    z = Polynomial.variable(2, 0)
-    w = Polynomial.variable(2, 1)
-    zero = Polynomial.zero(2)
-    return {
-        "f": RationalBallMap(2, 3, [z, w, zero]),
-        "g": RationalBallMap(2, 3, [z * z, z * w, w]),
-        "h": RationalBallMap(2, 3, [z * z, z * w * math.sqrt(2.0), w * w]),
-        "phi": RationalBallMap(2, 3, [z ** 3, z * w * math.sqrt(3.0), w ** 3]),
-    }
 
 
 def faran_families() -> dict:

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import DEFAULT_SEED, RationalBallMap, degree as map_degree
-from .homotopy import HomotopyFamily
 from .polyalg import (DEFAULT_TOL, Polynomial, _monomial_values, align_rows,
                       evaluate_rows, monomials_of_degree, multinomial)
 
@@ -224,7 +223,7 @@ class XFamilyReport:
     rank_drops: list  # t values where the generic rank falls below the maximum
 
 
-def xmatrix_along_family(family: HomotopyFamily, grid_size: int = 11,
+def xmatrix_along_family(family, grid_size: int = 11,
                          degree: Optional[int] = None, w_samples: int = 5,
                          seed: int = DEFAULT_SEED) -> XFamilyReport:
     """Build the matrices of a family at a common degree and track their behavior.

@@ -452,6 +452,15 @@ def test_registry_dimensions(registry):
         registry.get_map("nope")
 
 
+def test_catalog_degree_drop_maps_are_the_family_ends(registry):
+    # The catalog writes ex2.1.f and ex2.1.g out, so they load without homotopy.
+    family = registry.families["ex2.1.family"]
+    for name, end in (("ex2.1.f", family.endpoint_right), ("ex2.1.g", family.endpoint_left)):
+        m = registry.maps[name]
+        assert m.support == end.support
+        assert m.coefficients.tobytes() == end.coefficients.tobytes()
+
+
 # ------------------------------------------------------------- option surface
 SHARED_FLAGS = {"--tol", "--seed", "--grid", "--samples", "--json"}
 
@@ -571,10 +580,14 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+MODULES = ("_linalg", "polyalg", "ballmaps", "constructors", "homotopy", "xvariety",
+           "documents", "corpus", "cli")
+
+
 def test_import_does_not_load_scipy(tmp_path):
-    # Importing also builds no plan, so every module-level cache of the
-    # package stays empty, and each is bounded.
-    code = ("import json, sys, propermaps; "
+    # Importing every module also builds no plan, so every module-level
+    # cache of the package stays empty, and each is bounded.
+    code = (f"import json, sys, {', '.join(f'propermaps.{m}' for m in MODULES)}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print(json.dumps({f'{name}.{attr}': [c.cache_info().currsize, "
             "c.cache_info().maxsize] for name, module in list(sys.modules.items()) "
@@ -593,3 +606,117 @@ def test_import_does_not_load_scipy(tmp_path):
     for name, (currsize, maxsize) in caches.items():
         assert currsize == 0, name
         assert isinstance(maxsize, int) and maxsize > 0, name
+
+
+# ------------------------------------------------------------ one-shot loading
+# The test process has every module loaded, so these run fresh interpreters.
+def _fresh(code, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _modules_after_main(args, cwd):
+    code = ("import json, sys\nfrom propermaps.cli import main\ncode = main(%r)\n"
+            "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules "
+            "if m.startswith('propermaps.'))]))" % (list(args),))
+    return _fresh(code, cwd)
+
+
+def test_import_loads_no_submodule(tmp_path):
+    code = ("import json, sys, propermaps\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('propermaps.')]))")
+    assert _fresh(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module, tmp_path):
+    # A lazy import can hide a cycle that only one import order reaches.
+    assert _fresh(f"import propermaps.{module}\nprint('[]')", tmp_path) == []
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["bound", "degree", "2", "3"], 0),
+    (["verify", "doc.json"], 0),
+    (["degree", "doc.json"], 0),
+    (["verify", "faran.h"], 0),
+    (["degree", "ex2.1.f"], 0),
+])
+def test_a_command_loads_only_its_own_modules(args, expected, tmp_path):
+    (tmp_path / "doc.json").write_text(dumps_map(RationalBallMap.identity(2)))
+    code, modules = _modules_after_main(args, tmp_path)
+    assert code == expected
+    assert not {"homotopy", "constructors", "xvariety"} & set(modules)
+    # A catalog id loads the catalog; a document path does not.
+    assert ("corpus" in modules) == (args[1] in ("faran.h", "ex2.1.f"))
+
+
+def test_a_catalog_id_builds_only_its_own_entry(tmp_path):
+    # corpus() is replaced before cli is imported, so any call of it fails.
+    code = ("import importlib, json\n"
+            "def refuse():\n    raise AssertionError('corpus() built the whole catalog')\n"
+            "importlib.import_module('propermaps.corpus').corpus = refuse\n"
+            "from propermaps.cli import main\n"
+            "print(json.dumps(main(['verify', 'faran.h'])))")
+    assert _fresh(code, tmp_path) == 0
+
+
+def test_catalog_ids_are_not_read_as_paths():
+    # cli reads a token with a directory part or a .json suffix as a path
+    # without loading the catalog, so no catalog id may look like one.
+    from propermaps.corpus import CATALOG
+    assert CATALOG and not [name for name in CATALOG
+                            if os.path.dirname(name) or name.endswith(".json")]
+
+
+def _pole_document(tmp_path):
+    # Automorphism denominator 1 - 0.5 z1 vanishes at w = (2, 0).
+    from propermaps.constructors import BallAutomorphism, automorphism_map
+    (tmp_path / "doc.json").write_text(
+        dumps_map(automorphism_map(BallAutomorphism([0.5, 0.0]))))
+
+
+def _vanishing_denominator_document(tmp_path):
+    doc = {"schema_version": "1", "domain_dim": 2, "target_dim": 2,
+           "numerator": [[{"exponents": [1, 0], "re": 1.0, "im": 0.0}],
+                         [{"exponents": [0, 1], "re": 1.0, "im": 0.0}]],
+           "denominator": [{"exponents": [0, 0], "re": 1.0, "im": 0.0},
+                           {"exponents": [1, 0], "re": -1.0, "im": 0.0}]}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+
+
+def _unknown_family_script(tmp_path):
+    (tmp_path / "doc.json").write_text(json.dumps({"kind": "spiral"}))
+
+
+@pytest.mark.parametrize("args, write, code", [
+    (["xvariety", "doc.json", "--at", "2,0"], _pole_document, 1),
+    (["verify", "doc.json"], _vanishing_denominator_document, 1),
+    (["homotopy", "doc.json"], _unknown_family_script, 2),
+])
+def test_a_fresh_process_fails_as_in_process(args, write, code, tmp_path, capsys,
+                                             monkeypatch):
+    # The exit code of an error class does not depend on which modules the
+    # command had loaded before it was raised.
+    write(tmp_path)
+    fresh = _run_cli(args, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == fresh.returncode == code
+    captured = capsys.readouterr()
+    assert captured.out == fresh.stdout == ""
+    assert captured.err == fresh.stderr
+    assert captured.err.startswith("error:" if code == 1 else "input error:")
+
+
+def test_exports_are_their_modules_objects():
+    import importlib
+    for name in propermaps.__all__:
+        module = importlib.import_module(f"propermaps.{propermaps._MODULE_OF[name]}")
+        assert getattr(propermaps, name) is getattr(module, name), name
+    assert set(propermaps.__all__) <= set(dir(propermaps))
+    namespace = {}
+    exec("from propermaps import *", namespace)
+    assert {name: namespace[name] for name in propermaps.__all__} == {
+        name: getattr(propermaps, name) for name in propermaps.__all__}

@@ -263,6 +263,15 @@ def test_whitney_start_and_first_extension():
     assert norm_equivalent(extended.map, quadric_three_map()).equivalent
 
 
+def test_tensor_and_whitney_read_an_integer_basis_as_column_indices():
+    # np.array([1, 0]) names coordinates 1 and 0 for both, not one vector.
+    basis = np.array([1, 0])
+    tensored = tensor_on_subspace(RationalBallMap.identity(2), basis)
+    extended = whitney_extend(whitney_start(BallAutomorphism.identity(2)), basis).map
+    assert tensored.N == extended.N == 4
+    assert [str(c) for c in tensored.p] == [str(c) for c in extended.p]
+
+
 def test_whitney_degree_does_not_increment_on_low_degree_subspace():
     term = whitney_start(BallAutomorphism.identity(2))
     term = whitney_extend(term, np.array([1]))       # degree 2: (zw, w^2, z)
