@@ -29,8 +29,9 @@ from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm
                       Polynomial, align_rows, canonical_rows, coefficient_matrix,
                       evaluate_rows, gram_form, monomials_of_degree, multinomial,
                       _mask_groups, multiply_rows, polynomials_from_rows,
-                      reduce_mod_sphere, signed_gram, sphere_residuals,
-                      sphere_scales, squared_norm_form)  # noqa: F401 - re-exported
+                      radial_residuals, reduce_mod_sphere, signed_gram,
+                      sphere_residuals, sphere_scales,
+                      squared_norm_form)  # noqa: F401 - re-exported
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
 DEFAULT_SEED = 7
@@ -556,6 +557,31 @@ def _stacked(run: Sequence[RationalBallMap]):
     return np.stack([m.coefficients for m in run]), np.stack([m.factors for m in run])
 
 
+def _block_residuals(n: int, support: tuple, stack: np.ndarray):
+    """(residuals, worst) of each map of a (T, N+1, M) stack of rows over
+    ``support``, unscaled.  A member whose rows p_1, ..., p_N and q have at
+    most one entry each, as a monomial map's, has the diagonal Gram
+    sum_r |p_r,alpha|^2 - |q_alpha|^2, which ``radial_residuals`` reads; the
+    signed Grams of the others go through ``sphere_residuals``.  That is
+    decided for each member on its own rows, so its results do not depend
+    on its block."""
+    radial = _linalg.orthogonal_rows(stack.swapaxes(1, 2))
+    if radial.all():
+        # Each entry times its conjugate in real arithmetic, so exactly real.
+        squares = stack.real * stack.real + stack.imag * stack.imag
+        return radial_residuals(n, support, squares[:, :-1].sum(axis=1) - squares[:, -1])
+    if not radial.any():
+        return sphere_residuals(n, support, signed_gram(stack, 1))
+    # A mixed block: each part on its own, back in the members' order.
+    residuals, worst = np.empty(len(stack)), [None] * len(stack)
+    for members in (radial, ~radial):
+        values, pairs = _block_residuals(n, support, stack[members])
+        residuals[members] = values
+        for k, pair in zip(np.flatnonzero(members).tolist(), pairs):
+            worst[k] = pair
+    return residuals, worst
+
+
 def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray,
                    centres: np.ndarray, tol: float, seed: int) -> Iterator[PropernessCertificate]:
     """The certificate of each map of a block, ``stack`` their (T, N+1, M)
@@ -563,7 +589,7 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray,
     for a map is raised at that map's turn."""
     first = maps[0]
     denominators = _check_denominators(maps, stack, centres, seed)
-    residuals, worst = sphere_residuals(first.n, first.support, signed_gram(stack, 1))
+    residuals, worst = _block_residuals(first.n, first.support, stack)
     q = stack[:, -1]
     residuals = residuals / sphere_scales(first.n, first.support, q.real ** 2 + q.imag ** 2)
     constant = _constant_maps(stack, tol)
@@ -599,19 +625,25 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
 
     Consecutive maps that share their support, target dimension and number
     of denominator factors are certified as one block of at most
-    BLOCK_ENTRIES Gram entries: one stacked signed Gram, whose q part is
-    built on q's own columns, one gather and two bincounts through the
-    sphere-reduction plan of the support, one product of the denominator
-    factors with a row per map, which raises each centre that all the maps
-    share to its power in closed form (``_factor_rows``), and one stacked
-    SVD for the ranks.  A member whose component rows share no column has
-    orthogonal rows: its rank counts the row norms instead of taking the
-    SVD (``_embedding_dimensions``).  When, besides, each row has at most one
-    entry, as for a monomial map, its Gram is the diagonal of the entries'
-    squared moduli, built without the dense product once that would take
-    ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  That is decided
-    for each member on its own rows, so its results do not depend on the
-    block.  The denominators go down one ladder as a block
+    BLOCK_ENTRIES Gram entries.  A member whose rows p_1, ..., p_N and q
+    have at most one entry each, as a monomial map's (tensor powers,
+    D'Angelo's maps, the catalog maps, the Faran family members), has a
+    diagonal Gram: such members get one bincount over their diagonals
+    through the support's radial plan (``radial_residuals``), with no Gram
+    matrix and no full plan.  The others get one stacked signed Gram, whose
+    q part is built on q's own columns, and one gather and two bincounts
+    through the full sphere-reduction plan of the support.  A block also
+    gets one product of the denominator factors with a row per map, which
+    raises each centre that all the maps share to its power in closed form
+    (``_factor_rows``), and one stacked SVD for the ranks.  A member whose
+    component rows share no column has orthogonal rows: its rank counts the
+    row norms instead of taking the SVD (``_embedding_dimensions``).  Rows
+    with single entries in distinct columns that keep the signed Gram, as
+    over a rational q, get the diagonal of the entries' squared moduli,
+    built without the dense product once that would take
+    ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  Each of these is
+    decided for each member on its own rows, so its results do not depend
+    on the block.  The denominators go down one ladder as a block
     (``_check_denominators``): the carried factors, then q's own with one
     product per q degree; only a q that no factors decide is bounded or
     sampled map by map.  A certificate's witness is sampled when it is first
@@ -634,9 +666,13 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     Bernstein coefficient of ||p||^2 - |q|^2 on the sphere over the scale of
     |q|^2) is within tolerance and the map is nonconstant;
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
-    p/q is constant.  The denominator is decided by the first step of one
-    ladder that applies: a constant q, the carried factors, q's own
-    factors, the coefficient bound, sampling (``_check_denominators``);
+    p/q is constant.  A map whose rows p_1, ..., p_N and q have at most one
+    entry each, as a monomial map's, has a diagonal Gram, so only shift 0
+    has Bernstein coefficients: it is read from the radial plan alone, with
+    no Gram matrix and no full plan (``radial_residuals``); other maps go
+    through their signed Gram.  The denominator is decided by the first
+    step of one ladder that applies: a constant q, the carried factors, q's
+    own factors, the coefficient bound, sampling (``_check_denominators``);
     carried factors that do not multiply out to q are ignored.  Raises
     DenominatorVanishesError when q cannot be kept above DENOMINATOR_FLOOR on
     the closed ball.  The witness never affects the verdict: it is sampled,

@@ -78,9 +78,9 @@ def _catalog(token: str, kind: str):
     """Entry ``token`` of ``kind``, or None; a path (a directory or .json) skips the catalog."""
     if os.path.dirname(token) or token.endswith(".json"):
         return None
-    from .corpus import CATALOG
-    kind_of, build = CATALOG.get(token, (None, None))
-    return build() if kind_of == kind else None
+    from .corpus import CATALOG, catalog_entry
+    kind_of, build, key = CATALOG.get(token, (None, None, None))
+    return catalog_entry(build(), key) if kind_of == kind else None
 
 
 def _load_map(token: str) -> RationalBallMap:
@@ -479,6 +479,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
         if "samples" in args and args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if "seed" in args and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         code = args.handler(args, out)
     except _math_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -186,26 +186,36 @@ def _homotopy():
     return homotopy
 
 
-#: Every catalog id with its kind and the builder of that entry alone.
-#: ``corpus()`` calls each builder once, so ids that share one share an object.
+def _faran_families():
+    return _homotopy().faran_families()
+
+
+#: Every catalog id with its kind, the builder of its entry and, for a
+#: builder that returns a dict of entries, the key of its own.  ``corpus()``
+#: calls each builder once, so ids that share one share what it built.
 CATALOG = {
-    "ex2.1.f": ("map", lambda: degree_drop_maps()["f"]),
-    "ex2.1.g": ("map", lambda: degree_drop_maps()["g"]),
-    "ex2.1.h": ("map", quadric_three_map),
-    "whitney.W": ("map", whitney_map),
-    **{f"faran.{k}": ("map", lambda k=k: faran_maps()[k]) for k in ("f", "g", "h", "phi")},
-    "ex4.1.map": ("map", group_invariant_degree5_map),
+    "ex2.1.f": ("map", degree_drop_maps, "f"),
+    "ex2.1.g": ("map", degree_drop_maps, "g"),
+    "ex2.1.h": ("map", quadric_three_map, None),
+    "whitney.W": ("map", whitney_map, None),
+    **{f"faran.{k}": ("map", faran_maps, k) for k in ("f", "g", "h", "phi")},
+    "ex4.1.map": ("map", group_invariant_degree5_map, None),
     **dict.fromkeys(("ex2.1.family", "ex4.2.family"),
-                    ("family", lambda: _homotopy().degree_drop_family())),
-    **{f"faran.{k}.family": ("family", lambda k=k: _homotopy().faran_families()[k])
-       for k in ("fg", "gh", "hphi")},
+                    ("family", lambda: _homotopy().degree_drop_family(), None)),
+    **{f"faran.{k}.family": ("family", _faran_families, k) for k in ("fg", "gh", "hphi")},
 }
+
+
+def catalog_entry(built, key):
+    """The entry of a catalog id from what its builder ``built`` (see CATALOG)."""
+    return built if key is None else built[key]
 
 
 def corpus() -> Corpus:
     """Assemble the registry of built-in example maps and families."""
-    built = {build: build() for build in dict.fromkeys(b for _, b in CATALOG.values())}
-    maps, families = ({name: built[build] for name, (kind_of, build) in CATALOG.items()
-                       if kind_of == kind} for kind in ("map", "family"))
+    built = {build: build() for build in dict.fromkeys(b for _, b, _ in CATALOG.values())}
+    maps, families = ({name: catalog_entry(built[build], key)
+                       for name, (kind_of, build, key) in CATALOG.items() if kind_of == kind}
+                      for kind in ("map", "family"))
     return Corpus(maps, families, {"blaschke": _blaschke_builder, "whitney": build_whitney_term,
                                    "blaschke.homotopy": _homotopy().blaschke_homotopy})

@@ -662,12 +662,34 @@ def _degree_table(nvars: int, top: int):
     return counts, monos, weights, tails, binomials
 
 
-# 64 plans hold the ~20 bases of a family-grid pass or the 32 of a
-# map-certify pass; the largest of these takes 3.9 MB (see README).
+def _elevate(nvars: int, gamma: np.ndarray, degree: np.ndarray):
+    """(entry, rank, weight): x^gamma (sum x_j)^(D - |gamma|) in the Bernstein
+    basis of degree D, for each row gamma of the (P, nvars) array ``gamma``
+    and its D in ``degree``.  Per contribution, in row order and then in the
+    ``monomials_of_degree`` order of delta, |delta| = D - |gamma|: the row,
+    the rank of kappa = gamma + delta among the monomials of degree D and the
+    weight multinomial(D - |gamma|, delta) / multinomial(D, kappa) in (0, 1]."""
+    counts, monos, multinomials, tails, binomials = _degree_table(
+        nvars, int(degree.max(initial=0)))
+    # One contribution per (row, delta); delta is the table's flat cell.
+    extra = degree - gamma.sum(axis=1)
+    repeats = counts[extra]
+    entry = np.repeat(np.arange(len(extra)), repeats)
+    cell = (np.arange(len(entry)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+            + (extra * monos.shape[1])[entry])
+    own = np.cumsum(gamma[:, :0:-1], axis=1).T
+    rank = sum((binomials[k][own[k][entry] + tails[k][cell]] for k in range(nvars - 1)),
+               np.zeros(len(entry), dtype=np.int64))
+    return entry, rank, multinomials.ravel()[cell] / multinomials[degree[entry], rank]
+
+
+# A family-grid pass reduces 18 bases in full and a map-certify pass 9 (seed
+# 3; the monomial maps read only ``_radial_plan``), so 64 plans hold either
+# pass; the largest of these takes 0.84 MB (see README).
 @lru_cache(maxsize=64)
 def _bernstein_plan(nvars: int, basis: tuple):
     """Index work of ``reduce_mod_sphere`` over one basis: (source, weight,
-    key, alpha, beta, columns, slots, terms, count).
+    key, alpha, beta).
 
     A pair i <= j has the shift nu = alpha_i - alpha_j >= 0 (the basis
     descends) and gamma = min(alpha_i, alpha_j); D_nu is the largest |gamma|
@@ -675,53 +697,67 @@ def _bernstein_plan(nvars: int, basis: tuple):
     kappa = gamma + delta and |delta| = D_nu - |gamma|, with the weight
     multinomial(D_nu - |gamma|, delta) / multinomial(D_nu, kappa) in (0, 1]:
     per contribution, in row-major pair order and then in the
-    ``monomials_of_degree`` order of delta, the flat matrix position read,
-    the weight and the key.  Keys are numbered in the row-major order of
-    their pairs (kappa + max(nu, 0), kappa + max(-nu, 0)) in the reduced
-    form; the diagonal pairs' contributions to the ``count`` shift-0 keys,
-    slotted by the rank of kappa, are also given as (columns, slots, terms).
+    ``monomials_of_degree`` order of delta (``_elevate``), the flat matrix
+    position read, the weight and the key.  Keys are numbered in the
+    row-major order of their pairs (kappa + max(nu, 0), kappa + max(-nu, 0))
+    in the reduced form.  The shift-0 contributions, those of the diagonal
+    pairs, are also ``_radial_plan``'s.
     """
     n, size = nvars, len(basis)
     exps = np.array(basis, dtype=np.int64).reshape(-1, n)
     rows, cols = np.triu_indices(size)
     gamma = np.minimum(exps[rows], exps[cols])
-    radial = gamma.sum(axis=1)
     shifts, shift = _group_rows(exps[rows] - exps[cols])
     top = np.zeros(len(shifts), dtype=np.int64)
-    np.maximum.at(top, shift, radial)
-    counts, monos, multinomials, tails, binomials = _degree_table(n, int(top.max(initial=0)))
-    # One contribution per (pair, delta); delta is the table's flat cell.
-    extra = top[shift] - radial
-    repeats = counts[extra]
-    entry = np.repeat(np.arange(len(extra)), repeats)
-    cell = (np.arange(len(entry)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-            + (extra * monos.shape[1])[entry])
+    np.maximum.at(top, shift, gamma.sum(axis=1))
+    entry, rank, weight = _elevate(n, gamma, top[shift])
+    counts, monos = _degree_table(n, int(top.max(initial=0)))[:2]
     shift = shift[entry]
-    own = np.cumsum(gamma[:, :0:-1], axis=1).T
-    rank = sum((binomials[k][own[k][entry] + tails[k][cell]] for k in range(n - 1)),
-               np.zeros(len(entry), dtype=np.int64))
-    weight = multinomials.ravel()[cell] / multinomials[top[shift], rank]
     sizes = counts[top]
     start = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(shifts)), sizes)
     kappa = monos[top[owner], np.arange(len(owner)) - start[owner]]
     pairs, ascending = _group_rows(np.hstack([kappa + np.maximum(shifts[owner], 0),
                                               kappa + np.maximum(-shifts[owner], 0)]))
-    diagonal = shift == 0
     plan = ((rows * size + cols)[entry].astype(np.int32), weight,
             (len(pairs) - 1 - ascending[start[shift] + rank]).astype(np.int32),
-            pairs[::-1, :n], pairs[::-1, n:], rows[entry][diagonal], rank[diagonal],
-            weight[diagonal])
+            pairs[::-1, :n], pairs[::-1, n:])
     for array in plan:
         array.flags.writeable = False
-    return plan + (int(sizes[:1].sum()),)
+    return plan
+
+
+# Every certified block reads one for its scale, so a pass reads as many
+# radial plans as bases: 28 for map-certify and 25 for family-grid (seed
+# 3), so 64 hold either pass.  The largest of these takes 24 kB.
+@lru_cache(maxsize=64)
+def _radial_plan(nvars: int, basis: tuple):
+    """Index work of the shift-0 Bernstein coefficients over one basis, read
+    from its diagonal alone: (columns, slots, terms, kappa).  The radial
+    polynomial sum_alpha w_alpha x^alpha of a diagonal w is raised to D, the
+    largest degree of the basis; per contribution, in basis order and then
+    in the ``monomials_of_degree`` order of delta (``_elevate``), the basis
+    column read, the slot of its key kappa and the weight.  ``kappa`` lists
+    the keys by slot, descending, so that the pair (kappa, kappa) of each is
+    in the row-major order of ``reduce_mod_sphere``'s pairs.  These are
+    ``_bernstein_plan``'s contributions of the diagonal pairs, in its order,
+    so each key adds the same terms in the same order.
+    """
+    exps = np.array(basis, dtype=np.int64).reshape(-1, nvars)
+    top = int(exps.sum(axis=1).max(initial=0))
+    columns, slots, terms = _elevate(nvars, exps, np.full(len(exps), top))
+    counts, monos = _degree_table(nvars, top)[:2]
+    plan = (columns, slots, terms, monos[top, :counts[top]].copy())
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _bernstein(nvars: int, basis: tuple, matrices: np.ndarray):
     """(values, alpha, beta): the Bernstein coefficients of each matrix of a
     (T, M, M) stack over ``basis`` at the plan's keys, whose pairs are
     (alpha, beta); each adds its terms from zero, in plan order."""
-    source, weight, key, alpha, beta = _bernstein_plan(nvars, basis)[:5]
+    source, weight, key, alpha, beta = _bernstein_plan(nvars, basis)
     count, keys = len(matrices), len(alpha)
     coeffs = matrices.reshape(count, -1)[:, source]
     # One bincount for the stack: matrix t's keys are offset by t * keys.
@@ -758,12 +794,11 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     return HermitianForm._raw(form.nvars, monos, out)
 
 
-def sphere_residuals(nvars: int, basis: tuple, matrices: np.ndarray):
-    """(residuals, worst): for each matrix of a (T, M, M) stack over ``basis``,
-    the ``max_abs_entry`` of its ``reduce_mod_sphere`` form and the pair of
-    its ``largest_entry`` (None for an empty form): keys come in the
-    row-major order of their pairs, so the first largest is that entry."""
-    values, alpha, beta = _bernstein(nvars, basis, matrices)
+def _largest(values: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """(residuals, worst) of a (T, K) array of Bernstein coefficients at the
+    keys whose pairs are (alpha, beta), in row-major order: each row's
+    largest modulus, zero at or below the storage floor, and the pair of its
+    first largest key (None where the residual is zero)."""
     sizes = np.abs(values)
     residuals = sizes.max(axis=1, initial=0.0)
     residuals[residuals <= COEFFICIENT_FLOOR] = 0.0
@@ -773,16 +808,46 @@ def sphere_residuals(nvars: int, basis: tuple, matrices: np.ndarray):
     return residuals, worst
 
 
+def sphere_residuals(nvars: int, basis: tuple, matrices: np.ndarray):
+    """(residuals, worst): for each matrix of a (T, M, M) stack over ``basis``,
+    the ``max_abs_entry`` of its ``reduce_mod_sphere`` form and the pair of
+    its ``largest_entry`` (None for an empty form): keys come in the
+    row-major order of their pairs, so the first largest is that entry."""
+    return _largest(*_bernstein(nvars, basis, matrices))
+
+
+def _radial(nvars: int, basis: tuple, diagonals: np.ndarray):
+    """(values, kappa): the shift-0 Bernstein coefficients of each row of a
+    (T, M) real array, the diagonal of a matrix over ``basis``, at the keys
+    ``kappa`` of ``_radial_plan``; each adds its terms from zero, in plan
+    order, with one bincount for the stack."""
+    columns, slots, terms, kappa = _radial_plan(nvars, basis)
+    index = (slots + len(kappa) * np.arange(len(diagonals))[:, None]).ravel()
+    values = np.bincount(index, weights=(diagonals[:, columns] * terms).ravel(),
+                         minlength=len(diagonals) * len(kappa))
+    return values.reshape(len(diagonals), len(kappa)), kappa
+
+
+def radial_residuals(nvars: int, basis: tuple, diagonals: np.ndarray):
+    """(residuals, worst) as ``sphere_residuals`` gives them for diagonal
+    matrices, from the (T, M) real array of their diagonals over ``basis``:
+    a diagonal matrix, such as a monomial map's Gram, has only shift 0, so
+    its Bernstein coefficients are the radial plan's (``_radial_plan``) and
+    the sum over shifts that bounds it on the sphere is its residual.  A
+    coefficient adds the terms it adds in ``sphere_residuals``, in the same
+    order, so both give a matrix the same residual and pair; no matrix and
+    no full plan are built."""
+    values, kappa = _radial(nvars, basis, diagonals)
+    return _largest(values, kappa, kappa)
+
+
 def sphere_scales(nvars: int, basis: tuple, weights: np.ndarray) -> np.ndarray:
     """For each row w of a (T, M) array of non-negative weights over
     ``basis``, the largest shift-0 Bernstein coefficient of sum_alpha
     w_alpha x^alpha, which bounds it on the simplex: for w = |q_alpha|^2,
-    the mean of |q|^2 over the phases of z; 1 for q = 1."""
-    columns, slots, terms, count = _bernstein_plan(nvars, basis)[5:]
-    index = (slots + count * np.arange(len(weights))[:, None]).ravel()
-    values = np.bincount(index, weights=(weights[:, columns] * terms).ravel(),
-                         minlength=len(weights) * count)
-    return values.reshape(len(weights), count).max(axis=1, initial=0.0)
+    the mean of |q|^2 over the phases of z; 1 for q = 1.  It reads the
+    radial plan alone (``_radial``)."""
+    return _radial(nvars, basis, weights)[0].max(axis=1, initial=0.0)
 
 
 # A family-grid pass multiplies over 28 distinct pairs of supports (tensor

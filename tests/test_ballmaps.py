@@ -995,6 +995,77 @@ def test_tensor_powers_composed_with_an_automorphism_are_proper(n, d):
         is Verdict.NOT_PROPER
 
 
+def test_a_monomial_map_never_builds_the_full_plan(registry):
+    # Tensor powers, the catalog maps and the Faran family members have
+    # rows with one entry each, so their Grams are diagonal: they read the
+    # radial plan alone, cold or warm.
+    polyalg._bernstein_plan.cache_clear()
+    radial = polyalg._radial_plan.cache_info()
+    assert certify_proper(_tensor_power_on(3, 12)).verdict is Verdict.PROPER
+    for name, m in registry.maps.items():
+        assert certify_proper(m).verdict is Verdict.PROPER, name
+    assert verify_family(registry.families["faran.fg.family"], grid_size=101).passed
+    assert polyalg._bernstein_plan.cache_info().misses == 0
+    after = polyalg._radial_plan.cache_info()
+    assert after.hits + after.misses > radial.hits + radial.misses
+
+
+@pytest.mark.parametrize("scale, verdict", [(1.0, Verdict.PROPER), (0.75, Verdict.NOT_PROPER)])
+def test_rows_that_share_a_column_take_the_radial_path(scale, verdict):
+    # faran.h with its sqrt(2) zw split into two rows of one column, and a
+    # copy whose two rows are too small; the dense path's residual is the
+    # reference.
+    z, w = var(0), var(1)
+    m = RationalBallMap(2, 4, [z * z, z * w * scale, z * w * scale, w * w])
+    head, tail = m.coefficients[None, :-1], m.coefficients[None, -1:]
+    dense = head.swapaxes(1, 2) @ head.conj() - tail.swapaxes(1, 2) @ tail.conj()
+    residuals, worst = polyalg.sphere_residuals(2, m.support, dense)
+    polyalg._bernstein_plan.cache_clear()
+    cert = certify_proper(m)
+    assert cert.verdict is verdict
+    assert cert.residual_norm == residuals[0] and cert.worst_entry == worst[0]
+    assert polyalg._bernstein_plan.cache_info().misses == 0
+
+
+def _dangelo_weights(m):
+    """D'Angelo's weights for odd m, in Python integers: (m / (m - k)) C(m - k, k)
+    on x^(m - 2k) y^k for k = 0 .. (m - 1) / 2, and 1 on y^m."""
+    weights = {}
+    for k in range((m - 1) // 2 + 1):
+        weight, rest = divmod(m * math.comb(m - k, k), m - k)
+        assert rest == 0
+        weights[(m - 2 * k, k)] = weight
+    weights[(0, m)] = 1
+    return weights
+
+
+def _monomial_map(weights):
+    """z -> (sqrt(w_alpha) z^alpha) on B_2, one component per weight."""
+    comps = [Polynomial(2, {alpha: math.sqrt(w)}) for alpha, w in weights.items()]
+    return RationalBallMap(2, len(comps), comps)
+
+
+@pytest.mark.parametrize("m", range(3, 62, 2))
+def test_dangelo_maps_against_an_exact_oracle(m):
+    weights = _dangelo_weights(m)
+    # sum_alpha w_alpha x^alpha (x + y)^(m - |alpha|) = (x + y)^m, compared
+    # coefficient by coefficient of x^(m - j) y^j in Python integers.
+    homogenized = [0] * (m + 1)
+    for (a, b), w in weights.items():
+        for i in range(m - a - b + 1):
+            homogenized[b + i] += w * math.comb(m - a - b, i)
+    assert homogenized == [math.comb(m, j) for j in range(m + 1)]
+    polyalg._bernstein_plan.cache_clear()
+    f = _monomial_map(weights)
+    cert = certify_proper(f)
+    assert cert.verdict is Verdict.PROPER and cert.residual_norm == 0.0
+    assert degree(f) == m and embedding_dimension(f) == (m + 3) // 2
+    largest = max(weights, key=weights.get)
+    heavier = _monomial_map({**weights, largest: weights[largest] * (1 + 1e-6)})
+    assert certify_proper(heavier).verdict is Verdict.NOT_PROPER
+    assert polyalg._bernstein_plan.cache_info().misses == 0
+
+
 def _oracle_map(kind, n, rng):
     """A Whitney map, a Whitney or tensor map composed with an automorphism,
     or a juxtaposition of two Whitney maps, on B_n."""

@@ -13,10 +13,11 @@ from propermaps._linalg import random_unitary
 from propermaps.ballmaps import RationalBallMap, apply_linear
 from propermaps.cli import _build_parser, main
 from propermaps.constructors import BlaschkeProduct
-from propermaps.corpus import build_whitney_term, corpus
+from propermaps.corpus import build_whitney_term, corpus, faran_maps
 from propermaps.documents import (MapDocumentError, dumps_map, map_from_document,
                                   map_to_document)
-from propermaps.homotopy import blaschke_homotopy, homotopy_to_monomial, verify_family
+from propermaps.homotopy import (blaschke_homotopy, faran_families, homotopy_to_monomial,
+                                 verify_family)
 from propermaps.polyalg import Polynomial
 from propermaps.xvariety import build_xmatrix
 
@@ -444,6 +445,25 @@ def test_registry_contains_exactly_four_faran_maps(registry):
     assert sorted(faran) == ["faran.f", "faran.g", "faran.h", "faran.phi"]
 
 
+def test_corpus_calls_each_faran_builder_once():
+    # The four faran.* map ids share one builder, and so do the three
+    # faran.*.family ids; the families build their endpoints' maps once more.
+    codes = {faran_maps.__code__: "faran_maps", faran_families.__code__: "faran_families"}
+    calls = dict.fromkeys(codes.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        registry = corpus()
+    finally:
+        sys.setprofile(None)
+    assert calls == {"faran_maps": 2, "faran_families": 1}
+    assert len(registry.maps) == 9 and len(registry.families) == 5
+
+
 def test_registry_dimensions(registry):
     assert registry.maps["ex4.1.map"].N == 4
     assert registry.families["ex2.1.family"].target_dim == 5
@@ -555,6 +575,10 @@ MALFORMED = {
                               "--tol must be a finite positive number"),
     "xvariety-zero-samples": (["xvariety", "faran.h", "--graph-test", "--samples", "0"],
                               None, "--samples must be at least 1"),
+    "verify-negative-seed": (["verify", "faran.h", "--seed", "-1"], None,
+                             "--seed must be a non-negative integer"),
+    "xvariety-negative-seed": (["xvariety", "faran.h", "--graph-test", "--seed", "-1"], None,
+                               "--seed must be a non-negative integer"),
     "bound-negative-target": (["bound", "degree", "2", "-3"], None, "no proper map from B2"),
     "bound-target-below-domain": (["bound", "degree", "3", "2"], None,
                                   "no proper map from B3 to B2"),
@@ -601,7 +625,8 @@ def test_import_does_not_load_scipy(tmp_path):
     assert modules == "[]"
     caches = json.loads(caches)
     assert {"propermaps.ballmaps._support_degrees", "propermaps.ballmaps._power_plan",
-            "propermaps.polyalg._bernstein_plan", "propermaps.polyalg._product_plan",
+            "propermaps.polyalg._bernstein_plan", "propermaps.polyalg._radial_plan",
+            "propermaps.polyalg._product_plan",
             "propermaps.polyalg._degree_table", "propermaps.xvariety._lift_plan"} <= set(caches)
     for name, (currsize, maxsize) in caches.items():
         assert currsize == 0, name

@@ -208,12 +208,15 @@ def test_grid_is_certified_in_blocks(rng):
                 or (size + 1) * len(m.support) ** 2 > ballmaps.BLOCK_ENTRIES):
             blocks, key, size = blocks + 1, (m.support, m.N, len(m.factors)), 0
         size += 1
-    before = polyalg._bernstein_plan.cache_info()
+    plans = (polyalg._bernstein_plan, polyalg._radial_plan)
+    before = [plan.cache_info() for plan in plans]
     assert verify_family(fam, grid_size=101).passed
-    after = polyalg._bernstein_plan.cache_info()
+    after = [plan.cache_info() for plan in plans]
     # Two sphere-reduction plan lookups per block, not per member: one for
-    # the Bernstein coefficients and one for their scale.
-    assert after.hits + after.misses - before.hits - before.misses == 2 * blocks
+    # the Bernstein coefficients (the full plan, or the radial plan for the
+    # monomial end) and one for their scale (the radial plan).
+    lookups = sum(a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before))
+    assert lookups == 2 * blocks
     assert blocks <= 10
 
 

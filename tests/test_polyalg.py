@@ -12,8 +12,8 @@ from propermaps import polyalg
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 Polynomial, coefficient_matrix, monomials_of_degree,
                                 multiply_rows, polynomials_from_rows, properness_form,
-                                reduce_mod_sphere, signed_gram, sphere_residuals,
-                                squared_norm_form)
+                                radial_residuals, reduce_mod_sphere, signed_gram,
+                                sphere_residuals, squared_norm_form)
 
 from conftest import sample_sphere
 
@@ -422,6 +422,24 @@ def test_stacked_reduction_equals_each_matrix_reduction(nvars, seed):
         largest = remainder.largest_entry()
         assert pair == (None if largest is None else largest[:2])
         assert remainder.entries == _bernstein_by_loop(HermitianForm._raw(nvars, support, matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_radial_reduction_equals_the_full_reduction_of_a_diagonal(nvars, seed):
+    # Diagonals with entries above, at and below the storage floor, and
+    # ties for the largest coefficient; the support may have one degree.
+    gen = np.random.default_rng(seed)
+    support = tuple(sorted({tuple(gen.integers(0, 4, nvars).tolist()) for _ in range(6)},
+                           reverse=True))
+    values = np.array([0.0, 1.0, -1.0, 0.5, -3.0, 3e-15, 2e-14, 1e-9, 1 / 3])
+    diagonals = gen.choice(values, (int(gen.integers(1, 5)), len(support)))
+    matrices = np.zeros((len(diagonals), len(support), len(support)), dtype=complex)
+    matrices[:, np.arange(len(support)), np.arange(len(support))] = diagonals
+    residuals, worst = radial_residuals(nvars, support, diagonals)
+    expected, expected_worst = sphere_residuals(nvars, support, matrices)
+    assert residuals.tolist() == expected.tolist()
+    assert worst == expected_worst
 
 
 def _random_rows(nvars, seed):
