@@ -19,7 +19,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,9 +27,9 @@ from . import _linalg
 from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm,
                       Polynomial, align_rows, canonical_rows, coefficient_matrix,
                       evaluate_rows, gram_form, monomials_of_degree, multinomial,
-                      _mask_groups, multiply_rows, polynomials_from_rows,
-                      radial_residuals, reduce_mod_sphere, signed_gram,
-                      sphere_residuals, sphere_scales,
+                      _mask_groups, multiply_rows, normalized_gram_difference,
+                      polynomials_from_rows, radial_residuals, reduce_mod_sphere,
+                      signed_gram, sphere_residuals, sphere_scales,
                       squared_norm_form)  # noqa: F401 - re-exported
 
 #: Fixed default seed for all pseudo-random sampling (reproducible runs).
@@ -98,10 +97,24 @@ def _top_degree(support, rows):
     return top if top >= 0 else ZERO_DEGREE
 
 
-def _constant_maps(stack: np.ndarray, tol: float) -> np.ndarray:
-    """For each map of a (T, N+1, M) stack of rows, whether p_i = p_i(0) q for all i."""
+def _constant_maps(stack: np.ndarray, tol: float,
+                   squares: Optional[np.ndarray] = None) -> np.ndarray:
+    """For each map of a (T, N+1, M) stack of rows, whether p_i = p_i(0) q for
+    all i, that is |p_i - p_i(0) q| <= tol at every coefficient.
+
+    Given the stack's squared moduli ``squares``, as for a block of monomial
+    maps, p_i(0) q is formed on q's columns alone: in a column where no q
+    of the stack has an entry, the difference is p_i, so the largest of its
+    squared moduli there is compared with tol^2, with no temporary of the
+    stack's size.  Without them one expression takes the whole stack, which
+    costs fewer numpy calls on a small block."""
     p, q = stack[:, :-1], stack[:, -1:]
-    return ~(np.abs(p - p[:, :, -1:] * q) > tol).any(axis=(1, 2))
+    if squares is None:
+        return ~(np.abs(p - p[:, :, -1:] * q) > tol).any(axis=(1, 2))
+    columns = q.any(axis=(0, 1))
+    off = (squares[:, :-1].max(axis=1)[:, ~columns] > tol * tol).any(axis=1)
+    near = p.compress(columns, axis=2) - p[:, :, -1:] * q.compress(columns, axis=2)
+    return ~(off | (np.abs(near) > tol).any(axis=(1, 2)))
 
 
 class RationalBallMap:
@@ -557,29 +570,34 @@ def _stacked(run: Sequence[RationalBallMap]):
     return np.stack([m.coefficients for m in run]), np.stack([m.factors for m in run])
 
 
-def _block_residuals(n: int, support: tuple, stack: np.ndarray):
-    """(residuals, worst) of each map of a (T, N+1, M) stack of rows over
-    ``support``, unscaled.  A member whose rows p_1, ..., p_N and q have at
-    most one entry each, as a monomial map's, has the diagonal Gram
-    sum_r |p_r,alpha|^2 - |q_alpha|^2, which ``radial_residuals`` reads; the
-    signed Grams of the others go through ``sphere_residuals``.  That is
-    decided for each member on its own rows, so its results do not depend
-    on its block."""
+def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
+    """(residuals, worst, constant) of each map of a (T, N+1, M) stack of
+    rows over ``support``: the unscaled residual and its pair, and whether
+    the map is constant (``_constant_maps``).  A member whose rows p_1, ...,
+    p_N and q have at most one entry each, as a monomial map's, has the
+    diagonal Gram sum_r |p_r,alpha|^2 - |q_alpha|^2, which
+    ``radial_residuals`` reads, and the same squared moduli decide whether
+    it is constant; the signed Grams of the others go through
+    ``sphere_residuals``.  That is decided for each member on its own rows,
+    so its results do not depend on its block."""
     radial = _linalg.orthogonal_rows(stack.swapaxes(1, 2))
     if radial.all():
         # Each entry times its conjugate in real arithmetic, so exactly real.
         squares = stack.real * stack.real + stack.imag * stack.imag
-        return radial_residuals(n, support, squares[:, :-1].sum(axis=1) - squares[:, -1])
+        return (*radial_residuals(n, support, squares[:, :-1].sum(axis=1) - squares[:, -1]),
+                _constant_maps(stack, tol, squares))
     if not radial.any():
-        return sphere_residuals(n, support, signed_gram(stack, 1))
+        return (*sphere_residuals(n, support, signed_gram(stack, 1)),
+                _constant_maps(stack, tol))
     # A mixed block: each part on its own, back in the members' order.
     residuals, worst = np.empty(len(stack)), [None] * len(stack)
+    constant = np.empty(len(stack), dtype=bool)
     for members in (radial, ~radial):
-        values, pairs = _block_residuals(n, support, stack[members])
+        values, pairs, constant[members] = _block_residuals(n, support, stack[members], tol)
         residuals[members] = values
         for k, pair in zip(np.flatnonzero(members).tolist(), pairs):
             worst[k] = pair
-    return residuals, worst
+    return residuals, worst, constant
 
 
 def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray,
@@ -589,10 +607,9 @@ def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray,
     for a map is raised at that map's turn."""
     first = maps[0]
     denominators = _check_denominators(maps, stack, centres, seed)
-    residuals, worst = _block_residuals(first.n, first.support, stack)
+    residuals, worst, constant = _block_residuals(first.n, first.support, stack, tol)
     q = stack[:, -1]
     residuals = residuals / sphere_scales(first.n, first.support, q.real ** 2 + q.imag ** 2)
-    constant = _constant_maps(stack, tol)
     for k, (m, residual) in enumerate(zip(maps, residuals.tolist())):
         if isinstance(denominators[k], Exception):
             raise denominators[k]
@@ -696,19 +713,22 @@ def _embedding_dimensions(stack: np.ndarray) -> np.ndarray:
 
     When no two component rows of a map share a column
     (``_linalg.orthogonal_rows``), the rows are orthogonal and their norms
-    are their singular values, so the norms are counted.  The other maps get
-    one stacked SVD per distinct set of columns where their rows have an
-    entry.  This is decided for each map on its own rows, so its rank does
-    not depend on what it is stacked with.
+    are their singular values, so the norms are counted: their squares,
+    summed from the real and imaginary parts with no copy of the rows,
+    against ``RANK_RTOL`` squared times the largest.  The other maps get one stacked SVD per
+    distinct set of columns where their rows have an entry.  This is
+    decided for each map on its own rows, so its rank does not depend on
+    what it is stacked with.
     """
     rows = stack[:, :-1]
     orthogonal = _linalg.orthogonal_rows(rows)
     ranks = np.zeros(len(stack), dtype=int)
     dense = np.arange(len(stack))
     if any(orthogonal.tolist()):
-        norms = np.linalg.norm(rows[orthogonal], axis=2)
+        norms = (np.einsum("tij,tij->ti", rows.real, rows.real)
+                 + np.einsum("tij,tij->ti", rows.imag, rows.imag))[orthogonal]
         ranks[orthogonal] = (norms > norms.max(axis=1, keepdims=True)
-                             * _linalg.RANK_RTOL).sum(axis=1)
+                             * _linalg.RANK_RTOL ** 2).sum(axis=1)
         dense = dense[~orthogonal]
         rows = rows[dense]
     for members, columns in _mask_groups(rows.any(axis=1)):
@@ -728,18 +748,34 @@ def embedding_dimension(m: RationalBallMap) -> int:
 class NormEquivalence:
     """Result of the squared-norm comparison of two maps.
 
+    ``largest_relative`` is the largest |G_ij| / sqrt(H_ii H_jj) over the
+    entries of the signed Gram G and the unsigned Gram H (see
+    ``norm_equivalent``): the margin under ``tol`` when the maps are
+    equivalent, and the size of the largest flagged entry when they are not.
     On equivalence ``unitary`` maps the first map's components onto the
     second's (after zero-padding to the common target), with the max
     coefficient residual ``witness_residual``; the decision never reads
-    them, so they are computed from the two coefficient stacks on first read
-    and cached.  On failure ``mismatch`` holds a distinguishing
-    Hermitian-form entry (alpha, beta, difference), and ``unitary`` and
+    them, so they are computed from the two sides' rows on first read and
+    cached.  On failure ``mismatch`` holds a distinguishing Hermitian-form
+    entry (alpha, beta, difference), and ``unitary`` and
     ``witness_residual`` are None.
     """
 
     equivalent: bool
     mismatch: Optional[tuple] = None
-    _stacks: Optional[tuple] = field(default=None, repr=False, compare=False)
+    largest_relative: float = 0.0
+    _rows: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _stacks(self) -> Optional[tuple]:
+        """Both sides' rows on the columns where either has an entry: a
+        column without one, such as q's constant column of a tensor power,
+        adds nothing to the witness."""
+        if self._rows is None:
+            return None
+        a, b = self._rows
+        live = a.any(axis=0) | b.any(axis=0)
+        return (a, b) if live.all() else (a[:, live], b[:, live])
 
     @cached_property
     def _procrustes(self) -> tuple:
@@ -766,19 +802,21 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
 
     Targets are first padded to a common dimension by appending zeros.  When
     the denominators differ, the numerators are cross-multiplied, p_f q_g
-    against p_g q_f.  The aligned rows of both sides are concatenated once
-    into one coefficient stack, without the columns that are left with no
-    entry, such as the constant column of a tensor power, whose only entry
-    was q's; only cross-multiplied rows are floored, since the stored rows
-    are.  The stack gives the signed Gram matrix G of ||left||^2 -
-    ||right||^2; with H its unsigned Gram, an entry is flagged when
+    against p_g q_f, and only those rows are floored, since the stored rows
+    are.  With A and B the two sides' aligned rows, G = A^T conj(A) -
+    B^T conj(B) is the signed Gram of ||left||^2 - ||right||^2 and H =
+    A^T conj(A) + B^T conj(B) the unsigned one.  An entry is flagged when
     |G_ij| > tol sqrt(H_ii H_jj), tol times the Cauchy-Schwarz bound of
-    |G_ij|, so the test does not change when both maps are scaled together.
-    The first largest flagged entry in row-major order is the mismatch.
-    Otherwise the result keeps the stack, and the witness unitary is
-    computed from it when first read, by least squares over unitaries
-    (orthogonal Procrustes), so it is always unitary, including for
-    rank-deficient stacks such as f vs f + zero components.
+    |G_ij|, so the test does not change when both maps are scaled together;
+    it is read on column-normalized rows (``normalized_gram_difference``),
+    where it is |G_ij| / sqrt(H_ii H_jj) > tol.  Only when an entry is
+    flagged is the mismatch searched for: the first largest |G_ij| among
+    the flagged entries in row-major order (one of the upper triangle, as
+    G is Hermitian), recomputed from the unscaled rows.  Otherwise the
+    result keeps both sides' rows, and the witness unitary is computed
+    from them when first read, by least squares over unitaries (orthogonal
+    Procrustes), so it is always unitary, including for rank-deficient
+    rows such as f vs f + zero components.
     """
     if f.n != g.n:
         raise DimensionMismatchError("maps must share the domain dimension")
@@ -795,21 +833,21 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
         right = multiply_rows(f.n, gp.support, gp.coefficients[:-1],
                               f.support, np.repeat(f.coefficients[-1:], big, axis=0))
     monos, (a, b) = align_rows(left, right)
-    stack = np.concatenate([a, b])
     if not shared:
         # Stored rows are floored already; the cross products are new.
-        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
-    # Drop the columns without an entry, such as q's constant column.
-    live = stack.any(axis=0)
-    if not live.all():
-        monos, stack = tuple(compress(monos, live.tolist())), stack[:, live]
-    gram = signed_gram(stack, big)
-    norms = np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=0))
-    gram[np.abs(gram) <= tol * np.multiply.outer(norms, norms)] = 0.0
-    largest = HermitianForm._raw(f.n, monos, gram).largest_entry()
-    if largest is not None and largest[2] != 0.0:
-        return NormEquivalence(False, mismatch=largest)
-    return NormEquivalence(True, _stacks=(stack[:big], stack[big:]))
+        for rows in (a, b):
+            rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    gram, norms = normalized_gram_difference(a, b)
+    sizes = np.abs(gram)
+    largest = float(sizes.max(initial=0.0))
+    if largest <= tol:
+        return NormEquivalence(True, largest_relative=largest, _rows=(a, b))
+    i, j = np.nonzero(np.triu(sizes > tol))
+    k = int(np.argmax(sizes[i, j] * norms[i] * norms[j]))
+    i, j = int(i[k]), int(j[k])
+    value = a[:, i] @ a[:, j].conj() - b[:, i] @ b[:, j].conj()
+    return NormEquivalence(False, mismatch=(monos[i], monos[j], complex(value)),
+                           largest_relative=largest)
 
 
 def degree_bound(n: int, N: int):

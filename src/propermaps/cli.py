@@ -161,14 +161,18 @@ def _cmd_equiv(args, out: _Output) -> int:
     b = _load_map(args.map2)
     result = norm_equivalent(a, b, tol=args.tol)
     out.set("equivalent", result.equivalent)
+    out.set("largest_relative", result.largest_relative)
+    relative = f"largest relative entry: {result.largest_relative:.3e} (tol {args.tol:.1e})"
     if result.equivalent:
         out.line("equivalent")
+        out.line(relative)
         out.line(f"witness residual: {result.witness_residual:.3e}")
         out.set("witness_residual", result.witness_residual)
         out.set("unitary", result.unitary)
         return 0
     alpha, beta, diff = result.mismatch
     out.line("inequivalent")
+    out.line(relative)
     out.line(f"distinguishing entry ({alpha}, {beta}): {diff}")
     out.set("mismatch", {"alpha": list(alpha), "beta": list(beta), "delta": diff})
     return 1

@@ -555,6 +555,51 @@ def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     return gram.reshape(rows.shape[:-2] + gram.shape[1:])
 
 
+def _diagonal_grams(stack: np.ndarray) -> list:
+    """For each (R, M) slice of a (T, R, M) stack, whether ``_gram`` builds
+    its Gram as a diagonal (see there)."""
+    count, rows, size = stack.shape
+    if rows * size * size < ORTHOGONAL_GRAM_MIN:
+        return [False] * count
+    return (_linalg.orthogonal_rows(stack)
+            & _linalg.orthogonal_rows(stack.swapaxes(1, 2))).tolist()
+
+
+def normalized_gram_difference(a: np.ndarray, b: np.ndarray):
+    """(gram, norms) of two blocks of coefficient rows over one support, A
+    (R, M) and B (S, M): ``norms`` holds sqrt(H_jj), H = A^T conj(A) +
+    B^T conj(B), and ``gram`` is A^T conj(A) - B^T conj(B) with entry (i, j)
+    divided by norms_i norms_j, or 0 in a column with no entry.
+
+    The squared norms are read once through the blocks' real views.  Each
+    block is scaled column by column by 1 / norms_j, and the two Grams
+    accumulate in one (M, M) matrix: a block whose Gram ``_gram`` builds as
+    a diagonal adds only that diagonal, and another adds one dense product.
+    """
+    squares = []
+    for rows in (a, b):
+        parts = np.ascontiguousarray(rows).view(float)
+        squares.append(np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1))
+    norms = np.sqrt(squares[0] + squares[1])
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    size = len(norms)
+    gram, diagonal = None, np.zeros(size)
+    for rows, square, sign in ((a, squares[0], 1.0), (b, squares[1], -1.0)):
+        if _diagonal_grams(rows[None])[0]:
+            diagonal += sign * square
+            continue
+        scaled = rows * scale
+        product = scaled.T @ scaled.conj()
+        if gram is None:
+            gram = product if sign > 0 else np.negative(product, out=product)
+        else:
+            gram -= product
+    if gram is None:
+        gram = np.zeros((size, size), dtype=complex)
+    gram.reshape(-1)[::size + 1] += diagonal * scale * scale
+    return gram, norms
+
+
 def _gram(stack: np.ndarray) -> np.ndarray:
     """A^T conj(A) for each (R, M) slice A of a (T, R, M) stack.
 
@@ -565,11 +610,8 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     conjugate, multiplied in real arithmetic as in ``multiply_rows`` so that
     it is exactly real.  The other slices come from one stacked product.
     """
-    count, rows, size = stack.shape
-    diagonal = [False]
-    if rows * size * size >= ORTHOGONAL_GRAM_MIN:
-        diagonal = (_linalg.orthogonal_rows(stack)
-                    & _linalg.orthogonal_rows(stack.swapaxes(1, 2))).tolist()
+    count, _, size = stack.shape
+    diagonal = _diagonal_grams(stack)
     if not any(diagonal):
         return stack.swapaxes(1, 2) @ stack.conj()
     entry = (stack if all(diagonal) else stack[diagonal]).sum(axis=1)

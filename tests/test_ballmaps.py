@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unittest import mock
@@ -87,6 +87,31 @@ def test_group_invariant_quintic_is_proper():
 def test_constant_map_certifies_as_constant_on_sphere():
     m = RationalBallMap.constant([1.0, 0.0], 2)
     assert certify_proper(m).verdict is Verdict.CONSTANT_ON_SPHERE
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_constant_maps_read_from_squared_moduli_match_the_whole_stack(seed):
+    # Rows with one entry each, as a monomial map's: the path that reads the
+    # off-q columns from the squared moduli decides as the whole difference.
+    # Half the rows are scaled to put their largest entry just below or just
+    # above tol; |c| = tol itself is left out, where |c|^2 and tol^2 may
+    # round apart.
+    gen = np.random.default_rng(seed)
+    count, rows, size = (int(v) for v in gen.integers(1, 6, 3))
+    stack = np.zeros((count, rows + 1, size + 1), dtype=complex)
+    columns = gen.integers(0, size + 1, (count, rows))
+    sizes = 10.0 ** gen.uniform(-11, 1, (count, rows))
+    near_tol = gen.random((count, rows)) < 0.5
+    sizes[near_tol] *= 1e-9 * gen.choice([0.5, 0.99, 1.01, 2.0]) / sizes[near_tol].max(initial=1.0)
+    stack[np.arange(count)[:, None], np.arange(rows), columns] = \
+        sizes * np.exp(2j * np.pi * gen.random((count, rows)))
+    # q(0) off 1 makes p_i(0) - p_i(0) q(0) exceed tol for the larger p_i(0).
+    stack[:, -1, -1] = 1 + gen.choice([0.0, 1e-12, -1e-8], count)
+    squares = stack.real * stack.real + stack.imag * stack.imag
+    tol = polyalg.DEFAULT_TOL
+    assert np.array_equal(ballmaps._constant_maps(stack, tol, squares),
+                          ballmaps._constant_maps(stack, tol))
 
 
 def test_not_proper_with_witness():
@@ -571,6 +596,141 @@ def test_norm_equivalent_requires_common_domain():
         norm_equivalent(RationalBallMap.identity(2), RationalBallMap.identity(3))
 
 
+def _norm_equivalence_oracle(f, g, tol):
+    """Norm equivalence decided on one stack: the aligned rows of both sides
+    concatenated, their columns without an entry dropped, the dense signed
+    Gram G, entries flagged where |G_ij| > tol * outer(norms, norms)_ij, and
+    the first largest flagged entry in row-major order.  Returns (decision,
+    (i, j, G_ij) or None, the relative Gram |G| / outer(norms, norms), the
+    flags, norms, monomials, the two sides' rows)."""
+    big = max(f.N, g.N)
+    fp, gp = f.padded(big), g.padded(big)
+    _, (fq, gq) = polyalg.align_rows((f.support, f.coefficients[-1:]),
+                                     (g.support, g.coefficients[-1:]))
+    shared = np.abs(fq - gq).max() <= tol
+    if shared:
+        left, right = (fp.support, fp.coefficients[:-1]), (gp.support, gp.coefficients[:-1])
+    else:
+        left = polyalg.multiply_rows(f.n, fp.support, fp.coefficients[:-1], g.support,
+                                     np.repeat(g.coefficients[-1:], big, axis=0))
+        right = polyalg.multiply_rows(f.n, gp.support, gp.coefficients[:-1], f.support,
+                                      np.repeat(f.coefficients[-1:], big, axis=0))
+    monos, (a, b) = polyalg.align_rows(left, right)
+    stack = np.concatenate([a, b])
+    if not shared:
+        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
+    live = stack.any(axis=0)
+    monos, stack = [m for m, keep in zip(monos, live) if keep], stack[:, live]
+    top, bottom = stack[:big], stack[big:]
+    gram = top.T @ top.conj() - bottom.T @ bottom.conj()
+    norms = np.sqrt((np.abs(stack) ** 2).sum(axis=0))
+    bound = np.multiply.outer(norms, norms)
+    flagged = np.abs(gram) > tol * bound
+    relative = np.abs(gram) / np.where(bound > 0, bound, 1.0)
+    if not flagged.any():
+        return True, None, relative, flagged, norms, monos, (top, bottom)
+    i, j = divmod(int(np.argmax(np.where(flagged, np.abs(gram), 0.0))), len(monos))
+    return False, (i, j, gram[i, j]), relative, flagged, norms, monos, (top, bottom)
+
+
+def _random_rows(gen, n, count, degree, constant):
+    """(monomials, rows): ``count`` complex rows over the monomials of degree
+    at most ``degree`` on B_n, each column scaled by 10^e for a uniform e in
+    [-12, 6], with about a third of the entries zero; the constant column
+    is kept only when ``constant``."""
+    monos = [alpha for k in range(degree + 1) for alpha in polyalg.monomials_of_degree(n, k)]
+    rows = gen.standard_normal((count, len(monos))) + 1j * gen.standard_normal((count, len(monos)))
+    rows *= 10.0 ** gen.uniform(-12, 6, len(monos))
+    rows[gen.random(rows.shape) < 0.35] = 0.0
+    rows[:, 0] *= constant
+    return monos, rows
+
+
+def _rows_map(n, monos, rows, q):
+    comps = [Polynomial(n, {alpha: c for alpha, c in zip(monos, row.tolist()) if c})
+             for row in rows]
+    return RationalBallMap(n, len(comps), comps, q)
+
+
+def _linear_denominator(gen, n):
+    """1 - <z, a> for a random a with |a| = 0.5."""
+    a = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    return _linear_factor_product(n, [0.5 * a / np.linalg.norm(a)])
+
+
+@st.composite
+def _norm_pairs(draw):
+    """(f, g): f with column scales from 1e-12 to 1e6 and a denominator 1 or
+    1 - <z, a>, and g one of: a unitary image of f in a target as large or
+    larger; that with numerator and denominator multiplied by another linear
+    factor, so that the denominators differ; that with one coefficient
+    scaled by 1 + delta, delta from 1e-6 to 1; or an unrelated map with
+    its own target dimension and support."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, degree, count = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    q = _linear_denominator(gen, n) if draw(st.booleans()) else Polynomial.one(n)
+    f = _rows_map(n, *_random_rows(gen, n, count, degree, draw(st.booleans())), q)
+    relation = draw(st.sampled_from(["rotated", "denominator", "perturbed", "unrelated"]))
+    if relation == "unrelated":
+        other = draw(st.integers(1, 4))
+        g = _rows_map(n, *_random_rows(gen, n, other, draw(st.integers(1, 3)),
+                                       draw(st.booleans())), q)
+        return f, g
+    big = f.N + draw(st.integers(0, 2))
+    g = apply_linear(random_unitary(big, gen), f.padded(big))
+    if relation == "denominator":
+        h = _linear_denominator(gen, n)
+        g = RationalBallMap(n, g.N, [comp * h for comp in g.p], g.q * h)
+    elif relation == "perturbed" and g.coefficients[:-1].any():
+        comps = list(g.p)
+        k, alpha = max(((k, alpha) for k, comp in enumerate(comps) for alpha in comp.terms),
+                       key=lambda key: gen.random())
+        delta = 10.0 ** gen.uniform(-6, 0)
+        comps[k] = Polynomial(n, {**comps[k].terms, alpha: comps[k].terms[alpha] * (1 + delta)})
+        g = RationalBallMap(n, g.N, comps, g.q)
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_norm_pairs())
+def test_norm_equivalence_agrees_with_the_stacked_oracle(pair):
+    f, g = pair
+    tol = polyalg.DEFAULT_TOL
+    equivalent, found, relative, flagged, norms, monos, stacks = \
+        _norm_equivalence_oracle(f, g, tol)
+    # Only pairs whose normalized entries all keep a factor of 10 from tol,
+    # so that both flag the same entries whatever their rounding.
+    assume(not ((relative >= tol / 10) & (relative <= 10 * tol)).any())
+    if found is not None:
+        # G is Hermitian: (i, j) and (j, i) are one entry, of one size.
+        # Two other entries whose sizes are within rounding of each other
+        # are a tie that rounding decides, in either computation.
+        upper = np.triu(flagged)
+        sizes = np.sort((relative * np.multiply.outer(norms, norms))[upper])
+        assume(len(sizes) == 1 or sizes[-1] - sizes[-2] > 1e-6 * sizes[-1])
+    result = norm_equivalent(f, g, tol)
+    assert result.equivalent == equivalent
+    assert abs(result.largest_relative - relative.max(initial=0.0)) <= 1e-12
+    if equivalent:
+        assert result.mismatch is None
+        scale = max(np.abs(stacks[0]).max(initial=0.0), np.abs(stacks[1]).max(initial=0.0))
+        unitary = _linalg.procrustes_unitary(*stacks)
+        expected = (float(np.max(np.abs(unitary @ stacks[0] - stacks[1])))
+                    if stacks[0].shape[1] else 0.0)
+        assert abs(result.witness_residual - expected) <= 1e-12 * scale
+        return
+    i, j, value = found
+    if i > j:
+        i, j, value = j, i, np.conj(value)
+    alpha, beta, got = result.mismatch
+    assert (alpha, beta) == (monos[i], monos[j])
+    # Relative to the Cauchy-Schwarz bound of |G_ij|, which bounds the
+    # rounding of either computation; a dense product's diagonal, say, may
+    # carry an imaginary part of that order.
+    assert abs(got - value) <= 1e-12 * norms[i] * norms[j]
+    assert result.unitary is None and result.witness_residual is None
+
+
 # ------------------------------------------------------------------- bounds
 def test_degree_bound_values():
     assert degree_bound(2, 3) == Fraction(3)
@@ -983,6 +1143,60 @@ def test_high_degree_tensor_powers_are_proper_and_norm_equivalent_to_rotations(n
     assert norm_equivalent(m, rotated).equivalent
     assert certify_proper(_with_largest_coefficient_scaled(m, 1 + 1e-6)).verdict \
         is Verdict.NOT_PROPER
+
+
+def test_a_perturbed_rotation_of_a_large_tensor_power_is_inequivalent():
+    m = _tensor_power_on(3, 20)
+    bent = _with_largest_coefficient_scaled(m, 1 + 1e-6)
+    rotated = apply_linear(random_unitary(m.N, np.random.default_rng(20)), bent)
+    # Only |c|^2 |z^alpha|^2 changed, so G has the one entry (alpha, alpha).
+    (alpha, c), = ((a, c) for comp, bent_comp in zip(m.p, bent.p)
+                   for a, c in comp.terms.items() if bent_comp.terms[a] != c)
+    expected = abs(c) ** 2 * (1 - (1 + 1e-6) ** 2)
+    relative = abs(expected) / (abs(c) ** 2 * (1 + (1 + 1e-6) ** 2))
+    # Against the rotation one side's Gram is dense; against bent itself
+    # both are diagonal.
+    for other in (rotated, bent):
+        result = norm_equivalent(m, other)
+        assert not result.equivalent
+        assert result.mismatch[:2] == (alpha, alpha)
+        assert abs(result.mismatch[2] - expected) <= 1e-6 * abs(expected)
+        assert abs(result.largest_relative - relative) <= 1e-6 * relative
+    assert norm_equivalent(m, m.padded(m.N + 2)).largest_relative == 0.0
+
+
+def test_norm_equivalence_keeps_its_temporaries_small():
+    # One (M, M) Gram with one product beside it: no stacked copy of both
+    # sides, no live-column copy and no (M, M) threshold matrix.
+    m = _tensor_power_on(3, 20)
+    rotated = apply_linear(random_unitary(m.N, np.random.default_rng(3)), m)
+    norm_equivalent(m, rotated)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = norm_equivalent(m, rotated)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.equivalent
+    size = len(m.support)
+    assert peak < 3.5 * size * size * 16
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_norm_equivalence_does_not_change_when_both_maps_are_scaled(c, registry):
+    h = registry.maps["faran.h"]
+    pairs = [(registry.maps["ex2.1.f"], registry.maps["ex2.1.g"]),
+             (h, apply_linear(random_unitary(h.N, np.random.default_rng(4)), h))]
+    for f, g in pairs:
+        plain, scaled = norm_equivalent(f, g), norm_equivalent(f.scaled(c), g.scaled(c))
+        assert scaled.equivalent == plain.equivalent
+        assert (scaled.mismatch is None) == (plain.mismatch is None)
+        if plain.mismatch is not None:
+            assert scaled.mismatch[:2] == plain.mismatch[:2]
+            assert abs(scaled.mismatch[2] - c * c * plain.mismatch[2]) \
+                <= 1e-12 * c * c * abs(plain.mismatch[2])
+        assert abs(scaled.largest_relative - plain.largest_relative) <= 1e-12
 
 
 @pytest.mark.parametrize("n, d", [(2, 16), (3, 10)])

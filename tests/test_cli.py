@@ -18,7 +18,7 @@ from propermaps.documents import (MapDocumentError, dumps_map, map_from_document
                                   map_to_document)
 from propermaps.homotopy import (blaschke_homotopy, faran_families, homotopy_to_monomial,
                                  verify_family)
-from propermaps.polyalg import Polynomial
+from propermaps.polyalg import DEFAULT_TOL, Polynomial
 from propermaps.xvariety import build_xmatrix
 
 
@@ -139,6 +139,27 @@ def test_degree_and_embdim_commands(capsys):
 def test_equiv_command_exit_codes(capsys):
     assert main(["equiv", "faran.f", "faran.f"]) == 0
     assert main(["equiv", "ex2.1.f", "ex2.1.g"]) == 1
+
+
+def test_equiv_reports_the_largest_relative_entry(registry, tmp_path, capsys):
+    h = registry.maps["faran.h"]
+    rotated = tmp_path / "rotated.json"
+    rotated.write_text(dumps_map(apply_linear(random_unitary(h.N, np.random.default_rng(4)), h)))
+    for argv, code, equivalent in ((["faran.h", str(rotated)], 0, True),
+                                   (["ex2.1.f", "ex2.1.g"], 1, False)):
+        assert main(["equiv", *argv]) == code
+        lines = capsys.readouterr().out.splitlines()
+        head, _, value = lines[1].partition(": ")
+        assert head == "largest relative entry"
+        printed = float(value.split()[0])
+        assert main(["equiv", *argv, "--json"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["equivalent"] is equivalent
+        assert abs(printed - report["largest_relative"]) <= 1e-3 * report["largest_relative"]
+        if equivalent:
+            assert report["largest_relative"] < 1e-12
+        else:
+            assert report["largest_relative"] > DEFAULT_TOL
 
 
 def test_bound_command(capsys):
