@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -161,14 +162,16 @@ class RationalBallMap:
 
     @classmethod
     def _from_stack(cls, n: int, support, stack, factors) -> list:
-        """The maps whose rows p_1, ..., p_N, q over ``support`` are the (N+1, M)
-        slices of a (T, N+1, M) stack and whose factor centres are the (K, n)
-        slices of ``factors``, (T, K, n) or (1, K, n) for all; q(0) = 1 unchecked.
+        """The blocks (see ``_Block``) of the maps whose rows p_1, ..., p_N, q
+        over ``support`` are the (N+1, M) slices of a (T, N+1, M) stack and
+        whose factor centres are the (K, n) slices of ``factors``, (T, K, n)
+        or (1, K, n) for all; q(0) = 1 unchecked.
 
         This is the one store: ``canonical_rows`` copies and floors the stack
-        once, and the maps whose rows have an entry in the same columns share
-        one array of their rows without the other columns and one support
-        tuple.
+        once, and each run of consecutive maps whose rows have an entry in
+        the same columns is one block, its rows without the other columns.
+        A stack whose maps all share their columns is one block of its own
+        array.  No map is built until a block is indexed.
         """
         support, stack = canonical_rows(support, stack)
         centres = np.array(factors, dtype=complex)
@@ -177,30 +180,31 @@ class RationalBallMap:
         elif centres.ndim != 3 or centres.shape[2] != n:
             raise DimensionMismatchError("denominator factor centres need one entry "
                                          "per domain variable")
-        if not np.all(np.isfinite(centres)):
+        if not np.isfinite(centres).all():
             raise ValueError("denominator factor centres must be finite")
-        centres.flags.writeable = False
         if len(centres) != len(stack):
-            centres = [centres[0]] * len(stack)
-        maps = [None] * len(stack)
-        for members, _ in _mask_groups(stack.any(axis=1)):
-            # One group holds every column: canonical_rows kept only those.
-            kept, rows = ((support, stack) if len(members) == len(stack)
-                          else canonical_rows(support, stack[members]))
+            centres = np.repeat(centres, len(stack), axis=0)
+        centres.flags.writeable = False
+        stack.flags.writeable = False
+        masks = stack.any(axis=1)
+        if masks.all():
+            return [_Block(n, support, stack, centres)] if len(stack) else []
+        cuts = np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1
+        blocks = []
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(stack)]):
+            live = masks[lo]
+            kept = tuple(alpha for alpha, keep in zip(support, live.tolist()) if keep)
+            rows = stack[lo:hi].compress(live, axis=2)
             rows.flags.writeable = False
-            for k, row in zip(members, rows):
-                m = maps[k] = object.__new__(cls)
-                values = (n, len(row) - 1, kept, row, centres[k])
-                for name, value in zip(cls.__slots__, values):
-                    object.__setattr__(m, name, value)
-        return maps
+            blocks.append(_Block(n, kept, rows, centres[lo:hi]))
+        return blocks
 
     @classmethod
     def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
         """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked.
         The store of ``_from_stack`` on a stack of one."""
         return cls._from_stack(n, support, np.asarray(rows)[None],
-                               np.asarray(factors, dtype=complex)[None])[0]
+                               np.asarray(factors, dtype=complex)[None])[0][0]
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalBallMap is immutable")
@@ -275,12 +279,7 @@ class RationalBallMap:
     # ------------------------------------------------------------- conversions
     def padded(self, target_dim: int) -> "RationalBallMap":
         """The map followed by the injection that appends zero components."""
-        if target_dim < self.N:
-            raise DimensionMismatchError("cannot pad to a smaller target")
-        if target_dim == self.N:
-            return self
-        rows = np.insert(self.coefficients, [self.N] * (target_dim - self.N), 0.0, axis=0)
-        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors)
+        return self if target_dim == self.N else _Block.of(self).padded(target_dim)[0]
 
     def scaled(self, factor: complex) -> "RationalBallMap":
         rows = self.coefficients * np.append(np.full(self.N, factor), 1.0)[:, None]
@@ -292,9 +291,7 @@ class RationalBallMap:
             raise DimensionMismatchError("maps must share the domain dimension")
         big = max(self.N, other.N)
         a, b = self.padded(big), other.padded(big)
-        _, (x, y) = align_rows((a.support, a.coefficients), (b.support, b.coefficients))
-        gap = x - y  # hypot is the modulus that Python's abs of a complex takes
-        return float(np.hypot(gap.real, gap.imag).max())
+        return _distance((a.support, a.coefficients), (b.support, b.coefficients))
 
     def allclose(self, other: "RationalBallMap", tol: float = DEFAULT_TOL) -> bool:
         return self.n == other.n and self.distance(other) <= tol
@@ -302,6 +299,69 @@ class RationalBallMap:
     def __repr__(self):
         return (f"RationalBallMap(B{self.n} -> B{self.N}, degree={self.degree}, "
                 f"q_degree={_top_degree(self.support, self.coefficients[-1:])})")
+
+
+class _Block(Sequence):
+    """Consecutive maps from B_n that share one support and one set of live
+    columns, stored as one read-only (T, N+1, M) array ``rows`` of their rows
+    p_1, ..., p_N, q over ``support`` and one (T, K, n) array ``centres`` of
+    their factor centres: the unit that family evaluation passes between its
+    layers.  It is a sequence of RationalBallMap that builds a member only
+    when it is indexed, as a view of its rows; a slice is a block of views.
+    """
+
+    __slots__ = ("n", "support", "rows", "centres")
+
+    def __init__(self, n: int, support: tuple, rows: np.ndarray, centres: np.ndarray):
+        self.n, self.support, self.rows, self.centres = n, support, rows, centres
+
+    @classmethod
+    def of(cls, m: RationalBallMap) -> "_Block":
+        """The block of one map, of views of its arrays."""
+        return cls(m.n, m.support, m.coefficients[None], m.factors[None])
+
+    @property
+    def N(self) -> int:
+        return self.rows.shape[1] - 1
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Block(self.n, self.support, self.rows[k], self.centres[k])
+        m = object.__new__(RationalBallMap)
+        values = (self.n, self.N, self.support, self.rows[k], self.centres[k])
+        for name, value in zip(RationalBallMap.__slots__, values):
+            object.__setattr__(m, name, value)
+        return m
+
+    def padded(self, target_dim: int) -> "_Block":
+        """The members followed by the injection that appends zero components."""
+        if target_dim == self.N:
+            return self
+        if target_dim < self.N:
+            raise DimensionMismatchError("cannot pad to a smaller target")
+        rows = np.insert(self.rows, [self.N] * (target_dim - self.N), 0.0, axis=1)
+        rows.flags.writeable = False
+        return _Block(self.n, self.support, rows, self.centres)
+
+
+def _members(items: Iterable) -> Iterator[RationalBallMap]:
+    """The maps of a stream of blocks and loose maps, in order."""
+    for item in items:
+        if isinstance(item, _Block):
+            yield from item
+        else:
+            yield item
+
+
+def _distance(left: tuple, right: tuple) -> float:
+    """The largest modulus of the difference of two (support, rows) blocks
+    with one row count, on the union of their supports."""
+    _, (x, y) = align_rows(left, right)
+    gap = x - y  # hypot is the modulus that Python's abs of a complex takes
+    return float(np.hypot(gap.real, gap.imag).max())
 
 
 @dataclass(frozen=True)
@@ -319,8 +379,8 @@ class PropernessCertificate:
     gave (for ``sampled``, the smallest sampled modulus).  ``witness`` is the
     sampled sphere point where | ||f||^2 - 1 | was largest, with that value in
     ``witness_value``.  The verdict never reads them, so the certificate
-    keeps the map and the seed, and they are sampled on first read and
-    cached.
+    keeps the map's block, its index there and the seed, and they are
+    sampled on first read, from the member built then, and cached.
     """
 
     verdict: Verdict
@@ -332,7 +392,8 @@ class PropernessCertificate:
 
     @cached_property
     def _sample(self) -> dict:
-        return _witness(*self._sampled_from)
+        block, k, seed = self._sampled_from
+        return _witness(block[k], seed)
 
     @property
     def witness(self) -> np.ndarray:
@@ -462,12 +523,10 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
     return out
 
 
-def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
-                        centres: np.ndarray, seed: int) -> list:
-    """(method, margin) for each map of a block, ``stack`` their (T, N+1, M)
-    rows and ``centres`` their (T, K, n) carried factor centres: how q was
-    shown to stay above DENOMINATOR_FLOOR on the closed ball; or the
-    DenominatorVanishesError it raises.
+def _check_denominators(block: _Block, seed: int) -> list:
+    """(method, margin) for each map of a block: how q was shown to stay
+    above DENOMINATOR_FLOOR on the closed ball, from the block's rows and
+    its carried factor centres; or the DenominatorVanishesError it raises.
 
     Every map goes down one ladder, each step on the maps that the steps
     before it left open: a constant q; the carried factors, when the block
@@ -481,8 +540,8 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
     when a factor vanishes on the closed ball, when the exact minimum of
     factors with one centre is below the floor, or when a sampled modulus is.
     """
-    n, support, floor = maps[0].n, maps[0].support, DENOMINATOR_FLOOR
-    q = stack[:, -1]
+    n, support, centres, floor = block.n, block.support, block.centres, DENOMINATOR_FLOOR
+    q = block.rows[:, -1]
     q_degrees = _top_degrees(support, q[:, None])
     out = [("trivial", c) if d <= 0 else None
            for c, d in zip(np.abs(q[:, -1]).tolist(), q_degrees.tolist())]
@@ -520,7 +579,7 @@ def _check_denominators(maps: Sequence[RationalBallMap], stack: np.ndarray,
             half = DENOMINATOR_SAMPLES // 2
             pts = np.vstack([ball_points(n, half, rng),
                              sphere_points(n, DENOMINATOR_SAMPLES - half, rng)])
-        minimum = float(np.abs(maps[k].q.evaluate_many(pts)).min())
+        minimum = float(np.abs(block[k].q.evaluate_many(pts)).min())
         out[k] = ("sampled", minimum) if minimum >= floor else DenominatorVanishesError(
             f"denominator modulus {minimum:.3e} below {floor:.1e} on the closed ball")
     return out
@@ -536,38 +595,59 @@ def _witness(m: RationalBallMap, seed: int) -> dict:
     return {"witness": pts[k].copy(), "witness_value": float(values[k])}
 
 
-def _runs(maps: Iterable[RationalBallMap]) -> Iterator[list]:
-    """Consecutive maps with one support, target dimension and number of
-    denominator factors, which stack into one (T, N+1, M) array of rows and
-    one (T, K, n) array of centres, in runs of at most BLOCK_ENTRIES Gram
-    entries; each run is yielded once the next map does not join it.  When
-    reading a map raises, the run read so far is yielded before the error
-    propagates."""
-    run = []
-    maps = iter(maps)
+def _runs(items: Iterable) -> Iterator[_Block]:
+    """The blocks in which a stream of blocks and loose maps is certified
+    and taken through a stacked kernel: consecutive members with one
+    support, target dimension and number of denominator factors, at most
+    BLOCK_ENTRIES Gram entries each, yielded once the next item does not
+    join them.
+
+    A block passes through, cut only where it would exceed BLOCK_ENTRIES.
+    Loose maps are grouped, and items with one key are joined by one
+    concatenation (``_stacked``), which happens only at the seams of a
+    family: a segment's reused endpoints, or the grid points on either side
+    of a junction.  When reading an item raises, the members read so far
+    are yielded before the error propagates."""
+    pending, key, count, cap = [], None, 0, 0
+    items = iter(items)
     while True:
         try:
-            m = next(maps, None)
+            item = next(items, None)
         except Exception:
-            if run:
-                yield run
+            if pending:
+                yield _stacked(pending)
             raise
-        if run and (m is None or m.support != run[0].support or m.N != run[0].N
-                    or len(m.factors) != len(run[0].factors)
-                    or (len(run) + 1) * len(m.support) ** 2 > BLOCK_ENTRIES):
-            yield run
-            run = []
-        if m is None:
+        if item is None:
+            if pending:
+                yield _stacked(pending)
             return
-        run.append(m)
+        block = item if isinstance(item, _Block) else _Block.of(item)
+        if (block.support, block.N, block.centres.shape[1]) != key:
+            if pending:
+                yield _stacked(pending)
+            pending, count = [], 0
+            key = (block.support, block.N, block.centres.shape[1])
+            cap = max(1, BLOCK_ENTRIES // len(block.support) ** 2)
+        while count + len(block) > cap:
+            if count < cap:
+                pending.append(block[:cap - count])
+                block = block[cap - count:]
+            yield _stacked(pending)
+            pending, count = [], 0
+        pending.append(block)
+        count += len(block)
 
 
-def _stacked(run: Sequence[RationalBallMap]):
-    """(rows, centres): the (T, N+1, M) rows and (T, K, n) factor centres of
-    a run of maps (see ``_runs``)."""
-    if len(run) == 1:
-        return run[0].coefficients[None], run[0].factors[None]
-    return np.stack([m.coefficients for m in run]), np.stack([m.factors for m in run])
+def _stacked(blocks: Sequence[_Block]) -> _Block:
+    """Consecutive blocks with one support, target dimension and number of
+    factors as one block: one block is itself, its own arrays with no copy,
+    and more are one concatenation of their rows and of their centres."""
+    if len(blocks) == 1:
+        return blocks[0]
+    rows = np.concatenate([b.rows for b in blocks])
+    rows.flags.writeable = False
+    return _Block(blocks[0].n, blocks[0].support, rows,
+                  np.concatenate([b.centres for b in blocks]))
 
 
 def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
@@ -600,38 +680,37 @@ def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
     return residuals, worst, constant
 
 
-def _certify_block(maps: Sequence[RationalBallMap], stack: np.ndarray,
-                   centres: np.ndarray, tol: float, seed: int) -> Iterator[PropernessCertificate]:
-    """The certificate of each map of a block, ``stack`` their (T, N+1, M)
-    rows and ``centres`` their (T, K, n) factor centres, in order; an error
-    for a map is raised at that map's turn."""
-    first = maps[0]
-    denominators = _check_denominators(maps, stack, centres, seed)
-    residuals, worst, constant = _block_residuals(first.n, first.support, stack, tol)
+def _certify_block(block: _Block, tol: float,
+                   seed: int) -> Iterator[PropernessCertificate]:
+    """The certificate of each map of a block, in order, read from the
+    block's arrays with no member built; an error for a map is raised at
+    that map's turn."""
+    n, support, stack = block.n, block.support, block.rows
+    denominators = _check_denominators(block, seed)
+    residuals, worst, constant = _block_residuals(n, support, stack, tol)
     q = stack[:, -1]
-    residuals = residuals / sphere_scales(first.n, first.support, q.real ** 2 + q.imag ** 2)
-    for k, (m, residual) in enumerate(zip(maps, residuals.tolist())):
+    residuals = residuals / sphere_scales(n, support, q.real ** 2 + q.imag ** 2)
+    for k, residual in enumerate(residuals.tolist()):
         if isinstance(denominators[k], Exception):
             raise denominators[k]
         if residual <= tol:
             verdict = Verdict.CONSTANT_ON_SPHERE if constant[k] else Verdict.PROPER
         else:
             verdict = Verdict.NOT_PROPER
-        if verdict is Verdict.PROPER and m.N < m.n:
+        if verdict is Verdict.PROPER and block.N < n:
             # A proper map cannot decrease the dimension; reaching this means
             # the certificate itself is inconsistent.
             raise ArithmeticError("certified a proper map with target below domain")
-        yield PropernessCertificate(verdict, residual, worst[k], *denominators[k], (m, seed))
+        yield PropernessCertificate(verdict, residual, worst[k], *denominators[k],
+                                    (block, k, seed))
 
 
-def _certify_run(run: Sequence[RationalBallMap], stack: np.ndarray, centres: np.ndarray,
-                 tol: float, seed: int) -> Iterator[tuple]:
-    """What ``certify_maps`` yields for each map of a run (see ``_runs``) with
-    the (T, N+1, M) rows ``stack`` and (T, K, n) factor centres ``centres``
-    (``_stacked``); an error comes at its map's turn."""
-    degrees = np.maximum(_top_degrees(run[0].support, stack[:, :-1]), 0).tolist()
-    ranks = _embedding_dimensions(stack).tolist()
-    return zip(_certify_block(run, stack, centres, tol, seed), degrees, ranks)
+def _certify_run(block: _Block, tol: float, seed: int) -> Iterator[tuple]:
+    """What ``certify_maps`` yields for each map of a block (see ``_runs``);
+    an error comes at its map's turn."""
+    degrees = np.maximum(_top_degrees(block.support, block.rows[:, :-1]), 0).tolist()
+    ranks = _embedding_dimensions(block.rows).tolist()
+    return zip(_certify_block(block, tol, seed), degrees, ranks)
 
 
 def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
@@ -666,13 +745,15 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     sampled map by map.  A certificate's witness is sampled when it is first
     read.  ``certify_proper`` is the block step on one map.
 
-    Results come block by block as the maps are read, so a caller may stop
+    ``maps`` may also hold blocks of maps (``_Block``), which are certified
+    from their arrays without building their members.  Results come block
+    by block as the maps are read, so a caller may stop
     at the first failure; an error for a map is raised at that map's turn,
     and when reading the next map raises, the maps read before it are
     certified first.
     """
-    for run in _runs(maps):
-        yield from _certify_run(run, *_stacked(run), tol, seed)
+    for block in _runs(maps):
+        yield from _certify_run(block, tol, seed)
 
 
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
@@ -696,7 +777,7 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     with ``seed``, when it is first read, and cached.  This is the block step
     of ``certify_maps`` on a block of one.
     """
-    return next(_certify_block([m], m.coefficients[None], m.factors[None], tol, seed))
+    return next(_certify_block(_Block.of(m), tol, seed))
 
 
 def degree(m: RationalBallMap) -> int:
@@ -899,20 +980,19 @@ def apply_linear(matrix: np.ndarray, m: RationalBallMap):
     """
     if not isinstance(m, RationalBallMap):
         raise TypeError("apply_linear composes one RationalBallMap")
-    out = _apply_linear_run(matrix, [m])
-    return out[0] if np.ndim(matrix) == 2 else out
+    out = _apply_linear_run(matrix, _Block.of(m))
+    return out[0][0] if np.ndim(matrix) == 2 else list(_members(out))
 
 
-def _apply_linear_run(matrix: np.ndarray, run: Sequence[RationalBallMap]) -> list:
-    """The maps matrix @ p / q for one (N', N) matrix and each map of a run
-    (see ``_runs``), or for a (T, N', N) stack of matrices and a run of one
+def _apply_linear_run(matrix: np.ndarray, block: _Block) -> list:
+    """The blocks of the maps matrix @ p / q for one (N', N) matrix and each
+    map of a block, or for a (T, N', N) stack of matrices and a block of one
     map: one stacked product per set of columns where p has an entry."""
     mat = np.asarray(matrix, dtype=complex)
-    first = run[0]
-    if mat.ndim not in (2, 3) or mat.shape[-1] != first.N:
+    if mat.ndim not in (2, 3) or mat.shape[-1] != block.N:
         raise DimensionMismatchError(
-            f"matrix shape {mat.shape} does not accept target dimension {first.N}")
-    stack, centres = _stacked(run)
+            f"matrix shape {mat.shape} does not accept target dimension {block.N}")
+    stack, centres = block.rows, block.centres
     count = len(mat) if mat.ndim == 3 else len(stack)
     rows = np.zeros((count, mat.shape[-2] + 1, stack.shape[2]), dtype=complex)
     rows[:, -1] = stack[:, -1]
@@ -924,7 +1004,7 @@ def _apply_linear_run(matrix: np.ndarray, run: Sequence[RationalBallMap]) -> lis
         else:
             rows[np.ix_(members, range(len(mat)), np.flatnonzero(live))] = \
                 mat @ p[members][:, :, live]
-    return RationalBallMap._from_stack(first.n, first.support, rows, centres)
+    return RationalBallMap._from_stack(block.n, block.support, rows, centres)
 
 
 def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:

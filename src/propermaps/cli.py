@@ -75,12 +75,22 @@ def _json_default(value):
 
 
 def _catalog(token: str, kind: str):
-    """Entry ``token`` of ``kind``, or None; a path (a directory or .json) skips the catalog."""
+    """Entry ``token`` of ``kind``, or None for a path to read.  A token with a
+    directory part or a .json suffix skips the catalog; any other is read as
+    a path only when it names an existing file, and otherwise raises a
+    ValueError that says what it is: a catalog id of the other kind, or
+    neither an id nor a file."""
     if os.path.dirname(token) or token.endswith(".json"):
         return None
     from .corpus import CATALOG, catalog_entry
     kind_of, build, key = CATALOG.get(token, (None, None, None))
-    return catalog_entry(build(), key) if kind_of == kind else None
+    if kind_of == kind:
+        return catalog_entry(build(), key)
+    if os.path.exists(token):
+        return None
+    if kind_of is None:
+        raise ValueError(f"unknown catalog id or missing file: {token}")
+    raise ValueError(f"{token} is a catalog {kind_of}, not a {kind}")
 
 
 def _load_map(token: str) -> RationalBallMap:

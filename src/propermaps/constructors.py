@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
-                       _factor_rows, _runs, _stacked, apply_linear, certify_proper)
+                       _Block, _factor_rows, certify_proper)
 from .polyalg import (COEFFICIENT_FLOOR, align_rows, coefficient_matrix, evaluate_rows,
                       monomials_of_degree, multiply_rows)
 
@@ -79,12 +79,13 @@ class BallAutomorphism:
 
 def automorphism_map(phi: BallAutomorphism) -> RationalBallMap:
     """Degree-one rational map of the automorphism; denominator 1 - <z, a>."""
-    return _automorphism_maps(phi.a[None], phi.U[None])[0]
+    return _automorphism_maps(phi.a[None], phi.U[None])[0][0]
 
 
 def _automorphism_maps(centres: np.ndarray, unitaries: np.ndarray) -> list:
-    """The maps of the automorphisms with the (T, n) centres and the (T, n, n)
-    unitary parts, which are taken as valid, from one stacked product."""
+    """The blocks of the maps of the automorphisms with the (T, n) centres
+    and the (T, n, n) unitary parts, which are taken as valid, from one
+    stacked product."""
     n = centres.shape[1]
     # s = sqrt(1 - ||a||^2), with ||a|| rounded as np.linalg.norm rounds it
     # (dot products of the real and of the imaginary parts) and squared by
@@ -170,12 +171,13 @@ def blaschke_map(b: BlaschkeProduct) -> RationalBallMap:
     """The product as a rational self-map of the unit disk (degree = factor count)."""
     if not b.zeros:
         raise ValueError("a proper disk map needs at least one factor")
-    return _blaschke_maps(np.array([b.theta]), np.array([b.zeros], dtype=complex))[0]
+    return _blaschke_maps(np.array([b.theta]), np.array([b.zeros], dtype=complex))[0][0]
 
 
 def _blaschke_maps(thetas: np.ndarray, zeros: np.ndarray) -> list:
-    """The maps of the products with the (T,) phases and the (T, m) zeros,
-    which are taken as valid, from one product of their factors."""
+    """The blocks of the maps of the products with the (T,) phases and the
+    (T, m) zeros, which are taken as valid, from one product of their
+    factors."""
     centres = zeros[:, :, None]
     # q = prod (1 - conj(a) z), each factor 1 - <z, a> in one variable; its
     # conjugate rows read backwards are those of prod (z - a).
@@ -255,23 +257,22 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     ||phi|| = 1 restores ||f||.  ``basis`` is read as by ``subspace_basis``.
     """
     step = WhitneyStep(subspace_basis(f.N, basis))
-    return _apply_step(step, [f], [_as_domain_map(phi, f.n)])[0]
+    return _apply_step(step, _Block.of(f), _Block.of(_as_domain_map(phi, f.n)))[0][0]
 
 
-def _tensor_in_frame(fs: Sequence[RationalBallMap], frame: np.ndarray, d: int,
-                     phis: Sequence[RationalBallMap]) -> list:
+def _tensor_in_frame(fs: _Block, frame: np.ndarray, d: int, phis: _Block) -> list:
     """``tensor_on_subspace`` in a checked unitary frame whose first d
     columns are the subspace basis and whose rest is its complement.
 
-    ``fs`` and ``phis`` are runs of maps (see ``ballmaps._runs``), of
-    domain self-maps for ``phis``; one of them is a run of one.  Member k of
-    the result tensors map k of ``fs`` with the one domain factor, or the one
-    map with factor k.  One product makes every row of every member.
+    ``fs`` and ``phis`` are blocks of maps (see ``ballmaps._Block``), of
+    domain self-maps for ``phis``; one of them is a block of one.  Member k
+    of the result tensors map k of ``fs`` with the one domain factor, or the
+    one map with factor k.  One product makes every row of every member, and
+    the result is its blocks.
     """
-    first = fs[0]
-    n = first.n
-    f_rows, f_centres = _stacked(fs)
-    phi_rows, phi_centres = _stacked(phis)
+    n = fs.n
+    f_rows, f_centres = fs.rows, fs.centres
+    phi_rows, phi_centres = phis.rows, phis.centres
     count = max(len(f_rows), len(phi_rows))
 
     # Coordinates of f in the frame (basis, complement): rows of frame^H @ f,
@@ -283,11 +284,11 @@ def _tensor_in_frame(fs: Sequence[RationalBallMap], frame: np.ndarray, d: int,
     left = np.concatenate([np.repeat(coords[:, :d], n, axis=1), coords[:, d:],
                            f_rows[:, -1:]], axis=1)
     right = np.concatenate([np.tile(phi_rows[:, :n], (1, d, 1)),
-                            np.repeat(phi_rows[:, n:], first.N - d + 1, axis=1)], axis=1)
+                            np.repeat(phi_rows[:, n:], fs.N - d + 1, axis=1)], axis=1)
     size = left.shape[1]
     left = _repeat_to(left, count).reshape(count * size, -1)
     right = _repeat_to(right, count).reshape(count * size, -1)
-    support, rows = multiply_rows(n, first.support, left, phis[0].support, right)
+    support, rows = multiply_rows(n, fs.support, left, phis.support, right)
     centres = np.concatenate([_repeat_to(f_centres, count), _repeat_to(phi_centres, count)],
                              axis=1)
     return RationalBallMap._from_stack(n, support, rows.reshape(count, size, -1), centres)
@@ -307,22 +308,22 @@ def juxtapose(f: RationalBallMap, g: RationalBallMap, t: float) -> RationalBallM
     at = _juxtaposition_path(f, g)
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter must lie in [0, 1]")
-    return at(np.array([t], dtype=float))[0]
+    return at(np.array([t], dtype=float))[0][0]
 
 
 def _juxtaposition_path(f: RationalBallMap, g: RationalBallMap):
-    """ts -> the juxtapositions at the parameters ts: the fixed rows
-    (p_f q_g, p_g q_f) / (q_f q_g), from one product, scaled by
-    sqrt(1 - t^2) and t in one ``apply_linear`` call."""
+    """ts -> the blocks of the juxtapositions at the parameters ts: the
+    fixed rows (p_f q_g, p_g q_f) / (q_f q_g), from one product, scaled by
+    sqrt(1 - t^2) and t in one stacked ``apply_linear`` product."""
     if f.n != g.n:
         raise DimensionMismatchError("juxtaposition requires a common domain")
     support, (fr, gr) = align_rows((f.support, f.coefficients), (g.support, g.coefficients))
     left = np.vstack([fr[:-1], gr[:-1], fr[-1:]])
     right = np.vstack([np.repeat(gr[-1:], f.N, axis=0), np.repeat(fr[-1:], g.N, axis=0),
                        gr[-1:]])
-    rows = RationalBallMap._from_rows(f.n, *multiply_rows(f.n, support, left, support, right),
-                                      np.vstack([f.factors, g.factors]))
-    return lambda ts: apply_linear(_diagonals(*[_root(ts)] * f.N, *[ts] * g.N), rows)
+    product = multiply_rows(f.n, support, left, support, right)
+    rows = _Block.of(RationalBallMap._from_rows(f.n, *product, np.vstack([f.factors, g.factors])))
+    return lambda ts: _apply_linear_run(_diagonals(*[_root(ts)] * f.N, *[ts] * g.N), rows)
 
 
 def _diagonals(*entries) -> np.ndarray:
@@ -361,18 +362,17 @@ class WhitneyStep:
         return np.hstack([self.basis, _linalg.gram_schmidt_complement(self.basis)])
 
 
-def _apply_step(step: WhitneyStep, fs: Sequence[RationalBallMap],
-                phis: Sequence[RationalBallMap]) -> list:
-    """The step on runs of maps, as ``_tensor_in_frame`` takes them: each
-    member tensored in the step's frame, then taken through its injection
-    run by run."""
-    if step.basis.shape[0] != fs[0].N:
+def _apply_step(step: WhitneyStep, fs: _Block, phis: _Block) -> list:
+    """The blocks of the step on blocks of maps, as ``_tensor_in_frame``
+    takes them: each member tensored in the step's frame, then taken
+    through its injection block by block."""
+    if step.basis.shape[0] != fs.N:
         raise DimensionMismatchError(
-            f"basis rows {step.basis.shape[0]} do not match target dimension {fs[0].N}")
+            f"basis rows {step.basis.shape[0]} do not match target dimension {fs.N}")
     tensored = _tensor_in_frame(fs, step.frame, step.basis.shape[1], phis)
     if step.injection is None:
         return tensored
-    return [m for run in _runs(tensored) for m in _apply_linear_run(step.injection, run)]
+    return [out for block in tensored for out in _apply_linear_run(step.injection, block)]
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,8 @@ def whitney_extend(term: WhitneyTerm, basis, phi: Optional[BallAutomorphism] = N
             raise DimensionMismatchError("injection must accept the tensored target")
         if not _linalg.has_orthonormal_columns(step.injection):
             raise ValueError("injection must be norm-preserving (orthonormal columns)")
-    new_map, = _apply_step(step, [current], [_as_domain_map(phi, current.n)])
+    new_map = _apply_step(step, _Block.of(current),
+                          _Block.of(_as_domain_map(phi, current.n)))[0][0]
     if certify:
         _require_proper(new_map)
     expected = term.length + 2

@@ -16,7 +16,8 @@ unitary group is path connected, so this stays inside proper maps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _juxtaposition_path, _root, _tensor_in_frame)
-from .corpus import faran_maps
 from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
 
 class PropernessFailureError(ArithmeticError):
@@ -70,7 +70,9 @@ class HomotopyFamily:
     that an error for a member comes at that member's turn.  Each member is
     a proper map with target dimension at most M; ``evaluate_many`` pads them
     to exactly M components, and ``evaluate`` is its block of one.  Built-in
-    families build each block from one stacked kernel call; a family of a
+    families return the blocks of one stacked kernel call (``ballmaps._Block``:
+    consecutive members as one array of rows, each built only when it is
+    read), which the iterable may mix with loose maps; a family of a
     function fn of one t passes ``lambda ts: [fn(t) for t in ts.tolist()]``.
     ``evaluate(0)`` and ``evaluate(1)`` are norm-equivalent to the declared
     endpoints padded by zeros.
@@ -85,12 +87,17 @@ class HomotopyFamily:
     def evaluate_many(self, ts) -> Iterator[RationalBallMap]:
         """The members at the parameters ``ts``, in order; the evaluator takes
         them in blocks of at most GRID_CHUNK consecutive parameters."""
+        return _bm._members(self._evaluate(ts))
+
+    def _evaluate(self, ts) -> Iterator:
+        """``evaluate_many`` as the evaluator returns it: its blocks and loose
+        maps, each padded to the target dimension."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         if not np.all((ts >= 0.0) & (ts <= 1.0)):
             raise ValueError("family parameter must lie in [0, 1]")
-        return (m.padded(self.target_dim)
+        return (item.padded(self.target_dim)
                 for start in range(0, len(ts), GRID_CHUNK)
-                for m in self.evaluator(ts[start:start + GRID_CHUNK]))
+                for item in self.evaluator(ts[start:start + GRID_CHUNK]))
 
     def evaluate(self, t: float) -> RationalBallMap:
         return next(self.evaluate_many([t]))
@@ -101,31 +108,27 @@ class HomotopyFamily:
                               self.endpoint_right, self.endpoint_left)
 
 
-def _per_run(maps: Iterable[RationalBallMap], kernel) -> Iterator[RationalBallMap]:
-    """The maps that ``kernel`` returns for each run of ``maps`` (see
-    ``ballmaps._runs``), in order; an error reading the maps comes after the
-    results for the maps read before it."""
-    for run in _bm._runs(maps):
-        yield from kernel(run)
-
-
 def _segment(domain_dim: int, evaluator) -> HomotopyFamily:
     """The family of ``evaluator`` with its maps at 0 and 1 as endpoints.
 
     Each endpoint is built once: evaluating the family there returns it, so
     splicing a junction in ``concat_families`` and the grid points on it
     reuse the map instead of building it again.  Both come from one
-    evaluator call.
+    evaluator call.  Each run of consecutive parameters between them goes
+    to one evaluator call, whose blocks pass on as they come.
     """
-    left, right = evaluator(np.array([0.0, 1.0]))
+    left, right = _bm._members(evaluator(np.array([0.0, 1.0])))
     if left.N != right.N:
         raise DimensionMismatchError("segment endpoints disagree in target dimension")
 
-    def at(ts: np.ndarray) -> Iterator[RationalBallMap]:
-        inside = ts[(ts != 0.0) & (ts != 1.0)]
-        middle = iter(evaluator(inside) if len(inside) else ())
-        for t in ts.tolist():
-            yield left if t == 0.0 else right if t == 1.0 else next(middle)
+    def at(ts: np.ndarray) -> Iterator:
+        ends = (ts == 0.0) | (ts == 1.0)
+        cuts = [0, *(np.flatnonzero(ends[1:] != ends[:-1]) + 1).tolist(), len(ts)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if ends[lo:hi].all():
+                yield from (left if t == 0.0 else right for t in ts[lo:hi].tolist())
+            else:
+                yield from evaluator(ts[lo:hi])
 
     return HomotopyFamily(domain_dim, left.N, at, left, right)
 
@@ -136,8 +139,8 @@ def constant_family(m: RationalBallMap) -> HomotopyFamily:
 
 def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFamily:
     """Family t -> U(t) m along a unitary path from the identity to ``unitary``."""
-    path = _linalg.UnitaryPath(unitary)
-    return _segment(m.n, lambda ts: apply_linear(path(ts), m))
+    path, block = _linalg.UnitaryPath(unitary), _bm._Block.of(m)
+    return _segment(m.n, lambda ts: _bm._apply_linear_run(path(ts), block))
 
 
 def _junction_bridge(end: RationalBallMap, start: RationalBallMap, error: Exception,
@@ -185,7 +188,7 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
         local = x - idx
         starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
         for lo, hi in zip(starts, starts[1:] + [len(ts)]):
-            yield from pieces[idx[lo]].evaluate_many(local[lo:hi])
+            yield from pieces[idx[lo]]._evaluate(local[lo:hi])
 
     left = endpoint_left if endpoint_left is not None else segs[0].endpoint_left
     right = endpoint_right if endpoint_right is not None else segs[-1].endpoint_right
@@ -199,7 +202,8 @@ class FamilyReport:
 
     ``max_coefficient_step`` is the largest coefficient distance between
     adjacent grid members, and ``t_at_max_coefficient_step`` the grid point
-    that ends the first such step.
+    that ends the first such step.  ``timings`` holds the seconds spent
+    evaluating the grid (``evaluate_s``) and certifying it (``certify_s``).
     """
 
     grid: list
@@ -212,6 +216,7 @@ class FamilyReport:
     max_coefficient_step: float
     t_at_max_coefficient_step: float
     target_dim: int = 0
+    timings: dict = field(default_factory=dict, compare=False)
 
     @property
     def max_residual(self) -> float:
@@ -244,6 +249,7 @@ class FamilyReport:
                 for t, cert in self.properness_failures],
             "endpoint_left_ok": self.endpoint_left_ok,
             "endpoint_right_ok": self.endpoint_right_ok,
+            "timings": self.timings,
         }
 
     def summary(self) -> str:
@@ -278,28 +284,37 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     sampled witness never decides a verdict; the certificates of the members
     that fail, which are the ones reported, sample it when it is first read.
 
-    The grid is evaluated through ``evaluate_many`` and read once, run by run
-    (see ``ballmaps._runs``): each run is one stack of rows, certified as
-    one block, and the coefficient steps inside it are one array difference
-    of the stack; a step across runs is ``distance``.  The results, and the
-    first error with ``strict``, are those of certifying the members one by
-    one in grid order.
+    The grid is evaluated once and read block by block (see
+    ``ballmaps._runs``), as the evaluator's blocks come, with no member
+    built: each block is certified from its rows, the coefficient steps
+    inside it are one array difference of its rows, and the step across two
+    blocks is the distance of their boundary rows.  Only the first and last
+    members are built, once, for the endpoint checks, and a failing member
+    when its certificate's witness is read.  The results, and the first
+    error with ``strict``, are those of certifying the members one by one in
+    grid order.  ``timings`` sums, block by block, the time spent reading
+    the evaluator and the time spent certifying.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     grid = iter(ts)
     degrees, embdims, residuals, failures = [], [], [], []
-    first = previous = None
+    first = last = None
     max_step, t_step = 0.0, ts[1]
-    for run in _bm._runs(family.evaluate_many(ts)):
-        stack, centres = _bm._stacked(run)
-        gaps = stack[:-1] - stack[1:]
+    timings = {"evaluate_s": 0.0, "certify_s": 0.0}
+    clock = time.perf_counter()
+    for block in _bm._runs(family._evaluate(ts)):
+        now = time.perf_counter()
+        timings["evaluate_s"] += now - clock
+        rows = block.rows
+        gaps = rows[:-1] - rows[1:]
         # The first member of the grid has no step; 0.0 never beats max_step.
-        steps = [0.0 if previous is None else previous.distance(run[0])]
+        steps = [0.0 if last is None else _bm._distance((last.support, last.rows[-1]),
+                                                        (block.support, rows[0]))]
         steps += np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist()
-        results = _bm._certify_run(run, stack, centres, tol, seed)
-        # steps, one per member, comes first, so zip takes no t past the run.
+        results = _bm._certify_run(block, tol, seed)
+        # steps, one per member, comes first, so zip takes no t past the block.
         for step, t, (cert, deg, embdim) in zip(steps, grid, results):
             degrees.append(deg)
             embdims.append(embdim)
@@ -310,18 +325,21 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
                 failures.append((t, cert))
             if step > max_step:
                 max_step, t_step = step, t
-        first = run[0] if first is None else first
-        previous = run[-1]
+        first = block[0] if first is None else first
+        last = block
+        clock = time.perf_counter()
+        timings["certify_s"] += clock - now
+    timings["evaluate_s"] += time.perf_counter() - clock
 
     endpoint_tol = 1e3 * tol
     left_ok = norm_equivalent(first, family.endpoint_left,
                               tol=endpoint_tol).equivalent
-    right_ok = norm_equivalent(previous, family.endpoint_right,
+    right_ok = norm_equivalent(last[-1], family.endpoint_right,
                                tol=endpoint_tol).equivalent
     if strict and not (left_ok and right_ok):
         raise EndpointMismatchError("family endpoints do not match the declared maps")
     return FamilyReport(ts, degrees, embdims, residuals, failures,
-                        left_ok, right_ok, max_step, t_step, family.target_dim)
+                        left_ok, right_ok, max_step, t_step, family.target_dim, timings)
 
 
 # -------------------------------------------------------------------- generators
@@ -344,8 +362,9 @@ def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
 
 
 def automorphism_path(phi: BallAutomorphism) -> Callable[[np.ndarray], list]:
-    """ts -> the maps of the automorphisms with center (1-t) a and unitary part
-    contracted to I, all built from one stack of centres and unitaries."""
+    """ts -> the blocks of the maps of the automorphisms with center (1-t) a
+    and unitary part contracted to I, from one stack of centres and
+    unitaries."""
     upath = _linalg.UnitaryPath(phi.U)
 
     def at(ts: np.ndarray) -> list:
@@ -369,11 +388,13 @@ def automorphism_contraction(phi) -> HomotopyFamily:
 
 
 def _linear_path(monos: Sequence[tuple], weights) -> Callable[[np.ndarray], list]:
-    """ts -> the maps W(t) R from one ``apply_linear`` call: R has the
-    monomials ``monos`` as components, over a descending support, and
-    ``weights`` maps the (T,) parameters to the (T, N, K) matrices W(t)."""
-    rows = RationalBallMap.from_components([Polynomial.monomial(alpha) for alpha in monos])
-    return lambda ts: apply_linear(weights(ts), rows)
+    """ts -> the blocks of the maps W(t) R from one stacked ``apply_linear``
+    product: R has the monomials ``monos`` as components, over a descending
+    support, and ``weights`` maps the (T,) parameters to the (T, N, K)
+    matrices W(t)."""
+    rows = _bm._Block.of(RationalBallMap.from_components(
+        [Polynomial.monomial(alpha) for alpha in monos]))
+    return lambda ts: _bm._apply_linear_run(weights(ts), rows)
 
 
 def degree_drop_family() -> HomotopyFamily:
@@ -413,6 +434,7 @@ def faran_families() -> dict:
         gh:   (z^2, sqrt(2 - t^2) zw, t w, s w^2),
         hphi: (t z^2, t w^2, s z^3, s w^3, sqrt(3 - t^2) zw).
     """
+    from .corpus import faran_maps
     maps = faran_maps()
     z, w, z2, zw, w2, z3, w3 = (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (0, 3)
     fg = _linear_path([z, z2, zw, w], lambda ts: _diagonals(_root(ts), ts, ts, 1.0))
@@ -479,33 +501,33 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
     subspace onto monomial slots, and absorb the injection by a unitary
     bridge.
     """
-    identity = [RationalBallMap.identity(n)]
+    identity, g_block = _bm._Block.of(RationalBallMap.identity(n)), _bm._Block.of(g_map)
 
-    def stage_maps(fs: list, phis: list = identity) -> list:
-        return _apply_step(step, fs, phis)
+    def stage(items: Iterable, start: Optional[_bm._Block] = None) -> Iterator:
+        """The blocks of ``items`` through the step, block by block (see
+        ``ballmaps._runs``): as the maps tensored, or as the domain factors
+        of ``start``."""
+        for run in _bm._runs(items):
+            yield from (_apply_step(step, run, identity) if start is None
+                        else _apply_step(step, start, run))
 
     segments = []
-    start = fam_prev.evaluate(0.0)
     if step.phi is not None and not step.phi.is_identity:
-        at = automorphism_path(step.phi)
-        segments.append(_segment(
-            n, lambda ts: _per_run(at(ts), lambda run: stage_maps([start], run))))
-    segments.append(_segment(
-        n, lambda ts: _per_run(fam_prev.evaluate_many(ts), stage_maps)))
+        at, start = automorphism_path(step.phi), _bm._Block.of(fam_prev.evaluate(0.0))
+        segments.append(_segment(n, lambda ts: stage(at(ts), start)))
+    segments.append(_segment(n, lambda ts: stage(fam_prev._evaluate(ts))))
 
     slots, rest, unitary = _alignment_permutation(g_map, step)
     if unitary is not None:
         upath = _linalg.UnitaryPath(unitary)
-        segments.append(_segment(
-            n, lambda ts: _per_run(apply_linear(upath(ts), g_map), stage_maps)))
-        aligned_end, = stage_maps([apply_linear(unitary, g_map)])
-    else:
-        aligned_end, = stage_maps([g_map])
+        segments.append(_segment(n, lambda ts: stage(_bm._apply_linear_run(upath(ts), g_block))))
+    aligned = g_block if unitary is None else _bm._apply_linear_run(unitary, g_block)[0]
+    aligned_end = _apply_step(step, aligned, identity)[0][0]
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
-    next_map, = _tensor_in_frame([g_map], np.eye(g_map.N)[:, slots + rest],
-                                 step.basis.shape[1], identity)
+    next_map = _tensor_in_frame(g_block, np.eye(g_map.N)[:, slots + rest],
+                                step.basis.shape[1], identity)[0][0]
     if step.injection is not None:
         next_map = next_map.padded(step.injection.shape[0])
         segments += _junction_bridge(
@@ -631,10 +653,12 @@ def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFami
         # The member scales the siblings by lambda = 1 - t and q by its ramp.
         start = RationalBallMap(n, dim, components)
 
-        def members(ts: np.ndarray, start=start, scaled=scaled, free=free) -> list:
+        def members(ts: np.ndarray, start=_bm._Block.of(start), scaled=scaled,
+                    free=free) -> list:
             lam = 1.0 - ts
-            return apply_linear(_diagonals(*[lam if i in scaled else _root(lam) if i == free
-                                             else 1.0 for i in range(dim)]), start)
+            return _bm._apply_linear_run(_diagonals(
+                *[lam if i in scaled else _root(lam) if i == free else 1.0
+                  for i in range(dim)]), start)
 
         segments.append(_segment(n, members))
         components = [Polynomial.zero(n) if i in scaled else comp

@@ -461,9 +461,11 @@ def coefficient_matrix(polys: Sequence[Polynomial]):
     monos = sorted({alpha for p in polys for alpha in p.terms}, reverse=True)
     index = {alpha: j for j, alpha in enumerate(monos)}
     mat = np.zeros((len(polys), len(monos)), dtype=complex)
-    for i, p in enumerate(polys):
-        for alpha, c in p.terms.items():
-            mat[i, index[alpha]] = c
+    sizes = [len(p.terms) for p in polys]
+    count = sum(sizes)
+    columns = np.fromiter((index[alpha] for p in polys for alpha in p.terms), np.intp, count)
+    mat[np.repeat(np.arange(len(polys)), sizes), columns] = np.fromiter(
+        (c for p in polys for c in p.terms.values()), complex, count)
     return monos, mat
 
 
@@ -471,11 +473,16 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
                           matrix: np.ndarray) -> list[Polynomial]:
     """Inverse of ``coefficient_matrix``: one polynomial per row of the matrix.
 
-    Entries at or below the storage floor are dropped, as in arithmetic.
+    Entries at or below the storage floor are dropped, as in arithmetic; the
+    others are found by one comparison of the whole matrix, of the moduli
+    that Python's abs of a complex takes (``np.abs`` rounds some apart).
     """
-    return [Polynomial._raw(nvars, {alpha: c for alpha, c in zip(monomials, row)
-                                    if abs(c) > COEFFICIENT_FLOOR})
-            for row in np.asarray(matrix, dtype=complex).tolist()]
+    matrix = np.asarray(matrix, dtype=complex)
+    terms = [{} for _ in range(len(matrix))]
+    rows, columns = np.nonzero(np.hypot(matrix.real, matrix.imag) > COEFFICIENT_FLOOR)
+    for i, j, c in zip(rows.tolist(), columns.tolist(), matrix[rows, columns].tolist()):
+        terms[i][monomials[j]] = c
+    return [Polynomial._raw(nvars, row) for row in terms]
 
 
 def canonical_rows(support: Sequence[MultiIndex], rows: np.ndarray):

@@ -17,11 +17,11 @@ from propermaps.constructors import (BallAutomorphism, automorphism_map,
                                      random_blaschke_product, whitney_extend,
                                      whitney_start, winding_degree,
                                      winding_integral)
-from propermaps.corpus import corpus
+from propermaps.corpus import corpus, faran_maps
 from propermaps.homotopy import (NotTensorImageError, blaschke_homotopy,
                                  collapse_to_linear, degree_drop_family,
-                                 faran_maps, homotopy_to_monomial,
-                                 juxtaposition_family, verify_family)
+                                 homotopy_to_monomial, juxtaposition_family,
+                                 verify_family)
 from propermaps.polyalg import Polynomial
 from propermaps.xvariety import build_xmatrix, fiber_at, graph_test
 

@@ -22,9 +22,8 @@ from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchErro
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorphism_map,
                                      blaschke_map, juxtapose, random_ball_automorphism,
                                      tensor_on_subspace, whitney_extend, whitney_start)
-from propermaps.corpus import quadric_three_map, whitney_map
-from propermaps.homotopy import (degree_drop_family, faran_maps, homotopy_to_monomial,
-                                 verify_family)
+from propermaps.corpus import faran_maps, quadric_three_map, whitney_map
+from propermaps.homotopy import degree_drop_family, homotopy_to_monomial, verify_family
 from propermaps.polyalg import (COEFFICIENT_FLOOR, HermitianForm, Polynomial, properness_form,
                                 squared_norm_form)
 from propermaps.xvariety import (build_xmatrix, fiber_at, graph_test,
@@ -496,15 +495,19 @@ def test_stacks_of_maps_equal_the_maps_one_by_one(rng):
         stack[k, :-1, [k, (3 * k + 1) % 9]] = 0.0
         stack[k, 0, 3] = 0.5 * COEFFICIENT_FLOOR
     stack[5, :, 4] = 0.0  # a column of member 5 without any entry
-    stored = RationalBallMap._from_stack(2, support, stack, factors)
+    # The store is the blocks of consecutive members with one set of columns.
+    blocks = RationalBallMap._from_stack(2, support, stack, factors)
+    assert [len(block) for block in blocks] == [5, 1, 2]
+    stored = [m for block in blocks for m in block]
     _same_maps(stored, [RationalBallMap._from_rows(2, support, rows, centres)
                         for rows, centres in zip(stack, factors)])
 
-    run = stored[:5]  # one support, with entries of p in different columns
+    run = blocks[0]  # one support, with entries of p in different columns
     assert len({m.support for m in run}) == 1
     one = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     many = rng.standard_normal((5, 6, 4)) + 1j * rng.standard_normal((5, 6, 4))
-    _same_maps(ballmaps._apply_linear_run(one, run), [apply_linear(one, m) for m in run])
+    _same_maps([m for block in ballmaps._apply_linear_run(one, run) for m in block],
+               [apply_linear(one, m) for m in run])
     _same_maps(apply_linear(many, run[1]), [apply_linear(a, run[1]) for a in many])
     # The public function composes one map: a run, even of one, is refused.
     for bad in (run, run[:1], tuple(run)):

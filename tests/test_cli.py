@@ -306,7 +306,10 @@ def test_homotopy_family_scripts(kind, tmp_path, capsys):
     path.write_text(json.dumps(script))
     assert main(["homotopy", str(path), "--grid", "11", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
-    assert report == verify_family(family, grid_size=11).to_dict()
+    expected = verify_family(family, grid_size=11).to_dict()
+    # Everything but the timings of the two runs is the same.
+    assert report.pop("timings").keys() == expected.pop("timings").keys()
+    assert report == expected
     assert report["passed"]
 
 
@@ -689,13 +692,17 @@ def test_each_module_imports_alone(module, tmp_path):
     (["degree", "doc.json"], 0),
     (["verify", "faran.h"], 0),
     (["degree", "ex2.1.f"], 0),
+    (["blaschke", "--zeros", "0.3,-0.5j", "--homotopy", "--grid", "3"], 0),
 ])
 def test_a_command_loads_only_its_own_modules(args, expected, tmp_path):
     (tmp_path / "doc.json").write_text(dumps_map(RationalBallMap.identity(2)))
     code, modules = _modules_after_main(args, tmp_path)
     assert code == expected
-    assert not {"homotopy", "constructors", "xvariety"} & set(modules)
-    # A catalog id loads the catalog; a document path does not.
+    # Only the Blaschke homotopy builds and verifies a family.
+    family = {"homotopy", "constructors"} if args[0] == "blaschke" else set()
+    assert {"homotopy", "constructors", "xvariety"} & set(modules) == family
+    # A catalog id loads the catalog; a document path does not, and neither
+    # does a family that is not built from it.
     assert ("corpus" in modules) == (args[1] in ("faran.h", "ex2.1.f"))
 
 
@@ -707,6 +714,25 @@ def test_a_catalog_id_builds_only_its_own_entry(tmp_path):
             "from propermaps.cli import main\n"
             "print(json.dumps(main(['verify', 'faran.h'])))")
     assert _fresh(code, tmp_path) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "faran.fg.family"], "faran.fg.family is a catalog family, not a map"),
+    (["homotopy", "faran.h"], "faran.h is a catalog map, not a family"),
+    (["degree", "nosuch.id"], "unknown catalog id or missing file: nosuch.id"),
+])
+def test_a_token_that_is_no_file_says_what_it_is(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+    # A token with a directory part is a path, as before.
+    assert main([args[0], os.path.join("sub", args[1])]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    if args[0] != "homotopy":
+        # A map document of that name is read as a path.
+        (tmp_path / args[1]).write_text(dumps_map(RationalBallMap.identity(2)))
+        assert main(args) == 0
 
 
 def test_catalog_ids_are_not_read_as_paths():

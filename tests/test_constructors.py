@@ -60,7 +60,7 @@ def test_automorphism_path_keeps_the_rows_of_each_automorphism(rng):
     ts = np.linspace(0.0, 1.0, 201)
     upath = UnitaryPath(phi.U)
     monos = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
-    for t, got in zip(ts.tolist(), automorphism_path(phi)(ts)):
+    for t, got in zip(ts.tolist(), ballmaps._members(automorphism_path(phi)(ts)), strict=True):
         a, u = (1.0 - t) * phi.a, upath(1.0 - t)
         s = math.sqrt(max(0.0, 1.0 - float(np.linalg.norm(a) ** 2)))
         mobius = np.hstack([np.outer(a, a.conj()) / (s + 1.0) + s * np.eye(3), -a[:, None]])

@@ -1,10 +1,13 @@
 import cmath
 import math
+import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propermaps import _linalg, ballmaps, homotopy, polyalg
 from propermaps._linalg import UnitaryPath
@@ -14,13 +17,13 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, WhitneyT
                                      automorphism_map, blaschke_map,
                                      random_ball_automorphism, whitney_extend,
                                      whitney_start, winding_degree)
-from propermaps.corpus import quadric_three_map
+from propermaps.corpus import faran_maps, quadric_three_map
 from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
                                  NotTensorImageError, PropernessFailureError,
                                  automorphism_contraction, blaschke_homotopy,
                                  collapse_to_linear, concat_families,
                                  constant_family, degree_drop_family,
-                                 faran_families, faran_maps, homotopy_to_monomial,
+                                 faran_families, homotopy_to_monomial,
                                  juxtaposition_family, verify_family)
 from propermaps.polyalg import Polynomial
 
@@ -368,6 +371,129 @@ def test_grid_evaluation_bounds_its_memory(rng):
     # stays a few certification blocks (16 bytes per entry) whatever the
     # grid: 8.4 MB here, where evaluating the grid in one block took 53 MB.
     assert peak < 48 * 16 * ballmaps.BLOCK_ENTRIES
+
+# ------------------------------------------------------ coefficient blocks
+def _random_whitney_family(n, length, seed):
+    """Monomial homotopy of a Whitney term whose automorphisms, subspaces
+    (canonical or dense, of dimension 1 or 2) and injections are drawn from
+    ``seed``."""
+    gen = np.random.default_rng(seed)
+    term = whitney_start(random_ball_automorphism(n, gen))
+    for _ in range(length):
+        size = term.map.N
+        d = 1 + int(gen.integers(min(size, 2)))
+        if gen.random() < 0.5:
+            basis = np.sort(gen.choice(size, d, replace=False))
+        else:
+            basis, _ = np.linalg.qr(gen.standard_normal((size, d))
+                                    + 1j * gen.standard_normal((size, d)))
+        injection = None
+        if gen.random() < 0.5:
+            grown = size + d * (n - 1)
+            extra = 1 + int(gen.integers(2))
+            injection, _ = np.linalg.qr(gen.standard_normal((grown + extra, grown))
+                                        + 1j * gen.standard_normal((grown + extra, grown)))
+        term = whitney_extend(term, basis, random_ball_automorphism(n, gen),
+                              injection=injection)
+    return homotopy_to_monomial(term)
+
+
+def _map_by_map_report(fam, grid_size):
+    """What ``verify_family`` reports, from the list of the members that
+    ``evaluate_many`` gives: certified by ``certify_maps``, the steps by
+    ``distance`` and the endpoints by norm equivalence."""
+    grid = [i / (grid_size - 1) for i in range(grid_size)]
+    members = list(fam.evaluate_many(grid))
+    results = list(ballmaps.certify_maps(members))
+    steps = [0.0] + [a.distance(b) for a, b in zip(members, members[1:])]
+    max_step, t_step = 0.0, grid[1]
+    for step, t in zip(steps, grid):
+        if step > max_step:
+            max_step, t_step = step, t
+    failures = [(t, cert) for t, (cert, _, _) in zip(grid, results)
+                if cert.verdict is not Verdict.PROPER]
+    ends = [norm_equivalent(m, end, tol=1e3 * polyalg.DEFAULT_TOL).equivalent
+            for m, end in ((members[0], fam.endpoint_left), (members[-1], fam.endpoint_right))]
+    return homotopy.FamilyReport(grid, [deg for _, deg, _ in results],
+                                 [dim for _, _, dim in results],
+                                 [cert.residual_norm for cert, _, _ in results], failures,
+                                 *ends, max_step, t_step, fam.target_dim)
+
+
+def _assert_blocks_change_no_result(fam, grid_size=101):
+    grid = [i / (grid_size - 1) for i in range(grid_size)]
+    blocks = list(ballmaps._runs(fam._evaluate(grid)))
+    members = list(fam.evaluate_many(grid))
+    assert sum(len(block) for block in blocks) == len(members) == grid_size
+    for a, b in zip((m for block in blocks for m in block), members):
+        assert (a.n, a.N, a.support) == (b.n, b.N, b.support)
+        assert a.coefficients.shape == b.coefficients.shape
+        assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert a.factors.shape == b.factors.shape
+        assert a.factors.tobytes() == b.factors.tobytes()
+    report, reference = verify_family(fam, grid_size), _map_by_map_report(fam, grid_size)
+    got, want = report.to_dict(), reference.to_dict()
+    assert got.pop("timings").keys() == {"evaluate_s", "certify_s"}
+    want.pop("timings")
+    assert got == want
+    for (t, cert), (t_ref, ref) in zip(report.properness_failures,
+                                       reference.properness_failures, strict=True):
+        assert (t, cert.verdict, cert.residual_norm, cert.worst_entry,
+                cert.denominator_method, cert.denominator_margin) == (
+            t_ref, ref.verdict, ref.residual_norm, ref.worst_entry,
+            ref.denominator_method, ref.denominator_margin)
+        assert cert.witness.tobytes() == ref.witness.tobytes()
+    return report
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_blocks_change_no_member_and_no_report(n, length, seed):
+    fam = _random_whitney_family(n, length, seed)
+    report = _assert_blocks_change_no_result(fam)
+    assert report.passed
+    # A family of the same members built one t at a time by a user's
+    # function verifies as the family itself does.
+    user = HomotopyFamily(n, fam.target_dim, pointwise(fam.evaluate),
+                          fam.endpoint_left, fam.endpoint_right)
+    again = verify_family(user)
+    assert again.passed
+    assert {**again.to_dict(), "timings": None} == {**report.to_dict(), "timings": None}
+
+
+def test_blocks_change_no_result_on_the_corpus_families(registry):
+    for fam in registry.families.values():
+        _assert_blocks_change_no_result(fam)
+        _assert_blocks_change_no_result(fam.reversed(), 37)
+    # A family that fails keeps its failures and their certificates.
+    ident = RationalBallMap.identity(2)
+    shrinking = HomotopyFamily(2, 2, lambda ts: [ident.scaled(1.0 - 0.5 * t)
+                                                 for t in ts.tolist()], ident, ident)
+    assert len(_assert_blocks_change_no_result(shrinking, 11).properness_failures) == 10
+
+
+def test_whitney_reduction_has_no_jump():
+    # Between the grid points of a continuous family the largest step falls
+    # with the spacing, here 20 times; a piece that ended at the wrong map
+    # would leave a step that no grid makes smaller.
+    for n, length, seed in ((2, 4, 5), (3, 3, 11), (2, 3, 12)):
+        fam = _random_whitney_family(n, length, seed)
+        coarse = verify_family(fam, grid_size=101).max_coefficient_step
+        fine = verify_family(fam, grid_size=2001).max_coefficient_step
+        assert fine < 0.4 * coarse
+
+
+def test_report_times_evaluation_and_certification(rng):
+    _, fam = _whitney_family(2, 2, rng)
+    start = time.perf_counter()
+    report = verify_family(fam)
+    wall = time.perf_counter() - start
+    timings = report.timings
+    assert set(timings) == {"evaluate_s", "certify_s"}
+    assert min(timings.values()) >= 0.0
+    assert sum(timings.values()) <= wall
+    assert report.to_dict()["timings"] == timings
+
 
 # --------------------------------------------------------------- generators
 def _root(t, top=1.0):

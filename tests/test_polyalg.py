@@ -84,6 +84,47 @@ def test_coefficient_matrix_round_trip_and_floor():
     assert list(tiny[0].terms) == [(0, 1)]
 
 
+def _terms_entry_by_entry(monomials, matrix):
+    """The term dicts of ``polynomials_from_rows``, read one entry at a time
+    with Python's abs (the reference for the one comparison it makes)."""
+    return [{alpha: c for alpha, c in zip(monomials, row) if abs(c) > COEFFICIENT_FLOOR}
+            for row in np.asarray(matrix, dtype=complex).tolist()]
+
+
+def _matrix_term_by_term(polys):
+    """``coefficient_matrix`` with one item assignment per term (reference)."""
+    monos = sorted({alpha for p in polys for alpha in p.terms}, reverse=True)
+    index = {alpha: j for j, alpha in enumerate(monos)}
+    mat = np.zeros((len(polys), len(monos)), dtype=complex)
+    for i, p in enumerate(polys):
+        for alpha, c in p.terms.items():
+            mat[i, index[alpha]] = c
+    return monos, mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+def test_rows_and_polynomials_match_the_entry_by_entry_reference(nvars, count, width, seed):
+    # Entries of every size about the storage floor, exactly on it, zeros of
+    # either sign and ordinary coefficients, in random phases.
+    gen = np.random.default_rng(seed)
+    monos = sorted({tuple(gen.integers(0, 4, nvars).tolist()) for _ in range(width)},
+                   reverse=True)
+    sizes = gen.choice([0.0, 0.5, 1.0, 1.0 + 2e-16, 1.5, 1e6, 1e12], (count, len(monos)))
+    matrix = COEFFICIENT_FLOOR * sizes * np.exp(2j * np.pi * gen.random(sizes.shape))
+    matrix[gen.random(sizes.shape) < 0.1] = complex(-0.0, -0.0)
+    got = polynomials_from_rows(nvars, monos, matrix)
+    want = _terms_entry_by_entry(monos, matrix)
+    # Keys, their order and the values, signed zeros included.
+    assert [repr(list(p.terms.items())) for p in got] == [repr(list(t.items())) for t in want]
+    polys = got + [Polynomial(nvars, {alpha: complex(*gen.standard_normal(2))
+                                      for alpha in monos[::2]})]
+    (monos_got, mat_got), (monos_want, mat_want) = (coefficient_matrix(polys),
+                                                    _matrix_term_by_term(polys))
+    assert monos_got == monos_want
+    assert mat_got.shape == mat_want.shape and mat_got.tobytes() == mat_want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("nan")),
                                  float("inf"), complex(float("-inf"), 1.0)])
 def test_polynomial_rejects_non_finite_coefficients(bad):
