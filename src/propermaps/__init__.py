@@ -11,12 +11,12 @@ import types
 from importlib import import_module
 
 _EXPORTS = {
-    "polyalg": "DEFAULT_TOL HermitianForm Polynomial monomials_of_degree properness_form "
+    "bounds": "DEFAULT_TOL coefficient_bound degree_bound",
+    "polyalg": "HermitianForm Polynomial monomials_of_degree properness_form "
                "reduce_mod_sphere squared_norm_form",
     "ballmaps": "DenominatorVanishesError DimensionMismatchError NormEquivalence "
                 "NormalizationError PropernessCertificate RationalBallMap Verdict apply_linear "
-                "certify_maps certify_proper coefficient_bound compose degree degree_bound "
-                "embedding_dimension norm_equivalent",
+                "certify_maps certify_proper compose degree embedding_dimension norm_equivalent",
     "constructors": "BallAutomorphism BlaschkeProduct NonIntegralWindingError TensorSubspaceError "
                     "WhitneyStep WhitneyTerm automorphism_from_map automorphism_map blaschke_map "
                     "boundary_constant_map juxtapose tensor_on_subspace whitney_extend "

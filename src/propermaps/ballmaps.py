@@ -16,7 +16,6 @@ instead of by sampling.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -25,6 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import _linalg
+from .bounds import (DEFAULT_SEED, coefficient_bound, degree_bound,  # noqa: F401 - re-exported
+                     denominator_sup_bound, largest_binomial_coefficient)
 from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm,
                       Polynomial, align_rows, canonical_rows, coefficient_matrix,
                       evaluate_rows, gram_form, monomials_of_degree, multinomial,
@@ -32,9 +33,6 @@ from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm
                       polynomials_from_rows, radial_residuals, reduce_mod_sphere,
                       signed_gram, sphere_residuals, sphere_scales,
                       squared_norm_form)  # noqa: F401 - re-exported
-
-#: Fixed default seed for all pseudo-random sampling (reproducible runs).
-DEFAULT_SEED = 7
 
 #: Lower bound of |q| on the closed ball below which the denominator counts
 #: as vanishing there.
@@ -929,47 +927,6 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     value = a[:, i] @ a[:, j].conj() - b[:, i] @ b[:, j].conj()
     return NormEquivalence(False, mismatch=(monos[i], monos[j], complex(value)),
                            largest_relative=largest)
-
-
-def degree_bound(n: int, N: int):
-    """Upper bound N(N-1) / (2(2n-3)), a ``Fraction``, for the degree of a proper
-    map from B_n to B_N.  Raises ValueError unless N >= n >= 2: no proper map
-    lowers the dimension."""
-    from fractions import Fraction
-    if n < 2:
-        raise ValueError("the degree bound requires domain dimension n >= 2")
-    if N < n:
-        raise ValueError(f"no proper map from B{n} to B{N}: the target dimension "
-                         "must be at least the domain dimension")
-    return Fraction(N * (N - 1), 2 * (2 * n - 3))
-
-
-def largest_binomial_coefficient(d: int) -> int:
-    """max_k binomial(d, k), the one-variable denominator coefficient bound."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return math.comb(d, d // 2)
-
-
-def denominator_sup_bound(d: int) -> float:
-    """Bound for |q| on the ball: (d+1) times the largest binomial coefficient."""
-    return float((d + 1) * largest_binomial_coefficient(d))
-
-
-def coefficient_bound(n: int, d: int) -> float:
-    """Explicit coefficient bound for normalized degree-d proper maps on B_n.
-
-    Chain: one-variable factorization bounds the coefficients of q by the
-    largest binomial coefficient; the homogeneous expansion gives
-    |q| <= (d+1) B(1,d) on the ball, and ||p|| = |q| on the sphere; Cauchy
-    estimates on the polydisc of radius 1/(2 sqrt(n)) inside the ball then
-    bound every coefficient by the sup times (2 sqrt(n))^d.
-    """
-    if n < 1:
-        raise ValueError("domain dimension must be positive")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return denominator_sup_bound(d) * (2.0 * math.sqrt(n)) ** d
 
 
 def apply_linear(matrix: np.ndarray, m: RationalBallMap):

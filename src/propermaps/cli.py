@@ -8,6 +8,9 @@ Each subcommand takes ``--json`` and only those of ``--tol``, ``--seed``,
 ``whitney build`` and ``homotopy`` and to 11 for ``blaschke`` and ``corpus``.
 Exit codes: 0 on success, 1 on mathematical failure (e.g. a map that is not
 proper, inequivalent maps), 2 on input errors.
+
+Each handler checks its input before it imports the modules it computes
+with, so ``bound`` and input that is rejected never load numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .ballmaps import (DEFAULT_SEED, RationalBallMap, Verdict, certify_proper, degree,
-                       degree_bound, embedding_dimension, norm_equivalent)
-from .polyalg import DEFAULT_TOL
+from .bounds import DEFAULT_SEED, DEFAULT_TOL
 
 #: Mathematical failures (exit 1), matched without imports: a raised error's module is loaded.
 _MATH_ERRORS = {"ballmaps": "DenominatorVanishesError", "constructors": "NonIntegralWindingError",
@@ -60,17 +59,23 @@ class _Output:
 
 
 def _json_default(value):
+    """JSON for what ``json`` does not write itself.  numpy types are looked
+    up only when numpy is loaded: a value of one cannot exist otherwise."""
     from fractions import Fraction
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
     if isinstance(value, Fraction):
         return str(value)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, np.complexfloating):
+            return [float(value.real), float(value.imag)]
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -93,7 +98,7 @@ def _catalog(token: str, kind: str):
     raise ValueError(f"{token} is a catalog {kind_of}, not a {kind}")
 
 
-def _load_map(token: str) -> RationalBallMap:
+def _load_map(token: str):
     m = _catalog(token, "map")
     if m is None:
         from .documents import load_map_path
@@ -132,6 +137,7 @@ def _poly_str(poly, prefix: str = "w") -> str:
 # ------------------------------------------------------------------- commands
 def _cmd_verify(args, out: _Output) -> int:
     m = _load_map(args.map)
+    from .ballmaps import Verdict, certify_proper
     cert = certify_proper(m, tol=args.tol, seed=args.seed)
     out.line(f"verdict: {cert.verdict.value}")
     out.line(f"residual: {cert.residual_norm:.3e}")
@@ -152,6 +158,7 @@ def _cmd_verify(args, out: _Output) -> int:
 
 def _cmd_degree(args, out: _Output) -> int:
     m = _load_map(args.map)
+    from .ballmaps import degree
     value = degree(m)
     out.line(str(value))
     out.set("degree", value)
@@ -160,6 +167,7 @@ def _cmd_degree(args, out: _Output) -> int:
 
 def _cmd_embdim(args, out: _Output) -> int:
     m = _load_map(args.map)
+    from .ballmaps import embedding_dimension
     value = embedding_dimension(m)
     out.line(str(value))
     out.set("embedding_dimension", value)
@@ -169,6 +177,7 @@ def _cmd_embdim(args, out: _Output) -> int:
 def _cmd_equiv(args, out: _Output) -> int:
     a = _load_map(args.map1)
     b = _load_map(args.map2)
+    from .ballmaps import norm_equivalent
     result = norm_equivalent(a, b, tol=args.tol)
     out.set("equivalent", result.equivalent)
     out.set("largest_relative", result.largest_relative)
@@ -189,8 +198,9 @@ def _cmd_equiv(args, out: _Output) -> int:
 
 
 def _cmd_xvariety(args, out: _Output) -> int:
-    from .xvariety import build_xmatrix, fiber_at, graph_test
     m = _load_map(args.map)
+    import numpy as np
+    from .xvariety import build_xmatrix, fiber_at, graph_test
     x = build_xmatrix(m)
     out.set("rows", [list(alpha) for alpha in x.rows])
     out.set("shape", [x.row_count, x.N])
@@ -228,12 +238,16 @@ def _cmd_xvariety(args, out: _Output) -> int:
     return 0
 
 
-def _cmd_whitney(args, out: _Output) -> int:
-    from .corpus import build_whitney_term
+def _read_json(path: str):
     import json
-    with open(args.script, "r", encoding="utf-8") as fp:
-        script = json.load(fp)
-    term = build_whitney_term(script)
+    with open(path, "r", encoding="utf-8") as fp:
+        return json.load(fp)
+
+
+def _cmd_whitney(args, out: _Output) -> int:
+    from .documents import build_whitney_term
+    term = build_whitney_term(_read_json(args.script))
+    from .ballmaps import degree
     m = term.map
     out.line(f"whitney term: {term.length} steps, B{m.n} -> B{m.N}, "
              f"degree {degree(m)}")
@@ -278,40 +292,12 @@ def _cmd_whitney(args, out: _Output) -> int:
     return code
 
 
-def _family_from_script(path: str):
-    import json
-    from .constructors import BlaschkeProduct
-    from .corpus import build_whitney_term, parse_complex
-    from .documents import MapDocumentError, require_number
-    from .homotopy import blaschke_homotopy, homotopy_to_monomial, juxtaposition_family
-    with open(path, "r", encoding="utf-8") as fp:
-        script = json.load(fp)
-    if not isinstance(script, dict):
-        raise MapDocumentError("a family script must be a JSON object")
-    kind = script.get("kind")
-    if kind == "juxtaposition":
-        left, right = script.get("left"), script.get("right")
-        if not (isinstance(left, str) and isinstance(right, str)):
-            raise MapDocumentError("a juxtaposition script needs 'left' and 'right' "
-                                   "map ids or paths")
-        return juxtaposition_family(_load_map(left), _load_map(right))
-    if kind == "blaschke":
-        zeros = script.get("zeros")
-        if not (isinstance(zeros, list)
-                and all(isinstance(a, list) and len(a) == 2 for a in zeros)):
-            raise MapDocumentError("a blaschke script needs a list of [re, im] zeros")
-        theta = require_number(script.get("theta", 0.0), "theta")
-        return blaschke_homotopy(BlaschkeProduct(theta, [parse_complex(a) for a in zeros]))
-    if kind == "whitney-monomial":
-        if "script" not in script:
-            raise MapDocumentError("a whitney-monomial script needs a 'script' object")
-        return homotopy_to_monomial(build_whitney_term(script["script"]))
-    raise MapDocumentError(f"unknown family script kind {kind!r}")
-
-
 def _cmd_homotopy(args, out: _Output) -> int:
+    family = _catalog(args.family, "family")
+    if family is None:
+        from .documents import family_from_script
+        family = family_from_script(_read_json(args.family), _load_map)
     from .homotopy import verify_family
-    family = _catalog(args.family, "family") or _family_from_script(args.family)
     report = verify_family(family, grid_size=args.grid, tol=args.tol,
                            seed=args.seed)
     out.line(report.summary())
@@ -320,6 +306,7 @@ def _cmd_homotopy(args, out: _Output) -> int:
 
 
 def _cmd_bound(args, out: _Output) -> int:
+    from .bounds import degree_bound
     value = degree_bound(args.n, args.N)
     out.line(str(value))
     out.set("bound", value)
@@ -353,7 +340,6 @@ def _cmd_blaschke(args, out: _Output) -> int:
 
 def _cmd_corpus(args, out: _Output) -> int:
     from .corpus import corpus
-    from .homotopy import verify_family
     reg = corpus()
     if args.action == "list":
         rows = []
@@ -363,6 +349,8 @@ def _cmd_corpus(args, out: _Output) -> int:
         out.set("entries", rows)
         return 0
     # corpus run: certify every map, verify every family.
+    from .ballmaps import Verdict, certify_proper
+    from .homotopy import verify_family
     failures = 0
     map_reports = {}
     for name in sorted(reg.maps):
@@ -400,7 +388,7 @@ def _cmd_corpus(args, out: _Output) -> int:
 # --------------------------------------------------------------------- parser
 _FLAGS = {
     "--tol": dict(type=float, default=DEFAULT_TOL,
-                  help="comparison tolerance (default 1e-9; finite and positive)"),
+                  help="comparison tolerance (default %(default)s; finite and positive)"),
     "--seed": dict(type=int, default=DEFAULT_SEED, help="random sampling seed"),
 }
 

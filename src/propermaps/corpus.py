@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ballmaps import RationalBallMap
+from .documents import build_whitney_term
 from .polyalg import Polynomial
 
 
@@ -62,89 +61,6 @@ def faran_maps() -> dict:
         "h": RationalBallMap(2, 3, [z * z, z * w * math.sqrt(2.0), w * w]),
         "phi": RationalBallMap(2, 3, [z ** 3, z * w * math.sqrt(3.0), w ** 3]),
     }
-
-
-def build_whitney_term(script: dict):
-    """Build a Whitney term from a plain-data script.
-
-    Expected shape::
-
-        {"domain_dim": n,
-         "start": {"a": [[re, im], ...], "unitary": [[[re, im], ...], ...]?},
-         "steps": [{"subspace": [indices] | [[re, im] vectors...],
-                    "phi": {"a": ..., "unitary": ...}?,
-                    "injection": [[[re, im], ...], ...]?}, ...]}
-
-    Complex scalars are written as [re, im] pairs; "unitary", "phi" and
-    "injection" are optional.
-    """
-    if not isinstance(script, dict):
-        raise ValueError("a Whitney script must be a JSON object")
-    n = script.get("domain_dim")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("script needs a positive integer domain_dim")
-    steps = script.get("steps", [])
-    if not isinstance(steps, list):
-        raise ValueError("script steps must be a list")
-    from .constructors import whitney_extend, whitney_start
-    term = whitney_start(_parse_automorphism(script.get("start"), n))
-    for k, raw in enumerate(steps):
-        if not isinstance(raw, dict) or "subspace" not in raw:
-            raise ValueError(f"step {k} must be an object with a subspace")
-        basis = _parse_subspace(raw["subspace"], term.map.N)
-        phi = _parse_automorphism(raw["phi"], n) if raw.get("phi") else None
-        injection = _parse_matrix(raw["injection"]) if raw.get("injection") else None
-        term = whitney_extend(term, basis, phi, injection)
-    return term
-
-
-def parse_complex(value) -> complex:
-    """A finite complex number written as a real number or an [re, im] pair."""
-    from .documents import require_number
-    parts = value if isinstance(value, (list, tuple)) else [value, 0.0]
-    if len(parts) != 2:
-        raise ValueError(f"cannot read complex number from {value!r}")
-    return complex(require_number(parts[0], "real part"),
-                   require_number(parts[1], "imaginary part"))
-
-
-def _parse_vector(values) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ValueError(f"expected a list of complex numbers, got {values!r}")
-    return np.array([parse_complex(v) for v in values], dtype=complex)
-
-
-def _parse_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list):
-        raise ValueError(f"expected a list of matrix rows, got {rows!r}")
-    mat = np.array([_parse_vector(row) for row in rows], dtype=complex)
-    if mat.ndim != 2:
-        raise ValueError("matrix rows must be nonempty and of equal length")
-    return mat
-
-
-def _parse_automorphism(raw, n: int):
-    from .constructors import BallAutomorphism
-    if raw is None:
-        return BallAutomorphism.identity(n)
-    if not isinstance(raw, dict):
-        raise ValueError("an automorphism must be an object with 'a' and 'unitary'")
-    center = _parse_vector(raw.get("a", [0.0] * n))
-    if center.size != n:
-        raise ValueError(f"automorphism center must have {n} entries")
-    unitary = _parse_matrix(raw["unitary"]) if raw.get("unitary") else None
-    return BallAutomorphism(center, unitary)
-
-
-def _parse_subspace(raw, target_dim: int) -> np.ndarray:
-    if not isinstance(raw, list):
-        raise ValueError("a subspace must be a list of indices or vectors")
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        if any(not 0 <= v < target_dim for v in raw):
-            raise ValueError(f"subspace indices {raw} out of range for "
-                             f"target dimension {target_dim}")
-        return np.array(raw, dtype=int)  # column indices, as whitney_extend reads them
-    return np.column_stack([_parse_vector(v) for v in raw])
 
 
 @dataclass(frozen=True)

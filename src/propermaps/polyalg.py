@@ -31,9 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _linalg
-
-#: Global comparison tolerance: coefficients within it count as equal/zero.
-DEFAULT_TOL = 1e-9
+from .bounds import DEFAULT_TOL
 
 #: Storage floor for sparse terms, well below the comparison tolerance so that
 #: repeated arithmetic cannot accumulate dropped mass anywhere near it.

@@ -628,7 +628,7 @@ def test_malformed_input_exits_two_without_traceback(case, tmp_path):
     assert "Traceback" not in result.stderr
 
 
-MODULES = ("_linalg", "polyalg", "ballmaps", "constructors", "homotopy", "xvariety",
+MODULES = ("bounds", "_linalg", "polyalg", "ballmaps", "constructors", "homotopy", "xvariety",
            "documents", "corpus", "cli")
 
 
@@ -668,9 +668,14 @@ def _fresh(code, cwd):
 
 
 def _modules_after_main(args, cwd):
-    code = ("import json, sys\nfrom propermaps.cli import main\ncode = main(%r)\n"
+    """The exit code of ``main(args)`` in a fresh interpreter, the propermaps
+    modules it loaded, whether it loaded numpy, and what it wrote to stderr."""
+    code = ("import contextlib, io, json, sys\nfrom propermaps.cli import main\n"
+            "err = io.StringIO()\nwith contextlib.redirect_stderr(err):\n"
+            "    code = main(%r)\n"
             "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules "
-            "if m.startswith('propermaps.'))]))" % (list(args),))
+            "if m.startswith('propermaps.')), 'numpy' in sys.modules, err.getvalue()]))"
+            % (list(args),))
     return _fresh(code, cwd)
 
 
@@ -696,7 +701,7 @@ def test_each_module_imports_alone(module, tmp_path):
 ])
 def test_a_command_loads_only_its_own_modules(args, expected, tmp_path):
     (tmp_path / "doc.json").write_text(dumps_map(RationalBallMap.identity(2)))
-    code, modules = _modules_after_main(args, tmp_path)
+    code, modules, _, _ = _modules_after_main(args, tmp_path)
     assert code == expected
     # Only the Blaschke homotopy builds and verifies a family.
     family = {"homotopy", "constructors"} if args[0] == "blaschke" else set()
@@ -704,6 +709,64 @@ def test_a_command_loads_only_its_own_modules(args, expected, tmp_path):
     # A catalog id loads the catalog; a document path does not, and neither
     # does a family that is not built from it.
     assert ("corpus" in modules) == (args[1] in ("faran.h", "ex2.1.f"))
+
+
+def _write_rejected_inputs(tmp_path):
+    bad_schema = map_to_document(faran_maps()["h"])
+    bad_schema["schema_version"] = "99"
+    for name, payload in (("bad-schema.json", bad_schema),
+                          ("whitney-bad-steps.json", {"domain_dim": 2, "steps": 5}),
+                          ("family-bad-kind.json", {"kind": "spiral"})):
+        (tmp_path / name).write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("args, expected, stderr", [
+    (["bound", "degree", "2", "3"], 0, ""),
+    (["bound", "degree", "2", "3", "--json"], 0, ""),
+    (["verify", "missing.json"], 2,
+     "input error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    (["degree", "bad-schema.json"], 2, "input error: unsupported schema_version '99'\n"),
+    (["homotopy", "family-bad-kind.json"], 2,
+     "input error: unknown family script kind 'spiral'\n"),
+    (["blaschke", "--zeros", "0.3,nan", "--homotopy"], 2,
+     "input error: zeros '0.3,nan' must be finite\n"),
+    (["whitney", "build", "whitney-bad-steps.json"], 2,
+     "input error: script steps must be a list\n"),
+])
+def test_bound_and_rejected_input_load_no_numpy(args, expected, stderr, tmp_path):
+    _write_rejected_inputs(tmp_path)
+    code, modules, numpy_loaded, err = _modules_after_main(args, tmp_path)
+    assert (code, err) == (expected, stderr)
+    assert not numpy_loaded
+    assert not {"_linalg", "polyalg", "ballmaps", "corpus"} & set(modules)
+
+
+def test_a_command_that_computes_with_a_map_loads_numpy(tmp_path):
+    # So that the test above cannot pass because numpy is never recorded.
+    code, modules, numpy_loaded, err = _modules_after_main(["verify", "faran.h"], tmp_path)
+    assert (code, err) == (0, "")
+    assert numpy_loaded and "ballmaps" in modules
+
+
+def test_plain_data_modules_load_no_numpy(tmp_path):
+    code = ("import json, sys\nimport propermaps.bounds, propermaps.documents, propermaps.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'\n"
+            "    or m in ('propermaps.ballmaps', 'propermaps.polyalg'))))")
+    assert _fresh(code, tmp_path) == []
+
+
+def test_json_default_writes_numpy_integers_as_integers():
+    from fractions import Fraction
+
+    from propermaps.cli import _json_default
+    values = {"int": np.int64(4), "float": np.float32(0.5), "complex": np.complex128(1 - 2j),
+              "array": np.array([1, 2]), "fraction": Fraction(10, 4), "python": 3 + 4j}
+    assert json.loads(json.dumps(values, default=_json_default)) == {
+        "int": 4, "float": 0.5, "complex": [1.0, -2.0], "array": [1, 2],
+        "fraction": "5/2", "python": [3.0, 4.0]}
+    assert isinstance(_json_default(np.int64(4)), int)
+    with pytest.raises(TypeError):
+        _json_default(object())
 
 
 def test_a_catalog_id_builds_only_its_own_entry(tmp_path):
