@@ -464,9 +464,9 @@ def _factor_rows(n: int, centres: np.ndarray):
     and a group of m columns is one power (1 - <z, a>)^m in closed form
     (``_power_rows``).  The product starts from the first group's power and
     multiplies the others in order of their first column; entries at or
-    below the storage floor are dropped after each distinct centre's power,
-    as in arithmetic.  When the centres are distinct, every power is its
-    linear factor and the product is the chain of factor products.
+    below the storage floor ``COEFFICIENT_FLOOR`` are dropped after each
+    distinct centre's power.  When the centres are distinct, every power is
+    its linear factor and the product is the chain of factor products.
     """
     monos = rows = None
     for columns, centre in _mask_groups(centres.swapaxes(0, 1)):
@@ -731,13 +731,9 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     raises each centre that all the maps share to its power in closed form
     (``_factor_rows``), and one stacked SVD for the ranks.  A member whose
     component rows share no column has orthogonal rows: its rank counts the
-    row norms instead of taking the SVD (``_embedding_dimensions``).  Rows
-    with single entries in distinct columns that keep the signed Gram, as
-    over a rational q, get the diagonal of the entries' squared moduli,
-    built without the dense product once that would take
-    ORTHOGONAL_GRAM_MIN multiply-adds (``signed_gram``).  Each of these is
-    decided for each member on its own rows, so its results do not depend
-    on the block.  The denominators go down one ladder as a block
+    row norms instead of taking the SVD (``_embedding_dimensions``).  Each
+    of these is decided for each member on its own rows, so its results do
+    not depend on the block.  The denominators go down one ladder as a block
     (``_check_denominators``): the carried factors, then q's own with one
     product per q degree; only a q that no factors decide is bounded or
     sampled map by map.  A certificate's witness is sampled when it is first
@@ -980,7 +976,8 @@ def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:
     one = ((0,) * n,), np.ones((1, 1), dtype=complex)
 
     def times(left, right):
-        """Product of two one-row blocks, floor-dropped as in arithmetic."""
+        """Product of two one-row blocks, without the entries at or below
+        the storage floor (``canonical_rows``)."""
         return canonical_rows(*multiply_rows(n, *left, *right))
 
     # inner^alpha is the product of its prefix, alpha less one unit of its

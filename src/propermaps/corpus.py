@@ -12,54 +12,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .ballmaps import RationalBallMap
 from .documents import build_whitney_term
-from .polyalg import Polynomial
+
+if TYPE_CHECKING:
+    from .ballmaps import RationalBallMap
+
+
+def _table_map(n: int, *table) -> RationalBallMap:
+    """The polynomial map from B_n with one component per entry of ``table``,
+    a dict {exponents: coefficient} of its terms."""
+    from .ballmaps import RationalBallMap
+    from .polyalg import Polynomial
+    return RationalBallMap(n, len(table), [Polynomial(n, terms) for terms in table])
 
 
 def whitney_map() -> RationalBallMap:
     """The classical degree-two map from B_3 to B_5."""
-    z1 = Polynomial.variable(3, 0)
-    z2 = Polynomial.variable(3, 1)
-    z3 = Polynomial.variable(3, 2)
-    return RationalBallMap(3, 5, [z1, z2, z1 * z3, z2 * z3, z3 * z3])
+    return _table_map(3, {(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(1, 0, 1): 1.0},
+                      {(0, 1, 1): 1.0}, {(0, 0, 2): 1.0})
 
 
 def group_invariant_degree5_map() -> RationalBallMap:
     """The degree-five group-invariant map from B_2 to B_4."""
-    z1 = Polynomial.variable(2, 0)
-    z2 = Polynomial.variable(2, 1)
     r5 = math.sqrt(5.0)
-    return RationalBallMap(2, 4, [z1 ** 5, (z1 ** 3) * z2 * r5,
-                                  z1 * (z2 ** 2) * r5, z2 ** 5])
+    return _table_map(2, {(5, 0): 1.0}, {(3, 1): r5}, {(1, 2): r5}, {(0, 5): 1.0})
 
 
 def quadric_three_map() -> RationalBallMap:
     """The degree-two map (z, zw, w^2) from B_2 to B_3."""
-    z = Polynomial.variable(2, 0)
-    w = Polynomial.variable(2, 1)
-    return RationalBallMap(2, 3, [z, z * w, w * w])
+    return _table_map(2, {(1, 0): 1.0}, {(1, 1): 1.0}, {(0, 2): 1.0})
 
 
 def degree_drop_maps() -> dict:
     """The ends of ``degree_drop_family``: "f" at t = 1 (degree 4), "g" at t = 0 (degree 3)."""
-    m = Polynomial.monomial
-    return {"f": RationalBallMap(2, 5, [m((1, 0)), m((1, 1)), m((1, 2)), m((1, 3)), m((0, 4))]),
-            "g": RationalBallMap(2, 5, [m((0, 2), -1.0), m((1, 1)), m((1, 2), -1.0),
-                                        m((2, 1)), m((2, 0))])}
+    return {"f": _table_map(2, {(1, 0): 1.0}, {(1, 1): 1.0}, {(1, 2): 1.0}, {(1, 3): 1.0},
+                            {(0, 4): 1.0}),
+            "g": _table_map(2, {(0, 2): -1.0}, {(1, 1): 1.0}, {(1, 2): -1.0}, {(2, 1): 1.0},
+                            {(2, 0): 1.0})}
 
 
 def faran_maps() -> dict:
     """The four pairwise spherically inequivalent maps from B_2 to B_3."""
-    z = Polynomial.variable(2, 0)
-    w = Polynomial.variable(2, 1)
-    zero = Polynomial.zero(2)
     return {
-        "f": RationalBallMap(2, 3, [z, w, zero]),
-        "g": RationalBallMap(2, 3, [z * z, z * w, w]),
-        "h": RationalBallMap(2, 3, [z * z, z * w * math.sqrt(2.0), w * w]),
-        "phi": RationalBallMap(2, 3, [z ** 3, z * w * math.sqrt(3.0), w ** 3]),
+        "f": _table_map(2, {(1, 0): 1.0}, {(0, 1): 1.0}, {}),
+        "g": _table_map(2, {(2, 0): 1.0}, {(1, 1): 1.0}, {(0, 1): 1.0}),
+        "h": _table_map(2, {(2, 0): 1.0}, {(1, 1): math.sqrt(2.0)}, {(0, 2): 1.0}),
+        "phi": _table_map(2, {(3, 0): 1.0}, {(1, 1): math.sqrt(3.0)}, {(0, 3): 1.0}),
     }
 
 

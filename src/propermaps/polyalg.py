@@ -1,8 +1,10 @@
-"""Sparse multivariate polynomial and Hermitian-form arithmetic.
+"""Coefficient rows of polynomials, their products and Gram matrices.
 
-This is the algebra layer underneath everything else: polynomials with
-complex coefficients indexed by exponent multi-indices, Hermitian forms stored
-as Gram matrices over a monomial basis, and the sphere reduction: the
+This is the algebra layer underneath everything else: polynomials stored as
+complex coefficient rows over a descending tuple of exponent multi-indices,
+with ``Polynomial`` a read-only term-dict view of one row and
+``multiply_rows`` the one product; Hermitian forms stored as Gram matrices
+over a monomial basis (``signed_gram``); and the sphere reduction: the
 Bernstein coefficients of each Fourier shift's radial polynomial on the
 simplex sum |z_j|^2 = 1, which all vanish exactly when the Hermitian
 polynomial vanishes identically on the unit sphere, and bound it there.
@@ -15,7 +17,7 @@ Conventions
   and ends at (0, 5).
 * Coefficients are double-precision complex numbers.  Comparisons, zero
   tests, and degrees use the global tolerance ``DEFAULT_TOL``; sparse storage
-  keeps terms down to ``COEFFICIENT_FLOOR`` so repeated arithmetic cannot
+  keeps terms down to ``COEFFICIENT_FLOOR`` so repeated products cannot
   accumulate dropped mass into the comparison scale.
 * All values are immutable after construction and safe to share.
 """
@@ -25,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,15 +35,15 @@ from . import _linalg
 from .bounds import DEFAULT_TOL
 
 #: Storage floor for sparse terms, well below the comparison tolerance so that
-#: repeated arithmetic cannot accumulate dropped mass anywhere near it.
+#: repeated products cannot accumulate dropped mass anywhere near it.
 COEFFICIENT_FLOOR = 1e-14
 
 #: Multiply-adds of a Gram product, R rows times M^2 for M columns, from
-#: which ``_gram`` asks whether each row has at most one entry and no two
-#: rows share a column.  Below it the test and the diagonal build, about ten
-#: numpy calls, cost more than the product: on a 2-vCPU x86-64 host (numpy
-#: 2.4, OpenBLAS) they break even at about 1.8e5, the 56 rows of the tensor
-#: power of degree 5 on B_4.
+#: which ``normalized_gram_difference`` asks whether each row of a block has
+#: at most one entry and no two rows share a column.  Below it the test and
+#: the diagonal build, about ten numpy calls, cost more than the product: on
+#: a 2-vCPU x86-64 host (numpy 2.4, OpenBLAS) they break even at about
+#: 1.8e5, the 56 rows of the tensor power of degree 5 on B_4.
 ORTHOGONAL_GRAM_MIN = 2 ** 17
 
 MultiIndex = tuple
@@ -109,13 +110,15 @@ def _monomial_values(exps: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 class Polynomial:
-    """Sparse polynomial in ``nvars`` complex variables.
+    """Sparse polynomial in ``nvars`` complex variables, a read-only view.
 
-    ``terms`` maps exponent multi-indices to complex coefficients.  Terms at or
-    below the storage floor are dropped on construction; terms at or below the
-    comparison tolerance are stored but treated as invisible by the
-    tolerance-aware views (``degree``, ``is_zero``, ``significant_terms``), so
-    floating noise never influences structural decisions.
+    ``terms`` maps exponent multi-indices to complex coefficients; sums and
+    products are taken on coefficient rows (``coefficient_matrix``,
+    ``multiply_rows``), not on these views.  Terms at or below the storage
+    floor are dropped on construction; terms at or below the comparison
+    tolerance are stored but treated as invisible by the tolerance-aware
+    views (``degree``, ``is_zero``, ``significant_terms``), so floating noise
+    never influences structural decisions.
     """
 
     __slots__ = ("nvars", "terms")
@@ -188,15 +191,6 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        """The coordinate polynomial z_index (0-based)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1.0})
-
-    @classmethod
     def monomial(cls, exponents: Iterable[int], coeff: complex = 1.0) -> "Polynomial":
         exps = tuple(int(e) for e in exponents)
         return cls(len(exps), {exps: coeff})
@@ -217,102 +211,18 @@ class Polynomial:
     def is_zero(self) -> bool:
         return all(abs(c) <= DEFAULT_TOL for c in self.terms.values())
 
-    @property
-    def is_constant(self) -> bool:
-        return all(total_degree(a) == 0 for a in self.significant_terms())
-
     def constant_term(self) -> complex:
         return self.terms.get((0,) * self.nvars, 0.0 + 0.0j)
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def sorted_terms(self) -> list[tuple[MultiIndex, complex]]:
         """Terms sorted lexicographically descending (first variable highest)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    # ------------------------------------------------------------- arithmetic
-    def _check_compatible(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            out[alpha] = out.get(alpha, 0.0) + c
-        return Polynomial._raw(self.nvars,
-                               {a: c for a, c in out.items()
-                                if abs(c) > COEFFICIENT_FLOOR})
-
-    def __neg__(self):
-        return Polynomial._raw(self.nvars, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = complex(other)
-            return Polynomial._raw(self.nvars,
-                                   {a: v * c for a, v in self.terms.items()
-                                    if abs(v * c) > COEFFICIENT_FLOOR})
-        self._check_compatible(other)
-        out: dict[MultiIndex, complex] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(map(add, a, b))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Polynomial._raw(self.nvars,
-                               {a: c for a, c in out.items()
-                                if abs(c) > COEFFICIENT_FLOOR})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     # -------------------------------------------------------------- evaluation
-    def __call__(self, point: Sequence[complex]) -> complex:
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        acc = 0.0 + 0.0j
-        for alpha, c in self.terms.items():
-            term = c
-            for z, e in zip(point, alpha):
-                if e:
-                    term *= complex(z) ** e
-            acc += term
-        return acc
-
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (m, nvars) array of complex points; returns shape (m,)."""
         return evaluate_rows(self.nvars, list(self.terms), [list(self.terms.values())],
                              points)[:, 0]
-
-    # -------------------------------------------------------------- comparison
-    def distance(self, other: "Polynomial") -> float:
-        """Largest coefficient difference over the union of the two supports."""
-        self._check_compatible(other)
-        return max((abs(self.terms.get(alpha, 0.0) - other.terms.get(alpha, 0.0))
-                    for alpha in self.terms.keys() | other.terms.keys()), default=0.0)
-
-    def allclose(self, other: "Polynomial", tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(other) <= tol
 
     def __repr__(self):
         if not self.terms:
@@ -385,28 +295,6 @@ class HermitianForm:
             raise ValueError(f"Hermitian symmetry violated at ({self.basis[i]}, "
                              f"{self.basis[j]}): {mat[i, j]} vs {mat[j, i]}")
 
-    # ------------------------------------------------------------- arithmetic
-    def _aligned(self, other: "HermitianForm"):
-        """(union basis, own matrix, other's matrix), both over the union basis."""
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        basis, (a, b) = align_rows((self.basis, self.matrix), (other.basis, other.matrix))
-        _, (a, b) = align_rows((self.basis, a.T), (other.basis, b.T))
-        return basis, a.T, b.T
-
-    def __add__(self, other: "HermitianForm") -> "HermitianForm":
-        basis, a, b = self._aligned(other)
-        return HermitianForm._raw(self.nvars, basis, a + b)
-
-    def __sub__(self, other: "HermitianForm") -> "HermitianForm":
-        basis, a, b = self._aligned(other)
-        return HermitianForm._raw(self.nvars, basis, a - b)
-
-    def __mul__(self, scalar) -> "HermitianForm":
-        return HermitianForm._raw(self.nvars, self.basis, self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
     # -------------------------------------------------------------- evaluation
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Values sum c_{alpha beta} z^alpha conj(z)^beta at an (m, nvars) array."""
@@ -436,14 +324,6 @@ class HermitianForm:
         i, j = divmod(int(np.argmax(np.abs(self.matrix))), len(self.basis))
         return self.basis[i], self.basis[j], complex(self.matrix[i, j])
 
-    def as_matrix(self):
-        """(basis as a list, matrix): the dense Hermitian matrix over the basis."""
-        return list(self.basis), self.matrix
-
-    def allclose(self, other: "HermitianForm", tol: float = DEFAULT_TOL) -> bool:
-        _, a, b = self._aligned(other)
-        return not np.any(np.abs(a - b) > tol)
-
     def __repr__(self):
         return f"HermitianForm({self.nvars}, {len(self.entries)} entries)"
 
@@ -471,9 +351,10 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
                           matrix: np.ndarray) -> list[Polynomial]:
     """Inverse of ``coefficient_matrix``: one polynomial per row of the matrix.
 
-    Entries at or below the storage floor are dropped, as in arithmetic; the
-    others are found by one comparison of the whole matrix, of the moduli
-    that Python's abs of a complex takes (``np.abs`` rounds some apart).
+    Entries at or below the storage floor ``COEFFICIENT_FLOOR`` are dropped;
+    the others are found by one comparison of the whole matrix, of the
+    moduli that Python's abs of a complex takes (``np.abs`` rounds some
+    apart).
     """
     matrix = np.asarray(matrix, dtype=complex)
     terms = [{} for _ in range(len(matrix))]
@@ -484,10 +365,10 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
 
 
 def canonical_rows(support: Sequence[MultiIndex], rows: np.ndarray):
-    """(support, rows) with the entries at or below the storage floor set to
-    zero and the columns left without an entry dropped, as in arithmetic.
-    ``rows`` is (R, M) or a (T, R, M) stack, whose columns are dropped where
-    no slice has an entry."""
+    """(support, rows) with the entries at or below the storage floor
+    ``COEFFICIENT_FLOOR`` set to zero and the columns left without an entry
+    dropped.  ``rows`` is (R, M) or a (T, R, M) stack, whose columns are
+    dropped where no slice has an entry."""
     rows = np.array(rows, dtype=complex)
     rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     live = rows.any(axis=tuple(range(rows.ndim - 1)))
@@ -533,16 +414,12 @@ def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     rows, B the last ``negated`` rows and A the others; for a (T, R, M) stack,
     the (T, M, M) stack of the matrices, each the one of its slice.
 
-    When each row of A has at most one entry and no two rows share a column,
-    as for a monomial map, the rows are orthogonal and A's Gram is the
-    diagonal of their entries' squared moduli, built without the dense
-    product once that would take ORTHOGONAL_GRAM_MIN multiply-adds; the same
-    holds for B.  This is decided for A and for B of each slice on its own
-    rows (``_gram``), so a slice's matrix does not depend on what it is
-    stacked with.  B's Gram is built, and subtracted, only on the columns
-    where B has an entry, one product per distinct set of such columns
-    among the slices, as for a denominator q = 1 with a single entry; when B
-    has an entry in every column, the product is the full one.
+    A's Grams are one stacked product (``_gram``).  B's Gram is built, and
+    subtracted, only on the columns where B has an entry, one product per
+    distinct set of such columns among the slices, as for a denominator
+    q = 1 with a single entry; when B has an entry in every column, the
+    product is the full one.  A monomial map, whose Gram is diagonal, is
+    certified without one (``radial_residuals``).
     """
     rows = np.asarray(rows)
     stack = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
@@ -561,8 +438,11 @@ def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
 
 
 def _diagonal_grams(stack: np.ndarray) -> list:
-    """For each (R, M) slice of a (T, R, M) stack, whether ``_gram`` builds
-    its Gram as a diagonal (see there)."""
+    """For each (R, M) slice of a (T, R, M) stack, whether its Gram is the
+    diagonal of its entries' squared moduli and worth building as one: the
+    product takes at least ORTHOGONAL_GRAM_MIN multiply-adds, and each row
+    and each column has at most one entry (``_linalg.orthogonal_rows`` of
+    the slice and of its transpose), as for the rows of a monomial map."""
     count, rows, size = stack.shape
     if rows * size * size < ORTHOGONAL_GRAM_MIN:
         return [False] * count
@@ -578,8 +458,9 @@ def normalized_gram_difference(a: np.ndarray, b: np.ndarray):
 
     The squared norms are read once through the blocks' real views.  Each
     block is scaled column by column by 1 / norms_j, and the two Grams
-    accumulate in one (M, M) matrix: a block whose Gram ``_gram`` builds as
-    a diagonal adds only that diagonal, and another adds one dense product.
+    accumulate in one (M, M) matrix: a block whose Gram is a diagonal
+    (``_diagonal_grams``) adds only that diagonal, and another adds one
+    dense product.
     """
     squares = []
     for rows in (a, b):
@@ -606,30 +487,9 @@ def normalized_gram_difference(a: np.ndarray, b: np.ndarray):
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
-    """A^T conj(A) for each (R, M) slice A of a (T, R, M) stack.
-
-    When the product is at least ORTHOGONAL_GRAM_MIN multiply-adds, a slice
-    with at most one entry in each row and each column, such as the rows of
-    a monomial map (``_linalg.orthogonal_rows`` of the slice and of its
-    transpose), gets the diagonal Gram of those entries: each entry times its
-    conjugate, multiplied in real arithmetic as in ``multiply_rows`` so that
-    it is exactly real.  The other slices come from one stacked product.
-    """
-    count, _, size = stack.shape
-    diagonal = _diagonal_grams(stack)
-    if not any(diagonal):
-        return stack.swapaxes(1, 2) @ stack.conj()
-    entry = (stack if all(diagonal) else stack[diagonal]).sum(axis=1)
-    own = np.zeros((len(entry), size, size), dtype=complex)
-    own.reshape(len(entry), -1)[:, ::size + 1] = (entry.real * entry.real
-                                                  + entry.imag * entry.imag)
-    if len(entry) == count:
-        return own
-    gram = np.empty((count, size, size), dtype=complex)
-    gram[diagonal] = own
-    dense = np.logical_not(diagonal)
-    gram[dense] = stack[dense].swapaxes(1, 2) @ stack[dense].conj()
-    return gram
+    """A^T conj(A) for each (R, M) slice A of a (T, R, M) stack, one stacked
+    product."""
+    return stack.swapaxes(1, 2) @ stack.conj()
 
 
 def gram_form(nvars: int, monomials: Sequence[MultiIndex], rows: np.ndarray,
@@ -919,9 +779,10 @@ def multiply_rows(nvars: int, left_monos: Sequence[MultiIndex], left: np.ndarray
 
     The monomials are the exponent sums of the two supports, descending.
     Each coefficient adds its products from zero, left column by left
-    column, with the rounding of Python's complex product, so it equals
-    ``Polynomial.__mul__`` over terms stored in the order of ``left_monos``
-    (before that drops entries at or below the storage floor).
+    column, with the rounding of Python's complex product, so it equals the
+    term-by-term product of two term dicts stored in the order of
+    ``left_monos`` and ``right_monos``.  Entries at or below the storage
+    floor are kept; ``canonical_rows`` drops them.
     """
     monos, column = _product_plan(nvars, tuple(left_monos), tuple(right_monos))
     left = np.asarray(left, dtype=complex)[:, :, None]

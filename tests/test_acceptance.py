@@ -9,8 +9,7 @@ import pytest
 from propermaps._linalg import numerical_rank, random_unitary
 from propermaps.ballmaps import (RationalBallMap, Verdict, apply_linear,
                                  certify_proper, degree, degree_bound,
-                                 embedding_dimension, norm_equivalent,
-                                 squared_norm_form)
+                                 embedding_dimension, norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, automorphism_map,
                                      blaschke_map, juxtapose,
                                      random_ball_automorphism,
@@ -22,8 +21,10 @@ from propermaps.homotopy import (NotTensorImageError, blaschke_homotopy,
                                  collapse_to_linear, degree_drop_family,
                                  homotopy_to_monomial, juxtaposition_family,
                                  verify_family)
-from propermaps.polyalg import Polynomial
+from propermaps.polyalg import Polynomial, align_rows, gram_form
 from propermaps.xvariety import build_xmatrix, fiber_at, graph_test
+
+import polyref as ref
 
 
 @contextmanager
@@ -80,7 +81,7 @@ def test_criterion_03_homogenization_matrix_regression(reg):
         for i in range(6):
             for k in range(4):
                 want = Polynomial(2, expected.get((i, k), {}))
-                assert x.entry(i, k).allclose(want, 1e-12), (i, k)
+                assert ref.distance(x.entry(i, k), want) <= 1e-12, (i, k)
 
 
 def test_criterion_04_determinant_law(reg):
@@ -131,7 +132,7 @@ def test_criterion_06_blaschke_suite():
             fam = blaschke_homotopy(b)
             assert fam.evaluate(0.0).allclose(m, 1e-12)
             endpoint = fam.evaluate(1.0)
-            assert endpoint.p[0].allclose(Polynomial.monomial((count,)), 1e-12)
+            assert ref.distance(endpoint.p[0], Polynomial.monomial((count,))) <= 1e-12
             for i in range(11):
                 assert winding_degree(fam.evaluate(i / 10)) == count
 
@@ -144,12 +145,14 @@ def test_criterion_07_juxtaposition_identity(reg):
                  for nb, b in maps[i + 1:] if a.n == b.n]
         assert len(pairs) >= 28
         for f, g in pairs:
-            form_f = squared_norm_form(f.p)
-            form_g = squared_norm_form(g.p)
             for t in (0.0, 0.25, 0.5, 0.75, 1.0):
                 mix = juxtapose(f, g, t)
-                expected = (1.0 - t * t) * form_f + (t * t) * form_g
-                diff = squared_norm_form(mix.p) - expected
+                # ||mix||^2 - (1 - t^2) ||f||^2 - t^2 ||g||^2 as one signed
+                # Gram: the weighted rows of f and g negated.
+                support, rows = align_rows((mix.support, mix.coefficients[:-1]),
+                                           (f.support, f.coefficients[:-1] * math.sqrt(1 - t * t)),
+                                           (g.support, g.coefficients[:-1] * t))
+                diff = gram_form(f.n, support, np.vstack(rows), negated=f.N + g.N)
                 assert diff.max_abs_entry() <= 1e-12
             report = verify_family(juxtaposition_family(f, g), grid_size=11)
             assert report.passed

@@ -24,16 +24,17 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorp
                                      tensor_on_subspace, whitney_extend, whitney_start)
 from propermaps.corpus import faran_maps, quadric_three_map, whitney_map
 from propermaps.homotopy import degree_drop_family, homotopy_to_monomial, verify_family
-from propermaps.polyalg import (COEFFICIENT_FLOOR, HermitianForm, Polynomial, properness_form,
-                                squared_norm_form)
+from propermaps.polyalg import (COEFFICIENT_FLOOR, HermitianForm, Polynomial, align_rows,
+                                coefficient_matrix, gram_form, properness_form)
 from propermaps.xvariety import (build_xmatrix, fiber_at, graph_test,
                                  xmatrix_along_family)
 
+import polyref as ref
 from conftest import sample_sphere
 
 
 def var(j, n=2):
-    return Polynomial.variable(n, j)
+    return ref.var(n, j)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,8 @@ def test_cubic_map_is_proper(cubic):
 def test_group_invariant_quintic_is_proper():
     z1, z2 = var(0), var(1)
     r5 = math.sqrt(5.0)
-    m = RationalBallMap(2, 4, [z1 ** 5, r5 * z1 ** 3 * z2, r5 * z1 * z2 ** 2,
-                               z2 ** 5])
+    m = RationalBallMap(2, 4, [ref.power(z1, 5), ref.mul(r5, ref.power(z1, 3), z2),
+                               ref.mul(r5, z1, ref.power(z2, 2)), ref.power(z2, 5)])
     cert = certify_proper(m)
     assert cert.verdict is Verdict.PROPER
 
@@ -114,7 +115,7 @@ def test_constant_maps_read_from_squared_moduli_match_the_whole_stack(seed):
 
 
 def test_not_proper_with_witness():
-    m = RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)])
+    m = RationalBallMap(2, 2, [ref.mul(0.5, var(0)), ref.mul(0.5, var(1))])
     cert = certify_proper(m)
     assert cert.verdict is Verdict.NOT_PROPER
     assert cert.residual_norm > 1e-9
@@ -134,7 +135,7 @@ def test_denominator_floor_is_enforced():
 def test_shrunken_map_has_its_largest_coefficient_at_the_first_degree_one_pair():
     # ||z/2||^2 - 1 = -3/4 on the sphere: both Bernstein coefficients of the
     # degree-one shift-0 keys are -3/4, and the first in row-major order wins.
-    cert = certify_proper(RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)]))
+    cert = certify_proper(RationalBallMap(2, 2, [ref.mul(0.5, var(0)), ref.mul(0.5, var(1))]))
     assert cert.verdict is Verdict.NOT_PROPER
     assert cert.residual_norm == pytest.approx(0.75)
     assert cert.worst_entry == ((1, 0), (1, 0))
@@ -150,7 +151,7 @@ def test_automorphism_denominator_is_certified_from_its_factor():
 
 def test_witnesses_are_computed_on_first_read(registry, rng, monkeypatch):
     maps = [*registry.maps.values(), automorphism_map(BallAutomorphism([0.8, 0.0])),
-            RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)])]
+            RationalBallMap(2, 2, [ref.mul(0.5, var(0)), ref.mul(0.5, var(1))])]
     expected = [ballmaps._witness(m, 11) for m in maps]
     m = registry.maps["faran.h"]
     rotated = apply_linear(random_unitary(m.N, rng), m)
@@ -193,7 +194,8 @@ def test_witnesses_are_computed_on_first_read(registry, rng, monkeypatch):
     assert result.witness_residual == np.max(np.abs(unitary @ stack_f - stack_g))
     assert result.unitary is result.unitary
     assert calls["procrustes"] == 1
-    mismatch = norm_equivalent(m, RationalBallMap(2, 2, [0.5 * var(0), 0.5 * var(1)]))
+    half = RationalBallMap(2, 2, [ref.mul(0.5, var(0)), ref.mul(0.5, var(1))])
+    mismatch = norm_equivalent(m, half)
     assert mismatch.unitary is None and mismatch.witness_residual is None
     assert calls["procrustes"] == 1
 
@@ -221,9 +223,9 @@ def test_power_of_one_linear_factor_is_decided_exactly():
     z1, z2 = var(0), var(1)
     # (1 - z1)^2 vanishes at (1, 0); sampling alone never finds that point.
     with pytest.raises(DenominatorVanishesError, match="factors"):
-        certify_proper(RationalBallMap(2, 2, [z1, z2], (Polynomial.one(2) - z1) ** 2))
+        certify_proper(RationalBallMap(2, 2, [z1, z2], ref.power(ref.sub(1.0, z1), 2)))
     # (1 - (z1 + z2)/2)^4 is least at (1, 1)/sqrt(2), which sampling overstates.
-    q = (Polynomial.one(2) - (z1 + z2) * 0.5) ** 4
+    q = ref.power(ref.sub(1.0, ref.mul(ref.add(z1, z2), 0.5)), 4)
     cert = certify_proper(RationalBallMap(2, 2, [z1, z2], q))
     assert cert.denominator_method == "factored"
     assert cert.denominator_margin == pytest.approx((1 - 1 / math.sqrt(2)) ** 4, abs=1e-12)
@@ -277,8 +279,8 @@ def _linear_factor_product(n, centres):
     """prod_k (1 - <z, a_k>) over the rows a_k of ``centres``, as Polynomials."""
     out = Polynomial.one(n)
     for a in centres:
-        out = out * Polynomial(n, {(0,) * n: 1.0, **{tuple(np.eye(n, dtype=int)[j]):
-                                                     -np.conj(a[j]) for j in range(n)}})
+        out = ref.mul(out, Polynomial(n, {(0,) * n: 1.0, **{tuple(np.eye(n, dtype=int)[j]):
+                                                            -np.conj(a[j]) for j in range(n)}}))
     return out
 
 
@@ -331,7 +333,7 @@ def test_composition_without_its_factors_is_certified_without_sampling(monkeypat
 def test_denominator_methods_in_order_of_preference():
     z1, z2 = var(0), var(1)
     assert certify_proper(RationalBallMap.identity(2)).denominator_method == "trivial"
-    bounded = RationalBallMap(2, 1, [z1], Polynomial.one(2) + z1 * z2 * 0.25)
+    bounded = RationalBallMap(2, 1, [z1], ref.add(1.0, ref.mul(z1, z2, 0.25)))
     cert = certify_proper(bounded)
     assert cert.denominator_method == "coefficient-bound"
     assert cert.denominator_margin == pytest.approx(0.75)
@@ -349,9 +351,9 @@ def test_denominator_methods_in_order_of_preference():
     assert cert.verdict is Verdict.PROPER
     # A q that is no power of one linear factor still reaches sampling: so
     # does 1 - z1^3, whose zero at (1, 0) the samples miss.
-    for q in (Polynomial.one(2) + z1 * z1 * 0.6 + z2 * z2 * 0.6j,
-              Polynomial.one(2) - z1 ** 3):
-        cert = certify_proper(RationalBallMap(2, 2, [z1 * 0.9, z2 * 0.9], q))
+    for q in (ref.add(1.0, ref.mul(z1, z1, 0.6), ref.mul(z2, z2, 0.6j)),
+              ref.sub(1.0, ref.power(z1, 3))):
+        cert = certify_proper(RationalBallMap(2, 2, [ref.mul(z1, 0.9), ref.mul(z2, 0.9)], q))
         assert cert.denominator_method == "sampled"
 
 
@@ -391,18 +393,19 @@ def test_carried_factors_that_miss_q_are_ignored(kind, d, seed, floor):
         return a / np.linalg.norm(a) * gen.uniform(0.05, 1.05)
 
     def factor(a):
-        return Polynomial.one(2) - var(0) * np.conj(a[0]) - var(1) * np.conj(a[1])
+        return ref.sub(ref.sub(1.0, ref.mul(var(0), np.conj(a[0]))),
+                       ref.mul(var(1), np.conj(a[1])))
 
     if kind == "power":
-        q = factor(centre()) ** d
+        q = ref.power(factor(centre()), d)
     elif kind == "product":
-        q = math.prod((factor(centre()) for _ in range(d)), start=Polynomial.one(2))
+        q = ref.mul(Polynomial.one(2), *[factor(centre()) for _ in range(d)])
     else:
         q = Polynomial(2, {(0, 0): 1.0} | {
             alpha: complex(*gen.standard_normal(2)) * gen.uniform(0.02, 0.5)
             for e in range(1, d + 1) for alpha in polyalg.monomials_of_degree(2, e)
             if gen.random() < 0.6})
-    bare = RationalBallMap(2, 2, [var(0) * 0.5, var(1) * 0.5], q)
+    bare = RationalBallMap(2, 2, [ref.mul(var(0), 0.5), ref.mul(var(1), 0.5)], q)
     wrong = RationalBallMap(2, 2, bare.p, q,
                             factors=[centre() for _ in range(gen.integers(1, 4))])
     with mock.patch.object(ballmaps, "DENOMINATOR_FLOOR", floor):
@@ -414,9 +417,9 @@ def test_linear_operations_keep_the_factors(rng):
     u = random_unitary(2, rng)
     for kept in (m.padded(4), m.scaled(0.5), apply_linear(u, m)):
         assert np.array_equal(kept.factors, m.factors)
-    square = compose(RationalBallMap(2, 2, [var(0) * var(0), var(1)]), m)
+    square = compose(RationalBallMap(2, 2, [ref.mul(var(0), var(0)), var(1)]), m)
     assert np.array_equal(square.factors, np.vstack([m.factors, m.factors]))
-    assert (m.q * m.q).allclose(square.q, 1e-12)
+    assert ref.distance(ref.mul(m.q, m.q), square.q) <= 1e-12
     assert certify_proper(square).denominator_method == "factored"
     # A rational outer map changes the denominator: no factors are claimed.
     assert len(compose(m, m).factors) == 0
@@ -442,7 +445,7 @@ def test_embedding_dimensions(quartic, cubic):
     assert embedding_dimension(quartic) == 5
     assert embedding_dimension(cubic) == 5
     assert embedding_dimension(RationalBallMap.identity(3)) == 3
-    thin = RationalBallMap(1, 2, [Polynomial.variable(1, 0), Polynomial.zero(1)])
+    thin = RationalBallMap(1, 2, [var(0, 1), Polynomial.zero(1)])
     assert embedding_dimension(thin) == 1
 
 
@@ -454,8 +457,7 @@ def test_embedding_dimension_unitary_invariant(quartic, rng):
 def test_embedding_dimension_equals_norm_form_rank(registry):
     from propermaps._linalg import numerical_rank
     for name, m in registry.maps.items():
-        _, mat = m.squared_norm_form().as_matrix()
-        assert numerical_rank(mat) == embedding_dimension(m), name
+        assert numerical_rank(m.squared_norm_form().matrix) == embedding_dimension(m), name
 
 
 def test_apply_linear_with_rectangular_non_unitary_matrix(rng):
@@ -573,7 +575,7 @@ def test_norm_equivalence_across_different_denominators(rng):
     u = random_unitary(2, rng)
     rotated = apply_linear(u, f)
     h = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.4, (0, 1): -0.2j})  # 1 - <z, (0.4, -0.2j)>
-    g = RationalBallMap(2, 2, [comp * h for comp in rotated.p], rotated.q * h)
+    g = RationalBallMap(2, 2, [ref.mul(comp, h) for comp in rotated.p], ref.mul(rotated.q, h))
     result = norm_equivalent(f, g)
     assert result.equivalent
     assert result.witness_residual <= 1e-10
@@ -581,9 +583,10 @@ def test_norm_equivalence_across_different_denominators(rng):
     other = automorphism_map(BallAutomorphism([0.1, 0.5]))
     result = norm_equivalent(f, other)
     assert not result.equivalent
-    left = squared_norm_form([comp * other.q for comp in f.p])
-    right = squared_norm_form([comp * f.q for comp in other.p])
-    expected = (left - right).max_abs_entry()
+    support, (left, right) = align_rows(
+        coefficient_matrix([ref.mul(comp, other.q) for comp in f.p]),
+        coefficient_matrix([ref.mul(comp, f.q) for comp in other.p]))
+    expected = gram_form(2, support, np.vstack([left, right]), negated=len(right)).max_abs_entry()
     assert abs(abs(result.mismatch[2]) - expected) <= 1e-12 * expected
 
 
@@ -683,7 +686,7 @@ def _norm_pairs(draw):
     g = apply_linear(random_unitary(big, gen), f.padded(big))
     if relation == "denominator":
         h = _linear_denominator(gen, n)
-        g = RationalBallMap(n, g.N, [comp * h for comp in g.p], g.q * h)
+        g = RationalBallMap(n, g.N, [ref.mul(comp, h) for comp in g.p], ref.mul(g.q, h))
     elif relation == "perturbed" and g.coefficients[:-1].any():
         comps = list(g.p)
         k, alpha = max(((k, alpha) for k, comp in enumerate(comps) for alpha in comp.terms),
@@ -761,8 +764,36 @@ def test_coefficient_bound_building_blocks():
 def test_registry_coefficients_within_bound(registry):
     for name, m in registry.maps.items():
         bound = coefficient_bound(m.n, max(degree(m), int(m.q.degree)))
-        worst = max([comp.max_abs_coeff() for comp in m.p] + [m.q.max_abs_coeff()])
+        worst = max(ref.largest(comp) for comp in (*m.p, m.q))
         assert worst <= bound, name
+
+
+def test_catalog_tables_equal_their_products(registry):
+    # Each catalog map is written as a table of terms; built instead from
+    # products of coordinates (polyref), it is the same map, byte for byte.
+    mul, power = ref.mul, ref.power
+    z, w = var(0), var(1)
+    z1, z2, z3 = (var(j, 3) for j in range(3))
+    r2, r3, r5 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)
+    products = {
+        "ex2.1.f": [z, mul(z, w), mul(z, power(w, 2)), mul(z, power(w, 3)), power(w, 4)],
+        "ex2.1.g": [mul(-1.0, power(w, 2)), mul(z, w), mul(-1.0, z, power(w, 2)),
+                    mul(power(z, 2), w), power(z, 2)],
+        "ex2.1.h": [z, mul(z, w), mul(w, w)],
+        "whitney.W": [z1, z2, mul(z1, z3), mul(z2, z3), mul(z3, z3)],
+        "faran.f": [z, w, Polynomial.zero(2)],
+        "faran.g": [mul(z, z), mul(z, w), w],
+        "faran.h": [mul(z, z), mul(z, w, r2), mul(w, w)],
+        "faran.phi": [power(z, 3), mul(z, w, r3), power(w, 3)],
+        "ex4.1.map": [power(z, 5), mul(power(z, 3), w, r5), mul(z, power(w, 2), r5),
+                      power(w, 5)],
+    }
+    assert set(products) == set(registry.maps)
+    for name, comps in products.items():
+        want, got = RationalBallMap.from_components(comps), registry.maps[name]
+        assert (got.n, got.N, got.support) == (want.n, want.N, want.support), name
+        assert got.coefficients.tobytes() == want.coefficients.tobytes(), name
+        assert got.factors.tobytes() == want.factors.tobytes(), name
 
 
 # -------------------------------------------------------------- composition
@@ -817,7 +848,7 @@ def _dict_distance(f, g):
     """Largest coefficient difference of the Polynomial views, padded alike."""
     big = max(f.N, g.N)
     a, b = f.padded(big), g.padded(big)
-    return max([a.q.distance(b.q)] + [x.distance(y) for x, y in zip(a.p, b.p)])
+    return max([ref.distance(a.q, b.q)] + [ref.distance(x, y) for x, y in zip(a.p, b.p)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -851,11 +882,11 @@ def test_rows_and_views_agree(nvars, seed):
     gen = np.random.default_rng(seed)
     pts = sample_sphere(nvars, 8, seed=seed % 1000) * gen.random((8, 1))
     for z, values in zip(pts, m.evaluate_many(pts)):
-        qz = m.q(z)
+        qz = ref.value(m.q, z)
         for comp, value in zip(m.p, values):
             size = sum(abs(c) * np.prod(np.abs(z) ** np.array(a))
                        for a, c in comp.terms.items())
-            assert abs(value - comp(z) / qz) <= 1e-12 * (1.0 + size) / abs(qz)
+            assert abs(value - ref.value(comp, z) / qz) <= 1e-12 * (1.0 + size) / abs(qz)
 
 
 def test_hot_paths_build_no_polynomial(monkeypatch):
@@ -934,7 +965,7 @@ def _kernel_makers():
         # automorphism's denominator, so that one block mixes q degrees.
         phi = automorphism_map(random_ball_automorphism(2, gen))
         cube = compose(_tensor_power(3), phi)
-        q = cube.q if gen.random() < 0.5 else phi.q ** 2
+        q = cube.q if gen.random() < 0.5 else ref.power(phi.q, 2)
         return RationalBallMap(2, cube.N, cube.p, q)
 
     def monomial(gen):
@@ -951,12 +982,12 @@ def _kernel_makers():
 
     def bounded(gen):
         phase = complex(*gen.standard_normal(2))
-        return RationalBallMap(2, 2, [z, w], z * w * (0.4 * phase / abs(phase)) + 1.0)
+        return RationalBallMap(2, 2, [z, w], ref.add(ref.mul(z, w, 0.4 * phase / abs(phase)), 1.0))
 
     def sampled(gen):
         a, b = np.exp(2j * np.pi * gen.random(2))
-        q = z * z * (0.6 * a) + w * w * (0.6 * b) + 1.0
-        return RationalBallMap(2, 2, [z * 0.9, w * 0.9], q)
+        q = ref.add(ref.mul(z, z, 0.6 * a), ref.mul(w, w, 0.6 * b), 1.0)
+        return RationalBallMap(2, 2, [ref.mul(z, 0.9), ref.mul(w, 0.9)], q)
 
     def constant(gen):
         return RationalBallMap.constant(np.exp(2j * np.pi * gen.random(2)) / math.sqrt(2), 2)
@@ -985,18 +1016,14 @@ def _same_certificate(a, b):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 6)), min_size=1, max_size=6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]),
-       st.sampled_from([0, polyalg.ORTHOGONAL_GRAM_MIN]))
-def test_kernel_agrees_with_single_map_certification(runs, seed, budget, gram_min):
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([9, 40, 2 ** 14]))
+def test_kernel_agrees_with_single_map_certification(runs, seed, budget):
     gen = np.random.default_rng(seed)
     makers = _kernel_makers()
-    # Runs of maps on one support; the vanishing maker is drawn rarely.  A
-    # zero ORTHOGONAL_GRAM_MIN sends these small maps through the Gram of
-    # rows that share no column, so blocks mix such members with dense ones.
+    # Runs of maps on one support; the vanishing maker is drawn rarely.
     maps = [makers[kind](gen) for kind, count in runs
             for _ in range(count if kind < 10 or gen.random() < 0.3 else 0)]
-    with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget), \
-            mock.patch.object(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min):
+    with mock.patch.object(ballmaps, "BLOCK_ENTRIES", budget):
         results = certify_maps(maps)
         for m in maps:
             try:
@@ -1087,17 +1114,12 @@ def test_rows_that_share_no_column_match_the_dense_reference(seed, several):
                       for _ in range(int(gen.integers(1, 4)))])
     assert _linalg.orthogonal_rows(stack).all()
     q = np.ones((len(stack), 1, size))
-    with mock.patch.object(polyalg, "ORTHOGONAL_GRAM_MIN", 0):
-        grams = polyalg.signed_gram(stack)
-        ranks = ballmaps._embedding_dimensions(np.concatenate([stack, q], axis=1))
+    grams = polyalg.signed_gram(stack)
+    ranks = ballmaps._embedding_dimensions(np.concatenate([stack, q], axis=1))
     for rows, gram, rank in zip(stack, grams, ranks.tolist()):
         entry = np.abs(rows).sum(axis=0)  # |a_alpha|, the one entry of column alpha
         bound = 4 * np.finfo(float).eps * np.outer(entry, entry)
         assert np.all(np.abs(gram - rows.T @ rows.conj()) <= bound)
-        if not several:
-            # Rows with one entry each get the diagonal Gram, exactly real;
-            # rows that own several columns get the dense product.
-            assert np.all(gram.diagonal().imag == 0)
         assert rank == _linalg.numerical_rank(rows)
 
 
@@ -1105,6 +1127,8 @@ def test_rows_that_share_no_column_match_the_dense_reference(seed, several):
 @pytest.mark.parametrize("n, d", [(2, 6), (2, 12), (2, 20), (2, 30), (2, 40),
                                   (3, 4), (3, 6), (3, 12), (3, 20)])
 def test_tensor_ladder_through_the_rows_that_share_no_column(n, d, gram_min, monkeypatch):
+    # ``gram_min`` decides whether norm_equivalent's Gram difference adds
+    # the diagonal Grams of these rows alone or takes the dense products.
     monkeypatch.setattr(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min)
     comps = [Polynomial(n, {a: math.sqrt(polyalg.multinomial(d, a))})
              for a in polyalg.monomials_of_degree(n, d)]
@@ -1118,6 +1142,12 @@ def test_tensor_ladder_through_the_rows_that_share_no_column(n, d, gram_min, mon
     cert = certify_proper(m)
     assert cert.residual_norm == residuals[0]
     assert cert.worst_entry == worst[0]
+    # Its components permuted and turned by phases, whose rows still share
+    # no column: equivalent, and a copy scaled by 1 - 1e-6 is not.
+    gen = np.random.default_rng(d)
+    turn = np.eye(m.N)[gen.permutation(m.N)] * np.exp(2j * np.pi * gen.random(m.N))
+    assert norm_equivalent(m, apply_linear(turn, m)).equivalent
+    assert not norm_equivalent(m, m.scaled(1 - 1e-6)).equivalent
 
 
 # ------------------------------------------------ Bernstein sphere reduction
@@ -1233,7 +1263,8 @@ def test_rows_that_share_a_column_take_the_radial_path(scale, verdict):
     # copy whose two rows are too small; the dense path's residual is the
     # reference.
     z, w = var(0), var(1)
-    m = RationalBallMap(2, 4, [z * z, z * w * scale, z * w * scale, w * w])
+    m = RationalBallMap(2, 4, [ref.mul(z, z), ref.mul(z, w, scale), ref.mul(z, w, scale),
+                               ref.mul(w, w)])
     head, tail = m.coefficients[None, :-1], m.coefficients[None, -1:]
     dense = head.swapaxes(1, 2) @ head.conj() - tail.swapaxes(1, 2) @ tail.conj()
     residuals, worst = polyalg.sphere_residuals(2, m.support, dense)

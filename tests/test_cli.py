@@ -70,7 +70,7 @@ def test_verify_catalog_map_exits_zero(capsys):
 
 
 def test_verify_bad_map_exits_one(tmp_path, capsys):
-    half = RationalBallMap(2, 1, [0.5 * Polynomial.variable(2, 0)])
+    half = RationalBallMap(2, 1, [Polynomial.monomial((1, 0), 0.5)])
     path = tmp_path / "half.json"
     path.write_text(dumps_map(half))
     assert main(["verify", str(path)]) == 1
@@ -97,8 +97,9 @@ def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
 def test_verify_decides_a_composed_denominator_without_its_factors(tmp_path, capsys):
     from propermaps.ballmaps import compose
     from propermaps.constructors import BallAutomorphism, automorphism_map
-    z1, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    square = RationalBallMap(2, 3, [z1 * z1, z1 * z2 * 2 ** 0.5, z2 * z2])
+    square = RationalBallMap(2, 3, [Polynomial.monomial((2, 0)),
+                                    Polynomial.monomial((1, 1), 2 ** 0.5),
+                                    Polynomial.monomial((0, 2))])
     doc = map_to_document(compose(square, automorphism_map(BallAutomorphism([0.5, 0.0]))))
     # Documents written before maps carried their factors have no such field.
     del doc["denominator_factors"]
@@ -415,8 +416,8 @@ def test_denominator_factors_that_miss_q_fall_back(tmp_path, capsys):
 
 
 def test_verify_reports_the_largest_remainder_entry(tmp_path, capsys):
-    half = RationalBallMap(2, 2, [0.5 * Polynomial.variable(2, 0),
-                                  0.5 * Polynomial.variable(2, 1)])
+    half = RationalBallMap(2, 2, [Polynomial.monomial((1, 0), 0.5),
+                                  Polynomial.monomial((0, 1), 0.5)])
     path = tmp_path / "half.json"
     path.write_text(dumps_map(half))
     assert main(["verify", str(path)]) == 1
@@ -732,13 +733,17 @@ def _write_rejected_inputs(tmp_path):
      "input error: zeros '0.3,nan' must be finite\n"),
     (["whitney", "build", "whitney-bad-steps.json"], 2,
      "input error: script steps must be a list\n"),
+    (["verify", "nosuch.id"], 2, "input error: unknown catalog id or missing file: nosuch.id\n"),
+    (["homotopy", "faran.h"], 2, "input error: faran.h is a catalog map, not a family\n"),
 ])
 def test_bound_and_rejected_input_load_no_numpy(args, expected, stderr, tmp_path):
     _write_rejected_inputs(tmp_path)
     code, modules, numpy_loaded, err = _modules_after_main(args, tmp_path)
     assert (code, err) == (expected, stderr)
     assert not numpy_loaded
-    assert not {"_linalg", "polyalg", "ballmaps", "corpus"} & set(modules)
+    assert not {"_linalg", "polyalg", "ballmaps"} & set(modules)
+    # A token that may be a catalog id reads the catalog's table, and only that.
+    assert ("corpus" in modules) == (args[1] in ("nosuch.id", "faran.h"))
 
 
 def test_a_command_that_computes_with_a_map_loads_numpy(tmp_path):

@@ -12,8 +12,7 @@ from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary
                                 random_unitary)
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  RationalBallMap, Verdict,
-                                 certify_proper, compose, degree, norm_equivalent,
-                                 squared_norm_form)
+                                 certify_proper, compose, degree, norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      NonIntegralWindingError, TensorSubspaceError,
                                      automorphism_from_map, automorphism_map,
@@ -24,10 +23,19 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      winding_degree, winding_integral)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import automorphism_path
-from propermaps.polyalg import (Polynomial, coefficient_matrix, monomials_of_degree,
-                                polynomials_from_rows)
+from propermaps.polyalg import (DEFAULT_TOL, Polynomial, align_rows, coefficient_matrix, gram_form,
+                                monomials_of_degree, polynomials_from_rows)
 
+import polyref as ref
 from conftest import sample_sphere
+
+
+def _norm_difference(f, g):
+    """The form of ||f's numerator||^2 - ||g's||^2: one signed Gram over
+    both maps' numerator rows on one support, g's rows negated."""
+    support, (left, right) = align_rows((f.support, f.coefficients[:-1]),
+                                        (g.support, g.coefficients[:-1]))
+    return gram_form(f.n, support, np.vstack([left, right]), negated=len(right))
 
 
 # ------------------------------------------------------------- automorphisms
@@ -137,7 +145,7 @@ def test_tensor_one_dimensional_iterates_to_monomial():
     for _ in range(4):
         m = tensor_on_subspace(m, full)
     assert m.N == 1
-    assert m.p[0].allclose(Polynomial.monomial((5,)))
+    assert ref.distance(m.p[0], Polynomial.monomial((5,))) <= DEFAULT_TOL
 
 
 def test_tensor_preserves_properness_on_random_subspaces(rng):
@@ -165,7 +173,7 @@ def test_tensor_norm_difference_vanishes_on_sphere(rng):
     base = quadric_three_map()
     q, _ = np.linalg.qr(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
     tensored = tensor_on_subspace(base, q)
-    difference = squared_norm_form(tensored.p) - squared_norm_form(base.p)
+    difference = _norm_difference(tensored, base)
     assert not difference.is_zero
     assert reduce_mod_sphere(difference).is_zero
 
@@ -199,9 +207,9 @@ def _tensor_by_dict_products(f, basis, phi):
     frame = np.hstack([basis, gram_schmidt_complement(basis)])
     monos, coeffs = coefficient_matrix(f.p)
     rows = polynomials_from_rows(f.n, monos, frame.conj().T @ coeffs)
-    comps = [rows[m] * phi_map.p[j] for m in range(d) for j in range(f.n)]
-    comps += [row * phi_map.q for row in rows[d:]]
-    return RationalBallMap(f.n, len(comps), comps, f.q * phi_map.q,
+    comps = [ref.mul(rows[m], phi_map.p[j]) for m in range(d) for j in range(f.n)]
+    comps += [ref.mul(row, phi_map.q) for row in rows[d:]]
+    return RationalBallMap(f.n, len(comps), comps, ref.mul(f.q, phi_map.q),
                            factors=np.vstack([f.factors, phi_map.factors]))
 
 
@@ -218,7 +226,7 @@ def test_tensor_step_matches_the_dict_product_formula(n, dense, with_phi):
         basis = subspace_basis(f.N, np.sort(rng.choice(f.N, size=2, replace=False)))
     phi = random_ball_automorphism(n, rng, 0.9) if with_phi else None
     want = _tensor_by_dict_products(f, basis, phi)
-    scale = max(c.max_abs_coeff() for c in (*want.p, want.q))
+    scale = max(ref.largest(c) for c in (*want.p, want.q))
     got = tensor_on_subspace(f, basis, phi)
     assert got.N == want.N
     assert np.array_equal(got.factors, want.factors)
@@ -239,9 +247,7 @@ def test_juxtaposition_endpoints():
 def test_juxtaposition_of_identities_keeps_the_norm_form():
     ident = RationalBallMap.identity(2)
     half = juxtapose(ident, ident, 0.5)
-    form = squared_norm_form(half.p)
-    expected = squared_norm_form(ident.p)
-    assert form.allclose(expected, 1e-12)
+    assert _norm_difference(half, ident).max_abs_entry() <= 1e-12
 
 
 def test_juxtaposition_is_proper_in_the_sum_target():
@@ -347,10 +353,10 @@ def _random_whitney_map(n, steps, rng):
 
 def _random_polynomial_map(nvars, count, rng):
     """Components z_1 * (three random terms of degree <= 2 in each variable)."""
-    z1 = Polynomial.variable(nvars, 0)
+    z1 = ref.var(nvars, 0)
     return RationalBallMap.from_components(
-        [z1 * Polynomial(nvars, {tuple(rng.integers(0, 3, nvars)): complex(*rng.standard_normal(2))
-                                 for _ in range(3)})
+        [ref.mul(z1, Polynomial(nvars, {tuple(rng.integers(0, 3, nvars)):
+                                        complex(*rng.standard_normal(2)) for _ in range(3)}))
          for _ in range(count)])
 
 
@@ -386,8 +392,8 @@ def test_carried_factors_multiply_out_and_agree_with_the_bare_map(kind, seed, fl
     product = Polynomial.one(m.n)
     for a in m.factors:  # times 1 - <z, a>
         inner = Polynomial(m.n, dict(zip(monomials_of_degree(m.n, 1), np.conj(a))))
-        product = product * (Polynomial.one(m.n) - inner)
-    assert product.distance(m.q) <= 1e-12 * m.q.max_abs_coeff()
+        product = ref.mul(product, ref.sub(1.0, inner))
+    assert ref.distance(product, m.q) <= 1e-12 * ref.largest(m.q)
     bare = RationalBallMap(m.n, m.N, m.p, m.q)
     assert _certify_outcome(m, floor) == _certify_outcome(bare, floor)
 

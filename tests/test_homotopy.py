@@ -25,7 +25,9 @@ from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
                                  constant_family, degree_drop_family,
                                  faran_families, homotopy_to_monomial,
                                  juxtaposition_family, verify_family)
-from propermaps.polyalg import Polynomial
+from propermaps.polyalg import DEFAULT_TOL, Polynomial
+
+import polyref as ref
 
 
 def pointwise(fn):
@@ -47,7 +49,7 @@ def test_shrinking_family_fails_for_positive_t():
     ident = RationalBallMap.identity(2)
 
     def evaluator(t):
-        return RationalBallMap(2, 2, [comp * (1.0 - t) for comp in ident.p])
+        return RationalBallMap(2, 2, [ref.mul(comp, 1.0 - t) for comp in ident.p])
 
     fam = HomotopyFamily(2, 2, pointwise(evaluator), ident, ident)
     report = verify_family(fam, grid_size=11)
@@ -98,10 +100,9 @@ def test_report_names_the_first_worst_grid_points():
     # z -> c z is proper exactly when |c| = 1, with residual 1 - |c|^2.  The
     # scale drops to 0.5 at t = 0.3 and t = 0.8 and flips sign at t = 0.6.
     scales = {0.3: 0.5, 0.6: -1.0, 0.7: -1.0, 0.8: 0.5, 0.9: -1.0, 1.0: -1.0}
-    z = Polynomial.variable(1, 0)
 
     def evaluator(t):
-        return RationalBallMap(1, 1, [z * scales.get(round(t, 6), 1.0)])
+        return RationalBallMap(1, 1, [Polynomial.monomial((1,), scales.get(round(t, 6), 1.0))])
 
     fam = HomotopyFamily(1, 1, pointwise(evaluator), evaluator(0.0), evaluator(1.0))
     report = verify_family(fam, grid_size=11)
@@ -123,10 +124,9 @@ def test_coefficient_steps_are_the_distances_of_adjacent_members(rng):
     # Inside a run of one support the steps are one array difference; across
     # runs they are distance().  The z -> z^2 jump at t = 0.5 is a step
     # across runs and the largest one.
-    z = Polynomial.variable(1, 0)
-
     def evaluator(t):
-        return RationalBallMap(1, 1, [z * (1.0 - 0.1 * t) if t < 0.5 else z * z])
+        return RationalBallMap(1, 1, [Polynomial.monomial((1,), 1.0 - 0.1 * t) if t < 0.5
+                                      else Polynomial.monomial((2,))])
 
     jump = HomotopyFamily(1, 1, pointwise(evaluator), evaluator(0.0), evaluator(1.0))
     for fam in (jump, _whitney_family(2, 3, rng)[1], degree_drop_family()):
@@ -518,41 +518,45 @@ def _collapse_reference(components, scaled, free):
             lam = 1.0 - local
             weights = [lam if i in scaled else _root(lam) if i == free else 1.0
                        for i in range(dim)]
-            return RationalBallMap(n, dim, [c * wt for c, wt in zip(components, weights)])
+            return RationalBallMap(n, dim, [ref.mul(c, wt) for c, wt in zip(components, weights)])
         u = path(local)
-        return RationalBallMap(n, dim, [sum((c * u[i, k] for k, c in enumerate(end)),
-                                            Polynomial.zero(n)) for i in range(dim)])
+        return RationalBallMap(n, dim, [ref.add(Polynomial.zero(n), *[ref.mul(c, u[i, k])
+                                                                      for k, c in enumerate(end)])
+                                        for i in range(dim)])
 
     return member
 
 
 def _closed_forms(registry):
     """(family, member at t): each built-in family and its docstring formula,
-    built one t at a time from Polynomial products."""
-    z, w = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    built one t at a time from term-dict products (``polyref``)."""
+    z, w = ref.var(2, 0), ref.var(2, 1)
+    mul = ref.mul
     fams, faran = faran_families(), faran_maps()
     h, phi = faran["h"], faran["phi"]
 
     def drop(t):
-        u, v = z * t - w * w * _root(t), z * _root(t) + w * w * t
-        return RationalBallMap(2, 5, [u, z * w, u * v, z * w * v, v * v])
+        u, v = ref.sub(mul(z, t), mul(w, w, _root(t))), ref.add(mul(z, _root(t)), mul(w, w, t))
+        return RationalBallMap(2, 5, [u, mul(z, w), mul(u, v), mul(z, w, v), mul(v, v)])
 
-    z1, z2, z3 = (Polynomial.variable(3, j) for j in range(3))
+    z1, z2, z3 = (ref.var(3, j) for j in range(3))
     return [
-        (fams["fg"], lambda t: RationalBallMap(2, 4, [z * _root(t), z * z * t, z * w * t, w])),
-        (fams["gh"], lambda t: RationalBallMap(2, 4, [z * z, z * w * _root(t, 2.0), w * t,
-                                                      w * w * _root(t)])),
-        (fams["hphi"], lambda t: RationalBallMap(2, 5, [z * z * t, w * w * t, z ** 3 * _root(t),
-                                                        w ** 3 * _root(t),
-                                                        z * w * _root(t, 3.0)])),
+        (fams["fg"], lambda t: RationalBallMap(2, 4, [mul(z, _root(t)), mul(z, z, t),
+                                                      mul(z, w, t), w])),
+        (fams["gh"], lambda t: RationalBallMap(2, 4, [mul(z, z), mul(z, w, _root(t, 2.0)),
+                                                      mul(w, t), mul(w, w, _root(t))])),
+        (fams["hphi"], lambda t: RationalBallMap(2, 5, [mul(z, z, t), mul(w, w, t),
+                                                        mul(ref.power(z, 3), _root(t)),
+                                                        mul(ref.power(w, 3), _root(t)),
+                                                        mul(z, w, _root(t, 3.0))])),
         (degree_drop_family(), drop),
         (juxtaposition_family(h, phi), lambda t: RationalBallMap(
-            2, 6, [c * phi.q * _root(t) for c in h.p] + [c * h.q * t for c in phi.p],
-            h.q * phi.q)),
+            2, 6, [mul(c, phi.q, _root(t)) for c in h.p] + [mul(c, h.q, t) for c in phi.p],
+            mul(h.q, phi.q))),
         (collapse_to_linear(registry.maps["ex2.1.h"]),
-         _collapse_reference([z, z * w, w * w, w], {1, 2}, 3)),
+         _collapse_reference([z, mul(z, w), mul(w, w), w], {1, 2}, 3)),
         (collapse_to_linear(registry.maps["whitney.W"]),
-         _collapse_reference([z1, z2, z1 * z3, z2 * z3, z3 * z3, z3], {2, 3, 4}, 5)),
+         _collapse_reference([z1, z2, mul(z1, z3), mul(z2, z3), mul(z3, z3), z3], {2, 3, 4}, 5)),
     ]
 
 
@@ -575,13 +579,13 @@ def test_built_in_members_equal_their_closed_forms(registry):
     # Blaschke members: the chain of factor products rounds the numerator
     # differently from prod (z - a) built term by term.
     b = BlaschkeProduct(0.7, [0.3, -0.5j, 0.1 + 0.2j, -0.6 + 0.25j, 0.45])
-    z = Polynomial.variable(1, 0)
+    z = ref.var(1, 0)
     for t, m in zip(grid, blaschke_homotopy(b).evaluate_many(grid), strict=True):
         zeros = [(1.0 - t) * a for a in b.zeros]
         p = Polynomial.constant(1, cmath.exp(1j * (1.0 - t) * b.theta))
         q = Polynomial.one(1)
         for a in zeros:
-            p, q = p * (z - a), q * (z * -a.conjugate() + 1.0)
+            p, q = ref.mul(p, ref.sub(z, a)), ref.mul(q, ref.add(ref.mul(z, -a.conjugate()), 1.0))
         expected = RationalBallMap(1, 1, [p], q)
         _assert_canonical(m)
         assert m.support == expected.support
@@ -601,10 +605,10 @@ def test_degree_drop_family_profile():
 
 def test_degree_drop_endpoints_are_the_named_maps():
     fam = degree_drop_family()
-    z, w = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    quartic = RationalBallMap(2, 5, [z, z * w, z * w ** 2, z * w ** 3, w ** 4])
-    cubic = RationalBallMap(2, 5, [-(w ** 2), z * w, -(z * w ** 2), z ** 2 * w,
-                                   z ** 2])
+    m = Polynomial.monomial
+    quartic = RationalBallMap(2, 5, [m((1, 0)), m((1, 1)), m((1, 2)), m((1, 3)), m((0, 4))])
+    cubic = RationalBallMap(2, 5, [m((0, 2), -1.0), m((1, 1)), m((1, 2), -1.0), m((2, 1)),
+                                   m((2, 0))])
     assert fam.evaluate(1.0).allclose(quartic, 1e-12)
     assert fam.evaluate(0.0).allclose(cubic, 1e-12)
 
@@ -615,7 +619,7 @@ def test_blaschke_homotopy_contracts_to_monomial():
     report = verify_family(fam, grid_size=11)
     assert report.passed
     assert fam.evaluate(0.0).allclose(blaschke_map(b))
-    assert fam.evaluate(1.0).p[0].allclose(Polynomial.monomial((3,)))
+    assert ref.distance(fam.evaluate(1.0).p[0], Polynomial.monomial((3,))) <= DEFAULT_TOL
     for k in range(11):
         assert winding_degree(fam.evaluate(k / 10)) == 3
 
@@ -625,8 +629,8 @@ def test_blaschke_product_with_a_repeated_zero():
     b = BlaschkeProduct(0.0, [0.3, 0.3, -0.2j])
     m = blaschke_map(b)
     z = Polynomial.monomial((1,))
-    assert m.q.allclose((Polynomial.one(1) - z * 0.3) ** 2 * (Polynomial.one(1) - z * 0.2j),
-                        1e-15)
+    expected = ref.mul(ref.power(ref.sub(1.0, ref.mul(z, 0.3)), 2), ref.sub(1.0, ref.mul(z, 0.2j)))
+    assert ref.distance(m.q, expected) <= 1e-15
     cert = certify_proper(m)
     assert cert.verdict is Verdict.PROPER
     assert cert.denominator_method == "factored"
@@ -641,7 +645,7 @@ def test_blaschke_product_with_a_repeated_zero():
 def test_blaschke_homotopy_single_zero_at_origin_is_constant():
     fam = blaschke_homotopy(BlaschkeProduct(0.0, [0.0]))
     for t in (0.0, 0.5, 1.0):
-        assert fam.evaluate(t).p[0].allclose(Polynomial.monomial((1,)))
+        assert ref.distance(fam.evaluate(t).p[0], Polynomial.monomial((1,))) <= DEFAULT_TOL
 
 
 def test_blaschke_homotopy_rejects_empty_product():
@@ -663,8 +667,8 @@ def test_faran_families_dimensions_and_endpoints():
         assert verify_family(fam, grid_size=21).passed
     # At t = 1 the second family lands exactly on (z^2, zw, w, 0).
     end = fams["gh"].evaluate(1.0)
-    z, w = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    assert end.allclose(RationalBallMap(2, 4, [z * z, z * w, w,
+    m = Polynomial.monomial
+    assert end.allclose(RationalBallMap(2, 4, [m((2, 0)), m((1, 1)), m((0, 1)),
                                                Polynomial.zero(2)]), 1e-12)
 
 
@@ -697,7 +701,7 @@ def test_concat_inserts_unitary_bridge():
     h = quadric_three_map()
     u = np.diag([1j, -1.0, 1.0])
     rotated = constant_family(
-        RationalBallMap(2, 3, [comp * c for comp, c in zip(h.p, np.diag(u))]))
+        RationalBallMap(2, 3, [ref.mul(comp, c) for comp, c in zip(h.p, np.diag(u))]))
     fam = concat_families([constant_family(h), rotated])
     report = verify_family(fam, grid_size=9)
     assert report.passed
@@ -789,8 +793,7 @@ def test_collapse_rejects_cubic_invariant_map():
 def test_collapse_requires_monomial_input():
     with pytest.raises(ValueError):
         collapse_to_linear(faran_maps()["f"] if False else
-                           RationalBallMap(2, 1, [Polynomial.variable(2, 0)
-                                                  + Polynomial.variable(2, 1)]))
+                           RationalBallMap(2, 1, [Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})]))
 
 
 def test_collapse_of_reduction_endpoint(rng):

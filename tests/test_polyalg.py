@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,17 +10,28 @@ from hypothesis import strategies as st
 
 import propermaps
 from propermaps import polyalg
+from propermaps.ballmaps import RationalBallMap
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
-                                Polynomial, coefficient_matrix, monomials_of_degree,
-                                multiply_rows, polynomials_from_rows, properness_form,
-                                radial_residuals, reduce_mod_sphere, signed_gram,
-                                sphere_residuals, squared_norm_form)
+                                Polynomial, align_rows, canonical_rows, coefficient_matrix,
+                                evaluate_rows, gram_form, monomials_of_degree, multiply_rows,
+                                polynomials_from_rows, properness_form, radial_residuals,
+                                reduce_mod_sphere, signed_gram, sphere_residuals,
+                                squared_norm_form)
 
+import polyref as ref
 from conftest import sample_sphere
 
 
 def z(j, nvars=2):
-    return Polynomial.variable(nvars, j)
+    return ref.var(nvars, j)
+
+
+def _forms_close(a, b, tol=DEFAULT_TOL):
+    """Whether two forms' matrices, placed on the union of their bases
+    (``align_rows`` on the rows, then on the columns), agree within tol."""
+    _, (left, right) = align_rows((a.basis, a.matrix), (b.basis, b.matrix))
+    _, (left, right) = align_rows((a.basis, left.T), (b.basis, right.T))
+    return not np.any(np.abs(left - right) > tol)
 
 
 # ---------------------------------------------------------------- monomials
@@ -37,48 +49,63 @@ def test_monomial_count_matches_binomial():
             assert len(monomials_of_degree(n, d)) == math.comb(d + n - 1, n - 1)
 
 
-# --------------------------------------------------------------- arithmetic
+# ------------------------------------------------------- products of rows
+def _product(a, b):
+    """The product of two polynomials through ``multiply_rows``, floored."""
+    monos, rows = canonical_rows(*multiply_rows(2, *coefficient_matrix([a]),
+                                                *coefficient_matrix([b])))
+    return polynomials_from_rows(2, monos, rows)[0]
+
+
 def test_product_of_variables():
-    p = z(0) * z(1)
+    p = _product(z(0), z(1))
     assert p.terms == {(1, 1): 1.0 + 0.0j}
 
 
 def test_difference_of_squares():
-    p = (z(0) + z(1)) * (z(0) - z(1))
-    assert p.allclose(Polynomial(2, {(2, 0): 1.0, (0, 2): -1.0}))
+    p = _product(ref.add(z(0), z(1)), ref.sub(z(0), z(1)))
+    assert p.terms == {(2, 0): 1.0 + 0.0j, (0, 2): -1.0 + 0.0j}
 
 
 def test_two_term_denominator_square_expanded_by_hand():
     # q = 1 - 0.5 z1 has degree 1; its square is 1 - z1 + 0.25 z1^2 (degree 2).
     q = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.5})
-    square = q * q
-    assert square.allclose(Polynomial(2, {(0, 0): 1.0, (1, 0): -1.0, (2, 0): 0.25}))
+    square = _product(q, q)
+    assert ref.distance(square, Polynomial(2, {(0, 0): 1.0, (1, 0): -1.0,
+                                                (2, 0): 0.25})) <= DEFAULT_TOL
     assert square.degree == 2
 
 
 def test_addition_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        z(0) + Polynomial.variable(3, 0)
+    # A squared norm sums its components' Grams, which must share one count.
+    with pytest.raises(ValueError, match="one variable count"):
+        squared_norm_form([z(0), z(0, 3)])
+    with pytest.raises(ValueError, match="one variable count"):
+        properness_form([z(0)], Polynomial.one(3))
 
 
 def test_distance_is_largest_coefficient_difference():
+    # Maps' distance, on their aligned coefficient rows.
     a = Polynomial(2, {(1, 0): 1.0, (0, 1): 2.0})
     b = Polynomial(2, {(1, 0): 1.5, (1, 1): -3.0j})
-    assert a.distance(b) == pytest.approx(3.0)
-    assert b.distance(a) == a.distance(b)
-    assert a.distance(a) == 0.0
-    assert Polynomial.zero(2).distance(Polynomial.zero(2)) == 0.0
-    assert not a.allclose(b) and a.allclose(a + 1e-12 * z(1))
+    f, g = (RationalBallMap(2, 1, [p]) for p in (a, b))
+    assert f.distance(g) == pytest.approx(3.0)
+    assert g.distance(f) == f.distance(g)
+    assert f.distance(f) == 0.0
+    zero = RationalBallMap(2, 1, [Polynomial.zero(2)])
+    assert zero.distance(zero) == 0.0
+    nearby = RationalBallMap(2, 1, [ref.add(a, ref.mul(1e-12, z(1)))])
+    assert not f.allclose(g) and f.allclose(nearby)
 
 
 def test_coefficient_matrix_round_trip_and_floor():
-    polys = [z(0) * z(1) + 2.0, 3j * z(1), Polynomial.zero(2)]
+    polys = [ref.add(ref.mul(z(0), z(1)), 2.0), ref.mul(3j, z(1)), Polynomial.zero(2)]
     monos, mat = coefficient_matrix(polys)
     assert monos == sorted(monos, reverse=True) == [(1, 1), (0, 1), (0, 0)]
     assert mat.shape == (3, 3)
     back = polynomials_from_rows(2, monos, mat)
     assert [p.terms for p in back] == [p.terms for p in polys]
-    # Entries at or below the storage floor are dropped, as in arithmetic.
+    # Entries at or below the storage floor are dropped.
     tiny = polynomials_from_rows(2, [(1, 0), (0, 1)],
                                  np.array([[COEFFICIENT_FLOOR, 2 * COEFFICIENT_FLOOR]]))
     assert list(tiny[0].terms) == [(0, 1)]
@@ -171,17 +198,21 @@ def test_zero_polynomial_degree_sentinel_and_canonical_form():
 
 
 def test_power():
-    p = z(0, 1) ** 3 + 2 * z(0, 1)
-    assert p.allclose(Polynomial(1, {(3,): 1.0, (1,): 2.0}))
-    assert (z(0) ** 0).allclose(Polynomial.one(2))
+    # z^3 + 2z: the cube by two row products, the sum on aligned rows.
+    line = ((1,),), np.ones((1, 1))
+    cube = multiply_rows(1, *multiply_rows(1, *line, *line), *line)
+    support, (left, right) = align_rows(cube, (((1,),), [[2.0]]))
+    p = polynomials_from_rows(1, support, left + right)[0]
+    assert ref.distance(p, Polynomial(1, {(3,): 1.0, (1,): 2.0})) <= DEFAULT_TOL
 
 
 def test_evaluate_many_matches_pointwise(rng):
-    p = (z(0) + 2.5 * z(1)) * (z(0) - 1j * z(1)) + 0.25
+    p = ref.add(ref.mul(ref.add(z(0), ref.mul(2.5, z(1))), ref.sub(z(0), ref.mul(1j, z(1)))),
+                0.25)
     pts = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
     vec = p.evaluate_many(pts)
     for k in range(40):
-        assert abs(vec[k] - p(pts[k])) < 1e-12
+        assert abs(vec[k] - ref.value(p, pts[k])) < 1e-12
 
 
 coeffs = st.complex_numbers(min_magnitude=0.0, max_magnitude=3.0,
@@ -194,16 +225,19 @@ polys = st.dictionaries(exponents, coeffs, max_size=6).map(
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_add_then_subtract_roundtrip(a, b):
-    back = (a + b) - b
-    assert back.allclose(a, tol=1e-7)
+    # Sums are taken on rows aligned on the union support.
+    support, (left, right) = align_rows(coefficient_matrix([a]), coefficient_matrix([b]))
+    back = polynomials_from_rows(2, support, (left + right) - right)[0]
+    assert ref.distance(back, a) <= 1e-7
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_product_is_evaluation_homomorphism(a, b):
-    point = [0.4 + 0.2j, -0.3 + 0.1j]
-    lhs = (a * b)(point)
-    rhs = a(point) * b(point)
+    point = np.array([[0.4 + 0.2j, -0.3 + 0.1j]])
+    monos, rows = multiply_rows(2, *coefficient_matrix([a]), *coefficient_matrix([b]))
+    lhs = evaluate_rows(2, monos, rows, point)[0, 0]
+    rhs = a.evaluate_many(point)[0] * b.evaluate_many(point)[0]
     assert abs(lhs - rhs) < 1e-6 * (1 + abs(rhs))
 
 
@@ -215,7 +249,7 @@ def test_squared_norm_form_identity_map_is_diagonal_ones():
 
 def test_squared_norm_form_quadratic_diagonal_1_2_1():
     # || (z^2, sqrt2 zw, w^2) ||^2 = |z|^4 + 2|z|^2|w|^2 + |w|^4 by expansion.
-    comps = [z(0) * z(0), math.sqrt(2) * z(0) * z(1), z(1) * z(1)]
+    comps = [ref.mul(z(0), z(0)), ref.mul(math.sqrt(2), z(0), z(1)), ref.mul(z(1), z(1))]
     form = squared_norm_form(comps)
     diag = {alpha: form.entries[(alpha, alpha)] for alpha, _ in form.entries}
     assert abs(diag[(2, 0)] - 1) < 1e-12
@@ -225,9 +259,9 @@ def test_squared_norm_form_quadratic_diagonal_1_2_1():
 
 
 def test_squared_norm_form_degree_two_triple():
-    form = squared_norm_form([z(0), z(0) * z(1), z(1) * z(1)])
+    form = squared_norm_form([z(0), ref.mul(z(0), z(1)), ref.mul(z(1), z(1))])
     expected = {((1, 0), (1, 0)): 1, ((1, 1), (1, 1)): 1, ((0, 2), (0, 2)): 1}
-    assert form.allclose(HermitianForm(2, expected))
+    assert _forms_close(form, HermitianForm(2, expected))
 
 
 def test_squared_norm_form_positive_semidefinite(rng):
@@ -236,13 +270,13 @@ def test_squared_norm_form_positive_semidefinite(rng):
                                 complex(rng.standard_normal(), rng.standard_normal())
                                 for _ in range(4)})
                  for _ in range(3)]
-        _, mat = squared_norm_form(comps).as_matrix()
-        eigs = np.linalg.eigvalsh(mat)
+        eigs = np.linalg.eigvalsh(squared_norm_form(comps).matrix)
         assert eigs.min() >= -1e-6
 
 
 def test_form_values_match_the_signed_norms_pointwise(rng):
-    comps = [z(0) * z(1) + 0.3j, z(1) ** 2 - 0.5 * z(0)]
+    comps = [ref.add(ref.mul(z(0), z(1)), 0.3j),
+             ref.sub(ref.power(z(1), 2), ref.mul(0.5, z(0)))]
     q = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.4, (1, 1): 0.2j})
     pts = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
     norms = sum(np.abs(p.evaluate_many(pts)) ** 2 for p in comps)
@@ -268,7 +302,7 @@ def test_properness_form_identity_is_sphere_defect():
     form = properness_form([z(0), z(1)], Polynomial.one(2))
     expected = HermitianForm(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
                                  ((0, 0), (0, 0)): -1.0})
-    assert form.allclose(expected)
+    assert _forms_close(form, expected)
 
 
 def test_properness_form_constant_map_is_zero():
@@ -279,7 +313,8 @@ def test_properness_form_constant_map_is_zero():
 def test_properness_form_quintic_vanishes_on_sphere():
     # (z, zw, zw^2, zw^3, w^4): ||p||^2 - 1 restricted to the sphere is 0.
     w = z(1)
-    comps = [z(0), z(0) * w, z(0) * w ** 2, z(0) * w ** 3, w ** 4]
+    comps = [z(0), ref.mul(z(0), w), ref.mul(z(0), ref.power(w, 2)),
+             ref.mul(z(0), ref.power(w, 3)), ref.power(w, 4)]
     form = properness_form(comps, Polynomial.one(2))
     assert reduce_mod_sphere(form).is_zero
 
@@ -291,13 +326,13 @@ def test_reduce_sphere_defect_to_zero():
 
 
 def test_reduce_cubic_invariant_map():
-    comps = [z(0) ** 3, math.sqrt(3.0) * z(0) * z(1), z(1) ** 3]
+    comps = [ref.power(z(0), 3), ref.mul(math.sqrt(3.0), z(0), z(1)), ref.power(z(1), 3)]
     form = properness_form(comps, Polynomial.one(2))
     assert reduce_mod_sphere(form).is_zero
 
 
 def test_reduce_detects_shrunken_map():
-    form = properness_form([0.5 * z(0), 0.5 * z(1)], Polynomial.one(2))
+    form = properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, z(1))], Polynomial.one(2))
     remainder = reduce_mod_sphere(form)
     assert not remainder.is_zero
     assert remainder.max_abs_entry() > DEFAULT_TOL
@@ -312,16 +347,16 @@ def test_reduction_agrees_with_sphere_sampling_oracle():
     w = z(1)
     vanishing = [
         properness_form([z(0), z(1)], Polynomial.one(2)),
-        properness_form([z(0) ** 2, math.sqrt(2.0) * z(0) * w, w ** 2],
-                        Polynomial.one(2)),
-        properness_form([z(0), z(0) * w, w ** 2], Polynomial.one(2)),
+        properness_form([ref.power(z(0), 2), ref.mul(math.sqrt(2.0), z(0), w),
+                         ref.power(w, 2)], Polynomial.one(2)),
+        properness_form([z(0), ref.mul(z(0), w), ref.power(w, 2)], Polynomial.one(2)),
     ]
     for form in vanishing:
         assert reduce_mod_sphere(form).is_zero
         assert _sampled_max(form) <= 1e3 * DEFAULT_TOL
     defective = [
-        properness_form([0.5 * z(0), 0.5 * w], Polynomial.one(2)),
-        properness_form([z(0), 0.9 * w], Polynomial.one(2)),
+        properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, w)], Polynomial.one(2)),
+        properness_form([z(0), ref.mul(0.9, w)], Polynomial.one(2)),
         properness_form([Polynomial.constant(2, 0.5)], Polynomial.one(2)),
     ]
     for form in defective:
@@ -332,7 +367,7 @@ def test_reduction_agrees_with_sphere_sampling_oracle():
 def test_reduce_handles_off_diagonal_shifts():
     # |z1 + z2|^2 - 1 vanishes nowhere on the whole sphere: remainder nonzero,
     # but (z1+z2)/sqrt(2) scaled norms agree only pointwise, not identically.
-    p = z(0) + z(1)
+    p = ref.add(z(0), z(1))
     form = properness_form([p], Polynomial.one(2))
     remainder = reduce_mod_sphere(form)
     assert not remainder.is_zero
@@ -354,16 +389,19 @@ def test_multiples_of_the_sphere_defect_always_reduce_to_zero(rng):
                                 complex(rng.standard_normal(), rng.standard_normal())
                                 for _ in range(3)})
                  for _ in range(2)]
-        factor = squared_norm_form(comps)
-        product = squared_norm_form([c * z(j) for c in comps for j in range(2)]) - factor
+        # The rows of the c z_j and of the c on one support, the latter
+        # negated in one signed Gram.
+        basis, (multiples, own) = align_rows(
+            coefficient_matrix([ref.mul(c, z(j)) for c in comps for j in range(2)]),
+            coefficient_matrix(comps))
+        product = gram_form(2, basis, np.vstack([multiples, own]), negated=len(own))
         assert reduce_mod_sphere(product).is_zero
         # Reduction is linear on one basis, so adding a sphere multiple
         # changes nothing; F is reduced on the sum's basis, since the degree
         # of each shift's coefficients comes from the basis.
-        total = factor + product
-        basis, own, _ = factor._aligned(total)
-        assert reduce_mod_sphere(total).allclose(
-            reduce_mod_sphere(HermitianForm._raw(2, basis, own)), 1e-9)
+        factor = gram_form(2, basis, own)
+        total = HermitianForm._raw(2, basis, factor.matrix + product.matrix)
+        assert _forms_close(reduce_mod_sphere(total), reduce_mod_sphere(factor), 1e-9)
 
 
 def _bernstein_by_loop(form):
@@ -424,7 +462,8 @@ def test_reduction_plans_are_keyed_by_the_basis():
     # Two forms on one basis that differ only in one off-diagonal pair, just
     # above the storage floor in one and just below it in the other, share
     # one plan.
-    comps = [z(0) * z(0) + z(1) * 0.5, z(0) * z(1) * 0.7 - 0.2]
+    comps = [ref.add(ref.mul(z(0), z(0)), ref.mul(z(1), 0.5)),
+             ref.sub(ref.mul(z(0), z(1), 0.7), 0.2)]
     base = squared_norm_form(comps)
     i, j = next((i, j) for i in range(len(base.basis)) for j in range(i)
                 if base.matrix[i, j] == 0)
@@ -505,8 +544,8 @@ def test_multiply_rows_agrees_with_polynomial_products(nvars, seed):
                                 *coefficient_matrix(right))
     assert list(monos) == sorted(set(monos), reverse=True)
     for a, b, got in zip(left, right, polynomials_from_rows(nvars, monos, rows)):
-        scale = a.max_abs_coeff() * b.max_abs_coeff()
-        assert got.distance(a * b) <= 1e-14 * scale
+        scale = ref.largest(a) * ref.largest(b)
+        assert ref.distance(got, ref.mul(a, b)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("gram_min", [0, polyalg.ORTHOGONAL_GRAM_MIN])
@@ -515,11 +554,12 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
                                                               monkeypatch):
     # 40 rows on 64 columns reach the default ORTHOGONAL_GRAM_MIN.  Members:
     # monomial rows (one column each) under phases and scales, some rows at
-    # 1e-12 of the largest, which get the diagonal Gram; rows that own
-    # several columns each, and dense rows, which get the product; zero rows.
-    # Besides, members whose negated rows have entries on a few columns
-    # only: q = 1 on the last column, q = 1 - z1 with z1 on the first, and
-    # zero rows, under dense and monomial rows.
+    # 1e-12 of the largest; rows that own several columns each; dense rows;
+    # zero rows.  Besides, members whose negated rows have entries on a few
+    # columns only: q = 1 on the last column, q = 1 - z1 with z1 on the
+    # first, and zero rows, under dense and monomial rows.  Each slice's
+    # normalized Gram difference agrees too, where ``gram_min`` decides
+    # which of its blocks add their diagonal Gram alone.
     monkeypatch.setattr(polyalg, "ORTHOGONAL_GRAM_MIN", gram_min)
     gen = np.random.default_rng(14)
     count, size = 40, 64
@@ -551,16 +591,39 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
         dense_gram = head.T @ head.conj() - tail.T @ tail.conj()
         norms = np.linalg.norm(rows, axis=0)
         assert np.all(np.abs(gram - dense_gram) <= 4 * eps * np.outer(norms, norms))
+        normalized, own = polyalg.normalized_gram_difference(head, tail)
+        assert np.all(np.abs(own - norms) <= 4 * eps * norms)
+        assert np.all(np.abs(normalized * np.outer(own, own) - dense_gram)
+                      <= 4 * eps * np.outer(norms, norms))
+
+
+def _bench_module(name, monkeypatch):
+    """A module of the benchmark directory, loaded from its file (read only)."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_pass_their_own_checks(monkeypatch, tmp_path):
+    # One pass of three workloads at seed 3, the CLI in this process: every
+    # name the benchmark reads of the program must still be there and agree.
+    workloads = _bench_module("workloads", monkeypatch)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    ops = [*workloads.family_grid(3), *workloads.map_certify(3),
+           *workloads.cli_cold(3, str(tmp_path), src, in_process=True)]
+    assert len(ops) >= 60
+    for op in ops:
+        assert op.check(op.run()) == [], op.id
 
 
 def test_every_traced_benchmark_target_resolves(monkeypatch):
     # The benchmark's tracer wraps callables by (module, qualname), the
     # public reduce_mod_sphere among them; each must still resolve.
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_layers", bench / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _bench_module("layers", monkeypatch)
     names = set()
     for module, qualname, _ in layers.TARGETS:
         target = importlib.import_module(f"propermaps.{module}")
