@@ -7,16 +7,76 @@ import numpy as np
 #: Relative singular-value threshold shared by rank and nullspace computations.
 RANK_RTOL = 1e-10
 
+#: A slice X, oriented so that it is r x c with r <= c (the conjugate
+#: transpose has the same singular values) and scaled by the power of two
+#: that puts its largest real or imaginary part in [1/2, 1), has full rank r
+#: when its Gram matrix G = X X^H less GRAM_RTOL * trace(G) on the diagonal
+#: has a Cholesky factor, that is lambda_min(G) > GRAM_RTOL * trace(G).  In
+#: floating point, forming G moves it by at most 2 (c + 2) eps ||X||_F^2 in
+#: norm, shifting its diagonal by eps trace(G), and a Cholesky factorization
+#: that succeeds is exact for a matrix within 4 (r + 1) eps trace(G) of the
+#: one factored.  The test is used only while delta = 2 (c + 2 r + 5) eps <=
+#: GRAM_RTOL / 4, which covers these errors and the rounding of the trace
+#: together; then, as trace(G) = ||X||_F^2 >= sigma_1^2, sigma_r^2 =
+#: lambda_min >= (GRAM_RTOL - 2 delta) trace(G) >= GRAM_RTOL / 2 *
+#: sigma_1^2, so sigma_r / sigma_1 >= sqrt(GRAM_RTOL / 2), about 7e-5: far
+#: above RANK_RTOL plus the SVD's own rounding, so the SVD would count r
+#: singular values as well.  The scaling is exact but for entries that
+#: underflow, which lie far below sigma_1 >= 1/2, and no Gram entry can
+#: overflow.
+GRAM_RTOL = 1e-8
+
+
+def _gram_ranks(stack: np.ndarray) -> np.ndarray:
+    """For each slice of a (T, r, c) stack, min(r, c) when the Cholesky test
+    on its smaller Gram matrix shows full rank (see GRAM_RTOL), and -1 when
+    it cannot decide: a slice that is zero or not finite, and every slice of
+    a stack in which one fails the test, since one failure fails the stack's
+    factorization."""
+    ranks = np.full(len(stack), -1)
+    small, large = sorted(stack.shape[1:])
+    if 2 * (large + 2 * small + 5) * np.finfo(float).eps > GRAM_RTOL / 4:
+        return ranks
+    # Each complex entry as two floats; the largest of them is within a
+    # factor sqrt(2) of the largest |entry|, with no modulus to overflow.
+    parts = np.ascontiguousarray(stack).view(float)
+    peak = np.abs(parts).max(axis=(1, 2))
+    live = np.flatnonzero(np.isfinite(peak) & (peak > 0.0))
+    if not len(live):
+        return ranks
+    x = np.ldexp(parts[live], -np.frexp(peak[live])[1][:, None, None]).view(complex)
+    xh = x.conj().swapaxes(1, 2)
+    gram = x @ xh if stack.shape[1] <= stack.shape[2] else xh @ x
+    diagonal = np.arange(small)
+    gram[:, diagonal, diagonal] -= GRAM_RTOL * np.trace(gram.real, axis1=1, axis2=2)[:, None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return ranks
+    ranks[live] = small
+    return ranks
+
 
 def numerical_rank(matrix: np.ndarray):
     """Number of singular values above ``RANK_RTOL`` times the largest; for a
-    (T, m, n) stack, the array of the T ranks, from one stacked SVD."""
+    (T, m, n) stack, the array of the T ranks.
+
+    A slice whose smaller Gram matrix keeps a Cholesky factor after
+    GRAM_RTOL times its trace is taken off its diagonal has full rank, which
+    is what its SVD would count (see GRAM_RTOL); one stacked factorization
+    decides a stack of such slices.  The others, zero, non-finite (which
+    raise LinAlgError) and rank-deficient slices and the stacks that hold
+    one, get one stacked SVD of their unscaled entries."""
     m = np.asarray(matrix, dtype=complex)
     if m.size == 0:
         return 0 if m.ndim == 2 else np.zeros(m.shape[0], dtype=int)
-    s = np.linalg.svd(m, compute_uv=False)
-    ranks = np.count_nonzero(s > s[..., :1] * RANK_RTOL, axis=-1)
-    return int(ranks) if m.ndim == 2 else ranks
+    stack = m.reshape((-1,) + m.shape[-2:])
+    ranks = _gram_ranks(stack)
+    open_ = ranks < 0
+    if open_.any():
+        s = np.linalg.svd(stack[open_], compute_uv=False)
+        ranks[open_] = np.count_nonzero(s > s[..., :1] * RANK_RTOL, axis=-1)
+    return int(ranks[0]) if m.ndim == 2 else ranks
 
 
 def orthogonal_rows(stack: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ instead of by sampling.
 from __future__ import annotations
 
 import enum
+import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -462,17 +463,26 @@ def _factor_rows(n: int, centres: np.ndarray):
 
     The factor columns whose centres are equal in every row form one group,
     and a group of m columns is one power (1 - <z, a>)^m in closed form
-    (``_power_rows``).  The product starts from the first group's power and
-    multiplies the others in order of their first column; entries at or
-    below the storage floor ``COEFFICIENT_FLOOR`` are dropped after each
-    distinct centre's power.  When the centres are distinct, every power is
-    its linear factor and the product is the chain of factor products.
+    (``_power_rows``).  The groups of one multiplicity m get one
+    ``_power_rows`` call on their centres stacked, which raises each row on
+    its own, so each power is the one of its group alone.  The product
+    starts from the first group's power and multiplies the others in order
+    of their first column; entries at or below the storage floor
+    ``COEFFICIENT_FLOOR`` are dropped after each distinct centre's power.
+    When the centres are distinct, every power is its linear factor and the
+    product is the chain of factor products.
     """
+    groups = [(len(columns), centre) for columns, centre in _mask_groups(centres.swapaxes(0, 1))]
+    powers = {}
+    for m in dict.fromkeys(m for m, _ in groups):
+        same = [centre for k, centre in groups if k == m]
+        support, stacked = _power_rows(n, m, np.concatenate(same))
+        powers[m] = support, iter(np.split(stacked, len(same)))
     monos = rows = None
-    for columns, centre in _mask_groups(centres.swapaxes(0, 1)):
-        power = _power_rows(n, len(columns), centre)
-        monos, rows = (power if rows is None
-                       else multiply_rows(n, monos, rows, *power))
+    for m, _ in groups:
+        support, chunks = powers[m]
+        monos, rows = ((support, next(chunks)) if rows is None
+                       else multiply_rows(n, monos, rows, support, next(chunks)))
         rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     return monos, rows
 
@@ -678,13 +688,12 @@ def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
     return residuals, worst, constant
 
 
-def _certify_block(block: _Block, tol: float,
-                   seed: int) -> Iterator[PropernessCertificate]:
+def _certify_block(block: _Block, tol: float, seed: int,
+                   denominators: list) -> Iterator[PropernessCertificate]:
     """The certificate of each map of a block, in order, read from the
-    block's arrays with no member built; an error for a map is raised at
-    that map's turn."""
+    block's arrays and its ``_check_denominators`` with no member built; an
+    error for a map is raised at that map's turn."""
     n, support, stack = block.n, block.support, block.rows
-    denominators = _check_denominators(block, seed)
     residuals, worst, constant = _block_residuals(n, support, stack, tol)
     q = stack[:, -1]
     residuals = residuals / sphere_scales(n, support, q.real ** 2 + q.imag ** 2)
@@ -703,12 +712,19 @@ def _certify_block(block: _Block, tol: float,
                                     (block, k, seed))
 
 
-def _certify_run(block: _Block, tol: float, seed: int) -> Iterator[tuple]:
+def _certify_run(block: _Block, tol: float, seed: int, timings: dict) -> Iterator[tuple]:
     """What ``certify_maps`` yields for each map of a block (see ``_runs``);
-    an error comes at its map's turn."""
+    an error comes at its map's turn.  The seconds that the block's ranks and
+    its denominators take are added to ``timings["rank_s"]`` and
+    ``timings["denominator_s"]``."""
     degrees = np.maximum(_top_degrees(block.support, block.rows[:, :-1]), 0).tolist()
+    start = time.perf_counter()
     ranks = _embedding_dimensions(block.rows).tolist()
-    return zip(_certify_block(block, tol, seed), degrees, ranks)
+    ranked = time.perf_counter()
+    denominators = _check_denominators(block, seed)
+    timings["rank_s"] += ranked - start
+    timings["denominator_s"] += time.perf_counter() - ranked
+    return zip(_certify_block(block, tol, seed, denominators), degrees, ranks)
 
 
 def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
@@ -729,15 +745,17 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     through the full sphere-reduction plan of the support.  A block also
     gets one product of the denominator factors with a row per map, which
     raises each centre that all the maps share to its power in closed form
-    (``_factor_rows``), and one stacked SVD for the ranks.  A member whose
-    component rows share no column has orthogonal rows: its rank counts the
-    row norms instead of taking the SVD (``_embedding_dimensions``).  Each
-    of these is decided for each member on its own rows, so its results do
-    not depend on the block.  The denominators go down one ladder as a block
-    (``_check_denominators``): the carried factors, then q's own with one
-    product per q degree; only a q that no factors decide is bounded or
-    sampled map by map.  A certificate's witness is sampled when it is first
-    read.  ``certify_proper`` is the block step on one map.
+    (``_factor_rows``), and the ranks.  A member whose component rows share
+    no column has orthogonal rows: its rank counts the row norms.  The other
+    members get one stacked Cholesky test of their Gram matrices, which
+    decides those of full rank, and one stacked SVD for the rest
+    (``_embedding_dimensions``).  Each of these results is that of the
+    member on its own rows, so it does not depend on the block.  The
+    denominators go down one ladder as a block (``_check_denominators``):
+    the carried factors, then q's own with one product per q degree; only a
+    q that no factors decide is bounded or sampled map by map.  A
+    certificate's witness is sampled when it is first read.
+    ``certify_proper`` is the block step on one map.
 
     ``maps`` may also hold blocks of maps (``_Block``), which are certified
     from their arrays without building their members.  Results come block
@@ -746,8 +764,9 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     and when reading the next map raises, the maps read before it are
     certified first.
     """
+    timings = {"rank_s": 0.0, "denominator_s": 0.0}
     for block in _runs(maps):
-        yield from _certify_run(block, tol, seed)
+        yield from _certify_run(block, tol, seed, timings)
 
 
 def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
@@ -771,7 +790,8 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
     with ``seed``, when it is first read, and cached.  This is the block step
     of ``certify_maps`` on a block of one.
     """
-    return next(_certify_block(_Block.of(m), tol, seed))
+    block = _Block.of(m)
+    return next(_certify_block(block, tol, seed, _check_denominators(block, seed)))
 
 
 def degree(m: RationalBallMap) -> int:
@@ -790,10 +810,12 @@ def _embedding_dimensions(stack: np.ndarray) -> np.ndarray:
     (``_linalg.orthogonal_rows``), the rows are orthogonal and their norms
     are their singular values, so the norms are counted: their squares,
     summed from the real and imaginary parts with no copy of the rows,
-    against ``RANK_RTOL`` squared times the largest.  The other maps get one stacked SVD per
-    distinct set of columns where their rows have an entry.  This is
-    decided for each map on its own rows, so its rank does not depend on
-    what it is stacked with.
+    against ``RANK_RTOL`` squared times the largest.  The other maps go to
+    ``_linalg.numerical_rank`` once per distinct set of columns where their
+    rows have an entry: a stack whose Gram matrices all pass its Cholesky
+    test has full rank without an SVD, and the others get one stacked SVD.
+    Either way the rank is what the SVD of the map's own rows counts, so it
+    does not depend on what the map is stacked with.
     """
     rows = stack[:, :-1]
     orthogonal = _linalg.orthogonal_rows(rows)
@@ -815,7 +837,9 @@ def embedding_dimension(m: RationalBallMap) -> int:
     """Number of linearly independent components: the rank of the component
     coefficient rows, counting singular values above ``RANK_RTOL`` (1e-10)
     times the largest.  Rows that share no column are orthogonal, and their
-    norms are their singular values (``_embedding_dimensions``)."""
+    norms are their singular values; dense rows of full rank are recognized
+    by a Cholesky test of their Gram matrix, and only the others take the
+    SVD (``_embedding_dimensions``)."""
     return int(_embedding_dimensions(m.coefficients[None])[0])
 
 

@@ -88,7 +88,7 @@ def _catalog(token: str, kind: str):
     if os.path.dirname(token) or token.endswith(".json"):
         return None
     from .corpus import CATALOG, catalog_entry
-    kind_of, build, key = CATALOG.get(token, (None, None, None))
+    kind_of, build, key, _ = CATALOG.get(token, (None, None, None, None))
     if kind_of == kind:
         return catalog_entry(build(), key)
     if os.path.exists(token):
@@ -339,15 +339,15 @@ def _cmd_blaschke(args, out: _Output) -> int:
 
 
 def _cmd_corpus(args, out: _Output) -> int:
-    from .corpus import corpus
-    reg = corpus()
+    from .corpus import corpus, listing
     if args.action == "list":
         rows = []
-        for name, kind, summary in reg.entries():
+        for name, kind, summary in listing():
             out.line(f"{name:24s} {kind:8s} {summary}")
             rows.append({"name": name, "kind": kind, "summary": summary})
         out.set("entries", rows)
         return 0
+    reg = corpus()
     # corpus run: certify every map, verify every family.
     from .ballmaps import Verdict, certify_proper
     from .homotopy import verify_family

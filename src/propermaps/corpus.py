@@ -72,23 +72,29 @@ class Corpus:
     builders: dict
 
     def entries(self) -> list:
-        out = []
-        for name in sorted(self.maps):
-            m = self.maps[name]
-            out.append((name, "map", f"B{m.n} -> B{m.N}, degree {m.degree}"))
-        for name in sorted(self.families):
-            fam = self.families[name]
-            out.append((name, "family",
-                        f"B{fam.domain_dim} -> B{fam.target_dim}"))
-        for name in sorted(self.builders):
-            doc = (self.builders[name].__doc__ or "").strip()
-            out.append((name, "builder", doc.splitlines()[0] if doc else ""))
-        return out
+        """(name, kind, summary) of every map, family and builder, read from
+        the built entries; ``listing`` gives the same for ``corpus()`` from
+        the catalog's table alone."""
+        return _entries({name: (m.n, m.N, m.degree) for name, m in self.maps.items()},
+                        {name: (fam.domain_dim, fam.target_dim)
+                         for name, fam in self.families.items()}, self.builders)
 
     def get_map(self, name: str) -> RationalBallMap:
         if name not in self.maps:
             raise KeyError(f"unknown corpus map {name!r}")
         return self.maps[name]
+
+
+def _entries(maps: dict, families: dict, builders: dict) -> list:
+    """(name, kind, summary) of each map from its (n, N, degree), then of
+    each family from its (domain, target) dimensions, then of each builder
+    from the first line of its docstring, each kind sorted by name."""
+    out = [(name, "map", "B{} -> B{}, degree {}".format(*maps[name])) for name in sorted(maps)]
+    out += [(name, "family", "B{} -> B{}".format(*families[name])) for name in sorted(families)]
+    for name in sorted(builders):
+        doc = (builders[name].__doc__ or "").strip()
+        out.append((name, "builder", doc.splitlines()[0] if doc else ""))
+    return out
 
 
 def _blaschke_builder(theta: float, zeros) -> RationalBallMap:
@@ -102,23 +108,39 @@ def _homotopy():
     return homotopy
 
 
+def _blaschke_homotopy(b):
+    """Contract all zeros and the phase to 0: endpoints are the product and z^m."""
+    return _homotopy().blaschke_homotopy(b)
+
+
 def _faran_families():
     return _homotopy().faran_families()
 
 
-#: Every catalog id with its kind, the builder of its entry and, for a
-#: builder that returns a dict of entries, the key of its own.  ``corpus()``
-#: calls each builder once, so ids that share one share what it built.
+#: The parameterized builders, with docstrings readable without numpy.
+BUILDERS = {"blaschke": _blaschke_builder, "whitney": build_whitney_term,
+            "blaschke.homotopy": _blaschke_homotopy}
+
+#: Every catalog id with its kind, the builder of its entry, for a builder
+#: that returns a dict of entries the key of its own, and what ``corpus
+#: list`` shows of the entry: (n, N, degree) of a map, (domain, target)
+#: dimensions of a family.  ``corpus()`` calls each builder once, so ids that
+#: share one share what it built.
 CATALOG = {
-    "ex2.1.f": ("map", degree_drop_maps, "f"),
-    "ex2.1.g": ("map", degree_drop_maps, "g"),
-    "ex2.1.h": ("map", quadric_three_map, None),
-    "whitney.W": ("map", whitney_map, None),
-    **{f"faran.{k}": ("map", faran_maps, k) for k in ("f", "g", "h", "phi")},
-    "ex4.1.map": ("map", group_invariant_degree5_map, None),
+    "ex2.1.f": ("map", degree_drop_maps, "f", (2, 5, 4)),
+    "ex2.1.g": ("map", degree_drop_maps, "g", (2, 5, 3)),
+    "ex2.1.h": ("map", quadric_three_map, None, (2, 3, 2)),
+    "whitney.W": ("map", whitney_map, None, (3, 5, 2)),
+    "faran.f": ("map", faran_maps, "f", (2, 3, 1)),
+    "faran.g": ("map", faran_maps, "g", (2, 3, 2)),
+    "faran.h": ("map", faran_maps, "h", (2, 3, 2)),
+    "faran.phi": ("map", faran_maps, "phi", (2, 3, 3)),
+    "ex4.1.map": ("map", group_invariant_degree5_map, None, (2, 4, 5)),
     **dict.fromkeys(("ex2.1.family", "ex4.2.family"),
-                    ("family", lambda: _homotopy().degree_drop_family(), None)),
-    **{f"faran.{k}.family": ("family", _faran_families, k) for k in ("fg", "gh", "hphi")},
+                    ("family", lambda: _homotopy().degree_drop_family(), None, (2, 5))),
+    "faran.fg.family": ("family", _faran_families, "fg", (2, 4)),
+    "faran.gh.family": ("family", _faran_families, "gh", (2, 4)),
+    "faran.hphi.family": ("family", _faran_families, "hphi", (2, 5)),
 }
 
 
@@ -127,11 +149,18 @@ def catalog_entry(built, key):
     return built if key is None else built[key]
 
 
+def listing() -> list:
+    """What ``corpus().entries()`` gives, from CATALOG and BUILDERS alone,
+    so that listing the catalog builds nothing and loads no numpy."""
+    maps, families = ({name: listed for name, (kind_of, _, _, listed) in CATALOG.items()
+                       if kind_of == kind} for kind in ("map", "family"))
+    return _entries(maps, families, BUILDERS)
+
+
 def corpus() -> Corpus:
     """Assemble the registry of built-in example maps and families."""
-    built = {build: build() for build in dict.fromkeys(b for _, b, _ in CATALOG.values())}
+    built = {build: build() for build in dict.fromkeys(b for _, b, _, _ in CATALOG.values())}
     maps, families = ({name: catalog_entry(built[build], key)
-                       for name, (kind_of, build, key) in CATALOG.items() if kind_of == kind}
+                       for name, (kind_of, build, key, _) in CATALOG.items() if kind_of == kind}
                       for kind in ("map", "family"))
-    return Corpus(maps, families, {"blaschke": _blaschke_builder, "whitney": build_whitney_term,
-                                   "blaschke.homotopy": _homotopy().blaschke_homotopy})
+    return Corpus(maps, families, dict(BUILDERS))

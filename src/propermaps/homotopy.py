@@ -203,7 +203,9 @@ class FamilyReport:
     ``max_coefficient_step`` is the largest coefficient distance between
     adjacent grid members, and ``t_at_max_coefficient_step`` the grid point
     that ends the first such step.  ``timings`` holds the seconds spent
-    evaluating the grid (``evaluate_s``) and certifying it (``certify_s``).
+    evaluating the grid (``evaluate_s``) and certifying it (``certify_s``),
+    and two phases of the certification: the embedding dimensions
+    (``rank_s``) and the denominator checks (``denominator_s``).
     """
 
     grid: list
@@ -293,7 +295,8 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     when its certificate's witness is read.  The results, and the first
     error with ``strict``, are those of certifying the members one by one in
     grid order.  ``timings`` sums, block by block, the time spent reading
-    the evaluator and the time spent certifying.
+    the evaluator and the time spent certifying, and, within the latter,
+    the time spent on the ranks and on the denominators.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -302,7 +305,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     degrees, embdims, residuals, failures = [], [], [], []
     first = last = None
     max_step, t_step = 0.0, ts[1]
-    timings = {"evaluate_s": 0.0, "certify_s": 0.0}
+    timings = {"evaluate_s": 0.0, "certify_s": 0.0, "rank_s": 0.0, "denominator_s": 0.0}
     clock = time.perf_counter()
     for block in _bm._runs(family._evaluate(ts)):
         now = time.perf_counter()
@@ -313,7 +316,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         steps = [0.0 if last is None else _bm._distance((last.support, last.rows[-1]),
                                                         (block.support, rows[0]))]
         steps += np.hypot(gaps.real, gaps.imag).max(axis=(1, 2)).tolist()
-        results = _bm._certify_run(block, tol, seed)
+        results = _bm._certify_run(block, tol, seed, timings)
         # steps, one per member, comes first, so zip takes no t past the block.
         for step, t, (cert, deg, embdim) in zip(steps, grid, results):
             degrees.append(deg)

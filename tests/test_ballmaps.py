@@ -30,7 +30,7 @@ from propermaps.xvariety import (build_xmatrix, fiber_at, graph_test,
                                  xmatrix_along_family)
 
 import polyref as ref
-from conftest import sample_sphere
+from conftest import bench_module, sample_sphere
 
 
 def var(j, n=2):
@@ -284,6 +284,17 @@ def _linear_factor_product(n, centres):
     return out
 
 
+def _one_power_per_centre(n, centres):
+    """(support, bytes of the rows) of ``_factor_rows`` with one
+    ``_power_rows`` call per distinct centre, in order of first column."""
+    monos = rows = None
+    for columns, centre in polyalg._mask_groups(centres.swapaxes(0, 1)):
+        power = ballmaps._power_rows(n, len(columns), centre)
+        monos, rows = power if rows is None else polyalg.multiply_rows(n, monos, rows, *power)
+        rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    return monos, rows.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(_factor_stacks())
 def test_factor_rows_agree_with_the_product_of_linear_factors(drawn):
@@ -297,6 +308,7 @@ def test_factor_rows_agree_with_the_product_of_linear_factors(drawn):
     smallest = moduli[moduli > 0].min(initial=1.0)
     centres = centres * 2.0 ** math.ceil(-math.log2(smallest))
     support, rows = ballmaps._factor_rows(n, centres)
+    assert (support, rows.tobytes()) == _one_power_per_centre(n, centres)
     for row, member in zip(rows, centres):
         got = dict(zip(support, row.tolist()))
         want = _linear_factor_product(n, member).terms
@@ -458,6 +470,97 @@ def test_embedding_dimension_equals_norm_form_rank(registry):
     from propermaps._linalg import numerical_rank
     for name, m in registry.maps.items():
         assert numerical_rank(m.squared_norm_form().matrix) == embedding_dimension(m), name
+
+
+def _svd_rank(matrix):
+    """The rank kernel as one SVD: singular values above RANK_RTOL times the largest."""
+    s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
+    return np.count_nonzero(s > s[..., :1] * _linalg.RANK_RTOL, axis=-1)
+
+
+#: Singular values relative to the largest: well conditioned, near
+#: sqrt(GRAM_RTOL) and sqrt(GRAM_RTOL / 2), where the Cholesky test of the
+#: Gram matrix stops deciding, on either side of RANK_RTOL, at rounding
+#: level, and zero.
+_SINGULAR_RATIOS = (1.0, 0.3, 7e-3, 6e-4, 1.01e-4, 1e-4, 0.99e-4, 7.1e-5, 7e-5, 1e-6, 1e-8,
+                    1e-10 * (1 + 1e-3), 1e-10 * (1 - 1e-3), 1e-12, 1e-14, 0.0)
+
+
+@st.composite
+def _rank_stacks(draw):
+    """A (T, r, c) complex stack, r < c or r > c, each slice U diag(s) V^H
+    with singular values s drawn from _SINGULAR_RATIOS, some rows zeroed,
+    times 2^e for e in {-900, 0, 900}."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 11))
+    small = min(rows, cols)
+    slices = []
+    for _ in range(count):
+        left = random_unitary(rows, gen)[:, :small]
+        right = random_unitary(cols, gen)[:, :small]
+        ratios = gen.choice(_SINGULAR_RATIOS, small)
+        ratios[0] = 1.0
+        x = (left * ratios) @ right.conj().T
+        x[gen.random(rows) < 0.15] = 0.0
+        slices.append(x * 2.0 ** draw(st.sampled_from([-900, 0, 900])))
+    return np.stack(slices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_stacks())
+def test_numerical_rank_counts_what_the_svd_counts(stack):
+    assert _linalg.numerical_rank(stack).tolist() == _svd_rank(stack).tolist()
+    for x in stack:
+        assert _linalg.numerical_rank(x) == int(_svd_rank(x))
+        assert _linalg.numerical_rank(x.T) == int(_svd_rank(x.T))
+
+
+def test_numerical_rank_edge_cases():
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert _linalg.numerical_rank(np.zeros(shape)) == 0
+    assert _linalg.numerical_rank(np.zeros((0, 2, 3))).tolist() == []
+    assert _linalg.numerical_rank(np.zeros((2, 0, 3))).tolist() == [0, 0]
+    assert _linalg.numerical_rank(np.zeros((3, 4))) == 0
+    assert _linalg.numerical_rank(np.zeros((2, 3, 4))).tolist() == [0, 0]
+    # Entries near the largest and smallest floats are scaled, not squared.
+    assert _linalg.numerical_rank(np.diag([1e300, 1e299])) == 2
+    assert _linalg.numerical_rank(np.diag([1e-320, 3e-321])) == 2
+    nan = np.ones((2, 3, 4), dtype=complex)
+    nan[1, 0, 2] = np.nan
+    for bad in (nan, nan[1]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _linalg.numerical_rank(bad)
+
+
+def test_full_rank_maps_take_no_svd(monkeypatch):
+    # The dense compositions of the map-certify ladder, drawn as the
+    # benchmark draws them, have sigma_min / sigma_max from 6e-4 to 0.36.
+    workloads = bench_module("workloads", monkeypatch)
+    maps = [m for name, m, _ in workloads.ladder(np.random.default_rng(3))
+            if name.startswith("compose")]
+    assert len(maps) == 9
+    blocks = []
+    for slot, (n, length) in enumerate(workloads.FAMILY_SHAPES):
+        term = workloads._whitney_term(n, length, slot, np.random.default_rng(3))
+        fam = homotopy_to_monomial(term)
+        blocks += ballmaps._runs(fam._evaluate([i / 100 for i in range(101)]))
+    full = [b for b in blocks if (_svd_rank(b.rows[:, :-1])
+                                  == min(b.rows.shape[1] - 1, b.rows.shape[2])).all()
+            and not _linalg.orthogonal_rows(b.rows[:, :-1]).any()]
+    assert sum(len(block) for block in full) >= 300
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: (calls.append(args[0].shape), svd(*args, **kw))[1])
+    assert [embedding_dimension(m) for m in maps] == [m.N for m in maps]
+    for block in full:
+        want = min(block.rows.shape[1] - 1, block.rows.shape[2])
+        assert ballmaps._embedding_dimensions(block.rows).tolist() == [want] * len(block)
+    assert calls == []
+    # A rank-deficient map still goes to the SVD.
+    twice = ref.add(var(0), var(1))
+    deficient = RationalBallMap(2, 3, [twice, twice, ref.mul(var(0), var(1))])
+    assert embedding_dimension(deficient) == 2
+    assert len(calls) == 1
 
 
 def test_apply_linear_with_rectangular_non_unitary_matrix(rng):

@@ -447,6 +447,17 @@ def test_corpus_list_and_run(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_catalog_listing_equals_the_built_entries():
+    # corpus list reads each id's (n, N, degree) or (domain, target) from
+    # the table, and each builder's first doc line from a numpy-free
+    # wrapper; every entry built must agree.
+    from propermaps import homotopy
+    from propermaps.corpus import BUILDERS, listing
+    assert listing() == corpus().entries()
+    assert len(listing()) == 17
+    assert BUILDERS["blaschke.homotopy"].__doc__ == homotopy.blaschke_homotopy.__doc__
+
+
 def test_corpus_run_is_deterministic(capsys):
     main(["corpus", "run", "--grid", "5", "--seed", "3"])
     first = capsys.readouterr().out
@@ -699,6 +710,7 @@ def test_each_module_imports_alone(module, tmp_path):
     (["verify", "faran.h"], 0),
     (["degree", "ex2.1.f"], 0),
     (["blaschke", "--zeros", "0.3,-0.5j", "--homotopy", "--grid", "3"], 0),
+    (["corpus", "list"], 0),
 ])
 def test_a_command_loads_only_its_own_modules(args, expected, tmp_path):
     (tmp_path / "doc.json").write_text(dumps_map(RationalBallMap.identity(2)))
@@ -707,9 +719,9 @@ def test_a_command_loads_only_its_own_modules(args, expected, tmp_path):
     # Only the Blaschke homotopy builds and verifies a family.
     family = {"homotopy", "constructors"} if args[0] == "blaschke" else set()
     assert {"homotopy", "constructors", "xvariety"} & set(modules) == family
-    # A catalog id loads the catalog; a document path does not, and neither
-    # does a family that is not built from it.
-    assert ("corpus" in modules) == (args[1] in ("faran.h", "ex2.1.f"))
+    # A catalog id and its listing load the catalog; a document path does
+    # not, and neither does a family that is not built from it.
+    assert ("corpus" in modules) == (args[1] in ("faran.h", "ex2.1.f", "list"))
 
 
 def _write_rejected_inputs(tmp_path):
@@ -735,6 +747,8 @@ def _write_rejected_inputs(tmp_path):
      "input error: script steps must be a list\n"),
     (["verify", "nosuch.id"], 2, "input error: unknown catalog id or missing file: nosuch.id\n"),
     (["homotopy", "faran.h"], 2, "input error: faran.h is a catalog map, not a family\n"),
+    (["corpus", "list"], 0, ""),
+    (["corpus", "list", "--json"], 0, ""),
 ])
 def test_bound_and_rejected_input_load_no_numpy(args, expected, stderr, tmp_path):
     _write_rejected_inputs(tmp_path)
@@ -742,8 +756,9 @@ def test_bound_and_rejected_input_load_no_numpy(args, expected, stderr, tmp_path
     assert (code, err) == (expected, stderr)
     assert not numpy_loaded
     assert not {"_linalg", "polyalg", "ballmaps"} & set(modules)
-    # A token that may be a catalog id reads the catalog's table, and only that.
-    assert ("corpus" in modules) == (args[1] in ("nosuch.id", "faran.h"))
+    # A token that may be a catalog id, and the listing, read the catalog's
+    # table, and only that.
+    assert ("corpus" in modules) == (args[1] in ("nosuch.id", "faran.h", "list"))
 
 
 def test_a_command_that_computes_with_a_map_loads_numpy(tmp_path):

@@ -433,7 +433,7 @@ def _assert_blocks_change_no_result(fam, grid_size=101):
         assert a.factors.tobytes() == b.factors.tobytes()
     report, reference = verify_family(fam, grid_size), _map_by_map_report(fam, grid_size)
     got, want = report.to_dict(), reference.to_dict()
-    assert got.pop("timings").keys() == {"evaluate_s", "certify_s"}
+    assert got.pop("timings").keys() == {"evaluate_s", "certify_s", "rank_s", "denominator_s"}
     want.pop("timings")
     assert got == want
     for (t, cert), (t_ref, ref) in zip(report.properness_failures,
@@ -489,9 +489,11 @@ def test_report_times_evaluation_and_certification(rng):
     report = verify_family(fam)
     wall = time.perf_counter() - start
     timings = report.timings
-    assert set(timings) == {"evaluate_s", "certify_s"}
+    assert set(timings) == {"evaluate_s", "certify_s", "rank_s", "denominator_s"}
     assert min(timings.values()) >= 0.0
-    assert sum(timings.values()) <= wall
+    # The ranks and the denominators are phases of the certification.
+    assert timings["evaluate_s"] + timings["certify_s"] <= wall
+    assert timings["rank_s"] + timings["denominator_s"] <= timings["certify_s"]
     assert report.to_dict()["timings"] == timings
 
 

@@ -1,6 +1,5 @@
-import importlib.util
+import importlib
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 squared_norm_form)
 
 import polyref as ref
-from conftest import sample_sphere
+from conftest import bench_module, sample_sphere
 
 
 def z(j, nvars=2):
@@ -597,21 +596,10 @@ def test_signed_gram_of_a_mixed_stack_equals_each_slice_alone(gram_min, negated,
                       <= 4 * eps * np.outer(norms, norms))
 
 
-def _bench_module(name, monkeypatch):
-    """A module of the benchmark directory, loaded from its file (read only)."""
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_workloads_pass_their_own_checks(monkeypatch, tmp_path):
     # One pass of three workloads at seed 3, the CLI in this process: every
     # name the benchmark reads of the program must still be there and agree.
-    workloads = _bench_module("workloads", monkeypatch)
+    workloads = bench_module("workloads", monkeypatch)
     src = str(Path(__file__).resolve().parents[1] / "src")
     ops = [*workloads.family_grid(3), *workloads.map_certify(3),
            *workloads.cli_cold(3, str(tmp_path), src, in_process=True)]
@@ -623,7 +611,7 @@ def test_benchmark_workloads_pass_their_own_checks(monkeypatch, tmp_path):
 def test_every_traced_benchmark_target_resolves(monkeypatch):
     # The benchmark's tracer wraps callables by (module, qualname), the
     # public reduce_mod_sphere among them; each must still resolve.
-    layers = _bench_module("layers", monkeypatch)
+    layers = bench_module("layers", monkeypatch)
     names = set()
     for module, qualname, _ in layers.TARGETS:
         target = importlib.import_module(f"propermaps.{module}")
