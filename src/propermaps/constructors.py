@@ -22,8 +22,8 @@ import numpy as np
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
                        _Block, _factor_rows, certify_proper)
-from .polyalg import (COEFFICIENT_FLOOR, align_rows, coefficient_matrix, evaluate_rows,
-                      monomials_of_degree, multiply_rows)
+from .polyalg import (COEFFICIENT_FLOOR, _product_plan, align_rows, coefficient_matrix,
+                      evaluate_rows, monomials_of_degree, multiply_rows)
 
 
 class NonIntegralWindingError(ArithmeticError):
@@ -233,9 +233,13 @@ def _as_domain_map(phi, n: int) -> RationalBallMap:
 
 
 def subspace_basis(target_dim: int, columns) -> np.ndarray:
-    """Normalize subspace input: index list or explicit vectors -> column matrix."""
+    """Normalize subspace input: index list or explicit vectors -> column matrix.
+    Indices must lie in range(target_dim); a negative one does not wrap."""
     arr = np.asarray(columns)
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
+        if ((arr < 0) | (arr >= target_dim)).any():
+            raise TensorSubspaceError(f"subspace indices {arr.tolist()} out of range for "
+                                      f"target dimension {target_dim}")
         basis = np.zeros((target_dim, arr.size), dtype=complex)
         basis[arr, np.arange(arr.size)] = 1.0
         return basis
@@ -255,6 +259,8 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     variable, then the complement coordinates.  Target dimension grows from N
     to N + d(n - 1); properness is preserved because on the sphere
     ||phi|| = 1 restores ||f||.  ``basis`` is read as by ``subspace_basis``.
+    With ``phi=None`` the tensor block's coefficients of z^alpha move to
+    z^alpha z_j, and nothing is multiplied.
     """
     step = WhitneyStep(subspace_basis(f.N, basis))
     return _apply_step(step, _Block.of(f), _Block.of(_as_domain_map(phi, f.n)))[0][0]
@@ -268,7 +274,11 @@ def _tensor_in_frame(fs: _Block, frame: np.ndarray, d: int, phis: _Block) -> lis
     domain self-maps for ``phis``; one of them is a block of one.  Member k
     of the result tensors map k of ``fs`` with the one domain factor, or the
     one map with factor k.  One product makes every row of every member, and
-    the result is its blocks.
+    the result is its blocks.  With the identity as the factor the product
+    only moves coefficients, so they are moved instead: row (b, j) takes
+    frame coordinate b's coefficient of z^alpha into column alpha + e_j.
+    Each of the product's sums adds c * 1 and products with 0 from +0.0, so
+    the two agree bit for bit once ``+ 0.0`` turns a -0.0 part into +0.0.
     """
     n = fs.n
     f_rows, f_centres = fs.rows, fs.centres
@@ -279,19 +289,37 @@ def _tensor_in_frame(fs: _Block, frame: np.ndarray, d: int, phis: _Block) -> lis
     # with the entries at or below the storage floor dropped.
     coords = frame.conj().T @ f_rows[:, :-1]
     coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
-    # One product per output row: the tensor block, the complement times
-    # phi's denominator, and the new denominator f.q * phi.q.
+    # Output row r is left row r times right row r: the tensor block, the
+    # complement times phi's denominator, and the new denominator f.q * phi.q.
     left = np.concatenate([np.repeat(coords[:, :d], n, axis=1), coords[:, d:],
                            f_rows[:, -1:]], axis=1)
+    size = left.shape[1]
+    if _is_identity(phis):
+        # The identity's row k, z_j for k = j < n and q = 1 for k = n, is 1
+        # in its column k; right row r is its row right_row[r].
+        support, column = _product_plan(n, fs.support, phis.support)
+        out = np.arange(size)
+        right_row = np.where(out < d * n, out % n, n)
+        rows = np.zeros((count, size, len(support)), dtype=complex)
+        rows[:, out[:, None], column.reshape(-1, n + 1).T[right_row]] = left
+        rows += 0.0
+        return RationalBallMap._from_stack(n, support, rows, f_centres)
     right = np.concatenate([np.tile(phi_rows[:, :n], (1, d, 1)),
                             np.repeat(phi_rows[:, n:], fs.N - d + 1, axis=1)], axis=1)
-    size = left.shape[1]
     left = _repeat_to(left, count).reshape(count * size, -1)
     right = _repeat_to(right, count).reshape(count * size, -1)
     support, rows = multiply_rows(n, fs.support, left, phis.support, right)
     centres = np.concatenate([_repeat_to(f_centres, count), _repeat_to(phi_centres, count)],
                              axis=1)
     return RationalBallMap._from_stack(n, support, rows.reshape(count, size, -1), centres)
+
+
+def _is_identity(phis: _Block) -> bool:
+    """Whether a block of domain factors is the identity map alone: rows
+    eye(n + 1) over its support, and no factor centres."""
+    identity = RationalBallMap.identity(phis.n)
+    return (len(phis) == 1 and phis.centres.size == 0 and phis.support == identity.support
+            and np.array_equal(phis.rows[0], identity.coefficients))
 
 
 def _repeat_to(stack: np.ndarray, count: int) -> np.ndarray:

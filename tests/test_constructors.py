@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from propermaps import ballmaps
+from propermaps import ballmaps, constructors
 from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary,
                                 random_unitary)
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
@@ -19,15 +20,16 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      blaschke_map, boundary_constant_map,
                                      juxtapose, random_ball_automorphism,
                                      random_blaschke_product, subspace_basis,
-                                     tensor_on_subspace, whitney_extend, whitney_start,
-                                     winding_degree, winding_integral)
+                                     tensor_on_subspace, WhitneyStep, whitney_extend,
+                                     whitney_start, winding_degree, winding_integral)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import automorphism_path
-from propermaps.polyalg import (DEFAULT_TOL, Polynomial, align_rows, coefficient_matrix, gram_form,
+from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, Polynomial, align_rows,
+                                coefficient_matrix, gram_form, multiply_rows,
                                 monomials_of_degree, polynomials_from_rows)
 
 import polyref as ref
-from conftest import sample_sphere
+from conftest import bench_module, sample_sphere
 
 
 def _norm_difference(f, g):
@@ -187,6 +189,18 @@ def test_tensor_rejects_bad_subspaces():
 
 
 
+@pytest.mark.parametrize("indices", [[-1], [2], [0, 5]])
+def test_tensor_rejects_subspace_indices_out_of_range(indices):
+    # A negative index does not wrap to the last coordinate, and one past
+    # the target is refused, by both ways into a tensor step.
+    ident = RationalBallMap.identity(2)
+    message = re.escape(f"subspace indices {indices} out of range for target dimension 2")
+    with pytest.raises(TensorSubspaceError, match=message):
+        tensor_on_subspace(ident, indices)
+    with pytest.raises(TensorSubspaceError, match=message):
+        whitney_extend(whitney_start(BallAutomorphism.identity(2)), np.array(indices))
+
+
 def test_tensor_checks_its_domain_factor(rng):
     ident = RationalBallMap.identity(2)
     phi = random_ball_automorphism(2, rng)
@@ -231,6 +245,99 @@ def test_tensor_step_matches_the_dict_product_formula(n, dense, with_phi):
     assert got.N == want.N
     assert np.array_equal(got.factors, want.factors)
     assert got.distance(want) <= 1e-14 * scale
+
+
+def _tensor_by_product(fs, frame, d, phis):
+    """``_tensor_in_frame`` as one ``multiply_rows`` call on the stacks of
+    both sides repeated to the block's size, stored by ``_from_stack``."""
+    n, count = fs.n, max(len(fs), len(phis))
+    coords = frame.conj().T @ fs.rows[:, :-1]
+    coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
+    left = np.concatenate([np.repeat(coords[:, :d], n, axis=1), coords[:, d:],
+                           fs.rows[:, -1:]], axis=1)
+    right = np.concatenate([np.tile(phis.rows[:, :n], (1, d, 1)),
+                            np.repeat(phis.rows[:, n:], fs.N - d + 1, axis=1)], axis=1)
+    size = left.shape[1]
+    left = constructors._repeat_to(left, count).reshape(count * size, -1)
+    right = constructors._repeat_to(right, count).reshape(count * size, -1)
+    support, rows = multiply_rows(n, fs.support, left, phis.support, right)
+    centres = np.concatenate([constructors._repeat_to(fs.centres, count),
+                              constructors._repeat_to(phis.centres, count)], axis=1)
+    return RationalBallMap._from_stack(n, support, rows.reshape(count, size, -1), centres)
+
+
+def _awkward_block(n, N, count, rng):
+    """A block of ``count`` maps from B_n into B_N over the monomials of
+    degree at most 2, with two factor centres each, whose rows hold exact
+    zeros, a coordinate that is zero, parts of -0.0 and entries at the
+    storage floor.  The maps need not be proper: the tensor step reads
+    only rows."""
+    support = tuple(alpha for k in (2, 1, 0) for alpha in monomials_of_degree(n, k))
+    shape = (count, N + 1, len(support))
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows[rng.random(shape) < 0.3] = 0.0
+    rows.real[rng.random(shape) < 0.2] = -0.0
+    rows.imag[rng.random(shape) < 0.2] = -0.0
+    rows[rng.random(shape) < 0.1] = COEFFICIENT_FLOOR
+    rows[rng.random(shape) < 0.1] = -1j * COEFFICIENT_FLOOR
+    rows[:, 1] = 0.0
+    centres = rng.standard_normal((count, 2, n)) + 1j * rng.standard_normal((count, 2, n))
+    return ballmaps._Block(n, support, rows, 0.3 * centres)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("count", [1, 5])
+def test_tensor_with_the_identity_moves_coefficients_as_the_product_does(n, dense, count):
+    rng = np.random.default_rng(100 * n + 10 * dense + count)
+    N = 4
+    fs = _awkward_block(n, N, count, rng)
+    identity = ballmaps._Block.of(RationalBallMap.identity(n))
+    assert constructors._is_identity(identity)
+    for d in range(1, N + 1):
+        if dense:
+            g = rng.standard_normal((N, d)) + 1j * rng.standard_normal((N, d))
+            basis, _ = np.linalg.qr(g)
+        else:
+            basis = subspace_basis(N, np.sort(rng.choice(N, size=d, replace=False)))
+        frame = WhitneyStep(basis).frame
+        got = constructors._tensor_in_frame(fs, frame, d, identity)
+        want = _tensor_by_product(fs, frame, d, identity)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.support == b.support
+            assert a.rows.tobytes() == b.rows.tobytes()
+            assert a.centres.tobytes() == b.centres.tobytes()
+
+
+def test_identity_is_told_from_other_domain_factors():
+    # A unitary automorphism has the identity's support but other rows, and
+    # a block of two identities is a block of factors.
+    ident = RationalBallMap.identity(2)
+    rotation = automorphism_map(BallAutomorphism([0.0, 0.0], np.array([[0, 1], [1, 0]])))
+    assert rotation.support == ident.support
+    assert not constructors._is_identity(ballmaps._Block.of(rotation))
+    twice = ballmaps._Block(2, ident.support, np.stack([ident.coefficients] * 2),
+                            np.stack([ident.factors] * 2))
+    assert not constructors._is_identity(twice)
+
+
+def test_family_grid_multiplies_by_no_identity(monkeypatch):
+    # Every tensor step with the identity moves coefficients; the steps with
+    # an automorphism still multiply.
+    workloads = bench_module("workloads", monkeypatch)
+    product, by_identity = constructors.multiply_rows, []
+
+    def recording(nvars, left_monos, left, right_monos, right):
+        eye = np.eye(nvars + 1)
+        by_identity.append(tuple(right_monos) == RationalBallMap.identity(nvars).support
+                           and (right[:, None, :] == eye).all(axis=2).any(axis=1).all())
+        return product(nvars, left_monos, left, right_monos, right)
+
+    monkeypatch.setattr(constructors, "multiply_rows", recording)
+    op = workloads.family_grid(3)[1]
+    assert op.check(op.run()) == []
+    assert by_identity and not any(by_identity)
 
 
 # -------------------------------------------------------------- juxtaposition

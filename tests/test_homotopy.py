@@ -28,6 +28,7 @@ from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
 from propermaps.polyalg import DEFAULT_TOL, Polynomial
 
 import polyref as ref
+from conftest import bench_module
 
 
 def pointwise(fn):
@@ -481,6 +482,15 @@ def test_whitney_reduction_has_no_jump():
         coarse = verify_family(fam, grid_size=101).max_coefficient_step
         fine = verify_family(fam, grid_size=2001).max_coefficient_step
         assert fine < 0.4 * coarse
+
+
+def test_family_grid_passes_its_checks_on_twelve_seeds(monkeypatch):
+    # The benchmark draws a family-grid pass per seed; a failed check at one
+    # seed fails the whole benchmark run.
+    workloads = bench_module("workloads", monkeypatch)
+    for seed in range(1, 13):
+        for op in workloads.family_grid(seed):
+            assert op.check(op.run()) == [], (seed, op.id)
 
 
 def test_report_times_evaluation_and_certification(rng):
