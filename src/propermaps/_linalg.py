@@ -182,7 +182,3 @@ class UnitaryPath:
         s = np.asarray(s, dtype=float)
         phases = np.exp(1j * s[..., None] * self.angles)
         return (self.frame * phases[..., None, :]) @ self.frame.conj().T
-
-    @property
-    def is_constant(self) -> bool:
-        return bool(np.max(np.abs(self.angles)) <= 1e-14)

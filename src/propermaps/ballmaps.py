@@ -27,13 +27,11 @@ import numpy as np
 from . import _linalg
 from .bounds import (DEFAULT_SEED, coefficient_bound, degree_bound,  # noqa: F401 - re-exported
                      denominator_sup_bound, largest_binomial_coefficient)
-from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, HermitianForm,
-                      Polynomial, align_rows, canonical_rows, coefficient_matrix,
-                      evaluate_rows, gram_form, monomials_of_degree, multinomial,
-                      _mask_groups, multiply_rows, normalized_gram_difference,
-                      polynomials_from_rows, radial_residuals, reduce_mod_sphere,
-                      signed_gram, sphere_residuals, sphere_scales,
-                      squared_norm_form)  # noqa: F401 - re-exported
+from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, Polynomial, align_rows,
+                      canonical_rows, coefficient_matrix, evaluate_rows, monomials_of_degree,
+                      multinomial, _mask_groups, multiply_rows, normalized_gram_difference,
+                      polynomials_from_rows, radial_residuals, signed_gram, sphere_residuals,
+                      sphere_scales)
 
 #: Lower bound of |q| on the closed ball below which the denominator counts
 #: as vanishing there.
@@ -265,15 +263,6 @@ class RationalBallMap:
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         values = evaluate_rows(self.n, self.support, self.coefficients, points)
         return values[:, :-1] / values[:, -1:]
-
-    # ------------------------------------------------------------------ forms
-    def squared_norm_form(self) -> HermitianForm:
-        """Hermitian form of ||p||^2 (numerator only)."""
-        return gram_form(self.n, *canonical_rows(self.support, self.coefficients[:-1]))
-
-    def properness_form(self) -> HermitianForm:
-        """Hermitian form of ||p||^2 - |q|^2: the signed Gram of the rows."""
-        return gram_form(self.n, self.support, self.coefficients, negated=1)
 
     # ------------------------------------------------------------- conversions
     def padded(self, target_dim: int) -> "RationalBallMap":

@@ -144,8 +144,7 @@ def _cmd_verify(args, out: _Output) -> int:
     out.line(f"largest remainder entry: {cert.worst_entry}")
     out.line(f"denominator: {cert.denominator_method} "
              f"(margin {cert.denominator_margin:.3e})")
-    if cert.witness_value is not None:
-        out.line(f"sampled sphere defect: {cert.witness_value:.3e}")
+    out.line(f"sampled sphere defect: {cert.witness_value:.3e}")
     out.set("verdict", cert.verdict.value)
     out.set("residual", cert.residual_norm)
     out.set("worst_entry", cert.worst_entry)

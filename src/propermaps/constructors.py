@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
-                       _Block, _factor_rows, certify_proper)
-from .polyalg import (COEFFICIENT_FLOOR, _product_plan, align_rows, coefficient_matrix,
+                       _Block, _factor_rows, _top_degree, certify_proper)
+from .polyalg import (COEFFICIENT_FLOOR, _product_plan, align_rows, canonical_rows,
                       evaluate_rows, monomials_of_degree, multiply_rows)
 
 
@@ -113,16 +113,16 @@ def automorphism_from_map(m: RationalBallMap) -> BallAutomorphism:
     """
     if m.N != m.n:
         raise ValueError("an automorphism must be equidimensional")
-    q = m.q
-    if m.degree > 1 or q.degree > 1:
+    if m.degree > 1 or _top_degree(m.support, m.coefficients[-1:]) > 1:
         raise ValueError("an automorphism has numerator and denominator of degree <= 1")
     n = m.n
-    a = -np.conj([q.terms.get(alpha, 0.0) for alpha in monomials_of_degree(n, 1)])
+    q = dict(zip(m.support, m.coefficients[-1].tolist()))
+    a = -np.conj([q.get(alpha, 0.0) for alpha in monomials_of_degree(n, 1)])
     if np.linalg.norm(a) >= 1.0:
         raise ValueError("recovered center lies outside the open ball")
     reference = automorphism_map(BallAutomorphism(a))
-    _, stack = coefficient_matrix([*reference.p, *m.p])
-    ref_mat, map_mat = stack[:n], stack[n:]
+    _, (ref_mat, map_mat) = align_rows(
+        *(canonical_rows(f.support, f.coefficients[:-1]) for f in (reference, m)))
     unitary = _linalg.procrustes_unitary(ref_mat, map_mat)
     if np.max(np.abs(unitary @ ref_mat - map_mat)) > 1e-5:
         raise ValueError("map is not a unitary multiple of a Moebius factor")
@@ -236,12 +236,14 @@ def subspace_basis(target_dim: int, columns) -> np.ndarray:
     """Normalize subspace input: index list or explicit vectors -> column matrix.
     Indices must lie in range(target_dim); a negative one does not wrap."""
     arr = np.asarray(columns)
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        if ((arr < 0) | (arr >= target_dim)).any():
-            raise TensorSubspaceError(f"subspace indices {arr.tolist()} out of range for "
+    if (arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
+            or isinstance(columns, list) and all(type(v) is int for v in columns)):
+        indices = [int(v) for v in columns]
+        if any(not 0 <= v < target_dim for v in indices):
+            raise TensorSubspaceError(f"subspace indices {indices} out of range for "
                                       f"target dimension {target_dim}")
-        basis = np.zeros((target_dim, arr.size), dtype=complex)
-        basis[arr, np.arange(arr.size)] = 1.0
+        basis = np.zeros((target_dim, len(indices)), dtype=complex)
+        basis[indices, np.arange(len(indices))] = 1.0
         return basis
     basis = np.asarray(columns, dtype=complex)
     if basis.ndim == 1:

@@ -198,7 +198,7 @@ def build_whitney_term(script: dict):
     for k, raw in enumerate(steps):
         if not isinstance(raw, dict) or "subspace" not in raw:
             raise ValueError(f"step {k} must be an object with a subspace")
-        basis = _parse_subspace(raw["subspace"], term.map.N)
+        basis = _parse_subspace(raw["subspace"])
         phi = _parse_automorphism(raw["phi"], n) if raw.get("phi") else None
         injection = _parse_matrix(raw["injection"]) if raw.get("injection") else None
         term = whitney_extend(term, basis, phi, injection)
@@ -243,15 +243,12 @@ def _parse_automorphism(raw, n: int):
     return BallAutomorphism(center, unitary)
 
 
-def _parse_subspace(raw, target_dim: int):
+def _parse_subspace(raw):
     import numpy as np
     if not isinstance(raw, list):
         raise ValueError("a subspace must be a list of indices or vectors")
     if all(isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        if any(not 0 <= v < target_dim for v in raw):
-            raise ValueError(f"subspace indices {raw} out of range for "
-                             f"target dimension {target_dim}")
-        return np.array(raw, dtype=int)  # column indices, as whitney_extend reads them
+        return raw  # column indices, which subspace_basis checks
     return np.column_stack([_parse_vector(v) for v in raw])
 
 

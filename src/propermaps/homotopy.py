@@ -560,19 +560,6 @@ def homotopy_to_monomial(term: WhitneyTerm) -> HomotopyFamily:
 
 
 # ------------------------------------------------------- degree-lowering family
-def _single_monomials(components: Sequence[Polynomial]) -> list:
-    """(slot, monomial, coefficient) for every nonzero single-term component."""
-    out = []
-    for i, comp in enumerate(components):
-        terms = comp.significant_terms()
-        if len(terms) > 1:
-            raise ValueError("component is not a single monomial")
-        if terms:
-            (mono, coeff), = terms.items()
-            out.append((i, mono, coeff))
-    return out
-
-
 def _match_siblings(slot_terms: list, q_mono: tuple, coefficient: complex,
                     n: int) -> list:
     """One slot per variable carrying z_j * q with the common coefficient.
@@ -597,6 +584,13 @@ def _match_siblings(slot_terms: list, q_mono: tuple, coefficient: complex,
     return slots
 
 
+def _monomial_map(n: int, terms: list) -> RationalBallMap:
+    """The map whose component i is the term (monomial, coefficient) at
+    ``terms[i]``, or zero where it is None."""
+    return RationalBallMap(n, len(terms), [Polynomial(n, dict([term] if term else []))
+                                           for term in terms])
+
+
 def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFamily:
     """Reduce a monomial tensor-image map to the identity in one extra dimension.
 
@@ -618,11 +612,16 @@ def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFami
     if base_target < f.N:
         raise DimensionMismatchError("target dimension cannot drop below the map's")
     dim = base_target + 1
-    components: list = list(f.p) + [Polynomial.zero(n)] * (dim - f.N)
+    # Each component's one term (monomial, coefficient) above DEFAULT_TOL, or None.
+    rows = f.coefficients[:-1]
+    sizes = np.abs(rows)
+    terms = [(f.support[k], complex(rows[i, k])) if sizes[i, k] > DEFAULT_TOL else None
+             for i, k in enumerate(sizes.argmax(axis=1).tolist())]
+    terms += [None] * (dim - f.N)
     segments = []
 
     while True:
-        slot_terms = _single_monomials(components)
+        slot_terms = [(i, *term) for i, term in enumerate(terms) if term]
         top = max((sum(mono) for _, mono, _ in slot_terms), default=0)
         if top < 2:
             break
@@ -633,28 +632,20 @@ def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFami
 
         # The common coefficient can come from any slot holding the chosen
         # monomial; try each before giving up.
-        match_error = None
-        chosen = None
-        for _, mono, coeff in slot_terms:
-            if mono != target_mono:
-                continue
+        for coefficient in [c for _, mono, c in slot_terms if mono == target_mono]:
             try:
-                chosen = (coeff, _match_siblings(slot_terms, q_mono, coeff, n))
+                scaled = set(_match_siblings(slot_terms, q_mono, coefficient, n))
                 break
             except NotTensorImageError as exc:
                 match_error = exc
-        if chosen is None:
+        else:
             raise match_error
-        coefficient, sibling_slots = chosen
 
-        free = next((i for i, comp in enumerate(components) if comp.is_zero), None)
-        if free is None:
-            raise NotTensorImageError("no free component slot for the new factor")
-        q_poly = Polynomial(n, {q_mono: coefficient})
-        scaled = set(sibling_slots)
-        components[free] = q_poly
+        # The source leaves a slot free; a step fills one and frees n.
+        free = terms.index(None)
+        terms[free] = (q_mono, coefficient)
         # The member scales the siblings by lambda = 1 - t and q by its ramp.
-        start = RationalBallMap(n, dim, components)
+        start = _monomial_map(n, terms)
 
         def members(ts: np.ndarray, start=_bm._Block.of(start), scaled=scaled,
                     free=free) -> list:
@@ -664,14 +655,13 @@ def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFami
                   for i in range(dim)]), start)
 
         segments.append(_segment(n, members))
-        components = [Polynomial.zero(n) if i in scaled else comp
-                      for i, comp in enumerate(components)]
+        terms = [None if i in scaled else term for i, term in enumerate(terms)]
 
-    if any(comp.degree == 0 for comp in components if not comp.is_zero):
+    if any(sum(mono) == 0 for mono, _ in filter(None, terms)):
         raise NotTensorImageError("a constant component obstructs reduction "
                                   "to the identity")
 
-    final_map = RationalBallMap(n, dim, components)
+    final_map = _monomial_map(n, terms)
     segments += _junction_bridge(
         final_map, RationalBallMap.identity(n).padded(dim),
         NotTensorImageError("reduced linear map is not a unitary image of the identity"),

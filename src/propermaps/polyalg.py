@@ -9,6 +9,11 @@ Bernstein coefficients of each Fourier shift's radial polynomial on the
 simplex sum |z_j|^2 = 1, which all vanish exactly when the Hermitian
 polynomial vanishes identically on the unit sphere, and bound it there.
 
+``HermitianForm`` is a plain value, a basis and its read-only matrix, that
+``squared_norm_form`` and ``properness_form`` build and ``reduce_mod_sphere``
+reduces.  Certification calls none of the three.  They stay as API, and for
+the benchmark's tracer, which wraps them by name until it wraps the kernels.
+
 Conventions
 -----------
 * A multi-index is a tuple of non-negative ints, one entry per variable.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -236,72 +242,20 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {' + '.join(bits)}{more})"
 
 
+@dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Hermitian coefficient matrix over a monomial basis.
+    """Hermitian coefficient matrix over a monomial basis, a plain value:
+    ``matrix[i, j]``, made read-only, is the coefficient of z^alpha *
+    conj(z)^beta for alpha = ``basis[i]`` and beta = ``basis[j]``; ``basis``
+    is a tuple of distinct multi-indices, lexicographically descending."""
 
-    ``matrix[i, j]`` is the coefficient of z^alpha * conj(z)^beta for
-    alpha = ``basis[i]`` and beta = ``basis[j]``; ``basis`` is a tuple of
-    distinct multi-indices, lexicographically descending.  For a vector of
-    polynomials with coefficient rows C over the basis, ||p||^2 is the Gram
-    matrix C^T conj(C).  The constructor takes a dict {(alpha, beta): c} and
-    enforces Hermitian symmetry entry(beta, alpha) == conj(entry(alpha, beta)),
-    with real diagonal, within tolerance; ``entries`` gives such a dict back.
-    """
+    nvars: int
+    basis: tuple
+    matrix: np.ndarray
 
-    __slots__ = ("nvars", "basis", "matrix")
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
 
-    def __init__(self, nvars: int,
-                 entries: Mapping[tuple[MultiIndex, MultiIndex], complex] | None = None,
-                 validate: bool = True):
-        if nvars < 1:
-            raise ValueError("nvars must be positive")
-        clean = {(tuple(int(e) for e in alpha), tuple(int(e) for e in beta)): complex(c)
-                 for (alpha, beta), c in (entries or {}).items()}
-        basis = tuple(sorted({alpha for pair in clean for alpha in pair}, reverse=True))
-        if any(len(alpha) != nvars for alpha in basis):
-            raise ValueError("multi-index length does not match nvars")
-        index = {alpha: i for i, alpha in enumerate(basis)}
-        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (alpha, beta), c in clean.items():
-            if not cmath.isfinite(c):
-                raise ValueError(f"entry {c} at ({alpha}, {beta}) is not finite")
-            matrix[index[alpha], index[beta]] = c
-        self._store(nvars, basis, matrix)
-        if validate:
-            self._validate()
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("HermitianForm is immutable")
-
-    def _store(self, nvars: int, basis: tuple, matrix: np.ndarray):
-        matrix.flags.writeable = False
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def _raw(cls, nvars: int, basis: tuple, matrix: np.ndarray) -> "HermitianForm":
-        """Internal constructor for a basis tuple and its square matrix (no validation)."""
-        form = object.__new__(cls)
-        form._store(nvars, basis, matrix)
-        return form
-
-    def _validate(self):
-        """Raise unless the matrix equals its conjugate transpose within 10 DEFAULT_TOL."""
-        mat = self.matrix
-        bad = np.argwhere(np.abs(mat - mat.conj().T) > 10 * DEFAULT_TOL)
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(f"Hermitian symmetry violated at ({self.basis[i]}, "
-                             f"{self.basis[j]}): {mat[i, j]} vs {mat[j, i]}")
-
-    # -------------------------------------------------------------- evaluation
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Values sum c_{alpha beta} z^alpha conj(z)^beta at an (m, nvars) array."""
-        values = evaluate_rows(self.nvars, self.basis, np.eye(len(self.basis)), points)
-        return np.einsum("pi,ij,pj->p", values, self.matrix, values.conj())
-
-    # ---------------------------------------------------------------- queries
     @property
     def entries(self) -> dict:
         """A new dict {(alpha, beta): c} of the entries above the floor, row-major."""
@@ -309,23 +263,6 @@ class HermitianForm:
         basis = self.basis
         return {(basis[i], basis[j]): c for i, j, c in
                 zip(rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist())}
-
-    @property
-    def is_zero(self) -> bool:
-        return self.max_abs_entry() <= DEFAULT_TOL
-
-    def max_abs_entry(self) -> float:
-        return float(np.abs(self.matrix).max(initial=0.0))
-
-    def largest_entry(self):
-        """(alpha, beta, c) of the first largest entry, row-major; None when empty."""
-        if not self.basis:
-            return None
-        i, j = divmod(int(np.argmax(np.abs(self.matrix))), len(self.basis))
-        return self.basis[i], self.basis[j], complex(self.matrix[i, j])
-
-    def __repr__(self):
-        return f"HermitianForm({self.nvars}, {len(self.entries)} entries)"
 
 
 def coefficient_matrix(polys: Sequence[Polynomial]):
@@ -492,37 +429,26 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return stack.swapaxes(1, 2) @ stack.conj()
 
 
-def gram_form(nvars: int, monomials: Sequence[MultiIndex], rows: np.ndarray,
-              negated: int = 0) -> HermitianForm:
-    """Form of ||A||^2 - ||B||^2 for the coefficient rows over ``monomials``:
-    B is the last ``negated`` rows, A the others (``signed_gram``)."""
-    return HermitianForm._raw(nvars, tuple(monomials), signed_gram(rows, negated))
-
-
-def _shared_nvars(components: Sequence[Polynomial]) -> int:
+def _form(components: list, negated: int) -> HermitianForm:
+    """The form of the signed Gram of the components' coefficient rows over
+    their union support (``signed_gram``), the last ``negated`` negated."""
     counts = {p.nvars for p in components}
     if len(counts) != 1:
         raise ValueError("need at least one component, all with one variable count")
-    return counts.pop()
+    monomials, rows = coefficient_matrix(components)
+    return HermitianForm(counts.pop(), tuple(monomials), signed_gram(rows, negated))
 
 
 def squared_norm_form(components: Sequence[Polynomial]) -> HermitianForm:
-    """Hermitian form of sum_i |p_i(z)|^2 for a vector of polynomials.
-
-    Its matrix is the Gram matrix of the coefficient columns over the union
-    support, so it is positive semidefinite.
-    """
-    comps = list(components)
-    return gram_form(_shared_nvars(comps), *coefficient_matrix(comps))
+    """Hermitian form of sum_i |p_i(z)|^2 for a vector of polynomials: the
+    Gram matrix of their coefficient rows, so it is positive semidefinite."""
+    return _form(list(components), 0)
 
 
 def properness_form(numerator: Sequence[Polynomial], denominator: Polynomial) -> HermitianForm:
-    """The form of ||p||^2 - |q|^2; it vanishes on the sphere iff p/q maps it to it.
-
-    One signed Gram matrix over the coefficient rows [*p, q], with q's row negated.
-    """
-    comps = [*numerator, denominator]
-    return gram_form(_shared_nvars(comps), *coefficient_matrix(comps), negated=1)
+    """The form of ||p||^2 - |q|^2; it vanishes on the sphere iff p/q maps it
+    to it: one signed Gram over the rows [*p, q], with q's row negated."""
+    return _form([*numerator, denominator], 1)
 
 
 def _group_rows(keys: np.ndarray):
@@ -698,7 +624,7 @@ def reduce_mod_sphere(form: HermitianForm) -> HermitianForm:
     out = np.zeros((len(monos), len(monos)), dtype=complex)
     out[b, a] = values.conj()
     out[a, b] = values
-    return HermitianForm._raw(form.nvars, monos, out)
+    return HermitianForm(form.nvars, monos, out)
 
 
 def _largest(values: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
@@ -717,9 +643,9 @@ def _largest(values: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
 
 def sphere_residuals(nvars: int, basis: tuple, matrices: np.ndarray):
     """(residuals, worst): for each matrix of a (T, M, M) stack over ``basis``,
-    the ``max_abs_entry`` of its ``reduce_mod_sphere`` form and the pair of
-    its ``largest_entry`` (None for an empty form): keys come in the
-    row-major order of their pairs, so the first largest is that entry."""
+    the largest modulus of its Bernstein coefficients (``reduce_mod_sphere``),
+    zero at or below the storage floor, and the pair of the first largest in
+    the row-major order of the keys' pairs (None where zero)."""
     return _largest(*_bernstein(nvars, basis, matrices))
 
 

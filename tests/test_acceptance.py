@@ -21,7 +21,7 @@ from propermaps.homotopy import (NotTensorImageError, blaschke_homotopy,
                                  collapse_to_linear, degree_drop_family,
                                  homotopy_to_monomial, juxtaposition_family,
                                  verify_family)
-from propermaps.polyalg import Polynomial, align_rows, gram_form
+from propermaps.polyalg import Polynomial, align_rows, signed_gram
 from propermaps.xvariety import build_xmatrix, fiber_at, graph_test
 
 import polyref as ref
@@ -152,8 +152,8 @@ def test_criterion_07_juxtaposition_identity(reg):
                 support, rows = align_rows((mix.support, mix.coefficients[:-1]),
                                            (f.support, f.coefficients[:-1] * math.sqrt(1 - t * t)),
                                            (g.support, g.coefficients[:-1] * t))
-                diff = gram_form(f.n, support, np.vstack(rows), negated=f.N + g.N)
-                assert diff.max_abs_entry() <= 1e-12
+                diff = signed_gram(np.vstack(rows), f.N + g.N)
+                assert np.abs(diff).max() <= 1e-12
             report = verify_family(juxtaposition_family(f, g), grid_size=11)
             assert report.passed
             assert report.max_residual <= 1e-9

@@ -24,8 +24,8 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorp
                                      tensor_on_subspace, whitney_extend, whitney_start)
 from propermaps.corpus import faran_maps, quadric_three_map, whitney_map
 from propermaps.homotopy import degree_drop_family, homotopy_to_monomial, verify_family
-from propermaps.polyalg import (COEFFICIENT_FLOOR, HermitianForm, Polynomial, align_rows,
-                                coefficient_matrix, gram_form, properness_form)
+from propermaps.polyalg import (COEFFICIENT_FLOOR, Polynomial, align_rows, coefficient_matrix,
+                                properness_form, signed_gram)
 from propermaps.xvariety import (build_xmatrix, fiber_at, graph_test,
                                  xmatrix_along_family)
 
@@ -469,7 +469,7 @@ def test_embedding_dimension_unitary_invariant(quartic, rng):
 def test_embedding_dimension_equals_norm_form_rank(registry):
     from propermaps._linalg import numerical_rank
     for name, m in registry.maps.items():
-        assert numerical_rank(m.squared_norm_form().matrix) == embedding_dimension(m), name
+        assert numerical_rank(signed_gram(m.coefficients[:-1])) == embedding_dimension(m), name
 
 
 def _svd_rank(matrix):
@@ -689,7 +689,7 @@ def test_norm_equivalence_across_different_denominators(rng):
     support, (left, right) = align_rows(
         coefficient_matrix([ref.mul(comp, other.q) for comp in f.p]),
         coefficient_matrix([ref.mul(comp, f.q) for comp in other.p]))
-    expected = gram_form(2, support, np.vstack([left, right]), negated=len(right)).max_abs_entry()
+    expected = np.abs(signed_gram(np.vstack([left, right]), len(right))).max()
     assert abs(abs(result.mismatch[2]) - expected) <= 1e-12 * expected
 
 
@@ -973,9 +973,9 @@ def test_rows_and_views_agree(nvars, seed):
         assert not np.any((rows != 0) & (np.abs(rows) <= COEFFICIENT_FLOOR))
         assert np.all((np.abs(rows) > COEFFICIENT_FLOOR).any(axis=0))
         assert canonical.factors.shape[1:] == (nvars,) and not canonical.factors.flags.writeable
-    form, reference = m.properness_form(), properness_form(m.p, m.q)
-    assert form.basis == reference.basis
-    assert np.array_equal(form.matrix, reference.matrix)
+    reference = properness_form(m.p, m.q)
+    assert reference.basis == m.support
+    assert np.array_equal(signed_gram(m.coefficients, 1), reference.matrix)
 
     other_comps, other_q = _random_components(nvars, seed + 1)
     other = RationalBallMap(nvars, len(other_comps), other_comps, other_q)
@@ -1442,10 +1442,14 @@ def _oracle_map(kind, n, rng):
 def test_sampled_sphere_defect_is_within_the_bernstein_bound(kind, n, factor, seed):
     # Two oracles: on the sphere | ||p||^2 - |q|^2 | is at most the sum over
     # the shifts nu, of both signs, of max_kappa |b_{nu,kappa}|, the
-    # Bernstein coefficients of the reduction.
+    # Bernstein coefficients of the reduction.  They are polyref's, term by
+    # term, of the signed Gram that certification reduces, so that a
+    # coefficient at the storage floor is the same on both sides.
     m = _with_largest_coefficient_scaled(_oracle_map(kind, n, np.random.default_rng(seed)),
                                          factor)
-    coefficients = polyalg.reduce_mod_sphere(m.properness_form()).entries
+    gram = signed_gram(m.coefficients, 1)
+    coefficients = ref.sphere_coefficients(m.support, {
+        (m.support[i], m.support[j]): complex(gram[i, j]) for i, j in zip(*np.nonzero(gram))})
     largest = {}
     for (alpha, beta), b in coefficients.items():
         nu = tuple(a - c for a, c in zip(alpha, beta))
@@ -1458,8 +1462,9 @@ def test_sampled_sphere_defect_is_within_the_bernstein_bound(kind, n, factor, se
     # The certificate's residual is the largest |b| over the largest
     # shift-0 Bernstein coefficient of sum_alpha |q_alpha|^2 x^alpha.
     weights = np.abs(m.coefficients[-1]) ** 2
-    radial = HermitianForm._raw(n, m.support, np.diag(weights).astype(complex))
-    scale = polyalg.reduce_mod_sphere(radial).max_abs_entry()
+    radial = ref.sphere_coefficients(m.support, {(alpha, alpha): w for alpha, w
+                                                 in zip(m.support, weights.tolist()) if w})
+    scale = max(abs(b) for b in radial.values())
     assert scale >= 1.0
     assert certify_proper(m).residual_norm == pytest.approx(
         max(largest.values(), default=0.0) / scale, rel=1e-12, abs=1e-300)

@@ -599,7 +599,14 @@ MALFORMED = {
                                  "steps must be a list"),
     "whitney-subspace-out-of-range": (["whitney", "build", "doc.json"],
                                       {"domain_dim": 2, "steps": [{"subspace": [7]}]},
-                                      "out of range"),
+                                      "subspace indices [7] out of range for target "
+                                      "dimension 2"),
+    "whitney-subspace-beyond-int64": (["whitney", "build", "doc.json"],
+                                      {"domain_dim": 2, "steps": [{"subspace": [2 ** 70]}]},
+                                      f"subspace indices [{2 ** 70}] out of range"),
+    "whitney-subspace-empty": (["whitney", "build", "doc.json"],
+                               {"domain_dim": 2, "steps": [{"subspace": []}]},
+                               "tensor subspace must be nonzero"),
     "homotopy-blaschke-bare-zeros": (["homotopy", "doc.json"],
                                      {"kind": "blaschke", "zeros": [1, 2]},
                                      "[re, im] zeros"),

@@ -25,19 +25,19 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import automorphism_path
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, Polynomial, align_rows,
-                                coefficient_matrix, gram_form, multiply_rows,
-                                monomials_of_degree, polynomials_from_rows)
+                                coefficient_matrix, multiply_rows, monomials_of_degree,
+                                polynomials_from_rows, signed_gram)
 
 import polyref as ref
 from conftest import bench_module, sample_sphere
 
 
 def _norm_difference(f, g):
-    """The form of ||f's numerator||^2 - ||g's||^2: one signed Gram over
+    """The matrix of ||f's numerator||^2 - ||g's||^2: one signed Gram over
     both maps' numerator rows on one support, g's rows negated."""
-    support, (left, right) = align_rows((f.support, f.coefficients[:-1]),
-                                        (g.support, g.coefficients[:-1]))
-    return gram_form(f.n, support, np.vstack([left, right]), negated=len(right))
+    _, (left, right) = align_rows((f.support, f.coefficients[:-1]),
+                                  (g.support, g.coefficients[:-1]))
+    return signed_gram(np.vstack([left, right]), len(right))
 
 
 # ------------------------------------------------------------- automorphisms
@@ -170,14 +170,15 @@ def test_tensor_block_matches_pointwise_formula(rng):
 
 def test_tensor_norm_difference_vanishes_on_sphere(rng):
     # With the identity domain factor, ||E_A(f)||^2 - ||f||^2 is a multiple of
-    # ||z||^2 - 1, so the difference form reduces to zero.
-    from propermaps.polyalg import reduce_mod_sphere
+    # ||z||^2 - 1, so the difference form reduces to zero; the exact
+    # reduction is polyref's, term by term.
     base = quadric_three_map()
     q, _ = np.linalg.qr(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
     tensored = tensor_on_subspace(base, q)
-    difference = _norm_difference(tensored, base)
-    assert not difference.is_zero
-    assert reduce_mod_sphere(difference).is_zero
+    difference = ref.form(tensored.p, base.p)
+    assert max(abs(c) for c in difference.values()) > DEFAULT_TOL
+    reduced = ref.sphere_coefficients(ref.support(*tensored.p, *base.p), difference)
+    assert max((abs(b) for b in reduced.values()), default=0.0) <= DEFAULT_TOL
 
 
 def test_tensor_rejects_bad_subspaces():
@@ -354,7 +355,7 @@ def test_juxtaposition_endpoints():
 def test_juxtaposition_of_identities_keeps_the_norm_form():
     ident = RationalBallMap.identity(2)
     half = juxtapose(ident, ident, 0.5)
-    assert _norm_difference(half, ident).max_abs_entry() <= 1e-12
+    assert np.abs(_norm_difference(half, ident)).max() <= 1e-12
 
 
 def test_juxtaposition_is_proper_in_the_sum_target():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 from pathlib import Path
@@ -12,7 +13,7 @@ from propermaps import polyalg
 from propermaps.ballmaps import RationalBallMap
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 Polynomial, align_rows, canonical_rows, coefficient_matrix,
-                                evaluate_rows, gram_form, monomials_of_degree, multiply_rows,
+                                evaluate_rows, monomials_of_degree, multiply_rows,
                                 polynomials_from_rows, properness_form, radial_residuals,
                                 reduce_mod_sphere, signed_gram, sphere_residuals,
                                 squared_norm_form)
@@ -25,12 +26,40 @@ def z(j, nvars=2):
     return ref.var(nvars, j)
 
 
-def _forms_close(a, b, tol=DEFAULT_TOL):
-    """Whether two forms' matrices, placed on the union of their bases
-    (``align_rows`` on the rows, then on the columns), agree within tol."""
-    _, (left, right) = align_rows((a.basis, a.matrix), (b.basis, b.matrix))
-    _, (left, right) = align_rows((a.basis, left.T), (b.basis, right.T))
-    return not np.any(np.abs(left - right) > tol)
+def _close(a: dict, b: dict, tol=DEFAULT_TOL):
+    """Whether two forms' entries {(alpha, beta): c} agree within tol on the
+    union of their pairs."""
+    return all(abs(a.get(pair, 0.0) - b.get(pair, 0.0)) <= tol for pair in a.keys() | b.keys())
+
+
+def _entries(form):
+    """Every nonzero entry of a form's matrix, as a dict {(alpha, beta): c}."""
+    return {(form.basis[i], form.basis[j]): complex(form.matrix[i, j])
+            for i, j in zip(*np.nonzero(form.matrix))}
+
+
+def _residual(form):
+    """(residual, worst) of the form by the certification kernel
+    ``sphere_residuals``: its largest Bernstein coefficient and that pair."""
+    residuals, worst = sphere_residuals(form.nvars, form.basis, form.matrix[None])
+    return float(residuals[0]), worst[0]
+
+
+def _coefficients(nvars, basis, matrices):
+    """Every Bernstein coefficient of each matrix of a stack by the kernel
+    ``_bernstein``, as dicts laid out as ``polyref.sphere_coefficients``: the
+    values above the storage floor at their pairs, conjugates mirrored."""
+    values, alpha, beta = polyalg._bernstein(nvars, basis, matrices)
+    pairs = list(zip(map(tuple, alpha.tolist()), map(tuple, beta.tolist())))
+    out = []
+    for row in values.tolist():
+        member = {}
+        for (a, b), c in zip(pairs, row):
+            if abs(c) > COEFFICIENT_FLOOR:
+                member[b, a] = c.conjugate()
+                member[a, b] = c
+        out.append(member)
+    return out
 
 
 # ---------------------------------------------------------------- monomials
@@ -260,7 +289,7 @@ def test_squared_norm_form_quadratic_diagonal_1_2_1():
 def test_squared_norm_form_degree_two_triple():
     form = squared_norm_form([z(0), ref.mul(z(0), z(1)), ref.mul(z(1), z(1))])
     expected = {((1, 0), (1, 0)): 1, ((1, 1), (1, 1)): 1, ((0, 2), (0, 2)): 1}
-    assert _forms_close(form, HermitianForm(2, expected))
+    assert _close(form.entries, expected)
 
 
 def test_squared_norm_form_positive_semidefinite(rng):
@@ -279,34 +308,23 @@ def test_form_values_match_the_signed_norms_pointwise(rng):
     q = Polynomial(2, {(0, 0): 1.0, (1, 0): -0.4, (1, 1): 0.2j})
     pts = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
     norms = sum(np.abs(p.evaluate_many(pts)) ** 2 for p in comps)
-    assert np.allclose(squared_norm_form(comps).evaluate_many(pts), norms, atol=1e-10)
     defect = norms - np.abs(q.evaluate_many(pts)) ** 2
-    assert np.allclose(properness_form(comps, q).evaluate_many(pts), defect, atol=1e-10)
-
-
-def test_hermitian_symmetry_enforced():
-    with pytest.raises(ValueError):
-        HermitianForm(2, {((1, 0), (0, 1)): 1.0})  # mirror entry missing
-    with pytest.raises(ValueError):
-        HermitianForm(2, {((1, 0), (1, 0)): 1.0j})  # non-real diagonal
-
-
-@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 0.0)])
-def test_hermitian_form_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="not finite"):
-        HermitianForm(2, {((1, 0), (1, 0)): bad, ((0, 1), (0, 1)): 1.0})
+    for form, expected in ((squared_norm_form(comps), norms),
+                           (properness_form(comps, q), defect)):
+        values = [ref.form_value(form.entries, point) for point in pts]
+        assert np.allclose(values, expected, atol=1e-10)
 
 
 def test_properness_form_identity_is_sphere_defect():
     form = properness_form([z(0), z(1)], Polynomial.one(2))
-    expected = HermitianForm(2, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
+    assert _close(form.entries, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
                                  ((0, 0), (0, 0)): -1.0})
-    assert _forms_close(form, expected)
+    assert not form.matrix.flags.writeable
 
 
 def test_properness_form_constant_map_is_zero():
     form = properness_form([Polynomial.one(2)], Polynomial.one(2))
-    assert form.is_zero
+    assert np.abs(form.matrix).max() <= DEFAULT_TOL
 
 
 def test_properness_form_quintic_vanishes_on_sphere():
@@ -315,31 +333,31 @@ def test_properness_form_quintic_vanishes_on_sphere():
     comps = [z(0), ref.mul(z(0), w), ref.mul(z(0), ref.power(w, 2)),
              ref.mul(z(0), ref.power(w, 3)), ref.power(w, 4)]
     form = properness_form(comps, Polynomial.one(2))
-    assert reduce_mod_sphere(form).is_zero
+    assert _residual(form)[0] <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------- reduction
 def test_reduce_sphere_defect_to_zero():
     form = properness_form([z(0), z(1)], Polynomial.one(2))
-    assert reduce_mod_sphere(form).is_zero
+    assert _residual(form) == (0.0, None)
 
 
 def test_reduce_cubic_invariant_map():
     comps = [ref.power(z(0), 3), ref.mul(math.sqrt(3.0), z(0), z(1)), ref.power(z(1), 3)]
     form = properness_form(comps, Polynomial.one(2))
-    assert reduce_mod_sphere(form).is_zero
+    assert _residual(form)[0] <= DEFAULT_TOL
 
 
 def test_reduce_detects_shrunken_map():
+    # 0.25 (x1 + x2) - 1 is -0.75 on the simplex: both Bernstein coefficients.
     form = properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, z(1))], Polynomial.one(2))
-    remainder = reduce_mod_sphere(form)
-    assert not remainder.is_zero
-    assert remainder.max_abs_entry() > DEFAULT_TOL
+    assert _residual(form) == (0.75, ((1, 0), (1, 0)))
 
 
 def _sampled_max(form, seed=3):
+    entries = form.entries
     pts = sample_sphere(form.nvars, 200, seed=seed)
-    return float(np.max(np.abs(form.evaluate_many(pts))))
+    return max(abs(ref.form_value(entries, point)) for point in pts)
 
 
 def test_reduction_agrees_with_sphere_sampling_oracle():
@@ -351,7 +369,7 @@ def test_reduction_agrees_with_sphere_sampling_oracle():
         properness_form([z(0), ref.mul(z(0), w), ref.power(w, 2)], Polynomial.one(2)),
     ]
     for form in vanishing:
-        assert reduce_mod_sphere(form).is_zero
+        assert _residual(form)[0] <= DEFAULT_TOL
         assert _sampled_max(form) <= 1e3 * DEFAULT_TOL
     defective = [
         properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, w)], Polynomial.one(2)),
@@ -359,7 +377,7 @@ def test_reduction_agrees_with_sphere_sampling_oracle():
         properness_form([Polynomial.constant(2, 0.5)], Polynomial.one(2)),
     ]
     for form in defective:
-        assert not reduce_mod_sphere(form).is_zero
+        assert _residual(form)[0] > DEFAULT_TOL
         assert _sampled_max(form) > DEFAULT_TOL
 
 
@@ -368,16 +386,16 @@ def test_reduce_handles_off_diagonal_shifts():
     # but (z1+z2)/sqrt(2) scaled norms agree only pointwise, not identically.
     p = ref.add(z(0), z(1))
     form = properness_form([p], Polynomial.one(2))
-    remainder = reduce_mod_sphere(form)
-    assert not remainder.is_zero
-    # The cross terms z1 conj(z2) survive reduction with coefficient 1.
-    assert abs(remainder.entries.get(((1, 0), (0, 1)), 0) - 1.0) < 1e-12
+    # The shift-0 part x1 + x2 - 1 reduces to zero; the cross term
+    # z1 conj(z2) survives reduction with coefficient 1.
+    residual, worst = _residual(form)
+    assert abs(residual - 1.0) < 1e-12 and worst == ((1, 0), (0, 1))
 
 
 def test_one_variable_reduction_evaluates_at_one():
     # |z|^2 - 1 on the circle: the radial polynomial x - 1 vanishes at x = 1.
     form = properness_form([z(0, 1)], Polynomial.one(1))
-    assert reduce_mod_sphere(form).is_zero
+    assert _residual(form) == (0.0, None)
 
 
 def test_multiples_of_the_sphere_defect_always_reduce_to_zero(rng):
@@ -393,52 +411,14 @@ def test_multiples_of_the_sphere_defect_always_reduce_to_zero(rng):
         basis, (multiples, own) = align_rows(
             coefficient_matrix([ref.mul(c, z(j)) for c in comps for j in range(2)]),
             coefficient_matrix(comps))
-        product = gram_form(2, basis, np.vstack([multiples, own]), negated=len(own))
-        assert reduce_mod_sphere(product).is_zero
+        product = signed_gram(np.vstack([multiples, own]), len(own))
+        assert sphere_residuals(2, basis, product[None])[0][0] <= DEFAULT_TOL
         # Reduction is linear on one basis, so adding a sphere multiple
         # changes nothing; F is reduced on the sum's basis, since the degree
         # of each shift's coefficients comes from the basis.
-        factor = gram_form(2, basis, own)
-        total = HermitianForm._raw(2, basis, factor.matrix + product.matrix)
-        assert _forms_close(reduce_mod_sphere(total), reduce_mod_sphere(factor), 1e-9)
-
-
-def _bernstein_by_loop(form):
-    """Reference reduction, term by term: each nonzero matrix entry c at
-    (alpha, beta) with nu = alpha - beta >= 0, in row-major order, adds c times
-    multinomial(D - |gamma|, delta) / multinomial(D, gamma + delta) to the
-    key (nu, gamma + delta) for each delta of degree D - |gamma|, in
-    ``monomials_of_degree`` order; gamma = min(alpha, beta) and D is the
-    largest |gamma| of the basis pairs with shift nu."""
-    n = form.nvars
-    top = {}
-    for alpha in form.basis:
-        for beta in form.basis:
-            nu = tuple(a - b for a, b in zip(alpha, beta))
-            top[nu] = max(top.get(nu, 0), sum(map(min, alpha, beta)))
-    acc = {}
-    for i, j in zip(*np.nonzero(form.matrix)):
-        (alpha, beta), c = (form.basis[i], form.basis[j]), complex(form.matrix[i, j])
-        if alpha < beta:
-            continue
-        nu = tuple(a - b for a, b in zip(alpha, beta))
-        gamma = tuple(map(min, alpha, beta))
-        degree, extra = top[nu], top[nu] - sum(gamma)
-        for delta in monomials_of_degree(n, extra):
-            kappa = tuple(g + d for g, d in zip(gamma, delta))
-            w = (float(polyalg.multinomial(extra, delta))
-                 / float(polyalg.multinomial(degree, kappa)))
-            acc[nu, kappa] = acc.get((nu, kappa), 0j) + complex(c.real * w, c.imag * w)
-    out = {}
-    for (nu, kappa), c in acc.items():
-        if abs(c) <= COEFFICIENT_FLOOR:
-            continue
-        alpha = tuple(k + max(v, 0) for k, v in zip(kappa, nu))
-        beta = tuple(k + max(-v, 0) for k, v in zip(kappa, nu))
-        out[(alpha, beta)] = c
-        if alpha != beta:
-            out[(beta, alpha)] = c.conjugate()
-    return out
+        factor = signed_gram(own)
+        total, alone = polyalg._bernstein(2, basis, np.stack([factor + product, factor]))[0]
+        assert np.abs(total - alone).max() <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -451,10 +431,11 @@ def test_reduction_equals_the_term_by_term_bernstein_coefficients(nvars, seed):
     q = Polynomial(nvars, {(0,) * nvars: 1.0, tuple(gen.integers(0, 3, nvars)): 0.3})
     e1, zero = (1,) + (0,) * (nvars - 1), (0,) * nvars
     forms = [properness_form(comps, q), squared_norm_form(comps),
-             HermitianForm(nvars, {(e1, zero): 1.0}, validate=False),
-             HermitianForm(nvars, {(zero, e1): 1.0}, validate=False)]
+             HermitianForm(nvars, (e1, zero), np.array([[0, 1], [0, 0]], dtype=complex)),
+             HermitianForm(nvars, (e1, zero), np.array([[0, 0], [1, 0]], dtype=complex))]
     for form in forms:
-        assert reduce_mod_sphere(form).entries == _bernstein_by_loop(form)
+        assert reduce_mod_sphere(form).entries == ref.sphere_coefficients(form.basis,
+                                                                          _entries(form))
 
 
 def test_reduction_plans_are_keyed_by_the_basis():
@@ -470,16 +451,18 @@ def test_reduction_plans_are_keyed_by_the_basis():
     for value in (2 * COEFFICIENT_FLOOR, 0.5 * COEFFICIENT_FLOOR):
         matrix = base.matrix.copy()
         matrix[i, j] = matrix[j, i] = value
-        forms.append(HermitianForm._raw(2, base.basis, matrix))
+        forms.append(HermitianForm(2, base.basis, matrix))
     assert len(forms[0].entries) == len(forms[1].entries) + 2
+    expected = [ref.sphere_coefficients(form.basis, _entries(form)) for form in forms]
+    assert len(expected[0]) == len(expected[1]) + 2
     for order in (forms, forms[::-1]):
         polyalg._bernstein_plan.cache_clear()
-        for form in order:
-            assert reduce_mod_sphere(form).entries == _bernstein_by_loop(form)
+        got = [_coefficients(2, form.basis, form.matrix[None])[0] for form in order]
         assert polyalg._bernstein_plan.cache_info().misses == 1
-        for form in order:
-            assert reduce_mod_sphere(form).entries == _bernstein_by_loop(form)
+        got += [_coefficients(2, form.basis, form.matrix[None])[0] for form in order]
         assert polyalg._bernstein_plan.cache_info().hits == 3
+        want = expected if order is forms else expected[::-1]
+        assert got == want + want
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,12 +478,11 @@ def test_stacked_reduction_equals_each_matrix_reduction(nvars, seed):
     stack = gen.choice(values, (int(gen.integers(1, 7)), int(gen.integers(2, 4)), len(support)))
     grams = signed_gram(stack, 1)
     residuals, worst = sphere_residuals(nvars, support, grams)
-    for matrix, residual, pair in zip(grams, residuals.tolist(), worst):
-        remainder = reduce_mod_sphere(HermitianForm._raw(nvars, support, matrix))
-        assert residual == remainder.max_abs_entry()
-        largest = remainder.largest_entry()
-        assert pair == (None if largest is None else largest[:2])
-        assert remainder.entries == _bernstein_by_loop(HermitianForm._raw(nvars, support, matrix))
+    stacked = _coefficients(nvars, support, grams)
+    for matrix, residual, pair, got in zip(grams, residuals.tolist(), worst, stacked):
+        expected = ref.sphere_coefficients(support, _entries(HermitianForm(nvars, support, matrix)))
+        assert got == expected
+        assert (residual, pair) == ref.largest_coefficient(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -519,6 +501,34 @@ def test_radial_reduction_equals_the_full_reduction_of_a_diagonal(nvars, seed):
     expected, expected_worst = sphere_residuals(nvars, support, matrices)
     assert residuals.tolist() == expected.tolist()
     assert worst == expected_worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_residual_kernels_equal_the_term_by_term_reference(nvars, seed):
+    # sphere_residuals and radial_residuals against polyref's Bernstein
+    # coefficients, which share no plan with them, bit for bit.  Bases of
+    # degree <= 6 have pairs whose shifts have negative entries (n >= 2);
+    # small integers and halves make the largest coefficient tie.
+    gen = np.random.default_rng(seed)
+    support = tuple(sorted({tuple(gen.multinomial(d, [1 / nvars] * nvars).tolist())
+                            for d in gen.integers(0, 7, 6)}, reverse=True))
+    values = np.array([0, 1, -1, 2, 1j, 0.5, -0.5j, 3e-15])
+    stack = gen.choice(values, (int(gen.integers(1, 5)), int(gen.integers(1, 4)), len(support)))
+    grams = signed_gram(stack, int(gen.integers(0, 2)))
+    residuals, worst = sphere_residuals(nvars, support, grams)
+    stacked = _coefficients(nvars, support, grams)
+    for matrix, residual, pair, got in zip(grams, residuals.tolist(), worst, stacked):
+        expected = ref.sphere_coefficients(support, _entries(HermitianForm(nvars, support, matrix)))
+        assert got == expected
+        assert (residual, pair) == ref.largest_coefficient(expected)
+    diagonals = gen.choice(np.array([0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 3e-15]),
+                           (int(gen.integers(1, 5)), len(support)))
+    residuals, worst = radial_residuals(nvars, support, diagonals)
+    for diagonal, residual, pair in zip(diagonals, residuals.tolist(), worst):
+        entries = {(alpha, alpha): d for alpha, d in zip(support, diagonal.tolist()) if d}
+        assert (residual, pair) == ref.largest_coefficient(ref.sphere_coefficients(support,
+                                                                                 entries))
 
 
 def _random_rows(nvars, seed):
@@ -620,3 +630,26 @@ def test_every_traced_benchmark_target_resolves(monkeypatch):
         assert callable(target), (module, qualname)
         names.add(qualname)
     assert "reduce_mod_sphere" in names and "reduce_mod_sphere" in propermaps.__all__
+
+
+def test_only_the_term_dict_boundary_reads_polynomial_views():
+    # RationalBallMap.p and .q build Polynomial views on each read.  In the
+    # package only map documents and the sampled denominator check read
+    # them; everything else reads coefficient rows.
+    allowed = {("documents", "map_to_document"), ("ballmaps", "_check_denominators")}
+    readers, outside = set(), []
+    for path in sorted(Path(propermaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = [(f"{node.name}.{getattr(item, 'name', '')}", item)
+                  for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+        owners += [(getattr(node, "name", ""), node)
+                   for node in tree.body if not isinstance(node, ast.ClassDef)]
+        for owner, node in owners:
+            for attr in ast.walk(node):
+                if (isinstance(attr, ast.Attribute) and attr.attr in ("p", "q")
+                        and isinstance(attr.ctx, ast.Load)):
+                    readers.add((path.stem, owner))
+                    if (path.stem, owner) not in allowed:
+                        outside.append(f"{path.name}:{attr.lineno} {owner} reads .{attr.attr}")
+    assert outside == []
+    assert ("documents", "map_to_document") in readers
