@@ -22,7 +22,7 @@ _EXPORTS = {
                     "boundary_constant_map juxtapose tensor_on_subspace whitney_extend "
                     "whitney_start winding_degree winding_integral",
     "homotopy": "EndpointMismatchError FamilyReport HomotopyFamily NotTensorImageError "
-                "PropernessFailureError automorphism_contraction blaschke_homotopy "
+                "automorphism_contraction blaschke_homotopy "
                 "collapse_to_linear concat_families constant_family degree_drop_family "
                 "faran_families homotopy_to_monomial juxtaposition_family verify_family",
     "xvariety": "EvaluationAtPoleError FiberReport GraphTestResult XMatrix build_xmatrix fiber_at "

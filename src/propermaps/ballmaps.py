@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import _linalg
-from .bounds import (DEFAULT_SEED, coefficient_bound, degree_bound,  # noqa: F401 - re-exported
-                     denominator_sup_bound, largest_binomial_coefficient)
+from .bounds import DEFAULT_SEED
 from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, Polynomial, align_rows,
                       canonical_rows, coefficient_matrix, evaluate_rows, monomials_of_degree,
                       multinomial, _mask_groups, multiply_rows, normalized_gram_difference,
@@ -249,10 +248,6 @@ class RationalBallMap:
         terms = np.count_nonzero(np.abs(self.coefficients[:-1]) > DEFAULT_TOL, axis=1)
         return self.has_trivial_denominator and bool(np.all(terms <= 1))
 
-    def is_constant_map(self) -> bool:
-        """True when p/q is a constant map, i.e. p_i = p_i(0) * q for all i."""
-        return bool(_constant_maps(self.coefficients[None], DEFAULT_TOL)[0])
-
     # -------------------------------------------------------------- evaluation
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
         values = evaluate_rows(self.n, self.support, self.coefficients, [point])[0]
@@ -268,10 +263,6 @@ class RationalBallMap:
     def padded(self, target_dim: int) -> "RationalBallMap":
         """The map followed by the injection that appends zero components."""
         return self if target_dim == self.N else _Block.of(self).padded(target_dim)[0]
-
-    def scaled(self, factor: complex) -> "RationalBallMap":
-        rows = self.coefficients * np.append(np.full(self.N, factor), 1.0)[:, None]
-        return RationalBallMap._from_rows(self.n, self.support, rows, self.factors)
 
     def distance(self, other: "RationalBallMap") -> float:
         """Largest coefficient difference of p and q after padding to a common target."""
@@ -476,8 +467,7 @@ def _factor_rows(n: int, centres: np.ndarray):
     return monos, rows
 
 
-def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
-                      floor: float) -> list:
+def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray) -> list:
     """For each row of q, (T, M) over ``support``, and its factor centres, a
     (T, K, n) stack with K >= 1: the lower bound of |q| on the closed ball
     from the centres; None when they do not multiply out to q or an inexact
@@ -511,12 +501,12 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray,
                                            match.tolist(), exact.tolist()):
         if not matched:
             out.append(None)
-        elif low <= 0.0 or (tight and margin < floor):
+        elif low <= 0.0 or (tight and margin < DENOMINATOR_FLOOR):
             out.append(DenominatorVanishesError(
                 f"denominator factors reach modulus {max(min(low, margin), 0.0):.3e}"
-                f" on the closed ball, below {floor:.1e}"))
+                f" on the closed ball, below {DENOMINATOR_FLOOR:.1e}"))
         else:
-            out.append(margin if margin >= floor else None)
+            out.append(margin if margin >= DENOMINATOR_FLOOR else None)
     return out
 
 
@@ -547,7 +537,7 @@ def _check_denominators(block: _Block, seed: int) -> list:
         return out
 
     def factored(picked, candidates):
-        margins = _factored_margins(n, support, q[picked], candidates, floor)
+        margins = _factored_margins(n, support, q[picked], candidates)
         for k, margin in zip(picked.tolist(), margins):
             if margin is not None:
                 undecided[k] = False
@@ -729,8 +719,8 @@ def certify_maps(maps: Iterable[RationalBallMap], tol: float = DEFAULT_TOL,
     D'Angelo's maps, the catalog maps, the Faran family members), has a
     diagonal Gram: such members get one bincount over their diagonals
     through the support's radial plan (``radial_residuals``), with no Gram
-    matrix and no full plan.  The others get one stacked signed Gram, whose
-    q part is built on q's own columns, and one gather and two bincounts
+    matrix and no full plan.  The others get one stacked signed Gram, p's
+    part and q's one product each, and one gather and two bincounts
     through the full sphere-reduction plan of the support.  A block also
     gets one product of the denominator factors with a row per map, which
     raises each centre that all the maps share to its power in closed form
@@ -938,16 +928,14 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
                            largest_relative=largest)
 
 
-def apply_linear(matrix: np.ndarray, m: RationalBallMap):
-    """Compose with a linear map on the target: rows of ``matrix`` give components.
-
-    ``matrix`` may also be a (T, N', N) stack; the result is then the list of
-    the T maps, from one stacked product.
-    """
+def apply_linear(matrix: np.ndarray, m: RationalBallMap) -> RationalBallMap:
+    """Compose with a linear map on the target: rows of the (N', N) ``matrix``
+    give components."""
     if not isinstance(m, RationalBallMap):
         raise TypeError("apply_linear composes one RationalBallMap")
-    out = _apply_linear_run(matrix, _Block.of(m))
-    return out[0][0] if np.ndim(matrix) == 2 else list(_members(out))
+    if np.ndim(matrix) != 2:
+        raise DimensionMismatchError(f"matrix shape {np.shape(matrix)} is not (N', N)")
+    return _apply_linear_run(matrix, _Block.of(m))[0][0]
 
 
 def _apply_linear_run(matrix: np.ndarray, block: _Block) -> list:

@@ -25,7 +25,7 @@ from .bounds import DEFAULT_SEED, DEFAULT_TOL
 
 #: Mathematical failures (exit 1), matched without imports: a raised error's module is loaded.
 _MATH_ERRORS = {"ballmaps": "DenominatorVanishesError", "constructors": "NonIntegralWindingError",
-                "homotopy": "NotTensorImageError PropernessFailureError EndpointMismatchError",
+                "homotopy": "NotTensorImageError EndpointMismatchError",
                 "xvariety": "EvaluationAtPoleError"}
 
 

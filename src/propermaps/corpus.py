@@ -79,11 +79,6 @@ class Corpus:
                         {name: (fam.domain_dim, fam.target_dim)
                          for name, fam in self.families.items()}, self.builders)
 
-    def get_map(self, name: str) -> RationalBallMap:
-        if name not in self.maps:
-            raise KeyError(f"unknown corpus map {name!r}")
-        return self.maps[name]
-
 
 def _entries(maps: dict, families: dict, builders: dict) -> list:
     """(name, kind, summary) of each map from its (n, N, degree), then of

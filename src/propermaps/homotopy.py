@@ -24,23 +24,13 @@ import numpy as np
 
 from . import _linalg
 from . import ballmaps as _bm
-from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, PropernessCertificate,
-                       RationalBallMap, Verdict, apply_linear, norm_equivalent)
+from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, RationalBallMap, Verdict,
+                       apply_linear, norm_equivalent)
 from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _juxtaposition_path, _root, _tensor_in_frame)
 from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
-
-class PropernessFailureError(ArithmeticError):
-    """A sampled family member failed properness certification."""
-
-    def __init__(self, t: float, certificate: PropernessCertificate):
-        super().__init__(f"family member at t={t} is {certificate.verdict.value} "
-                         f"(residual {certificate.residual_norm:.3e})")
-        self.t = t
-        self.certificate = certificate
-
 
 class EndpointMismatchError(ValueError):
     """A family endpoint does not match the declared map up to unitary and padding."""
@@ -274,17 +264,16 @@ class FamilyReport:
 
 
 def verify_family(family: HomotopyFamily, grid_size: int = 101,
-                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                  strict: bool = False) -> FamilyReport:
+                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> FamilyReport:
     """Certify a family on an equispaced grid and check its endpoints.
 
     Every sampled map is certified proper; degree and embedding-dimension
     profiles are recorded along with the largest coefficient increment
     between adjacent samples (an empirical continuity measure).  Endpoints
     are compared with the declared maps by norm equivalence after padding.
-    With ``strict`` the first failure raises instead of being recorded.  The
-    sampled witness never decides a verdict; the certificates of the members
-    that fail, which are the ones reported, sample it when it is first read.
+    Members that are not proper are recorded, never raised.  The sampled
+    witness never decides a verdict; the certificates of the members that
+    fail, which are the ones reported, sample it when it is first read.
 
     The grid is evaluated once and read block by block (see
     ``ballmaps._runs``), as the evaluator's blocks come, with no member
@@ -292,11 +281,11 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
     inside it are one array difference of its rows, and the step across two
     blocks is the distance of their boundary rows.  Only the first and last
     members are built, once, for the endpoint checks, and a failing member
-    when its certificate's witness is read.  The results, and the first
-    error with ``strict``, are those of certifying the members one by one in
-    grid order.  ``timings`` sums, block by block, the time spent reading
-    the evaluator and the time spent certifying, and, within the latter,
-    the time spent on the ranks and on the denominators.
+    when its certificate's witness is read.  The results, and an error that
+    certifying or evaluating a member raises, are those of certifying the
+    members one by one in grid order.  ``timings`` sums, block by block, the
+    time spent reading the evaluator and the time spent certifying, and,
+    within the latter, the time spent on the ranks and on the denominators.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -323,8 +312,6 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
             embdims.append(embdim)
             residuals.append(cert.residual_norm)
             if cert.verdict is not Verdict.PROPER:
-                if strict:
-                    raise PropernessFailureError(t, cert)
                 failures.append((t, cert))
             if step > max_step:
                 max_step, t_step = step, t
@@ -339,8 +326,6 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
                               tol=endpoint_tol).equivalent
     right_ok = norm_equivalent(last[-1], family.endpoint_right,
                                tol=endpoint_tol).equivalent
-    if strict and not (left_ok and right_ok):
-        raise EndpointMismatchError("family endpoints do not match the declared maps")
     return FamilyReport(ts, degrees, embdims, residuals, failures,
                         left_ok, right_ok, max_step, t_step, family.target_dim, timings)
 
@@ -591,7 +576,7 @@ def _monomial_map(n: int, terms: list) -> RationalBallMap:
                                            for term in terms])
 
 
-def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFamily:
+def collapse_to_linear(source) -> HomotopyFamily:
     """Reduce a monomial tensor-image map to the identity in one extra dimension.
 
     Repeatedly takes the last top-degree monomial m (in descending monomial
@@ -608,10 +593,7 @@ def collapse_to_linear(source, target_dim: Optional[int] = None) -> HomotopyFami
     if not f.is_monomial_map:
         raise ValueError("degree lowering requires a monomial map with denominator 1")
     n = f.n
-    base_target = f.N if target_dim is None else int(target_dim)
-    if base_target < f.N:
-        raise DimensionMismatchError("target dimension cannot drop below the map's")
-    dim = base_target + 1
+    dim = f.N + 1
     # Each component's one term (monomial, coefficient) above DEFAULT_TOL, or None.
     rows = f.coefficients[:-1]
     sizes = np.abs(rows)

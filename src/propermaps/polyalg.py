@@ -123,8 +123,8 @@ class Polynomial:
     ``multiply_rows``), not on these views.  Terms at or below the storage
     floor are dropped on construction; terms at or below the comparison
     tolerance are stored but treated as invisible by the tolerance-aware
-    views (``degree``, ``is_zero``, ``significant_terms``), so floating noise
-    never influences structural decisions.
+    views (``degree``, ``is_zero``), so floating noise never influences
+    structural decisions.
     """
 
     __slots__ = ("nvars", "terms")
@@ -202,10 +202,6 @@ class Polynomial:
         return cls(len(exps), {exps: coeff})
 
     # ------------------------------------------------------------- properties
-    def significant_terms(self) -> dict:
-        """Terms whose coefficient magnitude exceeds the comparison tolerance."""
-        return {a: c for a, c in self.terms.items() if abs(c) > DEFAULT_TOL}
-
     @property
     def degree(self):
         """Max total degree over terms above tolerance; -inf when none remain."""
@@ -351,26 +347,16 @@ def signed_gram(rows: np.ndarray, negated: int = 0) -> np.ndarray:
     rows, B the last ``negated`` rows and A the others; for a (T, R, M) stack,
     the (T, M, M) stack of the matrices, each the one of its slice.
 
-    A's Grams are one stacked product (``_gram``).  B's Gram is built, and
-    subtracted, only on the columns where B has an entry, one product per
-    distinct set of such columns among the slices, as for a denominator
-    q = 1 with a single entry; when B has an entry in every column, the
-    product is the full one.  A monomial map, whose Gram is diagonal, is
-    certified without one (``radial_residuals``).
+    A's Grams and B's are one stacked product each (``_gram``).  A monomial
+    map, whose Gram is diagonal, is certified without one
+    (``radial_residuals``).
     """
     rows = np.asarray(rows)
     stack = rows.reshape((math.prod(rows.shape[:-2]),) + rows.shape[-2:])
     split = stack.shape[1] - negated
     gram = _gram(stack[:, :split])
     if negated:
-        tail = stack[:, split:]
-        live = tail.any(axis=1)
-        if live.all():
-            gram -= _gram(tail)
-        else:
-            for members, own in _mask_groups(live):
-                columns = np.flatnonzero(own)
-                gram[np.ix_(members, columns, columns)] -= _gram(tail[members][:, :, columns])
+        gram -= _gram(stack[:, split:])
     return gram.reshape(rows.shape[:-2] + gram.shape[1:])
 
 

@@ -32,6 +32,9 @@ from .polyalg import (DEFAULT_TOL, Polynomial, _monomial_values, align_rows,
 #: monomials, 30,576 entries) is one block; a block holds at least one point.
 LIFT_ENTRIES = 2 ** 15
 
+#: Random points at which ``xmatrix_along_family`` takes each member's generic rank.
+RANK_POINTS = 5
+
 
 class EvaluationAtPoleError(ArithmeticError):
     """The denominator vanishes at the requested point."""
@@ -65,7 +68,7 @@ class XMatrix:
     It is stored as the map's read-only (N, M) ``numerator`` rows over
     ``support`` and read through the cached lift plan of (n, d, support).
     Rows descend lexicographically: for two variables the first row belongs
-    to z1^d and the last to z2^d.  ``entries`` and ``entry`` are views,
+    to z1^d and the last to z2^d.  ``entries`` is a view, nested tuples of
     polynomials in the conjugated variables built on each read.
     ``numerator_only_heuristic`` is set when the map has a nontrivial
     denominator, for which the fiber description is unvalidated.  Equality
@@ -96,9 +99,6 @@ class XMatrix:
                                  (coeffs[item, col] * weight[item]).tolist()):
             terms[i][k][mono] = c
         return tuple(tuple(Polynomial._raw(self.n, t) for t in cells) for cells in terms)
-
-    def entry(self, row: int, col: int) -> Polynomial:
-        return self.entries[row][col]  # a view of one entry builds them all
 
     def conjugated_at(self, w) -> np.ndarray:
         """The numeric (K, N) matrix whose kernel translates the fiber over
@@ -224,7 +224,6 @@ class XFamilyReport:
 
 
 def xmatrix_along_family(family, grid_size: int = 11,
-                         degree: Optional[int] = None, w_samples: int = 5,
                          seed: int = DEFAULT_SEED) -> XFamilyReport:
     """Build the matrices of a family at a common degree and track their behavior.
 
@@ -232,13 +231,13 @@ def xmatrix_along_family(family, grid_size: int = 11,
     (so the matrix shape is constant in t), entry coefficients (the aligned
     numerator rows times the lift weights) are compared between adjacent
     samples, and the generic rank per t is the largest rank of the
-    conjugated matrix over a fixed set of random points, one stacked rank
+    conjugated matrix at ``RANK_POINTS`` random points, one stacked rank
     per member; parameters where it drops below the overall maximum are
     flagged.
     """
     ts = [i / (grid_size - 1) for i in range(grid_size)]
     members = list(family.evaluate_many(ts))
-    top = max(map_degree(m) for m in members) if degree is None else degree
+    top = max(map_degree(m) for m in members)
     matrices = [build_xmatrix(m, degree=top) for m in members]
     support, rows = align_rows(*((x.support, x.numerator) for x in matrices))
     _, column, _, weight, _ = _lift_plan(family.domain_dim, top, support)
@@ -247,7 +246,7 @@ def xmatrix_along_family(family, grid_size: int = 11,
     rng = np.random.default_rng(seed)
     points = np.array([rng.standard_normal(family.domain_dim)
                        + 1j * rng.standard_normal(family.domain_dim)
-                       for _ in range(w_samples)]).reshape(-1, family.domain_dim)
+                       for _ in range(RANK_POINTS)])
     generic_ranks = [int(_linalg.numerical_rank(x.conjugated_at(points)).max(initial=0))
                      for x in matrices]
     overall = max(generic_ranks)

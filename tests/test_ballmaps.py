@@ -15,10 +15,9 @@ from propermaps._linalg import random_unitary
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  NormalizationError, RationalBallMap, Verdict,
                                  apply_linear, certify_maps, certify_proper,
-                                 coefficient_bound, compose, degree, degree_bound,
-                                 denominator_sup_bound,
-                                 embedding_dimension, largest_binomial_coefficient,
-                                 norm_equivalent)
+                                 compose, degree, embedding_dimension, norm_equivalent)
+from propermaps.bounds import (coefficient_bound, degree_bound, denominator_sup_bound,
+                               largest_binomial_coefficient)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, automorphism_map,
                                      blaschke_map, juxtapose, random_ball_automorphism,
                                      tensor_on_subspace, whitney_extend, whitney_start)
@@ -427,7 +426,7 @@ def test_carried_factors_that_miss_q_are_ignored(kind, d, seed, floor):
 def test_linear_operations_keep_the_factors(rng):
     m = automorphism_map(BallAutomorphism([0.3, -0.2j]))
     u = random_unitary(2, rng)
-    for kept in (m.padded(4), m.scaled(0.5), apply_linear(u, m)):
+    for kept in (m.padded(4), apply_linear(0.5 * np.eye(2), m), apply_linear(u, m)):
         assert np.array_equal(kept.factors, m.factors)
     square = compose(RationalBallMap(2, 2, [ref.mul(var(0), var(0)), var(1)]), m)
     assert np.array_equal(square.factors, np.vstack([m.factors, m.factors]))
@@ -574,6 +573,9 @@ def test_apply_linear_with_rectangular_non_unitary_matrix(rng):
     assert np.max(np.abs(out.evaluate_many(pts) - want)) <= 1e-12
     with pytest.raises(DimensionMismatchError):
         apply_linear(a.T, m)
+    # A stack of matrices is refused, even of one: it would give one member.
+    with pytest.raises(DimensionMismatchError):
+        apply_linear(a[None], m)
 
 
 def _same_maps(got, want):
@@ -613,7 +615,10 @@ def test_stacks_of_maps_equal_the_maps_one_by_one(rng):
     many = rng.standard_normal((5, 6, 4)) + 1j * rng.standard_normal((5, 6, 4))
     _same_maps([m for block in ballmaps._apply_linear_run(one, run) for m in block],
                [apply_linear(one, m) for m in run])
-    _same_maps(apply_linear(many, run[1]), [apply_linear(a, run[1]) for a in many])
+    # The stacked kernel on a (T, N', N) stack and one map gives each
+    # matrix's map, as one call per matrix does.
+    stacked = ballmaps._apply_linear_run(many, ballmaps._Block.of(run[1]))
+    _same_maps(list(ballmaps._members(stacked)), [apply_linear(a, run[1]) for a in many])
     # The public function composes one map: a run, even of one, is refused.
     for bad in (run, run[:1], tuple(run)):
         with pytest.raises(TypeError, match="one RationalBallMap"):
@@ -1051,7 +1056,7 @@ def _kernel_makers():
 
     def automorphism(gen):
         m = automorphism_map(random_ball_automorphism(2, gen))
-        return m.scaled(0.8) if gen.random() < 0.3 else m
+        return apply_linear(0.8 * np.eye(m.N), m) if gen.random() < 0.3 else m
 
     def tensored(gen):
         f = automorphism_map(random_ball_automorphism(2, gen))
@@ -1250,7 +1255,7 @@ def test_tensor_ladder_through_the_rows_that_share_no_column(n, d, gram_min, mon
     gen = np.random.default_rng(d)
     turn = np.eye(m.N)[gen.permutation(m.N)] * np.exp(2j * np.pi * gen.random(m.N))
     assert norm_equivalent(m, apply_linear(turn, m)).equivalent
-    assert not norm_equivalent(m, m.scaled(1 - 1e-6)).equivalent
+    assert not norm_equivalent(m, apply_linear((1 - 1e-6) * np.eye(m.N), m)).equivalent
 
 
 # ------------------------------------------------ Bernstein sphere reduction
@@ -1325,7 +1330,9 @@ def test_norm_equivalence_does_not_change_when_both_maps_are_scaled(c, registry)
     pairs = [(registry.maps["ex2.1.f"], registry.maps["ex2.1.g"]),
              (h, apply_linear(random_unitary(h.N, np.random.default_rng(4)), h))]
     for f, g in pairs:
-        plain, scaled = norm_equivalent(f, g), norm_equivalent(f.scaled(c), g.scaled(c))
+        scaled = norm_equivalent(apply_linear(c * np.eye(f.N), f),
+                                 apply_linear(c * np.eye(g.N), g))
+        plain = norm_equivalent(f, g)
         assert scaled.equivalent == plain.equivalent
         assert (scaled.mismatch is None) == (plain.mismatch is None)
         if plain.mismatch is not None:

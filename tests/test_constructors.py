@@ -108,7 +108,8 @@ def test_inverse_composes_to_identity(rng):
 def test_boundary_compactification_is_a_constant():
     a = np.array([0.6, 0.8])
     m = boundary_constant_map(a)
-    assert m.is_constant_map()
+    # Constant: each component is its value times q.
+    assert all(ref.distance(p, ref.mul(m.q, c)) <= 1e-12 for p, c in zip(m.p, a))
     assert np.max(np.abs(m.evaluate(np.zeros(2)) - a)) < 1e-12
     assert certify_proper(m).verdict is Verdict.CONSTANT_ON_SPHERE
     with pytest.raises(ValueError):

@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 from propermaps import _linalg, ballmaps, constructors, homotopy, polyalg
 from propermaps._linalg import UnitaryPath
 from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
-                                 certify_proper, degree, norm_equivalent)
+                                 apply_linear, certify_proper, degree, norm_equivalent)
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                                      automorphism_map, blaschke_map,
                                      random_ball_automorphism, whitney_extend,
                                      whitney_start, winding_degree)
 from propermaps.corpus import faran_maps, quadric_three_map
 from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
-                                 NotTensorImageError, PropernessFailureError,
-                                 automorphism_contraction, blaschke_homotopy,
-                                 collapse_to_linear, concat_families,
+                                 NotTensorImageError, automorphism_contraction,
+                                 blaschke_homotopy, collapse_to_linear, concat_families,
                                  constant_family, degree_drop_family,
                                  faran_families, homotopy_to_monomial,
                                  juxtaposition_family, verify_family)
@@ -57,13 +56,9 @@ def test_shrinking_family_fails_for_positive_t():
     assert not report.passed
     assert len(report.properness_failures) == 10  # every t > 0
     assert not report.endpoint_right_ok
-    with pytest.raises(PropernessFailureError) as raised:
-        verify_family(fam, grid_size=11, strict=True)
     # The failing members all carry their witness, sampled when it is read.
     for _, cert in report.properness_failures:
         assert cert.witness is not None and cert.witness_value > 1e-9
-    assert raised.value.certificate.witness is not None
-    assert raised.value.certificate.witness_value > 1e-9
 
 
 def test_whitney_family_members_certify_without_sampling(rng):
@@ -140,16 +135,13 @@ def test_coefficient_steps_are_the_distances_of_adjacent_members(rng):
 
 
 # ------------------------------------------------------ batched verification
-def _error_one_by_one(fam, grid_size, strict):
-    """(type, t or message) of the error that certifying the members one at a
+def _error_one_by_one(fam, grid_size):
+    """(type, message) of the error that certifying the members one at a
     time, each evaluated and then certified in grid order, raises; None if
     none does."""
     try:
         for i in range(grid_size):
-            t = i / (grid_size - 1)
-            cert = certify_proper(fam.evaluate(t))
-            if strict and cert.verdict is not Verdict.PROPER:
-                return PropernessFailureError, t
+            certify_proper(fam.evaluate(i / (grid_size - 1)))
     except Exception as error:
         return type(error), str(error)
     return None
@@ -169,33 +161,28 @@ def _mixed_family(kinds):
         if kind == "v":
             return automorphism_map(BallAutomorphism(2 * center * (1 - 1e-9)))
         m = automorphism_map(BallAutomorphism(center * (1 - t / 2)))
-        return m.scaled(0.5) if kind == "s" else m
+        return apply_linear(0.5 * np.eye(2), m) if kind == "s" else m
 
     end = automorphism_map(BallAutomorphism(center))
     return HomotopyFamily(2, 2, pointwise(evaluator), end, end)
 
 
-@pytest.mark.parametrize("kinds, loose, strict", [
-    ("...s..v....", DenominatorVanishesError, PropernessFailureError),
-    ("..v..s.....", DenominatorVanishesError, DenominatorVanishesError),
-    ("....s..x...", ValueError, PropernessFailureError),
-    ("....vx.....", DenominatorVanishesError, DenominatorVanishesError),
-    ("x..........", ValueError, ValueError),
-    (".........sx", ValueError, PropernessFailureError),
+@pytest.mark.parametrize("kinds, kind", [
+    ("...s..v....", DenominatorVanishesError),
+    ("..v..s.....", DenominatorVanishesError),
+    ("....s..x...", ValueError),
+    ("....vx.....", DenominatorVanishesError),
+    ("x..........", ValueError),
+    (".........sx", ValueError),
 ])
-def test_grid_errors_come_for_the_first_offending_member(kinds, loose, strict):
+def test_grid_errors_come_for_the_first_offending_member(kinds, kind):
     fam = _mixed_family(kinds)
-    for mode, kind in ((False, loose), (True, strict)):
-        expected, detail = _error_one_by_one(fam, 11, mode)
-        assert expected is kind
-        with pytest.raises(kind) as raised:
-            verify_family(fam, grid_size=11, strict=mode)
-        assert type(raised.value) is kind
-        if kind is PropernessFailureError:
-            assert raised.value.t == detail
-            assert raised.value.certificate.witness is not None
-        else:
-            assert str(raised.value) == detail
+    expected, detail = _error_one_by_one(fam, 11)
+    assert expected is kind
+    with pytest.raises(kind) as raised:
+        verify_family(fam, grid_size=11)
+    assert type(raised.value) is kind
+    assert str(raised.value) == detail
 
 
 def test_grid_is_certified_in_blocks(rng):
@@ -247,11 +234,12 @@ def test_segment_builds_both_endpoints_with_one_evaluator_call():
 
     def evaluator(ts):
         calls.append(ts.tolist())
-        return [ident.scaled(1.0 - 0.5 * t) for t in ts.tolist()]
+        return [apply_linear((1.0 - 0.5 * t) * np.eye(2), ident) for t in ts.tolist()]
 
     fam = homotopy._segment(2, evaluator)
     assert calls == [[0.0, 1.0]]
-    assert fam.endpoint_left.allclose(ident) and fam.endpoint_right.allclose(ident.scaled(0.5))
+    assert fam.endpoint_left.allclose(ident)
+    assert fam.endpoint_right.allclose(apply_linear(0.5 * np.eye(2), ident))
     # The grid reuses both endpoints and builds its inner points in one call.
     members = list(fam.evaluate_many([0.0, 0.5, 1.0]))
     assert calls == [[0.0, 1.0], [0.5]]
@@ -344,16 +332,28 @@ def test_block_evaluation_equals_one_t_evaluation(rng):
 def test_grid_evaluation_makes_one_product_per_run_and_stage(rng, monkeypatch):
     term, fam = _whitney_family(2, 3, rng)
     ts = [i / 100 for i in range(101)]
-    products = []
-    multiply = constructors.multiply_rows
+    products, factored = [], []
+    multiply, tensor = constructors.multiply_rows, constructors._tensor_in_frame
+    identity = RationalBallMap.identity(2)
+
+    def counted(fs, frame, d, phis):
+        # The domain factor is the identity when it is one member, without
+        # centres, whose coefficients are those of z -> z.
+        factored.append(len(phis) > 1 or phis.centres.size > 0
+                        or identity.distance(phis[0]) > 0)
+        return tensor(fs, frame, d, phis)
+
     monkeypatch.setattr(constructors, "multiply_rows",
                         lambda *args: products.append(1) or multiply(*args))
+    monkeypatch.setattr(constructors, "_tensor_in_frame", counted)
     members = list(fam.evaluate_many(ts))
     runs = len(list(ballmaps._runs(members)))
-    # Each stage makes one product per run of the members it tensors, and
-    # those runs end where the grid's runs do: at most length * runs products
-    # for the grid, where one t at a time makes one per member and stage it
-    # passes through.
+    # Each stage tensors the runs of the members it passes, and those runs
+    # end where the grid's runs do; a run whose domain factor is not the
+    # identity takes one product, and one whose factor is the identity only
+    # moves coefficients.  One t at a time makes one product per member and
+    # stage it passes through.
+    assert len(products) == sum(factored) > 0
     assert len(products) <= term.length * runs
     assert runs <= 10
 
@@ -470,7 +470,7 @@ def test_blocks_change_no_result_on_the_corpus_families(registry):
         _assert_blocks_change_no_result(fam.reversed(), 37)
     # A family that fails keeps its failures and their certificates.
     ident = RationalBallMap.identity(2)
-    shrinking = HomotopyFamily(2, 2, lambda ts: [ident.scaled(1.0 - 0.5 * t)
+    shrinking = HomotopyFamily(2, 2, lambda ts: [apply_linear((1.0 - 0.5 * t) * np.eye(2), ident)
                                                  for t in ts.tolist()], ident, ident)
     assert len(_assert_blocks_change_no_result(shrinking, 11).properness_failures) == 10
 

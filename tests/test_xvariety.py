@@ -9,7 +9,7 @@ from propermaps.constructors import (BallAutomorphism, automorphism_map,
                                      random_ball_automorphism)
 from propermaps.corpus import group_invariant_degree5_map, quadric_three_map
 from propermaps.homotopy import constant_family, degree_drop_family
-from propermaps.polyalg import Polynomial, monomials_of_degree, multinomial
+from propermaps.polyalg import DEFAULT_TOL, Polynomial, monomials_of_degree, multinomial
 from propermaps import xvariety
 from propermaps.xvariety import (EvaluationAtPoleError, build_xmatrix, fiber_at,
                                  graph_test, xmatrix_along_family)
@@ -118,7 +118,6 @@ def test_entries_equal_the_term_by_term_reference(reference_maps):
             [[e.terms for e in row] for row in want], name
         assert [[list(e.terms) for e in row] for row in got] == \
             [[list(e.terms) for e in row] for row in want], name
-        assert x.entry(x.row_count - 1, x.N - 1).terms == want[-1][-1].terms
 
 
 def test_stacked_evaluation_agrees_with_points_and_entries(reference_maps, monkeypatch):
@@ -168,10 +167,10 @@ def test_homogeneous_map_gives_constant_matrix():
                                Polynomial.monomial((1, 1), math.sqrt(2.0)),
                                Polynomial.monomial((0, 2))])
     x = build_xmatrix(m)
-    for i in range(x.row_count):
-        for k in range(x.N):
-            # Zero or constant: no significant term of positive degree.
-            assert all(sum(alpha) == 0 for alpha in x.entry(i, k).significant_terms())
+    for row in x.entries:
+        for entry in row:
+            # Zero or constant: no term above the tolerance of positive degree.
+            assert all(sum(alpha) == 0 or abs(c) <= DEFAULT_TOL for alpha, c in entry.terms.items())
 
 
 def test_quintic_matrix_entries(quintic_matrix):
@@ -187,10 +186,11 @@ def test_quintic_matrix_entries(quintic_matrix):
         (5, 3): {(0, 0): 1.0},
     }
     assert x.rows == ((5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5))
+    entries = x.entries
     for i in range(6):
         for k in range(4):
             want = expected.get((i, k), {})
-            assert ref.distance(x.entry(i, k), Polynomial(2, want)) <= 1e-12, (i, k)
+            assert ref.distance(entries[i][k], Polynomial(2, want)) <= 1e-12, (i, k)
 
 
 def test_reconstruction_recovers_components(registry, rng):
