@@ -163,13 +163,14 @@ class RationalBallMap:
         whose factor centres are the (K, n) slices of ``factors``, (T, K, n)
         or (1, K, n) for all; q(0) = 1 unchecked.
 
-        This is the one store: ``canonical_rows`` copies and floors the stack
-        once, and each run of consecutive maps whose rows have an entry in
-        the same columns is one block, its rows without the other columns.
-        A stack whose maps all share their columns is one block of its own
-        array.  No map is built until a block is indexed.
+        This is the checked entry for rows from outside a kernel: it copies
+        the stack and the centres, so the caller's arrays are never changed,
+        sets the entries at or below ``COEFFICIENT_FLOOR`` to zero, checks
+        that the centres are finite with one entry per domain variable, and
+        hands the copies to ``_store``.
         """
-        support, stack = canonical_rows(support, stack)
+        stack = np.array(stack, dtype=complex)
+        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
         centres = np.array(factors, dtype=complex)
         if centres.size == 0:
             centres = np.zeros((1, 0, n), dtype=complex)
@@ -178,27 +179,12 @@ class RationalBallMap:
                                          "per domain variable")
         if not np.isfinite(centres).all():
             raise ValueError("denominator factor centres must be finite")
-        if len(centres) != len(stack):
-            centres = np.repeat(centres, len(stack), axis=0)
-        centres.flags.writeable = False
-        stack.flags.writeable = False
-        masks = stack.any(axis=1)
-        if masks.all():
-            return [_Block(n, support, stack, centres)] if len(stack) else []
-        cuts = np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1
-        blocks = []
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(stack)]):
-            live = masks[lo]
-            kept = tuple(alpha for alpha, keep in zip(support, live.tolist()) if keep)
-            rows = stack[lo:hi].compress(live, axis=2)
-            rows.flags.writeable = False
-            blocks.append(_Block(n, kept, rows, centres[lo:hi]))
-        return blocks
+        return _store(n, tuple(support), stack, centres)
 
     @classmethod
     def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
         """The map with rows p_1, ..., p_N, q over ``support``; q(0) = 1 unchecked.
-        The store of ``_from_stack`` on a stack of one."""
+        ``_from_stack`` on a stack of one."""
         return cls._from_stack(n, support, np.asarray(rows)[None],
                                np.asarray(factors, dtype=complex)[None])[0][0]
 
@@ -324,6 +310,35 @@ class _Block(Sequence):
         rows = np.insert(self.rows, [self.N] * (target_dim - self.N), 0.0, axis=1)
         rows.flags.writeable = False
         return _Block(self.n, self.support, rows, self.centres)
+
+
+def _store(n: int, support: tuple, stack: np.ndarray, centres: np.ndarray) -> list:
+    """The blocks of ``RationalBallMap._from_stack`` on rows that the caller
+    has just built and owns, with no entry at or below the storage floor,
+    and finite (T, K, n) or (1, K, n) centres, taken from a stored block or
+    from a checked automorphism or Blaschke product.  Nothing is copied or
+    checked: the arrays are made read-only, and each run of consecutive maps
+    whose rows have an entry in the same columns is one block, its rows
+    without the other columns.  A stack whose maps all have an entry in
+    every column is one block of its own array.  No map is built until a
+    block is indexed.
+    """
+    if len(centres) != len(stack):
+        centres = np.repeat(centres, len(stack), axis=0)
+    centres.flags.writeable = False
+    stack.flags.writeable = False
+    masks = stack.any(axis=1)
+    if masks.all():
+        return [_Block(n, support, stack, centres)] if len(stack) else []
+    cuts = np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1
+    blocks = []
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(stack)]):
+        live = masks[lo]
+        kept = tuple(alpha for alpha, keep in zip(support, live.tolist()) if keep)
+        rows = stack[lo:hi].compress(live, axis=2)
+        rows.flags.writeable = False
+        blocks.append(_Block(n, kept, rows, centres[lo:hi]))
+    return blocks
 
 
 def _members(items: Iterable) -> Iterator[RationalBallMap]:
@@ -958,7 +973,8 @@ def _apply_linear_run(matrix: np.ndarray, block: _Block) -> list:
         else:
             rows[np.ix_(members, range(len(mat)), np.flatnonzero(live))] = \
                 mat @ p[members][:, :, live]
-    return RationalBallMap._from_stack(block.n, block.support, rows, centres)
+    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    return _store(block.n, block.support, rows, centres)
 
 
 def compose(outer: RationalBallMap, inner: RationalBallMap) -> RationalBallMap:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
-                       _Block, _factor_rows, _top_degree, certify_proper)
+                       _Block, _factor_rows, _store, _top_degree, certify_proper)
 from .polyalg import (COEFFICIENT_FLOOR, _product_plan, align_rows, canonical_rows,
                       evaluate_rows, monomials_of_degree, multiply_rows)
 
@@ -40,14 +40,18 @@ class BallAutomorphism:
     __slots__ = ("a", "U")
 
     def __init__(self, center: Sequence[complex], unitary: Optional[np.ndarray] = None):
-        a = np.asarray(center, dtype=complex).reshape(-1)
+        a = np.array(center, dtype=complex).reshape(-1)
         if a.size < 1:
             raise ValueError("center must be a nonempty vector")
+        if not np.isfinite(a).all():
+            raise ValueError(f"center {a} must be finite")
         if np.linalg.norm(a) >= 1.0:
             raise ValueError(f"center must lie strictly inside the ball, |a|={np.linalg.norm(a)}")
         u = np.eye(a.size, dtype=complex) if unitary is None else np.asarray(unitary, dtype=complex)
         if u.shape != (a.size, a.size) or not _linalg.is_unitary(u):
             raise ValueError("unitary part must be a square unitary matrix")
+        # The maps of the automorphism keep the centre as their factor centre.
+        a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "U", u)
 
@@ -101,7 +105,8 @@ def _automorphism_maps(centres: np.ndarray, unitaries: np.ndarray) -> list:
                             axis=2)
     last = np.concatenate([-centres.conj(), np.ones((len(centres), 1))], axis=1)
     rows = np.concatenate([unitaries @ mobius, last[:, None, :]], axis=1)
-    return RationalBallMap._from_stack(n, monos, rows, centres[:, None, :])
+    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    return _store(n, tuple(monos), rows, centres[:, None, :])
 
 
 def automorphism_from_map(m: RationalBallMap) -> BallAutomorphism:
@@ -183,7 +188,9 @@ def _blaschke_maps(thetas: np.ndarray, zeros: np.ndarray) -> list:
     # conjugate rows read backwards are those of prod (z - a).
     support, q = _factor_rows(1, centres)
     p = np.exp(1j * thetas)[:, None] * q[:, ::-1].conj()
-    return RationalBallMap._from_stack(1, support, np.stack([p, q], axis=1), centres)
+    rows = np.stack([p, q], axis=1)
+    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
+    return _store(1, support, rows, centres)
 
 
 def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
@@ -305,15 +312,19 @@ def _tensor_in_frame(fs: _Block, frame: np.ndarray, d: int, phis: _Block) -> lis
         rows = np.zeros((count, size, len(support)), dtype=complex)
         rows[:, out[:, None], column.reshape(-1, n + 1).T[right_row]] = left
         rows += 0.0
-        return RationalBallMap._from_stack(n, support, rows, f_centres)
+        # The frame coordinates are floored; the q row is copied as stored.
+        q = rows[:, -1]
+        q[np.abs(q) <= COEFFICIENT_FLOOR] = 0.0
+        return _store(n, support, rows, f_centres)
     right = np.concatenate([np.tile(phi_rows[:, :n], (1, d, 1)),
                             np.repeat(phi_rows[:, n:], fs.N - d + 1, axis=1)], axis=1)
     left = _repeat_to(left, count).reshape(count * size, -1)
     right = _repeat_to(right, count).reshape(count * size, -1)
     support, rows = multiply_rows(n, fs.support, left, phis.support, right)
+    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     centres = np.concatenate([_repeat_to(f_centres, count), _repeat_to(phi_centres, count)],
                              axis=1)
-    return RationalBallMap._from_stack(n, support, rows.reshape(count, size, -1), centres)
+    return _store(n, support, rows.reshape(count, size, -1), centres)
 
 
 def _is_identity(phis: _Block) -> bool:

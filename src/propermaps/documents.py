@@ -145,10 +145,10 @@ def map_from_document(doc: dict) -> RationalBallMap:
     factors = _list_to_factors(doc.get("denominator_factors", []), n)
     from .ballmaps import RationalBallMap
     from .polyalg import Polynomial
-    components = [Polynomial(n, terms) for terms in p_terms]
-    denominator = Polynomial(n, q_terms)
     try:
-        return RationalBallMap(n, target, components, denominator, factors=factors)
+        components = [Polynomial(n, terms) for terms in p_terms]
+        return RationalBallMap(n, target, components, Polynomial(n, q_terms),
+                               factors=factors)
     except ValueError as exc:
         raise MapDocumentError(str(exc)) from exc
 

@@ -30,7 +30,7 @@ from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _juxtaposition_path, _root, _tensor_in_frame)
-from .polyalg import DEFAULT_TOL, ZERO_DEGREE, Polynomial
+from .polyalg import DEFAULT_TOL, Polynomial
 
 class EndpointMismatchError(ValueError):
     """A family endpoint does not match the declared map up to unitary and padding."""
@@ -448,7 +448,8 @@ def _alignment_permutation(g: RationalBallMap, step):
     """
     size = g.N
     d = step.basis.shape[1]
-    degrees = [_bm._top_degree(g.support, row[None]) for row in g.coefficients[:-1]]
+    # One slice per component; -1 marks a zero component.
+    degrees = _bm._top_degrees(g.support, g.coefficients[:-1, None]).tolist()
     top_degree = max(degrees)
 
     canonical: Optional[list] = []
@@ -466,7 +467,7 @@ def _alignment_permutation(g: RationalBallMap, step):
     else:
         top = degrees.index(top_degree)
         pool = sorted((i for i in range(size) if i != top),
-                      key=lambda i: (degrees[i] == ZERO_DEGREE, i))
+                      key=lambda i: (degrees[i] < 0, i))
         slots = [top] + pool[:d - 1]
     rest = [i for i in range(size) if i not in slots]
 
@@ -509,14 +510,14 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
     if unitary is not None:
         upath = _linalg.UnitaryPath(unitary)
         segments.append(_segment(n, lambda ts: stage(_bm._apply_linear_run(upath(ts), g_block))))
-    aligned = g_block if unitary is None else _bm._apply_linear_run(unitary, g_block)[0]
-    aligned_end = _apply_step(step, aligned, identity)[0][0]
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
     next_map = _tensor_in_frame(g_block, np.eye(g_map.N)[:, slots + rest],
                                 step.basis.shape[1], identity)[0][0]
     if step.injection is not None:
+        aligned = g_block if unitary is None else _bm._apply_linear_run(unitary, g_block)[0]
+        aligned_end = _apply_step(step, aligned, identity)[0][0]
         next_map = next_map.padded(step.injection.shape[0])
         segments += _junction_bridge(
             aligned_end, next_map,

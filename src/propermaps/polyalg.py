@@ -57,6 +57,11 @@ MultiIndex = tuple
 #: Degree reported for the zero polynomial.
 ZERO_DEGREE = float("-inf")
 
+#: Largest total degree of a term: exponents and their sums are int64
+#: arrays wherever supports are planned (``_product_plan``, the degrees of
+#: ``ballmaps``).
+_MAX_DEGREE = int(np.iinfo(np.int64).max)
+
 
 def total_degree(alpha: MultiIndex) -> int:
     """Total degree |alpha| of a multi-index."""
@@ -134,16 +139,19 @@ class Polynomial:
         if nvars < 1:
             raise ValueError("nvars must be positive")
         terms = terms or {}
-        # One integer array checks the shape and sign of every exponent and
-        # one isfinite every coefficient; the per-term loop runs only when the
+        # One int64 array checks the shape and sign of every exponent, and
+        # bounds them so that no total degree exceeds _MAX_DEGREE, and one
+        # isfinite every coefficient; the per-term loop runs only when the
         # arrays do not pass, to name the offending term, or the terms do not
         # form such arrays (no terms, ragged tuples, non-integer exponents).
         valid = False
         try:
             exps, values = np.array(list(terms)), np.array(list(terms.values()))
-            valid = (exps.dtype.kind in "iu" and exps.shape == (len(terms), nvars)
+            valid = (exps.dtype.kind == "i" and exps.shape == (len(terms), nvars)
                      and values.dtype.kind in "biufc" and values.shape == (len(terms),)
-                     and bool((exps >= 0).all()) and bool(np.isfinite(values).all()))
+                     and 0 <= exps.min()
+                     and exps.max() <= _MAX_DEGREE // nvars
+                     and bool(np.isfinite(values).all()))
         except (TypeError, ValueError, OverflowError):
             pass
         if valid:
@@ -159,12 +167,20 @@ class Polynomial:
     def _checked_terms(nvars: int, terms: Mapping, tol: float) -> dict:
         """The terms above ``tol``, checked one by one; the first bad term raises."""
         clean: dict[MultiIndex, complex] = {}
-        for alpha, coeff in terms.items():
-            alpha = tuple(map(int, alpha))
+        for key, coeff in terms.items():
+            try:
+                alpha = tuple(map(int, key))
+                integral = alpha == tuple(key)
+            except (ValueError, OverflowError):  # int() of NaN or of infinity
+                integral = False
+            if not integral:
+                raise ValueError(f"exponents {key} must be integers")
             if len(alpha) != nvars:
                 raise ValueError(f"exponent tuple {alpha} does not match nvars={nvars}")
             if min(alpha) < 0:
                 raise ValueError(f"negative exponent in {alpha}")
+            if sum(alpha) > _MAX_DEGREE:
+                raise ValueError(f"total degree of {alpha} exceeds {_MAX_DEGREE}")
             c = complex(coeff)
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient {c} of {alpha} is not finite")

@@ -625,6 +625,25 @@ def test_stacks_of_maps_equal_the_maps_one_by_one(rng):
             apply_linear(one, bad)
 
 
+def test_the_checked_store_leaves_the_callers_arrays_unchanged():
+    # Entries at the floor are dropped from the stored copy, never from the
+    # caller's rows, which also stay writeable.
+    support = ((1, 0), (0, 1), (0, 0))
+    rows = np.array([[1.0, COEFFICIENT_FLOOR, 0.5j],
+                     [-1j * COEFFICIENT_FLOOR, 0.5, 0.0],
+                     [0.0, 0.1, 1.0]])
+    factors = np.array([[0.1, -0.2j]])
+    before = rows.tobytes(), factors.tobytes()
+    m = RationalBallMap._from_rows(2, support, rows, factors)
+    stack = np.stack([rows, rows])
+    blocks = RationalBallMap._from_stack(2, support, stack, factors[None])
+    assert (rows.tobytes(), factors.tobytes()) == before
+    assert stack.tobytes() == np.stack([rows, rows]).tobytes()
+    assert rows.flags.writeable and stack.flags.writeable and factors.flags.writeable
+    assert m.coefficients[0, 1] == 0.0 and m.coefficients[1, 0] == 0.0
+    _same_maps(list(ballmaps._members(blocks)), [m, m])
+
+
 def test_map_distance_pads_and_compares_denominators(quartic):
     assert quartic.distance(quartic.padded(7)) == 0.0
     assert quartic.padded(7).allclose(quartic)

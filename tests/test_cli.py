@@ -596,6 +596,13 @@ def _nan_document():
     return doc
 
 
+def _exponents_document(exponents):
+    """The identity's document with the exponents of its first term replaced."""
+    doc = map_to_document(RationalBallMap.identity(len(exponents)))
+    doc["numerator"][0][0]["exponents"] = exponents
+    return doc
+
+
 # Each case: CLI arguments, the document written to doc.json (if any), and a
 # fragment of the error line that names the check expected to reject it.
 MALFORMED = {
@@ -603,6 +610,11 @@ MALFORMED = {
                           "must be finite"),
     "document-nan-coefficient": (["verify", "doc.json"], _nan_document(),
                                  "numerator[0][0].re must be a finite number"),
+    "document-exponent-beyond-int64": (["verify", "doc.json"], _exponents_document([2 ** 70]),
+                                       f"total degree of ({2 ** 70},) exceeds"),
+    "document-degree-beyond-int64": (["degree", "doc.json"],
+                                     _exponents_document([2 ** 62, 2 ** 62]),
+                                     f"total degree of ({2 ** 62}, {2 ** 62}) exceeds"),
     "xvariety-nan-point": (["xvariety", "faran.h", "--at=nan,0.1"], None,
                            "must be finite"),
     "whitney-steps-not-a-list": (["whitney", "build", "doc.json"],

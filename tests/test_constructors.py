@@ -93,6 +93,21 @@ def test_center_outside_ball_rejected():
         BallAutomorphism([1.0, 0.0])
     with pytest.raises(ValueError):
         BallAutomorphism([0.8, 0.7])
+    # The norm of a centre with a NaN is NaN, which no comparison rejects.
+    for bad in ([math.nan, 0.0], [0.0, complex(0.1, math.nan)], [math.inf, 0.0],
+                [complex(0.0, -math.inf)]):
+        with pytest.raises(ValueError, match="must be finite"):
+            BallAutomorphism(bad)
+
+
+def test_automorphism_keeps_its_own_read_only_centre():
+    # The map of an automorphism keeps its centre as its factor centre, so
+    # the centre is a copy that cannot change.
+    centre = np.array([0.3, 0.1j])
+    phi = BallAutomorphism(centre)
+    centre[0] = 0.9
+    assert phi.a.tolist() == [0.3, 0.1j] and not phi.a.flags.writeable
+    assert automorphism_map(phi).factors.tolist() == [[0.3, 0.1j]]
 
 
 def test_inverse_composes_to_identity(rng):
@@ -310,6 +325,68 @@ def test_tensor_with_the_identity_moves_coefficients_as_the_product_does(n, dens
             assert a.support == b.support
             assert a.rows.tobytes() == b.rows.tobytes()
             assert a.centres.tobytes() == b.centres.tobytes()
+
+
+def _kernel_cases(n, count, rng):
+    """(name, call) for each kernel that stores its own rows without the
+    checked store, on awkward blocks (``_awkward_block``) where it reads
+    blocks: the tensor step with the identity and with a block of
+    automorphisms, apply_linear on a block and a stack of matrices on one
+    map, and the stacked automorphism and Blaschke maps.  A zero centre and
+    a zero Blaschke zero give entries of -0.0, which the floor makes +0.0."""
+    N = 4
+    fs = _awkward_block(n, N, count, rng)
+    frame = WhitneyStep(np.linalg.qr(rng.standard_normal((N, 2))
+                                     + 1j * rng.standard_normal((N, 2)))[0]).frame
+    identity = ballmaps._Block.of(RationalBallMap.identity(n))
+    phis = [random_ball_automorphism(n, rng, 0.9) for _ in range(count)]
+    phis[0] = BallAutomorphism(np.zeros(n), phis[0].U)
+    centres, unitaries = np.array([phi.a for phi in phis]), np.array([phi.U for phi in phis])
+    factors = constructors._automorphism_maps(centres, unitaries)[0]
+    one = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+    many = rng.standard_normal((count, 3, N)) + 1j * rng.standard_normal((count, 3, N))
+    zeros = 0.8 * rng.random((count, 3)) * np.exp(2j * np.pi * rng.random((count, 3)))
+    zeros[:, 0] = 0.0
+    thetas = 2 * np.pi * rng.random(count)
+    return [
+        ("identity step", lambda: constructors._tensor_in_frame(fs, frame, 2, identity)),
+        ("product step", lambda: constructors._tensor_in_frame(fs[:1], frame, 2, factors)),
+        ("apply_linear", lambda: ballmaps._apply_linear_run(one, fs)),
+        ("apply_linear stack", lambda: ballmaps._apply_linear_run(many, fs[:1])),
+        ("automorphisms", lambda: constructors._automorphism_maps(centres, unitaries)),
+        ("blaschke", lambda: constructors._blaschke_maps(thetas, zeros)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 5])
+def test_kernels_store_what_the_checked_store_gives(n, count, monkeypatch):
+    # Each kernel floors its own rows and stores them without the checked
+    # store's copy, floor and centre check; the blocks are the ones the
+    # checked store gives on the same rows and centres, bit for bit.
+    rng = np.random.default_rng(10 * n + count)
+    for name, call in _kernel_cases(n, count, rng):
+        stored, store = [], ballmaps._store
+
+        def spy(dim, support, stack, centres):
+            rows, factors = stack.copy(), centres.copy()
+            blocks = store(dim, support, stack, centres)
+            stored.append((dim, support, rows, factors, blocks))
+            return blocks
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ballmaps, "_store", spy)
+            patch.setattr(constructors, "_store", spy)
+            call()
+        assert len(stored) == 1, name
+        dim, support, rows, factors, got = stored[0]
+        want = RationalBallMap._from_stack(dim, support, rows, factors)
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert a.support == b.support, name
+            assert a.rows.tobytes() == b.rows.tobytes(), name
+            assert a.centres.tobytes() == b.centres.tobytes(), name
+            assert not a.rows.flags.writeable and not a.centres.flags.writeable
 
 
 def test_identity_is_told_from_other_domain_factors():

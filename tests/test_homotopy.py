@@ -759,6 +759,23 @@ def test_three_step_term_reaches_degree_four_monomial(rng):
     assert verify_family(fam, grid_size=31).passed
 
 
+@pytest.mark.parametrize("injected", [False, True])
+def test_a_stage_tensors_its_junction_map_only_for_an_injection(injected, rng):
+    # Building the family evaluates the stage's segment at its two ends, in
+    # one tensor step; the only other step is the map at the injection's
+    # junction, which a stage without one never reads.
+    term = whitney_start(BallAutomorphism.identity(2))
+    injection = None
+    if injected:
+        injection, _ = np.linalg.qr(rng.standard_normal((4, 3))
+                                    + 1j * rng.standard_normal((4, 3)))
+    term = whitney_extend(term, np.array([1]), injection=injection)
+    with mock.patch.object(homotopy, "_apply_step", wraps=homotopy._apply_step) as steps:
+        fam = homotopy_to_monomial(term)
+    assert steps.call_count == 1 + injected
+    assert verify_family(fam, grid_size=11).passed
+
+
 def test_reduction_handles_non_canonical_subspace_and_injection(rng):
     term = whitney_start(random_ball_automorphism(2, rng))
     q, _ = np.linalg.qr(rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))

@@ -194,6 +194,11 @@ def test_polynomial_rejects_non_finite_coefficients(bad):
     ({(2, -1): float("nan")}, "negative exponent in (2, -1)"),
     ({(1, 0): 1.0, (0, 1): complex(0.0, float("inf"))},
      "coefficient infj of (0, 1) is not finite"),
+    ({(1, 0): 1.0, (1.5, 0): 2.0}, "exponents (1.5, 0) must be integers"),
+    ({(1, 0): 1.0, (float("nan"), 0): 2.0}, "exponents (nan, 0) must be integers"),
+    ({(2 ** 70, 0): 1.0}, f"total degree of ({2 ** 70}, 0) exceeds {2 ** 63 - 1}"),
+    ({(1, 0): 1.0, (2 ** 62, 2 ** 62): 1.0},
+     f"total degree of ({2 ** 62}, {2 ** 62}) exceeds {2 ** 63 - 1}"),
 ])
 @pytest.mark.parametrize("many", [False, True])
 def test_polynomial_names_the_first_bad_term(terms, message, many):
