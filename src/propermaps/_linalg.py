@@ -150,6 +150,11 @@ def gram_schmidt_complement(basis: np.ndarray) -> np.ndarray:
     return np.column_stack(found) if found else np.zeros((n, 0), dtype=complex)
 
 
+def complete_unitary(isometry: np.ndarray) -> np.ndarray:
+    """[B, B_perp]: an isometry B and its ``gram_schmidt_complement``."""
+    return np.hstack([isometry, gram_schmidt_complement(isometry)])
+
+
 def procrustes_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Unitary W minimizing ||W @ source - target||_F (least squares over unitaries)."""
     a = np.asarray(source, dtype=complex)
@@ -165,6 +170,8 @@ class UnitaryPath:
     The QR factor of the eigenvector matrix is a Schur frame, and for a
     normal matrix the Schur form is diagonal, so U = Q diag(e^{i angles}) Q^H.
     Scaling the principal angles linearly keeps every U(s) unitary.
+    U(0) = Q Q^H is the identity only to rounding, so a path that must end
+    on a given map is run back to reach it at s = 0.
     """
 
     def __init__(self, unitary: np.ndarray):

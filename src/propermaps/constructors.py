@@ -47,11 +47,12 @@ class BallAutomorphism:
             raise ValueError(f"center {a} must be finite")
         if np.linalg.norm(a) >= 1.0:
             raise ValueError(f"center must lie strictly inside the ball, |a|={np.linalg.norm(a)}")
-        u = np.eye(a.size, dtype=complex) if unitary is None else np.asarray(unitary, dtype=complex)
+        u = np.eye(a.size, dtype=complex) if unitary is None else np.array(unitary, dtype=complex)
         if u.shape != (a.size, a.size) or not _linalg.is_unitary(u):
             raise ValueError("unitary part must be a square unitary matrix")
-        # The maps of the automorphism keep the centre as their factor centre.
+        # The maps keep the centre as their factor centre; no caller holds either array.
         a.flags.writeable = False
+        u.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "U", u)
 
@@ -384,15 +385,25 @@ def _root(ts: np.ndarray, top: float = 1.0) -> np.ndarray:
 class WhitneyStep:
     """One extension step: tensor subspace basis, domain automorphism, injection.
 
+    The basis and injection are read-only copies of the caller's arrays.
     ``frame`` is the unitary whose first d columns are the basis and whose
     rest is their ``gram_schmidt_complement``: the coordinates the step
     tensors in.  It is built, and the basis checked to be nonzero with
     orthonormal columns, once per step, when it is first read.
+    ``injection_frame`` completes a checked injection to a unitary likewise.
     """
 
     basis: np.ndarray
     phi: Optional[BallAutomorphism] = None
     injection: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for name in ("basis", "injection"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=complex)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -400,7 +411,11 @@ class WhitneyStep:
             raise TensorSubspaceError("tensor subspace must be nonzero")
         if not _linalg.has_orthonormal_columns(self.basis):
             raise TensorSubspaceError("subspace basis must have orthonormal columns")
-        return np.hstack([self.basis, _linalg.gram_schmidt_complement(self.basis)])
+        return _linalg.complete_unitary(self.basis)
+
+    @cached_property
+    def injection_frame(self) -> np.ndarray:
+        return _linalg.complete_unitary(self.injection)
 
 
 def _apply_step(step: WhitneyStep, fs: _Block, phis: _Block) -> list:
@@ -410,10 +425,14 @@ def _apply_step(step: WhitneyStep, fs: _Block, phis: _Block) -> list:
     if step.basis.shape[0] != fs.N:
         raise DimensionMismatchError(
             f"basis rows {step.basis.shape[0]} do not match target dimension {fs.N}")
-    tensored = _tensor_in_frame(fs, step.frame, step.basis.shape[1], phis)
-    if step.injection is None:
-        return tensored
-    return [out for block in tensored for out in _apply_linear_run(step.injection, block)]
+    return _inject(step.injection, _tensor_in_frame(fs, step.frame, step.basis.shape[1], phis))
+
+
+def _inject(injection: Optional[np.ndarray], blocks: list) -> list:
+    """The blocks taken through an injection, if any, block by block."""
+    if injection is None:
+        return blocks
+    return [out for block in blocks for out in _apply_linear_run(injection, block)]
 
 
 @dataclass(frozen=True)
@@ -463,8 +482,7 @@ def whitney_extend(term: WhitneyTerm, basis, phi: Optional[BallAutomorphism] = N
     exactly when the tensored subspace misses all top-degree components.
     """
     current = term.map
-    step = WhitneyStep(subspace_basis(current.N, basis), phi,
-                       None if injection is None else np.asarray(injection, dtype=complex))
+    step = WhitneyStep(subspace_basis(current.N, basis), phi, injection)
     if step.injection is not None:
         if step.injection.shape[1] != current.N + step.basis.shape[1] * (current.n - 1):
             raise DimensionMismatchError("injection must accept the tensored target")

@@ -9,9 +9,10 @@ grid point, and tracks degree and embedding-dimension profiles plus the
 largest coefficient increment between adjacent samples.
 
 Families are concatenated by piecewise-linear reparameterization; junctions
-must agree coefficientwise or at least be norm-equivalent, in which case a
-unitary path from the identity to the witness unitary is spliced in (the
-unitary group is path connected, so this stays inside proper maps).
+must agree, or be norm-equivalent and get a unitary path to the witness
+spliced in (the unitary group is path connected, so this stays inside
+proper maps).  The built-in reductions search for no witness: they complete
+isometries of their construction to the unitaries of their junctions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, RationalBallMap, Ve
 from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
-                           _juxtaposition_path, _root, _tensor_in_frame)
+                           _inject, _juxtaposition_path, _root, _tensor_in_frame)
 from .polyalg import DEFAULT_TOL, Polynomial
 
 class EndpointMismatchError(ValueError):
@@ -133,19 +134,6 @@ def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFa
     return _segment(m.n, lambda ts: _bm._apply_linear_run(path(ts), block))
 
 
-def _junction_bridge(end: RationalBallMap, start: RationalBallMap, error: Exception,
-                     close_tol: float = 1e-6) -> list:
-    """What joins ``end`` to ``start``: nothing when they agree within
-    ``close_tol``, else the unitary bridge from ``end`` to a norm-equivalent
-    ``start``; ``error`` is raised when they are not norm-equivalent."""
-    if end.allclose(start, close_tol):
-        return []
-    witness = norm_equivalent(end, start, tol=1e-6)
-    if not witness.equivalent:
-        raise error
-    return [unitary_bridge_family(end, witness.unitary)]
-
-
 def concat_families(segments: Sequence[HomotopyFamily], *,
                     endpoint_left: Optional[RationalBallMap] = None,
                     endpoint_right: Optional[RationalBallMap] = None) -> HomotopyFamily:
@@ -164,9 +152,13 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
 
     pieces: list[HomotopyFamily] = [segs[0]]
     for nxt in segs[1:]:
-        pieces += _junction_bridge(
-            pieces[-1].evaluate(1.0).padded(big), nxt.evaluate(0.0).padded(big),
-            EndpointMismatchError("junction maps are not norm-equivalent; cannot concatenate"))
+        end, start = pieces[-1].evaluate(1.0).padded(big), nxt.evaluate(0.0).padded(big)
+        if not end.allclose(start, 1e-6):
+            witness = norm_equivalent(end, start, tol=1e-6)
+            if not witness.equivalent:
+                raise EndpointMismatchError(
+                    "junction maps are not norm-equivalent; cannot concatenate")
+            pieces.append(unitary_bridge_family(end, witness.unitary))
         pieces.append(nxt)
 
     count = len(pieces)
@@ -438,57 +430,39 @@ def faran_families() -> dict:
 
 
 # ------------------------------------------------- reduction to a monomial map
-def _alignment_permutation(g: RationalBallMap, step):
-    """Choose component slots for the tensor subspace and the aligning unitary.
-
-    Returns (S, rest, U) where S lists the slots whose monomials feed the
-    tensor block (the first one of top degree, so the degree goes up), rest
-    the remaining slots in ascending order, and U the unitary mapping slot
-    basis vectors onto the step's frame (None when it is the identity).
-    """
-    size = g.N
-    d = step.basis.shape[1]
+def _monomial_slots(g: RationalBallMap, step) -> list:
+    """The component slots in the order the next monomial map tensors them:
+    first those whose monomials feed the tensor block (the basis columns'
+    own slots when they are canonical vectors and one has top degree, else
+    the first slot of top degree, so the degree goes up, and the next ones),
+    then the rest in ascending order."""
+    size, d = step.basis.shape
     # One slice per component; -1 marks a zero component.
     degrees = _bm._top_degrees(g.support, g.coefficients[:-1, None]).tolist()
     top_degree = max(degrees)
-
-    canonical: Optional[list] = []
-    for m in range(d):
-        col = step.basis[:, m]
-        j = int(np.argmax(np.abs(col)))
-        if abs(col[j] - 1.0) <= 1e-12 and np.sum(np.abs(col)) - abs(col[j]) <= 1e-12:
-            canonical.append(j)
-        else:
-            canonical = None
-            break
-    if (canonical is not None and len(set(canonical)) == d
-            and max(degrees[j] for j in canonical) == top_degree):
+    canonical = np.abs(step.basis).argmax(axis=0).tolist()
+    if (len(set(canonical)) == d and max(degrees[j] for j in canonical) == top_degree
+            and np.abs(step.basis - np.eye(size)[:, canonical]).max() <= 1e-12):
         slots = canonical
     else:
         top = degrees.index(top_degree)
         pool = sorted((i for i in range(size) if i != top),
                       key=lambda i: (degrees[i] < 0, i))
         slots = [top] + pool[:d - 1]
-    rest = [i for i in range(size) if i not in slots]
-
-    perm = np.zeros((size, size), dtype=complex)
-    for pos, i in enumerate(list(slots) + rest):
-        perm[i, pos] = 1.0
-    unitary = step.frame @ perm.conj().T
-    if np.max(np.abs(unitary - np.eye(size))) <= 1e-12:
-        return slots, rest, None
-    return slots, rest, unitary
+    return slots + [i for i in range(size) if i not in slots]
 
 
 def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: int):
     """Lift the reduction family through one tensor step.
 
-    Given a family joining F_k to the monomial map ``g_map`` (in the family's
-    target, which is the step's basis rows), produce the family joining
-    F_{k+1} to the next monomial map, and that map: contract the step's
-    automorphism, push the previous family through the step, rotate the
-    subspace onto monomial slots, and absorb the injection by a unitary
-    bridge.
+    Given a family joining F_k to the monomial map g = ``g_map`` (in the
+    family's target, which is the step's basis rows), produce the family
+    joining F_{k+1} to the next monomial map, and that map: contract the
+    step's automorphism, push the previous family through the step to g
+    tensored in the step's frame F, then tensor C(1 - t) P^H g in the
+    identity frame, with P the monomial slots and C the path to F^H P, and
+    through an injection J run the path to [J, J_perp] back from the next
+    map padded by zeros.  Each path ends at s = 0 on it (see UnitaryPath).
     """
     identity, g_block = _bm._Block.of(RationalBallMap.identity(n)), _bm._Block.of(g_map)
 
@@ -506,22 +480,24 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
         segments.append(_segment(n, lambda ts: stage(at(ts), start)))
     segments.append(_segment(n, lambda ts: stage(fam_prev._evaluate(ts))))
 
-    slots, rest, unitary = _alignment_permutation(g_map, step)
-    if unitary is not None:
-        upath = _linalg.UnitaryPath(unitary)
-        segments.append(_segment(n, lambda ts: stage(_bm._apply_linear_run(upath(ts), g_block))))
+    eye, d = np.eye(g_map.N), step.basis.shape[1]
+    perm = eye[:, _monomial_slots(g_map, step)]
+    alignment = step.frame.conj().T @ perm
+    if np.abs(alignment - eye).max() > 1e-12:
+        path, coordinates = _linalg.UnitaryPath(alignment), perm.T
+
+        def tail(ts: np.ndarray) -> Iterator:
+            for run in _bm._runs(_bm._apply_linear_run(path(1.0 - ts) @ coordinates, g_block)):
+                yield from _inject(step.injection, _tensor_in_frame(run, eye, d, identity))
+
+        segments.append(_segment(n, tail))
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
-    next_map = _tensor_in_frame(g_block, np.eye(g_map.N)[:, slots + rest],
-                                step.basis.shape[1], identity)[0][0]
+    next_map = _tensor_in_frame(g_block, perm, d, identity)[0][0]
     if step.injection is not None:
-        aligned = g_block if unitary is None else _bm._apply_linear_run(unitary, g_block)[0]
-        aligned_end = _apply_step(step, aligned, identity)[0][0]
         next_map = next_map.padded(step.injection.shape[0])
-        segments += _junction_bridge(
-            aligned_end, next_map,
-            ArithmeticError("injection bridge junction is not norm-equivalent"))
+        segments.append(unitary_bridge_family(next_map, step.injection_frame).reversed())
 
     return concat_families(segments), next_map
 
@@ -644,13 +620,12 @@ def collapse_to_linear(source) -> HomotopyFamily:
         raise NotTensorImageError("a constant component obstructs reduction "
                                   "to the identity")
 
-    final_map = _monomial_map(n, terms)
-    segments += _junction_bridge(
-        final_map, RationalBallMap.identity(n).padded(dim),
-        NotTensorImageError("reduced linear map is not a unitary image of the identity"),
-        DEFAULT_TOL)
-
-    if not segments:
-        segments.append(constant_family(final_map))
+    # The reduced map is A z, row i of A the coefficient times e_j of term
+    # i; when A has orthonormal columns, [A, A_perp]^H takes it to identity.
+    linear = np.array([np.multiply(*term) if term else np.zeros(n) for term in terms])
+    if not _linalg.has_orthonormal_columns(linear):
+        raise NotTensorImageError("reduced linear map is not a unitary image of the identity")
+    segments.append(unitary_bridge_family(_monomial_map(n, terms),
+                                          _linalg.complete_unitary(linear).conj().T))
     return concat_families(
         segments, endpoint_left=f, endpoint_right=RationalBallMap.identity(n))

@@ -110,6 +110,19 @@ def test_automorphism_keeps_its_own_read_only_centre():
     assert automorphism_map(phi).factors.tolist() == [[0.3, 0.1j]]
 
 
+def test_automorphism_keeps_its_own_read_only_unitary():
+    # A complex unitary is not copied by asarray; the automorphism copies it,
+    # so writing into the caller's array changes neither it nor its map.
+    unitary = np.array([[0, 1], [1, 0]], dtype=complex)
+    phi = BallAutomorphism([0.3, 0.1j], unitary)
+    before = automorphism_map(phi)
+    unitary[0, 0] = 5.0
+    assert phi.U.tolist() == [[0, 1], [1, 0]] and not phi.U.flags.writeable
+    after = automorphism_map(phi)
+    assert after.coefficients.tobytes() == before.coefficients.tobytes()
+    assert certify_proper(after).verdict is Verdict.PROPER
+
+
 def test_inverse_composes_to_identity(rng):
     for n in (1, 2, 3):
         phi = random_ball_automorphism(n, rng)

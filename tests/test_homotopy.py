@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propermaps import _linalg, ballmaps, constructors, homotopy, polyalg
@@ -273,12 +273,15 @@ def _whitney_family(n, length, gen):
 @pytest.mark.parametrize("length", [1, 3])
 def test_each_step_is_framed_once_in_its_own_target(n, length, rng):
     # Length 1 has no injection; length 3 has one after its second step.
+    # Each step completes its basis, and its injection when it has one, to
+    # a unitary once: the second reduction of the term adds none.
     with mock.patch.object(_linalg, "gram_schmidt_complement",
                            wraps=_linalg.gram_schmidt_complement) as complements:
         term, fam = _whitney_family(n, length, rng)
         again = homotopy_to_monomial(term)
-    assert complements.call_count == term.length
-    assert (length > 1) == any(step.injection is not None for step in term.steps)
+    injected = sum(step.injection is not None for step in term.steps)
+    assert complements.call_count == term.length + injected
+    assert (length > 1) == (injected > 0)
     # Step k tensors maps[k], whose target is that of the reduction family
     # before the step, so no stage pads a basis or an injection.
     for k, (step, m) in enumerate(zip(term.steps, term.maps)):
@@ -451,6 +454,15 @@ def _assert_blocks_change_no_result(fam, grid_size=101):
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(2, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+# Families whose junctions were once searched for by norm equivalence, which
+# rounding noise failed: four raised at an injection and two read a noise
+# column at the right endpoint.
+@example(3, 1, 331)
+@example(3, 2, 331)
+@example(3, 3, 331)
+@example(3, 3, 155)
+@example(3, 3, 137)
+@example(3, 3, 317)
 def test_blocks_change_no_member_and_no_report(n, length, seed):
     fam = _random_whitney_family(n, length, seed)
     report = _assert_blocks_change_no_result(fam)
@@ -462,6 +474,16 @@ def test_blocks_change_no_member_and_no_report(n, length, seed):
     again = verify_family(user)
     assert again.passed
     assert {**again.to_dict(), "timings": None} == {**report.to_dict(), "timings": None}
+
+
+@pytest.mark.slow
+def test_every_family_of_the_random_whitney_scan_passes():
+    # 2,400 families: n = 2 and 3, lengths 1 to 3, seeds 0 to 399.  Left out
+    # of the default run; ``pytest -m slow`` runs it.
+    failing = [(n, length, seed) for n in (2, 3) for length in (1, 2, 3)
+               for seed in range(400)
+               if not verify_family(_random_whitney_family(n, length, seed)).passed]
+    assert failing == []
 
 
 def test_blocks_change_no_result_on_the_corpus_families(registry):
@@ -516,14 +538,14 @@ def _root(t, top=1.0):
 
 def _collapse_reference(components, scaled, free):
     """Member at t of ``collapse_to_linear`` of a map that one lowering step
-    takes to a linear map: on [0, 1/2) the ``scaled`` components times
+    takes to a linear map A z: on [0, 1/2) the ``scaled`` components times
     lambda = 1 - 2t and the ``free`` one times sqrt(1 - lambda^2), then the
-    unitary path U(2t - 1) from the step's end to the identity."""
+    unitary path U(2t - 1) to [A, A_perp]^H, which takes A z to the identity."""
     n, dim = components[0].nvars, len(components)
     end = [Polynomial.zero(n) if i in scaled else c for i, c in enumerate(components)]
-    identity = RationalBallMap.identity(n).padded(dim)
-    path = UnitaryPath(norm_equivalent(RationalBallMap(n, dim, end), identity,
-                                       tol=1e-6).unitary)
+    linear = np.array([[c.terms.get(tuple(int(k == j) for k in range(n)), 0.0)
+                        for j in range(n)] for c in end], dtype=complex)
+    path = UnitaryPath(np.hstack([linear, _linalg.gram_schmidt_complement(linear)]).conj().T)
 
     def member(t):
         piece = min(int(t * 2), 1)
@@ -760,10 +782,10 @@ def test_three_step_term_reaches_degree_four_monomial(rng):
 
 
 @pytest.mark.parametrize("injected", [False, True])
-def test_a_stage_tensors_its_junction_map_only_for_an_injection(injected, rng):
+def test_a_stage_makes_one_tensor_step_with_or_without_an_injection(injected, rng):
     # Building the family evaluates the stage's segment at its two ends, in
-    # one tensor step; the only other step is the map at the injection's
-    # junction, which a stage without one never reads.
+    # one tensor step; the injection's bridge starts from the next monomial
+    # map padded by zeros and tensors nothing.
     term = whitney_start(BallAutomorphism.identity(2))
     injection = None
     if injected:
@@ -772,8 +794,40 @@ def test_a_stage_tensors_its_junction_map_only_for_an_injection(injected, rng):
     term = whitney_extend(term, np.array([1]), injection=injection)
     with mock.patch.object(homotopy, "_apply_step", wraps=homotopy._apply_step) as steps:
         fam = homotopy_to_monomial(term)
-    assert steps.call_count == 1 + injected
+    assert steps.call_count == 1
     assert verify_family(fam, grid_size=11).passed
+
+
+def test_built_in_junctions_search_for_no_witness(registry, rng):
+    # Each unitary where the reduction's pieces meet comes from the
+    # construction, so building a family compares no two maps.
+    with mock.patch.object(homotopy, "norm_equivalent", wraps=norm_equivalent) as searches:
+        term, _ = _whitney_family(2, 4, rng)
+        _random_whitney_family(3, 3, 331)
+        collapse_to_linear(registry.maps["ex2.1.h"])
+        collapse_to_linear(registry.maps["whitney.W"])
+    assert sum(step.injection is not None for step in term.steps) == 2
+    assert searches.call_count == 0
+
+
+def test_a_step_keeps_its_own_basis_and_injection(rng):
+    # Writing into the arrays passed to whitney_extend changes neither the
+    # reduction family of the term nor its report.
+    term = whitney_start(random_ball_automorphism(2, rng))
+    basis, _ = np.linalg.qr(rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
+    injection, _ = np.linalg.qr(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    term = whitney_extend(term, basis, random_ball_automorphism(2, rng), injection=injection)
+    grid = [i / 20 for i in range(21)]
+    before = [m.coefficients.tobytes() for m in homotopy_to_monomial(term).evaluate_many(grid)]
+    report = verify_family(homotopy_to_monomial(term), grid_size=21)
+    basis[:], injection[:] = 5.0, 5.0
+    step = term.steps[0]
+    assert not step.basis.flags.writeable and not step.injection.flags.writeable
+    fam = homotopy_to_monomial(term)
+    assert [m.coefficients.tobytes() for m in fam.evaluate_many(grid)] == before
+    again = verify_family(fam, grid_size=21)
+    assert report.passed
+    assert {**again.to_dict(), "timings": None} == {**report.to_dict(), "timings": None}
 
 
 def test_reduction_handles_non_canonical_subspace_and_injection(rng):
