@@ -165,12 +165,9 @@ class RationalBallMap:
 
         This is the checked entry for rows from outside a kernel: it copies
         the stack and the centres, so the caller's arrays are never changed,
-        sets the entries at or below ``COEFFICIENT_FLOOR`` to zero, checks
-        that the centres are finite with one entry per domain variable, and
-        hands the copies to ``_store``.
+        checks that the centres are finite with one entry per domain
+        variable, and hands the copies to ``_store``.
         """
-        stack = np.array(stack, dtype=complex)
-        stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
         centres = np.array(factors, dtype=complex)
         if centres.size == 0:
             centres = np.zeros((1, 0, n), dtype=complex)
@@ -179,7 +176,7 @@ class RationalBallMap:
                                          "per domain variable")
         if not np.isfinite(centres).all():
             raise ValueError("denominator factor centres must be finite")
-        return _store(n, tuple(support), stack, centres)
+        return _store(n, tuple(support), np.array(stack, dtype=complex), centres)
 
     @classmethod
     def _from_rows(cls, n: int, support, rows, factors=()) -> "RationalBallMap":
@@ -308,21 +305,24 @@ class _Block(Sequence):
         if target_dim < self.N:
             raise DimensionMismatchError("cannot pad to a smaller target")
         rows = np.insert(self.rows, [self.N] * (target_dim - self.N), 0.0, axis=1)
-        rows.flags.writeable = False
-        return _Block(self.n, self.support, rows, self.centres)
+        return _store(self.n, self.support, rows, self.centres)[0]
 
 
 def _store(n: int, support: tuple, stack: np.ndarray, centres: np.ndarray) -> list:
-    """The blocks of ``RationalBallMap._from_stack`` on rows that the caller
-    has just built and owns, with no entry at or below the storage floor,
-    and finite (T, K, n) or (1, K, n) centres, taken from a stored block or
-    from a checked automorphism or Blaschke product.  Nothing is copied or
-    checked: the arrays are made read-only, and each run of consecutive maps
-    whose rows have an entry in the same columns is one block, its rows
-    without the other columns.  A stack whose maps all have an entry in
-    every column is one block of its own array.  No map is built until a
-    block is indexed.
+    """The blocks of the maps of a (T, N+1, M) stack of rows that the caller
+    has just built and owns, with finite (T, K, n) or (1, K, n) centres from
+    a stored block, a checked automorphism or Blaschke product, or
+    ``_from_stack``'s check; the one maker of blocks of fresh arrays.
+    Nothing is copied or checked: the entries at or below
+    ``COEFFICIENT_FLOOR`` are set to +0.0 in place, the arrays are made
+    read-only, and each run of consecutive maps whose rows have an entry in
+    the same columns is one block, its rows without the other columns.  A
+    stack whose maps all have an entry in every column is one block of its
+    own array, as are stored blocks with one support concatenated or padded
+    with zero components, which the floor leaves as they are.  No map is
+    built until a block is indexed.
     """
+    stack[np.abs(stack) <= COEFFICIENT_FLOOR] = 0.0
     if len(centres) != len(stack):
         centres = np.repeat(centres, len(stack), axis=0)
     centres.flags.writeable = False
@@ -643,13 +643,11 @@ def _runs(items: Iterable) -> Iterator[_Block]:
 def _stacked(blocks: Sequence[_Block]) -> _Block:
     """Consecutive blocks with one support, target dimension and number of
     factors as one block: one block is itself, its own arrays with no copy,
-    and more are one concatenation of their rows and of their centres."""
+    and more are the ``_store`` of one concatenation of their arrays."""
     if len(blocks) == 1:
         return blocks[0]
-    rows = np.concatenate([b.rows for b in blocks])
-    rows.flags.writeable = False
-    return _Block(blocks[0].n, blocks[0].support, rows,
-                  np.concatenate([b.centres for b in blocks]))
+    return _store(blocks[0].n, blocks[0].support, np.concatenate([b.rows for b in blocks]),
+                  np.concatenate([b.centres for b in blocks]))[0]
 
 
 def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
@@ -804,12 +802,12 @@ def _embedding_dimensions(stack: np.ndarray) -> np.ndarray:
     (``_linalg.orthogonal_rows``), the rows are orthogonal and their norms
     are their singular values, so the norms are counted: their squares,
     summed from the real and imaginary parts with no copy of the rows,
-    against ``RANK_RTOL`` squared times the largest.  The other maps go to
-    ``_linalg.numerical_rank`` once per distinct set of columns where their
-    rows have an entry: a stack whose Gram matrices all pass its Cholesky
-    test has full rank without an SVD, and the others get one stacked SVD.
-    Either way the rank is what the SVD of the map's own rows counts, so it
-    does not depend on what the map is stacked with.
+    against ``RANK_RTOL`` squared times the largest.  The others, and those
+    whose squares overflow, go to ``_linalg.numerical_rank`` per set of
+    columns where their rows have an entry: a stack whose Gram matrices all
+    pass its Cholesky test has full rank without an SVD, and the others get
+    one stacked SVD.  Either way the rank is what the SVD of the map's own
+    rows counts, so it does not depend on what the map is stacked with.
     """
     rows = stack[:, :-1]
     orthogonal = _linalg.orthogonal_rows(rows)
@@ -817,7 +815,9 @@ def _embedding_dimensions(stack: np.ndarray) -> np.ndarray:
     dense = np.arange(len(stack))
     if any(orthogonal.tolist()):
         norms = (np.einsum("tij,tij->ti", rows.real, rows.real)
-                 + np.einsum("tij,tij->ti", rows.imag, rows.imag))[orthogonal]
+                 + np.einsum("tij,tij->ti", rows.imag, rows.imag))
+        orthogonal &= np.isfinite(norms).all(axis=1)
+        norms = norms[orthogonal]
         ranks[orthogonal] = (norms > norms.max(axis=1, keepdims=True)
                              * _linalg.RANK_RTOL ** 2).sum(axis=1)
         dense = dense[~orthogonal]
@@ -905,18 +905,17 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     where it is |G_ij| / sqrt(H_ii H_jj) > tol.  Only when an entry is
     flagged is the mismatch searched for: the first largest |G_ij| among
     the flagged entries in row-major order (one of the upper triangle, as
-    G is Hermitian), recomputed from the unscaled rows.  Otherwise the
-    result keeps both sides' rows, and the witness unitary is computed
-    from them when first read, by least squares over unitaries (orthogonal
-    Procrustes), so it is always unitary, including for rank-deficient
-    rows such as f vs f + zero components.
+    G is Hermitian), recomputed from the unscaled rows (inf or NaN beyond a
+    double).  Otherwise the result keeps both sides' rows, and the witness
+    unitary is computed from them when first read, by least squares over
+    unitaries (orthogonal Procrustes), so it is always unitary, including
+    for rank-deficient rows such as f vs f + zero components.
     """
     if f.n != g.n:
         raise DimensionMismatchError("maps must share the domain dimension")
     big = max(f.N, g.N)
     fp, gp = f.padded(big), g.padded(big)
-    _, (fq, gq) = align_rows((f.support, f.coefficients[-1:]),
-                             (g.support, g.coefficients[-1:]))
+    _, (fq, gq) = align_rows((f.support, f.coefficients[-1:]), (g.support, g.coefficients[-1:]))
     shared = np.abs(fq - gq).max() <= tol
     if shared:
         left, right = (fp.support, fp.coefficients[:-1]), (gp.support, gp.coefficients[:-1])
@@ -936,9 +935,12 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     if largest <= tol:
         return NormEquivalence(True, largest_relative=largest, _rows=(a, b))
     i, j = np.nonzero(np.triu(sizes > tol))
-    k = int(np.argmax(sizes[i, j] * norms[i] * norms[j]))
+    # Norms times 2^-e, the largest in [1/2, 1): exact, and no product overflows.
+    w = np.ldexp(norms, -int(np.frexp(norms.max())[1]))
+    k = int(np.argmax(sizes[i, j] * w[i] * w[j]))
     i, j = int(i[k]), int(j[k])
-    value = a[:, i] @ a[:, j].conj() - b[:, i] @ b[:, j].conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = a[:, i] @ a[:, j].conj() - b[:, i] @ b[:, j].conj()
     return NormEquivalence(False, mismatch=(monos[i], monos[j], complex(value)),
                            largest_relative=largest)
 
@@ -973,7 +975,6 @@ def _apply_linear_run(matrix: np.ndarray, block: _Block) -> list:
         else:
             rows[np.ix_(members, range(len(mat)), np.flatnonzero(live))] = \
                 mat @ p[members][:, :, live]
-    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     return _store(block.n, block.support, rows, centres)
 
 

@@ -102,11 +102,9 @@ def _automorphism_maps(centres: np.ndarray, unitaries: np.ndarray) -> list:
     # Columns: z_1, ..., z_n, then the constant term; q = 1 - <z, a> is the last row.
     monos = monomials_of_degree(n, 1) + [(0,) * n]
     outer = centres[:, :, None] * centres.conj()[:, None, :]
-    mobius = np.concatenate([outer / (s + 1.0) + s * np.eye(n), -centres[:, :, None]],
-                            axis=2)
+    mobius = np.concatenate([outer / (s + 1.0) + s * np.eye(n), -centres[:, :, None]], axis=2)
     last = np.concatenate([-centres.conj(), np.ones((len(centres), 1))], axis=1)
     rows = np.concatenate([unitaries @ mobius, last[:, None, :]], axis=1)
-    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
     return _store(n, tuple(monos), rows, centres[:, None, :])
 
 
@@ -189,9 +187,7 @@ def _blaschke_maps(thetas: np.ndarray, zeros: np.ndarray) -> list:
     # conjugate rows read backwards are those of prod (z - a).
     support, q = _factor_rows(1, centres)
     p = np.exp(1j * thetas)[:, None] * q[:, ::-1].conj()
-    rows = np.stack([p, q], axis=1)
-    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
-    return _store(1, support, rows, centres)
+    return _store(1, support, np.stack([p, q], axis=1), centres)
 
 
 def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
@@ -226,17 +222,17 @@ def winding_degree(m: RationalBallMap, nodes: int = 4096) -> int:
 
 
 # ----------------------------------------------------------------- tensor steps
-def _as_domain_map(phi, n: int) -> RationalBallMap:
+def _domain_block(phi, n: int) -> Optional[_Block]:
     if phi is None:
-        return RationalBallMap.identity(n)
+        return None
     if isinstance(phi, BallAutomorphism):
         if phi.dim != n:
             raise DimensionMismatchError("automorphism dimension mismatch")
-        return automorphism_map(phi)
+        return _Block.of(automorphism_map(phi))
     if isinstance(phi, RationalBallMap):
         if phi.n != n or phi.N != n:
             raise DimensionMismatchError("domain factor must be a self-map of the domain ball")
-        return phi
+        return _Block.of(phi)
     raise TypeError("phi must be None, a BallAutomorphism, or a RationalBallMap")
 
 
@@ -273,67 +269,51 @@ def tensor_on_subspace(f: RationalBallMap, basis: np.ndarray,
     z^alpha z_j, and nothing is multiplied.
     """
     step = WhitneyStep(subspace_basis(f.N, basis))
-    return _apply_step(step, _Block.of(f), _Block.of(_as_domain_map(phi, f.n)))[0][0]
+    return _apply_step(step, _Block.of(f), _domain_block(phi, f.n))[0][0]
 
 
-def _tensor_in_frame(fs: _Block, frame: np.ndarray, d: int, phis: _Block) -> list:
+def _tensor_in_frame(fs: _Block, frame: np.ndarray, d: int, phis: Optional[_Block]) -> list:
     """``tensor_on_subspace`` in a checked unitary frame whose first d
     columns are the subspace basis and whose rest is its complement.
 
-    ``fs`` and ``phis`` are blocks of maps (see ``ballmaps._Block``), of
-    domain self-maps for ``phis``; one of them is a block of one.  Member k
-    of the result tensors map k of ``fs`` with the one domain factor, or the
-    one map with factor k.  One product makes every row of every member, and
-    the result is its blocks.  With the identity as the factor the product
-    only moves coefficients, so they are moved instead: row (b, j) takes
-    frame coordinate b's coefficient of z^alpha into column alpha + e_j.
-    Each of the product's sums adds c * 1 and products with 0 from +0.0, so
-    the two agree bit for bit once ``+ 0.0`` turns a -0.0 part into +0.0.
+    ``fs`` is a block of maps (see ``ballmaps._Block``), ``phis`` one of
+    domain self-maps or None for the identity, and one of them is a block
+    of one.  Member k of the result tensors map k of ``fs`` with the one
+    domain factor, or the one map with factor k.  One product makes every
+    row of every member, stored by ``_store``.  The identity's product only
+    moves coefficients, so they are moved instead: row (b, j) takes frame
+    coordinate b's coefficient of z^alpha into column alpha + e_j.  Each of
+    the product's sums adds c * 1 and products with 0 from +0.0, so the two
+    agree bit for bit once ``+ 0.0`` turns a -0.0 part into +0.0.
     """
     n = fs.n
-    f_rows, f_centres = fs.rows, fs.centres
-    phi_rows, phi_centres = phis.rows, phis.centres
-    count = max(len(f_rows), len(phi_rows))
-
     # Coordinates of f in the frame (basis, complement): rows of frame^H @ f,
     # with the entries at or below the storage floor dropped.
-    coords = frame.conj().T @ f_rows[:, :-1]
+    coords = frame.conj().T @ fs.rows[:, :-1]
     coords[np.abs(coords) <= COEFFICIENT_FLOOR] = 0.0
     # Output row r is left row r times right row r: the tensor block, the
     # complement times phi's denominator, and the new denominator f.q * phi.q.
     left = np.concatenate([np.repeat(coords[:, :d], n, axis=1), coords[:, d:],
-                           f_rows[:, -1:]], axis=1)
+                           fs.rows[:, -1:]], axis=1)
     size = left.shape[1]
-    if _is_identity(phis):
+    if phis is None:
         # The identity's row k, z_j for k = j < n and q = 1 for k = n, is 1
         # in its column k; right row r is its row right_row[r].
-        support, column = _product_plan(n, fs.support, phis.support)
+        support, column = _product_plan(n, fs.support, RationalBallMap.identity(n).support)
         out = np.arange(size)
         right_row = np.where(out < d * n, out % n, n)
-        rows = np.zeros((count, size, len(support)), dtype=complex)
+        rows = np.zeros((len(fs), size, len(support)), dtype=complex)
         rows[:, out[:, None], column.reshape(-1, n + 1).T[right_row]] = left
         rows += 0.0
-        # The frame coordinates are floored; the q row is copied as stored.
-        q = rows[:, -1]
-        q[np.abs(q) <= COEFFICIENT_FLOOR] = 0.0
-        return _store(n, support, rows, f_centres)
-    right = np.concatenate([np.tile(phi_rows[:, :n], (1, d, 1)),
-                            np.repeat(phi_rows[:, n:], fs.N - d + 1, axis=1)], axis=1)
+        return _store(n, support, rows, fs.centres)
+    count = max(len(fs), len(phis))
+    right = np.concatenate([np.tile(phis.rows[:, :n], (1, d, 1)),
+                            np.repeat(phis.rows[:, n:], fs.N - d + 1, axis=1)], axis=1)
     left = _repeat_to(left, count).reshape(count * size, -1)
     right = _repeat_to(right, count).reshape(count * size, -1)
     support, rows = multiply_rows(n, fs.support, left, phis.support, right)
-    rows[np.abs(rows) <= COEFFICIENT_FLOOR] = 0.0
-    centres = np.concatenate([_repeat_to(f_centres, count), _repeat_to(phi_centres, count)],
-                             axis=1)
+    centres = np.concatenate([_repeat_to(fs.centres, count), _repeat_to(phis.centres, count)], 1)
     return _store(n, support, rows.reshape(count, size, -1), centres)
-
-
-def _is_identity(phis: _Block) -> bool:
-    """Whether a block of domain factors is the identity map alone: rows
-    eye(n + 1) over its support, and no factor centres."""
-    identity = RationalBallMap.identity(phis.n)
-    return (len(phis) == 1 and phis.centres.size == 0 and phis.support == identity.support
-            and np.array_equal(phis.rows[0], identity.coefficients))
 
 
 def _repeat_to(stack: np.ndarray, count: int) -> np.ndarray:
@@ -418,10 +398,10 @@ class WhitneyStep:
         return _linalg.complete_unitary(self.injection)
 
 
-def _apply_step(step: WhitneyStep, fs: _Block, phis: _Block) -> list:
+def _apply_step(step: WhitneyStep, fs: _Block, phis: Optional[_Block]) -> list:
     """The blocks of the step on blocks of maps, as ``_tensor_in_frame``
-    takes them: each member tensored in the step's frame, then taken
-    through its injection block by block."""
+    takes them, with ``phis=None`` for the identity: each member tensored in
+    the step's frame, then taken through its injection block by block."""
     if step.basis.shape[0] != fs.N:
         raise DimensionMismatchError(
             f"basis rows {step.basis.shape[0]} do not match target dimension {fs.N}")
@@ -488,8 +468,7 @@ def whitney_extend(term: WhitneyTerm, basis, phi: Optional[BallAutomorphism] = N
             raise DimensionMismatchError("injection must accept the tensored target")
         if not _linalg.has_orthonormal_columns(step.injection):
             raise ValueError("injection must be norm-preserving (orthonormal columns)")
-    new_map = _apply_step(step, _Block.of(current),
-                          _Block.of(_as_domain_map(phi, current.n)))[0][0]
+    new_map = _apply_step(step, _Block.of(current), _domain_block(phi, current.n))[0][0]
     if certify:
         _require_proper(new_map)
     expected = term.length + 2

@@ -464,14 +464,14 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
     through an injection J run the path to [J, J_perp] back from the next
     map padded by zeros.  Each path ends at s = 0 on it (see UnitaryPath).
     """
-    identity, g_block = _bm._Block.of(RationalBallMap.identity(n)), _bm._Block.of(g_map)
+    g_block = _bm._Block.of(g_map)
 
     def stage(items: Iterable, start: Optional[_bm._Block] = None) -> Iterator:
         """The blocks of ``items`` through the step, block by block (see
         ``ballmaps._runs``): as the maps tensored, or as the domain factors
         of ``start``."""
         for run in _bm._runs(items):
-            yield from (_apply_step(step, run, identity) if start is None
+            yield from (_apply_step(step, run, None) if start is None
                         else _apply_step(step, start, run))
 
     segments = []
@@ -488,13 +488,13 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
 
         def tail(ts: np.ndarray) -> Iterator:
             for run in _bm._runs(_bm._apply_linear_run(path(1.0 - ts) @ coordinates, g_block)):
-                yield from _inject(step.injection, _tensor_in_frame(run, eye, d, identity))
+                yield from _inject(step.injection, _tensor_in_frame(run, eye, d, None))
 
         segments.append(_segment(n, tail))
 
     # The next monomial map: each slot's monomial times z_1, ..., z_n, then
     # the rest, which is the tensor step in the frame of these slots.
-    next_map = _tensor_in_frame(g_block, perm, d, identity)[0][0]
+    next_map = _tensor_in_frame(g_block, perm, d, None)[0][0]
     if step.injection is not None:
         next_map = next_map.padded(step.injection.shape[0])
         segments.append(unitary_bridge_family(next_map, step.injection_frame).reversed())

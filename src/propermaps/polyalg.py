@@ -33,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,6 +63,13 @@ ZERO_DEGREE = float("-inf")
 #: ``ballmaps``).
 _MAX_DEGREE = int(np.iinfo(np.int64).max)
 
+#: The most cells, (top + 1) C(top + nvars - 1, nvars - 1), of a degree
+#: table: at 16 nvars bytes a cell it takes at most 4 nvars MB, and the
+#: largest for one and two variables build in 0.8 s (2-vCPU x86-64).  It keeps
+#: top <= 511 for two variables and top <= 79 for more, so each multinomial
+#: of the degree is a double (C(511, 255) < 2^507, 79! < 170! < 2^1024).
+MAX_TABLE_CELLS = 2 ** 18
+
 
 def total_degree(alpha: MultiIndex) -> int:
     """Total degree |alpha| of a multi-index."""
@@ -84,13 +92,11 @@ def monomials_of_degree(nvars: int, degree: int) -> list[MultiIndex]:
 
 
 def multinomial(degree: int, alpha: MultiIndex) -> int:
-    """Multinomial coefficient degree! / prod(alpha_j!); alpha must sum to degree."""
+    """Multinomial coefficient degree! / prod(alpha_j!), the product of the
+    binomials C(alpha_j + ... + alpha_last, alpha_j); alpha must sum to degree."""
     if sum(alpha) != degree:
         raise ValueError("alpha must sum to degree")
-    out = math.factorial(degree)
-    for e in alpha:
-        out //= math.factorial(e)
-    return out
+    return math.prod(map(math.comb, accumulate(alpha[::-1]), alpha[::-1]))
 
 
 def evaluate_rows(nvars: int, monomials: Sequence[MultiIndex], rows,
@@ -395,17 +401,22 @@ def normalized_gram_difference(a: np.ndarray, b: np.ndarray):
     B^T conj(B), and ``gram`` is A^T conj(A) - B^T conj(B) with entry (i, j)
     divided by norms_i norms_j, or 0 in a column with no entry.
 
-    The squared norms are read once through the blocks' real views.  Each
-    block is scaled column by column by 1 / norms_j, and the two Grams
-    accumulate in one (M, M) matrix: a block whose Gram is a diagonal
-    (``_diagonal_grams``) adds only that diagonal, and another adds one
-    dense product.
+    The squared norms are read through the blocks' real views; a column
+    whose squares pass a double is read again times the power of two t_j
+    that puts its largest modulus in [1/2, 1), which is exact.  Each block is
+    scaled column by column by 1 / norms_j, and the two Grams accumulate in
+    one (M, M) matrix: a block whose Gram is a diagonal (``_diagonal_grams``)
+    adds only that diagonal, over t_j^2, and another adds one dense product.
     """
-    squares = []
-    for rows in (a, b):
-        parts = np.ascontiguousarray(rows).view(float)
-        squares.append(np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1))
-    norms = np.sqrt(squares[0] + squares[1])
+    parts = [np.ascontiguousarray(rows).view(float) for rows in (a, b)]
+    squares = [np.einsum("ij,ij->j", p, p).reshape(-1, 2).sum(axis=1) for p in parts]
+    t = np.ones(len(squares[0]))
+    over = ~np.isfinite(squares[0] + squares[1])
+    if over.any():
+        t[over] = np.ldexp(1.0, -np.frexp(np.abs(np.vstack([a, b])[:, over]).max(axis=0))[1])
+        squares = [np.einsum("ij,ij->j", x, x).reshape(-1, 2).sum(axis=1)
+                   for x in (p * np.repeat(t, 2) for p in parts)]
+    norms = np.sqrt(squares[0] + squares[1]) / t
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     size = len(norms)
     gram, diagonal = None, np.zeros(size)
@@ -421,7 +432,7 @@ def normalized_gram_difference(a: np.ndarray, b: np.ndarray):
             gram -= product
     if gram is None:
         gram = np.zeros((size, size), dtype=complex)
-    gram.reshape(-1)[::size + 1] += diagonal * scale * scale
+    gram.reshape(-1)[::size + 1] += diagonal * (scale / t) * (scale / t)
     return gram, norms
 
 
@@ -470,10 +481,16 @@ def _descending(nvars: int, keys: np.ndarray):
     return tuple(map(tuple, rows[::-1].tolist())), len(rows) - 1 - index
 
 
+def check_plan_degree(nvars: int, top: int) -> None:
+    """Raise ValueError when the degree table of ``top`` exceeds MAX_TABLE_CELLS."""
+    if (top + 1) * math.comb(top + nvars - 1, nvars - 1) > MAX_TABLE_CELLS:
+        raise ValueError(f"degree {top} (n = {nvars}) needs over {MAX_TABLE_CELLS} plan cells")
+
+
 # A map-certify pass reads 21 tables and a family-grid pass 8 (seeds 3 and
 # 41), so 32 hold either pass.  The bound counts tables, not bytes: the
-# table for (nvars, top) = (3, 40) takes 1.7 MB and for (4, 20) 2.4 MB, so
-# 77 MB at worst for 32 of the latter size; larger keys take more.
+# table for (nvars, top) = (3, 40) takes 1.7 MB, (4, 20) 2.4 MB, and one at
+# MAX_TABLE_CELLS at most 4 nvars MB.
 @lru_cache(maxsize=32)
 def _degree_table(nvars: int, top: int):
     """(counts, monomials, multinomials, tails, binomials) for degrees 0..top:
@@ -482,6 +499,7 @@ def _degree_table(nvars: int, top: int):
     By the hockey-stick identity a monomial's rank in its degree is the sum
     over k < nvars - 1 of binomials[k][t_k] = C(t_k + k, k + 1), t_k the
     sum of its last k + 1 exponents, ``tails[k]`` at its flat cell."""
+    check_plan_degree(nvars, top)
     counts = np.array([math.comb(e + nvars - 1, nvars - 1) for e in range(top + 1)])
     monos = np.zeros((top + 1, counts.max(), nvars), dtype=np.int64)
     weights = np.zeros((top + 1, counts.max()))

@@ -24,7 +24,7 @@ import numpy as np
 from . import _linalg
 from .ballmaps import DEFAULT_SEED, RationalBallMap, degree as map_degree
 from .polyalg import (DEFAULT_TOL, Polynomial, _monomial_values, align_rows,
-                      evaluate_rows, monomials_of_degree, multinomial)
+                      check_plan_degree, evaluate_rows, monomials_of_degree, multinomial)
 
 #: Lift entries (points x K x M) of one block of ``XMatrix.conjugated_at``:
 #: 512 kB of complex values.  The largest graph test of the fiber-scan
@@ -50,6 +50,7 @@ def _lift_plan(n: int, d: int, support: tuple):
     support monomial alpha <= r, row-major, the row, alpha's column, the
     index of gamma = r - alpha in the distinct ``exponents`` and the weight
     multinomial(d - |alpha|, gamma).  Monomials above degree d pair with no row."""
+    check_plan_degree(n, d)
     rows = np.array(monomials_of_degree(n, d), dtype=np.int64).reshape(-1, n)
     gap = rows[:, None, :] - np.array(support, dtype=np.int64)[None]
     row, column = np.nonzero((gap >= 0).all(axis=2))

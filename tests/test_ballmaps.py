@@ -460,6 +460,31 @@ def test_embedding_dimensions(quartic, cubic):
     assert embedding_dimension(thin) == 1
 
 
+def _diagonal_map(first, second):
+    """The map (first z1, second z2) into B_2."""
+    return RationalBallMap.from_components([Polynomial(2, {(1, 0): first}),
+                                            Polynomial(2, {(0, 1): second})])
+
+
+@pytest.mark.parametrize("s", [1e160, 1e300])
+def test_rank_and_equivalence_are_scale_free_where_squares_overflow(s):
+    # The squares of these coefficients overflow a double, the norms do not.
+    f, g = _diagonal_map(s, s), _diagonal_map(s, 2 * s)
+    dense = RationalBallMap.from_components([Polynomial(2, {(1, 0): s, (0, 1): s}),
+                                             Polynomial(2, {(0, 1): s})])
+    assert embedding_dimension(f) == embedding_dimension(dense) == 2
+    result = norm_equivalent(f, g)
+    assert not result.equivalent
+    assert result.largest_relative == pytest.approx(0.6)
+    assert result.mismatch[:2] == ((0, 1), (0, 1))
+    assert norm_equivalent(f, f).equivalent
+    # Only z1's squares overflow; z2's column keeps its own scale.
+    mixed = norm_equivalent(_diagonal_map(s, 1.0), _diagonal_map(s, 2.0))
+    assert not mixed.equivalent
+    assert mixed.largest_relative == pytest.approx(0.6)
+    assert mixed.mismatch == ((0, 1), (0, 1), -3 + 0j)
+
+
 def test_embedding_dimension_unitary_invariant(quartic, rng):
     u = random_unitary(5, rng)
     assert embedding_dimension(apply_linear(u, quartic)) == 5

@@ -603,6 +603,13 @@ def _exponents_document(exponents):
     return doc
 
 
+def _one_term_document(exponents):
+    """The document of the map z^exponents into B_1."""
+    doc = _exponents_document(exponents)
+    doc["target_dim"], doc["numerator"] = 1, doc["numerator"][:1]
+    return doc
+
+
 # Each case: CLI arguments, the document written to doc.json (if any), and a
 # fragment of the error line that names the check expected to reject it.
 MALFORMED = {
@@ -615,6 +622,15 @@ MALFORMED = {
     "document-degree-beyond-int64": (["degree", "doc.json"],
                                      _exponents_document([2 ** 62, 2 ** 62]),
                                      f"total degree of ({2 ** 62}, {2 ** 62}) exceeds"),
+    "document-degree-beyond-doubles": (["verify", "doc.json"], _one_term_document([1100, 0]),
+                                       "degree 1100 (n = 2) needs over 262144 plan cells"),
+    "xvariety-degree-beyond-doubles": (["xvariety", "doc.json"], _exponents_document([1100, 0]),
+                                       "degree 1100 (n = 2) needs over 262144 plan cells"),
+    "document-degree-beyond-doubles-n3": (["verify", "doc.json"],
+                                          _one_term_document([700, 0, 0]),
+                                          "degree 700 (n = 3) needs over"),
+    "document-degree-2-to-62": (["verify", "doc.json"], _one_term_document([2 ** 62]),
+                                f"degree {2 ** 62} (n = 1) needs over"),
     "xvariety-nan-point": (["xvariety", "faran.h", "--at=nan,0.1"], None,
                            "must be finite"),
     "whitney-steps-not-a-list": (["whitney", "build", "doc.json"],

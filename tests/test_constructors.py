@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,11 +321,12 @@ def _awkward_block(n, N, count, rng):
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("count", [1, 5])
 def test_tensor_with_the_identity_moves_coefficients_as_the_product_does(n, dense, count):
+    # ``phis=None`` moves coefficients; an identity block passed as the
+    # factor takes the product path.  Both give the reference's blocks.
     rng = np.random.default_rng(100 * n + 10 * dense + count)
     N = 4
     fs = _awkward_block(n, N, count, rng)
     identity = ballmaps._Block.of(RationalBallMap.identity(n))
-    assert constructors._is_identity(identity)
     for d in range(1, N + 1):
         if dense:
             g = rng.standard_normal((N, d)) + 1j * rng.standard_normal((N, d))
@@ -331,27 +334,28 @@ def test_tensor_with_the_identity_moves_coefficients_as_the_product_does(n, dens
         else:
             basis = subspace_basis(N, np.sort(rng.choice(N, size=d, replace=False)))
         frame = WhitneyStep(basis).frame
-        got = constructors._tensor_in_frame(fs, frame, d, identity)
         want = _tensor_by_product(fs, frame, d, identity)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.support == b.support
-            assert a.rows.tobytes() == b.rows.tobytes()
-            assert a.centres.tobytes() == b.centres.tobytes()
+        for phis in (None, identity):
+            got = constructors._tensor_in_frame(fs, frame, d, phis)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.support == b.support
+                assert a.rows.tobytes() == b.rows.tobytes()
+                assert a.centres.tobytes() == b.centres.tobytes()
 
 
 def _kernel_cases(n, count, rng):
-    """(name, call) for each kernel that stores its own rows without the
-    checked store, on awkward blocks (``_awkward_block``) where it reads
-    blocks: the tensor step with the identity and with a block of
-    automorphisms, apply_linear on a block and a stack of matrices on one
-    map, and the stacked automorphism and Blaschke maps.  A zero centre and
-    a zero Blaschke zero give entries of -0.0, which the floor makes +0.0."""
+    """(name, call) for each kernel that hands the rows it has just built
+    to ``_store``, with no copy or centre check, on awkward blocks
+    (``_awkward_block``) where it reads blocks: the tensor step with the
+    identity and with a block of automorphisms, apply_linear on a block and
+    a stack of matrices on one map, and the stacked automorphism and
+    Blaschke maps.  A zero centre and a zero Blaschke zero give entries of
+    -0.0, which the floor makes +0.0."""
     N = 4
     fs = _awkward_block(n, N, count, rng)
     frame = WhitneyStep(np.linalg.qr(rng.standard_normal((N, 2))
                                      + 1j * rng.standard_normal((N, 2)))[0]).frame
-    identity = ballmaps._Block.of(RationalBallMap.identity(n))
     phis = [random_ball_automorphism(n, rng, 0.9) for _ in range(count)]
     phis[0] = BallAutomorphism(np.zeros(n), phis[0].U)
     centres, unitaries = np.array([phi.a for phi in phis]), np.array([phi.U for phi in phis])
@@ -362,7 +366,7 @@ def _kernel_cases(n, count, rng):
     zeros[:, 0] = 0.0
     thetas = 2 * np.pi * rng.random(count)
     return [
-        ("identity step", lambda: constructors._tensor_in_frame(fs, frame, 2, identity)),
+        ("identity step", lambda: constructors._tensor_in_frame(fs, frame, 2, None)),
         ("product step", lambda: constructors._tensor_in_frame(fs[:1], frame, 2, factors)),
         ("apply_linear", lambda: ballmaps._apply_linear_run(one, fs)),
         ("apply_linear stack", lambda: ballmaps._apply_linear_run(many, fs[:1])),
@@ -374,8 +378,8 @@ def _kernel_cases(n, count, rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("count", [1, 5])
 def test_kernels_store_what_the_checked_store_gives(n, count, monkeypatch):
-    # Each kernel floors its own rows and stores them without the checked
-    # store's copy, floor and centre check; the blocks are the ones the
+    # Each kernel hands its fresh rows to ``_store``, which floors them in
+    # place, with no copy and no centre check; the blocks are the ones the
     # checked store gives on the same rows and centres, bit for bit.
     rng = np.random.default_rng(10 * n + count)
     for name, call in _kernel_cases(n, count, rng):
@@ -402,16 +406,67 @@ def test_kernels_store_what_the_checked_store_gives(n, count, monkeypatch):
             assert not a.rows.flags.writeable and not a.centres.flags.writeable
 
 
-def test_identity_is_told_from_other_domain_factors():
-    # A unitary automorphism has the identity's support but other rows, and
-    # a block of two identities is a block of factors.
-    ident = RationalBallMap.identity(2)
-    rotation = automorphism_map(BallAutomorphism([0.0, 0.0], np.array([[0, 1], [1, 0]])))
-    assert rotation.support == ident.support
-    assert not constructors._is_identity(ballmaps._Block.of(rotation))
-    twice = ballmaps._Block(2, ident.support, np.stack([ident.coefficients] * 2),
-                            np.stack([ident.factors] * 2))
-    assert not constructors._is_identity(twice)
+def _assert_stored(blocks, name):
+    """Every block is read-only, and an entry at or below the floor is +0.0."""
+    for block in blocks:
+        for array in (block.rows, block.centres, block[0].coefficients, block[0].factors):
+            assert not array.flags.writeable, name
+        small = np.abs(block.rows) <= COEFFICIENT_FLOOR
+        assert (block.rows[small] == 0).all(), name
+        assert not np.signbit(block.rows.real[small]).any(), name
+        assert not np.signbit(block.rows.imag[small]).any(), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 5])
+def test_every_block_is_stored_read_only_and_floored(n, count):
+    # The kernels, the concatenation of ``_runs`` and padding all make
+    # their blocks through ``_store``.
+    rng = np.random.default_rng(10 * n + count)
+    maps = [automorphism_map(random_ball_automorphism(n, rng, 0.9)) for _ in range(count + 1)]
+    stacked = ballmaps._stacked([ballmaps._Block.of(m) for m in maps])
+    assert len(stacked) == count + 1
+    _assert_stored([stacked], "stacked")
+    _assert_stored([stacked.padded(n + 2), ballmaps._Block.of(maps[0]).padded(n + 1)], "padded")
+    for name, call in _kernel_cases(n, count, rng):
+        _assert_stored(call(), name)
+
+
+# The functions that may set entries at or below COEFFICIENT_FLOOR to zero,
+# each with its count: the store, which makes every block, and code that
+# makes no block.  The tensor step floors its frame coordinates before it
+# moves or multiplies them, which changes the product's bits; the others
+# floor a product of denominator factors, norm_equivalent's cross products,
+# rows that leave as (support, rows), and a residual.
+FLOOR_SITES = {"_store": 1, "_factor_rows": 1, "norm_equivalent": 1, "canonical_rows": 1,
+               "_tensor_in_frame": 1, "_largest": 1}
+
+
+def test_the_storage_floor_is_set_in_one_place():
+    def floors(node):
+        """Whether an assignment sets a subscript under a ``<= COEFFICIENT_FLOOR`` mask."""
+        return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                and node.value.value == 0 and any(
+                    isinstance(mask, ast.Compare) and isinstance(mask.ops[0], ast.LtE)
+                    and isinstance(mask.comparators[0], ast.Name)
+                    and mask.comparators[0].id == "COEFFICIENT_FLOOR"
+                    for target in node.targets if isinstance(target, ast.Subscript)
+                    for mask in ast.walk(target.slice)))
+
+    found = {}
+
+    def visit(node, owner):
+        """Count each floor under the innermost function around it."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if floors(node):
+            found[owner] = found.get(owner, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(constructors.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    assert found == FLOOR_SITES
 
 
 def test_family_grid_multiplies_by_no_identity(monkeypatch):

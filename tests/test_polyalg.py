@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import propermaps
 from propermaps import polyalg
-from propermaps.ballmaps import RationalBallMap
+from propermaps.ballmaps import RationalBallMap, certify_proper
 from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
                                 Polynomial, align_rows, canonical_rows, coefficient_matrix,
                                 evaluate_rows, monomials_of_degree, multiply_rows,
@@ -658,3 +658,28 @@ def test_only_the_term_dict_boundary_reads_polynomial_views():
                         outside.append(f"{path.name}:{attr.lineno} {owner} reads .{attr.attr}")
     assert outside == []
     assert ("documents", "map_to_document") in readers
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_the_plan_bound_keeps_every_multinomial_a_double(nvars):
+    # The largest admitted degree, its table at most MAX_TABLE_CELLS cells.
+    top = max(d for d in range(2 ** 18)
+              if (d + 1) * math.comb(d + nvars - 1, nvars - 1) <= polyalg.MAX_TABLE_CELLS)
+    polyalg.check_plan_degree(nvars, top)
+    with pytest.raises(ValueError, match=rf"degree {top + 1} \(n = {nvars}\)"):
+        polyalg.check_plan_degree(nvars, top + 1)
+    # The largest multinomial of a degree is that of its most even exponents.
+    q, r = divmod(top, nvars)
+    even = (q + 1,) * r + (q,) * (nvars - r)
+    assert math.isfinite(float(polyalg.multinomial(top, even)))
+    assert polyalg.multinomial(top, even) == math.factorial(top) // math.prod(
+        math.factorial(e) for e in even)
+
+
+def test_plans_beyond_the_bound_raise_before_they_are_built():
+    with pytest.raises(ValueError, match=r"degree 1030 \(n = 2\)"):
+        polyalg._degree_table(2, 1030)
+    with pytest.raises(ValueError, match=rf"degree {2 ** 62} \(n = 1\)"):
+        radial_residuals(1, ((2 ** 62,), (0,)), np.array([[1.0, -1.0]]))
+    with pytest.raises(ValueError, match=r"degree 700 \(n = 3\)"):
+        certify_proper(RationalBallMap.from_components([Polynomial(3, {(700, 0, 0): 1.0})]))

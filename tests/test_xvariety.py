@@ -342,3 +342,10 @@ def test_quartic_family_rank_profile():
     assert report.rank_drops == [0.0]
     finer = xmatrix_along_family(degree_drop_family(), grid_size=41)
     assert finer.max_entry_step < report.max_entry_step  # continuity in t
+
+
+def test_a_lift_beyond_the_plan_bound_raises_before_it_is_built():
+    m = RationalBallMap.from_components([Polynomial(2, {(1100, 0): 1.0}),
+                                         Polynomial(2, {(0, 1): 1.0})])
+    with pytest.raises(ValueError, match=r"degree 1100 \(n = 2\)"):
+        build_xmatrix(m).conjugated_at([0.1, 0.2])
