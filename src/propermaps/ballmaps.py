@@ -525,6 +525,15 @@ def _factored_margins(n: int, support, q: np.ndarray, centres: np.ndarray) -> li
     return out
 
 
+def _linear_centres(n: int, support, q: np.ndarray) -> np.ndarray:
+    """The (T, n) vectors -conj(c) of the linear coefficients c of the rows
+    q = 1 + sum_j c_j z_j + ... of a (T, M) stack over ``support``: the
+    centre a of q = 1 - <z, a>, and d a for q = (1 - <z, a>)^d."""
+    index = {alpha: j for j, alpha in enumerate(support)}
+    linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
+    return -np.where(linear >= 0, q[:, linear], 0.0).conj()
+
+
 def _check_denominators(block: _Block, seed: int) -> list:
     """(method, margin) for each map of a block: how q was shown to stay
     above DENOMINATOR_FLOOR on the closed ball, from the block's rows and
@@ -533,10 +542,10 @@ def _check_denominators(block: _Block, seed: int) -> list:
     Every map goes down one ladder, each step on the maps that the steps
     before it left open: a constant q; the carried factors, when the block
     has any; q's own factors, d copies of a = -conj(c) / d for a q = 1 +
-    sum_j c_j z_j + ... of degree d, one step per degree; the coefficient
-    bound 1 - sum_{alpha != 0} |q_alpha|; and, as a last resort, the
-    smallest |q| over seeded sample points of the ball and the sphere, drawn
-    once for the block.
+    sum_j c_j z_j + ... of degree d (``_linear_centres``), one step per
+    degree; the coefficient bound 1 - sum_{alpha != 0} |q_alpha|; and, as a
+    last resort, the smallest |q| over seeded sample points of the ball and
+    the sphere, drawn once for the block.
     Factors decide only when they multiply out to q, so a map whose carried
     factors miss q gets what it would get without them.  The error comes
     when a factor vanishes on the closed ball, when the exact minimum of
@@ -562,16 +571,16 @@ def _check_denominators(block: _Block, seed: int) -> list:
         picked = np.flatnonzero(undecided)
         factored(picked, centres[picked])
     # Not np.unique: it imports numpy.ma, some 20 ms of a cold CLI process.
-    for d in sorted(set(q_degrees[undecided].tolist())):
+    degrees = sorted(set(q_degrees[undecided].tolist()))
+    linear = _linear_centres(n, support, q) if degrees else None
+    for d in degrees:
         picked = np.flatnonzero(undecided & (q_degrees == d))
-        index = {alpha: j for j, alpha in enumerate(support)}
-        linear = np.array([index.get(alpha, -1) for alpha in monomials_of_degree(n, 1)])
-        a = -np.where(linear >= 0, q[picked][:, linear], 0.0).conj() / d
-        factored(picked, np.repeat(a[:, None, :], d, axis=1))
+        factored(picked, np.repeat(linear[picked, None, :] / d, d, axis=1))
     pts = None
     for k in np.flatnonzero(undecided).tolist():
         # q without its empty columns; the last column is the constant term.
-        row = q[k][q[k] != 0]
+        live = q[k] != 0
+        row = q[k][live]
         margin = float(abs(row[-1]) - np.abs(row[:-1]).sum())
         if margin >= floor:
             out[k] = ("coefficient-bound", margin)
@@ -581,7 +590,7 @@ def _check_denominators(block: _Block, seed: int) -> list:
             half = DENOMINATOR_SAMPLES // 2
             pts = np.vstack([ball_points(n, half, rng),
                              sphere_points(n, DENOMINATOR_SAMPLES - half, rng)])
-        minimum = float(np.abs(block[k].q.evaluate_many(pts)).min())
+        minimum = float(np.abs(evaluate_rows(n, np.array(support)[live], row[None], pts)).min())
         out[k] = ("sampled", minimum) if minimum >= floor else DenominatorVanishesError(
             f"denominator modulus {minimum:.3e} below {floor:.1e} on the closed ball")
     return out
@@ -692,14 +701,11 @@ def _certify_block(block: _Block, tol: float, seed: int,
     for k, residual in enumerate(residuals.tolist()):
         if isinstance(denominators[k], Exception):
             raise denominators[k]
-        if residual <= tol:
-            verdict = Verdict.CONSTANT_ON_SPHERE if constant[k] else Verdict.PROPER
-        else:
+        # No nonconstant proper map lowers the dimension, whatever the tol.
+        if residual > tol or (block.N < n and not constant[k]):
             verdict = Verdict.NOT_PROPER
-        if verdict is Verdict.PROPER and block.N < n:
-            # A proper map cannot decrease the dimension; reaching this means
-            # the certificate itself is inconsistent.
-            raise ArithmeticError("certified a proper map with target below domain")
+        else:
+            verdict = Verdict.CONSTANT_ON_SPHERE if constant[k] else Verdict.PROPER
         yield PropernessCertificate(verdict, residual, worst[k], *denominators[k],
                                     (block, k, seed))
 
@@ -767,7 +773,9 @@ def certify_proper(m: RationalBallMap, tol: float = DEFAULT_TOL,
 
     The verdict is PROPER exactly when the scaled residual (the largest
     Bernstein coefficient of ||p||^2 - |q|^2 on the sphere over the scale of
-    |q|^2) is within tolerance and the map is nonconstant;
+    |q|^2) is within tolerance and the map is nonconstant with N >= n: no
+    nonconstant proper map lowers the dimension, so a nonconstant map with
+    N < n is NOT_PROPER whatever its residual and ``tol``.
     CONSTANT_ON_SPHERE covers the boundary case where the norms agree but
     p/q is constant.  A map whose rows p_1, ..., p_N and q have at most one
     entry each, as a monomial map's, has a diagonal Gram, so only shift 0

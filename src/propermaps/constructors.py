@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
-                       _Block, _factor_rows, _store, _top_degree, certify_proper)
+                       _Block, _factor_rows, _linear_centres, _store, _top_degree,
+                       certify_proper)
 from .polyalg import (COEFFICIENT_FLOOR, _product_plan, align_rows, canonical_rows,
                       evaluate_rows, monomials_of_degree, multiply_rows)
 
@@ -120,8 +121,7 @@ def automorphism_from_map(m: RationalBallMap) -> BallAutomorphism:
     if m.degree > 1 or _top_degree(m.support, m.coefficients[-1:]) > 1:
         raise ValueError("an automorphism has numerator and denominator of degree <= 1")
     n = m.n
-    q = dict(zip(m.support, m.coefficients[-1].tolist()))
-    a = -np.conj([q.get(alpha, 0.0) for alpha in monomials_of_degree(n, 1)])
+    a = _linear_centres(n, m.support, m.coefficients[-1:])[0]
     if np.linalg.norm(a) >= 1.0:
         raise ValueError("recovered center lies outside the open ball")
     reference = automorphism_map(BallAutomorphism(a))

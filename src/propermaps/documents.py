@@ -30,7 +30,6 @@ from .bounds import DEFAULT_TOL
 
 if TYPE_CHECKING:
     from .ballmaps import RationalBallMap
-    from .polyalg import Polynomial
 
 SCHEMA_VERSION = "1"
 
@@ -43,11 +42,12 @@ class MapDocumentError(ValueError):
     """The document is not a well-formed map description."""
 
 
-def _terms_to_list(poly: Polynomial) -> list:
-    out = []
-    for alpha, coeff in poly.sorted_terms():
-        out.append({"exponents": list(alpha), "re": coeff.real, "im": coeff.imag})
-    return out
+def _terms_to_list(support, row) -> list:
+    """The terms of a stored row over its descending support, in support
+    order: those whose modulus exceeds the storage floor."""
+    from .polyalg import COEFFICIENT_FLOOR
+    return [{"exponents": list(alpha), "re": c.real, "im": c.imag}
+            for alpha, c in zip(support, row.tolist()) if abs(c) > COEFFICIENT_FLOOR]
 
 
 def require_number(value, where: str) -> float:
@@ -108,8 +108,8 @@ def map_to_document(m: RationalBallMap) -> dict:
         "schema_version": SCHEMA_VERSION,
         "domain_dim": m.n,
         "target_dim": m.N,
-        "numerator": [_terms_to_list(comp) for comp in m.p],
-        "denominator": _terms_to_list(m.q),
+        "numerator": [_terms_to_list(m.support, row) for row in m.coefficients[:-1]],
+        "denominator": _terms_to_list(m.support, m.coefficients[-1]),
     }
     if len(m.factors):
         doc["denominator_factors"] = [[[a.real, a.imag] for a in centre]

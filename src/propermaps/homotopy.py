@@ -31,7 +31,7 @@ from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _inject, _juxtaposition_path, _root, _tensor_in_frame)
-from .polyalg import DEFAULT_TOL, Polynomial
+from .polyalg import DEFAULT_TOL
 
 class EndpointMismatchError(ValueError):
     """A family endpoint does not match the declared map up to unitary and padding."""
@@ -134,9 +134,7 @@ def unitary_bridge_family(m: RationalBallMap, unitary: np.ndarray) -> HomotopyFa
     return _segment(m.n, lambda ts: _bm._apply_linear_run(path(ts), block))
 
 
-def concat_families(segments: Sequence[HomotopyFamily], *,
-                    endpoint_left: Optional[RationalBallMap] = None,
-                    endpoint_right: Optional[RationalBallMap] = None) -> HomotopyFamily:
+def concat_families(segments: Sequence[HomotopyFamily]) -> HomotopyFamily:
     """Concatenate families, splicing unitary bridges at norm-equivalent junctions.
 
     Piece k of the k = 0, ..., K-1 pieces runs over [k/K, (k+1)/K); a grid
@@ -172,9 +170,7 @@ def concat_families(segments: Sequence[HomotopyFamily], *,
         for lo, hi in zip(starts, starts[1:] + [len(ts)]):
             yield from pieces[idx[lo]]._evaluate(local[lo:hi])
 
-    left = endpoint_left if endpoint_left is not None else segs[0].endpoint_left
-    right = endpoint_right if endpoint_right is not None else segs[-1].endpoint_right
-    return HomotopyFamily(n, big, evaluator, left, right)
+    return HomotopyFamily(n, big, evaluator, segs[0].endpoint_left, segs[-1].endpoint_right)
 
 
 # ------------------------------------------------------------------ verification
@@ -328,11 +324,25 @@ def juxtaposition_family(f: RationalBallMap, g: RationalBallMap) -> HomotopyFami
     return HomotopyFamily(f.n, f.N + g.N, _juxtaposition_path(f, g), f, g)
 
 
+def _monomial_map(n: int, exponents, coefficients: np.ndarray) -> RationalBallMap:
+    """The map with q = 1 whose component i is coefficients[i] z^exponents[i],
+    zero where the coefficient is, over the descending support of the live
+    exponents and the constant monomial."""
+    slots = np.flatnonzero(coefficients)
+    live = list(map(tuple, np.reshape(exponents, (-1, n))[slots].tolist()))
+    support = sorted({*live, (0,) * n}, reverse=True)
+    index = {alpha: j for j, alpha in enumerate(support)}
+    rows = np.zeros((len(coefficients) + 1, len(support)), dtype=complex)
+    rows[slots, [index[alpha] for alpha in live]] = coefficients[slots]
+    rows[-1, -1] = 1.0
+    return RationalBallMap._from_rows(n, support, rows)
+
+
 def blaschke_homotopy(b: BlaschkeProduct) -> HomotopyFamily:
     """Contract all zeros and the phase to 0: endpoints are the product and z^m."""
     if not b.zeros:
         raise ValueError("a product with no factors is constant, hence not proper")
-    right = RationalBallMap(1, 1, [Polynomial.monomial((b.factor_count,))])
+    right = _monomial_map(1, [b.factor_count], np.ones(1))
 
     def evaluator(ts: np.ndarray) -> list:
         shrink = 1.0 - ts
@@ -372,8 +382,7 @@ def _linear_path(monos: Sequence[tuple], weights) -> Callable[[np.ndarray], list
     product: R has the monomials ``monos`` as components, over a descending
     support, and ``weights`` maps the (T,) parameters to the (T, N, K)
     matrices W(t)."""
-    rows = _bm._Block.of(RationalBallMap.from_components(
-        [Polynomial.monomial(alpha) for alpha in monos]))
+    rows = _bm._Block.of(_monomial_map(len(monos[0]), monos, np.ones(len(monos))))
     return lambda ts: _bm._apply_linear_run(weights(ts), rows)
 
 
@@ -522,37 +531,6 @@ def homotopy_to_monomial(term: WhitneyTerm) -> HomotopyFamily:
 
 
 # ------------------------------------------------------- degree-lowering family
-def _match_siblings(slot_terms: list, q_mono: tuple, coefficient: complex,
-                    n: int) -> list:
-    """One slot per variable carrying z_j * q with the common coefficient.
-
-    Duplicate monomials across slots are allowed; any slot with a matching
-    coefficient qualifies.  Raises NotTensorImageError when a sibling monomial
-    is missing or only present with a different coefficient.
-    """
-    slots = []
-    for j in range(n):
-        sibling = tuple(e + (1 if k == j else 0) for k, e in enumerate(q_mono))
-        holders = [(i, c) for i, mono, c in slot_terms if mono == sibling]
-        if not holders:
-            raise NotTensorImageError(
-                f"missing sibling component for monomial {sibling}")
-        matching = [i for i, c in holders if abs(c - coefficient) <= DEFAULT_TOL]
-        if not matching:
-            raise NotTensorImageError(
-                f"sibling components have unequal coefficients at {sibling} "
-                f"({holders[0][1]} vs {coefficient})")
-        slots.append(matching[0])
-    return slots
-
-
-def _monomial_map(n: int, terms: list) -> RationalBallMap:
-    """The map whose component i is the term (monomial, coefficient) at
-    ``terms[i]``, or zero where it is None."""
-    return RationalBallMap(n, len(terms), [Polynomial(n, dict([term] if term else []))
-                                           for term in terms])
-
-
 def collapse_to_linear(source) -> HomotopyFamily:
     """Reduce a monomial tensor-image map to the identity in one extra dimension.
 
@@ -561,71 +539,79 @@ def collapse_to_linear(source) -> HomotopyFamily:
     are present with a common coefficient, scales those by lambda while a new
     component sqrt(1 - lambda^2) q ramps up in a free slot, and ends the step
     with q replacing the whole block.  Iterating down to degree one yields a
-    family in target dimension N + 1 ending at the identity injection.
+    family in target dimension N + 1 ending at the identity injection.  The
+    steps lower two arrays: each slot's one term as a row of exponents and a
+    coefficient, which is zero for a free slot.
 
     Raises NotTensorImageError when the sibling structure is missing, which
     happens exactly for monomial maps outside the iterated tensor image.
+    Duplicate monomials across slots are allowed; any slot with a matching
+    coefficient qualifies as a sibling.
     """
     f = source.map if isinstance(source, WhitneyTerm) else source
     if not f.is_monomial_map:
         raise ValueError("degree lowering requires a monomial map with denominator 1")
-    n = f.n
-    dim = f.N + 1
-    # Each component's one term (monomial, coefficient) above DEFAULT_TOL, or None.
-    rows = f.coefficients[:-1]
-    sizes = np.abs(rows)
-    terms = [(f.support[k], complex(rows[i, k])) if sizes[i, k] > DEFAULT_TOL else None
-             for i, k in enumerate(sizes.argmax(axis=1).tolist())]
-    terms += [None] * (dim - f.N)
+    n, dim, eye = f.n, f.N + 1, np.eye(f.n, dtype=np.int64)
+    # Each component's one term above DEFAULT_TOL; the source leaves a slot free.
+    picked = np.abs(f.coefficients[:-1]).argmax(axis=1)
+    terms = f.coefficients[np.arange(f.N), picked]
+    exponents = np.vstack([np.array(f.support)[picked], np.zeros((1, n), dtype=np.int64)])
+    coefficients = np.append(np.where(np.abs(terms) > DEFAULT_TOL, terms, 0.0), 0.0)
     segments = []
 
     while True:
-        slot_terms = [(i, *term) for i, term in enumerate(terms) if term]
-        top = max((sum(mono) for _, mono, _ in slot_terms), default=0)
-        if top < 2:
+        live = coefficients != 0
+        degrees = np.where(live, exponents.sum(axis=1), -1)
+        if degrees.max() < 2:
             break
-        target_mono = min(mono for _, mono, _ in slot_terms if sum(mono) == top)
-        last_var = max(j for j, e in enumerate(target_mono) if e > 0)
-        q_mono = (target_mono[:last_var] + (target_mono[last_var] - 1,)
-                  + target_mono[last_var + 1:])
+        target = min(map(tuple, exponents[degrees == degrees.max()].tolist()))
+        last = np.flatnonzero(target)[-1]
+        # Row j is the sibling z_j q of z_last q = target; holds[j, i] says
+        # that slot i holds it.
+        siblings = target - eye[last] + eye
+        holds = live & (exponents == siblings[:, None]).all(axis=2)
 
         # The common coefficient can come from any slot holding the chosen
-        # monomial; try each before giving up.
-        for coefficient in [c for _, mono, c in slot_terms if mono == target_mono]:
-            try:
-                scaled = set(_match_siblings(slot_terms, q_mono, coefficient, n))
+        # monomial; each is tried before the last one's error is raised.
+        for coefficient in coefficients[holds[last]].tolist():
+            gap = coefficients - coefficient
+            matching = holds & (np.hypot(gap.real, gap.imag) <= DEFAULT_TOL)
+            if matching.any(axis=1).all():
                 break
-            except NotTensorImageError as exc:
-                match_error = exc
         else:
-            raise match_error
+            j = int(np.argmin(matching.any(axis=1)))
+            sibling = tuple(siblings[j].tolist())
+            if not holds[j].any():
+                raise NotTensorImageError(f"missing sibling component for monomial {sibling}")
+            raise NotTensorImageError(
+                f"sibling components have unequal coefficients at {sibling} "
+                f"({complex(coefficients[holds[j]][0])} vs {coefficient})")
 
-        # The source leaves a slot free; a step fills one and frees n.
-        free = terms.index(None)
-        terms[free] = (q_mono, coefficient)
-        # The member scales the siblings by lambda = 1 - t and q by its ramp.
-        start = _monomial_map(n, terms)
+        # A step fills a free slot with q and frees the n siblings; the
+        # member scales the siblings by lambda = 1 - t and q by its ramp.
+        scaled, free = matching.argmax(axis=1).tolist(), int(np.argmin(live))
+        exponents[free], coefficients[free] = target - eye[last], coefficient
+        start = _bm._Block.of(_monomial_map(n, exponents, coefficients))
 
-        def members(ts: np.ndarray, start=_bm._Block.of(start), scaled=scaled,
-                    free=free) -> list:
+        def members(ts: np.ndarray, start=start, scaled=scaled, free=free) -> list:
             lam = 1.0 - ts
             return _bm._apply_linear_run(_diagonals(
                 *[lam if i in scaled else _root(lam) if i == free else 1.0
                   for i in range(dim)]), start)
 
         segments.append(_segment(n, members))
-        terms = [None if i in scaled else term for i, term in enumerate(terms)]
+        coefficients[scaled] = 0.0
 
-    if any(sum(mono) == 0 for mono, _ in filter(None, terms)):
+    if (exponents.sum(axis=1)[coefficients != 0] == 0).any():
         raise NotTensorImageError("a constant component obstructs reduction "
                                   "to the identity")
 
-    # The reduced map is A z, row i of A the coefficient times e_j of term
+    # The reduced map is A z, row i of A the coefficient times e_j of slot
     # i; when A has orthonormal columns, [A, A_perp]^H takes it to identity.
-    linear = np.array([np.multiply(*term) if term else np.zeros(n) for term in terms])
+    linear = exponents * coefficients[:, None]
     if not _linalg.has_orthonormal_columns(linear):
         raise NotTensorImageError("reduced linear map is not a unitary image of the identity")
-    segments.append(unitary_bridge_family(_monomial_map(n, terms),
+    segments.append(unitary_bridge_family(_monomial_map(n, exponents, coefficients),
                                           _linalg.complete_unitary(linear).conj().T))
-    return concat_families(
-        segments, endpoint_left=f, endpoint_right=RationalBallMap.identity(n))
+    family = concat_families(segments)
+    return HomotopyFamily(n, dim, family.evaluator, f, RationalBallMap.identity(n))

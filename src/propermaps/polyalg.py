@@ -2,8 +2,10 @@
 
 This is the algebra layer underneath everything else: polynomials stored as
 complex coefficient rows over a descending tuple of exponent multi-indices,
-with ``Polynomial`` a read-only term-dict view of one row and
-``multiply_rows`` the one product; Hermitian forms stored as Gram matrices
+with ``multiply_rows`` the one product and ``Polynomial`` a read-only
+term-dict view of one row, built only where terms come in or go out (map
+documents, the catalog's tables, the public map constructors, the ``p`` and
+``q`` views and ``XMatrix.entries``); Hermitian forms stored as Gram matrices
 over a monomial basis (``signed_gram``); and the sphere reduction: the
 Bernstein coefficients of each Fourier shift's radial polynomial on the
 simplex sum |z_j|^2 = 1, which all vanish exactly when the Hermitian

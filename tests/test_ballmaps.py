@@ -121,6 +121,19 @@ def test_not_proper_with_witness():
     assert cert.witness is not None and cert.witness_value > 1e-9
 
 
+def test_a_map_that_lowers_the_dimension_is_not_proper_at_any_tol():
+    # 1.2 z1 from B_2 to B_1 has residual 1: a tol above it used to certify
+    # it proper and then raise, as no nonconstant proper map lowers the
+    # dimension.  A constant map of a lower target stays constant.
+    m = RationalBallMap(2, 1, [ref.mul(1.2, var(0))])
+    cert = certify_proper(m, tol=1.1)
+    assert cert.verdict is Verdict.NOT_PROPER
+    assert cert.residual_norm == pytest.approx(1.0)
+    assert [c.verdict for c, _, _ in certify_maps([m, m], tol=1.1)] == [Verdict.NOT_PROPER] * 2
+    assert certify_proper(RationalBallMap.constant([1.0], 2), tol=1.1).verdict \
+        is Verdict.CONSTANT_ON_SPHERE
+
+
 def test_denominator_floor_is_enforced():
     phi = BallAutomorphism([0.8, 0.0])
     m = automorphism_map(phi)

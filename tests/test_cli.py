@@ -78,6 +78,17 @@ def test_verify_bad_map_exits_one(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
 
 
+def test_verify_with_a_loose_tol_reads_a_dimension_drop_as_not_proper(tmp_path):
+    doc = {"schema_version": "1", "domain_dim": 2, "target_dim": 1,
+           "numerator": [[{"exponents": [1, 0], "re": 1.2, "im": 0.0}]],
+           "denominator": [{"exponents": [0, 0], "re": 1.0, "im": 0.0}]}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    result = _run_cli(["verify", "doc.json", "--tol", "1.1"], tmp_path)
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[0] == "verdict: not-proper"
+    assert result.stderr == ""
+
+
 def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
     from propermaps.ballmaps import certify_proper
     from propermaps.constructors import BallAutomorphism, automorphism_map

@@ -872,6 +872,32 @@ def test_collapse_rejects_cubic_invariant_map():
         collapse_to_linear(faran_maps()["phi"])
 
 
+# Each map is a monomial map outside the iterated tensor image, with the
+# message that names what the degree lowering found missing.
+COLLAPSE_REJECTIONS = {
+    "missing-sibling": ([Polynomial(2, {(3, 0): 1.0}), Polynomial(2, {(1, 1): math.sqrt(3)}),
+                         Polynomial(2, {(0, 3): 1.0})],
+                        "missing sibling component for monomial (1, 2)"),
+    "unequal-siblings": ([Polynomial(2, {(2, 0): 1.0}), Polynomial(2, {(1, 1): 2.0}),
+                          Polynomial(2, {(0, 1): 1.0})],
+                         "sibling components have unequal coefficients at (2, 0) "
+                         "((1+0j) vs (2+0j))"),
+    "constant-component": ([Polynomial(2, {(2, 0): 1.0}), Polynomial(2, {(1, 1): 1.0}),
+                            Polynomial(2, {(0, 1): 1.0}), Polynomial.constant(2, 0.5)],
+                           "a constant component obstructs reduction to the identity"),
+    "non-unitary-linear-end": ([Polynomial(2, {(1, 0): 2.0}), Polynomial(2, {(0, 1): 1.0})],
+                               "reduced linear map is not a unitary image of the identity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSE_REJECTIONS))
+def test_collapse_names_why_a_map_is_no_tensor_image(case):
+    components, message = COLLAPSE_REJECTIONS[case]
+    with pytest.raises(NotTensorImageError) as caught:
+        collapse_to_linear(RationalBallMap.from_components(components))
+    assert str(caught.value) == message
+
+
 def test_collapse_requires_monomial_input():
     with pytest.raises(ValueError):
         collapse_to_linear(faran_maps()["f"] if False else

@@ -637,27 +637,56 @@ def test_every_traced_benchmark_target_resolves(monkeypatch):
     assert "reduce_mod_sphere" in names and "reduce_mod_sphere" in propermaps.__all__
 
 
-def test_only_the_term_dict_boundary_reads_polynomial_views():
-    # RationalBallMap.p and .q build Polynomial views on each read.  In the
-    # package only map documents and the sampled denominator check read
-    # them; everything else reads coefficient rows.
-    allowed = {("documents", "map_to_document"), ("ballmaps", "_check_denominators")}
-    readers, outside = set(), []
+def _package_owners():
+    """(module, owner, node) for each top-level statement of the package's
+    modules and each statement of a top-level class body, the owner a
+    function's name, Class.method, or "" for other statements."""
     for path in sorted(Path(propermaps.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owners = [(f"{node.name}.{getattr(item, 'name', '')}", item)
-                  for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
-        owners += [(getattr(node, "name", ""), node)
-                   for node in tree.body if not isinstance(node, ast.ClassDef)]
-        for owner, node in owners:
-            for attr in ast.walk(node):
-                if (isinstance(attr, ast.Attribute) and attr.attr in ("p", "q")
-                        and isinstance(attr.ctx, ast.Load)):
-                    readers.add((path.stem, owner))
-                    if (path.stem, owner) not in allowed:
-                        outside.append(f"{path.name}:{attr.lineno} {owner} reads .{attr.attr}")
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    yield path.stem, f"{node.name}.{getattr(item, 'name', '')}", item
+            else:
+                yield path.stem, getattr(node, "name", ""), node
+
+
+def test_only_the_term_dict_boundary_reads_polynomial_views():
+    # RationalBallMap.p and .q build Polynomial views on each read, for
+    # callers outside the package; the package reads coefficient rows.
+    reads = [f"{module}.py:{attr.lineno} {owner} reads .{attr.attr}"
+             for module, owner, node in _package_owners() for attr in ast.walk(node)
+             if isinstance(attr, ast.Attribute) and attr.attr in ("p", "q")
+             and isinstance(attr.ctx, ast.Load)]
+    assert reads == []
+
+
+def test_polynomials_are_built_only_where_terms_come_in():
+    # Term dicts are built where terms come in (map documents, the catalog's
+    # tables, RationalBallMap's constructors) and for the XMatrix entries view;
+    # every other map is built from coefficient rows.  A call counts when
+    # Polynomial is a name on its callee's chain (Polynomial(...),
+    # Polynomial.one(...), polyalg.Polynomial(...)); annotations are no calls.
+    allowed = {("documents", "map_from_document"), ("corpus", "_table_map"),
+               ("ballmaps", "RationalBallMap.__init__"),
+               ("ballmaps", "RationalBallMap.constant"),
+               ("ballmaps", "RationalBallMap.from_components"),
+               ("xvariety", "XMatrix.entries")}
+    builders, outside = set(), []
+    for module, owner, node in _package_owners():
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call) or module == "polyalg":
+                continue
+            func, names = call.func, []
+            while isinstance(func, ast.Attribute):
+                names.append(func.attr)
+                func = func.value
+            if "Polynomial" in names or getattr(func, "id", None) == "Polynomial":
+                builders.add((module, owner))
+                if (module, owner) not in allowed:
+                    outside.append(f"{module}.py:{call.lineno} {owner} calls Polynomial")
     assert outside == []
-    assert ("documents", "map_to_document") in readers
+    assert {("documents", "map_from_document"), ("xvariety", "XMatrix.entries")} <= builders
 
 
 @pytest.mark.parametrize("nvars", range(1, 9))
