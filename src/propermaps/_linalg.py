@@ -4,27 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Relative singular-value threshold shared by rank and nullspace computations.
-RANK_RTOL = 1e-10
-
-#: A slice X, oriented so that it is r x c with r <= c (the conjugate
-#: transpose has the same singular values) and scaled by the power of two
-#: that puts its largest real or imaginary part in [1/2, 1), has full rank r
-#: when its Gram matrix G = X X^H less GRAM_RTOL * trace(G) on the diagonal
-#: has a Cholesky factor, that is lambda_min(G) > GRAM_RTOL * trace(G).  In
-#: floating point, forming G moves it by at most 2 (c + 2) eps ||X||_F^2 in
-#: norm, shifting its diagonal by eps trace(G), and a Cholesky factorization
-#: that succeeds is exact for a matrix within 4 (r + 1) eps trace(G) of the
-#: one factored.  The test is used only while delta = 2 (c + 2 r + 5) eps <=
-#: GRAM_RTOL / 4, which covers these errors and the rounding of the trace
-#: together; then, as trace(G) = ||X||_F^2 >= sigma_1^2, sigma_r^2 =
-#: lambda_min >= (GRAM_RTOL - 2 delta) trace(G) >= GRAM_RTOL / 2 *
-#: sigma_1^2, so sigma_r / sigma_1 >= sqrt(GRAM_RTOL / 2), about 7e-5: far
-#: above RANK_RTOL plus the SVD's own rounding, so the SVD would count r
-#: singular values as well.  The scaling is exact but for entries that
-#: underflow, which lie far below sigma_1 >= 1/2, and no Gram entry can
-#: overflow.
-GRAM_RTOL = 1e-8
+from .bounds import GRAM_RTOL, ORTHONORMAL_TOL, RANK_RTOL, SPAN_TOL, UNITARY_PATH_TOL
 
 
 def _gram_ranks(stack: np.ndarray) -> np.ndarray:
@@ -94,25 +74,20 @@ def nullspace_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel, as columns of an (n, dim) array."""
     m = np.asarray(matrix, dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > s[0] * RANK_RTOL))
-    return vh[rank:].conj().T
+    return vh[np.count_nonzero(s > s[:1] * RANK_RTOL):].conj().T
 
 
-def is_unitary(matrix: np.ndarray, tol: float = 1e-8) -> bool:
-    u = np.asarray(matrix, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
-
-
-def has_orthonormal_columns(matrix: np.ndarray) -> bool:
+def has_orthonormal_columns(matrix: np.ndarray, tol: float = ORTHONORMAL_TOL) -> bool:
+    """Whether every entry of B^H B - I is within ``tol``."""
     b = np.asarray(matrix, dtype=complex)
     if b.ndim != 2 or b.shape[1] > b.shape[0]:
         return False
-    return bool(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-8)
+    return bool(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= tol)
+
+
+def is_unitary(matrix: np.ndarray, tol: float = ORTHONORMAL_TOL) -> bool:
+    u = np.asarray(matrix)
+    return u.ndim == 2 and u.shape[0] == u.shape[1] and has_orthonormal_columns(u, tol)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,13 +112,11 @@ def gram_schmidt_complement(basis: np.ndarray) -> np.ndarray:
     for j in range(n):
         if len(found) == n - d:
             break
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        v = v - b @ (b.conj().T @ v)
+        v = np.eye(1, n, j, dtype=complex)[0] - b @ b[j].conj()
         for w in found:
             v = v - w * (w.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm > 1e-8:
+        if norm > SPAN_TOL:
             found.append(v / norm)
     if len(found) != n - d:
         raise ValueError("could not complete the orthogonal complement")
@@ -157,10 +130,7 @@ def complete_unitary(isometry: np.ndarray) -> np.ndarray:
 
 def procrustes_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Unitary W minimizing ||W @ source - target||_F (least squares over unitaries)."""
-    a = np.asarray(source, dtype=complex)
-    b = np.asarray(target, dtype=complex)
-    m = b @ a.conj().T
-    u, _, vh = np.linalg.svd(m)
+    u, _, vh = np.linalg.svd(target @ source.conj().T)
     return u @ vh
 
 
@@ -176,7 +146,7 @@ class UnitaryPath:
 
     def __init__(self, unitary: np.ndarray):
         u = np.asarray(unitary, dtype=complex)
-        if not is_unitary(u, tol=1e-6):
+        if not is_unitary(u, tol=UNITARY_PATH_TOL):
             raise ValueError("matrix is not unitary")
         q, _ = np.linalg.qr(np.linalg.eig(u)[1])
         self.angles = np.angle(np.diag(q.conj().T @ u @ q))

@@ -25,16 +25,11 @@ from typing import Optional
 import numpy as np
 
 from . import _linalg
-from .bounds import DEFAULT_SEED
-from .polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, ZERO_DEGREE, Polynomial, align_rows,
-                      canonical_rows, coefficient_matrix, evaluate_rows, monomials_of_degree,
-                      multinomial, _mask_groups, multiply_rows, normalized_gram_difference,
-                      polynomials_from_rows, radial_residuals, signed_gram, sphere_residuals,
-                      sphere_scales)
-
-#: Lower bound of |q| on the closed ball below which the denominator counts
-#: as vanishing there.
-DENOMINATOR_FLOOR = 1e-6
+from .bounds import COEFFICIENT_FLOOR, DEFAULT_SEED, DEFAULT_TOL, DENOMINATOR_FLOOR
+from .polyalg import (ZERO_DEGREE, Polynomial, align_rows, canonical_rows, coefficient_matrix,
+                      evaluate_rows, monomials_of_degree, multinomial, _mask_groups,
+                      multiply_rows, normalized_gram_difference, polynomials_from_rows,
+                      radial_residuals, signed_gram, sphere_residuals, sphere_scales)
 
 DENOMINATOR_SAMPLES = 10_000
 WITNESS_SAMPLES = 500
@@ -94,24 +89,23 @@ def _top_degree(support, rows):
     return top if top >= 0 else ZERO_DEGREE
 
 
-def _constant_maps(stack: np.ndarray, tol: float,
-                   squares: Optional[np.ndarray] = None) -> np.ndarray:
+def _constant_maps(stack: np.ndarray, squares: Optional[np.ndarray] = None) -> np.ndarray:
     """For each map of a (T, N+1, M) stack of rows, whether p_i = p_i(0) q for
-    all i, that is |p_i - p_i(0) q| <= tol at every coefficient.
+    all i, that is |p_i - p_i(0) q| <= DEFAULT_TOL at every coefficient.
 
     Given the stack's squared moduli ``squares``, as for a block of monomial
     maps, p_i(0) q is formed on q's columns alone: in a column where no q
     of the stack has an entry, the difference is p_i, so the largest of its
-    squared moduli there is compared with tol^2, with no temporary of the
-    stack's size.  Without them one expression takes the whole stack, which
-    costs fewer numpy calls on a small block."""
+    squared moduli there is compared with DEFAULT_TOL^2, with no temporary
+    of the stack's size.  Without them one expression takes the whole stack,
+    which costs fewer numpy calls on a small block."""
     p, q = stack[:, :-1], stack[:, -1:]
     if squares is None:
-        return ~(np.abs(p - p[:, :, -1:] * q) > tol).any(axis=(1, 2))
+        return ~(np.abs(p - p[:, :, -1:] * q) > DEFAULT_TOL).any(axis=(1, 2))
     columns = q.any(axis=(0, 1))
-    off = (squares[:, :-1].max(axis=1)[:, ~columns] > tol * tol).any(axis=1)
+    off = (squares[:, :-1].max(axis=1)[:, ~columns] > DEFAULT_TOL * DEFAULT_TOL).any(axis=1)
     near = p.compress(columns, axis=2) - p[:, :, -1:] * q.compress(columns, axis=2)
-    return ~(off | (np.abs(near) > tol).any(axis=(1, 2)))
+    return ~(off | (np.abs(near) > DEFAULT_TOL).any(axis=(1, 2)))
 
 
 class RationalBallMap:
@@ -659,7 +653,7 @@ def _stacked(blocks: Sequence[_Block]) -> _Block:
                   np.concatenate([b.centres for b in blocks]))[0]
 
 
-def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
+def _block_residuals(n: int, support: tuple, stack: np.ndarray):
     """(residuals, worst, constant) of each map of a (T, N+1, M) stack of
     rows over ``support``: the unscaled residual and its pair, and whether
     the map is constant (``_constant_maps``).  A member whose rows p_1, ...,
@@ -674,15 +668,15 @@ def _block_residuals(n: int, support: tuple, stack: np.ndarray, tol: float):
         # Each entry times its conjugate in real arithmetic, so exactly real.
         squares = stack.real * stack.real + stack.imag * stack.imag
         return (*radial_residuals(n, support, squares[:, :-1].sum(axis=1) - squares[:, -1]),
-                _constant_maps(stack, tol, squares))
+                _constant_maps(stack, squares))
     if not radial.any():
         return (*sphere_residuals(n, support, signed_gram(stack, 1)),
-                _constant_maps(stack, tol))
+                _constant_maps(stack))
     # A mixed block: each part on its own, back in the members' order.
     residuals, worst = np.empty(len(stack)), [None] * len(stack)
     constant = np.empty(len(stack), dtype=bool)
     for members in (radial, ~radial):
-        values, pairs, constant[members] = _block_residuals(n, support, stack[members], tol)
+        values, pairs, constant[members] = _block_residuals(n, support, stack[members])
         residuals[members] = values
         for k, pair in zip(np.flatnonzero(members).tolist(), pairs):
             worst[k] = pair
@@ -695,7 +689,7 @@ def _certify_block(block: _Block, tol: float, seed: int,
     block's arrays and its ``_check_denominators`` with no member built; an
     error for a map is raised at that map's turn."""
     n, support, stack = block.n, block.support, block.rows
-    residuals, worst, constant = _block_residuals(n, support, stack, tol)
+    residuals, worst, constant = _block_residuals(n, support, stack)
     q = stack[:, -1]
     residuals = residuals / sphere_scales(n, support, q.real ** 2 + q.imag ** 2)
     for k, residual in enumerate(residuals.tolist()):
@@ -913,11 +907,12 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     where it is |G_ij| / sqrt(H_ii H_jj) > tol.  Only when an entry is
     flagged is the mismatch searched for: the first largest |G_ij| among
     the flagged entries in row-major order (one of the upper triangle, as
-    G is Hermitian), recomputed from the unscaled rows (inf or NaN beyond a
-    double).  Otherwise the result keeps both sides' rows, and the witness
-    unitary is computed from them when first read, by least squares over
-    unitaries (orthogonal Procrustes), so it is always unitary, including
-    for rank-deficient rows such as f vs f + zero components.
+    G is Hermitian), recomputed from its two columns scaled by a power of
+    two, which rounds as the unscaled ones do (inf beyond a double, not NaN).
+    Otherwise the result keeps both sides' rows, and the witness unitary is
+    computed from them when first read, by least squares over unitaries
+    (orthogonal Procrustes), so it is always unitary, including for
+    rank-deficient rows such as f vs f + zero components.
     """
     if f.n != g.n:
         raise DimensionMismatchError("maps must share the domain dimension")
@@ -947,9 +942,14 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     w = np.ldexp(norms, -int(np.frexp(norms.max())[1]))
     k = int(np.argmax(sizes[i, j] * w[i] * w[j]))
     i, j = int(i[k]), int(j[k])
+    # Columns i and j times 2^-e, their largest part in [1/2, 1); the entry times 4^e.
+    cols = np.ascontiguousarray([a[:, [i, j]], b[:, [i, j]]]).view(float)
+    e = int(np.frexp(np.abs(cols).max())[1])
+    x = np.ldexp(cols, -e).view(complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = a[:, i] @ a[:, j].conj() - b[:, i] @ b[:, j].conj()
-    return NormEquivalence(False, mismatch=(monos[i], monos[j], complex(value)),
+        value = x[0, :, 0] @ x[0, :, 1].conj() - x[1, :, 0] @ x[1, :, 1].conj()
+        value = complex(*np.ldexp([value.real, value.imag], 2 * e))
+    return NormEquivalence(False, mismatch=(monos[i], monos[j], value),
                            largest_relative=largest)
 
 

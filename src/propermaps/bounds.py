@@ -1,20 +1,62 @@
 """Plain numbers of the workbench, computed without numpy.
 
-The default comparison tolerance and sampling seed, and the explicit bounds
-on the degree and the coefficients of a proper map between balls.  The
-command line reads these before it knows whether a command computes with a
-map, so this module imports nothing beyond the standard library.
+The default sampling seed, the table of every floating-point threshold the
+workbench decides with, and the explicit bounds on the degree and the
+coefficients of a proper map between balls.  The command line reads these
+before it knows whether a command computes with a map, so this module
+imports nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import math
 
+#: Fixed default seed for all pseudo-random sampling (reproducible runs).
+DEFAULT_SEED = 7
+
 #: Global comparison tolerance: coefficients within it count as equal/zero.
 DEFAULT_TOL = 1e-9
 
-#: Fixed default seed for all pseudo-random sampling (reproducible runs).
-DEFAULT_SEED = 7
+#: Storage floor for sparse terms, well below the comparison tolerance so that
+#: repeated products cannot accumulate dropped mass anywhere near it.
+COEFFICIENT_FLOOR = 1e-14
+
+#: Lower bound of |q| on the closed ball below which the denominator counts
+#: as vanishing there.
+DENOMINATOR_FLOOR = 1e-6
+
+#: Relative singular-value threshold shared by rank and nullspace computations.
+RANK_RTOL = 1e-10
+
+#: A slice X, oriented so that it is r x c with r <= c (the conjugate
+#: transpose has the same singular values) and scaled by the power of two
+#: that puts its largest real or imaginary part in [1/2, 1), has full rank r
+#: when its Gram matrix G = X X^H less GRAM_RTOL * trace(G) on the diagonal
+#: has a Cholesky factor, that is lambda_min(G) > GRAM_RTOL * trace(G).  In
+#: floating point, forming G moves it by at most 2 (c + 2) eps ||X||_F^2 in
+#: norm, shifting its diagonal by eps trace(G), and a Cholesky factorization
+#: that succeeds is exact for a matrix within 4 (r + 1) eps trace(G) of the
+#: one factored.  The test is used only while delta = 2 (c + 2 r + 5) eps <=
+#: GRAM_RTOL / 4, which covers these errors and the rounding of the trace
+#: together; then, as trace(G) = ||X||_F^2 >= sigma_1^2, sigma_r^2 =
+#: lambda_min >= (GRAM_RTOL - 2 delta) trace(G) >= GRAM_RTOL / 2 *
+#: sigma_1^2, so sigma_r / sigma_1 >= sqrt(GRAM_RTOL / 2), about 7e-5: far
+#: above RANK_RTOL plus the SVD's own rounding, so the SVD would count r
+#: singular values as well.  The scaling is exact but for entries that
+#: underflow, which lie far below sigma_1 >= 1/2, and no Gram entry can
+#: overflow.
+GRAM_RTOL = 1e-8
+
+ORTHONORMAL_TOL = 1e-8  #: largest entry of B^H B - I of orthonormal columns B
+SPAN_TOL = 1e-8  #: smallest Gram-Schmidt residual norm kept as a new direction
+UNITARY_PATH_TOL = 1e-6  #: largest entry of U^H U - I that ``UnitaryPath`` accepts
+JUNCTION_TOL = 1e-6  #: ``concat_families``' splice distance and its bridge's equivalence tol
+ENDPOINT_TOL_FACTOR = 1e3  #: ``verify_family`` checks endpoints at this times its tol
+AUTOMORPHISM_FIT_TOL = 1e-5  #: largest residual of a map's fit as an automorphism
+SPHERE_TOL = 1e-6  #: largest | ||a|| - 1 | of a point taken to lie on the unit sphere
+WINDING_TOL = 1e-3  #: largest distance of a winding quadrature from its integer
+POLE_TOL = 1e-8  #: |q| at or below it makes a point a pole
+PRINT_REAL_TOL = 1e-12  #: largest imaginary part that a printed coefficient drops
 
 
 def degree_bound(n: int, N: int):

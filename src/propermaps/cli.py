@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .bounds import DEFAULT_SEED, DEFAULT_TOL
+from .bounds import DEFAULT_SEED, DEFAULT_TOL, PRINT_REAL_TOL
 
 #: Mathematical failures (exit 1), matched without imports: a raised error's module is loaded.
 _MATH_ERRORS = {"ballmaps": "DenominatorVanishesError", "constructors": "NonIntegralWindingError",
@@ -118,7 +118,7 @@ def _parse_complex_list(text: str, what: str) -> list:
 
 
 def _coeff_str(c: complex) -> str:
-    if abs(c.imag) <= 1e-12:
+    if abs(c.imag) <= PRINT_REAL_TOL:
         return f"{c.real:.6g}"
     return f"({c.real:.6g}{c.imag:+.6g}j)"
 

@@ -23,8 +23,9 @@ from . import _linalg
 from .ballmaps import (DimensionMismatchError, RationalBallMap, Verdict, _apply_linear_run,
                        _Block, _factor_rows, _linear_centres, _store, _top_degree,
                        certify_proper)
-from .polyalg import (COEFFICIENT_FLOOR, _product_plan, align_rows, canonical_rows,
-                      evaluate_rows, monomials_of_degree, multiply_rows)
+from .bounds import AUTOMORPHISM_FIT_TOL, COEFFICIENT_FLOOR, SPHERE_TOL, WINDING_TOL
+from .polyalg import (_product_plan, align_rows, canonical_rows, evaluate_rows,
+                      monomials_of_degree, multiply_rows)
 
 
 class NonIntegralWindingError(ArithmeticError):
@@ -70,8 +71,8 @@ class BallAutomorphism:
 
     @property
     def is_identity(self) -> bool:
-        return (np.linalg.norm(self.a) == 0.0
-                and np.max(np.abs(self.U - np.eye(self.dim))) <= 1e-14)
+        """Exactly a = 0 and U = I, as ``identity`` and a document without a unitary give."""
+        return not self.a.any() and np.array_equal(self.U, np.eye(self.dim))
 
     def inverse(self) -> "BallAutomorphism":
         return BallAutomorphism(-(self.U @ self.a), self.U.conj().T)
@@ -128,7 +129,7 @@ def automorphism_from_map(m: RationalBallMap) -> BallAutomorphism:
     _, (ref_mat, map_mat) = align_rows(
         *(canonical_rows(f.support, f.coefficients[:-1]) for f in (reference, m)))
     unitary = _linalg.procrustes_unitary(ref_mat, map_mat)
-    if np.max(np.abs(unitary @ ref_mat - map_mat)) > 1e-5:
+    if np.max(np.abs(unitary @ ref_mat - map_mat)) > AUTOMORPHISM_FIT_TOL:
         raise ValueError("map is not a unitary multiple of a Moebius factor")
     return BallAutomorphism(a, unitary)
 
@@ -142,7 +143,7 @@ def boundary_constant_map(point: Sequence[complex]) -> RationalBallMap:
     denominator 1.
     """
     a = np.asarray(point, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-6:
+    if abs(np.linalg.norm(a) - 1.0) > SPHERE_TOL:
         raise ValueError("boundary constant requires a point of the unit sphere")
     return RationalBallMap.constant(a, a.size)
 
@@ -190,16 +191,16 @@ def _blaschke_maps(thetas: np.ndarray, zeros: np.ndarray) -> list:
     return _store(1, support, np.stack([p, q], axis=1), centres)
 
 
-def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
+def winding_integral(m: RationalBallMap) -> complex:
     """Quadrature value of (1/2 pi i) * contour integral of f'/f over |z| = 1.
 
-    Uses trapezoidal quadrature on the circle, which for the logarithmic
-    derivative of a rational map without zeros or poles on the contour
-    converges geometrically.
+    Uses trapezoidal quadrature at 4096 nodes on the circle, which for the
+    logarithmic derivative of a rational map without zeros or poles on the
+    contour converges geometrically.
     """
     if m.n != 1 or m.N != 1:
         raise DimensionMismatchError("winding numbers are defined for disk self-maps")
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
+    angles = 2.0 * np.pi * np.arange(4096) / 4096
     zs = np.exp(1j * angles)[:, None]
     pv, qv = evaluate_rows(1, m.support, m.coefficients, zs).T
     if np.min(np.abs(pv)) == 0.0 or np.min(np.abs(qv)) == 0.0:
@@ -210,12 +211,12 @@ def winding_integral(m: RationalBallMap, nodes: int = 4096) -> complex:
     return complex(np.mean(zs[:, 0] * (dpv / pv - dqv / qv)))
 
 
-def winding_degree(m: RationalBallMap, nodes: int = 4096) -> int:
+def winding_degree(m: RationalBallMap) -> int:
     """Nearest integer to the winding quadrature; rejects non-integral values."""
-    value = winding_integral(m, nodes)
+    value = winding_integral(m)
     nearest = round(value.real)
     residual = abs(value - nearest)
-    if residual > 1e-3:
+    if residual > WINDING_TOL:
         raise NonIntegralWindingError(
             f"winding integral {value} is {residual:.2e} away from an integer")
     return int(nearest)

@@ -27,11 +27,11 @@ from . import _linalg
 from . import ballmaps as _bm
 from .ballmaps import (DEFAULT_SEED, DimensionMismatchError, RationalBallMap, Verdict,
                        apply_linear, norm_equivalent)
+from .bounds import DEFAULT_TOL, ENDPOINT_TOL_FACTOR, JUNCTION_TOL
 from .constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                            automorphism_from_map, automorphism_map, blaschke_map,
                            _apply_step, _automorphism_maps, _blaschke_maps, _diagonals,
                            _inject, _juxtaposition_path, _root, _tensor_in_frame)
-from .polyalg import DEFAULT_TOL
 
 class EndpointMismatchError(ValueError):
     """A family endpoint does not match the declared map up to unitary and padding."""
@@ -151,8 +151,8 @@ def concat_families(segments: Sequence[HomotopyFamily]) -> HomotopyFamily:
     pieces: list[HomotopyFamily] = [segs[0]]
     for nxt in segs[1:]:
         end, start = pieces[-1].evaluate(1.0).padded(big), nxt.evaluate(0.0).padded(big)
-        if not end.allclose(start, 1e-6):
-            witness = norm_equivalent(end, start, tol=1e-6)
+        if not end.allclose(start, JUNCTION_TOL):
+            witness = norm_equivalent(end, start, tol=JUNCTION_TOL)
             if not witness.equivalent:
                 raise EndpointMismatchError(
                     "junction maps are not norm-equivalent; cannot concatenate")
@@ -309,7 +309,7 @@ def verify_family(family: HomotopyFamily, grid_size: int = 101,
         timings["certify_s"] += clock - now
     timings["evaluate_s"] += time.perf_counter() - clock
 
-    endpoint_tol = 1e3 * tol
+    endpoint_tol = ENDPOINT_TOL_FACTOR * tol
     left_ok = norm_equivalent(first, family.endpoint_left,
                               tol=endpoint_tol).equivalent
     right_ok = norm_equivalent(last[-1], family.endpoint_right,
@@ -451,7 +451,7 @@ def _monomial_slots(g: RationalBallMap, step) -> list:
     top_degree = max(degrees)
     canonical = np.abs(step.basis).argmax(axis=0).tolist()
     if (len(set(canonical)) == d and max(degrees[j] for j in canonical) == top_degree
-            and np.abs(step.basis - np.eye(size)[:, canonical]).max() <= 1e-12):
+            and np.array_equal(step.basis, np.eye(size)[:, canonical])):
         slots = canonical
     else:
         top = degrees.index(top_degree)
@@ -491,9 +491,9 @@ def _monomial_stage(fam_prev: HomotopyFamily, g_map: RationalBallMap, step, n: i
 
     eye, d = np.eye(g_map.N), step.basis.shape[1]
     perm = eye[:, _monomial_slots(g_map, step)]
-    alignment = step.frame.conj().T @ perm
-    if np.abs(alignment - eye).max() > 1e-12:
-        path, coordinates = _linalg.UnitaryPath(alignment), perm.T
+    # F = P, so F^H P = I exactly, when the slots are the canonical basis's own.
+    if not np.array_equal(step.frame, perm):
+        path, coordinates = _linalg.UnitaryPath(step.frame.conj().T @ perm), perm.T
 
         def tail(ts: np.ndarray) -> Iterator:
             for run in _bm._runs(_bm._apply_linear_run(path(1.0 - ts) @ coordinates, g_block)):
@@ -571,14 +571,11 @@ def collapse_to_linear(source) -> HomotopyFamily:
         siblings = target - eye[last] + eye
         holds = live & (exponents == siblings[:, None]).all(axis=2)
 
-        # The common coefficient can come from any slot holding the chosen
-        # monomial; each is tried before the last one's error is raised.
-        for coefficient in coefficients[holds[last]].tolist():
-            gap = coefficients - coefficient
-            matching = holds & (np.hypot(gap.real, gap.imag) <= DEFAULT_TOL)
-            if matching.any(axis=1).all():
-                break
-        else:
+        # The first holder's coefficient: another's would leave the first without siblings.
+        coefficient = coefficients[holds[last]].tolist()[0]
+        gap = coefficients - coefficient
+        matching = holds & (np.hypot(gap.real, gap.imag) <= DEFAULT_TOL)
+        if not matching.any(axis=1).all():
             j = int(np.argmin(matching.any(axis=1)))
             sibling = tuple(siblings[j].tolist())
             if not holds[j].any():

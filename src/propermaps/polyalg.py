@@ -23,9 +23,8 @@ Conventions
   significant, so for two variables of degree 5 the order starts at (5, 0)
   and ends at (0, 5).
 * Coefficients are double-precision complex numbers.  Comparisons, zero
-  tests, and degrees use the global tolerance ``DEFAULT_TOL``; sparse storage
-  keeps terms down to ``COEFFICIENT_FLOOR`` so repeated products cannot
-  accumulate dropped mass into the comparison scale.
+  tests, and degrees use ``DEFAULT_TOL``, and storage ``COEFFICIENT_FLOOR``
+  (see ``bounds``).
 * All values are immutable after construction and safe to share.
 """
 
@@ -41,11 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _linalg
-from .bounds import DEFAULT_TOL
-
-#: Storage floor for sparse terms, well below the comparison tolerance so that
-#: repeated products cannot accumulate dropped mass anywhere near it.
-COEFFICIENT_FLOOR = 1e-14
+from .bounds import COEFFICIENT_FLOOR, DEFAULT_TOL
 
 #: Multiply-adds of a Gram product, R rows times M^2 for M columns, from
 #: which ``normalized_gram_difference`` asks whether each row of a block has
@@ -71,11 +66,6 @@ _MAX_DEGREE = int(np.iinfo(np.int64).max)
 #: top <= 511 for two variables and top <= 79 for more, so each multinomial
 #: of the degree is a double (C(511, 255) < 2^507, 79! < 170! < 2^1024).
 MAX_TABLE_CELLS = 2 ** 18
-
-
-def total_degree(alpha: MultiIndex) -> int:
-    """Total degree |alpha| of a multi-index."""
-    return sum(alpha)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[MultiIndex]:
@@ -142,8 +132,7 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[MultiIndex, complex] | None = None,
-                 tol: float = COEFFICIENT_FLOOR):
+    def __init__(self, nvars: int, terms: Mapping[MultiIndex, complex] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be positive")
         terms = terms or {}
@@ -164,16 +153,16 @@ class Polynomial:
             pass
         if valid:
             values = values.astype(complex)
-            keep = np.abs(values) > tol
+            keep = np.abs(values) > COEFFICIENT_FLOOR
             clean = dict(zip(map(tuple, exps[keep].tolist()), values[keep].tolist()))
         else:
-            clean = self._checked_terms(nvars, terms, tol)
+            clean = self._checked_terms(nvars, terms)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
     @staticmethod
-    def _checked_terms(nvars: int, terms: Mapping, tol: float) -> dict:
-        """The terms above ``tol``, checked one by one; the first bad term raises."""
+    def _checked_terms(nvars: int, terms: Mapping) -> dict:
+        """The terms above the floor, checked one by one; the first bad term raises."""
         clean: dict[MultiIndex, complex] = {}
         for key, coeff in terms.items():
             try:
@@ -192,7 +181,7 @@ class Polynomial:
             c = complex(coeff)
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient {c} of {alpha} is not finite")
-            if abs(c) > tol:
+            if abs(c) > COEFFICIENT_FLOOR:
                 clean[alpha] = c
         return clean
 
@@ -229,7 +218,7 @@ class Polynomial:
     @property
     def degree(self):
         """Max total degree over terms above tolerance; -inf when none remain."""
-        degs = [total_degree(a) for a, c in self.terms.items()
+        degs = [sum(a) for a, c in self.terms.items()
                 if abs(c) > DEFAULT_TOL]
         return max(degs) if degs else ZERO_DEGREE
 

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import _linalg
 from .ballmaps import DEFAULT_SEED, RationalBallMap, degree as map_degree
-from .polyalg import (DEFAULT_TOL, Polynomial, _monomial_values, align_rows,
-                      check_plan_degree, evaluate_rows, monomials_of_degree, multinomial)
+from .bounds import DEFAULT_TOL, POLE_TOL
+from .polyalg import (Polynomial, _monomial_values, align_rows, check_plan_degree,
+                      evaluate_rows, monomials_of_degree, multinomial)
 
 #: Lift entries (points x K x M) of one block of ``XMatrix.conjugated_at``:
 #: 512 kB of complex values.  The largest graph test of the fiber-scan
@@ -166,7 +167,7 @@ def fiber_at(m: RationalBallMap, x: XMatrix, w: Sequence[complex]) -> FiberRepor
         raise ValueError("point dimension mismatch")
     origin = np.linalg.norm(wv) <= DEFAULT_TOL
     values = evaluate_rows(m.n, m.support, m.coefficients, [0 * wv if origin else wv])[0]
-    if abs(values[-1]) <= 1e-8:
+    if abs(values[-1]) <= POLE_TOL:
         raise EvaluationAtPoleError(f"denominator vanishes at {wv}")
     kernel = (np.zeros((m.N, 0), dtype=complex) if origin
               else _linalg.nullspace_basis(x.conjugated_at(wv)))
@@ -206,7 +207,7 @@ def graph_test(m: RationalBallMap, x: Optional[XMatrix] = None,
     # The last points lie on the hyperplanes w_1 = 0, ..., w_n = 0 in turn.
     pts[samples + np.arange(m.n * per_plane), np.repeat(np.arange(m.n), per_plane)] = 0.0
     q = evaluate_rows(m.n, m.support, m.coefficients[-1:], pts)[:, 0]
-    kept = pts[(np.linalg.norm(pts, axis=1) > DEFAULT_TOL) & (np.abs(q) > 1e-8)]
+    kept = pts[(np.linalg.norm(pts, axis=1) > DEFAULT_TOL) & (np.abs(q) > POLE_TOL)]
     dims = m.N - _linalg.numerical_rank(x.conjugated_at(kept))
     exceptional = tuple((w, int(dim)) for w, dim in zip(kept, dims) if dim > 0)
     return GraphTestResult(not exceptional, exceptional, len(kept))

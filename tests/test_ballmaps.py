@@ -94,8 +94,8 @@ def test_constant_maps_read_from_squared_moduli_match_the_whole_stack(seed):
     # Rows with one entry each, as a monomial map's: the path that reads the
     # off-q columns from the squared moduli decides as the whole difference.
     # Half the rows are scaled to put their largest entry just below or just
-    # above tol; |c| = tol itself is left out, where |c|^2 and tol^2 may
-    # round apart.
+    # above DEFAULT_TOL; |c| = DEFAULT_TOL itself is left out, where |c|^2
+    # and DEFAULT_TOL^2 may round apart.
     gen = np.random.default_rng(seed)
     count, rows, size = (int(v) for v in gen.integers(1, 6, 3))
     stack = np.zeros((count, rows + 1, size + 1), dtype=complex)
@@ -108,9 +108,8 @@ def test_constant_maps_read_from_squared_moduli_match_the_whole_stack(seed):
     # q(0) off 1 makes p_i(0) - p_i(0) q(0) exceed tol for the larger p_i(0).
     stack[:, -1, -1] = 1 + gen.choice([0.0, 1e-12, -1e-8], count)
     squares = stack.real * stack.real + stack.imag * stack.imag
-    tol = polyalg.DEFAULT_TOL
-    assert np.array_equal(ballmaps._constant_maps(stack, tol, squares),
-                          ballmaps._constant_maps(stack, tol))
+    assert np.array_equal(ballmaps._constant_maps(stack, squares),
+                          ballmaps._constant_maps(stack))
 
 
 def test_not_proper_with_witness():
@@ -996,17 +995,17 @@ def _random_components(nvars, seed):
     gen = np.random.default_rng(seed)
 
     def terms(count, scales):
-        return {tuple(gen.integers(0, 4, nvars)):
+        return {tuple(gen.integers(0, 4, nvars).tolist()):
                 complex(*gen.standard_normal(2)) * gen.choice(scales) for _ in range(count)}
 
-    comps = [Polynomial(nvars, {} if gen.random() < 0.25 else
-                        terms(int(gen.integers(1, 6)), [1e-16, 1e-12, 1.0, 1.0, 100.0]),
-                        tol=0.0)
+    # Views built raw, so that the terms below the floor reach the map.
+    comps = [Polynomial._raw(nvars, {} if gen.random() < 0.25 else
+                             terms(int(gen.integers(1, 6)), [1e-16, 1e-12, 1.0, 1.0, 100.0]))
              for _ in range(int(gen.integers(1, 5)))]
     q_terms = {alpha: 0.2 * c / abs(c) * gen.random()
                for alpha, c in terms(int(gen.integers(0, 3)), [1.0]).items()}
     q_terms[(0,) * nvars] = 1.0
-    return comps, Polynomial(nvars, q_terms, tol=0.0)
+    return comps, Polynomial._raw(nvars, q_terms)
 
 
 def _dict_distance(f, g):
@@ -1397,6 +1396,17 @@ def test_norm_equivalence_does_not_change_when_both_maps_are_scaled(c, registry)
             assert abs(scaled.mismatch[2] - c * c * plain.mismatch[2]) \
                 <= 1e-12 * c * c * abs(plain.mismatch[2])
         assert abs(scaled.largest_relative - plain.largest_relative) <= 1e-12
+
+
+@pytest.mark.parametrize("s, value", [(1.0, -3.0), (3.0, -27.0),
+                                      (1e150, -2.9999999999999996e+300),
+                                      (1e160, -math.inf), (1e300, -math.inf)])
+def test_a_mismatch_beyond_a_double_reads_inf_never_nan(s, value):
+    # (s z1, s z2) against (s z1, 2 s z2) differ by -3 s^2 at (z2, z2).  The
+    # finite values are those read from the unscaled columns, bit for bit.
+    f = RationalBallMap(2, 2, [Polynomial(2, {(1, 0): s}), Polynomial(2, {(0, 1): s})])
+    g = RationalBallMap(2, 2, [Polynomial(2, {(1, 0): s}), Polynomial(2, {(0, 1): 2 * s})])
+    assert norm_equivalent(f, g).mismatch == ((0, 1), (0, 1), complex(value))
 
 
 @pytest.mark.parametrize("n, d", [(2, 16), (3, 10)])

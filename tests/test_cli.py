@@ -89,6 +89,18 @@ def test_verify_with_a_loose_tol_reads_a_dimension_drop_as_not_proper(tmp_path):
     assert result.stderr == ""
 
 
+def test_verify_with_a_loose_tol_keeps_the_constant_test_at_the_default_tol(tmp_path, capsys):
+    # 0.5 (z1, z2) is no constant map whatever --tol allows; its residual
+    # 0.75 is within --tol 1.1, so it reads proper.
+    half = RationalBallMap(2, 2, [Polynomial.monomial((1, 0), 0.5),
+                                  Polynomial.monomial((0, 1), 0.5)])
+    path = tmp_path / "half.json"
+    path.write_text(dumps_map(half))
+    assert main(["verify", str(path), "--tol", "1.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["verdict: proper",
+                                                         "residual: 7.500e-01"]
+
+
 def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
     from propermaps.ballmaps import certify_proper
     from propermaps.constructors import BallAutomorphism, automorphism_map

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from propermaps import ballmaps, constructors
-from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, is_unitary,
-                                random_unitary)
+from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, has_orthonormal_columns,
+                                is_unitary, random_unitary)
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  RationalBallMap, Verdict,
                                  certify_proper, compose, degree, norm_equivalent)
@@ -46,6 +46,15 @@ def _norm_difference(f, g):
 def test_trivial_automorphism_is_identity_map():
     m = automorphism_map(BallAutomorphism.identity(3))
     assert m.allclose(RationalBallMap.identity(3))
+
+
+def test_only_an_exact_identity_part_is_the_identity():
+    # Identity parts are built exact (``identity``, a document without a
+    # unitary), so a unitary one rounding away from I is not the identity.
+    assert BallAutomorphism.identity(2).is_identity
+    assert BallAutomorphism([0.0, 0.0]).inverse().is_identity
+    assert not BallAutomorphism([0.0, 0.0], np.diag([1.0, np.exp(1e-15j)])).is_identity
+    assert not BallAutomorphism([1e-300, 0.0]).is_identity
 
 
 def test_automorphism_vanishes_at_its_center():
@@ -589,9 +598,11 @@ def test_blaschke_map_is_proper(rng):
 
 
 def test_winding_rejects_under_resolved_quadrature():
-    m = blaschke_map(BlaschkeProduct(0.0, [0.97, -0.96, 0.95j]))
-    with pytest.raises(NonIntegralWindingError):
-        winding_degree(m, nodes=4)
+    # A zero at 0.999 is too close to the circle for the quadrature's 4096
+    # nodes: it reads 0.034 away from 1, against WINDING_TOL = 1e-3.
+    m = blaschke_map(BlaschkeProduct(0.0, [0.999]))
+    with pytest.raises(NonIntegralWindingError, match="3.38e-02 away from an integer"):
+        winding_degree(m)
 
 
 # ------------------------------------------------------ denominator factors
@@ -683,6 +694,15 @@ def test_unitary_path_stack_equals_each_matrix(rng):
     for s, got in zip(ss.tolist(), path(ss)):
         want = (path.frame * np.exp(1j * s * path.angles)) @ path.frame.conj().T
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_unitary_is_a_square_matrix_with_orthonormal_columns():
+    isometry = np.eye(3)[:, :2]
+    assert has_orthonormal_columns(isometry) and not is_unitary(isometry)
+    assert is_unitary(np.eye(3)[::-1])
+    near = np.diag([1.0, 1.0 + 1e-7])
+    assert not is_unitary(near) and is_unitary(near, tol=1e-6)
+    assert UnitaryPath(near).dim == 2
 
 
 def test_unitary_path_endpoints(rng):

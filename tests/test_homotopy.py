@@ -882,6 +882,12 @@ COLLAPSE_REJECTIONS = {
                           Polynomial(2, {(0, 1): 1.0})],
                          "sibling components have unequal coefficients at (2, 0) "
                          "((1+0j) vs (2+0j))"),
+    # The two holders of w^2 differ; the first one's coefficient is the one
+    # tried, and no other holder is.
+    "first-holder-unequal": ([Polynomial(2, {(0, 2): 0.3}), Polynomial(2, {(0, 2): 0.4}),
+                              Polynomial(2, {(1, 1): 0.4}), Polynomial(2, {(1, 0): 1.0})],
+                             "sibling components have unequal coefficients at (1, 1) "
+                             "((0.4+0j) vs (0.3+0j))"),
     "constant-component": ([Polynomial(2, {(2, 0): 1.0}), Polynomial(2, {(1, 1): 1.0}),
                             Polynomial(2, {(0, 1): 1.0}), Polynomial.constant(2, 0.5)],
                            "a constant component obstructs reduction to the identity"),

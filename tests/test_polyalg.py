@@ -227,7 +227,7 @@ def test_zero_polynomial_degree_sentinel_and_canonical_form():
     assert zero.degree == float("-inf")
     tiny = Polynomial(2, {(1, 0): 1e-12})
     assert tiny.is_zero
-    assert Polynomial(2, {(1, 0): 1e-12}, tol=0.0).terms
+    assert tiny.terms  # stored above the floor, invisible to the views
 
 
 def test_power():
@@ -687,6 +687,17 @@ def test_polynomials_are_built_only_where_terms_come_in():
                     outside.append(f"{module}.py:{call.lineno} {owner} calls Polynomial")
     assert outside == []
     assert {("documents", "map_from_document"), ("xvariety", "XMatrix.entries")} <= builders
+
+
+def test_float_thresholds_are_named_only_in_the_bounds_table():
+    # A float literal of modulus below 1e-3 is a threshold; the table in
+    # bounds.py names each one, and the modules bind them from there.
+    literals = [f"{path.name}:{node.lineno} {node.value!r}"
+                for path in sorted(Path(propermaps.__file__).parent.glob("*.py"))
+                if path.name != "bounds.py" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-3]
+    assert literals == []
 
 
 @pytest.mark.parametrize("nvars", range(1, 9))
