@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg
 from .bounds import COEFFICIENT_FLOOR, DEFAULT_SEED, DEFAULT_TOL, DENOMINATOR_FLOOR
-from .polyalg import (ZERO_DEGREE, Polynomial, align_rows, canonical_rows, coefficient_matrix,
+from .polyalg import (Polynomial, align_rows, canonical_rows, coefficient_matrix,
                       evaluate_rows, monomials_of_degree, multinomial, _mask_groups,
                       multiply_rows, normalized_gram_difference, polynomials_from_rows,
                       radial_residuals, signed_gram, sphere_residuals, sphere_scales)
@@ -44,6 +44,9 @@ WITNESS_SAMPLES = 500
 #: and 40.6 MB with 2^12, whose pass took 14% longer.  A map whose own Gram
 #: is larger is a block of one.
 BLOCK_ENTRIES = 2 ** 14
+
+#: Degree reported for the zero polynomial.
+ZERO_DEGREE = float("-inf")
 
 
 class DimensionMismatchError(ValueError):
@@ -116,12 +119,12 @@ class RationalBallMap:
     descending tuple of multi-indices.  Entries at or below the storage floor
     are zero and every column has an entry above it; as q(0) = 1, the last
     column is the constant monomial.  ``p`` and ``q`` are Polynomial views,
-    built on each access.  The constructor checks that all components share
-    the domain variable count and that q(0) = 1; nonvanishing of q on the
-    closed ball is checked during certification.  ``factors`` is a (K, n)
-    array of the centres a_k of q = prod_k (1 - <z, a_k>), empty when they are
-    unknown; certification uses them only after checking that they multiply
-    out to q.
+    built on each access.  The constructor, the one public way to build a
+    map from terms, checks that all components share the domain variable
+    count and that q(0) = 1; nonvanishing of q on the closed ball is checked
+    during certification.  ``factors`` is a (K, n) array of the centres a_k
+    of q = prod_k (1 - <z, a_k>), empty when they are unknown; certification
+    uses them only after checking that they multiply out to q.
     """
 
     __slots__ = ("n", "N", "support", "coefficients", "factors")
@@ -139,12 +142,12 @@ class RationalBallMap:
             if comp.nvars != domain_dim:
                 raise DimensionMismatchError("component variable count mismatch")
         if denominator is None:
-            denominator = Polynomial.one(domain_dim)
+            denominator = Polynomial(domain_dim, {(0,) * domain_dim: 1.0})
         if denominator.nvars != domain_dim:
             raise DimensionMismatchError("denominator variable count mismatch")
-        if abs(denominator.constant_term() - 1.0) > DEFAULT_TOL:
-            raise NormalizationError(
-                f"denominator must satisfy q(0)=1, got q(0)={denominator.constant_term()}")
+        q0 = denominator.terms.get((0,) * domain_dim, 0j)
+        if abs(q0 - 1.0) > DEFAULT_TOL:
+            raise NormalizationError(f"denominator must satisfy q(0)=1, got q(0)={q0}")
         stored = self._from_rows(domain_dim, *coefficient_matrix([*numerator, denominator]),
                                  factors)
         for name in self.__slots__:
@@ -187,19 +190,6 @@ class RationalBallMap:
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "RationalBallMap":
         return cls._from_rows(n, monomials_of_degree(n, 1) + [(0,) * n], np.eye(n + 1))
-
-    @classmethod
-    def constant(cls, values: Sequence[complex], domain_dim: int) -> "RationalBallMap":
-        comps = [Polynomial.constant(domain_dim, v) for v in values]
-        return cls(domain_dim, len(comps), comps)
-
-    @classmethod
-    def from_components(cls, components: Sequence[Polynomial],
-                        denominator: Polynomial | None = None) -> "RationalBallMap":
-        components = list(components)
-        if not components:
-            raise DimensionMismatchError("need at least one component")
-        return cls(components[0].nvars, len(components), components, denominator)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -896,9 +886,9 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     """Decide ||f||^2 == ||g||^2, producing a unitary witness or a mismatch.
 
     Targets are first padded to a common dimension by appending zeros.  When
-    the denominators differ, the numerators are cross-multiplied, p_f q_g
-    against p_g q_f, and only those rows are floored, since the stored rows
-    are.  With A and B the two sides' aligned rows, G = A^T conj(A) -
+    the denominators' rows differ at all, the numerators are cross-multiplied,
+    p_f q_g against p_g q_f, and only those rows are floored, since the
+    stored rows are.  With A and B the two sides' aligned rows, G = A^T conj(A) -
     B^T conj(B) is the signed Gram of ||left||^2 - ||right||^2 and H =
     A^T conj(A) + B^T conj(B) the unsigned one.  An entry is flagged when
     |G_ij| > tol sqrt(H_ii H_jj), tol times the Cauchy-Schwarz bound of
@@ -919,7 +909,7 @@ def norm_equivalent(f: RationalBallMap, g: RationalBallMap,
     big = max(f.N, g.N)
     fp, gp = f.padded(big), g.padded(big)
     _, (fq, gq) = align_rows((f.support, f.coefficients[-1:]), (g.support, g.coefficients[-1:]))
-    shared = np.abs(fq - gq).max() <= tol
+    shared = np.array_equal(fq, gq)
     if shared:
         left, right = (fp.support, fp.coefficients[:-1]), (gp.support, gp.coefficients[:-1])
     else:

@@ -17,6 +17,11 @@ DEFAULT_SEED = 7
 #: Global comparison tolerance: coefficients within it count as equal/zero.
 DEFAULT_TOL = 1e-9
 
+#: ``--tol`` must lie below it: ``verify_family`` checks endpoints at
+#: ENDPOINT_TOL_FACTOR times tol, which is 1 here, and at 1 norm equivalence
+#: accepts every pair, since |G_ij| <= sqrt(H_ii H_jj).
+MAX_TOL = 1e-3
+
 #: Storage floor for sparse terms, well below the comparison tolerance so that
 #: repeated products cannot accumulate dropped mass anywhere near it.
 COEFFICIENT_FLOOR = 1e-14

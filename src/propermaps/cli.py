@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import os
 import sys
 
-from .bounds import DEFAULT_SEED, DEFAULT_TOL, PRINT_REAL_TOL
+from .bounds import DEFAULT_SEED, DEFAULT_TOL, MAX_TOL, PRINT_REAL_TOL
 
 #: Mathematical failures (exit 1), matched without imports: a raised error's module is loaded.
 _MATH_ERRORS = {"ballmaps": "DenominatorVanishesError", "constructors": "NonIntegralWindingError",
@@ -124,10 +123,10 @@ def _coeff_str(c: complex) -> str:
 
 
 def _poly_str(poly, prefix: str = "w") -> str:
-    if poly.is_zero:
+    if all(abs(c) <= DEFAULT_TOL for c in poly.terms.values()):
         return "0"
     bits = []
-    for alpha, c in poly.sorted_terms():
+    for alpha, c in sorted(poly.terms.items(), reverse=True):
         mono = "*".join(f"{prefix}{j + 1}^{e}" if e > 1 else f"{prefix}{j + 1}"
                         for j, e in enumerate(alpha) if e)
         bits.append(_coeff_str(c) if not mono else f"{_coeff_str(c)}*{mono}")
@@ -387,7 +386,7 @@ def _cmd_corpus(args, out: _Output) -> int:
 # --------------------------------------------------------------------- parser
 _FLAGS = {
     "--tol": dict(type=float, default=DEFAULT_TOL,
-                  help="comparison tolerance (default %(default)s; finite and positive)"),
+                  help=f"comparison tolerance (default %(default)s; in (0, {MAX_TOL:g}))"),
     "--seed": dict(type=int, default=DEFAULT_SEED, help="random sampling seed"),
 }
 
@@ -476,8 +475,9 @@ def main(argv=None) -> int:
     out = _Output(args.json)
     try:
         # A NaN tolerance would pass every comparison it is used in.
-        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
+        if "tol" in args and not 0.0 < args.tol < MAX_TOL:
+            raise ValueError(f"--tol must be a finite positive number below {MAX_TOL:g}, "
+                             f"got {args.tol}")
         if "samples" in args and args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
         if "seed" in args and args.seed < 0:

@@ -143,9 +143,9 @@ def boundary_constant_map(point: Sequence[complex]) -> RationalBallMap:
     denominator 1.
     """
     a = np.asarray(point, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > SPHERE_TOL:
+    if not abs(np.linalg.norm(a) - 1.0) <= SPHERE_TOL:
         raise ValueError("boundary constant requires a point of the unit sphere")
-    return RationalBallMap.constant(a, a.size)
+    return RationalBallMap._from_rows(a.size, [(0,) * a.size], np.append(a, 1.0)[:, None])
 
 
 # --------------------------------------------------------------------- Blaschke
@@ -449,7 +449,7 @@ def whitney_start(phi: BallAutomorphism, certify: bool = True) -> WhitneyTerm:
 def _require_proper(m: RationalBallMap):
     certificate = certify_proper(m)
     if certificate.verdict is not Verdict.PROPER:
-        raise ArithmeticError(
+        raise ValueError(
             f"construction produced a non-proper map: {certificate.verdict.value}, "
             f"residual {certificate.residual_norm:.3e}")
 

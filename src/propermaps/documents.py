@@ -44,10 +44,9 @@ class MapDocumentError(ValueError):
 
 def _terms_to_list(support, row) -> list:
     """The terms of a stored row over its descending support, in support
-    order: those whose modulus exceeds the storage floor."""
-    from .polyalg import COEFFICIENT_FLOOR
+    order: its nonzero entries, which storage has floored."""
     return [{"exponents": list(alpha), "re": c.real, "im": c.imag}
-            for alpha, c in zip(support, row.tolist()) if abs(c) > COEFFICIENT_FLOOR]
+            for alpha, c in zip(support, row.tolist()) if c]
 
 
 def require_number(value, where: str) -> float:

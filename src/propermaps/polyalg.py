@@ -3,9 +3,9 @@
 This is the algebra layer underneath everything else: polynomials stored as
 complex coefficient rows over a descending tuple of exponent multi-indices,
 with ``multiply_rows`` the one product and ``Polynomial`` a read-only
-term-dict view of one row, built only where terms come in or go out (map
-documents, the catalog's tables, the public map constructors, the ``p`` and
-``q`` views and ``XMatrix.entries``); Hermitian forms stored as Gram matrices
+term table of one row, built only where terms come in or go out (map
+documents, the catalog's tables, the map constructor, the ``p`` and ``q``
+views and ``XMatrix.entries``); Hermitian forms stored as Gram matrices
 over a monomial basis (``signed_gram``); and the sphere reduction: the
 Bernstein coefficients of each Fourier shift's radial polynomial on the
 simplex sum |z_j|^2 = 1, which all vanish exactly when the Hermitian
@@ -22,9 +22,9 @@ Conventions
   Monomials are ordered lexicographically descending, first variable most
   significant, so for two variables of degree 5 the order starts at (5, 0)
   and ends at (0, 5).
-* Coefficients are double-precision complex numbers.  Comparisons, zero
-  tests, and degrees use ``DEFAULT_TOL``, and storage ``COEFFICIENT_FLOOR``
-  (see ``bounds``).
+* Coefficients are double-precision complex numbers.  Storage keeps those
+  whose modulus, as ``np.abs`` takes it, exceeds ``COEFFICIENT_FLOOR`` (see
+  ``bounds``): rows, term tables and their views hold the same entries.
 * All values are immutable after construction and safe to share.
 """
 
@@ -35,12 +35,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _linalg
-from .bounds import COEFFICIENT_FLOOR, DEFAULT_TOL
+from .bounds import COEFFICIENT_FLOOR
 
 #: Multiply-adds of a Gram product, R rows times M^2 for M columns, from
 #: which ``normalized_gram_difference`` asks whether each row of a block has
@@ -51,9 +51,6 @@ from .bounds import COEFFICIENT_FLOOR, DEFAULT_TOL
 ORTHOGONAL_GRAM_MIN = 2 ** 17
 
 MultiIndex = tuple
-
-#: Degree reported for the zero polynomial.
-ZERO_DEGREE = float("-inf")
 
 #: Largest total degree of a term: exponents and their sums are int64
 #: arrays wherever supports are planned (``_product_plan``, the degrees of
@@ -119,15 +116,14 @@ def _monomial_values(exps: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 class Polynomial:
-    """Sparse polynomial in ``nvars`` complex variables, a read-only view.
+    """Sparse polynomial in ``nvars`` complex variables, a read-only term table.
 
     ``terms`` maps exponent multi-indices to complex coefficients; sums and
     products are taken on coefficient rows (``coefficient_matrix``,
-    ``multiply_rows``), not on these views.  Terms at or below the storage
-    floor are dropped on construction; terms at or below the comparison
-    tolerance are stored but treated as invisible by the tolerance-aware
-    views (``degree``, ``is_zero``), so floating noise never influences
-    structural decisions.
+    ``multiply_rows``), not on these tables.  Terms whose modulus, as
+    ``np.abs`` takes it, is at or below the storage floor are dropped on
+    construction, the test by which ``ballmaps._store`` floors rows, so a
+    table and the rows built from it hold the same terms.
     """
 
     __slots__ = ("nvars", "terms")
@@ -151,19 +147,19 @@ class Polynomial:
                      and bool(np.isfinite(values).all()))
         except (TypeError, ValueError, OverflowError):
             pass
-        if valid:
-            values = values.astype(complex)
-            keep = np.abs(values) > COEFFICIENT_FLOOR
-            clean = dict(zip(map(tuple, exps[keep].tolist()), values[keep].tolist()))
-        else:
-            clean = self._checked_terms(nvars, terms)
+        if not valid:
+            exps, values = self._checked_terms(nvars, terms)
+        values = values.astype(complex)
+        keep = np.abs(values) > COEFFICIENT_FLOOR
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", dict(zip(map(tuple, exps[keep].tolist()),
+                                                   values[keep].tolist())))
 
     @staticmethod
-    def _checked_terms(nvars: int, terms: Mapping) -> dict:
-        """The terms above the floor, checked one by one; the first bad term raises."""
-        clean: dict[MultiIndex, complex] = {}
+    def _checked_terms(nvars: int, terms: Mapping):
+        """(exponents, values) of the terms, an (L, nvars) int64 array and an
+        (L,) complex one, checked one by one; the first bad term raises."""
+        checked = []
         for key, coeff in terms.items():
             try:
                 alpha = tuple(map(int, key))
@@ -181,9 +177,9 @@ class Polynomial:
             c = complex(coeff)
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient {c} of {alpha} is not finite")
-            if abs(c) > COEFFICIENT_FLOOR:
-                clean[alpha] = c
-        return clean
+            checked.append((alpha, c))
+        return (np.array([alpha for alpha, _ in checked], dtype=np.int64).reshape(-1, nvars),
+                np.array([c for _, c in checked], dtype=complex))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -196,44 +192,6 @@ class Polynomial:
         object.__setattr__(p, "terms", terms)
         return p
 
-    # ------------------------------------------------------------------ build
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def one(cls, nvars: int) -> "Polynomial":
-        return cls.constant(nvars, 1.0)
-
-    @classmethod
-    def constant(cls, nvars: int, value: complex) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def monomial(cls, exponents: Iterable[int], coeff: complex = 1.0) -> "Polynomial":
-        exps = tuple(int(e) for e in exponents)
-        return cls(len(exps), {exps: coeff})
-
-    # ------------------------------------------------------------- properties
-    @property
-    def degree(self):
-        """Max total degree over terms above tolerance; -inf when none remain."""
-        degs = [sum(a) for a, c in self.terms.items()
-                if abs(c) > DEFAULT_TOL]
-        return max(degs) if degs else ZERO_DEGREE
-
-    @property
-    def is_zero(self) -> bool:
-        return all(abs(c) <= DEFAULT_TOL for c in self.terms.values())
-
-    def constant_term(self) -> complex:
-        return self.terms.get((0,) * self.nvars, 0.0 + 0.0j)
-
-    def sorted_terms(self) -> list[tuple[MultiIndex, complex]]:
-        """Terms sorted lexicographically descending (first variable highest)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    # -------------------------------------------------------------- evaluation
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (m, nvars) array of complex points; returns shape (m,)."""
         return evaluate_rows(self.nvars, list(self.terms), [list(self.terms.values())],
@@ -243,7 +201,7 @@ class Polynomial:
         if not self.terms:
             return f"Polynomial({self.nvars}, 0)"
         bits = []
-        for alpha, c in self.sorted_terms()[:6]:
+        for alpha, c in sorted(self.terms.items(), reverse=True)[:6]:
             mono = "*".join(f"z{j + 1}^{e}" if e > 1 else f"z{j + 1}"
                             for j, e in enumerate(alpha) if e) or "1"
             bits.append(f"({c:.4g})*{mono}")
@@ -297,14 +255,13 @@ def polynomials_from_rows(nvars: int, monomials: Sequence[MultiIndex],
                           matrix: np.ndarray) -> list[Polynomial]:
     """Inverse of ``coefficient_matrix``: one polynomial per row of the matrix.
 
-    Entries at or below the storage floor ``COEFFICIENT_FLOOR`` are dropped;
-    the others are found by one comparison of the whole matrix, of the
-    moduli that Python's abs of a complex takes (``np.abs`` rounds some
-    apart).
+    Entries at or below the storage floor ``COEFFICIENT_FLOOR`` are dropped,
+    by the ``np.abs`` test that floored the stored rows, so the polynomials
+    of stored rows hold exactly their nonzero entries.
     """
     matrix = np.asarray(matrix, dtype=complex)
     terms = [{} for _ in range(len(matrix))]
-    rows, columns = np.nonzero(np.hypot(matrix.real, matrix.imag) > COEFFICIENT_FLOOR)
+    rows, columns = np.nonzero(np.abs(matrix) > COEFFICIENT_FLOOR)
     for i, j, c in zip(rows.tolist(), columns.tolist(), matrix[rows, columns].tolist()):
         terms[i][monomials[j]] = c
     return [Polynomial._raw(nvars, row) for row in terms]

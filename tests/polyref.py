@@ -23,7 +23,7 @@ from propermaps.polyalg import COEFFICIENT_FLOOR, Polynomial
 
 def var(nvars: int, index: int) -> Polynomial:
     """The coordinate polynomial z_index (0-based) in ``nvars`` variables."""
-    return Polynomial.monomial([int(j == index) for j in range(nvars)])
+    return Polynomial(nvars, {tuple(int(j == index) for j in range(nvars)): 1.0})
 
 
 def _terms(item, nvars: int) -> dict:
@@ -77,7 +77,7 @@ def mul(*items) -> Polynomial:
 
 def power(p: Polynomial, exponent: int) -> Polynomial:
     """p ** exponent by repeated multiplication."""
-    return mul(Polynomial.one(p.nvars), *[p] * exponent)
+    return mul(Polynomial(p.nvars, {(0,) * p.nvars: 1.0}), *[p] * exponent)
 
 
 def value(p: Polynomial, point) -> complex:

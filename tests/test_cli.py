@@ -1,5 +1,7 @@
+import cmath
 import importlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -8,11 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import propermaps
 from propermaps import cli
 from propermaps._linalg import random_unitary
 from propermaps.ballmaps import RationalBallMap, apply_linear
+from propermaps.bounds import COEFFICIENT_FLOOR, DEFAULT_TOL
 from propermaps.cli import _build_parser, main
 from propermaps.constructors import BlaschkeProduct
 from propermaps.corpus import build_whitney_term, corpus, faran_maps
@@ -20,7 +25,7 @@ from propermaps.documents import (MapDocumentError, dumps_map, map_from_document
                                   map_to_document)
 from propermaps.homotopy import (blaschke_homotopy, faran_families, homotopy_to_monomial,
                                  verify_family)
-from propermaps.polyalg import DEFAULT_TOL, Polynomial
+from propermaps.polyalg import Polynomial
 from propermaps.xvariety import build_xmatrix
 
 
@@ -40,6 +45,37 @@ def test_round_trip_preserves_awkward_doubles():
     m = RationalBallMap(1, 1, [Polynomial(1, {(3,): complex(value, -value)})])
     back = map_from_document(json.loads(dumps_map(m)))
     assert back.p[0].terms[(3,)] == complex(value, -value)
+
+
+# Moduli within 64 ulps of the storage floor, either side, in any phase:
+# there np.abs and Python's abs (hypot) of one number may round apart.
+_NEAR_FLOOR = st.builds(
+    lambda k, turn: COEFFICIENT_FLOOR * (1 + k * 2.0 ** -52) * cmath.exp(2j * math.pi * turn),
+    st.integers(-64, 64), st.floats(0.0, 1.0))
+# np.abs(c) = 1.0000000000000002e-14 is above the floor, abs(c) = 1e-14 is on it.
+_ROUNDED_APART = 4.854268277352062e-16 - 9.988211090826772e-15j
+
+
+@settings(max_examples=200, deadline=None)
+@example(terms=[(0, (1, 0), 1.0), (0, (1, 1), _ROUNDED_APART), (1, (0, 1), 1.0)],
+         centre=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([(1, 0), (1, 1), (0, 1), (2, 0)]),
+                          _NEAR_FLOOR | st.just(0.5)), max_size=12),
+       st.none() | st.tuples(_NEAR_FLOOR, st.just(0.5j)))
+def test_documents_and_views_hold_the_stored_terms(terms, centre):
+    # Rows p_1, p_2 and q of a map; a document and the p and q views hold
+    # exactly the entries the store kept, so the round trip is exact.
+    tables = [{}, {}, {(0, 0): 1.0}]
+    for row, alpha, c in terms:
+        tables[row][alpha] = c
+    m = RationalBallMap(2, 2, [Polynomial(2, t) for t in tables[:2]], Polynomial(2, tables[2]),
+                        factors=[centre] if centre else ())
+    back = map_from_document(json.loads(dumps_map(m)))
+    assert back.support == m.support
+    assert back.coefficients.tobytes() == m.coefficients.tobytes()
+    assert back.factors.tobytes() == m.factors.tobytes()
+    for view, row in zip((*m.p, m.q), m.coefficients.tolist()):
+        assert view.terms == {alpha: c for alpha, c in zip(m.support, row) if c}
 
 
 @pytest.mark.parametrize("mutation, message", [
@@ -72,7 +108,7 @@ def test_verify_catalog_map_exits_zero(capsys):
 
 
 def test_verify_bad_map_exits_one(tmp_path, capsys):
-    half = RationalBallMap(2, 1, [Polynomial.monomial((1, 0), 0.5)])
+    half = RationalBallMap(2, 1, [Polynomial(2, {(1, 0): 0.5})])
     path = tmp_path / "half.json"
     path.write_text(dumps_map(half))
     assert main(["verify", str(path)]) == 1
@@ -83,7 +119,14 @@ def test_verify_with_a_loose_tol_reads_a_dimension_drop_as_not_proper(tmp_path):
            "numerator": [[{"exponents": [1, 0], "re": 1.2, "im": 0.0}]],
            "denominator": [{"exponents": [0, 0], "re": 1.0, "im": 0.0}]}
     (tmp_path / "doc.json").write_text(json.dumps(doc))
+    # A tol of 1 or more accepts almost any map, so the CLI refuses it
+    # (certify_proper at tol 1.1 is tested in test_ballmaps).
     result = _run_cli(["verify", "doc.json", "--tol", "1.1"], tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("input error: --tol must be a finite positive number "
+                             "below 0.001, got 1.1\n")
+    result = _run_cli(["verify", "doc.json", "--tol", "9e-4"], tmp_path)
     assert result.returncode == 1
     assert result.stdout.splitlines()[0] == "verdict: not-proper"
     assert result.stderr == ""
@@ -91,13 +134,15 @@ def test_verify_with_a_loose_tol_reads_a_dimension_drop_as_not_proper(tmp_path):
 
 def test_verify_with_a_loose_tol_keeps_the_constant_test_at_the_default_tol(tmp_path, capsys):
     # 0.5 (z1, z2) is no constant map whatever --tol allows; its residual
-    # 0.75 is within --tol 1.1, so it reads proper.
-    half = RationalBallMap(2, 2, [Polynomial.monomial((1, 0), 0.5),
-                                  Polynomial.monomial((0, 1), 0.5)])
+    # 0.75 lies beyond every --tol the CLI takes, so it reads not proper.
+    half = RationalBallMap(2, 2, [Polynomial(2, {(1, 0): 0.5}),
+                                  Polynomial(2, {(0, 1): 0.5})])
     path = tmp_path / "half.json"
     path.write_text(dumps_map(half))
-    assert main(["verify", str(path), "--tol", "1.1"]) == 0
-    assert capsys.readouterr().out.splitlines()[:2] == ["verdict: proper",
+    assert main(["verify", str(path), "--tol", "1.1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["verify", str(path), "--tol", "9e-4"]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == ["verdict: not-proper",
                                                          "residual: 7.500e-01"]
 
 
@@ -122,9 +167,9 @@ def test_verify_reports_how_the_denominator_was_decided(tmp_path, capsys):
 def test_verify_decides_a_composed_denominator_without_its_factors(tmp_path, capsys):
     from propermaps.ballmaps import compose
     from propermaps.constructors import BallAutomorphism, automorphism_map
-    square = RationalBallMap(2, 3, [Polynomial.monomial((2, 0)),
-                                    Polynomial.monomial((1, 1), 2 ** 0.5),
-                                    Polynomial.monomial((0, 2))])
+    square = RationalBallMap(2, 3, [Polynomial(2, {(2, 0): 1.0}),
+                                    Polynomial(2, {(1, 1): 2 ** 0.5}),
+                                    Polynomial(2, {(0, 2): 1.0})])
     doc = map_to_document(compose(square, automorphism_map(BallAutomorphism([0.5, 0.0]))))
     # Documents written before maps carried their factors have no such field.
     del doc["denominator_factors"]
@@ -216,7 +261,7 @@ def test_xvariety_fiber_and_graph(capsys):
 @pytest.mark.parametrize("extra", [[], ["--graph-test", "--samples", "5"]])
 def test_xvariety_of_a_zero_numerator(extra, tmp_path, capsys):
     path = tmp_path / "zero.json"
-    path.write_text(dumps_map(RationalBallMap(2, 1, [Polynomial.zero(2)])))
+    path.write_text(dumps_map(RationalBallMap(2, 1, [Polynomial(2, {})])))
     assert main(["xvariety", str(path), *extra]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -452,8 +497,8 @@ def test_denominator_factors_that_miss_q_fall_back(tmp_path, capsys):
 
 
 def test_verify_reports_the_largest_remainder_entry(tmp_path, capsys):
-    half = RationalBallMap(2, 2, [Polynomial.monomial((1, 0), 0.5),
-                                  Polynomial.monomial((0, 1), 0.5)])
+    half = RationalBallMap(2, 2, [Polynomial(2, {(1, 0): 0.5}),
+                                  Polynomial(2, {(0, 1): 0.5})])
     path = tmp_path / "half.json"
     path.write_text(dumps_map(half))
     assert main(["verify", str(path)]) == 1
@@ -633,6 +678,10 @@ def _one_term_document(exponents):
     return doc
 
 
+# A Whitney script whose one subspace vector has norm 1 + 4e-9.
+_SLIGHTLY_LONG_STEP = {"domain_dim": 2, "steps": [{"subspace": [[[1.000000004, 0], [0, 0]]]}]}
+
+
 # Each case: CLI arguments, the document written to doc.json (if any), and a
 # fragment of the error line that names the check expected to reject it.
 MALFORMED = {
@@ -678,6 +727,26 @@ MALFORMED = {
                             "--tol must be a finite positive number"),
     "homotopy-infinite-tol": (["homotopy", "faran.fg.family", "--tol", "inf"], None,
                               "--tol must be a finite positive number"),
+    # At tol >= 1 norm equivalence accepts every pair, and verify_family
+    # checks endpoints at 1e3 tol.
+    "verify-tol-above-one": (["verify", "faran.h", "--tol", "1.1"], None,
+                             "--tol must be a finite positive number below 0.001, got 1.1"),
+    "equiv-tol-at-the-bound": (["equiv", "ex2.1.f", "ex2.1.g", "--tol", "1e-3"], None,
+                               "below 0.001, got 0.001"),
+    # Each passes the orthonormality checks (off by 8e-9 < ORTHONORMAL_TOL)
+    # and builds a map that is not proper.
+    "whitney-subspace-not-quite-orthonormal": (
+        ["whitney", "build", "doc.json"], _SLIGHTLY_LONG_STEP,
+        "construction produced a non-proper map: not-proper, residual 8.000e-09"),
+    "whitney-start-unitary-not-quite-unitary": (
+        ["whitney", "build", "doc.json"],
+        {"domain_dim": 2, "start": {"unitary": [[[1.000000004, 0], [0, 0]],
+                                                [[0, 0], [1, 0]]]},
+         "steps": [{"subspace": [0]}]},
+        "construction produced a non-proper map"),
+    "homotopy-whitney-monomial-not-quite-orthonormal": (
+        ["homotopy", "doc.json"], {"kind": "whitney-monomial", "script": _SLIGHTLY_LONG_STEP},
+        "construction produced a non-proper map"),
     "xvariety-zero-samples": (["xvariety", "faran.h", "--graph-test", "--samples", "0"],
                               None, "--samples must be at least 1"),
     "verify-negative-seed": (["verify", "faran.h", "--seed", "-1"], None,

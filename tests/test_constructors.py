@@ -16,6 +16,7 @@ from propermaps._linalg import (UnitaryPath, gram_schmidt_complement, has_orthon
 from propermaps.ballmaps import (DenominatorVanishesError, DimensionMismatchError,
                                  RationalBallMap, Verdict,
                                  certify_proper, compose, degree, norm_equivalent)
+from propermaps.bounds import COEFFICIENT_FLOOR, DEFAULT_TOL
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      NonIntegralWindingError, TensorSubspaceError,
                                      automorphism_from_map, automorphism_map,
@@ -26,9 +27,8 @@ from propermaps.constructors import (BallAutomorphism, BlaschkeProduct,
                                      whitney_start, winding_degree, winding_integral)
 from propermaps.corpus import quadric_three_map, whitney_map
 from propermaps.homotopy import automorphism_path
-from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, Polynomial, align_rows,
-                                coefficient_matrix, multiply_rows, monomials_of_degree,
-                                polynomials_from_rows, signed_gram)
+from propermaps.polyalg import (Polynomial, align_rows, coefficient_matrix, multiply_rows,
+                                monomials_of_degree, polynomials_from_rows, signed_gram)
 
 import polyref as ref
 from conftest import bench_module, sample_sphere
@@ -151,8 +151,14 @@ def test_boundary_compactification_is_a_constant():
     assert all(ref.distance(p, ref.mul(m.q, c)) <= 1e-12 for p, c in zip(m.p, a))
     assert np.max(np.abs(m.evaluate(np.zeros(2)) - a)) < 1e-12
     assert certify_proper(m).verdict is Verdict.CONSTANT_ON_SPHERE
-    with pytest.raises(ValueError):
-        boundary_constant_map([0.5, 0.0])
+    # The rows a_1, ..., a_n, 1 over the constant monomial, below the floor 0.
+    assert m.support == ((0, 0),)
+    assert m.coefficients.tobytes() == np.array([[0.6], [0.8], [1.0]], dtype=complex).tobytes()
+    tiny = boundary_constant_map([1.0, 1e-15j])
+    assert tiny.coefficients.tobytes() == np.array([[1.0], [0.0], [1.0]], dtype=complex).tobytes()
+    for point in ([0.5, 0.0], [float("nan"), 0.0], [float("inf"), 0.0]):
+        with pytest.raises(ValueError, match="point of the unit sphere"):
+            boundary_constant_map(point)
 
 
 def test_automorphism_recognition_roundtrip(rng):
@@ -187,7 +193,7 @@ def test_tensor_one_dimensional_iterates_to_monomial():
     for _ in range(4):
         m = tensor_on_subspace(m, full)
     assert m.N == 1
-    assert ref.distance(m.p[0], Polynomial.monomial((5,))) <= DEFAULT_TOL
+    assert ref.distance(m.p[0], Polynomial(1, {(5,): 1.0})) <= DEFAULT_TOL
 
 
 def test_tensor_preserves_properness_on_random_subspaces(rng):
@@ -504,7 +510,7 @@ def test_juxtaposition_endpoints():
     at1 = juxtapose(f, g, 1.0)
     assert at0.allclose(f.padded(5))
     assert norm_equivalent(at1, g).equivalent
-    assert at1.p[0].is_zero and at1.p[1].is_zero and at1.p[2].is_zero
+    assert at1.p[0].terms == at1.p[1].terms == at1.p[2].terms == {}
 
 
 def test_juxtaposition_of_identities_keeps_the_norm_form():
@@ -544,7 +550,7 @@ def test_tensor_and_whitney_read_an_integer_basis_as_column_indices():
 def test_whitney_degree_does_not_increment_on_low_degree_subspace():
     term = whitney_start(BallAutomorphism.identity(2))
     term = whitney_extend(term, np.array([1]))       # degree 2: (zw, w^2, z)
-    low = int(np.argmin([c.degree for c in term.map.p]))
+    low = int(np.argmin([max(map(sum, c.terms)) for c in term.map.p]))
     term = whitney_extend(term, np.array([low]))     # tensor the linear slot
     assert degree(term.map) == 2  # stays below the bound length+1 = 3
 
@@ -560,6 +566,15 @@ def test_whitney_degree_bound_randomized(rng):
                                       random_ball_automorphism(n, rng))
             assert degree(term.map) <= term.length + 1
             assert certify_proper(term.map).verdict is Verdict.PROPER
+
+
+def test_a_whitney_step_that_builds_a_non_proper_map_is_an_input_error():
+    # The vector (1 + 4e-9, 0) passes the orthonormality check (8e-9 <=
+    # ORTHONORMAL_TOL), and the tensor step then scales a norm by it.
+    start = whitney_start(BallAutomorphism.identity(2))
+    with pytest.raises(ValueError, match="non-proper map: not-proper, residual 8.000e-09"):
+        whitney_extend(start, np.array([[1.000000004], [0.0]]))
+    assert whitney_extend(start, np.array([[1.000000004], [0.0]]), certify=False).map.N == 3
 
 
 def test_whitney_extension_with_isometric_injection(rng):
@@ -619,10 +634,10 @@ def _random_whitney_map(n, steps, rng):
 def _random_polynomial_map(nvars, count, rng):
     """Components z_1 * (three random terms of degree <= 2 in each variable)."""
     z1 = ref.var(nvars, 0)
-    return RationalBallMap.from_components(
-        [ref.mul(z1, Polynomial(nvars, {tuple(rng.integers(0, 3, nvars)):
-                                        complex(*rng.standard_normal(2)) for _ in range(3)}))
-         for _ in range(count)])
+    return RationalBallMap(nvars, count, [
+        ref.mul(z1, Polynomial(nvars, {tuple(rng.integers(0, 3, nvars)):
+                                       complex(*rng.standard_normal(2)) for _ in range(3)}))
+        for _ in range(count)])
 
 
 def _factored_construction(kind, rng):
@@ -654,7 +669,7 @@ def _certify_outcome(m, floor):
 def test_carried_factors_multiply_out_and_agree_with_the_bare_map(kind, seed, floor):
     m = _factored_construction(kind, np.random.default_rng(seed))
     assert len(m.factors) >= 1
-    product = Polynomial.one(m.n)
+    product = Polynomial(m.n, {(0,) * m.n: 1.0})
     for a in m.factors:  # times 1 - <z, a>
         inner = Polynomial(m.n, dict(zip(monomials_of_degree(m.n, 1), np.conj(a))))
         product = ref.mul(product, ref.sub(1.0, inner))

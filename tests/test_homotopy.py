@@ -13,6 +13,7 @@ from propermaps import _linalg, ballmaps, constructors, homotopy, polyalg
 from propermaps._linalg import UnitaryPath
 from propermaps.ballmaps import (DenominatorVanishesError, RationalBallMap, Verdict,
                                  apply_linear, certify_proper, degree, norm_equivalent)
+from propermaps.bounds import DEFAULT_TOL
 from propermaps.constructors import (BallAutomorphism, BlaschkeProduct, WhitneyTerm,
                                      automorphism_map, blaschke_map,
                                      random_ball_automorphism, whitney_extend,
@@ -24,7 +25,7 @@ from propermaps.homotopy import (EndpointMismatchError, HomotopyFamily,
                                  constant_family, degree_drop_family,
                                  faran_families, homotopy_to_monomial,
                                  juxtaposition_family, verify_family)
-from propermaps.polyalg import DEFAULT_TOL, Polynomial
+from propermaps.polyalg import Polynomial
 
 import polyref as ref
 from conftest import bench_module
@@ -98,7 +99,7 @@ def test_report_names_the_first_worst_grid_points():
     scales = {0.3: 0.5, 0.6: -1.0, 0.7: -1.0, 0.8: 0.5, 0.9: -1.0, 1.0: -1.0}
 
     def evaluator(t):
-        return RationalBallMap(1, 1, [Polynomial.monomial((1,), scales.get(round(t, 6), 1.0))])
+        return RationalBallMap(1, 1, [Polynomial(1, {(1,): scales.get(round(t, 6), 1.0)})])
 
     fam = HomotopyFamily(1, 1, pointwise(evaluator), evaluator(0.0), evaluator(1.0))
     report = verify_family(fam, grid_size=11)
@@ -121,8 +122,8 @@ def test_coefficient_steps_are_the_distances_of_adjacent_members(rng):
     # runs they are distance().  The z -> z^2 jump at t = 0.5 is a step
     # across runs and the largest one.
     def evaluator(t):
-        return RationalBallMap(1, 1, [Polynomial.monomial((1,), 1.0 - 0.1 * t) if t < 0.5
-                                      else Polynomial.monomial((2,))])
+        return RationalBallMap(1, 1, [Polynomial(1, {(1,): 1.0 - 0.1 * t}) if t < 0.5
+                                      else Polynomial(1, {(2,): 1.0})])
 
     jump = HomotopyFamily(1, 1, pointwise(evaluator), evaluator(0.0), evaluator(1.0))
     for fam in (jump, _whitney_family(2, 3, rng)[1], degree_drop_family()):
@@ -415,7 +416,7 @@ def _map_by_map_report(fam, grid_size):
             max_step, t_step = step, t
     failures = [(t, cert) for t, (cert, _, _) in zip(grid, results)
                 if cert.verdict is not Verdict.PROPER]
-    ends = [norm_equivalent(m, end, tol=1e3 * polyalg.DEFAULT_TOL).equivalent
+    ends = [norm_equivalent(m, end, tol=1e3 * DEFAULT_TOL).equivalent
             for m, end in ((members[0], fam.endpoint_left), (members[-1], fam.endpoint_right))]
     return homotopy.FamilyReport(grid, [deg for _, deg, _ in results],
                                  [dim for _, _, dim in results],
@@ -539,7 +540,7 @@ def _collapse_reference(components, scaled, free):
     lambda = 1 - 2t and the ``free`` one times sqrt(1 - lambda^2), then the
     unitary path U(2t - 1) to [A, A_perp]^H, which takes A z to the identity."""
     n, dim = components[0].nvars, len(components)
-    end = [Polynomial.zero(n) if i in scaled else c for i, c in enumerate(components)]
+    end = [Polynomial(n, {}) if i in scaled else c for i, c in enumerate(components)]
     linear = np.array([[c.terms.get(tuple(int(k == j) for k in range(n)), 0.0)
                         for j in range(n)] for c in end], dtype=complex)
     path = UnitaryPath(np.hstack([linear, _linalg.gram_schmidt_complement(linear)]).conj().T)
@@ -553,8 +554,8 @@ def _collapse_reference(components, scaled, free):
                        for i in range(dim)]
             return RationalBallMap(n, dim, [ref.mul(c, wt) for c, wt in zip(components, weights)])
         u = path(local)
-        return RationalBallMap(n, dim, [ref.add(Polynomial.zero(n), *[ref.mul(c, u[i, k])
-                                                                      for k, c in enumerate(end)])
+        return RationalBallMap(n, dim, [ref.add(Polynomial(n, {}), *[ref.mul(c, u[i, k])
+                                                                     for k, c in enumerate(end)])
                                         for i in range(dim)])
 
     return member
@@ -615,8 +616,8 @@ def test_built_in_members_equal_their_closed_forms(registry):
     z = ref.var(1, 0)
     for t, m in zip(grid, blaschke_homotopy(b).evaluate_many(grid), strict=True):
         zeros = [(1.0 - t) * a for a in b.zeros]
-        p = Polynomial.constant(1, cmath.exp(1j * (1.0 - t) * b.theta))
-        q = Polynomial.one(1)
+        p = Polynomial(1, {(0,): cmath.exp(1j * (1.0 - t) * b.theta)})
+        q = Polynomial(1, {(0,): 1.0})
         for a in zeros:
             p, q = ref.mul(p, ref.sub(z, a)), ref.mul(q, ref.add(ref.mul(z, -a.conjugate()), 1.0))
         expected = RationalBallMap(1, 1, [p], q)
@@ -638,10 +639,11 @@ def test_degree_drop_family_profile():
 
 def test_degree_drop_endpoints_are_the_named_maps():
     fam = degree_drop_family()
-    m = Polynomial.monomial
-    quartic = RationalBallMap(2, 5, [m((1, 0)), m((1, 1)), m((1, 2)), m((1, 3)), m((0, 4))])
-    cubic = RationalBallMap(2, 5, [m((0, 2), -1.0), m((1, 1)), m((1, 2), -1.0), m((2, 1)),
-                                   m((2, 0))])
+    quartic = RationalBallMap(2, 5, [Polynomial(2, {alpha: 1.0}) for alpha in
+                                     ((1, 0), (1, 1), (1, 2), (1, 3), (0, 4))])
+    cubic = RationalBallMap(2, 5, [Polynomial(2, {alpha: c}) for alpha, c in
+                                   (((0, 2), -1.0), ((1, 1), 1.0), ((1, 2), -1.0),
+                                    ((2, 1), 1.0), ((2, 0), 1.0))])
     assert fam.evaluate(1.0).allclose(quartic, 1e-12)
     assert fam.evaluate(0.0).allclose(cubic, 1e-12)
 
@@ -652,7 +654,7 @@ def test_blaschke_homotopy_contracts_to_monomial():
     report = verify_family(fam, grid_size=11)
     assert report.passed
     assert fam.evaluate(0.0).allclose(blaschke_map(b))
-    assert ref.distance(fam.evaluate(1.0).p[0], Polynomial.monomial((3,))) <= DEFAULT_TOL
+    assert ref.distance(fam.evaluate(1.0).p[0], Polynomial(1, {(3,): 1.0})) <= DEFAULT_TOL
     for k in range(11):
         assert winding_degree(fam.evaluate(k / 10)) == 3
 
@@ -661,7 +663,7 @@ def test_blaschke_product_with_a_repeated_zero():
     # The repeated zero is one factor squared, (1 - 0.3 z)^2, in closed form.
     b = BlaschkeProduct(0.0, [0.3, 0.3, -0.2j])
     m = blaschke_map(b)
-    z = Polynomial.monomial((1,))
+    z = Polynomial(1, {(1,): 1.0})
     expected = ref.mul(ref.power(ref.sub(1.0, ref.mul(z, 0.3)), 2), ref.sub(1.0, ref.mul(z, 0.2j)))
     assert ref.distance(m.q, expected) <= 1e-15
     cert = certify_proper(m)
@@ -678,7 +680,7 @@ def test_blaschke_product_with_a_repeated_zero():
 def test_blaschke_homotopy_single_zero_at_origin_is_constant():
     fam = blaschke_homotopy(BlaschkeProduct(0.0, [0.0]))
     for t in (0.0, 0.5, 1.0):
-        assert ref.distance(fam.evaluate(t).p[0], Polynomial.monomial((1,))) <= DEFAULT_TOL
+        assert ref.distance(fam.evaluate(t).p[0], Polynomial(1, {(1,): 1.0})) <= DEFAULT_TOL
 
 
 def test_blaschke_homotopy_rejects_empty_product():
@@ -700,9 +702,8 @@ def test_faran_families_dimensions_and_endpoints():
         assert verify_family(fam, grid_size=21).passed
     # At t = 1 the second family lands exactly on (z^2, zw, w, 0).
     end = fams["gh"].evaluate(1.0)
-    m = Polynomial.monomial
-    assert end.allclose(RationalBallMap(2, 4, [m((2, 0)), m((1, 1)), m((0, 1)),
-                                               Polynomial.zero(2)]), 1e-12)
+    comps = [Polynomial(2, {alpha: 1.0}) for alpha in ((2, 0), (1, 1), (0, 1))]
+    assert end.allclose(RationalBallMap(2, 4, [*comps, Polynomial(2, {})]), 1e-12)
 
 
 def test_constant_identity_contraction():
@@ -859,7 +860,7 @@ def test_collapse_degree_two_triple():
 
 
 def test_collapse_monomial_power_in_one_variable():
-    m = RationalBallMap(1, 1, [Polynomial.monomial((4,))])
+    m = RationalBallMap(1, 1, [Polynomial(1, {(4,): 1.0})])
     fam = collapse_to_linear(m)
     assert fam.target_dim == 2
     assert verify_family(fam, grid_size=21).passed
@@ -889,7 +890,7 @@ COLLAPSE_REJECTIONS = {
                              "sibling components have unequal coefficients at (1, 1) "
                              "((0.4+0j) vs (0.3+0j))"),
     "constant-component": ([Polynomial(2, {(2, 0): 1.0}), Polynomial(2, {(1, 1): 1.0}),
-                            Polynomial(2, {(0, 1): 1.0}), Polynomial.constant(2, 0.5)],
+                            Polynomial(2, {(0, 1): 1.0}), Polynomial(2, {(0, 0): 0.5})],
                            "a constant component obstructs reduction to the identity"),
     "non-unitary-linear-end": ([Polynomial(2, {(1, 0): 2.0}), Polynomial(2, {(0, 1): 1.0})],
                                "reduced linear map is not a unitary image of the identity"),
@@ -900,7 +901,7 @@ COLLAPSE_REJECTIONS = {
 def test_collapse_names_why_a_map_is_no_tensor_image(case):
     components, message = COLLAPSE_REJECTIONS[case]
     with pytest.raises(NotTensorImageError) as caught:
-        collapse_to_linear(RationalBallMap.from_components(components))
+        collapse_to_linear(RationalBallMap(2, len(components), components))
     assert str(caught.value) == message
 
 

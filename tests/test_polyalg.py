@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import propermaps
 from propermaps import polyalg
 from propermaps.ballmaps import RationalBallMap, certify_proper
-from propermaps.polyalg import (COEFFICIENT_FLOOR, DEFAULT_TOL, HermitianForm,
+from propermaps.bounds import COEFFICIENT_FLOOR, DEFAULT_TOL
+from propermaps.polyalg import (HermitianForm,
                                 Polynomial, align_rows, canonical_rows, coefficient_matrix,
                                 evaluate_rows, monomials_of_degree, multiply_rows,
                                 polynomials_from_rows, properness_form, radial_residuals,
@@ -101,7 +102,6 @@ def test_two_term_denominator_square_expanded_by_hand():
     square = _product(q, q)
     assert ref.distance(square, Polynomial(2, {(0, 0): 1.0, (1, 0): -1.0,
                                                 (2, 0): 0.25})) <= DEFAULT_TOL
-    assert square.degree == 2
 
 
 def test_addition_rejects_dimension_mismatch():
@@ -109,7 +109,7 @@ def test_addition_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="one variable count"):
         squared_norm_form([z(0), z(0, 3)])
     with pytest.raises(ValueError, match="one variable count"):
-        properness_form([z(0)], Polynomial.one(3))
+        properness_form([z(0)], Polynomial(3, {(0, 0, 0): 1.0}))
 
 
 def test_distance_is_largest_coefficient_difference():
@@ -120,14 +120,14 @@ def test_distance_is_largest_coefficient_difference():
     assert f.distance(g) == pytest.approx(3.0)
     assert g.distance(f) == f.distance(g)
     assert f.distance(f) == 0.0
-    zero = RationalBallMap(2, 1, [Polynomial.zero(2)])
+    zero = RationalBallMap(2, 1, [Polynomial(2, {})])
     assert zero.distance(zero) == 0.0
     nearby = RationalBallMap(2, 1, [ref.add(a, ref.mul(1e-12, z(1)))])
     assert not f.allclose(g) and f.allclose(nearby)
 
 
 def test_coefficient_matrix_round_trip_and_floor():
-    polys = [ref.add(ref.mul(z(0), z(1)), 2.0), ref.mul(3j, z(1)), Polynomial.zero(2)]
+    polys = [ref.add(ref.mul(z(0), z(1)), 2.0), ref.mul(3j, z(1)), Polynomial(2, {})]
     monos, mat = coefficient_matrix(polys)
     assert monos == sorted(monos, reverse=True) == [(1, 1), (0, 1), (0, 0)]
     assert mat.shape == (3, 3)
@@ -141,8 +141,9 @@ def test_coefficient_matrix_round_trip_and_floor():
 
 def _terms_entry_by_entry(monomials, matrix):
     """The term dicts of ``polynomials_from_rows``, read one entry at a time
-    with Python's abs (the reference for the one comparison it makes)."""
-    return [{alpha: c for alpha, c in zip(monomials, row) if abs(c) > COEFFICIENT_FLOOR}
+    with ``np.abs``, the store's floor test (the reference for the one
+    comparison it makes)."""
+    return [{alpha: c for alpha, c in zip(monomials, row) if np.abs(c) > COEFFICIENT_FLOOR}
             for row in np.asarray(matrix, dtype=complex).tolist()]
 
 
@@ -222,12 +223,31 @@ def test_polynomial_keys_are_integer_tuples(count):
             assert all(type(e) is int for e in alpha) and type(c) is complex
 
 
+def test_both_construction_paths_floor_by_the_stores_test():
+    # np.abs(c) = 1.0000000000000002e-14 is above the floor, abs(c) = 1e-14
+    # is on it; a float exponent takes the term-by-term path.
+    c = 4.854268277352062e-16 - 9.988211090826772e-15j
+    assert Polynomial(2, {(1, 1): c}).terms == {(1, 1): c}
+    assert Polynomial(2, {(1.0, 1): c}).terms == {(1, 1): c}
+    assert Polynomial(2, {(1.0, 1): c.conjugate() * 1e-16}).terms == {}
+
+
+def test_the_term_helpers_are_gone():
+    # A map is built from term tables by RationalBallMap(...) alone.
+    for owner, name in [(Polynomial, "zero"), (Polynomial, "one"), (Polynomial, "constant"),
+                        (Polynomial, "monomial"), (Polynomial, "degree"),
+                        (Polynomial, "is_zero"), (Polynomial, "constant_term"),
+                        (Polynomial, "sorted_terms"), (RationalBallMap, "from_components"),
+                        (RationalBallMap, "constant")]:
+        assert not hasattr(owner, name), name
+
+
 def test_zero_polynomial_degree_sentinel_and_canonical_form():
-    zero = Polynomial.zero(2)
-    assert zero.degree == float("-inf")
+    assert RationalBallMap(2, 1, [Polynomial(2, {})]).degree == float("-inf")
+    # Stored above the floor, a term below DEFAULT_TOL gives no degree.
     tiny = Polynomial(2, {(1, 0): 1e-12})
-    assert tiny.is_zero
-    assert tiny.terms  # stored above the floor, invisible to the views
+    assert tiny.terms == {(1, 0): 1e-12}
+    assert RationalBallMap(2, 1, [tiny]).degree == float("-inf")
 
 
 def test_power():
@@ -321,14 +341,14 @@ def test_form_values_match_the_signed_norms_pointwise(rng):
 
 
 def test_properness_form_identity_is_sphere_defect():
-    form = properness_form([z(0), z(1)], Polynomial.one(2))
+    form = properness_form([z(0), z(1)], Polynomial(2, {(0, 0): 1.0}))
     assert _close(form.entries, {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0,
                                  ((0, 0), (0, 0)): -1.0})
     assert not form.matrix.flags.writeable
 
 
 def test_properness_form_constant_map_is_zero():
-    form = properness_form([Polynomial.one(2)], Polynomial.one(2))
+    form = properness_form([Polynomial(2, {(0, 0): 1.0})], Polynomial(2, {(0, 0): 1.0}))
     assert np.abs(form.matrix).max() <= DEFAULT_TOL
 
 
@@ -337,25 +357,25 @@ def test_properness_form_quintic_vanishes_on_sphere():
     w = z(1)
     comps = [z(0), ref.mul(z(0), w), ref.mul(z(0), ref.power(w, 2)),
              ref.mul(z(0), ref.power(w, 3)), ref.power(w, 4)]
-    form = properness_form(comps, Polynomial.one(2))
+    form = properness_form(comps, Polynomial(2, {(0, 0): 1.0}))
     assert _residual(form)[0] <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------- reduction
 def test_reduce_sphere_defect_to_zero():
-    form = properness_form([z(0), z(1)], Polynomial.one(2))
+    form = properness_form([z(0), z(1)], Polynomial(2, {(0, 0): 1.0}))
     assert _residual(form) == (0.0, None)
 
 
 def test_reduce_cubic_invariant_map():
     comps = [ref.power(z(0), 3), ref.mul(math.sqrt(3.0), z(0), z(1)), ref.power(z(1), 3)]
-    form = properness_form(comps, Polynomial.one(2))
+    form = properness_form(comps, Polynomial(2, {(0, 0): 1.0}))
     assert _residual(form)[0] <= DEFAULT_TOL
 
 
 def test_reduce_detects_shrunken_map():
     # 0.25 (x1 + x2) - 1 is -0.75 on the simplex: both Bernstein coefficients.
-    form = properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, z(1))], Polynomial.one(2))
+    form = properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, z(1))], Polynomial(2, {(0, 0): 1.0}))
     assert _residual(form) == (0.75, ((1, 0), (1, 0)))
 
 
@@ -368,18 +388,18 @@ def _sampled_max(form, seed=3):
 def test_reduction_agrees_with_sphere_sampling_oracle():
     w = z(1)
     vanishing = [
-        properness_form([z(0), z(1)], Polynomial.one(2)),
+        properness_form([z(0), z(1)], Polynomial(2, {(0, 0): 1.0})),
         properness_form([ref.power(z(0), 2), ref.mul(math.sqrt(2.0), z(0), w),
-                         ref.power(w, 2)], Polynomial.one(2)),
-        properness_form([z(0), ref.mul(z(0), w), ref.power(w, 2)], Polynomial.one(2)),
+                         ref.power(w, 2)], Polynomial(2, {(0, 0): 1.0})),
+        properness_form([z(0), ref.mul(z(0), w), ref.power(w, 2)], Polynomial(2, {(0, 0): 1.0})),
     ]
     for form in vanishing:
         assert _residual(form)[0] <= DEFAULT_TOL
         assert _sampled_max(form) <= 1e3 * DEFAULT_TOL
     defective = [
-        properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, w)], Polynomial.one(2)),
-        properness_form([z(0), ref.mul(0.9, w)], Polynomial.one(2)),
-        properness_form([Polynomial.constant(2, 0.5)], Polynomial.one(2)),
+        properness_form([ref.mul(0.5, z(0)), ref.mul(0.5, w)], Polynomial(2, {(0, 0): 1.0})),
+        properness_form([z(0), ref.mul(0.9, w)], Polynomial(2, {(0, 0): 1.0})),
+        properness_form([Polynomial(2, {(0, 0): 0.5})], Polynomial(2, {(0, 0): 1.0})),
     ]
     for form in defective:
         assert _residual(form)[0] > DEFAULT_TOL
@@ -390,7 +410,7 @@ def test_reduce_handles_off_diagonal_shifts():
     # |z1 + z2|^2 - 1 vanishes nowhere on the whole sphere: remainder nonzero,
     # but (z1+z2)/sqrt(2) scaled norms agree only pointwise, not identically.
     p = ref.add(z(0), z(1))
-    form = properness_form([p], Polynomial.one(2))
+    form = properness_form([p], Polynomial(2, {(0, 0): 1.0}))
     # The shift-0 part x1 + x2 - 1 reduces to zero; the cross term
     # z1 conj(z2) survives reduction with coefficient 1.
     residual, worst = _residual(form)
@@ -399,7 +419,7 @@ def test_reduce_handles_off_diagonal_shifts():
 
 def test_one_variable_reduction_evaluates_at_one():
     # |z|^2 - 1 on the circle: the radial polynomial x - 1 vanishes at x = 1.
-    form = properness_form([z(0, 1)], Polynomial.one(1))
+    form = properness_form([z(0, 1)], Polynomial(1, {(0,): 1.0}))
     assert _residual(form) == (0.0, None)
 
 
@@ -663,14 +683,12 @@ def test_only_the_term_dict_boundary_reads_polynomial_views():
 
 def test_polynomials_are_built_only_where_terms_come_in():
     # Term dicts are built where terms come in (map documents, the catalog's
-    # tables, RationalBallMap's constructors) and for the XMatrix entries view;
+    # tables, RationalBallMap's constructor) and for the XMatrix entries view;
     # every other map is built from coefficient rows.  A call counts when
     # Polynomial is a name on its callee's chain (Polynomial(...),
-    # Polynomial.one(...), polyalg.Polynomial(...)); annotations are no calls.
+    # Polynomial._raw(...), polyalg.Polynomial(...)); annotations are no calls.
     allowed = {("documents", "map_from_document"), ("corpus", "_table_map"),
                ("ballmaps", "RationalBallMap.__init__"),
-               ("ballmaps", "RationalBallMap.constant"),
-               ("ballmaps", "RationalBallMap.from_components"),
                ("xvariety", "XMatrix.entries")}
     builders, outside = set(), []
     for module, owner, node in _package_owners():
@@ -722,4 +740,4 @@ def test_plans_beyond_the_bound_raise_before_they_are_built():
     with pytest.raises(ValueError, match=rf"degree {2 ** 62} \(n = 1\)"):
         radial_residuals(1, ((2 ** 62,), (0,)), np.array([[1.0, -1.0]]))
     with pytest.raises(ValueError, match=r"degree 700 \(n = 3\)"):
-        certify_proper(RationalBallMap.from_components([Polynomial(3, {(700, 0, 0): 1.0})]))
+        certify_proper(RationalBallMap(3, 1, [Polynomial(3, {(700, 0, 0): 1.0})]))

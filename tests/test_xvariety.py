@@ -9,7 +9,8 @@ from propermaps.constructors import (BallAutomorphism, automorphism_map,
                                      random_ball_automorphism)
 from propermaps.corpus import group_invariant_degree5_map, quadric_three_map
 from propermaps.homotopy import constant_family, degree_drop_family
-from propermaps.polyalg import DEFAULT_TOL, Polynomial, monomials_of_degree, multinomial
+from propermaps.bounds import DEFAULT_TOL
+from propermaps.polyalg import Polynomial, monomials_of_degree, multinomial
 from propermaps import xvariety
 from propermaps.xvariety import (EvaluationAtPoleError, build_xmatrix, fiber_at,
                                  graph_test, xmatrix_along_family)
@@ -102,7 +103,7 @@ def reference_maps(registry):
     quartic = registry.families["ex2.1.family"]
     for c in (0.041, 0.189, 0.404, 0.697, 0.95):
         out.append((f"ex2.1-{c}", quartic.evaluate(c), 4, 50, False))
-    z1, z2 = Polynomial.monomial((1, 0)), Polynomial.monomial((0, 1))
+    z1, z2 = Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})
     q = Polynomial(2, {(0, 0): 1.0, (2, 0): 0.1})
     out.append(("q-above-p", RationalBallMap(2, 2, [z1, z2], q), None, 20, True))
     return out
@@ -163,9 +164,9 @@ def test_row_count_matches_monomial_count(registry):
 
 
 def test_homogeneous_map_gives_constant_matrix():
-    m = RationalBallMap(2, 3, [Polynomial.monomial((2, 0)),
-                               Polynomial.monomial((1, 1), math.sqrt(2.0)),
-                               Polynomial.monomial((0, 2))])
+    m = RationalBallMap(2, 3, [Polynomial(2, {(2, 0): 1.0}),
+                               Polynomial(2, {(1, 1): math.sqrt(2.0)}),
+                               Polynomial(2, {(0, 2): 1.0})])
     x = build_xmatrix(m)
     for row in x.entries:
         for entry in row:
@@ -297,7 +298,7 @@ def test_rank_deficient_padding_is_exceptional_everywhere(rng):
 
 
 def test_zero_numerator_has_degree_zero_and_full_fibers():
-    zero = RationalBallMap(2, 3, [Polynomial.zero(2)] * 3)
+    zero = RationalBallMap(2, 3, [Polynomial(2, {})] * 3)
     x = build_xmatrix(zero)
     assert (x.d, x.row_count, x.N) == (0, 1, 3)
     result = graph_test(zero, x, samples=10)
@@ -345,7 +346,6 @@ def test_quartic_family_rank_profile():
 
 
 def test_a_lift_beyond_the_plan_bound_raises_before_it_is_built():
-    m = RationalBallMap.from_components([Polynomial(2, {(1100, 0): 1.0}),
-                                         Polynomial(2, {(0, 1): 1.0})])
+    m = RationalBallMap(2, 2, [Polynomial(2, {(1100, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})])
     with pytest.raises(ValueError, match=r"degree 1100 \(n = 2\)"):
         build_xmatrix(m).conjugated_at([0.1, 0.2])
